@@ -16,10 +16,11 @@ from .reps import (Representation, commutant_dimension, commutator_factor,
 from .cocycles import (Cocycle, CocycleBasis, anti_hermitian_part, coboundary,
                        cocycle_basis, cocycle_law_residual, extend,
                        extend_ring, random_cocycle, real_locus_bases,
-                       relator_residual, star_involution)
-from .pairing import (GoldmanGram, SymplecticBasis, UnitaryLocusReport, gram,
-                      pairing_cup, pairing_dual, standard_block_j,
-                      symplectic_basis, unitary_restriction_check)
+                       relator_residual, star_involution, word_jacobian)
+from .pairing import (GoldmanGram, SymplecticBasis, UnitaryLocusReport,
+                      dual_form_matrix, gram, gram_matrix, pairing_cup,
+                      pairing_dual, standard_block_j, symplectic_basis,
+                      unitary_restriction_check)
 from .charts import (Chart, DeformationCurve, closedness_check, deform,
                      deformation_correction, rh_differential,
                      transport_values)

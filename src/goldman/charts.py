@@ -81,12 +81,14 @@ class DeformationCurve:
 
     The default evaluator deforms along a fixed cocycle direction; a
     custom evaluator (for example a pure conjugation curve) may be
-    supplied instead.
+    supplied instead.  Points along the direction are deterministic, so
+    they are cached by parameter; a custom evaluator is called every time.
     """
 
     center: Representation
     direction: Cocycle | None = None
     evaluator: Callable[[float], Representation] | None = None
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def at(self, t: float) -> Representation:
         if t == 0.0:
@@ -95,7 +97,9 @@ class DeformationCurve:
             return self.evaluator(t)
         if self.direction is None:
             raise InputError("curve needs a direction or an explicit evaluator")
-        return deform(self.center, self.direction, t)
+        if t not in self._cache:
+            self._cache[t] = deform(self.center, self.direction, t)
+        return self._cache[t]
 
 
 def rh_differential(curve: DeformationCurve, step: float) -> Cocycle:

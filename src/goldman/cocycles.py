@@ -44,6 +44,8 @@ class Cocycle:
             m = np.array(m, dtype=complex)
             if m.shape != (n, n):
                 raise InputError(f"cocycle value has shape {m.shape}, expected {(n, n)}")
+            if not np.isfinite(m).all():
+                raise InputError("cocycle value has a non-finite entry")
             m.setflags(write=False)
             frozen.append(m)
         object.__setattr__(self, "values", tuple(frozen))
@@ -112,6 +114,42 @@ def extend(chi: Cocycle, word: GroupWord) -> np.ndarray:
         prefix = prefix @ image
         prefix_inv = image_inv @ prefix_inv
     return total
+
+
+def word_jacobian(rep: Representation, word: GroupWord) -> np.ndarray:
+    """Matrix of the linear map chi.flat -> vec chi(word), shape (n^2, 2g n^2).
+
+    Fox calculus under Ad(sigma): a letter x_i contributes +Ad(prefix) to
+    the column block of generator i, a letter x_i^-1 contributes
+    -Ad(prefix x_i^-1).  One left-to-right pass keeps the running prefix
+    and its inverse; the adjoint matrices of all letters are formed by a
+    single batched Kronecker product.
+    """
+    if word.genus != rep.genus:
+        raise InputError("word and representation have different genus")
+    n = rep.rank
+    count = rep.presentation.generator_count
+    prefix = np.eye(n, dtype=complex)
+    prefix_inv = np.eye(n, dtype=complex)
+    prefixes, prefix_invs, gens, signs = [], [], [], []
+    for gen, sign in word.letters():
+        if sign > 0:
+            prefixes.append(prefix)
+            prefix_invs.append(prefix_inv)
+        prefix = prefix @ rep.image(gen, sign)
+        prefix_inv = rep.image(gen, -sign) @ prefix_inv
+        if sign < 0:
+            prefixes.append(prefix)
+            prefix_invs.append(prefix_inv)
+        gens.append(gen)
+        signs.append(sign)
+    blocks = np.zeros((count, n * n, n * n), dtype=complex)
+    if gens:
+        # kron(P^-T, P)[a n + b, c n + d] = P^-1[c, a] P[b, d]
+        ad = np.einsum("mca,mbd->mabcd", np.array(prefix_invs), np.array(prefixes))
+        ad = ad.reshape(len(gens), n * n, n * n) * np.array(signs)[:, None, None]
+        np.add.at(blocks, np.array(gens), ad)
+    return blocks.transpose(1, 0, 2).reshape(n * n, count * n * n)
 
 
 def extend_ring(chi: Cocycle, element: GroupRingElement) -> np.ndarray:

@@ -22,7 +22,6 @@ class RunConfig:
     seed: int = 0
     tolerance_overrides: tuple[tuple[str, float], ...] = ()
     out: Path = field(default_factory=Path.cwd)
-    parallel: bool = False
     mutate: str | None = None
 
     def __post_init__(self):

@@ -10,6 +10,12 @@ with B(u, v) = tr(uv).  The oracle path evaluates the cup-product
 anti-involution of the Fox derivatives.  The two share only the word
 algebra; their agreement is a standing cross-check of both.
 
+The closed form is bilinear in the two cocycles and chi -> chi(w) is a
+fixed linear map (word_jacobian), so the form is one matrix W per
+representation, omega(x, y) = x.flat @ W @ y.flat.  Gram matrices are
+assembled from it as V^T W V; pairing_dual stays the letterwise
+single-pair evaluation.
+
 The pairing is complex bilinear, skew on cohomology classes, and
 independent of the choice of cocycle representatives.
 """
@@ -22,8 +28,8 @@ import numpy as np
 
 from . import tolerances
 from .errors import DegenerateFormError, InputError
-from .cocycles import Cocycle, CocycleBasis, extend, extend_ring
-from .linalg import frob, split_singular_values
+from .cocycles import Cocycle, CocycleBasis, extend, extend_ring, word_jacobian
+from .linalg import ad_matrix, frob, split_singular_values
 from .reps import Representation, evaluate
 from .words import anti_involution
 
@@ -68,6 +74,50 @@ def pairing_cup(chi1: Cocycle, chi2: Cocycle) -> complex:
     return complex(total)
 
 
+def dual_form_matrix(rep: Representation) -> np.ndarray:
+    """Matrix W of the closed-form pairing: omega(x, y) = x.flat @ W @ y.flat.
+
+    With tr(XY) = vec(X)^T T vec(Y) for the transpose permutation T, the
+    closed form reads W = sum_k J(alpha_k)^T T Ad(sigma(R_{k-1})) E_{a_k}
+    - J(beta_k)^T T Ad(sigma(R_k)) E_{b_k}, where J is word_jacobian and
+    E selects a generator block; so column block a_k (b_k) of W is the
+    alpha_k (beta_k) term.  Representation.dual_form caches the result.
+    """
+    pres = rep.presentation
+    n = rep.rank
+    duals = pres.dual_generators()
+    # vec(X^T) = vec(X)[transpose] for column-stacked n x n matrices X
+    transpose = np.arange(n * n).reshape((n, n), order="F").T.ravel(order="F")
+
+    def trace_ad(word):
+        return ad_matrix(evaluate(rep, word), evaluate(rep, word.inverse()))[transpose]
+
+    blocks = []
+    for k in range(1, pres.genus + 1):
+        alpha, beta = duals[2 * (k - 1)], duals[2 * (k - 1) + 1]
+        blocks.append(word_jacobian(rep, alpha).T @ trace_ad(pres.relator(k - 1)))
+        blocks.append(-word_jacobian(rep, beta).T @ trace_ad(pres.relator(k)))
+    w = np.hstack(blocks)
+    w.setflags(write=False)
+    return w
+
+
+def gram_matrix(cocycles) -> np.ndarray:
+    """Pairings of every ordered pair of cocycles over one base: V^T W V.
+
+    Entry (i, j) is omega(c_i, c_j); V holds the flattened cocycles as
+    columns and W is the base representation's cached dual_form.
+    """
+    cocycles = list(cocycles)
+    if not cocycles:
+        return np.zeros((0, 0), dtype=complex)
+    rep = cocycles[0].base
+    for chi in cocycles[1:]:
+        _common_base(cocycles[0], chi)
+    v = np.column_stack([chi.flat for chi in cocycles])
+    return v.T @ rep.dual_form @ v
+
+
 @dataclass(frozen=True, eq=False)
 class GoldmanGram:
     """Skew Gram matrix of the pairing on a list of cocycles."""
@@ -87,13 +137,10 @@ class GoldmanGram:
         return split_singular_values(svals, rel_tol)
 
 
-def gram(basis: CocycleBasis, space: str = "h1-complement",
-         parallel: bool = False) -> GoldmanGram:
-    """Pairwise dual-formula pairings over a basis.
+def gram(basis: CocycleBasis, space: str = "h1-complement") -> GoldmanGram:
+    """Gram matrix of the pairing on a basis.
 
-    space selects the cocycles: "z1" or "h1-complement".  Entries are
-    independent, so assembly may run concurrently; the result is written
-    into a preallocated matrix and is deterministic either way.
+    space selects the cocycles: "z1" or "h1-complement".
     """
     if space == "z1":
         vectors = basis.basis
@@ -101,24 +148,7 @@ def gram(basis: CocycleBasis, space: str = "h1-complement",
         vectors = basis.h1_complement
     else:
         raise InputError(f"unknown Gram space {space!r}")
-    d = len(vectors)
-    matrix = np.zeros((d, d), dtype=complex)
-    pairs = [(i, j) for i in range(d) for j in range(d)]
-
-    def entry(ij):
-        i, j = ij
-        return i, j, pairing_dual(vectors[i], vectors[j])
-
-    if parallel:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor() as pool:
-            for i, j, value in pool.map(entry, pairs):
-                matrix[i, j] = value
-    else:
-        for ij in pairs:
-            i, j, value = entry(ij)
-            matrix[i, j] = value
+    matrix = gram_matrix(vectors)
     matrix.setflags(write=False)
     return GoldmanGram(base=basis.base, vectors=tuple(vectors), matrix=matrix,
                        space=space)
@@ -140,6 +170,12 @@ class SymplecticBasis:
     @property
     def pair_count(self) -> int:
         return len(self.e)
+
+    @property
+    def normal_form_residual(self) -> float:
+        """Largest entry of the Gram matrix of e_1..e_m f_1..f_m minus J."""
+        expected = standard_block_j(self.pair_count)
+        return float(np.abs(gram_matrix(self.e + self.f) - expected).max())
 
 
 def standard_block_j(m: int) -> np.ndarray:
@@ -246,17 +282,13 @@ def unitary_restriction_check(cocycles, imag_tol: float = 1e-10) -> UnitaryLocus
             if frob(m + m.conj().T) > tolerances.VERIFICATION * max(1.0, frob(m)):
                 raise InputError("cocycle values are not anti-Hermitian")
     d = len(cocycles)
-    matrix = np.zeros((d, d), dtype=complex)
-    max_imag = 0.0
+    matrix = gram_matrix(cocycles)
+    imag = np.abs(matrix.imag)
+    max_imag = float(imag.max())
     offending = None
-    for i in range(d):
-        for j in range(d):
-            value = pairing_dual(cocycles[i], cocycles[j])
-            matrix[i, j] = value
-            if abs(value.imag) > max_imag:
-                max_imag = abs(value.imag)
-                if abs(value.imag) >= imag_tol:
-                    offending = (i, j)
+    if max_imag >= imag_tol:
+        i, j = np.unravel_index(int(np.argmax(imag)), imag.shape)
+        offending = (int(i), int(j))
     svals = np.linalg.svd(matrix.real, compute_uv=False)
     rank, margin = split_singular_values(svals)
     passed = max_imag < imag_tol and rank == d

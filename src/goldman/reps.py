@@ -57,6 +57,8 @@ class Representation:
             m = np.array(m, dtype=complex)
             if m.shape != (n, n):
                 raise InputError(f"generator image has shape {m.shape}, expected {(n, n)}")
+            if not np.isfinite(m).all():
+                raise InputError("generator image has a non-finite entry")
             if abs(np.linalg.det(m)) < 1e-12:
                 raise InputError("generator image is numerically singular")
             if self.flavor == UNITARY and frob(m.conj().T @ m - np.eye(n)) > self.tol:
@@ -75,6 +77,14 @@ class Representation:
         if self.flavor == UNITARY:
             return tuple(m.conj().T for m in self.images)
         return tuple(np.linalg.inv(m) for m in self.images)
+
+    @cached_property
+    def dual_form(self) -> np.ndarray:
+        """Matrix W of the Goldman pairing, omega(x, y) = x.flat @ W @ y.flat;
+        built once per representation by pairing.dual_form_matrix."""
+        from .pairing import dual_form_matrix
+
+        return dual_form_matrix(self)
 
     @property
     def genus(self) -> int:

@@ -6,8 +6,9 @@ threshold, verdict).  Checks never abort the suite; the caller turns any
 failure into a nonzero exit status.
 
 Mutation mode (config.mutate = "dual-sign") deliberately flips a sign in
-the dual-generator pairing so the cup/dual cross-check must fail; it
-exists to demonstrate that the suite catches exactly that class of error.
+the dual-generator pairing (the b_k column blocks of the pairing matrix
+W) so the cup/dual cross-check must fail; it exists to demonstrate that
+the suite catches exactly that class of error.
 """
 
 from __future__ import annotations
@@ -23,14 +24,13 @@ from . import fileio, tolerances
 from .charts import (Chart, DeformationCurve, closedness_check, deform,
                      deformation_correction, rh_differential)
 from .cocycles import (Cocycle, anti_hermitian_part, coboundary,
-                       cocycle_basis, cocycle_law_residual, extend,
-                       random_cocycle, real_locus_bases, relator_residual,
-                       star_involution)
+                       cocycle_basis, cocycle_law_residual, random_cocycle,
+                       real_locus_bases, relator_residual, star_involution)
 from .config import RunConfig
 from .errors import ConvergenceError
 from .linalg import frob, haar_unitary
-from .pairing import (gram, pairing_cup, pairing_dual, standard_block_j,
-                      symplectic_basis, unitary_restriction_check)
+from .pairing import (gram, pairing_cup, pairing_dual, symplectic_basis,
+                      unitary_restriction_check)
 from .reps import (GENERAL_LINEAR, UNITARY, Representation,
                    commutant_dimension, commutator_factor, evaluate,
                    newton_project, random_representation, relator_defect)
@@ -383,27 +383,20 @@ def check_real_locus_dimensions(config: RunConfig) -> CheckResult:
 
 # -------------------------------------------------------------- goldman core
 
-def _pairing_dual_mutated(chi1, chi2):
-    """Deliberately wrong: the handle-B term enters with a flipped sign."""
-    rep = chi1.base
-    pres = rep.presentation
-    duals = pres.dual_generators()
-    total = 0.0 + 0.0j
-    for k in range(1, pres.genus + 1):
-        alpha, beta = duals[2 * (k - 1)], duals[2 * (k - 1) + 1]
-        s_prev = evaluate(rep, pres.relator(k - 1))
-        s_k = evaluate(rep, pres.relator(k))
-        av = chi2.values[2 * (k - 1)]
-        bv = chi2.values[2 * (k - 1) + 1]
-        total += np.trace(extend(chi1, alpha) @ (s_prev @ av @ np.linalg.inv(s_prev)))
-        total += np.trace(extend(chi1, beta) @ (s_k @ bv @ np.linalg.inv(s_k)))
-    return complex(total)
+def _mutated_dual(rep: Representation):
+    """Deliberately wrong pairing: the handle-b terms enter with a flipped
+    sign, i.e. the b_k column blocks of W are negated."""
+    w = np.array(rep.dual_form)
+    n2 = rep.rank ** 2
+    for k in range(rep.genus):
+        w[:, (2 * k + 1) * n2:(2 * k + 2) * n2] *= -1
+    return lambda chi1, chi2: complex(chi1.flat @ w @ chi2.flat)
 
 
 def check_cup_dual_agreement(config: RunConfig) -> CheckResult:
     rng = _rng(config, "cup-dual-agreement")
     basis = cocycle_basis(_base(config))
-    dual = _pairing_dual_mutated if config.mutate == "dual-sign" else pairing_dual
+    dual = _mutated_dual(basis.base) if config.mutate == "dual-sign" else pairing_dual
     worst = 0.0
     samples = 100
     for _ in range(samples):
@@ -484,11 +477,11 @@ def check_conjugation_equivariance(config: RunConfig) -> CheckResult:
 
 def check_gram_structure(config: RunConfig) -> CheckResult:
     basis = cocycle_basis(_base(config))
-    g_complement = gram(basis, "h1-complement", parallel=config.parallel)
+    g_complement = gram(basis, "h1-complement")
     rank, margin = g_complement.rank()
     ok = (g_complement.skewness_residual <= config.tolerance("verification")
           and rank == basis.dims[2] and margin >= 1e3)
-    g_full = gram(basis, "z1", parallel=config.parallel)
+    g_full = gram(basis, "z1")
     rank_full, _ = g_full.rank()
     ok = ok and rank_full == basis.dims[2]
     residual = g_complement.skewness_residual if ok else 1.0
@@ -536,13 +529,8 @@ def check_intersection_form(config: RunConfig) -> CheckResult:
 def check_symplectic_basis(config: RunConfig) -> CheckResult:
     basis = cocycle_basis(_base(config))
     sb = symplectic_basis(gram(basis, "h1-complement"))
-    vectors = list(sb.e) + list(sb.f)
-    expected = standard_block_j(sb.pair_count)
-    worst = 0.0
-    for i, u in enumerate(vectors):
-        for j, v in enumerate(vectors):
-            worst = max(worst, abs(pairing_dual(u, v) - expected[i, j]))
-    return _result("symplectic-basis", len(vectors) ** 2, worst,
+    return _result("symplectic-basis", (2 * sb.pair_count) ** 2,
+                   sb.normal_form_residual,
                    config.tolerance("verification"))
 
 

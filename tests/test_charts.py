@@ -111,6 +111,23 @@ class TestRhDifferential:
         assert rec.norm() > 1e-2  # nonzero cocycle...
         assert np.linalg.norm(basis_g2n2.h1_coordinates(rec)) < 1e-6  # ...zero class
 
+    def test_direction_points_are_cached(self, basis_g2n2):
+        chi = unit_h1_direction(basis_g2n2, 5)
+        curve = DeformationCurve(center=basis_g2n2.base, direction=chi)
+        point = curve.at(1e-3)
+        assert curve.at(1e-3) is point
+        assert curve.at(-1e-3) is not point
+        calls = []
+
+        def evaluator(t):
+            calls.append(t)
+            return deform(basis_g2n2.base, chi, t)
+
+        custom = DeformationCurve(center=basis_g2n2.base, evaluator=evaluator)
+        custom.at(1e-3)
+        custom.at(1e-3)
+        assert calls == [1e-3, 1e-3]
+
     def test_step_floor(self, basis_g2n2):
         chi = unit_h1_direction(basis_g2n2, 59)
         curve = DeformationCurve(center=basis_g2n2.base, direction=chi)

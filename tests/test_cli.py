@@ -154,6 +154,22 @@ class TestFileCommands:
                                 str(tmp_path / "nope.txt")], capsys)
         assert code == 2
 
+    def test_gram_non_finite_cocycle_exits_two(self, tmp_path, capsys):
+        out_dir = str(tmp_path)
+        run_cli(["--out", out_dir, "random-rep"], capsys)
+        run_cli(["--out", out_dir, "cocycle-basis"], capsys)
+        target = tmp_path / "cocycle-001.txt"
+        lines = target.read_text().splitlines()
+        row = lines.index("generator: b1") + 1
+        lines[row] = " ".join(["nan"] + lines[row].split()[1:])
+        target.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(["--out", out_dir, "gram",
+                                "--rep", str(tmp_path / "representation.txt"),
+                                str(tmp_path / "cocycle-000.txt"), str(target)],
+                               capsys)
+        assert code == 2
+        assert "non-finite" in err
+
 
 class TestClosednessCommand:
     def test_report(self, capsys):
@@ -212,6 +228,19 @@ class TestVerifyCommand:
         code, _, err = run_cli(["--tol", "bogus=1e-4", "--out", str(tmp_path),
                                 "verify"], capsys)
         assert code == 2
+
+
+class TestParserReuse:
+    def test_tolerance_does_not_leak_into_next_call(self, capsys):
+        from goldman.cli import _build_parser
+
+        assert _build_parser() is _build_parser()
+        code, _, _ = run_cli(["--tol", "bogus=1e-4", "dims"], capsys)
+        assert code == 2
+        code, out, _ = run_cli(["dims"], capsys)
+        assert code == 0
+        assert out.strip() == "Z1=13 B1=3 H1=10 formula=10 MATCH"
+        assert _build_parser().parse_args(["dims"]).tol == []
 
 
 class TestSubprocessEntry:

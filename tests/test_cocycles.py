@@ -5,8 +5,9 @@ from goldman import (Cocycle, InputError,
                      anti_hermitian_part, coboundary, cocycle_basis,
                      cocycle_law_residual, extend, extend_ring, random_cocycle,
                      random_representation, real_locus_bases, relator_residual,
-                     star_involution)
-from goldman.linalg import frob
+                     star_involution, word_jacobian)
+from goldman.linalg import frob, vec
+from goldman.reps import relator_tangent_matrix
 from goldman.words import GroupRingElement
 
 
@@ -54,6 +55,39 @@ class TestExtend:
         for basis in seeded_bases.values():
             for chi in basis.basis:
                 assert relator_residual(chi) < 1e-10
+
+
+class TestWordJacobian:
+    def test_matches_letterwise_extension(self, seeded_bases):
+        rng = np.random.default_rng(60)
+        for basis in seeded_bases.values():
+            pres = basis.base.presentation
+            chi = random_cocycle(basis, rng)
+            for _ in range(10):
+                raw = [(int(rng.integers(0, pres.generator_count)),
+                        int(rng.choice([-1, 1]))) for _ in range(int(rng.integers(0, 12)))]
+                word = pres.word(raw)
+                lhs = word_jacobian(basis.base, word) @ chi.flat
+                assert np.abs(lhs - vec(extend(chi, word))).max() < 1e-12
+
+    def test_relator_is_fox_tangent_matrix(self, seeded_reps):
+        reps = list(seeded_reps.values())
+        reps.append(random_representation(3, 2, "general-linear", seed=6))
+        for rep in reps:
+            jac = word_jacobian(rep, rep.presentation.relator())
+            fox = relator_tangent_matrix(rep.presentation, rep.images, rep.flavor)
+            assert np.abs(jac - fox).max() < 1e-12
+
+    def test_empty_word_is_zero(self, rep_g2n2):
+        jac = word_jacobian(rep_g2n2, rep_g2n2.presentation.identity())
+        assert jac.shape == (4, 16)
+        assert not jac.any()
+
+    def test_genus_mismatch(self, rep_g2n2):
+        from goldman import Presentation
+
+        with pytest.raises(InputError):
+            word_jacobian(rep_g2n2, Presentation(3).a(1))
 
 
 class TestExtendRing:
@@ -240,3 +274,10 @@ class TestBaseMismatch:
             Cocycle(rep_g2n2, tuple(np.zeros((3, 3)) for _ in range(4)))
         with pytest.raises(InputError):
             Cocycle(rep_g2n2, tuple(np.zeros((2, 2)) for _ in range(3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_non_finite_value_rejected(self, rep_g2n2, bad):
+        values = [np.zeros((2, 2), dtype=complex) for _ in range(4)]
+        values[2][1, 0] = bad
+        with pytest.raises(InputError, match="non-finite"):
+            Cocycle(rep_g2n2, tuple(values))

@@ -1,12 +1,19 @@
 import numpy as np
 import pytest
 
+import goldman.pairing
 from goldman import (Cocycle, DegenerateFormError, InputError,
-                     Representation, coboundary, cocycle_basis, gram,
-                     pairing_cup, pairing_dual, random_cocycle,
-                     random_representation, real_locus_bases, standard_block_j,
-                     symplectic_basis, unitary_restriction_check)
+                     Representation, coboundary, cocycle_basis,
+                     dual_form_matrix, gram, gram_matrix, pairing_cup,
+                     pairing_dual, random_cocycle, random_representation,
+                     real_locus_bases, standard_block_j, symplectic_basis,
+                     unitary_restriction_check)
+from goldman.config import RunConfig
 from goldman.pairing import GoldmanGram
+from goldman.verify import (check_gram_structure, check_symplectic_basis,
+                            check_unitary_locus)
+
+GRID = [(g, n) for g in (2, 3) for n in (1, 2, 3)]
 
 
 def scalar_cocycle(rep, coefficients):
@@ -144,14 +151,101 @@ class TestGram:
         rank, _ = g.rank()
         assert rank == basis_g2n2.dims[2]
 
-    def test_parallel_matches_serial(self, basis_g2n2):
-        serial = gram(basis_g2n2, "h1-complement", parallel=False)
-        threaded = gram(basis_g2n2, "h1-complement", parallel=True)
-        assert np.array_equal(serial.matrix, threaded.matrix)
+    def test_matrix_matches_entrywise_dual(self, seeded_bases):
+        for basis in seeded_bases.values():
+            vectors = basis.h1_complement[:10]
+            entrywise = np.array([[pairing_dual(u, v) for v in vectors]
+                                  for u in vectors])
+            assert np.abs(gram_matrix(vectors) - entrywise).max() < 1e-12
+
+    def test_matrix_is_read_only(self, basis_g2n2):
+        assert not gram(basis_g2n2, "z1").matrix.flags.writeable
+
+    def test_mixed_bases_rejected(self, basis_g2n2):
+        other = cocycle_basis(random_representation(2, 2, "unitary", seed=77))
+        with pytest.raises(InputError):
+            gram_matrix([basis_g2n2.basis[0], other.basis[0]])
+
+    @pytest.mark.parametrize("genus,rank", [(4, 4), (6, 3)])
+    def test_large_sizes_match_cup_with_margin(self, genus, rank):
+        basis = cocycle_basis(random_representation(genus, rank, "unitary", seed=0))
+        g = gram(basis, "h1-complement")
+        vectors = basis.h1_complement
+        rng = np.random.default_rng(genus)
+        for i, j in rng.integers(0, len(vectors), size=(8, 2)):
+            assert abs(g.matrix[i, j] - pairing_cup(vectors[i], vectors[j])) < 1e-10
+        rank_found, margin = g.rank()
+        assert rank_found == basis.dims[2] == len(vectors)
+        assert margin >= 1e3
 
     def test_unknown_space(self, basis_g2n2):
         with pytest.raises(InputError):
             gram(basis_g2n2, "b1")
+
+
+class TestDualForm:
+    @pytest.mark.parametrize("flavor", ["unitary", "general-linear"])
+    def test_agrees_with_dual_and_cup(self, flavor):
+        rng = np.random.default_rng(50)
+        for genus, rank in GRID:
+            rep = random_representation(genus, rank, flavor, seed=3)
+            basis = cocycle_basis(rep)
+            for _ in range(4):
+                chi1 = random_cocycle(basis, rng)
+                chi2 = random_cocycle(basis, rng)
+                value = chi1.flat @ rep.dual_form @ chi2.flat
+                assert abs(value - pairing_dual(chi1, chi2)) < 1e-10
+                assert abs(value - pairing_cup(chi1, chi2)) < 1e-10
+
+    def test_trivial_action_is_intersection_form(self, trivial_scalar_rep):
+        expected = np.zeros((4, 4))
+        expected[0, 1], expected[1, 0] = 1.0, -1.0
+        expected[2, 3], expected[3, 2] = 1.0, -1.0
+        assert np.array_equal(dual_form_matrix(trivial_scalar_rep), expected)
+
+    def test_cached_per_representation(self, monkeypatch):
+        builds = []
+
+        def counting(rep):
+            builds.append(rep)
+            return dual_form_matrix(rep)
+
+        monkeypatch.setattr(goldman.pairing, "dual_form_matrix", counting)
+        rep = random_representation(2, 2, "unitary", seed=11)
+        basis = cocycle_basis(rep)
+        gram(basis, "z1")
+        gram(basis, "h1-complement")
+        assert rep.dual_form is rep.dual_form
+        assert builds == [rep]
+        assert not rep.dual_form.flags.writeable
+        other = random_representation(2, 2, "unitary", seed=12)
+        assert other.dual_form is not rep.dual_form
+        assert len(builds) == 2
+
+    def test_gram_assembly_never_pairs_entrywise(self, monkeypatch, tmp_path):
+        def refuse(chi1, chi2):
+            raise AssertionError("Gram assembly called pairing_dual")
+
+        for module in (goldman.pairing, goldman.verify):
+            monkeypatch.setattr(module, "pairing_dual", refuse)
+        rep = random_representation(2, 2, "unitary", seed=13)
+        basis = cocycle_basis(rep)
+        gram(basis, "h1-complement")
+        unitary_restriction_check(real_locus_bases(basis)[1])
+        config = RunConfig(seed=13)
+        for check in (check_gram_structure, check_symplectic_basis,
+                      check_unitary_locus):
+            assert check(config).passed
+
+        from goldman.cli import main
+
+        out = str(tmp_path)
+        assert main(["--seed", "13", "--out", out, "random-rep"]) == 0
+        assert main(["--seed", "13", "--out", out, "cocycle-basis"]) == 0
+        files = sorted(str(p) for p in tmp_path.glob("cocycle-*.txt"))
+        rep_file = str(tmp_path / "representation.txt")
+        assert main(["--out", out, "gram", "--rep", rep_file] + files) == 0
+        assert main(["--out", out, "symplectic-basis", "--rep", rep_file] + files) == 0
 
 
 class TestSymplecticBasis:

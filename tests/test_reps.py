@@ -218,3 +218,11 @@ class TestConstructionValidation:
         pres = Presentation(2)
         with pytest.raises(InputError):
             Representation(pres, 1, (np.eye(1),) * 3, "unitary")
+
+    @pytest.mark.parametrize("flavor", ["unitary", "general-linear"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_image_rejected(self, rep_g2n2, flavor, bad):
+        images = [np.array(m) for m in rep_g2n2.images]
+        images[1][0, 1] = bad
+        with pytest.raises(InputError, match="non-finite"):
+            Representation(rep_g2n2.presentation, 2, tuple(images), flavor)
