@@ -22,7 +22,7 @@ from .cocycles import cocycle_basis
 from .config import RunConfig
 from .errors import EXIT_OK, EXIT_PROPERTY_FAILURE, GoldmanError, InputError
 from .pairing import GoldmanGram, gram_matrix, symplectic_basis
-from .reps import random_representation, relator_defect
+from .reps import commutant_dimension, relator_defect
 from .verify import render_report, run_suite
 
 
@@ -102,26 +102,33 @@ def _config(args) -> RunConfig:
                      out=args.out, mutate=getattr(args, "mutate", None))
 
 
-def _seeded_rep(config: RunConfig):
-    return random_representation(config.genus, config.rank, config.flavor,
-                                 seed=config.seed)
-
-
 def _load_rep(config: RunConfig, path):
-    return fileio.read_representation(path) if path else _seeded_rep(config)
+    return fileio.read_representation(path) if path else config.representation()
+
+
+def _file_gram(rep_path, cocycle_paths) -> GoldmanGram:
+    rep = fileio.read_representation(rep_path)
+    cocycles = tuple(fileio.read_cocycle(p, rep) for p in cocycle_paths)
+    return GoldmanGram(base=rep, vectors=cocycles, matrix=gram_matrix(cocycles),
+                       space="input")
 
 
 def cmd_dims(config: RunConfig) -> int:
-    basis = cocycle_basis(_seeded_rep(config))
+    basis = cocycle_basis(config.representation())
     z1, b1, h1 = basis.dims
     formula = (2 * config.genus - 2) * config.rank ** 2 + 2
     verdict = "MATCH" if h1 == formula else "MISMATCH"
     print(f"Z1={z1} B1={b1} H1={h1} formula={formula} {verdict}")
-    return EXIT_OK if verdict == "MATCH" else EXIT_PROPERTY_FAILURE
+    if verdict == "MATCH":
+        return EXIT_OK
+    # the formula holds at irreducible points; a commutant above 1 names
+    # the point as reducible
+    print(f"commutant-dimension: {commutant_dimension(basis.base)}")
+    return EXIT_PROPERTY_FAILURE
 
 
 def cmd_random_rep(config: RunConfig, file: Path | None) -> int:
-    rep = _seeded_rep(config)
+    rep = config.representation()
     config.out.mkdir(parents=True, exist_ok=True)
     target = file if file is not None else config.out / "representation.txt"
     digest = fileio.write_representation(target, rep)
@@ -148,26 +155,20 @@ def cmd_cocycle_basis(config: RunConfig, rep_path, space: str) -> int:
 
 
 def cmd_gram(config: RunConfig, rep_path, cocycle_paths) -> int:
-    rep = fileio.read_representation(rep_path)
-    cocycles = [fileio.read_cocycle(p, rep) for p in cocycle_paths]
-    d = len(cocycles)
-    matrix = gram_matrix(cocycles)
-    skewness = float(np.linalg.norm(matrix + matrix.T))
+    g = _file_gram(rep_path, cocycle_paths)
+    skewness = g.skewness_residual
     config.out.mkdir(parents=True, exist_ok=True)
     target = config.out / "gram.txt"
-    fileio.write_matrix(target, matrix,
+    fileio.write_matrix(target, g.matrix,
                         header_lines=[f"skewness-residual: {skewness:.6e}"])
     print(f"file: {target}")
-    print(f"dimension: {d}")
+    print(f"dimension: {len(g.vectors)}")
     print(f"skewness-residual: {skewness:.6e}")
     return EXIT_OK
 
 
 def cmd_symplectic_basis(config: RunConfig, rep_path, cocycle_paths) -> int:
-    rep = fileio.read_representation(rep_path)
-    cocycles = [fileio.read_cocycle(p, rep) for p in cocycle_paths]
-    sb = symplectic_basis(GoldmanGram(base=rep, vectors=tuple(cocycles),
-                                      matrix=gram_matrix(cocycles), space="input"))
+    sb = symplectic_basis(_file_gram(rep_path, cocycle_paths))
     config.out.mkdir(parents=True, exist_ok=True)
     for i, chi in enumerate(sb.e):
         fileio.write_cocycle(config.out / f"basis-e-{i:03d}.txt", chi)
@@ -263,9 +264,6 @@ def main(argv=None) -> int:
     except GoldmanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -16,8 +16,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConditioningError, InputError
-from .linalg import (complement_within, frob, nullspace, real_flatten,
-                     split_singular_values, unvec, vec)
+from .linalg import (ad_matrix, complement_within, frob, nullspace,
+                     real_flatten, split_singular_values, unvec, vec)
 from .reps import UNITARY, Representation, evaluate, relator_tangent_matrix
 from .words import GroupRingElement, GroupWord
 
@@ -240,9 +240,8 @@ def cocycle_basis(rep: Representation) -> CocycleBasis:
     z1 = nullspace(constraint)
 
     delta = np.zeros((count * n * n, n * n), dtype=complex)
-    eye = np.eye(n)
     for i in range(count):
-        ad = np.kron(rep.image(i, -1).T, rep.image(i))
+        ad = ad_matrix(rep.image(i), rep.image(i, -1))
         delta[i * n * n:(i + 1) * n * n, :] = ad - np.eye(n * n)
     u, svals, _ = np.linalg.svd(delta, full_matrices=False)
     b1_rank, _ = split_singular_values(svals)

@@ -7,7 +7,8 @@ from pathlib import Path
 
 from . import tolerances
 from .errors import InputError
-from .reps import FLAVORS, UNITARY
+from .reps import (FLAVORS, UNITARY, Representation, check_seed,
+                   random_representation)
 
 _TOLERANCE_NAMES = ("construction", "verification", "fd", "svd")
 
@@ -31,8 +32,7 @@ class RunConfig:
             raise InputError(f"rank must be >= 1, got {self.rank}")
         if self.flavor not in FLAVORS:
             raise InputError(f"unknown flavor {self.flavor!r}")
-        if not 0 <= self.seed < 2 ** 64:
-            raise InputError("seed must be an unsigned 64-bit integer")
+        check_seed(self.seed)
         for name, value in self.tolerance_overrides:
             if name not in _TOLERANCE_NAMES:
                 raise InputError(f"unknown tolerance {name!r} "
@@ -52,6 +52,11 @@ class RunConfig:
             if key == name:
                 return value
         return defaults[name]
+
+    def representation(self) -> Representation:
+        """The seeded representation this configuration names."""
+        return random_representation(self.genus, self.rank, self.flavor,
+                                     seed=self.seed)
 
     def describe(self) -> str:
         parts = [f"genus={self.genus}", f"rank={self.rank}",

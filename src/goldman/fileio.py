@@ -30,22 +30,39 @@ def _matrix_lines(m: np.ndarray):
         yield " ".join(f"{format_float(z.real)} {format_float(z.imag)}" for z in row)
 
 
-def _parse_matrix(lines, n: int) -> np.ndarray:
-    rows = []
-    for _ in range(n):
+def _parse_matrix(lines, rows: int, cols: int) -> np.ndarray:
+    out = []
+    for _ in range(rows):
         try:
             raw = next(lines)
         except StopIteration:
             raise InputError("unexpected end of file inside a matrix block")
         parts = raw.split()
-        if len(parts) != 2 * n:
-            raise InputError(f"expected {2 * n} numbers in a matrix row, got {len(parts)}")
+        if len(parts) != 2 * cols:
+            raise InputError(f"expected {2 * cols} numbers in a matrix row, got {len(parts)}")
         try:
             values = [float(p) for p in parts]
         except ValueError as exc:
             raise InputError(f"bad float in matrix row: {exc}")
-        rows.append([complex(values[2 * i], values[2 * i + 1]) for i in range(n)])
-    return np.array(rows, dtype=complex)
+        out.append([complex(values[2 * i], values[2 * i + 1]) for i in range(cols)])
+    return np.array(out, dtype=complex)
+
+
+def _read_text(path) -> str:
+    """Contents of a UTF-8 text file; an unreadable file is an input error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text ({exc.reason})") from exc
+    except OSError as exc:
+        raise InputError(str(exc)) from exc
+
+
+def _write_text(path, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def _representation_payload(rep: Representation) -> str:
@@ -71,7 +88,7 @@ def write_representation(path, rep: Representation) -> str:
     payload = _representation_payload(rep)
     digest = hashlib.sha256(payload.encode()).hexdigest()
     head, _, tail = payload.partition("\n")
-    Path(path).write_text(f"{head}\nhash: {digest}\n{tail}")
+    _write_text(path, f"{head}\nhash: {digest}\n{tail}")
     return digest
 
 
@@ -84,6 +101,8 @@ def _read_header(lines, expected_kind: str) -> dict:
         raise InputError(f"not a {expected_kind} file (header {first!r})")
     header = {"format": f"{expected_kind} {FORMAT_VERSION}"}
     for line in lines:
+        if line == "data:":
+            break
         key, sep, value = line.partition(": ")
         if not sep:
             raise InputError(f"malformed header line {line!r}")
@@ -103,24 +122,12 @@ def _header_int(header: dict, key: str) -> int:
         raise InputError(f"header field {key!r} is not an integer")
 
 
-def read_representation(path) -> Representation:
-    text = Path(path).read_text()
-    lines = iter(text.splitlines())
-    header = _read_header(lines, "representation")
-    genus = _header_int(header, "genus")
-    rank = _header_int(header, "rank")
-    flavor = header.get("flavor")
-    seed_text = header.get("seed", "none")
-    seed = None if seed_text == "none" else int(seed_text)
-    stored_hash = header.get("hash")
-    if stored_hash is None:
-        raise InputError("representation file is missing its hash line")
-
-    pres = Presentation(genus)
-    images = []
-    expected = [pres.generator_name(i) for i in range(pres.generator_count)]
+def _read_generator_blocks(lines, header: dict, pres: Presentation, rank: int):
+    """One matrix per generator, from `generator:` blocks in presentation order."""
+    matrices = []
     name = header.get("_first_generator")
-    for position, want in enumerate(expected):
+    for position in range(pres.generator_count):
+        want = pres.generator_name(position)
         if position > 0:
             try:
                 line = next(lines)
@@ -131,8 +138,24 @@ def read_representation(path) -> Representation:
                 raise InputError(f"expected a generator line, got {line!r}")
         if name != want:
             raise InputError(f"generator blocks out of order: expected {want}, got {name}")
-        images.append(_parse_matrix(lines, rank))
-    rep = Representation(pres, rank, tuple(images), flavor, seed=seed)
+        matrices.append(_parse_matrix(lines, rank, rank))
+    return tuple(matrices)
+
+
+def read_representation(path) -> Representation:
+    lines = iter(_read_text(path).splitlines())
+    header = _read_header(lines, "representation")
+    genus = _header_int(header, "genus")
+    rank = _header_int(header, "rank")
+    flavor = header.get("flavor")
+    seed = None if header.get("seed", "none") == "none" else _header_int(header, "seed")
+    stored_hash = header.get("hash")
+    if stored_hash is None:
+        raise InputError("representation file is missing its hash line")
+
+    pres = Presentation(genus)
+    images = _read_generator_blocks(lines, header, pres, rank)
+    rep = Representation(pres, rank, images, flavor, seed=seed)
     if rep.fingerprint != stored_hash:
         raise InputError("representation file hash does not match its contents")
     return rep
@@ -149,12 +172,11 @@ def write_cocycle(path, chi: Cocycle) -> None:
     for i, m in enumerate(chi.values):
         lines.append(f"generator: {rep.presentation.generator_name(i)}")
         lines.extend(_matrix_lines(m))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def read_cocycle(path, base: Representation) -> Cocycle:
-    text = Path(path).read_text()
-    lines = iter(text.splitlines())
+    lines = iter(_read_text(path).splitlines())
     header = _read_header(lines, "cocycle")
     genus = _header_int(header, "genus")
     rank = _header_int(header, "rank")
@@ -163,23 +185,7 @@ def read_cocycle(path, base: Representation) -> Cocycle:
         raise InputError("cocycle file shape does not match the base representation")
     if base_hash != base.fingerprint:
         raise InputError("cocycle base hash does not match the provided representation")
-    pres = base.presentation
-    values = []
-    name = header.get("_first_generator")
-    for position in range(pres.generator_count):
-        want = pres.generator_name(position)
-        if position > 0:
-            try:
-                line = next(lines)
-            except StopIteration:
-                raise InputError("missing generator blocks")
-            key, sep, name = line.partition(": ")
-            if key != "generator" or not sep:
-                raise InputError(f"expected a generator line, got {line!r}")
-        if name != want:
-            raise InputError(f"generator blocks out of order: expected {want}, got {name}")
-        values.append(_parse_matrix(lines, rank))
-    return Cocycle(base, tuple(values))
+    return Cocycle(base, _read_generator_blocks(lines, header, base.presentation, rank))
 
 
 def write_matrix(path, matrix: np.ndarray, header_lines=()) -> None:
@@ -190,37 +196,10 @@ def write_matrix(path, matrix: np.ndarray, header_lines=()) -> None:
     lines.extend(header_lines)
     lines.append("data:")
     lines.extend(_matrix_lines(matrix))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def read_matrix(path) -> np.ndarray:
-    text = Path(path).read_text()
-    lines = iter(text.splitlines())
-    try:
-        first = next(lines)
-    except StopIteration:
-        raise InputError("empty file")
-    if first != f"format: matrix {FORMAT_VERSION}":
-        raise InputError(f"not a matrix file (header {first!r})")
-    rows = cols = None
-    for line in lines:
-        if line == "data:":
-            break
-        key, sep, value = line.partition(": ")
-        if key == "rows":
-            rows = int(value)
-        elif key == "cols":
-            cols = int(value)
-    if rows is None or cols is None:
-        raise InputError("matrix file is missing its shape")
-    out = []
-    for _ in range(rows):
-        try:
-            raw = next(lines)
-        except StopIteration:
-            raise InputError("matrix file ends before all rows were read")
-        parts = [float(p) for p in raw.split()]
-        if len(parts) != 2 * cols:
-            raise InputError("matrix row has the wrong number of entries")
-        out.append([complex(parts[2 * i], parts[2 * i + 1]) for i in range(cols)])
-    return np.array(out, dtype=complex)
+    lines = iter(_read_text(path).splitlines())
+    header = _read_header(lines, "matrix")
+    return _parse_matrix(lines, _header_int(header, "rows"), _header_int(header, "cols"))

@@ -75,14 +75,6 @@ def nullspace(m: Array, rel_tol: float = tolerances.SVD_RELATIVE) -> Array:
     return vh[rank:].conj().T
 
 
-def column_space(m: Array, rel_tol: float = tolerances.SVD_RELATIVE) -> Array:
-    """Orthonormal basis (columns) of the column space."""
-    m = np.atleast_2d(np.asarray(m))
-    u, svals, _ = np.linalg.svd(m, full_matrices=False)
-    rank, _ = split_singular_values(svals, rel_tol)
-    return u[:, :rank]
-
-
 def complement_within(z: Array, b: Array) -> Array:
     """Orthonormal basis of col(z) orthogonal to col(b).
 

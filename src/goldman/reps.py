@@ -17,7 +17,8 @@ import scipy.linalg
 
 from . import tolerances
 from .errors import ConditioningError, ConvergenceError, InputError
-from .linalg import ad_matrix, frob, ginibre, haar_unitary, polar_unitary, unvec, vec
+from .linalg import (ad_matrix, frob, ginibre, haar_unitary, polar_unitary,
+                     split_singular_values, unvec, vec)
 from .words import GroupWord, Presentation
 
 UNITARY = "unitary"
@@ -120,7 +121,7 @@ def relator_defect(rep: Representation) -> float:
     return _images_defect(rep.presentation, rep.images, rep.flavor)
 
 
-def _word_product(presentation, images, inverses, word) -> np.ndarray:
+def _word_product(images, inverses, word) -> np.ndarray:
     n = images[0].shape[0]
     out = np.eye(n, dtype=complex)
     for gen, sign in word.letters():
@@ -136,7 +137,7 @@ def _invert_all(images, flavor):
 
 def _images_defect(presentation, images, flavor) -> float:
     inverses = _invert_all(images, flavor)
-    r = _word_product(presentation, images, inverses, presentation.relator())
+    r = _word_product(images, inverses, presentation.relator())
     return frob(r - np.eye(images[0].shape[0]))
 
 
@@ -188,6 +189,12 @@ def commutator_factor(u: np.ndarray, unitary: bool = True,
     return a, b
 
 
+def check_seed(seed: int) -> None:
+    """Seeds are unsigned 64-bit integers, from the CLI and the API alike."""
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2 ** 64:
+        raise InputError("seed must be an unsigned 64-bit integer")
+
+
 def random_representation(genus: int, rank: int, flavor: str = UNITARY,
                           seed: int = 0) -> Representation:
     """Seeded representation with the relator exact by construction.
@@ -199,6 +206,7 @@ def random_representation(genus: int, rank: int, flavor: str = UNITARY,
     """
     if flavor not in FLAVORS:
         raise InputError(f"unknown flavor {flavor!r}")
+    check_seed(seed)
     pres = Presentation(genus)
     rng = np.random.default_rng(seed)
     n = rank
@@ -214,7 +222,7 @@ def random_representation(genus: int, rank: int, flavor: str = UNITARY,
 
     images = [draw() for _ in range(2 * (genus - 1))]
     inverses = _invert_all(images + [np.eye(n)] * 2, flavor)
-    partial = _word_product(pres, images + [np.eye(n)] * 2, inverses,
+    partial = _word_product(images + [np.eye(n)] * 2, inverses,
                             pres.relator(genus - 1))
     target = np.linalg.inv(partial)
     det = np.linalg.det(target)
@@ -236,8 +244,6 @@ def commutant_dimension(rep: Representation) -> int:
     blocks = [np.kron(eye, m) - np.kron(m.T, eye) for m in rep.images]
     stacked = np.vstack(blocks)
     svals = np.linalg.svd(stacked, compute_uv=False)
-    from .linalg import split_singular_values
-
     rank, _ = split_singular_values(svals)
     return n * n - rank
 
@@ -262,8 +268,8 @@ def relator_tangent_matrix(presentation: Presentation, images, flavor: str) -> n
         deriv = presentation.relator_derivative(index)
         block = np.zeros((n * n, n * n), dtype=complex)
         for word, coeff in deriv.terms():
-            s = _word_product(presentation, images, inverses, word)
-            s_inv = _word_product(presentation, images, inverses, word.inverse())
+            s = _word_product(images, inverses, word)
+            s_inv = _word_product(images, inverses, word.inverse())
             block += coeff * ad_matrix(s, s_inv)
         blocks.append(block)
     return np.hstack(blocks)
@@ -293,7 +299,7 @@ def newton_project(presentation: Presentation, images, flavor: str,
         if defect <= tolerances.NEWTON_TARGET:
             break
         inverses = _invert_all(images, flavor)
-        r = _word_product(presentation, images, inverses, presentation.relator())
+        r = _word_product(images, inverses, presentation.relator())
         rhs = -vec((r - eye) @ np.linalg.inv(r))
         jac = relator_tangent_matrix(presentation, images, flavor)
         step, *_ = np.linalg.lstsq(jac, rhs, rcond=tolerances.SVD_RELATIVE)

@@ -1,9 +1,10 @@
 """The bundled property suite: every standing invariant, one line each.
 
-Each check is a pure function of the run configuration with its own
-deterministic random stream, and reports (name, samples, max residual,
-threshold, verdict).  Checks never abort the suite; the caller turns any
-failure into a nonzero exit status.
+Each check is a function of one run (SuiteRun) built from the
+configuration, which shares its seeded objects among the checks and
+gives each check its own deterministic random stream.  A check reports
+(name, samples, max residual, threshold, verdict).  Checks never abort
+the suite; the caller turns any failure into a nonzero exit status.
 
 Mutation mode (config.mutate = "dual-sign") deliberately flips a sign in
 the dual-generator pairing (the b_k column blocks of the pairing matrix
@@ -16,6 +17,7 @@ from __future__ import annotations
 import tempfile
 import zlib
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,7 @@ import numpy as np
 from . import fileio, tolerances
 from .charts import (Chart, DeformationCurve, closedness_check, deform,
                      deformation_correction, rh_differential)
-from .cocycles import (Cocycle, anti_hermitian_part, coboundary,
+from .cocycles import (Cocycle, CocycleBasis, anti_hermitian_part, coboundary,
                        cocycle_basis, cocycle_law_residual, random_cocycle,
                        real_locus_bases, relator_residual, star_involution)
 from .config import RunConfig
@@ -61,10 +63,6 @@ def _result(name, samples, residual, threshold) -> CheckResult:
                        passed=residual <= threshold)
 
 
-def _rng(config: RunConfig, name: str) -> np.random.Generator:
-    return np.random.default_rng([config.seed & 0xFFFFFFFF, zlib.crc32(name.encode())])
-
-
 def _random_word(pres: Presentation, rng, max_len: int = 8) -> GroupWord:
     length = int(rng.integers(0, max_len + 1))
     raw = [(int(rng.integers(0, 2 * pres.genus)), int(rng.choice([-1, 1])))
@@ -80,17 +78,53 @@ def _random_ring_element(pres: Presentation, rng) -> GroupRingElement:
     return out
 
 
-def _base(config: RunConfig) -> Representation:
-    return random_representation(config.genus, config.rank, config.flavor,
-                                 seed=config.seed)
+def _trivial_rank_one(genus: int) -> Representation:
+    """Rank-one identity images: the trivial action at the given genus."""
+    return Representation(Presentation(genus), 1,
+                          tuple(np.eye(1, dtype=complex) for _ in range(2 * genus)),
+                          UNITARY)
+
+
+@dataclass(frozen=True, eq=False)
+class SuiteRun:
+    """One verify run: the seeded base point, its cocycle basis, its
+    real-locus bases and the size grid, each built on first use and kept,
+    so skipped checks build nothing and a construction error surfaces in
+    the first check that needs the object."""
+
+    config: RunConfig
+
+    @cached_property
+    def rep(self) -> Representation:
+        return self.config.representation()
+
+    @cached_property
+    def basis(self) -> CocycleBasis:
+        return cocycle_basis(self.rep)
+
+    @cached_property
+    def real_locus(self):
+        """(z1_real, h1_real) of the basis; unitary runs only."""
+        return real_locus_bases(self.basis)
+
+    @cached_property
+    def grid(self) -> tuple[Representation, ...]:
+        """The seeded unitary representation at every GRID size."""
+        return tuple(random_representation(g, n, UNITARY, seed=self.config.seed)
+                     for g, n in GRID)
+
+    def rng(self, name: str) -> np.random.Generator:
+        """The deterministic random stream of one check."""
+        return np.random.default_rng([self.config.seed & 0xFFFFFFFF,
+                                      zlib.crc32(name.encode())])
 
 
 # ----------------------------------------------------------------- word core
 
-def check_word_reduction_confluence(config: RunConfig) -> CheckResult:
+def check_word_reduction_confluence(run: SuiteRun) -> CheckResult:
     """Random-order cancellation agrees with the eager reducer."""
-    rng = _rng(config, "word-reduction-confluence")
-    pres = Presentation(config.genus)
+    rng = run.rng("word-reduction-confluence")
+    pres = Presentation(run.config.genus)
     failures = 0
     samples = 100
     for _ in range(samples):
@@ -111,9 +145,9 @@ def check_word_reduction_confluence(config: RunConfig) -> CheckResult:
     return _result("word-reduction-confluence", samples, failures, 0.0)
 
 
-def check_fox_product_rule(config: RunConfig) -> CheckResult:
-    rng = _rng(config, "fox-product-rule")
-    pres = Presentation(config.genus)
+def check_fox_product_rule(run: SuiteRun) -> CheckResult:
+    rng = run.rng("fox-product-rule")
+    pres = Presentation(run.config.genus)
     failures = 0
     samples = 0
     for index in range(2 * pres.genus):
@@ -128,7 +162,7 @@ def check_fox_product_rule(config: RunConfig) -> CheckResult:
     return _result("fox-product-rule", samples, failures, 0.0)
 
 
-def check_fox_closed_form(config: RunConfig) -> CheckResult:
+def check_fox_closed_form(run: SuiteRun) -> CheckResult:
     """Recursive Fox derivative of the relator vs the partial-product forms."""
     failures = 0
     samples = 0
@@ -148,7 +182,7 @@ def check_fox_closed_form(config: RunConfig) -> CheckResult:
     return _result("fox-closed-form", samples, failures, 0.0)
 
 
-def check_dual_generator_identities(config: RunConfig) -> CheckResult:
+def check_dual_generator_identities(run: SuiteRun) -> CheckResult:
     """Dual commutators telescope to inverse partial relators; the inverse
     generators are recovered from the dual side."""
     failures = 0
@@ -174,9 +208,9 @@ def check_dual_generator_identities(config: RunConfig) -> CheckResult:
     return _result("dual-generator-identities", samples, failures, 0.0)
 
 
-def check_anti_involution(config: RunConfig) -> CheckResult:
-    rng = _rng(config, "anti-involution")
-    pres = Presentation(config.genus)
+def check_anti_involution(run: SuiteRun) -> CheckResult:
+    rng = run.rng("anti-involution")
+    pres = Presentation(run.config.genus)
     failures = 0
     samples = 50
     for _ in range(samples):
@@ -191,7 +225,7 @@ def check_anti_involution(config: RunConfig) -> CheckResult:
     return _result("anti-involution", samples, failures, 0.0)
 
 
-def check_two_cycle_shape(config: RunConfig) -> CheckResult:
+def check_two_cycle_shape(run: SuiteRun) -> CheckResult:
     failures = 0
     for genus in (1, 2, 3):
         pres = Presentation(genus)
@@ -206,9 +240,9 @@ def check_two_cycle_shape(config: RunConfig) -> CheckResult:
 
 # ------------------------------------------------------------------ rep core
 
-def check_evaluate_multiplicative(config: RunConfig) -> CheckResult:
-    rng = _rng(config, "evaluate-multiplicative")
-    rep = _base(config)
+def check_evaluate_multiplicative(run: SuiteRun) -> CheckResult:
+    rng = run.rng("evaluate-multiplicative")
+    rep = run.rep
     pres = rep.presentation
     worst = 0.0
     samples = 100
@@ -221,8 +255,8 @@ def check_evaluate_multiplicative(config: RunConfig) -> CheckResult:
     return _result("evaluate-multiplicative", samples, worst, 1e-12)
 
 
-def check_partial_relator_determinants(config: RunConfig) -> CheckResult:
-    rep = _base(config)
+def check_partial_relator_determinants(run: SuiteRun) -> CheckResult:
+    rep = run.rep
     worst = 0.0
     for k in range(rep.genus + 1):
         det = np.linalg.det(evaluate(rep, rep.presentation.relator(k)))
@@ -231,8 +265,8 @@ def check_partial_relator_determinants(config: RunConfig) -> CheckResult:
                    tolerances.CONSTRUCTION)
 
 
-def check_commutator_factor(config: RunConfig) -> CheckResult:
-    rng = _rng(config, "commutator-factor")
+def check_commutator_factor(run: SuiteRun) -> CheckResult:
+    rng = run.rng("commutator-factor")
     worst = 0.0
     samples = 0
     for n in (2, 3, 4):
@@ -251,21 +285,20 @@ def check_commutator_factor(config: RunConfig) -> CheckResult:
     return _result("commutator-factor", samples, worst, tolerances.CONSTRUCTION)
 
 
-def check_representation_reproducibility(config: RunConfig) -> CheckResult:
-    one = _base(config)
-    two = _base(config)
+def check_representation_reproducibility(run: SuiteRun) -> CheckResult:
+    one = run.rep
+    two = run.config.representation()  # an independent fresh build
     identical = all(np.array_equal(a, b) for a, b in zip(one.images, two.images))
     identical = identical and one.fingerprint == two.fingerprint
     return _result("representation-reproducibility", 2, 0.0 if identical else 1.0, 0.0)
 
 
-def check_construction_quality(config: RunConfig) -> CheckResult:
+def check_construction_quality(run: SuiteRun) -> CheckResult:
     """Relator defect and irreducibility over the seeded size grid."""
     worst = 0.0
     failures = 0
     samples = 0
-    for g, n in GRID:
-        rep = random_representation(g, n, UNITARY, seed=config.seed)
+    for rep in run.grid:
         worst = max(worst, relator_defect(rep))
         if commutant_dimension(rep) != 1:
             failures += 1
@@ -275,9 +308,9 @@ def check_construction_quality(config: RunConfig) -> CheckResult:
     return _result("construction-quality", samples, worst, 1e-12)
 
 
-def check_newton_projection(config: RunConfig) -> CheckResult:
-    rng = _rng(config, "newton-projection")
-    rep = _base(config)
+def check_newton_projection(run: SuiteRun) -> CheckResult:
+    rng = run.rng("newton-projection")
+    rep = run.rep
     n = rep.rank
     failures = 0
 
@@ -310,9 +343,9 @@ def check_newton_projection(config: RunConfig) -> CheckResult:
 
 # -------------------------------------------------------------- cocycle core
 
-def check_cocycle_law_on_basis(config: RunConfig) -> CheckResult:
-    rng = _rng(config, "cocycle-law-on-basis")
-    basis = cocycle_basis(_base(config))
+def check_cocycle_law_on_basis(run: SuiteRun) -> CheckResult:
+    rng = run.rng("cocycle-law-on-basis")
+    basis = run.basis
     pres = basis.base.presentation
     worst = 0.0
     samples = 0
@@ -323,23 +356,21 @@ def check_cocycle_law_on_basis(config: RunConfig) -> CheckResult:
             worst = max(worst, cocycle_law_residual(chi, u, v))
             samples += 1
     return _result("cocycle-law-on-basis", samples, worst,
-                   config.tolerance("verification"))
+                   run.config.tolerance("verification"))
 
 
-def check_dimension_formula(config: RunConfig) -> CheckResult:
+def check_dimension_formula(run: SuiteRun) -> CheckResult:
     failures = 0
-    for g, n in GRID:
-        rep = random_representation(g, n, UNITARY, seed=config.seed)
+    for (g, n), rep in zip(GRID, run.grid):
         dims = cocycle_basis(rep).dims
         if dims[2] != (2 * g - 2) * n * n + 2 or dims[0] - dims[1] != dims[2]:
             failures += 1
     return _result("dimension-formula", len(GRID), failures, 0.0)
 
 
-def check_coboundary_containment(config: RunConfig) -> CheckResult:
-    rng = _rng(config, "coboundary-containment")
-    rep = _base(config)
-    basis = cocycle_basis(rep)
+def check_coboundary_containment(run: SuiteRun) -> CheckResult:
+    rng = run.rng("coboundary-containment")
+    rep, basis = run.rep, run.basis
     n = rep.rank
     frame = np.column_stack([c.flat for c in basis.basis]) if basis.basis else None
     worst = 0.0
@@ -354,10 +385,9 @@ def check_coboundary_containment(config: RunConfig) -> CheckResult:
     return _result("coboundary-containment", 20, worst, 1e-10)
 
 
-def check_star_involution(config: RunConfig) -> CheckResult:
-    rng = _rng(config, "star-involution")
-    rep = _base(config)
-    basis = cocycle_basis(rep)
+def check_star_involution(run: SuiteRun) -> CheckResult:
+    rng = run.rng("star-involution")
+    rep, basis = run.rep, run.basis
     n = rep.rank
     worst = 0.0
     for _ in range(20):
@@ -374,9 +404,9 @@ def check_star_involution(config: RunConfig) -> CheckResult:
     return _result("star-involution", 20, worst, 1e-12)
 
 
-def check_real_locus_dimensions(config: RunConfig) -> CheckResult:
-    basis = cocycle_basis(_base(config))
-    z1_real, h1_real = real_locus_bases(basis)
+def check_real_locus_dimensions(run: SuiteRun) -> CheckResult:
+    basis = run.basis
+    z1_real, h1_real = run.real_locus
     ok = len(z1_real) == basis.dims[0] and len(h1_real) == basis.dims[2]
     return _result("real-locus-dimensions", 2, 0.0 if ok else 1.0, 0.0)
 
@@ -393,10 +423,10 @@ def _mutated_dual(rep: Representation):
     return lambda chi1, chi2: complex(chi1.flat @ w @ chi2.flat)
 
 
-def check_cup_dual_agreement(config: RunConfig) -> CheckResult:
-    rng = _rng(config, "cup-dual-agreement")
-    basis = cocycle_basis(_base(config))
-    dual = _mutated_dual(basis.base) if config.mutate == "dual-sign" else pairing_dual
+def check_cup_dual_agreement(run: SuiteRun) -> CheckResult:
+    rng = run.rng("cup-dual-agreement")
+    basis = run.basis
+    dual = _mutated_dual(run.rep) if run.config.mutate == "dual-sign" else pairing_dual
     worst = 0.0
     samples = 100
     for _ in range(samples):
@@ -406,10 +436,9 @@ def check_cup_dual_agreement(config: RunConfig) -> CheckResult:
     return _result("cup-dual-agreement", samples, worst, 1e-10)
 
 
-def check_class_invariance(config: RunConfig) -> CheckResult:
-    rng = _rng(config, "class-invariance")
-    rep = _base(config)
-    basis = cocycle_basis(rep)
+def check_class_invariance(run: SuiteRun) -> CheckResult:
+    rng = run.rng("class-invariance")
+    rep, basis = run.rep, run.basis
     n = rep.rank
     worst = 0.0
     samples = 100
@@ -423,9 +452,9 @@ def check_class_invariance(config: RunConfig) -> CheckResult:
     return _result("class-invariance", samples, worst, 1e-9)
 
 
-def check_antisymmetry(config: RunConfig) -> CheckResult:
-    rng = _rng(config, "antisymmetry")
-    basis = cocycle_basis(_base(config))
+def check_antisymmetry(run: SuiteRun) -> CheckResult:
+    rng = run.rng("antisymmetry")
+    basis = run.basis
     worst = 0.0
     samples = 100
     for _ in range(samples):
@@ -435,9 +464,9 @@ def check_antisymmetry(config: RunConfig) -> CheckResult:
     return _result("antisymmetry", samples, worst, 1e-9)
 
 
-def check_bilinearity(config: RunConfig) -> CheckResult:
-    rng = _rng(config, "bilinearity")
-    basis = cocycle_basis(_base(config))
+def check_bilinearity(run: SuiteRun) -> CheckResult:
+    rng = run.rng("bilinearity")
+    basis = run.basis
     worst = 0.0
     samples = 25
     for _ in range(samples):
@@ -454,10 +483,9 @@ def check_bilinearity(config: RunConfig) -> CheckResult:
     return _result("bilinearity", samples, worst, 1e-9)
 
 
-def check_conjugation_equivariance(config: RunConfig) -> CheckResult:
-    rng = _rng(config, "conjugation-equivariance")
-    rep = _base(config)
-    basis = cocycle_basis(rep)
+def check_conjugation_equivariance(run: SuiteRun) -> CheckResult:
+    rng = run.rng("conjugation-equivariance")
+    rep, basis = run.rep, run.basis
     n = rep.rank
     c = np.eye(n) + 0.4 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     c_inv = np.linalg.inv(c)
@@ -475,27 +503,25 @@ def check_conjugation_equivariance(config: RunConfig) -> CheckResult:
     return _result("conjugation-equivariance", samples, worst, 1e-9)
 
 
-def check_gram_structure(config: RunConfig) -> CheckResult:
-    basis = cocycle_basis(_base(config))
+def check_gram_structure(run: SuiteRun) -> CheckResult:
+    basis = run.basis
     g_complement = gram(basis, "h1-complement")
     rank, margin = g_complement.rank()
-    ok = (g_complement.skewness_residual <= config.tolerance("verification")
+    ok = (g_complement.skewness_residual <= run.config.tolerance("verification")
           and rank == basis.dims[2] and margin >= 1e3)
     g_full = gram(basis, "z1")
     rank_full, _ = g_full.rank()
     ok = ok and rank_full == basis.dims[2]
     residual = g_complement.skewness_residual if ok else 1.0
     return _result("gram-structure", 2, residual,
-                   config.tolerance("verification"))
+                   run.config.tolerance("verification"))
 
 
-def check_intersection_form(config: RunConfig) -> CheckResult:
+def check_intersection_form(run: SuiteRun) -> CheckResult:
     """Trivial rank-one action: the Gram of indicator cocycles is the
     standard intersection form, and matches the hand closed form."""
-    genus = max(config.genus, 2)
-    pres = Presentation(genus)
-    rep = Representation(pres, 1, tuple(np.eye(1, dtype=complex)
-                                        for _ in range(2 * genus)), UNITARY)
+    genus = max(run.config.genus, 2)
+    rep = _trivial_rank_one(genus)
     count = 2 * genus
     indicators = []
     for i in range(count):
@@ -514,7 +540,7 @@ def check_intersection_form(config: RunConfig) -> CheckResult:
             worst = max(worst, abs(pairing_cup(indicators[i], indicators[j])
                                    - expected[i, j]))
 
-    rng = _rng(config, "intersection-form")
+    rng = run.rng("intersection-form")
     for _ in range(20):
         x = rng.standard_normal(count) + 1j * rng.standard_normal(count)
         y = rng.standard_normal(count) + 1j * rng.standard_normal(count)
@@ -526,17 +552,16 @@ def check_intersection_form(config: RunConfig) -> CheckResult:
     return _result("intersection-form", count * count + 20, worst, 1e-12)
 
 
-def check_symplectic_basis(config: RunConfig) -> CheckResult:
-    basis = cocycle_basis(_base(config))
+def check_symplectic_basis(run: SuiteRun) -> CheckResult:
+    basis = run.basis
     sb = symplectic_basis(gram(basis, "h1-complement"))
     return _result("symplectic-basis", (2 * sb.pair_count) ** 2,
                    sb.normal_form_residual,
-                   config.tolerance("verification"))
+                   run.config.tolerance("verification"))
 
 
-def check_unitary_locus(config: RunConfig) -> CheckResult:
-    basis = cocycle_basis(_base(config))
-    _, h1_real = real_locus_bases(basis)
+def check_unitary_locus(run: SuiteRun) -> CheckResult:
+    _, h1_real = run.real_locus
     report = unitary_restriction_check(h1_real)
     residual = report.max_imaginary if report.passed else 1.0
     return _result("unitary-locus", len(h1_real) ** 2, residual, 1e-10)
@@ -544,9 +569,8 @@ def check_unitary_locus(config: RunConfig) -> CheckResult:
 
 # ------------------------------------------------------------ chart geometry
 
-def _unit_direction(config: RunConfig, basis, salt: str) -> Cocycle:
-    rng = _rng(config, salt)
-    chi = random_cocycle(basis, rng, space="h1")
+def _unit_direction(run: SuiteRun, salt: str) -> Cocycle:
+    chi = random_cocycle(run.basis, run.rng(salt), space="h1")
     return chi * (1.0 / chi.norm())
 
 
@@ -570,21 +594,20 @@ def _order_result(name, steps, values, window=0.3, target=2.0) -> CheckResult:
                    window)
 
 
-def check_deformation_correction_order(config: RunConfig) -> CheckResult:
-    rep = _base(config)
-    basis = cocycle_basis(rep)
-    chi = _unit_direction(config, basis, "deformation-correction-order")
+def check_deformation_correction_order(run: SuiteRun) -> CheckResult:
+    rep = run.rep
+    chi = _unit_direction(run, "deformation-correction-order")
     steps = [1e-2, 1e-3, 1e-4]
     corrections = [deformation_correction(rep, chi, t) for t in steps]
     return _order_result("deformation-correction-order", steps, corrections)
 
 
-def check_coboundary_deformation(config: RunConfig) -> CheckResult:
+def check_coboundary_deformation(run: SuiteRun) -> CheckResult:
     """Deforming along a coboundary is conjugation to first order."""
     import scipy.linalg
 
-    rng = _rng(config, "coboundary-deformation")
-    rep = _base(config)
+    rng = run.rng("coboundary-deformation")
+    rep = run.rep
     n = rep.rank
     v = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     if rep.flavor == UNITARY:
@@ -603,10 +626,9 @@ def check_coboundary_deformation(config: RunConfig) -> CheckResult:
     return _order_result("coboundary-deformation", steps, distances)
 
 
-def check_rh_round_trip(config: RunConfig) -> CheckResult:
-    rep = _base(config)
-    basis = cocycle_basis(rep)
-    chi = _unit_direction(config, basis, "rh-round-trip")
+def check_rh_round_trip(run: SuiteRun) -> CheckResult:
+    rep, basis = run.rep, run.basis
+    chi = _unit_direction(run, "rh-round-trip")
     curve = DeformationCurve(center=rep, direction=chi)
     target = basis.h1_coordinates(chi)
     steps = [1e-2, 5e-3, 2.5e-3, 1.25e-3]
@@ -617,13 +639,12 @@ def check_rh_round_trip(config: RunConfig) -> CheckResult:
     return _result("rh-round-trip", len(steps), worst, 0.5)
 
 
-def check_rh_conjugation_curve(config: RunConfig) -> CheckResult:
+def check_rh_conjugation_curve(run: SuiteRun) -> CheckResult:
     """A pure conjugation curve has vanishing class."""
     import scipy.linalg
 
-    rng = _rng(config, "rh-conjugation-curve")
-    rep = _base(config)
-    basis = cocycle_basis(rep)
+    rng = run.rng("rh-conjugation-curve")
+    rep, basis = run.rep, run.basis
     n = rep.rank
     v = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     v = v / np.linalg.norm(v)
@@ -644,16 +665,15 @@ def check_rh_conjugation_curve(config: RunConfig) -> CheckResult:
     return _result("rh-conjugation-curve", 2, residual, 1e-6)
 
 
-def check_rh_cocycle_law_order(config: RunConfig) -> CheckResult:
+def check_rh_cocycle_law_order(run: SuiteRun) -> CheckResult:
     """Word-level difference quotients obey the twisted additivity law to
     second order; extended generator values satisfy it identically, so the
     test works on whole-word quotients."""
     from .charts import rh_word_value
 
-    rng = _rng(config, "rh-cocycle-law-order")
-    rep = _base(config)
-    basis = cocycle_basis(rep)
-    chi = _unit_direction(config, basis, "rh-cocycle-law-order")
+    rng = run.rng("rh-cocycle-law-order")
+    rep = run.rep
+    chi = _unit_direction(run, "rh-cocycle-law-order")
     curve = DeformationCurve(center=rep, direction=chi)
     pres = rep.presentation
     words = [(_random_word(pres, rng), _random_word(pres, rng)) for _ in range(50)]
@@ -670,13 +690,12 @@ def check_rh_cocycle_law_order(config: RunConfig) -> CheckResult:
     return _result("rh-cocycle-law-order", 2 * len(words), abs(factor - 4.0), 0.8)
 
 
-def check_commuting_flows(config: RunConfig) -> CheckResult:
+def check_commuting_flows(run: SuiteRun) -> CheckResult:
     from .charts import transport_values
 
-    rep = _base(config)
-    basis = cocycle_basis(rep)
-    chi1 = _unit_direction(config, basis, "commuting-flows-1")
-    chi2 = _unit_direction(config, basis, "commuting-flows-2")
+    rep = run.rep
+    chi1 = _unit_direction(run, "commuting-flows-1")
+    chi2 = _unit_direction(run, "commuting-flows-2")
 
     def both_orders(t):
         via1 = deform(rep, chi1, t)
@@ -691,10 +710,8 @@ def check_commuting_flows(config: RunConfig) -> CheckResult:
     return _order_result("commuting-flows", steps, distances, window=0.4)
 
 
-def check_closedness(config: RunConfig) -> CheckResult:
-    rep = _base(config)
-    basis = cocycle_basis(rep)
-    chart = Chart(center=rep, frame=basis.h1_complement)
+def check_closedness(run: SuiteRun) -> CheckResult:
+    chart = Chart(center=run.rep, frame=run.basis.h1_complement)
     steps = [8e-3, 4e-3, 2e-3, 1e-3]
     residuals = [closedness_check(chart, (0, 1, 2), h) for h in steps]
     result = _order_result("closedness-order", steps, residuals)
@@ -704,21 +721,15 @@ def check_closedness(config: RunConfig) -> CheckResult:
     return result
 
 
-def check_closedness_abelian(config: RunConfig) -> CheckResult:
-    genus = 2
-    pres = Presentation(genus)
-    rep = Representation(pres, 1, tuple(np.eye(1, dtype=complex)
-                                        for _ in range(2 * genus)), UNITARY)
-    basis = cocycle_basis(rep)
-    chart = Chart(center=rep, frame=basis.h1_complement)
+def check_closedness_abelian(run: SuiteRun) -> CheckResult:
+    rep = _trivial_rank_one(2)
+    chart = Chart(center=rep, frame=cocycle_basis(rep).h1_complement)
     worst = max(closedness_check(chart, (0, 1, 2), h) for h in (1e-2, 1e-3, 1e-4))
     return _result("closedness-abelian", 3, worst, 1e-10)
 
 
-def check_chart_irreducibility(config: RunConfig) -> CheckResult:
-    rep = _base(config)
-    basis = cocycle_basis(rep)
-    chart = Chart(center=rep, frame=basis.h1_complement)
+def check_chart_irreducibility(run: SuiteRun) -> CheckResult:
+    chart = Chart(center=run.rep, frame=run.basis.h1_complement)
     failures = 0
     samples = 0
     for axis in range(min(3, chart.dimension)):
@@ -733,11 +744,13 @@ def check_chart_irreducibility(config: RunConfig) -> CheckResult:
 
 # -------------------------------------------------------------------- cli-io
 
-def check_file_round_trip(config: RunConfig) -> CheckResult:
-    rng = _rng(config, "file-round-trip")
-    rep = _base(config)
-    basis = cocycle_basis(rep)
-    chi = random_cocycle(basis, rng)
+def check_file_round_trip(run: SuiteRun) -> CheckResult:
+    rng = run.rng("file-round-trip")
+    rep = run.rep
+    n = rep.rank
+    # the schema is exact for any values, so no cocycle basis is needed
+    chi = Cocycle(rep, tuple(rng.standard_normal((n, n))
+                             + 1j * rng.standard_normal((n, n)) for _ in rep.images))
     failures = 0
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -828,8 +841,10 @@ def applicable_checks(config: RunConfig):
 
 
 def run_suite(config: RunConfig):
-    """Run every applicable check; returns the list of CheckResult."""
-    return [check.fn(config) for check in applicable_checks(config)]
+    """Run every applicable check on one shared run; returns the list of
+    CheckResult."""
+    run = SuiteRun(config)
+    return [check.fn(run) for check in applicable_checks(config)]
 
 
 def render_report(config: RunConfig, results) -> str:

@@ -12,6 +12,12 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
+def assert_input_error(code, err):
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 class TestDims:
     def test_match_line(self, capsys):
         code, out, _ = run_cli(["dims"], capsys)
@@ -27,6 +33,13 @@ class TestDims:
         code, out, _ = run_cli(["--genus", "3", "--rank", "3", "dims"], capsys)
         assert code == 0
         assert "H1=38 formula=38 MATCH" in out
+
+    def test_mismatch_names_the_commutant(self, capsys):
+        # at genus one every rank-two point is reducible
+        code, out, _ = run_cli(["--genus", "1", "--rank", "2", "dims"], capsys)
+        assert code == 1
+        assert out.splitlines() == ["Z1=6 B1=2 H1=4 formula=2 MISMATCH",
+                                    "commutant-dimension: 2"]
 
 
 class TestFileCommands:
@@ -153,6 +166,33 @@ class TestFileCommands:
         code, _, err = run_cli(["gram", "--rep", str(tmp_path / "absent.txt"),
                                 str(tmp_path / "nope.txt")], capsys)
         assert code == 2
+
+    def test_directory_as_rep_exits_two(self, tmp_path, capsys):
+        code, _, err = run_cli(["--out", str(tmp_path), "cocycle-basis",
+                                "--rep", str(tmp_path)], capsys)
+        assert_input_error(code, err)
+
+    def test_non_utf8_rep_exits_two(self, tmp_path, capsys):
+        rep_file = tmp_path / "rep.txt"
+        rep_file.write_bytes(b"format: representation 1\n\xff\xfe\n")
+        code, _, err = run_cli(["--out", str(tmp_path), "cocycle-basis",
+                                "--rep", str(rep_file)], capsys)
+        assert_input_error(code, err)
+        assert "UTF-8" in err
+
+    def test_non_integer_seed_header_exits_two(self, tmp_path, capsys):
+        run_cli(["--out", str(tmp_path), "random-rep"], capsys)
+        rep_file = tmp_path / "representation.txt"
+        rep_file.write_text(rep_file.read_text().replace("seed: 0", "seed: zero"))
+        code, _, err = run_cli(["--out", str(tmp_path), "cocycle-basis",
+                                "--rep", str(rep_file)], capsys)
+        assert_input_error(code, err)
+        assert "seed" in err
+
+    def test_write_into_missing_directory_exits_two(self, tmp_path, capsys):
+        code, _, err = run_cli(["random-rep", "--file",
+                                str(tmp_path / "absent" / "rep.txt")], capsys)
+        assert_input_error(code, err)
 
     def test_gram_non_finite_cocycle_exits_two(self, tmp_path, capsys):
         out_dir = str(tmp_path)

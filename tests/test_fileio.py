@@ -119,3 +119,24 @@ class TestMatrixFile:
         (tmp_path / "m.txt").write_text("\n".join(text) + "\n")
         with pytest.raises(InputError):
             read_matrix(tmp_path / "m.txt")
+
+    @pytest.mark.parametrize("field, value", [("rows", "two"), ("cols", "2.5")])
+    def test_non_integer_shape_rejected(self, tmp_path, field, value):
+        path = tmp_path / "m.txt"
+        write_matrix(path, np.eye(2, dtype=complex))
+        path.write_text(path.read_text().replace(f"{field}: 2", f"{field}: {value}"))
+        with pytest.raises(InputError, match=field):
+            read_matrix(path)
+
+    def test_non_numeric_entry_rejected(self, tmp_path):
+        path = tmp_path / "m.txt"
+        write_matrix(path, np.eye(2, dtype=complex))
+        lines = path.read_text().splitlines()
+        lines[-1] = " ".join(["one"] + lines[-1].split()[1:])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InputError, match="bad float"):
+            read_matrix(path)
+
+    def test_directory_rejected(self, tmp_path):
+        with pytest.raises(InputError):
+            read_matrix(tmp_path)

@@ -10,7 +10,7 @@ from goldman import (Cocycle, DegenerateFormError, InputError,
                      unitary_restriction_check)
 from goldman.config import RunConfig
 from goldman.pairing import GoldmanGram
-from goldman.verify import (check_gram_structure, check_symplectic_basis,
+from goldman.verify import (SuiteRun, check_gram_structure, check_symplectic_basis,
                             check_unitary_locus)
 
 GRID = [(g, n) for g in (2, 3) for n in (1, 2, 3)]
@@ -232,10 +232,10 @@ class TestDualForm:
         basis = cocycle_basis(rep)
         gram(basis, "h1-complement")
         unitary_restriction_check(real_locus_bases(basis)[1])
-        config = RunConfig(seed=13)
+        run = SuiteRun(RunConfig(seed=13))
         for check in (check_gram_structure, check_symplectic_basis,
                       check_unitary_locus):
-            assert check(config).passed
+            assert check(run).passed
 
         from goldman.cli import main
 

@@ -129,6 +129,11 @@ class TestRandomRepresentation:
         two = random_representation(2, 2, "unitary", seed=2)
         assert one.fingerprint != two.fingerprint
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5])
+    def test_seed_out_of_range(self, seed):
+        with pytest.raises(InputError, match="seed"):
+            random_representation(2, 2, seed=seed)
+
     def test_construction_quality_grid(self, seeded_reps):
         for rep in seeded_reps.values():
             assert relator_defect(rep) <= 1e-12

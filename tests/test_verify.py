@@ -1,0 +1,81 @@
+import sys
+
+import pytest
+
+import goldman.cocycles
+import goldman.reps
+import goldman.verify
+from goldman import ConditioningError
+from goldman.config import RunConfig
+from goldman.verify import (SuiteRun, check_cocycle_law_on_basis,
+                            check_newton_projection, run_suite)
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count calls of module.name through every alias a goldman module holds."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for key, holder in list(sys.modules.items()):
+        if key == "goldman" or key.startswith("goldman."):
+            for attr, value in list(vars(holder).items()):
+                if value is original:
+                    monkeypatch.setattr(holder, attr, counted)
+    return calls
+
+
+def _refuse(name):
+    def refuse(self):
+        raise AssertionError(f"SuiteRun.{name} was built")
+    return property(refuse)
+
+
+class TestSuiteRun:
+    def test_seeded_objects_are_built_once(self, monkeypatch, tmp_path):
+        reps = _count_calls(monkeypatch, goldman.reps, "random_representation")
+        bases = _count_calls(monkeypatch, goldman.cocycles, "cocycle_basis")
+        real = _count_calls(monkeypatch, goldman.cocycles, "real_locus_bases")
+        results = run_suite(RunConfig(genus=2, rank=2, seed=0, out=tmp_path))
+        assert all(r.passed for r in results)
+        # the base point, one independent rebuild, and the six grid points
+        assert len(reps) <= 8
+        # the base basis, the six grid bases and the trivial rank-one basis
+        assert len(bases) <= 8
+        assert len(real) == 1
+
+    def test_shared_objects_are_cached(self, tmp_path):
+        run = SuiteRun(RunConfig(out=tmp_path))
+        assert run.rep is run.rep
+        assert run.basis is run.basis
+        assert run.basis.base is run.rep
+        assert run.real_locus is run.real_locus
+        assert len(run.grid) == 6
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_genus_one_builds_no_cohomology(self, monkeypatch, tmp_path, rank):
+        monkeypatch.setattr(SuiteRun, "basis", _refuse("basis"))
+        monkeypatch.setattr(SuiteRun, "real_locus", _refuse("real_locus"))
+        results = run_suite(RunConfig(genus=1, rank=rank, out=tmp_path))
+        assert results and all(r.passed for r in results)
+
+    def test_general_linear_builds_no_real_locus(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(SuiteRun, "real_locus", _refuse("real_locus"))
+        config = RunConfig(flavor="general-linear", out=tmp_path)
+        assert all(r.passed for r in run_suite(config))
+
+    def test_basis_error_comes_from_the_first_check_that_needs_it(
+            self, monkeypatch, tmp_path):
+        def fail(rep):
+            raise ConditioningError("rank decision is ambiguous")
+
+        monkeypatch.setattr(goldman.verify, "cocycle_basis", fail)
+        run = SuiteRun(RunConfig(out=tmp_path))
+        assert check_newton_projection(run).passed
+        with pytest.raises(ConditioningError):
+            check_cocycle_law_on_basis(run)
+        with pytest.raises(ConditioningError):
+            run_suite(RunConfig(out=tmp_path))
