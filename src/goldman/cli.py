@@ -129,7 +129,7 @@ def cmd_dims(config: RunConfig) -> int:
 
 def cmd_random_rep(config: RunConfig, file: Path | None) -> int:
     rep = config.representation()
-    config.out.mkdir(parents=True, exist_ok=True)
+    fileio.ensure_directory(config.out)
     target = file if file is not None else config.out / "representation.txt"
     digest = fileio.write_representation(target, rep)
     print(f"file: {target}")
@@ -142,7 +142,7 @@ def cmd_cocycle_basis(config: RunConfig, rep_path, space: str) -> int:
     rep = _load_rep(config, rep_path)
     basis = cocycle_basis(rep)
     vectors = basis.basis if space == "z1" else basis.h1_complement
-    config.out.mkdir(parents=True, exist_ok=True)
+    fileio.ensure_directory(config.out)
     for i, chi in enumerate(vectors):
         fileio.write_cocycle(config.out / f"cocycle-{i:03d}.txt", chi)
     z1, b1, h1 = basis.dims
@@ -157,7 +157,7 @@ def cmd_cocycle_basis(config: RunConfig, rep_path, space: str) -> int:
 def cmd_gram(config: RunConfig, rep_path, cocycle_paths) -> int:
     g = _file_gram(rep_path, cocycle_paths)
     skewness = g.skewness_residual
-    config.out.mkdir(parents=True, exist_ok=True)
+    fileio.ensure_directory(config.out)
     target = config.out / "gram.txt"
     fileio.write_matrix(target, g.matrix,
                         header_lines=[f"skewness-residual: {skewness:.6e}"])
@@ -169,7 +169,7 @@ def cmd_gram(config: RunConfig, rep_path, cocycle_paths) -> int:
 
 def cmd_symplectic_basis(config: RunConfig, rep_path, cocycle_paths) -> int:
     sb = symplectic_basis(_file_gram(rep_path, cocycle_paths))
-    config.out.mkdir(parents=True, exist_ok=True)
+    fileio.ensure_directory(config.out)
     for i, chi in enumerate(sb.e):
         fileio.write_cocycle(config.out / f"basis-e-{i:03d}.txt", chi)
     for i, chi in enumerate(sb.f):
@@ -187,7 +187,7 @@ def cmd_deform(config: RunConfig, rep_path, cocycle_path, step: float) -> int:
     correction = deformation_correction(rep, chi, step)
     correction_half = deformation_correction(rep, chi, step / 2)
     order = float(np.log2(correction / correction_half)) if correction_half else 2.0
-    config.out.mkdir(parents=True, exist_ok=True)
+    fileio.ensure_directory(config.out)
     target = config.out / "deformed.txt"
     fileio.write_representation(target, moved)
     print(f"file: {target}")
@@ -231,8 +231,8 @@ def cmd_closedness(config: RunConfig, rep_path, cocycle_paths,
 def cmd_verify(config: RunConfig) -> int:
     results = run_suite(config)
     report = render_report(config, results)
-    config.out.mkdir(parents=True, exist_ok=True)
-    (config.out / "verify-report.txt").write_text(report)
+    fileio.ensure_directory(config.out)
+    fileio.write_text(config.out / "verify-report.txt", report)
     sys.stdout.write(report)
     failed = sum(1 for r in results if not r.passed)
     return EXIT_PROPERTY_FAILURE if failed else EXIT_OK

@@ -16,8 +16,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConditioningError, InputError
-from .linalg import (ad_matrix, complement_within, frob, nullspace,
-                     real_flatten, split_singular_values, unvec, vec)
+from .linalg import (ad_matrix, complement_dimension, complement_within, frob,
+                     nullspace, real_flatten, row_space, split_singular_values,
+                     unvec, vec)
 from .reps import UNITARY, Representation, evaluate, relator_tangent_matrix
 from .words import GroupRingElement, GroupWord
 
@@ -198,20 +199,62 @@ def anti_hermitian_part(chi: Cocycle) -> Cocycle:
     return Cocycle(chi.base, tuple((m - m.conj().T) / 2 for m in chi.values))
 
 
+def _frame_cocycles(base: Representation, frame: np.ndarray) -> tuple[Cocycle, ...]:
+    return tuple(from_flat(base, frame[:, j]) for j in range(frame.shape[1]))
+
+
+def _decided_frame(frame: np.ndarray, count: int, space: str) -> np.ndarray:
+    """The frame, read-only, once its column count matches the rank decision."""
+    if frame.shape[1] != count:
+        raise ConditioningError(
+            f"{space} basis has {frame.shape[1]} columns, the rank decision gave {count}")
+    frame.setflags(write=False)
+    return frame
+
+
 @dataclass(frozen=True, eq=False)
 class CocycleBasis:
-    """Orthonormal bases of Z1, B1 and an H1 complement, plus dimensions.
+    """Dimensions of Z1, B1 and H1, with orthonormal bases built on first read.
 
-    h1_complement spans the orthogonal complement of the coboundaries
-    inside the cocycle space; its pairings represent cohomology classes.
-    dims is (dim Z1, dim B1, dim H1).
+    dims is (dim Z1, dim B1, dim H1), fixed by cocycle_basis from rank
+    decisions alone.  The orthonormal bases basis (Z1), coboundary_basis
+    (B1) and h1_complement are built from constraint (the Fox relator
+    constraint, whose nullspace is Z1) and b1_frame (orthonormal
+    B1 columns) the first time they are read; a column count that
+    disagrees with dims raises ConditioningError.  h1_complement spans the
+    orthogonal complement of the coboundaries inside the cocycle space;
+    its pairings represent cohomology classes.
     """
 
     base: Representation
-    basis: tuple[Cocycle, ...]
-    coboundary_basis: tuple[Cocycle, ...]
-    h1_complement: tuple[Cocycle, ...]
     dims: tuple[int, int, int]
+    constraint: np.ndarray
+    b1_frame: np.ndarray
+
+    @cached_property
+    def z1_frame(self) -> np.ndarray:
+        """Orthonormal Z1 columns in flattened coordinates."""
+        return _decided_frame(nullspace(self.constraint), self.dims[0], "Z1")
+
+    @cached_property
+    def h1_frame(self) -> np.ndarray:
+        """Orthonormal H1-complement columns in flattened coordinates."""
+        frame = complement_within(self.z1_frame, self.b1_frame)
+        # C order, as a column_stack of the cocycles' flat values would be,
+        # so that projections onto it round the same way
+        return _decided_frame(np.ascontiguousarray(frame), self.dims[2], "H1 complement")
+
+    @cached_property
+    def basis(self) -> tuple[Cocycle, ...]:
+        return _frame_cocycles(self.base, self.z1_frame)
+
+    @cached_property
+    def coboundary_basis(self) -> tuple[Cocycle, ...]:
+        return _frame_cocycles(self.base, self.b1_frame)
+
+    @cached_property
+    def h1_complement(self) -> tuple[Cocycle, ...]:
+        return _frame_cocycles(self.base, self.h1_frame)
 
     def h1_coordinates(self, chi: Cocycle) -> np.ndarray:
         """Coefficients of the class of chi in the H1 complement basis.
@@ -221,23 +264,24 @@ class CocycleBasis:
         """
         if not self.base.same_base(chi.base):
             raise InputError("cocycle over a different base representation")
-        frame = np.column_stack([c.flat for c in self.h1_complement])
-        return frame.conj().T @ chi.flat
+        return self.h1_frame.conj().T @ chi.flat
 
 
 def cocycle_basis(rep: Representation) -> CocycleBasis:
-    """Assemble Z1 as the nullspace of the relator constraint.
+    """Decide dim Z1, B1 and H1; the bases are built when first read.
 
     The constraint chi(R) = 0 is imposed through the Fox expansion of the
     relator (the same linear map that drives Newton projection); the
-    coboundary space is the image of v -> delta_v.  Bases are orthonormal
-    in the flattened Frobenius metric and rank decisions use the global
-    relative singular-value threshold.
+    coboundary space is the image of v -> delta_v.  Rank decisions use the
+    global relative singular-value threshold: dim Z1 is 2g n^2 less the
+    rank of the constraint, taken from its thin SVD, and dim H1 comes
+    from cocycle_dimensions.  Bases are orthonormal in the flattened
+    Frobenius metric.
     """
     n = rep.rank
     count = rep.presentation.generator_count
     constraint = relator_tangent_matrix(rep.presentation, rep.images, rep.flavor)
-    z1 = nullspace(constraint)
+    row = row_space(constraint)
 
     delta = np.zeros((count * n * n, n * n), dtype=complex)
     for i in range(count):
@@ -246,19 +290,25 @@ def cocycle_basis(rep: Representation) -> CocycleBasis:
     u, svals, _ = np.linalg.svd(delta, full_matrices=False)
     b1_rank, _ = split_singular_values(svals)
     b1 = u[:, :b1_rank]
+    b1.setflags(write=False)
+    return CocycleBasis(base=rep, dims=cocycle_dimensions(row, b1),
+                        constraint=constraint, b1_frame=b1)
 
-    h1 = complement_within(z1, b1)
-    dims = (z1.shape[1], b1.shape[1], h1.shape[1])
+
+def cocycle_dimensions(row: np.ndarray, b1_frame: np.ndarray) -> tuple[int, int, int]:
+    """(dim Z1, dim B1, dim H1) from the constraint's row space and a B1 frame.
+
+    Both arguments have orthonormal columns; Z1 is the orthogonal
+    complement of row.  dim H1 is the number of columns complement_within
+    would keep, counted from principal angles.  B1 not lying inside Z1
+    shows as dim Z1 - dim B1 != dim H1 and raises ConditioningError.
+    """
+    dims = (row.shape[0] - row.shape[1], b1_frame.shape[1],
+            complement_dimension(row, b1_frame))
     if dims[0] - dims[1] != dims[2]:
         raise ConditioningError(
             f"inconsistent dimensions: Z1 {dims[0]}, B1 {dims[1]}, complement {dims[2]}")
-    return CocycleBasis(
-        base=rep,
-        basis=tuple(from_flat(rep, z1[:, j]) for j in range(z1.shape[1])),
-        coboundary_basis=tuple(from_flat(rep, b1[:, j]) for j in range(b1.shape[1])),
-        h1_complement=tuple(from_flat(rep, h1[:, j]) for j in range(h1.shape[1])),
-        dims=dims,
-    )
+    return dims
 
 
 def random_cocycle(basis: CocycleBasis, rng: np.random.Generator,

@@ -58,9 +58,18 @@ def _read_text(path) -> str:
         raise InputError(str(exc)) from exc
 
 
-def _write_text(path, text: str) -> None:
+def write_text(path, text: str) -> None:
+    """Write a UTF-8 text file; an unwritable path is an input error."""
     try:
         Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(str(exc)) from exc
+
+
+def ensure_directory(path) -> None:
+    """Create an output directory and its parents; a failure is an input error."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise InputError(str(exc)) from exc
 
@@ -88,7 +97,7 @@ def write_representation(path, rep: Representation) -> str:
     payload = _representation_payload(rep)
     digest = hashlib.sha256(payload.encode()).hexdigest()
     head, _, tail = payload.partition("\n")
-    _write_text(path, f"{head}\nhash: {digest}\n{tail}")
+    write_text(path, f"{head}\nhash: {digest}\n{tail}")
     return digest
 
 
@@ -172,7 +181,7 @@ def write_cocycle(path, chi: Cocycle) -> None:
     for i, m in enumerate(chi.values):
         lines.append(f"generator: {rep.presentation.generator_name(i)}")
         lines.extend(_matrix_lines(m))
-    _write_text(path, "\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def read_cocycle(path, base: Representation) -> Cocycle:
@@ -196,7 +205,7 @@ def write_matrix(path, matrix: np.ndarray, header_lines=()) -> None:
     lines.extend(header_lines)
     lines.append("data:")
     lines.extend(_matrix_lines(matrix))
-    _write_text(path, "\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def read_matrix(path) -> np.ndarray:

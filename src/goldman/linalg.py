@@ -75,6 +75,18 @@ def nullspace(m: Array, rel_tol: float = tolerances.SVD_RELATIVE) -> Array:
     return vh[rank:].conj().T
 
 
+def row_space(m: Array, rel_tol: float = tolerances.SVD_RELATIVE) -> Array:
+    """Orthonormal row-space basis (columns): the complement of nullspace(m).
+
+    A thin SVD with the same rank rule as nullspace, so the rank decision
+    and its ConditioningError are the same without the full right factor.
+    """
+    m = np.atleast_2d(np.asarray(m))
+    _, svals, vh = np.linalg.svd(m, full_matrices=False)
+    rank, _ = split_singular_values(svals, rel_tol)
+    return vh[:rank].conj().T
+
+
 def complement_within(z: Array, b: Array) -> Array:
     """Orthonormal basis of col(z) orthogonal to col(b).
 
@@ -87,6 +99,24 @@ def complement_within(z: Array, b: Array) -> Array:
     u, svals, _ = np.linalg.svd(projected, full_matrices=False)
     keep = svals > 0.5
     return u[:, keep]
+
+
+def complement_dimension(z_perp: Array, b: Array) -> int:
+    """Column count of complement_within(z, b) without forming z.
+
+    z_perp has orthonormal columns spanning the orthogonal complement of
+    col(z).  The singular values of (I - b b^H) z are the sines of the
+    principal angles between col(z) and col(b), padded with ones; those
+    of (I - z_perp z_perp^H) b are their cosines.  A sine above 1/2 is a
+    cosine below sqrt(3/4), so the count of kept directions is dim col(z)
+    less the cosines at or above sqrt(3/4).
+    """
+    z_dim = z_perp.shape[0] - z_perp.shape[1]
+    if b.shape[1] == 0:
+        return z_dim
+    projected = b - z_perp @ (z_perp.conj().T @ b)
+    cosines = np.linalg.svd(projected, compute_uv=False)
+    return z_dim - int(np.count_nonzero(cosines >= np.sqrt(0.75)))
 
 
 def haar_unitary(rng: np.random.Generator, n: int) -> Array:

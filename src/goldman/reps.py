@@ -320,8 +320,12 @@ def newton_project(presentation: Presentation, images, flavor: str,
 
 
 def conjugate_representation(rep: Representation, c: np.ndarray) -> Representation:
-    """Conjugate every generator image by a fixed invertible matrix."""
+    """Conjugate every generator image by a fixed invertible matrix.
+
+    The result is a general-linear representation whatever the base
+    flavor: conjugation by a non-unitary matrix leaves U(n).
+    """
     c = np.asarray(c, dtype=complex)
     c_inv = np.linalg.inv(c)
     images = tuple(c @ m @ c_inv for m in rep.images)
-    return Representation(rep.presentation, rep.rank, images, rep.flavor, seed=rep.seed)
+    return Representation(rep.presentation, rep.rank, images, GENERAL_LINEAR, seed=rep.seed)

@@ -34,8 +34,8 @@ from .linalg import frob, haar_unitary
 from .pairing import (gram, pairing_cup, pairing_dual, symplectic_basis,
                       unitary_restriction_check)
 from .reps import (GENERAL_LINEAR, UNITARY, Representation,
-                   commutant_dimension, commutator_factor, evaluate,
-                   newton_project, random_representation, relator_defect)
+                   commutant_dimension, commutator_factor, conjugate_representation,
+                   evaluate, newton_project, random_representation, relator_defect)
 from .words import (GroupRingElement, GroupWord, Presentation,
                     anti_involution, commutator, fox_derivative)
 
@@ -489,9 +489,7 @@ def check_conjugation_equivariance(run: SuiteRun) -> CheckResult:
     n = rep.rank
     c = np.eye(n) + 0.4 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     c_inv = np.linalg.inv(c)
-    moved = Representation(rep.presentation, n,
-                           tuple(c @ m @ c_inv for m in rep.images),
-                           GENERAL_LINEAR, seed=rep.seed)
+    moved = conjugate_representation(rep, c)
     worst = 0.0
     samples = 25
     for _ in range(samples):

@@ -2,7 +2,9 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
+import goldman.cli
 from goldman.cli import main
 
 
@@ -192,6 +194,20 @@ class TestFileCommands:
     def test_write_into_missing_directory_exits_two(self, tmp_path, capsys):
         code, _, err = run_cli(["random-rep", "--file",
                                 str(tmp_path / "absent" / "rep.txt")], capsys)
+        assert_input_error(code, err)
+
+    @pytest.mark.parametrize("command", [["random-rep"], ["cocycle-basis"]])
+    def test_out_naming_a_file_exits_two(self, tmp_path, capsys, command):
+        target = tmp_path / "taken.txt"
+        target.write_text("not a directory\n")
+        code, _, err = run_cli(["--out", str(target)] + command, capsys)
+        assert_input_error(code, err)
+        assert target.read_text() == "not a directory\n"
+
+    def test_unwritable_verify_report_exits_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(goldman.cli, "run_suite", lambda config: [])
+        (tmp_path / "verify-report.txt").mkdir()
+        code, _, err = run_cli(["--out", str(tmp_path), "verify"], capsys)
         assert_input_error(code, err)
 
     def test_gram_non_finite_cocycle_exits_two(self, tmp_path, capsys):

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
-from goldman import (Cocycle, InputError,
+import goldman.cocycles
+from goldman import (Cocycle, ConditioningError, InputError,
                      anti_hermitian_part, coboundary, cocycle_basis,
                      cocycle_law_residual, extend, extend_ring, random_cocycle,
                      random_representation, real_locus_bases, relator_residual,
                      star_involution, word_jacobian)
-from goldman.linalg import frob, vec
+from goldman.cli import main
+from goldman.cocycles import CocycleBasis, cocycle_dimensions
+from goldman.linalg import (ad_matrix, complement_dimension, complement_within, frob,
+                            nullspace, row_space, split_singular_values, vec)
 from goldman.reps import relator_tangent_matrix
 from goldman.words import GroupRingElement
 
@@ -199,6 +203,125 @@ class TestCocycleBasis:
         shifted = chi + coboundary(v, basis_g2n2.base)
         delta = basis_g2n2.h1_coordinates(shifted) - basis_g2n2.h1_coordinates(chi)
         assert np.linalg.norm(delta) < 1e-12
+
+
+def direct_frames(rep):
+    """Z1, B1 and H1 frames built eagerly by nullspace and complement_within."""
+    n = rep.rank
+    z1 = nullspace(relator_tangent_matrix(rep.presentation, rep.images, rep.flavor))
+    delta = np.vstack([ad_matrix(rep.image(i), rep.image(i, -1)) - np.eye(n * n)
+                       for i in range(rep.presentation.generator_count)])
+    u, svals, _ = np.linalg.svd(delta, full_matrices=False)
+    b1 = u[:, :split_singular_values(svals)[0]]
+    return z1, b1, complement_within(z1, b1)
+
+
+def frame_of(cocycles):
+    return np.column_stack([c.flat for c in cocycles])
+
+
+def same_columns(cocycles, frame):
+    return (len(cocycles) == frame.shape[1]
+            and all(np.array_equal(c.flat, frame[:, j]) for j, c in enumerate(cocycles)))
+
+
+class TestRankFirstDimensions:
+    @pytest.mark.parametrize("genus, rank", [(2, 6), (3, 3)])
+    def test_dims_never_build_a_basis(self, monkeypatch, capsys, genus, rank):
+        def fail(*args, **kwargs):
+            raise AssertionError("a basis was built")
+
+        monkeypatch.setattr(goldman.cocycles, "nullspace", fail)
+        monkeypatch.setattr(goldman.cocycles, "complement_within", fail)
+        formula = (2 * genus - 2) * rank * rank + 2
+        z1, b1, h1 = cocycle_basis(random_representation(genus, rank, seed=0)).dims
+        assert h1 == formula
+        assert z1 - b1 == h1
+        assert main(["--genus", str(genus), "--rank", str(rank), "dims"]) == 0
+        assert capsys.readouterr().out.endswith(f"H1={formula} formula={formula} MATCH\n")
+
+    @pytest.mark.parametrize("genus, rank, flavor", [
+        (1, 1, "unitary"), (2, 1, "unitary"), (2, 2, "unitary"), (2, 3, "unitary"),
+        (3, 2, "unitary"), (2, 2, "general-linear"), (3, 2, "general-linear")])
+    def test_lazy_bases_equal_the_direct_computation(self, genus, rank, flavor):
+        rep = random_representation(genus, rank, flavor, seed=3)
+        basis = cocycle_basis(rep)
+        assert "basis" not in vars(basis)
+        z1, b1, h1 = direct_frames(rep)
+        assert basis.dims == (z1.shape[1], b1.shape[1], h1.shape[1])
+        assert same_columns(basis.basis, z1)
+        assert same_columns(basis.coboundary_basis, b1)
+        assert same_columns(basis.h1_complement, h1)
+
+    def test_h1_coordinates_read_the_cached_frame(self, seeded_bases):
+        rng = np.random.default_rng(31)
+        for basis in seeded_bases.values():
+            chi = random_cocycle(basis, rng)
+            expected = frame_of(basis.h1_complement).conj().T @ chi.flat
+            assert np.array_equal(basis.h1_coordinates(chi), expected)
+            assert basis.h1_frame is basis.h1_frame
+
+    def test_frames_are_read_only(self, basis_g2n2):
+        for frame in (basis_g2n2.z1_frame, basis_g2n2.b1_frame, basis_g2n2.h1_frame):
+            with pytest.raises(ValueError):
+                frame[0, 0] = 1.0
+
+    def test_basis_disagreeing_with_dims_raises_when_read(self, rep_g2n2, basis_g2n2):
+        z1, b1, h1 = basis_g2n2.dims
+        for dims, attr in [((z1 + 1, b1, h1 + 1), "basis"),
+                           ((z1, b1, h1 - 1), "h1_complement")]:
+            wrong = CocycleBasis(base=rep_g2n2, dims=dims,
+                                 constraint=basis_g2n2.constraint,
+                                 b1_frame=basis_g2n2.b1_frame)
+            with pytest.raises(ConditioningError, match="rank decision"):
+                getattr(wrong, attr)
+
+
+def synthetic_pair(rng, q, z, b, tilts):
+    """A constraint with nullspace Z (dim z) and an orthonormal B (b columns).
+
+    The last len(tilts) columns of B leave Z by the given angles in
+    degrees; the others lie inside Z.
+    """
+    def orthonormal(rows, cols):
+        g = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+        return np.linalg.qr(g)[0]
+
+    frame = orthonormal(q, q)
+    inside, outside = frame[:, :z], frame[:, z:]
+    angles = np.zeros(b)
+    angles[b - len(tilts):] = np.radians(tilts)
+    b_frame = (inside @ orthonormal(z, b) * np.cos(angles)
+               + outside @ orthonormal(q - z, b) * np.sin(angles))
+    return outside.conj().T, b_frame
+
+
+class TestPrincipalAngleCount:
+    @pytest.mark.parametrize("tilts", [(), (20,), (45,), (70,), (20, 45, 70), (70, 70)])
+    def test_matches_complement_within(self, tilts):
+        rng = np.random.default_rng(len(tilts) + sum(tilts))
+        q, z, b = 24, 14, 5
+        constraint, b_frame = synthetic_pair(rng, q, z, b, tilts)
+        assert frob(b_frame.conj().T @ b_frame - np.eye(b)) < 1e-12
+        row = row_space(constraint)
+        kept = complement_within(nullspace(constraint), b_frame).shape[1]
+        assert complement_dimension(row, b_frame) == kept
+        escaped = sum(1 for t in tilts if t > 30)
+        assert kept == z - b + escaped
+        if escaped:
+            with pytest.raises(ConditioningError, match="inconsistent dimensions"):
+                cocycle_dimensions(row, b_frame)
+        else:
+            assert cocycle_dimensions(row, b_frame) == (z, b, z - b)
+
+    def test_empty_coboundaries_and_full_rank_constraint(self):
+        rng = np.random.default_rng(40)
+        constraint, b_frame = synthetic_pair(rng, 10, 4, 3, ())
+        row = row_space(constraint)
+        assert complement_dimension(row, b_frame[:, :0]) == 4
+        assert cocycle_dimensions(row, b_frame[:, :0]) == (4, 0, 4)
+        no_rows = np.zeros((10, 0), dtype=complex)
+        assert complement_dimension(no_rows, b_frame) == 7
 
 
 class TestStarInvolution:

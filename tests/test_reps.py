@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from goldman import (ConvergenceError, InputError, Presentation, Representation,
-                     commutant_dimension, commutator_factor, evaluate,
-                     newton_project, random_representation, relator_defect)
+                     commutant_dimension, commutator_factor, conjugate_representation,
+                     evaluate, newton_project, random_representation, relator_defect)
 from goldman.linalg import frob, haar_unitary
 
 
@@ -164,6 +164,17 @@ class TestCommutantDimension:
 
     def test_generic_irreducible(self, rep_g2n2):
         assert commutant_dimension(rep_g2n2) == 1
+
+
+class TestConjugateRepresentation:
+    def test_non_unitary_conjugate_of_unitary_point(self, rep_g2n2):
+        c = np.array([[1, 0.5], [0, 1]], dtype=complex)
+        moved = conjugate_representation(rep_g2n2, c)
+        assert moved.flavor == "general-linear"
+        assert moved.seed == rep_g2n2.seed
+        for m, image in zip(rep_g2n2.images, moved.images):
+            assert np.array_equal(image, c @ m @ np.linalg.inv(c))
+        assert relator_defect(moved) < 1e-10
 
 
 class TestNewtonProject:
