@@ -35,10 +35,16 @@ def _raw_deformed_images(rep: Representation, direction: Cocycle, t: float):
 
 
 def _check_trust(rep: Representation, direction: Cocycle, t: float):
-    if abs(t) * direction.norm() > tolerances.DEFORM_TRUST * (1 + 1e-12):
+    # a NaN step fails the comparison too
+    if not abs(t) * direction.norm() <= tolerances.DEFORM_TRUST * (1 + 1e-12):
         raise InputError(
             f"step {t:g} leaves the deformation trust region "
             f"(|t|*||chi|| <= {tolerances.DEFORM_TRUST:g})")
+
+
+def _check_fd_step(step: float):
+    if not step >= tolerances.MIN_FD_STEP:  # NaN fails too
+        raise InputError(f"step {step:g} below minimum {tolerances.MIN_FD_STEP:g}")
 
 
 def deform(rep: Representation, direction: Cocycle, t: float) -> Representation:
@@ -110,8 +116,7 @@ def rh_differential(curve: DeformationCurve, step: float) -> Cocycle:
     the cocycle law and the relator constraint to second order in the
     step.
     """
-    if step < tolerances.MIN_FD_STEP:
-        raise InputError(f"step {step:g} below minimum {tolerances.MIN_FD_STEP:g}")
+    _check_fd_step(step)
     if curve.direction is not None:
         _check_trust(curve.center, curve.direction, step)
     center = curve.center
@@ -133,8 +138,7 @@ def rh_word_value(curve: DeformationCurve, word, step: float) -> np.ndarray:
     """
     from .reps import evaluate
 
-    if step < tolerances.MIN_FD_STEP:
-        raise InputError(f"step {step:g} below minimum {tolerances.MIN_FD_STEP:g}")
+    _check_fd_step(step)
     plus = evaluate(curve.at(step), word)
     minus = evaluate(curve.at(-step), word)
     center = evaluate(curve.center, word)
@@ -151,7 +155,6 @@ class Chart:
 
     center: Representation
     frame: tuple[Cocycle, ...]
-    step: float = 1e-3
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property

@@ -40,8 +40,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         default="unitary")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE",
-                        help="override a named tolerance "
-                             "(construction, verification, fd, svd)")
+                        help="override the verification tolerance, the threshold "
+                             "of the verify checks cocycle-law-on-basis, "
+                             "gram-structure and symplectic-basis (NAME: verification)")
     parser.add_argument("--out", type=Path, default=Path("."),
                         help="output directory for generated files")
 
@@ -109,8 +110,7 @@ def _load_rep(config: RunConfig, path):
 def _file_gram(rep_path, cocycle_paths) -> GoldmanGram:
     rep = fileio.read_representation(rep_path)
     cocycles = tuple(fileio.read_cocycle(p, rep) for p in cocycle_paths)
-    return GoldmanGram(base=rep, vectors=cocycles, matrix=gram_matrix(cocycles),
-                       space="input")
+    return GoldmanGram(base=rep, vectors=cocycles, matrix=gram_matrix(cocycles))
 
 
 def cmd_dims(config: RunConfig) -> int:
@@ -129,8 +129,10 @@ def cmd_dims(config: RunConfig) -> int:
 
 def cmd_random_rep(config: RunConfig, file: Path | None) -> int:
     rep = config.representation()
-    fileio.ensure_directory(config.out)
-    target = file if file is not None else config.out / "representation.txt"
+    target = file
+    if target is None:  # --out is made only when the file goes there
+        fileio.ensure_directory(config.out)
+        target = config.out / "representation.txt"
     digest = fileio.write_representation(target, rep)
     print(f"file: {target}")
     print(f"hash: {digest}")

@@ -16,8 +16,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConditioningError, InputError
-from .linalg import (ad_matrix, complement_dimension, complement_within, frob,
-                     nullspace, real_flatten, row_space, split_singular_values,
+from .linalg import (ad_matrix, column_space, complement_dimension,
+                     complement_within, frob, nullspace, real_flatten, row_space,
                      unvec, vec)
 from .reps import UNITARY, Representation, evaluate, relator_tangent_matrix
 from .words import GroupRingElement, GroupWord
@@ -287,9 +287,7 @@ def cocycle_basis(rep: Representation) -> CocycleBasis:
     for i in range(count):
         ad = ad_matrix(rep.image(i), rep.image(i, -1))
         delta[i * n * n:(i + 1) * n * n, :] = ad - np.eye(n * n)
-    u, svals, _ = np.linalg.svd(delta, full_matrices=False)
-    b1_rank, _ = split_singular_values(svals)
-    b1 = u[:, :b1_rank]
+    b1 = column_space(delta)
     b1.setflags(write=False)
     return CocycleBasis(base=rep, dims=cocycle_dimensions(row, b1),
                         constraint=constraint, b1_frame=b1)
@@ -339,9 +337,7 @@ def real_locus_bases(basis: CocycleBasis):
         candidates.append(anti_hermitian_part(chi))
         candidates.append(anti_hermitian_part(1j * chi))
     cand = np.column_stack([real_flatten(c.flat) for c in candidates])
-    u, svals, _ = np.linalg.svd(cand, full_matrices=False)
-    rank, _ = split_singular_values(svals)
-    z1_real = u[:, :rank]
+    z1_real = column_space(cand)
 
     # real coboundaries: delta of an anti-Hermitian matrix basis
     cob_vectors = []
@@ -360,10 +356,7 @@ def real_locus_bases(basis: CocycleBasis):
                 v[p, q] = 1j
                 v[q, p] = 1j
                 cob_vectors.append(real_flatten(coboundary(v, rep).flat))
-    cob = np.column_stack(cob_vectors)
-    u, svals, _ = np.linalg.svd(cob, full_matrices=False)
-    b_rank, _ = split_singular_values(svals)
-    b1_real = u[:, :b_rank]
+    b1_real = column_space(np.column_stack(cob_vectors))
 
     h1_real = complement_within(z1_real, b1_real)
 

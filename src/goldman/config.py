@@ -10,7 +10,7 @@ from .errors import InputError
 from .reps import (FLAVORS, UNITARY, Representation, check_seed,
                    random_representation)
 
-_TOLERANCE_NAMES = ("construction", "verification", "fd", "svd")
+_TOLERANCE_DEFAULTS = {"verification": tolerances.VERIFICATION}
 
 
 @dataclass(frozen=True)
@@ -34,24 +34,18 @@ class RunConfig:
             raise InputError(f"unknown flavor {self.flavor!r}")
         check_seed(self.seed)
         for name, value in self.tolerance_overrides:
-            if name not in _TOLERANCE_NAMES:
+            if name not in _TOLERANCE_DEFAULTS:
                 raise InputError(f"unknown tolerance {name!r} "
-                                 f"(known: {', '.join(_TOLERANCE_NAMES)})")
+                                 f"(known: {', '.join(_TOLERANCE_DEFAULTS)})")
             if not value > 0:
                 raise InputError(f"tolerance {name} must be positive, got {value}")
         object.__setattr__(self, "out", Path(self.out))
 
     def tolerance(self, name: str) -> float:
-        defaults = {
-            "construction": tolerances.CONSTRUCTION,
-            "verification": tolerances.VERIFICATION,
-            "fd": tolerances.FINITE_DIFFERENCE,
-            "svd": tolerances.SVD_RELATIVE,
-        }
         for key, value in self.tolerance_overrides:
             if key == name:
                 return value
-        return defaults[name]
+        return _TOLERANCE_DEFAULTS[name]
 
     def representation(self) -> Representation:
         """The seeded representation this configuration names."""

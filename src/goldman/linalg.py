@@ -28,28 +28,20 @@ def ad_matrix(s: Array, s_inv: Array) -> Array:
     return np.kron(s_inv.T, s)
 
 
-def split_singular_values(svals: Array, rel_tol: float = tolerances.SVD_RELATIVE,
-                          ambiguity: float = tolerances.RANK_AMBIGUITY_FACTOR,
-                          scale_floor: float = 1.0):
-    """Partition singular values at a relative threshold.
-
-    The cutoff is rel_tol times the larger of the top singular value and
-    scale_floor.  The floor matters for matrices that are pure roundoff
-    noise (e.g. adjoint-action constraints of rank-one representations,
-    which are exactly zero in exact arithmetic): a purely relative cutoff
-    would promote the largest noise entry to rank one.  The operators
-    handled here all have unit natural scale.
+def split_singular_values(svals: Array):
+    """Partition singular values at the relative threshold SVD_RELATIVE
+    times the larger of the top value and SVD_NATURAL_SCALE (tolerances).
 
     Returns (rank, margin).  margin is the ratio between the smallest kept
     and the largest discarded value (or the distance of the smallest kept
     value above the cutoff when nothing is discarded).  Raises
-    ConditioningError when values straddle the threshold within the
-    ambiguity factor, i.e. when the rank decision is not clear-cut.
+    ConditioningError when values straddle the threshold within
+    RANK_AMBIGUITY_FACTOR, i.e. when the rank decision is not clear-cut.
     """
     svals = np.asarray(svals, dtype=float)
     if svals.size == 0:
         return 0, np.inf
-    cutoff = rel_tol * max(float(svals[0]), scale_floor)
+    cutoff = tolerances.SVD_RELATIVE * max(float(svals[0]), tolerances.SVD_NATURAL_SCALE)
     kept = svals[svals > cutoff]
     discarded = svals[svals <= cutoff]
     if kept.size == 0:
@@ -59,23 +51,23 @@ def split_singular_values(svals: Array, rel_tol: float = tolerances.SVD_RELATIVE
     else:
         largest_discarded = float(discarded[0])
         margin = np.inf if largest_discarded == 0.0 else float(kept[-1] / largest_discarded)
-    if margin < ambiguity:
+    if margin < tolerances.RANK_AMBIGUITY_FACTOR:
         raise ConditioningError(
             f"singular values straddle the rank threshold (margin {margin:.3g} "
-            f"< {ambiguity:.3g})"
+            f"< {tolerances.RANK_AMBIGUITY_FACTOR:.3g})"
         )
     return int(kept.size), margin
 
 
-def nullspace(m: Array, rel_tol: float = tolerances.SVD_RELATIVE) -> Array:
+def nullspace(m: Array) -> Array:
     """Orthonormal nullspace basis (columns), with an unambiguous rank cut."""
     m = np.atleast_2d(np.asarray(m))
     _, svals, vh = np.linalg.svd(m, full_matrices=True)
-    rank, _ = split_singular_values(svals, rel_tol)
+    rank, _ = split_singular_values(svals)
     return vh[rank:].conj().T
 
 
-def row_space(m: Array, rel_tol: float = tolerances.SVD_RELATIVE) -> Array:
+def row_space(m: Array) -> Array:
     """Orthonormal row-space basis (columns): the complement of nullspace(m).
 
     A thin SVD with the same rank rule as nullspace, so the rank decision
@@ -83,8 +75,16 @@ def row_space(m: Array, rel_tol: float = tolerances.SVD_RELATIVE) -> Array:
     """
     m = np.atleast_2d(np.asarray(m))
     _, svals, vh = np.linalg.svd(m, full_matrices=False)
-    rank, _ = split_singular_values(svals, rel_tol)
+    rank, _ = split_singular_values(svals)
     return vh[:rank].conj().T
+
+
+def column_space(m: Array) -> Array:
+    """Orthonormal column-space basis (columns), with the same rank rule."""
+    m = np.atleast_2d(np.asarray(m))
+    u, svals, _ = np.linalg.svd(m, full_matrices=False)
+    rank, _ = split_singular_values(svals)
+    return u[:, :rank]
 
 
 def complement_within(z: Array, b: Array) -> Array:
@@ -97,8 +97,7 @@ def complement_within(z: Array, b: Array) -> Array:
         return z
     projected = z - b @ (b.conj().T @ z)
     u, svals, _ = np.linalg.svd(projected, full_matrices=False)
-    keep = svals > 0.5
-    return u[:, keep]
+    return u[:, svals > tolerances.COMPLEMENT_SINE]
 
 
 def complement_dimension(z_perp: Array, b: Array) -> int:
@@ -107,16 +106,17 @@ def complement_dimension(z_perp: Array, b: Array) -> int:
     z_perp has orthonormal columns spanning the orthogonal complement of
     col(z).  The singular values of (I - b b^H) z are the sines of the
     principal angles between col(z) and col(b), padded with ones; those
-    of (I - z_perp z_perp^H) b are their cosines.  A sine above 1/2 is a
-    cosine below sqrt(3/4), so the count of kept directions is dim col(z)
-    less the cosines at or above sqrt(3/4).
+    of (I - z_perp z_perp^H) b are their cosines.  A sine above s =
+    tolerances.COMPLEMENT_SINE is a cosine below sqrt(1 - s**2), so the
+    count of kept directions is dim col(z) less the cosines at or above it.
     """
     z_dim = z_perp.shape[0] - z_perp.shape[1]
     if b.shape[1] == 0:
         return z_dim
     projected = b - z_perp @ (z_perp.conj().T @ b)
     cosines = np.linalg.svd(projected, compute_uv=False)
-    return z_dim - int(np.count_nonzero(cosines >= np.sqrt(0.75)))
+    cutoff = np.sqrt(1 - tolerances.COMPLEMENT_SINE ** 2)
+    return z_dim - int(np.count_nonzero(cosines >= cutoff))
 
 
 def haar_unitary(rng: np.random.Generator, n: int) -> Array:

@@ -125,16 +125,15 @@ class GoldmanGram:
     base: Representation
     vectors: tuple[Cocycle, ...]
     matrix: np.ndarray
-    space: str
 
     @property
     def skewness_residual(self) -> float:
         return frob(self.matrix + self.matrix.T)
 
-    def rank(self, rel_tol: float = tolerances.SVD_RELATIVE):
+    def rank(self):
         """(rank, margin) of the Gram matrix at the global threshold."""
         svals = np.linalg.svd(self.matrix, compute_uv=False)
-        return split_singular_values(svals, rel_tol)
+        return split_singular_values(svals)
 
 
 def gram(basis: CocycleBasis, space: str = "h1-complement") -> GoldmanGram:
@@ -150,8 +149,7 @@ def gram(basis: CocycleBasis, space: str = "h1-complement") -> GoldmanGram:
         raise InputError(f"unknown Gram space {space!r}")
     matrix = gram_matrix(vectors)
     matrix.setflags(write=False)
-    return GoldmanGram(base=basis.base, vectors=tuple(vectors), matrix=matrix,
-                       space=space)
+    return GoldmanGram(base=basis.base, vectors=tuple(vectors), matrix=matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,7 +260,7 @@ class UnitaryLocusReport:
         yield f"verdict: {'PASS' if self.passed else 'FAIL'}"
 
 
-def unitary_restriction_check(cocycles, imag_tol: float = 1e-10) -> UnitaryLocusReport:
+def unitary_restriction_check(cocycles) -> UnitaryLocusReport:
     """Check that pairings of anti-Hermitian-valued cocycles are real and
     that the resulting real skew form is nondegenerate.
 
@@ -286,12 +284,12 @@ def unitary_restriction_check(cocycles, imag_tol: float = 1e-10) -> UnitaryLocus
     imag = np.abs(matrix.imag)
     max_imag = float(imag.max())
     offending = None
-    if max_imag >= imag_tol:
+    if max_imag >= tolerances.UNITARY_IMAGINARY:
         i, j = np.unravel_index(int(np.argmax(imag)), imag.shape)
         offending = (int(i), int(j))
     svals = np.linalg.svd(matrix.real, compute_uv=False)
     rank, margin = split_singular_values(svals)
-    passed = max_imag < imag_tol and rank == d
+    passed = max_imag < tolerances.UNITARY_IMAGINARY and rank == d
     return UnitaryLocusReport(
         max_imaginary=max_imag,
         offending_pair=offending,

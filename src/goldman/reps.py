@@ -9,7 +9,7 @@ factorization of the inverse of the partial relator image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -40,7 +40,6 @@ class Representation:
     images: tuple[np.ndarray, ...]
     flavor: str
     seed: int | None = None
-    tol: float = field(default=tolerances.CONSTRUCTION, repr=False)
 
     def __post_init__(self):
         n = self.rank
@@ -62,16 +61,16 @@ class Representation:
                 raise InputError("generator image has a non-finite entry")
             if abs(np.linalg.det(m)) < 1e-12:
                 raise InputError("generator image is numerically singular")
-            if self.flavor == UNITARY and frob(m.conj().T @ m - np.eye(n)) > self.tol:
+            if (self.flavor == UNITARY
+                    and frob(m.conj().T @ m - np.eye(n)) > tolerances.CONSTRUCTION):
                 raise InputError("generator image is not unitary within tolerance")
             m.setflags(write=False)
             frozen.append(m)
         object.__setattr__(self, "images", tuple(frozen))
         defect = relator_defect(self)
-        if defect > self.tol:
-            raise InputError(
-                f"relator defect {defect:.3e} exceeds construction tolerance {self.tol:.1e}"
-            )
+        if defect > tolerances.CONSTRUCTION:
+            raise InputError(f"relator defect {defect:.3e} exceeds construction "
+                             f"tolerance {tolerances.CONSTRUCTION:.1e}")
 
     @cached_property
     def inverse_images(self) -> tuple[np.ndarray, ...]:
@@ -141,8 +140,7 @@ def _images_defect(presentation, images, flavor) -> float:
     return frob(r - np.eye(images[0].shape[0]))
 
 
-def commutator_factor(u: np.ndarray, unitary: bool = True,
-                      tol: float = tolerances.CONSTRUCTION):
+def commutator_factor(u: np.ndarray, unitary: bool = True):
     """Factor a determinant-one matrix as a single commutator A B A^-1 B^-1.
 
     Diagonalize u = V diag(lambda) V^-1, take A = V P V^-1 with P the
@@ -150,6 +148,7 @@ def commutator_factor(u: np.ndarray, unitary: bool = True,
     ratio equations around the cycle; the cycle closes because the
     eigenvalues multiply to one.
     """
+    tol = tolerances.CONSTRUCTION
     u = np.asarray(u, dtype=complex)
     n = u.shape[0]
     if u.shape != (n, n):
@@ -276,8 +275,7 @@ def relator_tangent_matrix(presentation: Presentation, images, flavor: str) -> n
 
 
 def newton_project(presentation: Presentation, images, flavor: str,
-                   seed: int | None = None,
-                   max_iterations: int = 50) -> Representation:
+                   seed: int | None = None) -> Representation:
     """Project approximate generator images back onto the relator variety.
 
     Gauss-Newton on the relator defect: each step solves the linearized
@@ -295,7 +293,7 @@ def newton_project(presentation: Presentation, images, flavor: str,
             f"input defect {defect:.3e} outside the Newton trust region "
             f"{tolerances.NEWTON_TRUST_DEFECT:.1e}", defect=defect)
 
-    for _ in range(max_iterations):
+    for _ in range(tolerances.NEWTON_STEP_LIMIT):
         if defect <= tolerances.NEWTON_TARGET:
             break
         inverses = _invert_all(images, flavor)

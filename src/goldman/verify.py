@@ -562,7 +562,8 @@ def check_unitary_locus(run: SuiteRun) -> CheckResult:
     _, h1_real = run.real_locus
     report = unitary_restriction_check(h1_real)
     residual = report.max_imaginary if report.passed else 1.0
-    return _result("unitary-locus", len(h1_real) ** 2, residual, 1e-10)
+    return _result("unitary-locus", len(h1_real) ** 2, residual,
+                   tolerances.UNITARY_IMAGINARY)
 
 
 # ------------------------------------------------------------ chart geometry

@@ -134,6 +134,25 @@ class TestRhDifferential:
         with pytest.raises(InputError):
             rh_differential(curve, 1e-10)
 
+    @pytest.mark.parametrize("bad", [float("nan"), -float("nan")])
+    def test_nan_step_rejected_at_every_entry(self, basis_g2n2, bad):
+        rep = basis_g2n2.base
+        chi = unit_h1_direction(basis_g2n2, 62)
+        curve = DeformationCurve(center=rep, direction=chi)
+        # a constant curve has no trust region: only the step check stands
+        # between a NaN step and a NaN result
+        still = DeformationCurve(center=rep, evaluator=lambda t: rep)
+        word = rep.presentation.word([(0, 1), (1, -1)])
+        calls = [lambda: deform(rep, chi, bad),
+                 lambda: curve.at(bad),
+                 lambda: rh_differential(curve, bad),
+                 lambda: rh_differential(still, bad),
+                 lambda: rh_word_value(curve, word, bad),
+                 lambda: rh_word_value(still, word, bad)]
+        for call in calls:
+            with pytest.raises(InputError):
+                call()
+
     def test_relator_constraint_second_order(self, basis_g2n2):
         from goldman import relator_residual
 

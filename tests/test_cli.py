@@ -164,6 +164,19 @@ class TestFileCommands:
         assert 1.8 <= float(lines["correction-order"]) <= 2.2
         assert (tmp_path / "deformed.txt").exists()
 
+    @pytest.mark.parametrize("step", ["nan", "-nan", "inf"])
+    def test_deform_non_finite_step_exits_two(self, tmp_path, capsys, step):
+        out_dir = str(tmp_path)
+        run_cli(["--out", out_dir, "random-rep"], capsys)
+        run_cli(["--out", out_dir, "cocycle-basis"], capsys)
+        code, _, err = run_cli(["--out", str(tmp_path / "o"), "deform",
+                                "--rep", str(tmp_path / "representation.txt"),
+                                "--cocycle", str(tmp_path / "cocycle-000.txt"),
+                                f"--step={step}"], capsys)
+        assert_input_error(code, err)
+        assert "trust region" in err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_file_exits_two(self, tmp_path, capsys):
         code, _, err = run_cli(["gram", "--rep", str(tmp_path / "absent.txt"),
                                 str(tmp_path / "nope.txt")], capsys)
@@ -195,6 +208,30 @@ class TestFileCommands:
         code, _, err = run_cli(["random-rep", "--file",
                                 str(tmp_path / "absent" / "rep.txt")], capsys)
         assert_input_error(code, err)
+
+    def test_random_rep_file_creates_no_out_directory(self, tmp_path, capsys):
+        stray = tmp_path / "stray"
+        code, out, _ = run_cli(["--out", str(stray), "random-rep", "--file",
+                                str(tmp_path / "x.txt")], capsys)
+        assert code == 0
+        assert (tmp_path / "x.txt").exists()
+        assert not stray.exists()
+
+    def test_random_rep_file_ignores_out_naming_a_file(self, tmp_path, capsys):
+        taken = tmp_path / "taken.txt"
+        taken.write_text("not a directory\n")
+        code, _, _ = run_cli(["--out", str(taken), "random-rep", "--file",
+                              str(tmp_path / "x.txt")], capsys)
+        assert code == 0
+        assert (tmp_path / "x.txt").exists()
+        assert taken.read_text() == "not a directory\n"
+
+    def test_random_rep_file_in_missing_directory_exits_two(self, tmp_path, capsys):
+        stray = tmp_path / "stray"
+        code, _, err = run_cli(["--out", str(stray), "random-rep", "--file",
+                                str(tmp_path / "absent" / "rep.txt")], capsys)
+        assert_input_error(code, err)
+        assert not stray.exists()
 
     @pytest.mark.parametrize("command", [["random-rep"], ["cocycle-basis"]])
     def test_out_naming_a_file_exits_two(self, tmp_path, capsys, command):
@@ -284,6 +321,35 @@ class TestVerifyCommand:
         code, _, err = run_cli(["--tol", "bogus=1e-4", "--out", str(tmp_path),
                                 "verify"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("override", ["svd=1e-6", "construction=1e-30", "fd=5"])
+    def test_only_verification_tolerance_is_known(self, tmp_path, capsys, override):
+        code, out, err = run_cli(["--tol", override, "--out", str(tmp_path),
+                                  "verify"], capsys)
+        assert_input_error(code, err)
+        name = override.split("=")[0]
+        assert err.strip() == f"error: unknown tolerance {name!r} (known: verification)"
+        assert out == ""
+        assert not (tmp_path / "verify-report.txt").exists()
+
+    def test_verification_tolerance_sets_three_thresholds(self, tmp_path, capsys):
+        code, plain, _ = run_cli(["--out", str(tmp_path / "plain"), "verify"], capsys)
+        assert code == 0
+        code, tuned, _ = run_cli(["--tol", "verification=1e-7",
+                                  "--out", str(tmp_path / "tuned"), "verify"], capsys)
+        assert code == 0
+        plain, tuned = plain.splitlines(), tuned.splitlines()
+        assert len(plain) == len(tuned)
+        assert tuned[0] == plain[0] + " tol.verification=1e-07"
+        changed = {}
+        for before, after in zip(plain[1:], tuned[1:]):
+            if before != after:
+                name = before.split(":")[0]
+                changed[name] = after
+                assert after == before.replace("threshold=1.000000e-08",
+                                               "threshold=1.000000e-07")
+        assert sorted(changed) == ["check cocycle-law-on-basis", "check gram-structure",
+                                   "check symplectic-basis"]
 
 
 class TestParserReuse:

@@ -252,7 +252,7 @@ class TestSymplecticBasis:
     def test_standard_input_identity_transform(self, basis_g2n2):
         g = GoldmanGram(base=basis_g2n2.base,
                         vectors=tuple(basis_g2n2.h1_complement[:4]),
-                        matrix=standard_block_j(2).astype(complex), space="test")
+                        matrix=standard_block_j(2).astype(complex))
         sb = symplectic_basis(g)
         assert np.allclose(sb.transform, np.eye(4))
 
@@ -276,7 +276,7 @@ class TestSymplecticBasis:
         vectors = (basis_g2n2.basis[0],
                    coboundary(rng.standard_normal((2, 2)), rep))
         matrix = np.array([[pairing_dual(u, v) for v in vectors] for u in vectors])
-        g = GoldmanGram(base=rep, vectors=vectors, matrix=matrix, space="test")
+        g = GoldmanGram(base=rep, vectors=vectors, matrix=matrix)
         with pytest.raises(DegenerateFormError) as excinfo:
             symplectic_basis(g)
         assert excinfo.value.null_vector is not None
@@ -284,7 +284,7 @@ class TestSymplecticBasis:
     def test_odd_dimension_rejected(self, basis_g2n2):
         g = GoldmanGram(base=basis_g2n2.base,
                         vectors=tuple(basis_g2n2.h1_complement[:3]),
-                        matrix=np.zeros((3, 3), dtype=complex), space="test")
+                        matrix=np.zeros((3, 3), dtype=complex))
         with pytest.raises(DegenerateFormError):
             symplectic_basis(g)
 
