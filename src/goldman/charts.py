@@ -22,9 +22,9 @@ import scipy.linalg
 
 from . import tolerances
 from .errors import InputError
-from .cocycles import Cocycle
+from .cocycles import Cocycle, linear_combination
 from .pairing import pairing_dual
-from .reps import GENERAL_LINEAR, Representation, newton_project
+from .reps import GENERAL_LINEAR, Representation, evaluate, newton_project
 
 TRIVIALIZATION = "right"  # division side used in the difference quotient
 
@@ -116,9 +116,7 @@ def rh_differential(curve: DeformationCurve, step: float) -> Cocycle:
     the cocycle law and the relator constraint to second order in the
     step.
     """
-    _check_fd_step(step)
-    if curve.direction is not None:
-        _check_trust(curve.center, curve.direction, step)
+    _check_fd_step(step)  # the trust region is checked by deform
     center = curve.center
     plus = curve.at(step)
     minus = curve.at(-step)
@@ -136,8 +134,6 @@ def rh_word_value(curve: DeformationCurve, word, step: float) -> np.ndarray:
     the curve, so comparing it against the law is a real second-order
     consistency test of the differential.
     """
-    from .reps import evaluate
-
     _check_fd_step(step)
     plus = evaluate(curve.at(step), word)
     minus = evaluate(curve.at(-step), word)
@@ -161,12 +157,6 @@ class Chart:
     def dimension(self) -> int:
         return len(self.frame)
 
-    def _direction(self, coords: np.ndarray) -> Cocycle:
-        flat = sum(c * chi.flat for c, chi in zip(coords, self.frame))
-        from .cocycles import from_flat
-
-        return from_flat(self.center, flat)
-
     def point(self, coords) -> Representation:
         coords = np.asarray(coords, dtype=float)
         if coords.shape != (self.dimension,):
@@ -176,7 +166,8 @@ class Chart:
             if not np.any(coords):
                 self._cache[key] = self.center
             else:
-                self._cache[key] = deform(self.center, self._direction(coords), 1.0)
+                direction = linear_combination(self.center, coords, self.frame)
+                self._cache[key] = deform(self.center, direction, 1.0)
         return self._cache[key]
 
     def transported_frame_direction(self, coords: np.ndarray, axis: int,
@@ -227,3 +218,8 @@ def closedness_check(chart: Chart, triple: tuple[int, int, int],
 
     residual = partial(i, j, k) - partial(j, i, k) + partial(k, i, j)
     return abs(residual)
+
+
+def convergence_order(steps, values) -> float:
+    """Least-squares slope of log(value) against log(step)."""
+    return float(np.polyfit(np.log(steps), np.log(values), 1)[0])

@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .charts import (TRIVIALIZATION, Chart, closedness_check, deform,
-                     deformation_correction)
+from .charts import (TRIVIALIZATION, Chart, closedness_check, convergence_order,
+                     deform, deformation_correction)
 from .cocycles import cocycle_basis
 from .config import RunConfig
 from .errors import EXIT_OK, EXIT_PROPERTY_FAILURE, GoldmanError, InputError
@@ -225,8 +225,7 @@ def cmd_closedness(config: RunConfig, rep_path, cocycle_paths,
         residuals.append(residual)
         print(f"residual[h={h:.6e}]: {residual:.6e}")
     if len(steps) >= 2 and all(r > 0 for r in residuals):
-        order = float(np.polyfit(np.log(steps), np.log(residuals), 1)[0])
-        print(f"convergence-order: {order:.3f}")
+        print(f"convergence-order: {convergence_order(steps, residuals):.3f}")
     return EXIT_OK
 
 

@@ -51,13 +51,6 @@ class Cocycle:
             frozen.append(m)
         object.__setattr__(self, "values", tuple(frozen))
 
-    def __call__(self, arg):
-        if isinstance(arg, GroupWord):
-            return extend(self, arg)
-        if isinstance(arg, GroupRingElement):
-            return extend_ring(self, arg)
-        raise InputError(f"cannot evaluate a cocycle on {type(arg).__name__}")
-
     @cached_property
     def flat(self) -> np.ndarray:
         return np.concatenate([vec(m) for m in self.values])
@@ -89,6 +82,11 @@ def from_flat(base: Representation, flat: np.ndarray) -> Cocycle:
     values = tuple(unvec(flat[i * n * n:(i + 1) * n * n], n)
                    for i in range(base.presentation.generator_count))
     return Cocycle(base, values)
+
+
+def linear_combination(base: Representation, coeffs, cocycles) -> Cocycle:
+    """The cocycle sum_i coeffs[i] * cocycles[i] over base, summed in order."""
+    return from_flat(base, sum(c * chi.flat for c, chi in zip(coeffs, cocycles)))
 
 
 def extend(chi: Cocycle, word: GroupWord) -> np.ndarray:
@@ -315,8 +313,7 @@ def random_cocycle(basis: CocycleBasis, rng: np.random.Generator,
     pool = {"z1": basis.basis, "h1": basis.h1_complement,
             "b1": basis.coboundary_basis}[space]
     coeffs = rng.standard_normal(len(pool)) + 1j * rng.standard_normal(len(pool))
-    flat = sum(c * chi.flat for c, chi in zip(coeffs, pool))
-    return from_flat(basis.base, flat)
+    return linear_combination(basis.base, coeffs, pool)
 
 
 def real_locus_bases(basis: CocycleBasis):

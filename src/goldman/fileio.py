@@ -211,4 +211,8 @@ def write_matrix(path, matrix: np.ndarray, header_lines=()) -> None:
 def read_matrix(path) -> np.ndarray:
     lines = iter(_read_text(path).splitlines())
     header = _read_header(lines, "matrix")
-    return _parse_matrix(lines, _header_int(header, "rows"), _header_int(header, "cols"))
+    rows, cols = _header_int(header, "rows"), _header_int(header, "cols")
+    if rows < 0 or cols < 0:
+        raise InputError(f"matrix shape {rows} x {cols} has a negative side")
+    # a 0 x k block parses as an empty list, which numpy shapes (0,)
+    return _parse_matrix(lines, rows, cols).reshape(rows, cols)

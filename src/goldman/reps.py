@@ -74,9 +74,7 @@ class Representation:
 
     @cached_property
     def inverse_images(self) -> tuple[np.ndarray, ...]:
-        if self.flavor == UNITARY:
-            return tuple(m.conj().T for m in self.images)
-        return tuple(np.linalg.inv(m) for m in self.images)
+        return tuple(_invert_all(self.images, self.flavor))
 
     @cached_property
     def dual_form(self) -> np.ndarray:
@@ -107,24 +105,21 @@ def evaluate(rep: Representation, word: GroupWord) -> np.ndarray:
     """Image of a word: multiplicative, identity on the empty word."""
     if word.genus != rep.genus:
         raise InputError("word and representation have different genus")
-    out = np.eye(rep.rank, dtype=complex)
-    for gen, exp in word.runs:
-        m = rep.image(gen, 1 if exp > 0 else -1)
-        for _ in range(abs(exp)):
-            out = out @ m
-    return out
+    return _word_product(rep.images, rep.inverse_images, word)
 
 
 def relator_defect(rep: Representation) -> float:
     """Frobenius distance of the evaluated full relator from the identity."""
-    return _images_defect(rep.presentation, rep.images, rep.flavor)
+    return frob(evaluate(rep, rep.presentation.relator()) - np.eye(rep.rank))
 
 
 def _word_product(images, inverses, word) -> np.ndarray:
-    n = images[0].shape[0]
-    out = np.eye(n, dtype=complex)
-    for gen, sign in word.letters():
-        out = out @ (images[gen] if sign > 0 else inverses[gen])
+    """Left-to-right product of the letter images of a word, run by run."""
+    out = np.eye(images[0].shape[0], dtype=complex)
+    for gen, exp in word.runs:
+        m = images[gen] if exp > 0 else inverses[gen]
+        for _ in range(abs(exp)):
+            out = out @ m
     return out
 
 
@@ -132,12 +127,6 @@ def _invert_all(images, flavor):
     if flavor == UNITARY:
         return [m.conj().T for m in images]
     return [np.linalg.inv(m) for m in images]
-
-
-def _images_defect(presentation, images, flavor) -> float:
-    inverses = _invert_all(images, flavor)
-    r = _word_product(images, inverses, presentation.relator())
-    return frob(r - np.eye(images[0].shape[0]))
 
 
 def commutator_factor(u: np.ndarray, unitary: bool = True):
@@ -247,10 +236,6 @@ def commutant_dimension(rep: Representation) -> int:
     return n * n - rank
 
 
-def is_irreducible(rep: Representation) -> bool:
-    return commutant_dimension(rep) == 1
-
-
 def relator_tangent_matrix(presentation: Presentation, images, flavor: str) -> np.ndarray:
     """Linearization of the relator evaluation map around given images.
 
@@ -287,7 +272,13 @@ def newton_project(presentation: Presentation, images, flavor: str,
     images = [np.array(m, dtype=complex) for m in images]
     n = images[0].shape[0]
     eye = np.eye(n)
-    defect = _images_defect(presentation, images, flavor)
+    relator = presentation.relator()
+
+    def relator_image(images):
+        r = _word_product(images, _invert_all(images, flavor), relator)
+        return r, frob(r - eye)
+
+    r, defect = relator_image(images)
     if defect > tolerances.NEWTON_TRUST_DEFECT:
         raise ConvergenceError(
             f"input defect {defect:.3e} outside the Newton trust region "
@@ -296,8 +287,6 @@ def newton_project(presentation: Presentation, images, flavor: str,
     for _ in range(tolerances.NEWTON_STEP_LIMIT):
         if defect <= tolerances.NEWTON_TARGET:
             break
-        inverses = _invert_all(images, flavor)
-        r = _word_product(images, inverses, presentation.relator())
         rhs = -vec((r - eye) @ np.linalg.inv(r))
         jac = relator_tangent_matrix(presentation, images, flavor)
         step, *_ = np.linalg.lstsq(jac, rhs, rcond=tolerances.SVD_RELATIVE)
@@ -306,10 +295,10 @@ def newton_project(presentation: Presentation, images, flavor: str,
             d = unvec(step[i * n * n:(i + 1) * n * n], n)
             updated = scipy.linalg.expm(d) @ images[i]
             candidate.append(polar_unitary(updated) if flavor == UNITARY else updated)
-        new_defect = _images_defect(presentation, candidate, flavor)
+        new_r, new_defect = relator_image(candidate)
         if new_defect >= defect:
             break  # stalled; keep the best iterate seen
-        images, defect = candidate, new_defect
+        images, r, defect = candidate, new_r, new_defect
     if defect > tolerances.CONSTRUCTION:
         raise ConvergenceError(
             f"Newton projection did not converge (final defect {defect:.3e})",

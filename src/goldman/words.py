@@ -81,18 +81,6 @@ class GroupWord:
     def inverse(self) -> "GroupWord":
         return GroupWord(self.genus, tuple((gen, -exp) for gen, exp in reversed(self.runs)))
 
-    def __invert__(self) -> "GroupWord":
-        return self.inverse()
-
-    def __pow__(self, n: int) -> "GroupWord":
-        if n == 0:
-            return GroupWord(self.genus, ())
-        base = self if n > 0 else self.inverse()
-        word = base
-        for _ in range(abs(n) - 1):
-            word = word * base
-        return word
-
     def __str__(self) -> str:
         return format_word(self)
 
@@ -140,9 +128,6 @@ class Presentation:
         if not 1 <= k <= self.genus:
             raise InputError(f"b_{k} does not exist at genus {self.genus}")
         return self.generator(2 * (k - 1) + 1)
-
-    def generators(self) -> tuple[GroupWord, ...]:
-        return tuple(self.generator(i) for i in range(2 * self.genus))
 
     def generator_name(self, index: int) -> str:
         k, parity = divmod(index, 2)
@@ -227,9 +212,6 @@ class GroupRingElement:
     @property
     def is_zero(self) -> bool:
         return not self._terms
-
-    def coefficient(self, word: GroupWord) -> int:
-        return self._terms.get(word, 0)
 
     def _check_genus(self, other: "GroupRingElement"):
         if self.genus != other.genus:
@@ -330,11 +312,6 @@ class TwoCycle:
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-
-def reduce(presentation: Presentation, raw: Sequence[tuple[int, int]]) -> GroupWord:
-    """Freely reduce a raw letter sequence over the given presentation."""
-    return presentation.word(raw)
 
 
 def parse_word(presentation: Presentation, text: str) -> GroupWord:

@@ -128,6 +128,19 @@ class TestMatrixFile:
         with pytest.raises(InputError, match=field):
             read_matrix(path)
 
+    @pytest.mark.parametrize("field", ["rows", "cols"])
+    def test_negative_shape_rejected(self, tmp_path, field):
+        path = tmp_path / "m.txt"
+        write_matrix(path, np.eye(2, dtype=complex))
+        path.write_text(path.read_text().replace(f"{field}: 2", f"{field}: -1"))
+        with pytest.raises(InputError, match="negative"):
+            read_matrix(path)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (0, 0), (3, 0), (0, 1)])
+    def test_empty_shapes_round_trip(self, tmp_path, shape):
+        write_matrix(tmp_path / "m.txt", np.zeros(shape, dtype=complex))
+        assert read_matrix(tmp_path / "m.txt").shape == shape
+
     def test_non_numeric_entry_rejected(self, tmp_path):
         path = tmp_path / "m.txt"
         write_matrix(path, np.eye(2, dtype=complex))

@@ -56,7 +56,8 @@ def cocycles(draw):
     return Cocycle(rep, tuple(values))
 
 
-matrices = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(complex_arrays)
+# zero rows or columns included: a 0 x k matrix reads back as 0 x k
+matrices = st.tuples(st.integers(0, 4), st.integers(0, 4)).flatmap(complex_arrays)
 
 # Characters for edits: printable ASCII, separators that str.splitlines
 # and str.split honour, and non-ASCII digits that int() and float() accept.

@@ -1,0 +1,108 @@
+"""Import hygiene of the package source, checked on its syntax trees.
+
+Two rules, with no lint dependency:
+
+- every module-level import is used in its module (the package
+  ``__init__`` re-exports, and ``from __future__`` imports are exempt);
+- imports inside functions are only for breaking import cycles: a
+  function may import from a goldman module that its file does not import
+  at module level, and nothing else.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCE = Path(__file__).resolve().parents[1] / "src" / "goldman"
+MODULES = sorted(SOURCE.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _bound_names(node):
+    """Names an import statement binds in its namespace."""
+    for alias in node.names:
+        if alias.asname:
+            yield alias.asname
+        elif isinstance(node, ast.Import):
+            yield alias.name.partition(".")[0]
+        else:
+            yield alias.name
+
+
+def _goldman_modules(node):
+    """The goldman modules an import statement reads from (the package
+    imports itself relatively)."""
+    if not isinstance(node, ast.ImportFrom) or node.level != 1:
+        return set()
+    if node.module is None:
+        return {alias.name for alias in node.names}
+    return {node.module}
+
+
+def _module_imports(tree):
+    return [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+def _local_imports(node, func=None):
+    """(innermost enclosing function, import) for every import in a function."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)) and func is not None:
+            yield func, child
+        inner = child if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
+        yield from _local_imports(child, inner)
+
+
+def unused_module_imports(path):
+    if path.name == "__init__.py":
+        return []
+    tree = _tree(path)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{node.lineno} {name}"
+            for node in _module_imports(tree)
+            if not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+            for name in _bound_names(node) if name not in used]
+
+
+def non_cycle_local_imports(path):
+    tree = _tree(path)
+    at_module_level = set().union(*map(_goldman_modules, _module_imports(tree)))
+    offenders = []
+    for func, node in _local_imports(tree):
+        sources = _goldman_modules(node)
+        if not sources or sources & at_module_level:
+            offenders.append(f"{path.name}:{node.lineno} in {func.name}")
+    return offenders
+
+
+def test_source_files_found():
+    assert {"reps.py", "verify.py", "__init__.py"} <= {p.name for p in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_module_level_import(path):
+    assert unused_module_imports(path) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_function_local_imports_only_break_cycles(path):
+    assert non_cycle_local_imports(path) == []
+
+
+def test_rules_flag_what_they_name(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "from __future__ import annotations\n"
+        "import json\n"
+        "import numpy as np\n"
+        "from .reps import evaluate\n"
+        "def f():\n"
+        "    import scipy.linalg\n"
+        "    from .reps import relator_defect\n"
+        "    from .fileio import read_matrix\n"
+        "    return np, evaluate, scipy, relator_defect, read_matrix\n")
+    assert unused_module_imports(module) == ["sample.py:2 json"]
+    assert non_cycle_local_imports(module) == ["sample.py:6 in f", "sample.py:7 in f"]

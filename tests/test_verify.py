@@ -7,7 +7,7 @@ import goldman.reps
 import goldman.verify
 from goldman import ConditioningError
 from goldman.config import RunConfig
-from goldman.verify import (SuiteRun, check_cocycle_law_on_basis,
+from goldman.verify import (SuiteRun, check_closedness, check_cocycle_law_on_basis,
                             check_newton_projection, run_suite)
 
 
@@ -79,3 +79,20 @@ class TestSuiteRun:
             check_cocycle_law_on_basis(run)
         with pytest.raises(ConditioningError):
             run_suite(RunConfig(out=tmp_path))
+
+
+class TestClosednessOrder:
+    @pytest.mark.parametrize("seed", [941414098, 1034])
+    def test_rank_one_roundoff_is_flat(self, tmp_path, seed):
+        # these seeds put a roundoff residual above the absolute FLAT_FLOOR
+        results = run_suite(RunConfig(genus=2, rank=1, seed=seed, out=tmp_path))
+        assert [r.name for r in results if not r.passed] == []
+        closedness = next(r for r in results if r.name == "closedness-order")
+        assert closedness.max_residual == 0.0
+
+    @pytest.mark.parametrize("flavor", ["unitary", "general-linear"])
+    def test_rank_two_ladder_is_fitted(self, tmp_path, flavor):
+        result = check_closedness(SuiteRun(RunConfig(genus=2, rank=2, flavor=flavor,
+                                                     seed=0, out=tmp_path)))
+        assert result.passed
+        assert result.max_residual > 0.0
