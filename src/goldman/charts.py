@@ -36,7 +36,8 @@ def _raw_deformed_images(rep: Representation, direction: Cocycle, t: float):
 
 def _check_trust(rep: Representation, direction: Cocycle, t: float):
     # a NaN step fails the comparison too
-    if not abs(t) * direction.norm() <= tolerances.DEFORM_TRUST * (1 + 1e-12):
+    radius = tolerances.DEFORM_TRUST * (1 + tolerances.DEFORM_TRUST_SLACK)
+    if not abs(t) * direction.norm() <= radius:
         raise InputError(
             f"step {t:g} leaves the deformation trust region "
             f"(|t|*||chi|| <= {tolerances.DEFORM_TRUST:g})")
@@ -204,8 +205,9 @@ def closedness_check(chart: Chart, triple: tuple[int, int, int],
     for index in triple:
         if not 0 <= index < d:
             raise InputError(f"frame index {index} out of range 0..{d - 1}")
-    if not tolerances.FINITE_DIFFERENCE <= h <= 1e-2:
-        raise InputError(f"closedness step {h:g} outside [1e-4, 1e-2]")
+    if not tolerances.FINITE_DIFFERENCE <= h <= tolerances.CLOSEDNESS_MAX_STEP:
+        raise InputError(f"closedness step {h:g} outside [{tolerances.FINITE_DIFFERENCE:g}, "
+                         f"{tolerances.CLOSEDNESS_MAX_STEP:g}]")
     if len({i, j, k}) < 3:
         return 0.0
 

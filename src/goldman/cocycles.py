@@ -62,10 +62,6 @@ class Cocycle:
         _check_same_base(self, other)
         return Cocycle(self.base, tuple(x + y for x, y in zip(self.values, other.values)))
 
-    def __sub__(self, other: "Cocycle") -> "Cocycle":
-        _check_same_base(self, other)
-        return Cocycle(self.base, tuple(x - y for x, y in zip(self.values, other.values)))
-
     def __mul__(self, scalar) -> "Cocycle":
         return Cocycle(self.base, tuple(scalar * m for m in self.values))
 
@@ -92,27 +88,32 @@ def linear_combination(base: Representation, coeffs, cocycles) -> Cocycle:
 def extend(chi: Cocycle, word: GroupWord) -> np.ndarray:
     """Value on an arbitrary word via the twisted additivity law.
 
-    chi(empty) = 0 and chi(x^-1) = -Ad(sigma(x^-1)) chi(x); letters are
-    accumulated left to right with a running prefix image.
+    chi(empty) = 0 and chi(x^-1) = -Ad(sigma(x^-1)) chi(x).  Letters are
+    folded in Horner form, right to left: with acc = chi(w) for the
+    suffix w already read,
+
+        chi(x w)    = chi(x) + x acc x^-1,
+        chi(x^-1 w) = x^-1 (acc - chi(x)) x,
+
+    where x stands for sigma(x).  Each letter costs two matrix products,
+    where a left-to-right sum would also carry the prefix image and its
+    inverse and conjugate every letter's value by them.
     """
     rep = chi.base
     if word.genus != rep.genus:
         raise InputError("word and cocycle have different genus")
     n = rep.rank
-    total = np.zeros((n, n), dtype=complex)
-    prefix = np.eye(n, dtype=complex)
-    prefix_inv = np.eye(n, dtype=complex)
-    for gen, sign in word.letters():
-        if sign > 0:
-            value = chi.values[gen]
-            image, image_inv = rep.image(gen), rep.image(gen, -1)
+    acc = np.zeros((n, n), dtype=complex)
+    for gen, exp in reversed(word.runs):
+        value = chi.values[gen]
+        image, image_inv = rep.image(gen), rep.image(gen, -1)
+        if exp > 0:
+            for _ in range(exp):
+                acc = value + image @ acc @ image_inv
         else:
-            image, image_inv = rep.image(gen, -1), rep.image(gen)
-            value = -image @ chi.values[gen] @ image_inv
-        total += prefix @ value @ prefix_inv
-        prefix = prefix @ image
-        prefix_inv = image_inv @ prefix_inv
-    return total
+            for _ in range(-exp):
+                acc = image_inv @ (acc - value) @ image
+    return acc
 
 
 def word_jacobian(rep: Representation, word: GroupWord) -> np.ndarray:
@@ -309,9 +310,16 @@ def cocycle_dimensions(row: np.ndarray, b1_frame: np.ndarray) -> tuple[int, int,
 
 def random_cocycle(basis: CocycleBasis, rng: np.random.Generator,
                    space: str = "z1") -> Cocycle:
-    """Random complex combination of basis cocycles (seeded, deterministic)."""
-    pool = {"z1": basis.basis, "h1": basis.h1_complement,
-            "b1": basis.coboundary_basis}[space]
+    """Random complex combination of basis cocycles (seeded, deterministic).
+
+    space is "z1" (the Z1 basis) or "h1" (the H1 complement).
+    """
+    if space == "z1":
+        pool = basis.basis
+    elif space == "h1":
+        pool = basis.h1_complement
+    else:
+        raise InputError(f"unknown cocycle space {space!r}, expected 'z1' or 'h1'")
     coeffs = rng.standard_normal(len(pool)) + 1j * rng.standard_normal(len(pool))
     return linear_combination(basis.base, coeffs, pool)
 

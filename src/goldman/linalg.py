@@ -24,8 +24,14 @@ def unvec(v: Array, n: int) -> Array:
 
 
 def ad_matrix(s: Array, s_inv: Array) -> Array:
-    """Matrix of X -> S X S^-1 acting on column-stacked coordinates."""
-    return np.kron(s_inv.T, s)
+    """Matrix of X -> S X S^-1 acting on column-stacked coordinates.
+
+    This is kron(S^-T, S), bit for bit, formed as one broadcast outer
+    product: np.kron's generic set-up costs more than the product at
+    small n.
+    """
+    n = s.shape[0]
+    return (s_inv.T[:, None, :, None] * s[None, :, None, :]).reshape(n * n, n * n)
 
 
 def split_singular_values(svals: Array):

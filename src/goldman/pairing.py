@@ -196,7 +196,7 @@ def symplectic_basis(g: GoldmanGram) -> SymplecticBasis:
     if d % 2 != 0:
         raise DegenerateFormError(f"odd-dimensional skew form (d={d}) is degenerate")
     scale = max(np.abs(matrix).max(), 1.0)
-    threshold = 1e-10 * scale
+    threshold = tolerances.SYMPLECTIC_PIVOT * scale
 
     basis = [np.eye(d, dtype=complex)[:, i] for i in range(d)]
 

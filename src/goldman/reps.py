@@ -59,7 +59,7 @@ class Representation:
                 raise InputError(f"generator image has shape {m.shape}, expected {(n, n)}")
             if not np.isfinite(m).all():
                 raise InputError("generator image has a non-finite entry")
-            if abs(np.linalg.det(m)) < 1e-12:
+            if abs(np.linalg.det(m)) < tolerances.SINGULAR_IMAGE:
                 raise InputError("generator image is numerically singular")
             if (self.flavor == UNITARY
                     and frob(m.conj().T @ m - np.eye(n)) > tolerances.CONSTRUCTION):
@@ -244,17 +244,28 @@ def relator_tangent_matrix(presentation: Presentation, images, flavor: str) -> n
     Fox derivatives of the relator with the D_x under conjugation.  The
     returned matrix represents L on column-stacked coordinates, shape
     (n^2, 2g n^2).  The same matrix is the cocycle relator constraint.
+
+    The relator is freely reduced, so every Fox term is its prefix of the
+    term's length: one walk along the relator gives every term's image,
+    in evaluate's order of products.  Each inverse image is evaluate's
+    product over the inverted word.  A running inverse prefix would
+    associate those products the other way and move the matrix at
+    roundoff, which turns the Z1 frame picked from its nullspace.
     """
     n = images[0].shape[0]
     inverses = _invert_all(images, flavor)
+    prefix = np.eye(n, dtype=complex)
+    prefixes = [prefix]
+    for gen, sign in presentation.relator().letters():
+        prefix = prefix @ (images[gen] if sign > 0 else inverses[gen])
+        prefixes.append(prefix)
     blocks = []
     for index in range(presentation.generator_count):
         deriv = presentation.relator_derivative(index)
         block = np.zeros((n * n, n * n), dtype=complex)
         for word, coeff in deriv.terms():
-            s = _word_product(images, inverses, word)
             s_inv = _word_product(images, inverses, word.inverse())
-            block += coeff * ad_matrix(s, s_inv)
+            block += coeff * ad_matrix(prefixes[len(word)], s_inv)
         blocks.append(block)
     return np.hstack(blocks)
 

@@ -49,3 +49,17 @@ DEFORM_TRUST = 0.1
 
 # Smallest admissible finite-difference step before roundoff dominates.
 MIN_FD_STEP = 1e-9
+
+# Largest closedness stencil step; FINITE_DIFFERENCE is the smallest.
+CLOSEDNESS_MAX_STEP = 1e-2
+
+# Relative slack on DEFORM_TRUST, so that a step scaled to the trust
+# radius itself is not refused for a rounding error.
+DEFORM_TRUST_SLACK = 1e-12
+
+# A generator image whose |det| is below this is refused as singular.
+SINGULAR_IMAGE = 1e-12
+
+# Skew Gram-Schmidt pivot: a pairing at or below this times the larger of
+# max|G| and 1 counts as zero, and the form as degenerate.
+SYMPLECTIC_PIVOT = 1e-10

@@ -67,7 +67,7 @@ def _result(name, samples, residual, threshold) -> CheckResult:
 
 def _random_word(pres: Presentation, rng, max_len: int = 8) -> GroupWord:
     length = int(rng.integers(0, max_len + 1))
-    raw = [(int(rng.integers(0, 2 * pres.genus)), int(rng.choice([-1, 1])))
+    raw = [(int(rng.integers(0, 2 * pres.genus)), (-1, 1)[int(rng.integers(0, 2))])
            for _ in range(length)]
     return pres.word(raw)
 
@@ -130,7 +130,7 @@ def check_word_reduction_confluence(run: SuiteRun) -> CheckResult:
     failures = 0
     samples = 100
     for _ in range(samples):
-        letters = [(int(rng.integers(0, 2 * pres.genus)), int(rng.choice([-1, 1])))
+        letters = [(int(rng.integers(0, 2 * pres.genus)), (-1, 1)[int(rng.integers(0, 2))])
                    for _ in range(int(rng.integers(0, 14)))]
         eager = pres.word(letters)
         work = list(letters)

@@ -23,6 +23,19 @@ from .errors import InputError
 _TOKEN_RE = re.compile(r"^([abAB])([1-9][0-9]*)$")
 
 
+def _push_run(stack: list[tuple[int, int]], gen: int, exp: int) -> None:
+    """Append a nonzero run to a freely reduced stack of runs.
+
+    Only the top can merge with it; a merge that cancels pops the top.
+    """
+    if stack and stack[-1][0] == gen:
+        merged = stack.pop()[1] + exp
+        if merged != 0:
+            stack.append((gen, merged))
+    else:
+        stack.append((gen, exp))
+
+
 def _reduce_runs(runs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     """Stack-merge adjacent runs of the same generator; drop empty runs.
 
@@ -31,15 +44,8 @@ def _reduce_runs(runs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]
     """
     out: list[tuple[int, int]] = []
     for gen, exp in runs:
-        if exp == 0:
-            continue
-        if out and out[-1][0] == gen:
-            merged = out[-1][1] + exp
-            out.pop()
-            if merged != 0:
-                out.append((gen, merged))
-        else:
-            out.append((gen, exp))
+        if exp != 0:
+            _push_run(out, gen, exp)
     return tuple(out)
 
 
@@ -286,22 +292,24 @@ def fox_derivative(word: GroupWord, index: int) -> GroupRingElement:
     """Fox free derivative of a word with respect to generator `index`.
 
     Defined on letters by d(x)/dx = 1 and d(x^-1)/dx = -x^-1, extended by
-    the product rule d(uv)/dx = du/dx + u dv/dx.
+    the product rule d(uv)/dx = du/dx + u dv/dx.  One pass over the
+    letters keeps the freely reduced prefix as a stack of runs, so each
+    letter costs O(1) and each term one copy of the prefix.
     """
     genus = word.genus
     if not 0 <= index < 2 * genus:
         raise InputError(f"generator index {index} out of range for genus {genus}")
-    result = GroupRingElement.zero(genus)
-    prefix = GroupWord(genus, ())
+    terms: dict[GroupWord, int] = {}
+    prefix: list[tuple[int, int]] = []
     for gen, sign in word.letters():
-        letter = GroupWord(genus, ((gen, sign),))
-        if gen == index:
-            if sign == 1:
-                result = result + GroupRingElement.from_word(prefix)
-            else:
-                result = result - GroupRingElement.from_word(prefix * letter)
-        prefix = prefix * letter
-    return result
+        if gen == index and sign == 1:
+            term = GroupWord(genus, tuple(prefix))
+            terms[term] = terms.get(term, 0) + 1
+        _push_run(prefix, gen, sign)
+        if gen == index and sign == -1:
+            term = GroupWord(genus, tuple(prefix))
+            terms[term] = terms.get(term, 0) - 1
+    return GroupRingElement(genus, terms)
 
 
 @dataclass(frozen=True)

@@ -64,7 +64,10 @@ class TestExtend:
 class TestWordJacobian:
     def test_matches_letterwise_extension(self, seeded_bases):
         rng = np.random.default_rng(60)
-        for basis in seeded_bases.values():
+        # a general-linear base, where x^-1 is not x^H
+        bases = list(seeded_bases.values())
+        bases.append(cocycle_basis(random_representation(3, 3, "general-linear", seed=6)))
+        for basis in bases:
             pres = basis.base.presentation
             chi = random_cocycle(basis, rng)
             for _ in range(10):
@@ -322,6 +325,23 @@ class TestPrincipalAngleCount:
         assert cocycle_dimensions(row, b_frame[:, :0]) == (4, 0, 4)
         no_rows = np.zeros((10, 0), dtype=complex)
         assert complement_dimension(no_rows, b_frame) == 7
+
+
+class TestAdMatrix:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_equals_kron_bit_for_bit(self, n):
+        rng = np.random.default_rng(80 + n)
+        for _ in range(5):
+            s = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            s_inv = np.linalg.inv(s)
+            assert np.array_equal(ad_matrix(s, s_inv), np.kron(s_inv.T, s))
+
+
+class TestRandomCocycle:
+    def test_unknown_space_rejected(self, basis_g2n2):
+        for space in ("b1", "h1-complement", ""):
+            with pytest.raises(InputError, match="unknown cocycle space"):
+                random_cocycle(basis_g2n2, np.random.default_rng(0), space=space)
 
 
 class TestStarInvolution:

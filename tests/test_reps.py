@@ -5,6 +5,7 @@ from goldman import (ConvergenceError, InputError, Presentation, Representation,
                      commutant_dimension, commutator_factor, conjugate_representation,
                      evaluate, newton_project, random_representation, relator_defect)
 from goldman.linalg import frob, haar_unitary
+from goldman.reps import relator_tangent_matrix
 
 
 def reconstruction_error(a, b, u):
@@ -45,6 +46,29 @@ class TestEvaluate:
             for k in range(rep.genus + 1):
                 det = np.linalg.det(evaluate(rep, rep.presentation.relator(k)))
                 assert abs(det - 1.0) <= 1e-10
+
+
+def two_product_tangent_matrix(rep):
+    """Reference: every Fox term's image and inverse image as two word products."""
+    n = rep.rank
+    blocks = []
+    for index in range(rep.presentation.generator_count):
+        block = np.zeros((n * n, n * n), dtype=complex)
+        for word, coeff in rep.presentation.relator_derivative(index).terms():
+            s, s_inv = evaluate(rep, word), evaluate(rep, word.inverse())
+            block += coeff * np.kron(s_inv.T, s)
+        blocks.append(block)
+    return np.hstack(blocks)
+
+
+class TestRelatorTangentMatrix:
+    @pytest.mark.parametrize("genus, rank, flavor", [
+        (1, 2, "unitary"), (2, 1, "unitary"), (2, 2, "unitary"), (3, 3, "unitary"),
+        (2, 3, "general-linear"), (3, 3, "general-linear")])
+    def test_equals_two_product_reference_bit_for_bit(self, genus, rank, flavor):
+        rep = random_representation(genus, rank, flavor, seed=6)
+        fast = relator_tangent_matrix(rep.presentation, rep.images, rep.flavor)
+        assert np.array_equal(fast, two_product_tangent_matrix(rep))
 
 
 class TestCommutatorFactor:

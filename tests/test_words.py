@@ -1,12 +1,30 @@
 import numpy as np
 import pytest
 
-from goldman import (GroupRingElement, InputError, Presentation, anti_involution,
-                     commutator, format_word, fox_derivative, parse_word)
+from goldman import (GroupRingElement, GroupWord, InputError, Presentation,
+                     anti_involution, commutator, format_word, fox_derivative,
+                     parse_word)
 
 
 def words_of(pres, text):
     return parse_word(pres, text)
+
+
+def letterwise_fox_derivative(word, index):
+    """Reference Fox derivative: the product rule letter by letter, each
+    prefix re-reduced from scratch (quadratic in the word length)."""
+    genus = word.genus
+    result = GroupRingElement.zero(genus)
+    prefix = GroupWord(genus, ())
+    for gen, sign in word.letters():
+        letter = GroupWord(genus, ((gen, sign),))
+        if gen == index:
+            if sign == 1:
+                result = result + GroupRingElement.from_word(prefix)
+            else:
+                result = result - GroupRingElement.from_word(prefix * letter)
+        prefix = prefix * letter
+    return result
 
 
 class TestReduction:
@@ -144,6 +162,21 @@ class TestFoxDerivative:
                     lhs = fox_derivative(u * v, index)
                     rhs = fox_derivative(u, index) + u * fox_derivative(v, index)
                     assert lhs == rhs
+
+    def test_matches_letterwise_reference(self):
+        rng = np.random.default_rng(5)
+        words = [GroupWord(2, ((0, 1), (0, 1), (1, -1))),
+                 GroupWord(2, ((0, 1), (0, -1), (1, 2), (1, -1)))]
+        for genus in (1, 2, 3):
+            pres = Presentation(genus)
+            words.append(pres.relator())
+            for _ in range(50):
+                raw = [(int(rng.integers(0, 2 * genus)), (-1, 1)[int(rng.integers(0, 2))])
+                       for _ in range(int(rng.integers(0, 16)))]
+                words.append(pres.word(raw))
+        for word in words:
+            for index in range(2 * word.genus):
+                assert fox_derivative(word, index) == letterwise_fox_derivative(word, index)
 
     def test_inverse_letter_rule(self):
         pres = Presentation(1)
