@@ -10,9 +10,9 @@ deformation differential and of closedness.
 from .words import (GroupRingElement, GroupWord, Presentation, TwoCycle,
                     anti_involution, commutator, format_word, fox_derivative,
                     parse_word)
-from .reps import (Representation, commutant_dimension, commutator_factor,
-                   conjugate_representation, evaluate, newton_project,
-                   random_representation, relator_defect)
+from .reps import (Representation, coboundary_matrix, commutant_dimension,
+                   commutator_factor, conjugate_representation, evaluate,
+                   newton_project, random_representation, relator_defect)
 from .cocycles import (Cocycle, CocycleBasis, anti_hermitian_part, coboundary,
                        cocycle_basis, cocycle_law_residual, extend,
                        extend_ring, random_cocycle, real_locus_bases,

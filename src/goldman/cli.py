@@ -21,8 +21,8 @@ from .charts import (TRIVIALIZATION, Chart, closedness_check, convergence_order,
 from .cocycles import cocycle_basis
 from .config import RunConfig
 from .errors import EXIT_OK, EXIT_PROPERTY_FAILURE, GoldmanError, InputError
-from .pairing import GoldmanGram, gram_matrix, symplectic_basis
-from .reps import commutant_dimension, relator_defect
+from .pairing import GoldmanGram, gram, symplectic_basis
+from .reps import relator_defect
 from .verify import render_report, run_suite
 
 
@@ -109,8 +109,7 @@ def _load_rep(config: RunConfig, path):
 
 def _file_gram(rep_path, cocycle_paths) -> GoldmanGram:
     rep = fileio.read_representation(rep_path)
-    cocycles = tuple(fileio.read_cocycle(p, rep) for p in cocycle_paths)
-    return GoldmanGram(base=rep, vectors=cocycles, matrix=gram_matrix(cocycles))
+    return gram(fileio.read_cocycle(p, rep) for p in cocycle_paths)
 
 
 def cmd_dims(config: RunConfig) -> int:
@@ -122,8 +121,9 @@ def cmd_dims(config: RunConfig) -> int:
     if verdict == "MATCH":
         return EXIT_OK
     # the formula holds at irreducible points; a commutant above 1 names
-    # the point as reducible
-    print(f"commutant-dimension: {commutant_dimension(basis.base)}")
+    # the point as reducible.  B1 is the image of v -> delta_v, whose
+    # kernel is the commutant
+    print(f"commutant-dimension: {config.rank ** 2 - b1}")
     return EXIT_PROPERTY_FAILURE
 
 
@@ -188,7 +188,6 @@ def cmd_deform(config: RunConfig, rep_path, cocycle_path, step: float) -> int:
     moved = deform(rep, chi, step)
     correction = deformation_correction(rep, chi, step)
     correction_half = deformation_correction(rep, chi, step / 2)
-    order = float(np.log2(correction / correction_half)) if correction_half else 2.0
     fileio.ensure_directory(config.out)
     target = config.out / "deformed.txt"
     fileio.write_representation(target, moved)
@@ -198,7 +197,8 @@ def cmd_deform(config: RunConfig, rep_path, cocycle_path, step: float) -> int:
     print(f"relator-defect: {relator_defect(moved):.6e}")
     print(f"correction: {correction:.6e}")
     print(f"correction-half-step: {correction_half:.6e}")
-    print(f"correction-order: {order:.3f}")
+    if correction and correction_half:  # no order to read off an exact zero
+        print(f"correction-order: {float(np.log2(correction / correction_half)):.3f}")
     return EXIT_OK
 
 

@@ -16,10 +16,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConditioningError, InputError
-from .linalg import (ad_matrix, column_space, complement_dimension,
-                     complement_within, frob, nullspace, real_flatten, row_space,
-                     unvec, vec)
-from .reps import UNITARY, Representation, evaluate, relator_tangent_matrix
+from .linalg import (column_space, complement_dimension, complement_within, frob,
+                     nullspace, real_flatten, row_space, unvec, vec)
+from .reps import (UNITARY, Representation, coboundary_matrix, evaluate,
+                   relator_tangent_matrix)
 from .words import GroupRingElement, GroupWord
 
 
@@ -271,22 +271,15 @@ def cocycle_basis(rep: Representation) -> CocycleBasis:
 
     The constraint chi(R) = 0 is imposed through the Fox expansion of the
     relator (the same linear map that drives Newton projection); the
-    coboundary space is the image of v -> delta_v.  Rank decisions use the
-    global relative singular-value threshold: dim Z1 is 2g n^2 less the
-    rank of the constraint, taken from its thin SVD, and dim H1 comes
-    from cocycle_dimensions.  Bases are orthonormal in the flattened
-    Frobenius metric.
+    coboundary space is the column space of coboundary_matrix, the map
+    v -> delta_v.  Rank decisions use the global relative singular-value
+    threshold: dim Z1 is 2g n^2 less the rank of the constraint, taken
+    from its thin SVD, and dim H1 comes from cocycle_dimensions.  Bases
+    are orthonormal in the flattened Frobenius metric.
     """
-    n = rep.rank
-    count = rep.presentation.generator_count
     constraint = relator_tangent_matrix(rep.presentation, rep.images, rep.flavor)
     row = row_space(constraint)
-
-    delta = np.zeros((count * n * n, n * n), dtype=complex)
-    for i in range(count):
-        ad = ad_matrix(rep.image(i), rep.image(i, -1))
-        delta[i * n * n:(i + 1) * n * n, :] = ad - np.eye(n * n)
-    b1 = column_space(delta)
+    b1 = column_space(coboundary_matrix(rep))
     b1.setflags(write=False)
     return CocycleBasis(base=rep, dims=cocycle_dimensions(row, b1),
                         constraint=constraint, b1_frame=b1)
@@ -324,6 +317,16 @@ def random_cocycle(basis: CocycleBasis, rng: np.random.Generator,
     return linear_combination(basis.base, coeffs, pool)
 
 
+def _real_span(base: Representation, cocycles) -> np.ndarray:
+    """Real-orthonormal columns, in real_flatten coordinates, spanning over
+    the reals the anti-Hermitian parts of the cocycles and of 1j times them."""
+    columns = [real_flatten(anti_hermitian_part(c).flat)
+               for chi in cocycles for c in (chi, 1j * chi)]
+    if not columns:
+        return np.zeros((2 * base.presentation.generator_count * base.rank ** 2, 0))
+    return column_space(np.column_stack(columns))
+
+
 def real_locus_bases(basis: CocycleBasis):
     """Real-orthonormal bases of the anti-Hermitian-valued cocycles.
 
@@ -331,41 +334,16 @@ def real_locus_bases(basis: CocycleBasis):
     values spanning, over the reals, the tangent space of the unitary
     character variety and a complement of the real coboundaries in it.
     Real dimensions match the complex ones: dim_R = dim_C Z1 and dim_C H1.
+    At a unitary base Ad commutes with the conjugate transpose, so the
+    anti-Hermitian part of delta_v is delta of the anti-Hermitian part of
+    v: the real coboundaries are the real span of B1's parts.
     """
     rep = basis.base
     if rep.flavor != UNITARY:
         raise InputError("the real locus requires a unitary base representation")
-    n = rep.rank
-
-    candidates = []
-    for chi in basis.basis:
-        candidates.append(anti_hermitian_part(chi))
-        candidates.append(anti_hermitian_part(1j * chi))
-    cand = np.column_stack([real_flatten(c.flat) for c in candidates])
-    z1_real = column_space(cand)
-
-    # real coboundaries: delta of an anti-Hermitian matrix basis
-    cob_vectors = []
-    for p in range(n):
-        for q in range(n):
-            if p == q:
-                v = np.zeros((n, n), dtype=complex)
-                v[p, p] = 1j
-                cob_vectors.append(real_flatten(coboundary(v, rep).flat))
-            elif p < q:
-                v = np.zeros((n, n), dtype=complex)
-                v[p, q] = 1.0
-                v[q, p] = -1.0
-                cob_vectors.append(real_flatten(coboundary(v, rep).flat))
-                v = np.zeros((n, n), dtype=complex)
-                v[p, q] = 1j
-                v[q, p] = 1j
-                cob_vectors.append(real_flatten(coboundary(v, rep).flat))
-    b1_real = column_space(np.column_stack(cob_vectors))
-
-    h1_real = complement_within(z1_real, b1_real)
-
-    half = cand.shape[0] // 2
+    z1_real = _real_span(rep, basis.basis)
+    h1_real = complement_within(z1_real, _real_span(rep, basis.coboundary_basis))
+    half = z1_real.shape[0] // 2
 
     def to_cocycle(col):
         return from_flat(rep, col[:half] + 1j * col[half:])

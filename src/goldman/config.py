@@ -39,13 +39,13 @@ class RunConfig:
                                  f"(known: {', '.join(_TOLERANCE_DEFAULTS)})")
             if not value > 0:
                 raise InputError(f"tolerance {name} must be positive, got {value}")
+        # a repeated name keeps its last value, as a repeated flag does
+        object.__setattr__(self, "tolerance_overrides",
+                           tuple(dict(self.tolerance_overrides).items()))
         object.__setattr__(self, "out", Path(self.out))
 
     def tolerance(self, name: str) -> float:
-        for key, value in self.tolerance_overrides:
-            if key == name:
-                return value
-        return _TOLERANCE_DEFAULTS[name]
+        return dict(self.tolerance_overrides).get(name, _TOLERANCE_DEFAULTS[name])
 
     def representation(self) -> Representation:
         """The seeded representation this configuration names."""

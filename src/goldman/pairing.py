@@ -28,8 +28,8 @@ import numpy as np
 
 from . import tolerances
 from .errors import DegenerateFormError, InputError
-from .cocycles import (Cocycle, CocycleBasis, extend, extend_ring,
-                       linear_combination, word_jacobian)
+from .cocycles import (Cocycle, extend, extend_ring, linear_combination,
+                       word_jacobian)
 from .linalg import ad_matrix, frob, split_singular_values
 from .reps import Representation, evaluate
 from .words import anti_involution
@@ -137,20 +137,18 @@ class GoldmanGram:
         return split_singular_values(svals)
 
 
-def gram(basis: CocycleBasis, space: str = "h1-complement") -> GoldmanGram:
-    """Gram matrix of the pairing on a basis.
+def gram(cocycles) -> GoldmanGram:
+    """Gram matrix of the pairing on cocycles over one base, read-only.
 
-    space selects the cocycles: "z1" or "h1-complement".
+    The one constructor of GoldmanGram: pass basis.basis (Z1) or
+    basis.h1_complement of a CocycleBasis, or cocycles read from files.
     """
-    if space == "z1":
-        vectors = basis.basis
-    elif space == "h1-complement":
-        vectors = basis.h1_complement
-    else:
-        raise InputError(f"unknown Gram space {space!r}")
+    vectors = tuple(cocycles)
+    if not vectors:
+        raise InputError("need at least one cocycle")
     matrix = gram_matrix(vectors)
     matrix.setflags(write=False)
-    return GoldmanGram(base=basis.base, vectors=tuple(vectors), matrix=matrix)
+    return GoldmanGram(base=vectors[0].base, vectors=vectors, matrix=matrix)
 
 
 @dataclass(frozen=True, eq=False)

@@ -220,20 +220,32 @@ def random_representation(genus: int, rank: int, flavor: str = UNITARY,
     return Representation(pres, n, tuple(images), flavor, seed=seed)
 
 
+def coboundary_matrix(rep: Representation) -> np.ndarray:
+    """Matrix of v -> delta_v on column-stacked coordinates, shape (2g n^2, n^2).
+
+    Block i is Ad(rho(x_i)) - I, the value of delta_v on generator x_i.
+    Its column space is B1, and its nullspace is the commutant of the
+    images.
+    """
+    n = rep.rank
+    count = rep.presentation.generator_count
+    delta = np.zeros((count * n * n, n * n), dtype=complex)
+    for i in range(count):
+        ad = ad_matrix(rep.image(i), rep.image(i, -1))
+        delta[i * n * n:(i + 1) * n * n, :] = ad - np.eye(n * n)
+    return delta
+
+
 def commutant_dimension(rep: Representation) -> int:
     """Dimension of the algebra commuting with every generator image.
 
-    Stacks the Sylvester operators X -> g X - X g over all generators and
-    counts the nullspace dimension; the representation is irreducible
-    exactly when this is one.
+    The nullity of coboundary_matrix, at the global rank rule: v commutes
+    with every image exactly when delta_v = 0.  The representation is
+    irreducible exactly when this is one.
     """
-    n = rep.rank
-    eye = np.eye(n)
-    blocks = [np.kron(eye, m) - np.kron(m.T, eye) for m in rep.images]
-    stacked = np.vstack(blocks)
-    svals = np.linalg.svd(stacked, compute_uv=False)
+    svals = np.linalg.svd(coboundary_matrix(rep), compute_uv=False)
     rank, _ = split_singular_values(svals)
-    return n * n - rank
+    return rep.rank ** 2 - rank
 
 
 def relator_tangent_matrix(presentation: Presentation, images, flavor: str) -> np.ndarray:

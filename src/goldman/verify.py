@@ -374,16 +374,14 @@ def check_coboundary_containment(run: SuiteRun) -> CheckResult:
     rng = run.rng("coboundary-containment")
     rep, basis = run.rep, run.basis
     n = rep.rank
-    frame = np.column_stack([c.flat for c in basis.basis]) if basis.basis else None
+    frame = basis.z1_frame
     worst = 0.0
     for _ in range(20):
         v = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         delta = coboundary(v, rep)
         worst = max(worst, relator_residual(delta))
-        if frame is not None:
-            flat = delta.flat
-            residual = flat - frame @ (frame.conj().T @ flat)
-            worst = max(worst, float(np.linalg.norm(residual)))
+        residual = delta.flat - frame @ (frame.conj().T @ delta.flat)
+        worst = max(worst, float(np.linalg.norm(residual)))
     return _result("coboundary-containment", 20, worst, 1e-10)
 
 
@@ -505,11 +503,11 @@ def check_conjugation_equivariance(run: SuiteRun) -> CheckResult:
 
 def check_gram_structure(run: SuiteRun) -> CheckResult:
     basis = run.basis
-    g_complement = gram(basis, "h1-complement")
+    g_complement = gram(basis.h1_complement)
     rank, margin = g_complement.rank()
     ok = (g_complement.skewness_residual <= run.config.tolerance("verification")
           and rank == basis.dims[2] and margin >= 1e3)
-    g_full = gram(basis, "z1")
+    g_full = gram(basis.basis)
     rank_full, _ = g_full.rank()
     ok = ok and rank_full == basis.dims[2]
     residual = g_complement.skewness_residual if ok else 1.0
@@ -554,7 +552,7 @@ def check_intersection_form(run: SuiteRun) -> CheckResult:
 
 def check_symplectic_basis(run: SuiteRun) -> CheckResult:
     basis = run.basis
-    sb = symplectic_basis(gram(basis, "h1-complement"))
+    sb = symplectic_basis(gram(basis.h1_complement))
     return _result("symplectic-basis", (2 * sb.pair_count) ** 2,
                    sb.normal_form_residual,
                    run.config.tolerance("verification"))

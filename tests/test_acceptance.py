@@ -72,7 +72,7 @@ def test_class_level_well_definedness(seeded_bases):
 
 def test_nondegeneracy_with_margin(seeded_bases):
     for basis in seeded_bases.values():
-        g_matrix = gram(basis, "h1-complement")
+        g_matrix = gram(basis.h1_complement)
         svals = np.linalg.svd(g_matrix.matrix, compute_uv=False)
         cutoff = 1e-8 * svals[0]
         kept = svals[svals > cutoff]

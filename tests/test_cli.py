@@ -164,6 +164,22 @@ class TestFileCommands:
         assert 1.8 <= float(lines["correction-order"]) <= 2.2
         assert (tmp_path / "deformed.txt").exists()
 
+    @pytest.mark.parametrize("rank,step", [(1, "1e-3"), (2, "0")])
+    def test_deform_exact_move_prints_no_order(self, tmp_path, capsys, rank, step):
+        # at rank one the exponential move stays on the variety, and a zero
+        # step does not move: both corrections are exactly zero
+        out_dir = str(tmp_path)
+        run_cli(["--rank", str(rank), "--out", out_dir, "random-rep"], capsys)
+        run_cli(["--rank", str(rank), "--out", out_dir, "cocycle-basis"], capsys)
+        code, out, _ = run_cli(["--out", out_dir, "deform",
+                                "--rep", str(tmp_path / "representation.txt"),
+                                "--cocycle", str(tmp_path / "cocycle-000.txt"),
+                                "--step", step], capsys)
+        assert code == 0
+        lines = dict(l.split(": ", 1) for l in out.splitlines())
+        assert float(lines["correction"]) == float(lines["correction-half-step"]) == 0.0
+        assert "correction-order" not in lines
+
     @pytest.mark.parametrize("step", ["nan", "-nan", "inf"])
     def test_deform_non_finite_step_exits_two(self, tmp_path, capsys, step):
         out_dir = str(tmp_path)
@@ -331,6 +347,19 @@ class TestVerifyCommand:
         assert err.strip() == f"error: unknown tolerance {name!r} (known: verification)"
         assert out == ""
         assert not (tmp_path / "verify-report.txt").exists()
+
+    def test_repeated_tolerance_takes_the_last_value(self, tmp_path, capsys):
+        strict, loose = "verification=1e-30", "verification=1"
+        code, out, _ = run_cli(["--rank", "1", "--tol", strict, "--tol", loose,
+                                "--out", str(tmp_path / "a"), "verify"], capsys)
+        assert code == 0
+        assert out.splitlines()[0] == ("config: genus=2 rank=1 flavor=unitary seed=0 "
+                                       "tol.verification=1")
+        code, out, _ = run_cli(["--rank", "1", "--tol", loose, "--tol", strict,
+                                "--out", str(tmp_path / "b"), "verify"], capsys)
+        assert code == 1
+        assert out.splitlines()[0].endswith(" seed=0 tol.verification=1e-30")
+        assert "summary: checks=36 failed=3" in out
 
     def test_verification_tolerance_sets_three_thresholds(self, tmp_path, capsys):
         code, plain, _ = run_cli(["--out", str(tmp_path / "plain"), "verify"], capsys)

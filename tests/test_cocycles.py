@@ -9,8 +9,9 @@ from goldman import (Cocycle, ConditioningError, InputError,
                      star_involution, word_jacobian)
 from goldman.cli import main
 from goldman.cocycles import CocycleBasis, cocycle_dimensions
-from goldman.linalg import (ad_matrix, complement_dimension, complement_within, frob,
-                            nullspace, row_space, split_singular_values, vec)
+from goldman.linalg import (ad_matrix, column_space, complement_dimension,
+                            complement_within, frob, nullspace, real_flatten,
+                            row_space, split_singular_values, vec)
 from goldman.reps import relator_tangent_matrix
 from goldman.words import GroupRingElement
 
@@ -385,7 +386,45 @@ class TestStarInvolution:
             star_involution(chi)
 
 
+def explicit_real_coboundaries(rep):
+    """Reference: delta over an explicit basis of u(n), real-flattened."""
+    n = rep.rank
+    cob_vectors = []
+    for p in range(n):
+        for q in range(n):
+            if p == q:
+                v = np.zeros((n, n), dtype=complex)
+                v[p, p] = 1j
+                cob_vectors.append(real_flatten(coboundary(v, rep).flat))
+            elif p < q:
+                v = np.zeros((n, n), dtype=complex)
+                v[p, q] = 1.0
+                v[q, p] = -1.0
+                cob_vectors.append(real_flatten(coboundary(v, rep).flat))
+                v = np.zeros((n, n), dtype=complex)
+                v[p, q] = 1j
+                v[q, p] = 1j
+                cob_vectors.append(real_flatten(coboundary(v, rep).flat))
+    return column_space(np.column_stack(cob_vectors))
+
+
+def real_projector(cocycles, rows):
+    frame = np.column_stack([real_flatten(c.flat) for c in cocycles] or [np.zeros(rows)])
+    return frame @ frame.T
+
+
 class TestRealLocus:
+    @pytest.mark.parametrize("genus,rank", [(2, 1), (2, 2), (2, 3)])
+    def test_real_coboundaries_are_delta_of_u_n(self, seeded_bases, genus, rank):
+        # Z1_real is the orthogonal sum of the real coboundaries and H1_real
+        basis = seeded_bases[(genus, rank)]
+        z1_real, h1_real = real_locus_bases(basis)
+        rows = 2 * 2 * genus * rank ** 2
+        b1_real = explicit_real_coboundaries(basis.base)
+        assert b1_real.shape[1] == rank ** 2 - 1
+        found = real_projector(z1_real, rows) - real_projector(h1_real, rows)
+        assert np.abs(found - b1_real @ b1_real.T).max() < 1e-12
+
     def test_dimensions(self, seeded_bases):
         for (g, n), basis in seeded_bases.items():
             z1_real, h1_real = real_locus_bases(basis)

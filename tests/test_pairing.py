@@ -8,6 +8,7 @@ from goldman import (Cocycle, DegenerateFormError, InputError,
                      pairing_dual, random_cocycle, random_representation,
                      real_locus_bases, standard_block_j, symplectic_basis,
                      unitary_restriction_check)
+from goldman.cli import _file_gram, main
 from goldman.config import RunConfig
 from goldman.pairing import GoldmanGram
 from goldman.verify import (SuiteRun, check_gram_structure, check_symplectic_basis,
@@ -140,14 +141,14 @@ class TestGram:
         assert np.abs(matrix - expected).max() < 1e-12
 
     def test_complement_rank_and_skewness(self, basis_g2n2):
-        g = gram(basis_g2n2, "h1-complement")
+        g = gram(basis_g2n2.h1_complement)
         assert g.skewness_residual < 1e-8
         rank, margin = g.rank()
         assert rank == basis_g2n2.dims[2]
         assert margin >= 1e3
 
     def test_z1_rank_is_h1_dimension(self, basis_g2n2):
-        g = gram(basis_g2n2, "z1")
+        g = gram(basis_g2n2.basis)
         rank, _ = g.rank()
         assert rank == basis_g2n2.dims[2]
 
@@ -159,7 +160,7 @@ class TestGram:
             assert np.abs(gram_matrix(vectors) - entrywise).max() < 1e-12
 
     def test_matrix_is_read_only(self, basis_g2n2):
-        assert not gram(basis_g2n2, "z1").matrix.flags.writeable
+        assert not gram(basis_g2n2.basis).matrix.flags.writeable
 
     def test_mixed_bases_rejected(self, basis_g2n2):
         other = cocycle_basis(random_representation(2, 2, "unitary", seed=77))
@@ -169,7 +170,7 @@ class TestGram:
     @pytest.mark.parametrize("genus,rank", [(4, 4), (6, 3)])
     def test_large_sizes_match_cup_with_margin(self, genus, rank):
         basis = cocycle_basis(random_representation(genus, rank, "unitary", seed=0))
-        g = gram(basis, "h1-complement")
+        g = gram(basis.h1_complement)
         vectors = basis.h1_complement
         rng = np.random.default_rng(genus)
         for i, j in rng.integers(0, len(vectors), size=(8, 2)):
@@ -178,9 +179,18 @@ class TestGram:
         assert rank_found == basis.dims[2] == len(vectors)
         assert margin >= 1e3
 
-    def test_unknown_space(self, basis_g2n2):
+    def test_empty_rejected(self):
         with pytest.raises(InputError):
-            gram(basis_g2n2, "b1")
+            gram(())
+
+    def test_file_command_matrix_is_read_only(self, tmp_path):
+        out = str(tmp_path)
+        assert main(["--seed", "13", "--out", out, "random-rep"]) == 0
+        assert main(["--seed", "13", "--out", out, "cocycle-basis"]) == 0
+        files = sorted(tmp_path.glob("cocycle-*.txt"))
+        g = _file_gram(tmp_path / "representation.txt", files)
+        assert len(g.vectors) == len(files)
+        assert not g.matrix.flags.writeable
 
 
 class TestDualForm:
@@ -213,8 +223,8 @@ class TestDualForm:
         monkeypatch.setattr(goldman.pairing, "dual_form_matrix", counting)
         rep = random_representation(2, 2, "unitary", seed=11)
         basis = cocycle_basis(rep)
-        gram(basis, "z1")
-        gram(basis, "h1-complement")
+        gram(basis.basis)
+        gram(basis.h1_complement)
         assert rep.dual_form is rep.dual_form
         assert builds == [rep]
         assert not rep.dual_form.flags.writeable
@@ -230,14 +240,12 @@ class TestDualForm:
             monkeypatch.setattr(module, "pairing_dual", refuse)
         rep = random_representation(2, 2, "unitary", seed=13)
         basis = cocycle_basis(rep)
-        gram(basis, "h1-complement")
+        gram(basis.h1_complement)
         unitary_restriction_check(real_locus_bases(basis)[1])
         run = SuiteRun(RunConfig(seed=13))
         for check in (check_gram_structure, check_symplectic_basis,
                       check_unitary_locus):
             assert check(run).passed
-
-        from goldman.cli import main
 
         out = str(tmp_path)
         assert main(["--seed", "13", "--out", out, "random-rep"]) == 0
@@ -258,11 +266,11 @@ class TestSymplecticBasis:
 
     def test_trivial_action_two_pairs(self, trivial_scalar_rep):
         basis = cocycle_basis(trivial_scalar_rep)
-        sb = symplectic_basis(gram(basis, "h1-complement"))
+        sb = symplectic_basis(gram(basis.h1_complement))
         assert sb.pair_count == 2
 
     def test_irreducible_five_pairs(self, basis_g2n2):
-        sb = symplectic_basis(gram(basis_g2n2, "h1-complement"))
+        sb = symplectic_basis(gram(basis_g2n2.h1_complement))
         assert sb.pair_count == 5
         vectors = list(sb.e) + list(sb.f)
         expected = standard_block_j(5)

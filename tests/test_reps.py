@@ -2,14 +2,24 @@ import numpy as np
 import pytest
 
 from goldman import (ConvergenceError, InputError, Presentation, Representation,
-                     commutant_dimension, commutator_factor, conjugate_representation,
-                     evaluate, newton_project, random_representation, relator_defect)
-from goldman.linalg import frob, haar_unitary
+                     coboundary, coboundary_matrix, commutant_dimension,
+                     commutator_factor, conjugate_representation, evaluate,
+                     newton_project, random_representation, relator_defect)
+from goldman.linalg import frob, haar_unitary, split_singular_values, vec
 from goldman.reps import relator_tangent_matrix
 
 
 def reconstruction_error(a, b, u):
     return frob(a @ b @ np.linalg.inv(a) @ np.linalg.inv(b) - u)
+
+
+def sylvester_commutant_dimension(rep):
+    """Reference: nullity of the stacked Sylvester maps X -> g X - X g."""
+    n = rep.rank
+    eye = np.eye(n)
+    stacked = np.vstack([np.kron(eye, m) - np.kron(m.T, eye) for m in rep.images])
+    rank, _ = split_singular_values(np.linalg.svd(stacked, compute_uv=False))
+    return n * n - rank
 
 
 class TestEvaluate:
@@ -174,7 +184,7 @@ class TestCommutantDimension:
         pres = Presentation(2)
         rep = Representation(pres, 2, tuple(np.eye(2, dtype=complex) for _ in range(4)),
                              "unitary")
-        assert commutant_dimension(rep) == 4
+        assert commutant_dimension(rep) == sylvester_commutant_dimension(rep) == 4
 
     def test_sum_of_distinct_characters(self):
         pres = Presentation(2)
@@ -184,10 +194,33 @@ class TestCommutantDimension:
             phases = np.exp(2j * np.pi * rng.random(2))
             images.append(np.diag(phases))
         rep = Representation(pres, 2, tuple(images), "unitary")
-        assert commutant_dimension(rep) == 2
+        # still reducible after conjugation by a non-unitary matrix
+        c = np.array([[2.0, 1.5], [0.3, 1.0]], dtype=complex)
+        for point in (rep, conjugate_representation(rep, c)):
+            assert commutant_dimension(point) == sylvester_commutant_dimension(point) == 2
 
     def test_generic_irreducible(self, rep_g2n2):
         assert commutant_dimension(rep_g2n2) == 1
+
+    @pytest.mark.parametrize("flavor", ["unitary", "general-linear"])
+    def test_agrees_with_sylvester_stack_at_seeded_points(self, flavor):
+        for genus, rank in [(2, 1), (2, 2), (3, 2), (2, 3)]:
+            for seed in (0, 7):
+                rep = random_representation(genus, rank, flavor, seed=seed)
+                assert commutant_dimension(rep) == sylvester_commutant_dimension(rep) == 1
+
+
+class TestCoboundaryMatrix:
+    @pytest.mark.parametrize("flavor", ["unitary", "general-linear"])
+    def test_applies_delta(self, flavor):
+        rng = np.random.default_rng(61)
+        for genus, rank in [(2, 1), (2, 2), (3, 3)]:
+            rep = random_representation(genus, rank, flavor, seed=4)
+            matrix = coboundary_matrix(rep)
+            assert matrix.shape == (2 * genus * rank ** 2, rank ** 2)
+            for _ in range(3):
+                v = rng.standard_normal((rank, rank)) + 1j * rng.standard_normal((rank, rank))
+                assert np.abs(matrix @ vec(v) - coboundary(v, rep).flat).max() < 1e-12
 
 
 class TestConjugateRepresentation:

@@ -1,12 +1,14 @@
 """Import hygiene of the package source, checked on its syntax trees.
 
-Two rules, with no lint dependency:
+Three rules, with no lint dependency:
 
 - every module-level import is used in its module (the package
   ``__init__`` re-exports, and ``from __future__`` imports are exempt);
 - imports inside functions are only for breaking import cycles: a
   function may import from a goldman module that its file does not import
-  at module level, and nothing else.
+  at module level, and nothing else;
+- no module calls numpy's ``kron``: ``linalg.ad_matrix`` is the one
+  Kronecker form, and the tests keep ``np.kron`` as their reference.
 """
 
 import ast
@@ -78,6 +80,14 @@ def non_cycle_local_imports(path):
     return offenders
 
 
+def kron_calls(path):
+    """Calls of a function named kron, as np.kron(...) or kron(...)."""
+    return [f"{path.name}:{node.lineno}" for node in ast.walk(_tree(path))
+            if isinstance(node, ast.Call)
+            and (getattr(node.func, "attr", None) == "kron"
+                 or getattr(node.func, "id", None) == "kron")]
+
+
 def test_source_files_found():
     assert {"reps.py", "verify.py", "__init__.py"} <= {p.name for p in MODULES}
 
@@ -92,6 +102,11 @@ def test_function_local_imports_only_break_cycles(path):
     assert non_cycle_local_imports(path) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_kron_call(path):
+    assert kron_calls(path) == []
+
+
 def test_rules_flag_what_they_name(tmp_path):
     module = tmp_path / "sample.py"
     module.write_text(
@@ -103,6 +118,10 @@ def test_rules_flag_what_they_name(tmp_path):
         "    import scipy.linalg\n"
         "    from .reps import relator_defect\n"
         "    from .fileio import read_matrix\n"
-        "    return np, evaluate, scipy, relator_defect, read_matrix\n")
+        "    return np, evaluate, scipy, relator_defect, read_matrix\n"
+        "def g(a):\n"
+        "    return np.kron(a, a) + kron(a, a), np.kron\n")
     assert unused_module_imports(module) == ["sample.py:2 json"]
     assert non_cycle_local_imports(module) == ["sample.py:6 in f", "sample.py:7 in f"]
+    assert kron_calls(module) == ["sample.py:11", "sample.py:11"]
+

@@ -109,3 +109,12 @@ class TestSignDraw:
             assert int(indexed.integers(0, 6)) == int(chosen.integers(0, 6))
             assert (-1, 1)[int(indexed.integers(0, 2))] == int(chosen.choice([-1, 1]))
         assert indexed.random() == chosen.random()
+
+
+class TestRunConfig:
+    def test_repeated_tolerance_keeps_the_last_value(self):
+        config = RunConfig(tolerance_overrides=(("verification", 1e-30),
+                                                ("verification", 1.0)))
+        assert config.tolerance("verification") == 1.0
+        assert config.tolerance_overrides == (("verification", 1.0),)
+        assert config.describe().endswith(" tol.verification=1")
