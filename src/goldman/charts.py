@@ -64,19 +64,6 @@ def deform(rep: Representation, direction: Cocycle, t: float) -> Representation:
     return newton_project(rep.presentation, raw, GENERAL_LINEAR, seed=rep.seed)
 
 
-def deformation_correction(rep: Representation, direction: Cocycle, t: float) -> float:
-    """Distance between the raw exponential move and its Newton retraction.
-
-    Second order in t: the exponential move is tangent to the variety.
-    """
-    if t == 0.0:
-        return 0.0
-    raw = _raw_deformed_images(rep, direction, t)
-    projected = deform(rep, direction, t)
-    return float(np.sqrt(sum(
-        np.linalg.norm(a - b) ** 2 for a, b in zip(raw, projected.images))))
-
-
 def transport_values(chi: Cocycle, new_base: Representation) -> Cocycle:
     """Reuse generator values over a nearby base (zeroth-order transport)."""
     return Cocycle(new_base, chi.values)
@@ -107,6 +94,22 @@ class DeformationCurve:
         if t not in self._cache:
             self._cache[t] = deform(self.center, self.direction, t)
         return self._cache[t]
+
+
+def deformation_correction(curve: DeformationCurve, t: float) -> float:
+    """Distance between the raw exponential move along a direction curve and
+    its Newton retraction, the curve's memoised point at t.
+
+    Second order in t: the exponential move is tangent to the variety.
+    """
+    if curve.direction is None:
+        raise InputError("the correction needs a curve along a cocycle direction")
+    if t == 0.0:
+        return 0.0
+    raw = _raw_deformed_images(curve.center, curve.direction, t)
+    projected = curve.at(t)
+    return float(np.sqrt(sum(
+        np.linalg.norm(a - b) ** 2 for a, b in zip(raw, projected.images))))
 
 
 def rh_differential(curve: DeformationCurve, step: float) -> Cocycle:

@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .charts import (TRIVIALIZATION, Chart, closedness_check, convergence_order,
-                     deform, deformation_correction)
+from .charts import (TRIVIALIZATION, Chart, DeformationCurve, closedness_check,
+                     convergence_order, deformation_correction)
 from .cocycles import cocycle_basis
 from .config import RunConfig
 from .errors import EXIT_OK, EXIT_PROPERTY_FAILURE, GoldmanError, InputError
@@ -185,9 +185,10 @@ def cmd_symplectic_basis(config: RunConfig, rep_path, cocycle_paths) -> int:
 def cmd_deform(config: RunConfig, rep_path, cocycle_path, step: float) -> int:
     rep = fileio.read_representation(rep_path)
     chi = fileio.read_cocycle(cocycle_path, rep)
-    moved = deform(rep, chi, step)
-    correction = deformation_correction(rep, chi, step)
-    correction_half = deformation_correction(rep, chi, step / 2)
+    curve = DeformationCurve(center=rep, direction=chi)
+    moved = curve.at(step)
+    correction = deformation_correction(curve, step)
+    correction_half = deformation_correction(curve, step / 2)
     fileio.ensure_directory(config.out)
     target = config.out / "deformed.txt"
     fileio.write_representation(target, moved)
@@ -217,12 +218,12 @@ def cmd_closedness(config: RunConfig, rep_path, cocycle_paths,
     else:
         frame = cocycle_basis(rep).h1_complement
     chart = Chart(center=rep, frame=frame)
+    # closedness_check validates the triple and each step, so an input
+    # error exits before anything is printed
+    residuals = [closedness_check(chart, triple, h) for h in steps]
     print(f"trivialization: {TRIVIALIZATION}")
     print(f"triple: {triple[0]} {triple[1]} {triple[2]}")
-    residuals = []
-    for h in steps:
-        residual = closedness_check(chart, triple, h)
-        residuals.append(residual)
+    for h, residual in zip(steps, residuals):
         print(f"residual[h={h:.6e}]: {residual:.6e}")
     if len(steps) >= 2 and all(r > 0 for r in residuals):
         print(f"convergence-order: {convergence_order(steps, residuals):.3f}")

@@ -6,6 +6,13 @@ gives each check its own deterministic random stream.  A check reports
 (name, samples, max residual, threshold, verdict).  Checks never abort
 the suite; the caller turns any failure into a nonzero exit status.
 
+The checks that pair many cocycles over one fixed base (cup-dual-agreement,
+class-invariance, antisymmetry, bilinearity, conjugation-equivariance)
+evaluate the closed form through the base's cached matrix W,
+omega(x, y) = x.flat @ W @ y.flat.  intersection-form keeps the letterwise
+pairing_dual, checked against the cup product, as the suite's check of
+that path.
+
 Mutation mode (config.mutate = "dual-sign") deliberately flips a sign in
 the dual-generator pairing (the b_k column blocks of the pairing matrix
 W) so the cup/dual cross-check must fail; it exists to demonstrate that
@@ -90,9 +97,10 @@ def _trivial_rank_one(genus: int) -> Representation:
 @dataclass(frozen=True, eq=False)
 class SuiteRun:
     """One verify run: the seeded base point, its cocycle basis, its
-    real-locus bases and the size grid, each built on first use and kept,
-    so skipped checks build nothing and a construction error surfaces in
-    the first check that needs the object."""
+    real-locus bases, the size grid and the grid's bases, each built on
+    first use and kept, so skipped checks build nothing and a
+    construction error surfaces in the first check that needs the
+    object."""
 
     config: RunConfig
 
@@ -114,6 +122,11 @@ class SuiteRun:
         """The seeded unitary representation at every GRID size."""
         return tuple(random_representation(g, n, UNITARY, seed=self.config.seed)
                      for g, n in GRID)
+
+    @cached_property
+    def grid_bases(self) -> tuple[CocycleBasis, ...]:
+        """The cocycle basis of every grid point: one rank decision each."""
+        return tuple(cocycle_basis(rep) for rep in self.grid)
 
     def rng(self, name: str) -> np.random.Generator:
         """The deterministic random stream of one check."""
@@ -296,13 +309,17 @@ def check_representation_reproducibility(run: SuiteRun) -> CheckResult:
 
 
 def check_construction_quality(run: SuiteRun) -> CheckResult:
-    """Relator defect and irreducibility over the seeded size grid."""
+    """Relator defect and irreducibility over the seeded size grid.
+
+    The commutant is the kernel of v -> delta_v, whose image is B1, so
+    its dimension is n^2 - dim B1.
+    """
     worst = 0.0
     failures = 0
     samples = 0
-    for rep in run.grid:
+    for rep, basis in zip(run.grid, run.grid_bases):
         worst = max(worst, relator_defect(rep))
-        if commutant_dimension(rep) != 1:
+        if rep.rank ** 2 - basis.dims[1] != 1:
             failures += 1
         samples += 1
     if failures:
@@ -363,8 +380,8 @@ def check_cocycle_law_on_basis(run: SuiteRun) -> CheckResult:
 
 def check_dimension_formula(run: SuiteRun) -> CheckResult:
     failures = 0
-    for (g, n), rep in zip(GRID, run.grid):
-        dims = cocycle_basis(rep).dims
+    for (g, n), basis in zip(GRID, run.grid_bases):
+        dims = basis.dims
         if dims[2] != (2 * g - 2) * n * n + 2 or dims[0] - dims[1] != dims[2]:
             failures += 1
     return _result("dimension-formula", len(GRID), failures, 0.0)
@@ -413,20 +430,24 @@ def check_real_locus_dimensions(run: SuiteRun) -> CheckResult:
 
 # -------------------------------------------------------------- goldman core
 
-def _mutated_dual(rep: Representation):
-    """Deliberately wrong pairing: the handle-b terms enter with a flipped
-    sign, i.e. the b_k column blocks of W are negated."""
-    w = np.array(rep.dual_form)
-    n2 = rep.rank ** 2
-    for k in range(rep.genus):
-        w[:, (2 * k + 1) * n2:(2 * k + 2) * n2] *= -1
+def _dual_pairing(rep: Representation, flip_b: bool = False):
+    """omega at one fixed base through its cached matrix W,
+    omega(x, y) = x.flat @ W @ y.flat.  flip_b is the deliberate error of
+    --mutate dual-sign: the handle-b terms enter with a flipped sign, i.e.
+    a copy of W has its b_k column blocks negated."""
+    w = rep.dual_form
+    if flip_b:
+        w = np.array(w)
+        n2 = rep.rank ** 2
+        for k in range(rep.genus):
+            w[:, (2 * k + 1) * n2:(2 * k + 2) * n2] *= -1
     return lambda chi1, chi2: complex(chi1.flat @ w @ chi2.flat)
 
 
 def check_cup_dual_agreement(run: SuiteRun) -> CheckResult:
     rng = run.rng("cup-dual-agreement")
     basis = run.basis
-    dual = _mutated_dual(run.rep) if run.config.mutate == "dual-sign" else pairing_dual
+    dual = _dual_pairing(run.rep, flip_b=run.config.mutate == "dual-sign")
     worst = 0.0
     samples = 100
     for _ in range(samples):
@@ -440,33 +461,36 @@ def check_class_invariance(run: SuiteRun) -> CheckResult:
     rng = run.rng("class-invariance")
     rep, basis = run.rep, run.basis
     n = rep.rank
+    dual = _dual_pairing(rep)
     worst = 0.0
     samples = 100
     for _ in range(samples):
         chi1 = random_cocycle(basis, rng)
         chi2 = random_cocycle(basis, rng)
         v = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        base_value = pairing_dual(chi1, chi2)
-        worst = max(worst, abs(pairing_dual(chi1 + coboundary(v, rep), chi2) - base_value))
-        worst = max(worst, abs(pairing_dual(chi1, chi2 + coboundary(v, rep)) - base_value))
+        base_value = dual(chi1, chi2)
+        worst = max(worst, abs(dual(chi1 + coboundary(v, rep), chi2) - base_value))
+        worst = max(worst, abs(dual(chi1, chi2 + coboundary(v, rep)) - base_value))
     return _result("class-invariance", samples, worst, 1e-9)
 
 
 def check_antisymmetry(run: SuiteRun) -> CheckResult:
     rng = run.rng("antisymmetry")
     basis = run.basis
+    dual = _dual_pairing(run.rep)
     worst = 0.0
     samples = 100
     for _ in range(samples):
         chi1 = random_cocycle(basis, rng)
         chi2 = random_cocycle(basis, rng)
-        worst = max(worst, abs(pairing_dual(chi1, chi2) + pairing_dual(chi2, chi1)))
+        worst = max(worst, abs(dual(chi1, chi2) + dual(chi2, chi1)))
     return _result("antisymmetry", samples, worst, 1e-9)
 
 
 def check_bilinearity(run: SuiteRun) -> CheckResult:
     rng = run.rng("bilinearity")
     basis = run.basis
+    dual = _dual_pairing(run.rep)
     worst = 0.0
     samples = 25
     for _ in range(samples):
@@ -474,11 +498,11 @@ def check_bilinearity(run: SuiteRun) -> CheckResult:
         chi2 = random_cocycle(basis, rng)
         chi3 = random_cocycle(basis, rng)
         s = complex(rng.standard_normal(), rng.standard_normal())
-        lhs = pairing_dual(chi1 * s + chi3, chi2)
-        rhs = s * pairing_dual(chi1, chi2) + pairing_dual(chi3, chi2)
+        lhs = dual(chi1 * s + chi3, chi2)
+        rhs = s * dual(chi1, chi2) + dual(chi3, chi2)
         worst = max(worst, abs(lhs - rhs))
-        lhs = pairing_dual(chi1, chi2 * s + chi3)
-        rhs = s * pairing_dual(chi1, chi2) + pairing_dual(chi1, chi3)
+        lhs = dual(chi1, chi2 * s + chi3)
+        rhs = s * dual(chi1, chi2) + dual(chi1, chi3)
         worst = max(worst, abs(lhs - rhs))
     return _result("bilinearity", samples, worst, 1e-9)
 
@@ -490,6 +514,7 @@ def check_conjugation_equivariance(run: SuiteRun) -> CheckResult:
     c = np.eye(n) + 0.4 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     c_inv = np.linalg.inv(c)
     moved = conjugate_representation(rep, c)
+    dual, dual_moved = _dual_pairing(rep), _dual_pairing(moved)
     worst = 0.0
     samples = 25
     for _ in range(samples):
@@ -497,7 +522,7 @@ def check_conjugation_equivariance(run: SuiteRun) -> CheckResult:
         chi2 = random_cocycle(basis, rng)
         moved1 = Cocycle(moved, tuple(c @ m @ c_inv for m in chi1.values))
         moved2 = Cocycle(moved, tuple(c @ m @ c_inv for m in chi2.values))
-        worst = max(worst, abs(pairing_dual(moved1, moved2) - pairing_dual(chi1, chi2)))
+        worst = max(worst, abs(dual_moved(moved1, moved2) - dual(chi1, chi2)))
     return _result("conjugation-equivariance", samples, worst, 1e-9)
 
 
@@ -596,7 +621,8 @@ def check_deformation_correction_order(run: SuiteRun) -> CheckResult:
     rep = run.rep
     chi = _unit_direction(run, "deformation-correction-order")
     steps = [1e-2, 1e-3, 1e-4]
-    corrections = [deformation_correction(rep, chi, t) for t in steps]
+    curve = DeformationCurve(center=rep, direction=chi)
+    corrections = [deformation_correction(curve, t) for t in steps]
     return _order_result("deformation-correction-order", steps, corrections)
 
 

@@ -40,9 +40,16 @@ class TestDeform:
     def test_correction_second_order(self, basis_g2n2):
         chi = unit_h1_direction(basis_g2n2, 53)
         steps = [1e-2, 1e-3, 1e-4]
-        corrections = [deformation_correction(basis_g2n2.base, chi, t)
-                       for t in steps]
+        curve = DeformationCurve(center=basis_g2n2.base, direction=chi)
+        corrections = [deformation_correction(curve, t) for t in steps]
         assert abs(fitted_order(steps, corrections) - 2.0) < 0.2
+        # the retracted points are the curve's memoised ones
+        assert sorted(curve._cache) == sorted(steps)
+
+    def test_correction_needs_a_direction(self, rep_g2n2):
+        curve = DeformationCurve(center=rep_g2n2, evaluator=lambda t: rep_g2n2)
+        with pytest.raises(InputError):
+            deformation_correction(curve, 1e-3)
 
     def test_coboundary_direction_is_conjugation(self, basis_g2n2):
         # moving along delta_v tracks conjugation by exp(-t v) to first order

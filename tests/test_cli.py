@@ -3,9 +3,12 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import goldman.charts
 import goldman.cli
 from goldman.cli import main
+from goldman.fileio import read_cocycle, read_representation, write_representation
 
 
 def run_cli(args, capsys):
@@ -164,6 +167,41 @@ class TestFileCommands:
         assert 1.8 <= float(lines["correction-order"]) <= 2.2
         assert (tmp_path / "deformed.txt").exists()
 
+    def test_deform_projects_each_step_once(self, tmp_path, capsys, monkeypatch):
+        out_dir = str(tmp_path)
+        run_cli(["--out", out_dir, "random-rep"], capsys)
+        run_cli(["--out", out_dir, "cocycle-basis"], capsys)
+        rep = read_representation(tmp_path / "representation.txt")
+        chi = read_cocycle(tmp_path / "cocycle-000.txt", rep)
+        # the written point and both corrections, each projected afresh
+        step = 1e-3
+        moved = {t: goldman.charts.deform(rep, chi, t) for t in (step, step / 2)}
+        corrections = [np.sqrt(sum(
+            np.linalg.norm(scipy.linalg.expm(t * v) @ x - y) ** 2
+            for v, x, y in zip(chi.values, rep.images, moved[t].images)))
+            for t in (step, step / 2)]
+        write_representation(tmp_path / "expected.txt", moved[step])
+
+        projections = []
+        project = goldman.charts.newton_project
+
+        def counted(*args, **kwargs):
+            projections.append(args)
+            return project(*args, **kwargs)
+
+        monkeypatch.setattr(goldman.charts, "newton_project", counted)
+        code, out, _ = run_cli(["--out", out_dir, "deform",
+                                "--rep", str(tmp_path / "representation.txt"),
+                                "--cocycle", str(tmp_path / "cocycle-000.txt"),
+                                "--step", "1e-3"], capsys)
+        assert code == 0
+        assert len(projections) == 2
+        assert ((tmp_path / "deformed.txt").read_bytes()
+                == (tmp_path / "expected.txt").read_bytes())
+        lines = dict(l.split(": ", 1) for l in out.splitlines())
+        assert lines["correction"] == f"{corrections[0]:.6e}"
+        assert lines["correction-half-step"] == f"{corrections[1]:.6e}"
+
     @pytest.mark.parametrize("rank,step", [(1, "1e-3"), (2, "0")])
     def test_deform_exact_move_prints_no_order(self, tmp_path, capsys, rank, step):
         # at rank one the exponential move stays on the variety, and a zero
@@ -295,6 +333,20 @@ class TestClosednessCommand:
     def test_bad_triple_exits_two(self, capsys):
         code, _, err = run_cli(["closedness", "--triple", "0,1"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("extra", [["--triple", "0,1,2"],
+                                       ["--triple", "0,0,1", "--steps", "1e-3,1"]])
+    def test_input_error_prints_nothing(self, tmp_path, capsys, extra):
+        # two frame files: index 2 is out of range; a step of 1 is too large
+        out_dir = str(tmp_path)
+        run_cli(["--out", out_dir, "random-rep"], capsys)
+        run_cli(["--out", out_dir, "cocycle-basis"], capsys)
+        frame = [str(tmp_path / f"cocycle-00{i}.txt") for i in range(2)]
+        code, out, err = run_cli(["closedness", "--rep",
+                                  str(tmp_path / "representation.txt")]
+                                 + frame + extra, capsys)
+        assert_input_error(code, err)
+        assert out == ""
 
     def test_frame_from_files(self, tmp_path, capsys):
         out_dir = str(tmp_path)

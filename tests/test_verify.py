@@ -4,11 +4,18 @@ import numpy as np
 import pytest
 
 import goldman.cocycles
+import goldman.pairing
 import goldman.reps
 import goldman.verify
-from goldman import ConditioningError
+from goldman import ConditioningError, Representation, commutant_dimension
 from goldman.config import RunConfig
-from goldman.verify import (SuiteRun, check_closedness, check_cocycle_law_on_basis,
+from goldman.pairing import dual_form_matrix
+from goldman.verify import (SuiteRun, check_antisymmetry, check_bilinearity,
+                            check_class_invariance, check_closedness,
+                            check_cocycle_law_on_basis,
+                            check_conjugation_equivariance,
+                            check_construction_quality, check_cup_dual_agreement,
+                            check_dimension_formula, check_intersection_form,
                             check_newton_projection, run_suite)
 
 
@@ -45,7 +52,7 @@ class TestSuiteRun:
         # the base point, one independent rebuild, and the six grid points
         assert len(reps) <= 8
         # the base basis, the six grid bases and the trivial rank-one basis
-        assert len(bases) <= 8
+        assert len(bases) == 8
         assert len(real) == 1
 
     def test_shared_objects_are_cached(self, tmp_path):
@@ -67,6 +74,16 @@ class TestSuiteRun:
         monkeypatch.setattr(SuiteRun, "real_locus", _refuse("real_locus"))
         config = RunConfig(flavor="general-linear", out=tmp_path)
         assert all(r.passed for r in run_suite(config))
+
+    def test_one_rank_decision_per_grid_point(self, monkeypatch, tmp_path):
+        run = SuiteRun(RunConfig(out=tmp_path))
+        for rep, basis in zip(run.grid, run.grid_bases):
+            assert commutant_dimension(rep) == rep.rank ** 2 - basis.dims[1]
+        run = SuiteRun(RunConfig(out=tmp_path))
+        decisions = _count_calls(monkeypatch, goldman.reps, "coboundary_matrix")
+        assert check_construction_quality(run).passed
+        assert check_dimension_formula(run).passed
+        assert len(decisions) == len(run.grid) == 6
 
     def test_basis_error_comes_from_the_first_check_that_needs_it(
             self, monkeypatch, tmp_path):
@@ -118,3 +135,111 @@ class TestRunConfig:
         assert config.tolerance("verification") == 1.0
         assert config.tolerance_overrides == (("verification", 1.0),)
         assert config.describe().endswith(" tol.verification=1")
+
+
+FIXED_BASE_CHECKS = (check_cup_dual_agreement, check_class_invariance,
+                     check_antisymmetry, check_bilinearity,
+                     check_conjugation_equivariance)
+
+
+def _negated_b_blocks(rep):
+    """W with its b_k column blocks negated: the dual-sign error."""
+    w = np.array(dual_form_matrix(rep))
+    n2 = rep.rank ** 2
+    for k in range(rep.genus):
+        w[:, (2 * k + 1) * n2:(2 * k + 2) * n2] *= -1
+    return w
+
+
+class TestPairingPaths:
+    """The five checks that pair many cocycles over one base evaluate the
+    cached matrix W; intersection-form keeps the letterwise pairing_dual."""
+
+    @pytest.mark.parametrize("flavor", ["unitary", "general-linear"])
+    def test_fixed_base_checks_read_w(self, monkeypatch, tmp_path, flavor):
+        run = SuiteRun(RunConfig(flavor=flavor, out=tmp_path))
+        letterwise = _count_calls(monkeypatch, goldman.pairing, "pairing_dual")
+        assert check_intersection_form(run).passed
+        assert letterwise
+
+        def refuse(chi1, chi2):
+            raise AssertionError("letterwise pairing_dual was called")
+
+        monkeypatch.setattr(goldman.verify, "pairing_dual", refuse)
+        for check in FIXED_BASE_CHECKS:
+            assert check(run).passed, check.__name__
+
+    def test_a_sign_error_in_w_fails_three_checks(self, monkeypatch, tmp_path):
+        """A W whose b_k blocks are negated disagrees with the cup product,
+        is not skew and does not vanish on coboundaries.
+
+        bilinearity and conjugation-equivariance cannot see it: x.flat @ W
+        @ y.flat is bilinear for any matrix W, and each a_k and b_k block of
+        W is conjugation-equivariant on its own, so a block with a flipped
+        sign still is.
+        """
+        monkeypatch.setattr(Representation, "dual_form", property(_negated_b_blocks))
+        run = SuiteRun(RunConfig(out=tmp_path))
+        results = {check.__name__: check(run) for check in FIXED_BASE_CHECKS}
+        for name in ("check_cup_dual_agreement", "check_class_invariance",
+                     "check_antisymmetry"):
+            assert not results[name].passed
+            assert results[name].max_residual > 1.0
+        assert results["check_bilinearity"].passed
+        assert results["check_conjugation_equivariance"].passed
+        assert check_intersection_form(run).passed
+
+
+# (name, samples, threshold) of every report line at (2,2) seed 0, in report
+# order; every verdict is PASS.  Only max-residual is left free, so no
+# speed-up can change a sample count or a gate unseen.
+CHECK_TABLE = (
+    ("word-reduction-confluence", 100, 0.0),
+    ("fox-product-rule", 400, 0.0),
+    ("fox-closed-form", 12, 0.0),
+    ("dual-generator-identities", 24, 0.0),
+    ("anti-involution", 50, 0.0),
+    ("two-cycle-shape", 3, 0.0),
+    ("evaluate-multiplicative", 100, 1e-12),
+    ("partial-relator-determinants", 3, 1e-10),
+    ("commutator-factor", 102, 1e-10),
+    ("representation-reproducibility", 2, 0.0),
+    ("construction-quality", 6, 1e-12),
+    ("newton-projection", 3, 0.0),
+    ("cocycle-law-on-basis", 1300, 1e-8),
+    ("dimension-formula", 6, 0.0),
+    ("coboundary-containment", 20, 1e-10),
+    ("star-involution", 20, 1e-12),
+    ("real-locus-dimensions", 2, 0.0),
+    ("cup-dual-agreement", 100, 1e-10),
+    ("class-invariance", 100, 1e-9),
+    ("antisymmetry", 100, 1e-9),
+    ("bilinearity", 25, 1e-9),
+    ("conjugation-equivariance", 25, 1e-9),
+    ("gram-structure", 2, 1e-8),
+    ("intersection-form", 36, 1e-12),
+    ("symplectic-basis", 100, 1e-8),
+    ("unitary-locus", 100, 1e-10),
+    ("deformation-correction-order", 3, 0.3),
+    ("coboundary-deformation", 2, 0.3),
+    ("rh-round-trip", 4, 0.5),
+    ("rh-conjugation-curve", 2, 1e-6),
+    ("rh-cocycle-law-order", 100, 0.8),
+    ("commuting-flows", 2, 0.4),
+    ("closedness-order", 4, 0.3),
+    ("closedness-abelian", 3, 1e-10),
+    ("chart-irreducibility", 6, 0.0),
+    ("file-round-trip", 5, 0.0),
+)
+UNITARY_ONLY = {"star-involution", "real-locus-dimensions", "unitary-locus"}
+
+
+class TestCheckTable:
+    @pytest.mark.parametrize("flavor", ["unitary", "general-linear"])
+    def test_samples_thresholds_and_verdicts_are_pinned(self, tmp_path, flavor):
+        results = run_suite(RunConfig(genus=2, rank=2, flavor=flavor, seed=0,
+                                      out=tmp_path))
+        expected = [(name, samples, threshold, True)
+                    for name, samples, threshold in CHECK_TABLE
+                    if flavor == "unitary" or name not in UNITARY_ONLY]
+        assert [(r.name, r.samples, r.threshold, r.passed) for r in results] == expected
