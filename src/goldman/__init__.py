@@ -12,11 +12,13 @@ from .words import (GroupRingElement, GroupWord, Presentation, TwoCycle,
                     parse_word)
 from .reps import (Representation, coboundary_matrix, commutant_dimension,
                    commutator_factor, conjugate_representation, evaluate,
-                   newton_project, random_representation, relator_defect)
+                   evaluate_words, newton_project, random_representation,
+                   relator_defect)
 from .cocycles import (Cocycle, CocycleBasis, anti_hermitian_part, coboundary,
-                       cocycle_basis, cocycle_law_residual, extend,
-                       extend_ring, random_cocycle, real_locus_bases,
-                       relator_residual, star_involution, word_jacobian)
+                       cocycle_basis, cocycle_law_residuals, extend,
+                       extend_ring, extend_words, random_cocycle,
+                       real_locus_bases, relator_residual, star_involution,
+                       word_jacobian)
 from .pairing import (GoldmanGram, SymplecticBasis, UnitaryLocusReport,
                       dual_form_matrix, gram, gram_matrix, pairing_cup,
                       pairing_dual, standard_block_j, symplectic_basis,

@@ -225,7 +225,8 @@ def cmd_closedness(config: RunConfig, rep_path, cocycle_paths,
     print(f"triple: {triple[0]} {triple[1]} {triple[2]}")
     for h, residual in zip(steps, residuals):
         print(f"residual[h={h:.6e}]: {residual:.6e}")
-    if len(steps) >= 2 and all(r > 0 for r in residuals):
+    # a slope needs two distinct steps and no exact zero
+    if len(set(steps)) >= 2 and all(r > 0 for r in residuals):
         print(f"convergence-order: {convergence_order(steps, residuals):.3f}")
     return EXIT_OK
 

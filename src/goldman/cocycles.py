@@ -18,8 +18,8 @@ import numpy as np
 from .errors import ConditioningError, InputError
 from .linalg import (column_space, complement_dimension, complement_within, frob,
                      nullspace, real_flatten, row_space, unvec, vec)
-from .reps import (UNITARY, Representation, coboundary_matrix, evaluate,
-                   relator_tangent_matrix)
+from .reps import (UNITARY, Representation, coboundary_matrix, evaluate_words,
+                   letter_codes, relator_tangent_matrix)
 from .words import GroupRingElement, GroupWord
 
 
@@ -169,11 +169,49 @@ def relator_residual(chi: Cocycle) -> float:
     return frob(extend(chi, chi.base.presentation.relator()))
 
 
-def cocycle_law_residual(chi: Cocycle, u: GroupWord, v: GroupWord) -> float:
-    sigma_u = evaluate(chi.base, u)
-    lhs = extend(chi, u * v)
-    rhs = extend(chi, u) + sigma_u @ extend(chi, v) @ np.linalg.inv(sigma_u)
-    return frob(lhs - rhs)
+def extend_words(chi: Cocycle, words) -> np.ndarray:
+    """Values on many words at once, shape (len(words), n, n).
+
+    extend's right-to-left Horner fold, one stacked step per letter
+    position.  Both letter kinds take the one form
+
+        acc = c + l (acc - d) r,
+
+    with (l, r, c, d) = (x, x^-1, chi(x), 0) for a letter x and
+    (x^-1, x, 0, chi(x)) for x^-1.  Words are padded on the right with
+    the identity letter (I, I, 0, 0), which keeps a zero fold zero, so
+    each value is extend's bit for bit.
+    """
+    rep = chi.base
+    values = np.array(chi.values)
+    eye = np.eye(rep.rank, dtype=complex)[None]
+    left = np.concatenate([rep.images, rep.inverse_images, eye])
+    right = np.concatenate([rep.inverse_images, rep.images, eye])
+    zeros, pad = np.zeros_like(values), np.zeros_like(eye)
+    plus = np.concatenate([values, zeros, pad])
+    minus = np.concatenate([zeros, values, pad])
+    codes = letter_codes(rep.presentation, words)
+    acc = np.zeros((len(words), rep.rank, rep.rank), dtype=complex)
+    for column in codes.T[::-1]:
+        acc = plus[column] + left[column] @ (acc - minus[column]) @ right[column]
+    return acc
+
+
+def cocycle_law_residuals(chi: Cocycle, pairs) -> list[float]:
+    """Residuals |chi(uv) - chi(u) - Ad(sigma(u)) chi(v)|, one per (u, v)
+    pair.
+
+    The words uv, u and v of every pair are folded at once by
+    extend_words, and sigma(u) is one stacked product by evaluate_words,
+    so each residual is the same bit for bit as from extend and evaluate
+    pair by pair.
+    """
+    pairs = list(pairs)
+    folded = extend_words(chi, [w for u, v in pairs for w in (u * v, u, v)])
+    chi_uv, chi_u, chi_v = folded[0::3], folded[1::3], folded[2::3]
+    sigma_u = evaluate_words(chi.base, [u for u, _ in pairs])
+    rhs = chi_u + sigma_u @ chi_v @ np.linalg.inv(sigma_u)
+    return [frob(m) for m in chi_uv - rhs]
 
 
 def coboundary(v: np.ndarray, rep: Representation) -> Cocycle:

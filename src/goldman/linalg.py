@@ -138,7 +138,8 @@ def ginibre(rng: np.random.Generator, n: int) -> Array:
 
 
 def polar_unitary(m: Array) -> Array:
-    """Nearest unitary matrix in Frobenius norm (polar factor)."""
+    """Nearest unitary matrix in Frobenius norm (polar factor), of one
+    matrix or of each matrix of a stack."""
     u, _, vh = np.linalg.svd(m)
     return u @ vh
 

@@ -18,7 +18,7 @@ import scipy.linalg
 from . import tolerances
 from .errors import ConditioningError, ConvergenceError, InputError
 from .linalg import (ad_matrix, frob, ginibre, haar_unitary, polar_unitary,
-                     split_singular_values, unvec, vec)
+                     split_singular_values, vec)
 from .words import GroupWord, Presentation
 
 UNITARY = "unitary"
@@ -113,6 +113,39 @@ def relator_defect(rep: Representation) -> float:
     return frob(evaluate(rep, rep.presentation.relator()) - np.eye(rep.rank))
 
 
+def evaluate_words(rep: Representation, words) -> np.ndarray:
+    """Images of many words at once, shape (len(words), n, n).
+
+    evaluate's left-to-right product, one stacked product per letter
+    position over a letter table padded with the identity, so each image
+    is evaluate's bit for bit.
+    """
+    eye = np.eye(rep.rank, dtype=complex)[None]
+    table = np.concatenate([rep.images, rep.inverse_images, eye])
+    codes = letter_codes(rep.presentation, words)
+    out = np.repeat(eye, len(words), axis=0)
+    for column in codes.T:
+        out = out @ table[column]
+    return out
+
+
+def letter_codes(presentation: Presentation, words) -> np.ndarray:
+    """Letters of words over the presentation, as a (len(words), longest)
+    integer array, for tables indexed like [images, inverses, identity].
+
+    With c generators, x_i is coded i and x_i^-1 is c + i; the shorter
+    words are padded on the right with 2c, the identity letter.
+    """
+    count = presentation.generator_count
+    if any(w.genus != presentation.genus for w in words):
+        raise InputError("word and representation have different genus")
+    rows = [[gen if sign > 0 else count + gen for gen, sign in w.letters()]
+            for w in words]
+    longest = max(map(len, rows), default=0)
+    return np.array([row + [2 * count] * (longest - len(row)) for row in rows],
+                    dtype=np.intp).reshape(len(rows), longest)
+
+
 def _word_product(images, inverses, word) -> np.ndarray:
     """Left-to-right product of the letter images of a word, run by run."""
     out = np.eye(images[0].shape[0], dtype=complex)
@@ -124,9 +157,12 @@ def _word_product(images, inverses, word) -> np.ndarray:
 
 
 def _invert_all(images, flavor):
+    """Inverses of a list or stack of images, as one stack: one stacked
+    inversion, the conjugate transpose for the unitary flavor."""
+    images = np.asarray(images)
     if flavor == UNITARY:
-        return [m.conj().T for m in images]
-    return [np.linalg.inv(m) for m in images]
+        return images.conj().transpose(0, 2, 1)
+    return np.linalg.inv(images)
 
 
 def commutator_factor(u: np.ndarray, unitary: bool = True):
@@ -259,9 +295,10 @@ def relator_tangent_matrix(presentation: Presentation, images, flavor: str) -> n
 
     The relator is freely reduced, so every Fox term is its prefix of the
     term's length: one walk along the relator gives every term's image,
-    in evaluate's order of products.  Each inverse image is evaluate's
-    product over the inverted word.  A running inverse prefix would
-    associate those products the other way and move the matrix at
+    in evaluate's order of products.  The terms are derived once per
+    presentation (Presentation.relator_fox_terms).  Each inverse image is
+    evaluate's product over the inverted word.  A running inverse prefix
+    would associate those products the other way and move the matrix at
     roundoff, which turns the Z1 frame picked from its nullspace.
     """
     n = images[0].shape[0]
@@ -271,14 +308,10 @@ def relator_tangent_matrix(presentation: Presentation, images, flavor: str) -> n
     for gen, sign in presentation.relator().letters():
         prefix = prefix @ (images[gen] if sign > 0 else inverses[gen])
         prefixes.append(prefix)
-    blocks = []
-    for index in range(presentation.generator_count):
-        deriv = presentation.relator_derivative(index)
-        block = np.zeros((n * n, n * n), dtype=complex)
-        for word, coeff in deriv.terms():
-            s_inv = _word_product(images, inverses, word.inverse())
-            block += coeff * ad_matrix(prefixes[len(word)], s_inv)
-        blocks.append(block)
+    blocks = np.zeros((presentation.generator_count, n * n, n * n), dtype=complex)
+    for index, length, coeff, inverse_word in presentation.relator_fox_terms:
+        s_inv = _word_product(images, inverses, inverse_word)
+        blocks[index] += coeff * ad_matrix(prefixes[length], s_inv)
     return np.hstack(blocks)
 
 
@@ -290,10 +323,12 @@ def newton_project(presentation: Presentation, images, flavor: str,
     relator constraint in the minimum-norm sense (a gauge slice orthogonal
     to the nullspace of the linearization, hence to the conjugation
     orbit), applies exp(D_x) g_x, and in the unitary flavor re-projects
-    every image to the unitary group by polar decomposition.
+    every image to the unitary group by polar decomposition.  The images
+    are kept as one (2g, n, n) stack: each iterate is one stacked
+    inversion, and each update one stacked exponential times the stack.
     """
-    images = [np.array(m, dtype=complex) for m in images]
-    n = images[0].shape[0]
+    images = np.array(images, dtype=complex)
+    n = images.shape[-1]
     eye = np.eye(n)
     relator = presentation.relator()
 
@@ -313,11 +348,11 @@ def newton_project(presentation: Presentation, images, flavor: str,
         rhs = -vec((r - eye) @ np.linalg.inv(r))
         jac = relator_tangent_matrix(presentation, images, flavor)
         step, *_ = np.linalg.lstsq(jac, rhs, rcond=tolerances.SVD_RELATIVE)
-        candidate = []
-        for i in range(len(images)):
-            d = unvec(step[i * n * n:(i + 1) * n * n], n)
-            updated = scipy.linalg.expm(d) @ images[i]
-            candidate.append(polar_unitary(updated) if flavor == UNITARY else updated)
+        # block i of step is D_i column-stacked, so the rows of its
+        # reshape are the columns of D_i
+        candidate = scipy.linalg.expm(step.reshape(-1, n, n).transpose(0, 2, 1)) @ images
+        if flavor == UNITARY:
+            candidate = polar_unitary(candidate)
         new_r, new_defect = relator_image(candidate)
         if new_defect >= defect:
             break  # stalled; keep the best iterate seen

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError
@@ -154,9 +154,31 @@ class Presentation:
             raise InputError(f"relator index {k} out of range 0..{self.genus}")
         return _relator(self.genus, k)
 
+    @cached_property
+    def relator_derivatives(self) -> tuple["GroupRingElement", ...]:
+        """Fox derivatives of the full relator, one per generator, derived
+        once per presentation."""
+        relator = self.relator()
+        return tuple(fox_derivative(relator, index) for index in range(2 * self.genus))
+
     def relator_derivative(self, index: int) -> "GroupRingElement":
         """Fox derivative of the full relator with respect to one generator."""
-        return fox_derivative(self.relator(), index)
+        if not 0 <= index < 2 * self.genus:
+            raise InputError(f"generator index {index} out of range for genus {self.genus}")
+        return self.relator_derivatives[index]
+
+    @cached_property
+    def relator_fox_terms(self) -> tuple[tuple[int, int, int, GroupWord], ...]:
+        """(generator, prefix length, coefficient, inverse word) of every
+        term of every relator derivative, by generator, each derivative in
+        its terms() order.
+
+        The relator is freely reduced, so each term's word is the
+        relator's prefix of that length.
+        """
+        return tuple((index, len(word), coeff, word.inverse())
+                     for index, deriv in enumerate(self.relator_derivatives)
+                     for word, coeff in deriv.terms())
 
     def dual_generators(self) -> tuple[GroupWord, ...]:
         """alpha_k = R_{k-1} b_k^-1 R_k^-1 and beta_k = R_k a_k^-1 R_{k-1}^-1,
@@ -166,10 +188,8 @@ class Presentation:
     def fundamental_two_cycle(self) -> "TwoCycle":
         """The group-homology 2-chain, built from Fox derivatives of the
         relator, that represents the fundamental class of the surface."""
-        pairs = []
-        for index in range(2 * self.genus):
-            pairs.append((self.relator_derivative(index), self.generator(index)))
-        return TwoCycle(tuple(pairs))
+        return TwoCycle(tuple((deriv, self.generator(index))
+                              for index, deriv in enumerate(self.relator_derivatives)))
 
 
 @lru_cache(maxsize=None)

@@ -334,6 +334,19 @@ class TestClosednessCommand:
         code, _, err = run_cli(["closedness", "--triple", "0,1"], capsys)
         assert code == 2
 
+    def test_one_distinct_step_prints_no_order(self, capsys):
+        code, out, err = run_cli(["closedness", "--steps", "1e-3,1e-3"], capsys)
+        assert code == 0
+        assert err == ""
+        assert sum(l.startswith("residual") for l in out.splitlines()) == 2
+        assert "convergence-order" not in out
+
+    def test_repeated_step_keeps_the_order(self, capsys):
+        code, out, err = run_cli(["closedness", "--steps", "2e-3,1e-3,2e-3"], capsys)
+        assert code == 0
+        assert err == ""
+        assert "convergence-order: " in out
+
     @pytest.mark.parametrize("extra", [["--triple", "0,1,2"],
                                        ["--triple", "0,0,1", "--steps", "1e-3,1"]])
     def test_input_error_prints_nothing(self, tmp_path, capsys, extra):
@@ -452,3 +465,30 @@ class TestSubprocessEntry:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "MATCH" in proc.stdout
+
+    @pytest.mark.parametrize("argv", [
+        ["--flavor", "unitary", "verify"],
+        ["--flavor", "general-linear", "verify"],
+        ["--flavor", "general-linear", "closedness"]], ids=lambda a: "-".join(a[1:]))
+    def test_repeat_runs_in_one_process_match_a_fresh_process(self, tmp_path, capsys,
+                                                              argv):
+        """Caches on presentations and representations carry nothing from
+        one run to the next: two in-process runs and a fresh process print
+        the same bytes and write the same report."""
+        outputs = []
+        for run in ("one", "two"):
+            out_dir = tmp_path / run
+            code, out, err = run_cli(["--out", str(out_dir)] + argv, capsys)
+            assert (code, err) == (0, "")
+            outputs.append((out, _report(out_dir)))
+        out_dir = tmp_path / "fresh"
+        proc = subprocess.run([sys.executable, "-m", "goldman", "--out", str(out_dir)]
+                              + argv, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((proc.stdout, _report(out_dir)))
+        assert outputs[0] == outputs[1] == outputs[2]
+
+
+def _report(out_dir):
+    path = out_dir / "verify-report.txt"
+    return path.read_bytes() if path.exists() else None

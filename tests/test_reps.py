@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+import goldman.reps
+from goldman import tolerances
 from goldman import (ConvergenceError, InputError, Presentation, Representation,
                      coboundary, coboundary_matrix, commutant_dimension,
                      commutator_factor, conjugate_representation, evaluate,
                      newton_project, random_representation, relator_defect)
-from goldman.linalg import frob, haar_unitary, split_singular_values, vec
+from goldman.linalg import (frob, haar_unitary, polar_unitary, split_singular_values,
+                            unvec, vec)
 from goldman.reps import relator_tangent_matrix
 
 
@@ -234,7 +238,81 @@ class TestConjugateRepresentation:
         assert relator_defect(moved) < 1e-10
 
 
+def per_generator_newton(presentation, images, flavor):
+    """Reference: the Newton loop with the images updated one generator at
+    a time, as a list.  Returns the final images and the iteration count."""
+    images = [np.array(m, dtype=complex) for m in images]
+    n = images[0].shape[0]
+    eye = np.eye(n)
+
+    def relator_image(images):
+        inverses = [m.conj().T if flavor == "unitary" else np.linalg.inv(m)
+                    for m in images]
+        r = np.eye(n, dtype=complex)
+        for gen, sign in presentation.relator().letters():
+            r = r @ (images[gen] if sign > 0 else inverses[gen])
+        return r, frob(r - eye)
+
+    r, defect = relator_image(images)
+    iterations = 0
+    for _ in range(tolerances.NEWTON_STEP_LIMIT):
+        if defect <= tolerances.NEWTON_TARGET:
+            break
+        rhs = -vec((r - eye) @ np.linalg.inv(r))
+        jac = relator_tangent_matrix(presentation, images, flavor)
+        iterations += 1
+        step, *_ = np.linalg.lstsq(jac, rhs, rcond=tolerances.SVD_RELATIVE)
+        candidate = []
+        for i in range(len(images)):
+            d = unvec(step[i * n * n:(i + 1) * n * n], n)
+            updated = scipy.linalg.expm(d) @ images[i]
+            candidate.append(polar_unitary(updated) if flavor == "unitary" else updated)
+        new_r, new_defect = relator_image(candidate)
+        if new_defect >= defect:
+            break
+        images, r, defect = candidate, new_r, new_defect
+    return images, iterations
+
+
+def perturbed_images(rep, rng, size):
+    """Each image moved by exp(size Z), Z anti-Hermitian for a unitary base."""
+    n = rep.rank
+    out = []
+    for m in rep.images:
+        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        if rep.flavor == "unitary":
+            z = (z - z.conj().T) / 2
+        out.append(scipy.linalg.expm(size * z) @ m)
+    return out
+
+
 class TestNewtonProject:
+    @pytest.mark.parametrize("flavor", ["unitary", "general-linear"])
+    @pytest.mark.parametrize("genus, rank", [(2, 2), (3, 2), (2, 3), (2, 1)])
+    def test_stack_equals_per_generator_reference(self, genus, rank, flavor,
+                                                  monkeypatch):
+        rep = random_representation(genus, rank, flavor, seed=11)
+        rng = np.random.default_rng(genus * 10 + rank)
+        tangent = goldman.reps.relator_tangent_matrix
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return tangent(*args)
+
+        for size in (1e-4, 3e-3):
+            noisy = perturbed_images(rep, rng, size)
+            expected, iterations = per_generator_newton(rep.presentation, noisy, flavor)
+            calls.clear()
+            monkeypatch.setattr(goldman.reps, "relator_tangent_matrix", counted)
+            projected = newton_project(rep.presentation, noisy, flavor)
+            monkeypatch.undo()
+            # rank-one images commute, so the relator is exact and no step is taken
+            assert iterations >= (rank > 1)
+            assert len(calls) == iterations
+            for a, b in zip(projected.images, expected):
+                assert np.array_equal(a, b)
+
     def test_fixed_point(self, rep_g2n2):
         projected = newton_project(rep_g2n2.presentation, rep_g2n2.images,
                                    rep_g2n2.flavor)

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from goldman import (GroupRingElement, GroupWord, InputError, Presentation,
-                     anti_involution, commutator, format_word, fox_derivative,
-                     parse_word)
+import goldman.words
+from goldman import (Cocycle, GroupRingElement, GroupWord, InputError, Presentation,
+                     anti_involution, cocycle_basis, commutator, format_word,
+                     fox_derivative, newton_project, pairing_cup, parse_word,
+                     random_representation)
 
 
 def words_of(pres, text):
@@ -277,6 +280,62 @@ class TestDualGenerators:
                 assert lhs.is_identity
                 lhs = pres.b(k).inverse() * (script[k - 1] * alpha * script[k].inverse()).inverse()
                 assert lhs.is_identity
+
+
+@pytest.fixture
+def fox_calls(monkeypatch):
+    """Every fox_derivative call the words module makes, as (word, index)."""
+    calls = []
+    derive = goldman.words.fox_derivative
+
+    def counted(word, index):
+        calls.append((word, index))
+        return derive(word, index)
+
+    monkeypatch.setattr(goldman.words, "fox_derivative", counted)
+    return calls
+
+
+class TestRelatorDerivativeCache:
+    def test_terms_follow_the_derivatives(self):
+        for genus in (1, 2, 3):
+            pres = Presentation(genus)
+            expected = [(index, len(word), coeff, word.inverse())
+                        for index in range(2 * genus)
+                        for word, coeff in pres.relator_derivative(index).terms()]
+            assert list(pres.relator_fox_terms) == expected
+            letters = list(pres.relator().letters())
+            for _, length, _, inverse in pres.relator_fox_terms:
+                assert inverse == pres.word(letters[:length]).inverse()
+
+    @pytest.mark.parametrize("index", [-1, 4])
+    def test_index_range_checked(self, index):
+        with pytest.raises(InputError):
+            Presentation(2).relator_derivative(index)
+
+    def test_pairing_cup_reads_the_two_cycle_once(self, fox_calls):
+        rep = random_representation(2, 2, seed=17)
+        rng = np.random.default_rng(0)
+        chi, psi = (Cocycle(rep, tuple(rng.standard_normal((2, 2)) for _ in range(4)))
+                    for _ in range(2))
+        pairing_cup(chi, psi)
+        assert len(fox_calls) == 4
+        for _ in range(10):
+            pairing_cup(chi, psi)
+        assert len(fox_calls) == 4
+
+    @pytest.mark.parametrize("flavor", ["unitary", "general-linear"])
+    def test_one_presentation_derives_each_generator_once(self, fox_calls, flavor):
+        genus = 2
+        rep = random_representation(genus, 2, flavor, seed=18)
+        basis = cocycle_basis(rep)
+        chi, psi = basis.h1_complement[:2]
+        for step in np.linspace(1e-4, 1e-3, 10):
+            moved = [scipy.linalg.expm(step * (m - m.conj().T) / 2) @ g
+                     for m, g in zip(psi.values, rep.images)]
+            newton_project(rep.presentation, moved, flavor)
+            pairing_cup(chi, psi)
+        assert sorted(index for _, index in fox_calls) == list(range(2 * genus))
 
 
 class TestTwoCycle:
