@@ -16,11 +16,12 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConditioningError, InputError
-from .linalg import (column_space, complement_dimension, complement_within, frob,
-                     nullspace, real_flatten, row_space, unvec, vec)
+from .linalg import (canonical_frame, column_space, complement_dimension,
+                     complement_within, frob, nullspace, real_flatten, row_space,
+                     unvec, vec)
 from .reps import (UNITARY, Representation, coboundary_matrix, evaluate_words,
-                   letter_codes, relator_tangent_matrix)
-from .words import GroupRingElement, GroupWord
+                   fox_jacobian, letter_codes, relator_tangent_matrix)
+from .words import GroupRingElement, GroupWord, letter_fox_terms
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,39 +118,11 @@ def extend(chi: Cocycle, word: GroupWord) -> np.ndarray:
 
 
 def word_jacobian(rep: Representation, word: GroupWord) -> np.ndarray:
-    """Matrix of the linear map chi.flat -> vec chi(word), shape (n^2, 2g n^2).
-
-    Fox calculus under Ad(sigma): a letter x_i contributes +Ad(prefix) to
-    the column block of generator i, a letter x_i^-1 contributes
-    -Ad(prefix x_i^-1).  One left-to-right pass keeps the running prefix
-    and its inverse; the adjoint matrices of all letters are formed by a
-    single batched Kronecker product.
-    """
+    """Matrix of the linear map chi.flat -> vec chi(word), shape (n^2, 2g n^2):
+    fox_jacobian over the word's letter terms (letter_fox_terms)."""
     if word.genus != rep.genus:
         raise InputError("word and representation have different genus")
-    n = rep.rank
-    count = rep.presentation.generator_count
-    prefix = np.eye(n, dtype=complex)
-    prefix_inv = np.eye(n, dtype=complex)
-    prefixes, prefix_invs, gens, signs = [], [], [], []
-    for gen, sign in word.letters():
-        if sign > 0:
-            prefixes.append(prefix)
-            prefix_invs.append(prefix_inv)
-        prefix = prefix @ rep.image(gen, sign)
-        prefix_inv = rep.image(gen, -sign) @ prefix_inv
-        if sign < 0:
-            prefixes.append(prefix)
-            prefix_invs.append(prefix_inv)
-        gens.append(gen)
-        signs.append(sign)
-    blocks = np.zeros((count, n * n, n * n), dtype=complex)
-    if gens:
-        # kron(P^-T, P)[a n + b, c n + d] = P^-1[c, a] P[b, d]
-        ad = np.einsum("mca,mbd->mabcd", np.array(prefix_invs), np.array(prefixes))
-        ad = ad.reshape(len(gens), n * n, n * n) * np.array(signs)[:, None, None]
-        np.add.at(blocks, np.array(gens), ad)
-    return blocks.transpose(1, 0, 2).reshape(n * n, count * n * n)
+    return fox_jacobian(rep.images, rep.inverse_images, word, letter_fox_terms(word))
 
 
 def extend_ring(chi: Cocycle, element: GroupRingElement) -> np.ndarray:
@@ -241,10 +214,12 @@ def _frame_cocycles(base: Representation, frame: np.ndarray) -> tuple[Cocycle, .
 
 
 def _decided_frame(frame: np.ndarray, count: int, space: str) -> np.ndarray:
-    """The frame, read-only, once its column count matches the rank decision."""
+    """The canonical frame of col(frame), read-only, once its column count
+    matches the rank decision."""
     if frame.shape[1] != count:
         raise ConditioningError(
             f"{space} basis has {frame.shape[1]} columns, the rank decision gave {count}")
+    frame = canonical_frame(frame)
     frame.setflags(write=False)
     return frame
 
@@ -253,14 +228,12 @@ def _decided_frame(frame: np.ndarray, count: int, space: str) -> np.ndarray:
 class CocycleBasis:
     """Dimensions of Z1, B1 and H1, with orthonormal bases built on first read.
 
-    dims is (dim Z1, dim B1, dim H1), fixed by cocycle_basis from rank
-    decisions alone.  The orthonormal bases basis (Z1), coboundary_basis
-    (B1) and h1_complement are built from constraint (the Fox relator
-    constraint, whose nullspace is Z1) and b1_frame (orthonormal
-    B1 columns) the first time they are read; a column count that
-    disagrees with dims raises ConditioningError.  h1_complement spans the
-    orthogonal complement of the coboundaries inside the cocycle space;
-    its pairings represent cohomology classes.
+    dims is (dim Z1, dim B1, dim H1), fixed by cocycle_basis.  The bases
+    basis (Z1), coboundary_basis (B1) and h1_complement (the orthogonal
+    complement of B1 in Z1, whose pairings represent cohomology classes)
+    are the canonical frames of the nullspace of constraint (the Fox
+    relator constraint) and of col(b1_frame), built on first read; a
+    column count that disagrees with dims raises ConditioningError.
     """
 
     base: Representation
@@ -270,16 +243,14 @@ class CocycleBasis:
 
     @cached_property
     def z1_frame(self) -> np.ndarray:
-        """Orthonormal Z1 columns in flattened coordinates."""
+        """Canonical orthonormal Z1 columns in flattened coordinates."""
         return _decided_frame(nullspace(self.constraint), self.dims[0], "Z1")
 
     @cached_property
     def h1_frame(self) -> np.ndarray:
-        """Orthonormal H1-complement columns in flattened coordinates."""
+        """Canonical orthonormal H1-complement columns in flattened coordinates."""
         frame = complement_within(self.z1_frame, self.b1_frame)
-        # C order, as a column_stack of the cocycles' flat values would be,
-        # so that projections onto it round the same way
-        return _decided_frame(np.ascontiguousarray(frame), self.dims[2], "H1 complement")
+        return _decided_frame(frame, self.dims[2], "H1 complement")
 
     @cached_property
     def basis(self) -> tuple[Cocycle, ...]:
@@ -287,7 +258,7 @@ class CocycleBasis:
 
     @cached_property
     def coboundary_basis(self) -> tuple[Cocycle, ...]:
-        return _frame_cocycles(self.base, self.b1_frame)
+        return _frame_cocycles(self.base, canonical_frame(self.b1_frame))
 
     @cached_property
     def h1_complement(self) -> tuple[Cocycle, ...]:
@@ -307,13 +278,11 @@ class CocycleBasis:
 def cocycle_basis(rep: Representation) -> CocycleBasis:
     """Decide dim Z1, B1 and H1; the bases are built when first read.
 
-    The constraint chi(R) = 0 is imposed through the Fox expansion of the
-    relator (the same linear map that drives Newton projection); the
-    coboundary space is the column space of coboundary_matrix, the map
-    v -> delta_v.  Rank decisions use the global relative singular-value
-    threshold: dim Z1 is 2g n^2 less the rank of the constraint, taken
-    from its thin SVD, and dim H1 comes from cocycle_dimensions.  Bases
-    are orthonormal in the flattened Frobenius metric.
+    The constraint chi(R) = 0 is the Fox expansion of the relator (the
+    linear map that drives Newton projection); B1 is the column space of
+    coboundary_matrix, the map v -> delta_v.  dim Z1 is 2g n^2 less the
+    rank of the constraint, from its thin SVD at the global threshold,
+    and dim H1 comes from cocycle_dimensions.
     """
     constraint = relator_tangent_matrix(rep.presentation, rep.images, rep.flavor)
     row = row_space(constraint)
@@ -366,7 +335,7 @@ def _real_span(base: Representation, cocycles) -> np.ndarray:
 
 
 def real_locus_bases(basis: CocycleBasis):
-    """Real-orthonormal bases of the anti-Hermitian-valued cocycles.
+    """Canonical real-orthonormal bases of the anti-Hermitian-valued cocycles.
 
     Returns (z1_real, h1_real): lists of cocycles with anti-Hermitian
     values spanning, over the reals, the tangent space of the unitary
@@ -379,13 +348,9 @@ def real_locus_bases(basis: CocycleBasis):
     rep = basis.base
     if rep.flavor != UNITARY:
         raise InputError("the real locus requires a unitary base representation")
-    z1_real = _real_span(rep, basis.basis)
-    h1_real = complement_within(z1_real, _real_span(rep, basis.coboundary_basis))
+    z1_real = canonical_frame(_real_span(rep, basis.basis))
+    h1_real = canonical_frame(
+        complement_within(z1_real, _real_span(rep, basis.coboundary_basis)))
     half = z1_real.shape[0] // 2
-
-    def to_cocycle(col):
-        return from_flat(rep, col[:half] + 1j * col[half:])
-
-    z1_list = [to_cocycle(z1_real[:, j]) for j in range(z1_real.shape[1])]
-    h1_list = [to_cocycle(h1_real[:, j]) for j in range(h1_real.shape[1])]
-    return z1_list, h1_list
+    return tuple(list(_frame_cocycles(rep, frame[:half] + 1j * frame[half:]))
+                 for frame in (z1_real, h1_real))

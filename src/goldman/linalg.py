@@ -24,14 +24,16 @@ def unvec(v: Array, n: int) -> Array:
 
 
 def ad_matrix(s: Array, s_inv: Array) -> Array:
-    """Matrix of X -> S X S^-1 acting on column-stacked coordinates.
-
-    This is kron(S^-T, S), bit for bit, formed as one broadcast outer
-    product: np.kron's generic set-up costs more than the product at
-    small n.
+    """Matrix of X -> S X S^-1 on column-stacked coordinates, for one
+    matrix or a stack (leading axes broadcast): kron(S^-T, S), bit for
+    bit, as one broadcast outer product, which costs less than np.kron's
+    set-up at small n.  S^-T is made contiguous first: broadcasting a
+    transposed view is several times slower at n >= 11.
     """
-    n = s.shape[0]
-    return (s_inv.T[:, None, :, None] * s[None, :, None, :]).reshape(n * n, n * n)
+    n = s.shape[-1]
+    s_inv_t = np.ascontiguousarray(np.swapaxes(s_inv, -1, -2))
+    outer = s_inv_t[..., :, None, :, None] * s[..., None, :, None, :]
+    return outer.reshape(outer.shape[:-4] + (n * n, n * n))
 
 
 def split_singular_values(svals: Array):
@@ -74,11 +76,8 @@ def nullspace(m: Array) -> Array:
 
 
 def row_space(m: Array) -> Array:
-    """Orthonormal row-space basis (columns): the complement of nullspace(m).
-
-    A thin SVD with the same rank rule as nullspace, so the rank decision
-    and its ConditioningError are the same without the full right factor.
-    """
+    """Orthonormal row-space basis (columns), the complement of nullspace(m):
+    a thin SVD with the same rank rule, and no full right factor."""
     m = np.atleast_2d(np.asarray(m))
     _, svals, vh = np.linalg.svd(m, full_matrices=False)
     rank, _ = split_singular_values(svals)
@@ -123,6 +122,32 @@ def complement_dimension(z_perp: Array, b: Array) -> int:
     cosines = np.linalg.svd(projected, compute_uv=False)
     cutoff = np.sqrt(1 - tolerances.COMPLEMENT_SINE ** 2)
     return z_dim - int(np.count_nonzero(cosines >= cutoff))
+
+
+def canonical_frame(v: Array) -> Array:
+    """Orthonormal frame of col(v), for orthonormal columns v, that depends
+    on the subspace alone: the Q factor of v (v^H G), the projector onto
+    col(v) applied to a probe G seeded by the shape of v (real for a real
+    v), with each column's phase making diag(R) positive.  C-contiguous,
+    as a column_stack of cocycle values is, so projections round alike.
+    Raises ConditioningError above tolerances.FRAME_PROBE_CONDITION.
+    """
+    rows, cols = v.shape
+    if cols == 0:
+        return np.ascontiguousarray(v)
+    rng = np.random.default_rng((rows, cols))
+    probe = rng.standard_normal((rows, cols))
+    if np.iscomplexobj(v):
+        probe = probe + 1j * rng.standard_normal((rows, cols))
+    # v (v^H G) = (v q) r with v q orthonormal: the small factor's QR is
+    # the frame's, and its singular values are those of v (v^H G)
+    q, r = np.linalg.qr(v.conj().T @ probe)
+    condition = np.linalg.cond(r)
+    if not condition <= tolerances.FRAME_PROBE_CONDITION:
+        raise ConditioningError(f"frame probe condition {condition:.3g} exceeds "
+                                f"{tolerances.FRAME_PROBE_CONDITION:.3g}")
+    d = np.diagonal(r)
+    return v @ (q * (d / np.abs(d)))
 
 
 def haar_unitary(rng: np.random.Generator, n: int) -> Array:

@@ -257,19 +257,14 @@ def random_representation(genus: int, rank: int, flavor: str = UNITARY,
 
 
 def coboundary_matrix(rep: Representation) -> np.ndarray:
-    """Matrix of v -> delta_v on column-stacked coordinates, shape (2g n^2, n^2).
-
-    Block i is Ad(rho(x_i)) - I, the value of delta_v on generator x_i.
-    Its column space is B1, and its nullspace is the commutant of the
-    images.
-    """
+    """Matrix of v -> delta_v on column-stacked coordinates, shape (2g n^2, n^2):
+    block i is Ad(rho(x_i)) - I, delta_v on x_i, from one stacked ad_matrix.
+    Its column space is B1, and its nullspace the commutant of the images."""
     n = rep.rank
-    count = rep.presentation.generator_count
-    delta = np.zeros((count * n * n, n * n), dtype=complex)
-    for i in range(count):
-        ad = ad_matrix(rep.image(i), rep.image(i, -1))
-        delta[i * n * n:(i + 1) * n * n, :] = ad - np.eye(n * n)
-    return delta
+    delta = ad_matrix(np.asarray(rep.images), np.asarray(rep.inverse_images))
+    diagonal = np.arange(n * n)
+    delta[:, diagonal, diagonal] -= 1
+    return delta.reshape(-1, n * n)
 
 
 def commutant_dimension(rep: Representation) -> int:
@@ -291,27 +286,33 @@ def relator_tangent_matrix(presentation: Presentation, images, flavor: str) -> n
     first order, by L(D) rho(R) where L is the group-ring pairing of the
     Fox derivatives of the relator with the D_x under conjugation.  The
     returned matrix represents L on column-stacked coordinates, shape
-    (n^2, 2g n^2).  The same matrix is the cocycle relator constraint.
-
-    The relator is freely reduced, so every Fox term is its prefix of the
-    term's length: one walk along the relator gives every term's image,
-    in evaluate's order of products.  The terms are derived once per
-    presentation (Presentation.relator_fox_terms).  Each inverse image is
-    evaluate's product over the inverted word.  A running inverse prefix
-    would associate those products the other way and move the matrix at
-    roundoff, which turns the Z1 frame picked from its nullspace.
+    (n^2, 2g n^2).  The same matrix is the cocycle relator constraint:
+    fox_jacobian over the relator's cached relator_fox_terms.
     """
+    return fox_jacobian(images, _invert_all(images, flavor), presentation.relator(),
+                        presentation.relator_fox_terms)
+
+
+def fox_jacobian(images, inverses, word: GroupWord, terms) -> np.ndarray:
+    """Sum over Fox terms (generator, length, coeff) of word of coeff *
+    Ad(image of word's prefix of that length), in the column block of the
+    generator: on its Fox terms, the matrix of chi.flat -> vec chi(word).
+    One walk keeps every prefix image and its inverse.  Terms are added
+    one by one: stacking all their Ad raised the peak memory of dims at
+    n = 14 by 1.4 MB."""
     n = images[0].shape[0]
-    inverses = _invert_all(images, flavor)
-    prefix = np.eye(n, dtype=complex)
-    prefixes = [prefix]
-    for gen, sign in presentation.relator().letters():
-        prefix = prefix @ (images[gen] if sign > 0 else inverses[gen])
+    prefix = prefix_inv = np.eye(n, dtype=complex)
+    prefixes, prefix_invs = [prefix], [prefix_inv]
+    for gen, sign in word.letters():
+        if sign > 0:
+            prefix, prefix_inv = prefix @ images[gen], inverses[gen] @ prefix_inv
+        else:
+            prefix, prefix_inv = prefix @ inverses[gen], images[gen] @ prefix_inv
         prefixes.append(prefix)
-    blocks = np.zeros((presentation.generator_count, n * n, n * n), dtype=complex)
-    for index, length, coeff, inverse_word in presentation.relator_fox_terms:
-        s_inv = _word_product(images, inverses, inverse_word)
-        blocks[index] += coeff * ad_matrix(prefixes[length], s_inv)
+        prefix_invs.append(prefix_inv)
+    blocks = np.zeros((len(images), n * n, n * n), dtype=complex)
+    for gen, length, coeff in terms:
+        blocks[gen] += coeff * ad_matrix(prefixes[length], prefix_invs[length])
     return np.hstack(blocks)
 
 

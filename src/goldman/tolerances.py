@@ -30,6 +30,10 @@ RANK_AMBIGUITY_FACTOR = 10.0
 # this (cosine below sqrt(1 - COMPLEMENT_SINE**2)).
 COMPLEMENT_SINE = 0.5
 
+# Largest condition number of the probe in linalg.canonical_frame: the
+# frame moves by up to about this times a roundoff change of its subspace.
+FRAME_PROBE_CONDITION = 1e6
+
 # Largest imaginary part of a pairing allowed on the unitary locus.
 UNITARY_IMAGINARY = 1e-10
 

@@ -72,8 +72,8 @@ def _result(name, samples, residual, threshold) -> CheckResult:
                        passed=residual <= threshold)
 
 
-def _random_word(pres: Presentation, rng, max_len: int = 8) -> GroupWord:
-    length = int(rng.integers(0, max_len + 1))
+def _random_word(pres: Presentation, rng) -> GroupWord:
+    length = int(rng.integers(0, 8 + 1))
     raw = [(int(rng.integers(0, 2 * pres.genus)), (-1, 1)[int(rng.integers(0, 2))])
            for _ in range(length)]
     return pres.word(raw)
@@ -599,9 +599,8 @@ def _unit_direction(run: SuiteRun, salt: str) -> Cocycle:
 FLAT_FLOOR = 1e-12  # below this the measured quantity is exactly flat
 
 
-def _order_result(name, steps, values, window=0.3, target=2.0,
-                  floors=None) -> CheckResult:
-    """Fitted log-log slope against a target order.
+def _order_result(name, steps, values, window=0.3, floors=None) -> CheckResult:
+    """Fitted log-log slope against order two.
 
     Quantities at roundoff level have no measurable order: the bound
     holds with constant zero (the abelian rank-one case), so the check
@@ -611,7 +610,7 @@ def _order_result(name, steps, values, window=0.3, target=2.0,
     floors = floors or [FLAT_FLOOR] * len(values)
     if all(v < f for v, f in zip(values, floors)):
         return _result(name, len(steps), 0.0, window)
-    return _result(name, len(steps), abs(convergence_order(steps, values) - target),
+    return _result(name, len(steps), abs(convergence_order(steps, values) - 2.0),
                    window)
 
 

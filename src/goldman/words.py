@@ -168,15 +168,12 @@ class Presentation:
         return self.relator_derivatives[index]
 
     @cached_property
-    def relator_fox_terms(self) -> tuple[tuple[int, int, int, GroupWord], ...]:
-        """(generator, prefix length, coefficient, inverse word) of every
-        term of every relator derivative, by generator, each derivative in
-        its terms() order.
-
-        The relator is freely reduced, so each term's word is the
-        relator's prefix of that length.
-        """
-        return tuple((index, len(word), coeff, word.inverse())
+    def relator_fox_terms(self) -> tuple[tuple[int, int, int], ...]:
+        """(generator, prefix length, coefficient) of every term of every
+        relator derivative, by generator, each derivative in its terms()
+        order: the relator is freely reduced, so each term's word is the
+        relator's prefix of that length."""
+        return tuple((index, len(word), coeff)
                      for index, deriv in enumerate(self.relator_derivatives)
                      for word, coeff in deriv.terms())
 
@@ -330,6 +327,14 @@ def fox_derivative(word: GroupWord, index: int) -> GroupRingElement:
             term = GroupWord(genus, tuple(prefix))
             terms[term] = terms.get(term, 0) - 1
     return GroupRingElement(genus, terms)
+
+
+def letter_fox_terms(word: GroupWord) -> list[tuple[int, int, int]]:
+    """(generator, prefix length, coefficient) of each letter's Fox term:
+    x_i at position p gives (i, p, +1), x_i^-1 gives (i, p + 1, -1).  On a
+    freely reduced word these are the terms of fox_derivative."""
+    return [(gen, position + (sign < 0), sign)
+            for position, (gen, sign) in enumerate(word.letters())]
 
 
 @dataclass(frozen=True)

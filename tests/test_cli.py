@@ -7,6 +7,7 @@ import scipy.linalg
 
 import goldman.charts
 import goldman.cli
+import goldman.tolerances
 from goldman.cli import main
 from goldman.fileio import read_cocycle, read_representation, write_representation
 
@@ -151,6 +152,15 @@ class TestFileCommands:
                                 str(tmp_path / "c1.txt")], capsys)
         assert code == 3
         assert "degenerate" in err
+
+    def test_cocycle_basis_on_an_ill_conditioned_frame_probe_exits_three(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(goldman.tolerances, "FRAME_PROBE_CONDITION", 1.0)
+        code, out, err = run_cli(["--out", str(tmp_path), "cocycle-basis"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: frame probe condition")
+        assert not list(tmp_path.glob("cocycle-*.txt"))
 
     def test_deform_command(self, tmp_path, capsys):
         out_dir = str(tmp_path)

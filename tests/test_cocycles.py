@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import goldman.cocycles
+import goldman.tolerances
 from goldman import (Cocycle, ConditioningError, InputError, Presentation,
                      anti_hermitian_part, coboundary, cocycle_basis,
                      cocycle_law_residuals, evaluate, evaluate_words, extend,
@@ -9,11 +10,12 @@ from goldman import (Cocycle, ConditioningError, InputError, Presentation,
                      random_representation, real_locus_bases, relator_residual,
                      star_involution, word_jacobian)
 from goldman.cli import main
-from goldman.cocycles import CocycleBasis, cocycle_dimensions
-from goldman.linalg import (ad_matrix, column_space, complement_dimension,
-                            complement_within, frob, nullspace, real_flatten,
-                            row_space, split_singular_values, vec)
-from goldman.reps import relator_tangent_matrix
+from goldman.cocycles import CocycleBasis, _real_span, cocycle_dimensions
+from goldman.linalg import (ad_matrix, canonical_frame, column_space,
+                            complement_dimension, complement_within, frob,
+                            nullspace, real_flatten, row_space,
+                            split_singular_values, vec)
+from goldman.reps import coboundary_matrix, relator_tangent_matrix
 from goldman.words import GroupRingElement
 
 
@@ -289,7 +291,8 @@ class TestCocycleBasis:
 
 
 def direct_frames(rep):
-    """Z1, B1 and H1 frames built eagerly by nullspace and complement_within."""
+    """Z1, B1 and H1 frames built eagerly by nullspace and complement_within,
+    with the B1 map formed generator by generator."""
     n = rep.rank
     z1 = nullspace(relator_tangent_matrix(rep.presentation, rep.images, rep.flavor))
     delta = np.vstack([ad_matrix(rep.image(i), rep.image(i, -1)) - np.eye(n * n)
@@ -316,6 +319,7 @@ class TestRankFirstDimensions:
 
         monkeypatch.setattr(goldman.cocycles, "nullspace", fail)
         monkeypatch.setattr(goldman.cocycles, "complement_within", fail)
+        monkeypatch.setattr(goldman.cocycles, "canonical_frame", fail)
         formula = (2 * genus - 2) * rank * rank + 2
         z1, b1, h1 = cocycle_basis(random_representation(genus, rank, seed=0)).dims
         assert h1 == formula
@@ -330,10 +334,13 @@ class TestRankFirstDimensions:
         rep = random_representation(genus, rank, flavor, seed=3)
         basis = cocycle_basis(rep)
         assert "basis" not in vars(basis)
-        z1, b1, h1 = direct_frames(rep)
+        z1, b1, _ = direct_frames(rep)
+        z1 = canonical_frame(z1)
+        h1 = canonical_frame(complement_within(z1, b1))
         assert basis.dims == (z1.shape[1], b1.shape[1], h1.shape[1])
+        assert np.array_equal(basis.b1_frame, b1)
         assert same_columns(basis.basis, z1)
-        assert same_columns(basis.coboundary_basis, b1)
+        assert same_columns(basis.coboundary_basis, canonical_frame(b1))
         assert same_columns(basis.h1_complement, h1)
 
     def test_h1_coordinates_read_the_cached_frame(self, seeded_bases):
@@ -415,6 +422,107 @@ class TestAdMatrix:
             s = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             s_inv = np.linalg.inv(s)
             assert np.array_equal(ad_matrix(s, s_inv), np.kron(s_inv.T, s))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 11])
+    def test_stack_equals_kron_bit_for_bit(self, n):
+        rng = np.random.default_rng(90 + n)
+        s = rng.standard_normal((2, 3, n, n)) + 1j * rng.standard_normal((2, 3, n, n))
+        s_inv = np.linalg.inv(s)
+        stacked = ad_matrix(s, s_inv)
+        assert stacked.shape == (2, 3, n * n, n * n)
+        for index in np.ndindex(2, 3):
+            assert np.array_equal(stacked[index], np.kron(s_inv[index].T, s[index]))
+
+
+def unitary_columns(rng, rows, cols, real=False):
+    g = rng.standard_normal((rows, cols))
+    if not real:
+        g = g + 1j * rng.standard_normal((rows, cols))
+    return np.linalg.qr(g)[0]
+
+
+class TestCanonicalFrame:
+    @pytest.mark.parametrize("real", [False, True])
+    def test_depends_on_the_subspace_alone(self, real):
+        rng = np.random.default_rng(95)
+        for rows, cols in [(6, 1), (12, 5), (40, 17)]:
+            v = unitary_columns(rng, rows, cols, real)
+            frame = canonical_frame(v)
+            assert frame.dtype == v.dtype
+            assert frame.flags.c_contiguous
+            assert frob(frame.conj().T @ frame - np.eye(cols)) < 1e-13
+            assert np.abs(frame @ frame.conj().T - v @ v.conj().T).max() < 1e-13
+            turn = unitary_columns(rng, cols, cols, real)
+            assert np.abs(canonical_frame(v @ turn) - frame).max() < 1e-12
+
+    def test_empty_frame(self):
+        v = np.zeros((8, 0), dtype=complex)
+        assert canonical_frame(v).shape == (8, 0)
+
+    def test_ill_conditioned_probe_raises(self, monkeypatch):
+        v = unitary_columns(np.random.default_rng(96), 12, 5)
+        monkeypatch.setattr(goldman.tolerances, "FRAME_PROBE_CONDITION", 1.0)
+        with pytest.raises(ConditioningError, match="frame probe condition"):
+            canonical_frame(v)
+
+
+FRAME_GRID = [(2, 2, "unitary"), (3, 3, "general-linear"), (2, 4, "unitary"),
+              (2, 8, "unitary"), (3, 2, "general-linear")]
+
+
+def read_frames(basis):
+    """Every frame read from a basis: Z1, H1 and B1, and on a unitary base
+    the two real-locus frames."""
+    frames = {"z1": basis.z1_frame, "h1": basis.h1_frame,
+              "b1": frame_of(basis.coboundary_basis)}
+    if basis.base.flavor == "unitary":
+        z1_real, h1_real = real_locus_bases(basis)
+        frames["z1 real"] = frame_of(z1_real)
+        frames["h1 real"] = frame_of(h1_real)
+    return frames
+
+
+def nudged_basis(basis, rng):
+    """The basis rebuilt from its constraint and coboundary matrix, each
+    moved by 1e-15 relative, as a roundoff change of either would."""
+    def nudge(m):
+        noise = rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape)
+        return m + 1e-15 * np.abs(m).max() * noise
+
+    return CocycleBasis(base=basis.base, dims=basis.dims,
+                        constraint=nudge(basis.constraint),
+                        b1_frame=column_space(nudge(coboundary_matrix(basis.base))))
+
+
+class TestFrameStability:
+    @pytest.mark.parametrize("genus, rank, flavor", FRAME_GRID)
+    def test_roundoff_change_moves_no_frame(self, genus, rank, flavor):
+        for seed in (0, 1, 12):
+            basis = cocycle_basis(random_representation(genus, rank, flavor, seed=seed))
+            moved = read_frames(nudged_basis(basis, np.random.default_rng(seed)))
+            for name, frame in read_frames(basis).items():
+                assert np.abs(moved[name] - frame).max() <= 1e-12, (seed, name)
+
+    @pytest.mark.parametrize("genus, rank, flavor", FRAME_GRID)
+    def test_frames_span_the_svd_frames(self, genus, rank, flavor):
+        basis = cocycle_basis(random_representation(genus, rank, flavor, seed=0))
+        z1 = nullspace(basis.constraint)
+        spans = {"z1": z1, "h1": complement_within(z1, basis.b1_frame),
+                 "b1": basis.b1_frame}
+        if flavor == "unitary":
+            z1_real = _real_span(basis.base, basis.basis)
+            spans["z1 real"] = z1_real
+            spans["h1 real"] = complement_within(
+                z1_real, _real_span(basis.base, basis.coboundary_basis))
+        frames = read_frames(basis)
+        if flavor == "unitary":
+            for name in ("z1 real", "h1 real"):
+                frames[name] = np.vstack([frames[name].real, frames[name].imag])
+        for name, svd_frame in spans.items():
+            frame = frames[name]
+            assert frame.shape == svd_frame.shape, name
+            difference = frame @ frame.conj().T - svd_frame @ svd_frame.conj().T
+            assert np.abs(difference).max() <= 1e-12, name
 
 
 class TestRandomCocycle:

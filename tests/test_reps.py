@@ -79,10 +79,13 @@ class TestRelatorTangentMatrix:
     @pytest.mark.parametrize("genus, rank, flavor", [
         (1, 2, "unitary"), (2, 1, "unitary"), (2, 2, "unitary"), (3, 3, "unitary"),
         (2, 3, "general-linear"), (3, 3, "general-linear")])
-    def test_equals_two_product_reference_bit_for_bit(self, genus, rank, flavor):
+    def test_matches_two_product_reference(self, genus, rank, flavor):
         rep = random_representation(genus, rank, flavor, seed=6)
-        fast = relator_tangent_matrix(rep.presentation, rep.images, rep.flavor)
-        assert np.array_equal(fast, two_product_tangent_matrix(rep))
+        walk = relator_tangent_matrix(rep.presentation, rep.images, rep.flavor)
+        reference = two_product_tangent_matrix(rep)
+        # at rank one the terms cancel to roundoff: scale by the unit terms
+        scale = max(1.0, np.abs(reference).max())
+        assert np.abs(walk - reference).max() <= 1e-13 * scale
 
 
 class TestCommutatorFactor:

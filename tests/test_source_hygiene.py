@@ -7,8 +7,9 @@ Three rules, with no lint dependency:
 - imports inside functions are only for breaking import cycles: a
   function may import from a goldman module that its file does not import
   at module level, and nothing else;
-- no module calls numpy's ``kron``: ``linalg.ad_matrix`` is the one
-  Kronecker form, and the tests keep ``np.kron`` as their reference.
+- no module calls numpy's ``kron`` or ``einsum``: ``linalg.ad_matrix``
+  is the one Kronecker form, and the tests keep ``np.kron`` as their
+  reference.
 """
 
 import ast
@@ -80,12 +81,12 @@ def non_cycle_local_imports(path):
     return offenders
 
 
-def kron_calls(path):
-    """Calls of a function named kron, as np.kron(...) or kron(...)."""
+def calls_named(path, name):
+    """Calls of a function named name, as np.name(...) or name(...)."""
     return [f"{path.name}:{node.lineno}" for node in ast.walk(_tree(path))
             if isinstance(node, ast.Call)
-            and (getattr(node.func, "attr", None) == "kron"
-                 or getattr(node.func, "id", None) == "kron")]
+            and (getattr(node.func, "attr", None) == name
+                 or getattr(node.func, "id", None) == name)]
 
 
 def test_source_files_found():
@@ -104,7 +105,12 @@ def test_function_local_imports_only_break_cycles(path):
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_kron_call(path):
-    assert kron_calls(path) == []
+    assert calls_named(path, "kron") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_einsum_call(path):
+    assert calls_named(path, "einsum") == []
 
 
 def test_rules_flag_what_they_name(tmp_path):
@@ -120,8 +126,11 @@ def test_rules_flag_what_they_name(tmp_path):
         "    from .fileio import read_matrix\n"
         "    return np, evaluate, scipy, relator_defect, read_matrix\n"
         "def g(a):\n"
-        "    return np.kron(a, a) + kron(a, a), np.kron\n")
+        "    return np.kron(a, a) + kron(a, a), np.kron\n"
+        "def h(a):\n"
+        "    return np.einsum('ij->ji', a), einsum, a.kron\n")
     assert unused_module_imports(module) == ["sample.py:2 json"]
     assert non_cycle_local_imports(module) == ["sample.py:6 in f", "sample.py:7 in f"]
-    assert kron_calls(module) == ["sample.py:11", "sample.py:11"]
+    assert calls_named(module, "kron") == ["sample.py:11", "sample.py:11"]
+    assert calls_named(module, "einsum") == ["sample.py:13"]
 
