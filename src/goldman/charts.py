@@ -30,8 +30,8 @@ TRIVIALIZATION = "right"  # division side used in the difference quotient
 
 
 def _raw_deformed_images(rep: Representation, direction: Cocycle, t: float):
-    return [scipy.linalg.expm(t * value) @ image
-            for value, image in zip(direction.values, rep.images)]
+    # expm of a stack exponentiates (and scales) each matrix on its own
+    return scipy.linalg.expm(t * direction.values) @ rep.images
 
 
 def _check_trust(rep: Representation, direction: Cocycle, t: float):
@@ -124,10 +124,8 @@ def rh_differential(curve: DeformationCurve, step: float) -> Cocycle:
     center = curve.center
     plus = curve.at(step)
     minus = curve.at(-step)
-    values = tuple(
-        (p - m) / (2.0 * step) @ center.image(i, -1)
-        for i, (p, m) in enumerate(zip(plus.images, minus.images)))
-    return Cocycle(center, values)
+    return Cocycle(center, (plus.images - minus.images) / (2.0 * step)
+                   @ center.inverse_images)
 
 
 def rh_word_value(curve: DeformationCurve, word, step: float) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 from . import fileio
 from .charts import (TRIVIALIZATION, Chart, DeformationCurve, closedness_check,
                      convergence_order, deformation_correction)
-from .cocycles import cocycle_basis
+from .cocycles import cocycle_basis, expected_h1_dimension
 from .config import RunConfig
 from .errors import EXIT_OK, EXIT_PROPERTY_FAILURE, GoldmanError, InputError
 from .pairing import GoldmanGram, gram, symplectic_basis
@@ -115,7 +115,7 @@ def _file_gram(rep_path, cocycle_paths) -> GoldmanGram:
 def cmd_dims(config: RunConfig) -> int:
     basis = cocycle_basis(config.representation())
     z1, b1, h1 = basis.dims
-    formula = (2 * config.genus - 2) * config.rank ** 2 + 2
+    formula = expected_h1_dimension(config.genus, config.rank)
     verdict = "MATCH" if h1 == formula else "MISMATCH"
     print(f"Z1={z1} B1={b1} H1={h1} formula={formula} {verdict}")
     if verdict == "MATCH":

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import ConditioningError, InputError
 from .linalg import (canonical_frame, column_space, complement_dimension,
-                     complement_within, frob, nullspace, real_flatten, row_space,
-                     unvec, vec)
+                     complement_within, frob, generator_stack, nullspace, real_flatten,
+                     row_space)
 from .reps import (UNITARY, Representation, coboundary_matrix, evaluate_words,
                    fox_jacobian, letter_codes, relator_tangent_matrix)
 from .words import GroupRingElement, GroupWord, letter_fox_terms
@@ -28,6 +28,11 @@ from .words import GroupRingElement, GroupWord, letter_fox_terms
 class Cocycle:
     """Generator values of a cocycle over a base representation.
 
+    values is a read-only complex (2g, n, n) stack in generator order, from
+    any sequence of 2g matrices; flat is its column-stacked concatenation
+    vec(chi(a1)), vec(chi(b1)), ..., the coordinates of the pairing matrix
+    W and of the cocycle frames.
+
     The container does not enforce the relator constraint chi(R) = 0:
     finite-difference cocycles carry an O(h^2) defect by nature.  Use
     relator_residual to measure it; exact constructions keep it at
@@ -35,36 +40,26 @@ class Cocycle:
     """
 
     base: Representation
-    values: tuple[np.ndarray, ...]
+    values: np.ndarray
 
     def __post_init__(self):
-        n = self.base.rank
-        if len(self.values) != self.base.presentation.generator_count:
-            raise InputError("one value per generator required")
-        frozen = []
-        for m in self.values:
-            m = np.array(m, dtype=complex)
-            if m.shape != (n, n):
-                raise InputError(f"cocycle value has shape {m.shape}, expected {(n, n)}")
-            if not np.isfinite(m).all():
-                raise InputError("cocycle value has a non-finite entry")
-            m.setflags(write=False)
-            frozen.append(m)
-        object.__setattr__(self, "values", tuple(frozen))
+        rep = self.base
+        object.__setattr__(self, "values", generator_stack(
+            self.values, rep.presentation.generator_count, rep.rank, "cocycle values"))
 
     @cached_property
     def flat(self) -> np.ndarray:
-        return np.concatenate([vec(m) for m in self.values])
+        return self.values.transpose(0, 2, 1).ravel()
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.flat))
 
     def __add__(self, other: "Cocycle") -> "Cocycle":
         _check_same_base(self, other)
-        return Cocycle(self.base, tuple(x + y for x, y in zip(self.values, other.values)))
+        return Cocycle(self.base, self.values + other.values)
 
     def __mul__(self, scalar) -> "Cocycle":
-        return Cocycle(self.base, tuple(scalar * m for m in self.values))
+        return Cocycle(self.base, scalar * self.values)
 
     __rmul__ = __mul__
 
@@ -75,15 +70,14 @@ def _check_same_base(one: Cocycle, other: Cocycle):
 
 
 def from_flat(base: Representation, flat: np.ndarray) -> Cocycle:
+    """The cocycle with column-stacked coordinates flat (Cocycle.flat)."""
     n = base.rank
-    values = tuple(unvec(flat[i * n * n:(i + 1) * n * n], n)
-                   for i in range(base.presentation.generator_count))
-    return Cocycle(base, values)
+    return Cocycle(base, np.reshape(flat, (-1, n, n)).transpose(0, 2, 1))
 
 
 def linear_combination(base: Representation, coeffs, cocycles) -> Cocycle:
     """The cocycle sum_i coeffs[i] * cocycles[i] over base, summed in order."""
-    return from_flat(base, sum(c * chi.flat for c, chi in zip(coeffs, cocycles)))
+    return Cocycle(base, sum(c * chi.values for c, chi in zip(coeffs, cocycles)))
 
 
 def extend(chi: Cocycle, word: GroupWord) -> np.ndarray:
@@ -107,7 +101,7 @@ def extend(chi: Cocycle, word: GroupWord) -> np.ndarray:
     acc = np.zeros((n, n), dtype=complex)
     for gen, exp in reversed(word.runs):
         value = chi.values[gen]
-        image, image_inv = rep.image(gen), rep.image(gen, -1)
+        image, image_inv = rep.images[gen], rep.inverse_images[gen]
         if exp > 0:
             for _ in range(exp):
                 acc = value + image @ acc @ image_inv
@@ -156,13 +150,12 @@ def extend_words(chi: Cocycle, words) -> np.ndarray:
     each value is extend's bit for bit.
     """
     rep = chi.base
-    values = np.array(chi.values)
     eye = np.eye(rep.rank, dtype=complex)[None]
     left = np.concatenate([rep.images, rep.inverse_images, eye])
     right = np.concatenate([rep.inverse_images, rep.images, eye])
-    zeros, pad = np.zeros_like(values), np.zeros_like(eye)
-    plus = np.concatenate([values, zeros, pad])
-    minus = np.concatenate([zeros, values, pad])
+    zeros, pad = np.zeros_like(chi.values), np.zeros_like(eye)
+    plus = np.concatenate([chi.values, zeros, pad])
+    minus = np.concatenate([zeros, chi.values, pad])
     codes = letter_codes(rep.presentation, words)
     acc = np.zeros((len(words), rep.rank, rep.rank), dtype=complex)
     for column in codes.T[::-1]:
@@ -190,23 +183,21 @@ def cocycle_law_residuals(chi: Cocycle, pairs) -> list[float]:
 def coboundary(v: np.ndarray, rep: Representation) -> Cocycle:
     """delta_v with values Ad(sigma(x)) v - v on each generator."""
     v = np.asarray(v, dtype=complex)
-    values = tuple(rep.image(i) @ v @ rep.image(i, -1) - v
-                   for i in range(rep.presentation.generator_count))
-    return Cocycle(rep, values)
+    return Cocycle(rep, rep.images @ v @ rep.inverse_images - v)
 
 
 def star_involution(chi: Cocycle) -> Cocycle:
     """Valuewise conjugate transpose; needs a unitary base to stay a cocycle."""
     if chi.base.flavor != UNITARY:
         raise InputError("star involution requires a unitary base representation")
-    return Cocycle(chi.base, tuple(m.conj().T for m in chi.values))
+    return Cocycle(chi.base, chi.values.conj().transpose(0, 2, 1))
 
 
 def anti_hermitian_part(chi: Cocycle) -> Cocycle:
     """Valuewise (chi - chi*)/2; for unitary bases this is again a cocycle."""
     if chi.base.flavor != UNITARY:
         raise InputError("anti-Hermitian projection requires a unitary base")
-    return Cocycle(chi.base, tuple((m - m.conj().T) / 2 for m in chi.values))
+    return Cocycle(chi.base, (chi.values - chi.values.conj().transpose(0, 2, 1)) / 2)
 
 
 def _frame_cocycles(base: Representation, frame: np.ndarray) -> tuple[Cocycle, ...]:
@@ -290,6 +281,11 @@ def cocycle_basis(rep: Representation) -> CocycleBasis:
     b1.setflags(write=False)
     return CocycleBasis(base=rep, dims=cocycle_dimensions(row, b1),
                         constraint=constraint, b1_frame=b1)
+
+
+def expected_h1_dimension(genus: int, rank: int) -> int:
+    """dim H1 at an irreducible point: (2g-2) n^2 + 2."""
+    return (2 * genus - 2) * rank ** 2 + 2
 
 
 def cocycle_dimensions(row: np.ndarray, b1_frame: np.ndarray) -> tuple[int, int, int]:

@@ -148,7 +148,7 @@ def _read_generator_blocks(lines, header: dict, pres: Presentation, rank: int):
         if name != want:
             raise InputError(f"generator blocks out of order: expected {want}, got {name}")
         matrices.append(_parse_matrix(lines, rank, rank))
-    return tuple(matrices)
+    return matrices
 
 
 def read_representation(path) -> Representation:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tolerances
-from .errors import ConditioningError
+from .errors import ConditioningError, InputError
 
 Array = np.ndarray
 
@@ -19,8 +19,20 @@ def vec(m: Array) -> Array:
     return np.asarray(m).ravel(order="F")
 
 
-def unvec(v: Array, n: int) -> Array:
-    return np.asarray(v).reshape((n, n), order="F")
+def generator_stack(matrices, count: int, n: int, what: str) -> Array:
+    """Matrices indexed by generator as one read-only complex (count, n, n)
+    stack: a copy in the input's memory layout (order 'K').  Ragged input,
+    another shape and non-finite entries raise InputError naming what."""
+    try:
+        stack = np.array(matrices, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{what} do not form one stack: {exc}") from exc
+    if stack.shape != (count, n, n):
+        raise InputError(f"{what} have shape {stack.shape}, expected {(count, n, n)}")
+    if not np.isfinite(stack).all():
+        raise InputError(f"{what} have a non-finite entry")
+    stack.setflags(write=False)
+    return stack
 
 
 def ad_matrix(s: Array, s_inv: Array) -> Array:

@@ -17,8 +17,8 @@ import scipy.linalg
 
 from . import tolerances
 from .errors import ConditioningError, ConvergenceError, InputError
-from .linalg import (ad_matrix, frob, ginibre, haar_unitary, polar_unitary,
-                     split_singular_values, vec)
+from .linalg import (ad_matrix, frob, generator_stack, ginibre, haar_unitary,
+                     polar_unitary, split_singular_values, vec)
 from .words import GroupWord, Presentation
 
 UNITARY = "unitary"
@@ -30,14 +30,16 @@ FLAVORS = (UNITARY, GENERAL_LINEAR)
 class Representation:
     """Generator images for a surface-group presentation.
 
-    images are ordered like the generators: [a1, b1, a2, b2, ...].
+    images is a read-only complex (2g, n, n) stack ordered like the
+    generators, [a1, b1, a2, b2, ...], from any sequence of 2g matrices;
+    inverse_images is the read-only stack of their inverses.
     Construction enforces the relator defect and, for the unitary flavor,
     unitarity of every image.
     """
 
     presentation: Presentation
     rank: int
-    images: tuple[np.ndarray, ...]
+    images: np.ndarray
     flavor: str
     seed: int | None = None
 
@@ -47,34 +49,23 @@ class Representation:
             raise InputError(f"rank must be >= 1, got {n}")
         if self.flavor not in FLAVORS:
             raise InputError(f"unknown flavor {self.flavor!r}")
-        if len(self.images) != self.presentation.generator_count:
-            raise InputError(
-                f"expected {self.presentation.generator_count} generator images, "
-                f"got {len(self.images)}"
-            )
-        frozen = []
-        for m in self.images:
-            m = np.array(m, dtype=complex)
-            if m.shape != (n, n):
-                raise InputError(f"generator image has shape {m.shape}, expected {(n, n)}")
-            if not np.isfinite(m).all():
-                raise InputError("generator image has a non-finite entry")
+        images = generator_stack(self.images, self.presentation.generator_count, n,
+                                 "generator images")
+        for m in images:
             if abs(np.linalg.det(m)) < tolerances.SINGULAR_IMAGE:
                 raise InputError("generator image is numerically singular")
             if (self.flavor == UNITARY
                     and frob(m.conj().T @ m - np.eye(n)) > tolerances.CONSTRUCTION):
                 raise InputError("generator image is not unitary within tolerance")
-            m.setflags(write=False)
-            frozen.append(m)
-        object.__setattr__(self, "images", tuple(frozen))
+        object.__setattr__(self, "images", images)
         defect = relator_defect(self)
         if defect > tolerances.CONSTRUCTION:
             raise InputError(f"relator defect {defect:.3e} exceeds construction "
                              f"tolerance {tolerances.CONSTRUCTION:.1e}")
 
     @cached_property
-    def inverse_images(self) -> tuple[np.ndarray, ...]:
-        return tuple(_invert_all(self.images, self.flavor))
+    def inverse_images(self) -> np.ndarray:
+        return _invert_all(self.images, self.flavor)
 
     @cached_property
     def dual_form(self) -> np.ndarray:
@@ -87,9 +78,6 @@ class Representation:
     @property
     def genus(self) -> int:
         return self.presentation.genus
-
-    def image(self, index: int, sign: int = 1) -> np.ndarray:
-        return self.images[index] if sign > 0 else self.inverse_images[index]
 
     @cached_property
     def fingerprint(self) -> str:
@@ -156,13 +144,16 @@ def _word_product(images, inverses, word) -> np.ndarray:
     return out
 
 
-def _invert_all(images, flavor):
-    """Inverses of a list or stack of images, as one stack: one stacked
-    inversion, the conjugate transpose for the unitary flavor."""
+def _invert_all(images, flavor: str) -> np.ndarray:
+    """Inverses of a (k, n, n) stack of images (or of a sequence of k
+    matrices, as relator_tangent_matrix accepts), as a new read-only
+    stack: one stacked inversion, the conjugate transpose for the unitary
+    flavor."""
     images = np.asarray(images)
-    if flavor == UNITARY:
-        return images.conj().transpose(0, 2, 1)
-    return np.linalg.inv(images)
+    inverses = (images.conj().transpose(0, 2, 1) if flavor == UNITARY
+                else np.linalg.inv(images))
+    inverses.setflags(write=False)
+    return inverses
 
 
 def commutator_factor(u: np.ndarray, unitary: bool = True):
@@ -241,19 +232,19 @@ def random_representation(genus: int, rank: int, flavor: str = UNITARY,
         return scipy.linalg.expm(0.7 * ginibre(rng, n))
 
     if n == 1:
-        images = [draw() for _ in range(2 * genus)]
-        return Representation(pres, n, tuple(images), flavor, seed=seed)
+        return Representation(pres, n, [draw() for _ in range(2 * genus)], flavor,
+                              seed=seed)
 
-    images = [draw() for _ in range(2 * (genus - 1))]
-    inverses = _invert_all(images + [np.eye(n)] * 2, flavor)
-    partial = _word_product(images + [np.eye(n)] * 2, inverses,
-                            pres.relator(genus - 1))
+    # the last handle starts as the identity, so the relator reads the
+    # partial relator of the first g-1 handles
+    images = np.array([draw() for _ in range(2 * (genus - 1))] + [np.eye(n)] * 2,
+                      dtype=complex)
+    partial = _word_product(images, _invert_all(images, flavor), pres.relator(genus - 1))
     target = np.linalg.inv(partial)
     det = np.linalg.det(target)
     target = target * det ** (-1.0 / n)
-    a_g, b_g = commutator_factor(target, unitary=(flavor == UNITARY))
-    images.extend([a_g, b_g])
-    return Representation(pres, n, tuple(images), flavor, seed=seed)
+    images[-2:] = commutator_factor(target, unitary=(flavor == UNITARY))
+    return Representation(pres, n, images, flavor, seed=seed)
 
 
 def coboundary_matrix(rep: Representation) -> np.ndarray:
@@ -261,7 +252,7 @@ def coboundary_matrix(rep: Representation) -> np.ndarray:
     block i is Ad(rho(x_i)) - I, delta_v on x_i, from one stacked ad_matrix.
     Its column space is B1, and its nullspace the commutant of the images."""
     n = rep.rank
-    delta = ad_matrix(np.asarray(rep.images), np.asarray(rep.inverse_images))
+    delta = ad_matrix(rep.images, rep.inverse_images)
     diagonal = np.arange(n * n)
     delta[:, diagonal, diagonal] -= 1
     return delta.reshape(-1, n * n)
@@ -362,7 +353,7 @@ def newton_project(presentation: Presentation, images, flavor: str,
         raise ConvergenceError(
             f"Newton projection did not converge (final defect {defect:.3e})",
             defect=defect)
-    return Representation(presentation, n, tuple(images), flavor, seed=seed)
+    return Representation(presentation, n, images, flavor, seed=seed)
 
 
 def conjugate_representation(rep: Representation, c: np.ndarray) -> Representation:
@@ -372,6 +363,5 @@ def conjugate_representation(rep: Representation, c: np.ndarray) -> Representati
     flavor: conjugation by a non-unitary matrix leaves U(n).
     """
     c = np.asarray(c, dtype=complex)
-    c_inv = np.linalg.inv(c)
-    images = tuple(c @ m @ c_inv for m in rep.images)
-    return Representation(rep.presentation, rep.rank, images, GENERAL_LINEAR, seed=rep.seed)
+    return Representation(rep.presentation, rep.rank, c @ rep.images @ np.linalg.inv(c),
+                          GENERAL_LINEAR, seed=rep.seed)

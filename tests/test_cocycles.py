@@ -10,7 +10,8 @@ from goldman import (Cocycle, ConditioningError, InputError, Presentation,
                      random_representation, real_locus_bases, relator_residual,
                      star_involution, word_jacobian)
 from goldman.cli import main
-from goldman.cocycles import CocycleBasis, _real_span, cocycle_dimensions
+from goldman.cocycles import (CocycleBasis, _real_span, cocycle_dimensions,
+                              expected_h1_dimension, from_flat)
 from goldman.linalg import (ad_matrix, canonical_frame, column_space,
                             complement_dimension, complement_within, frob,
                             nullspace, real_flatten, row_space,
@@ -268,6 +269,11 @@ class TestCocycleBasis:
             assert h1 == (2 * g - 2) * n * n + 2
             assert z1 - b1 == h1
 
+    def test_expected_h1_dimension(self):
+        for g in (1, 2, 3, 5):
+            for n in (1, 2, 3, 8):
+                assert expected_h1_dimension(g, n) == (2 * g - 2) * n * n + 2
+
     def test_general_linear_base(self):
         rep = random_representation(2, 2, "general-linear", seed=8)
         assert cocycle_basis(rep).dims == (13, 3, 10)
@@ -295,8 +301,8 @@ def direct_frames(rep):
     with the B1 map formed generator by generator."""
     n = rep.rank
     z1 = nullspace(relator_tangent_matrix(rep.presentation, rep.images, rep.flavor))
-    delta = np.vstack([ad_matrix(rep.image(i), rep.image(i, -1)) - np.eye(n * n)
-                       for i in range(rep.presentation.generator_count)])
+    delta = np.vstack([ad_matrix(m, m_inv) - np.eye(n * n)
+                       for m, m_inv in zip(rep.images, rep.inverse_images)])
     u, svals, _ = np.linalg.svd(delta, full_matrices=False)
     b1 = u[:, :split_singular_values(svals)[0]]
     return z1, b1, complement_within(z1, b1)
@@ -650,3 +656,46 @@ class TestBaseMismatch:
         values[2][1, 0] = bad
         with pytest.raises(InputError, match="non-finite"):
             Cocycle(rep_g2n2, tuple(values))
+
+    @pytest.mark.parametrize("values", [
+        [np.zeros((2, 2))] * 3 + [np.zeros((3, 3))],
+        np.zeros((4, 2)),
+    ], ids=["ragged", "two-axes"])
+    def test_malformed_values_rejected(self, rep_g2n2, values):
+        # a wrong count or size and non-finite entries have their own tests
+        with pytest.raises(InputError, match="cocycle values"):
+            Cocycle(rep_g2n2, values)
+
+
+class TestValueStack:
+    """Images, inverse images and cocycle values are read-only complex
+    (2g, n, n) stacks; flat is their column-stacked concatenation."""
+
+    def cocycles(self, basis):
+        """Cocycles whose value stacks have C, Fortran and mixed layouts."""
+        rng = np.random.default_rng(41)
+        chi = random_cocycle(basis, rng)
+        v = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        return (chi, star_involution(chi), anti_hermitian_part(chi),
+                coboundary(v, basis.base), chi + 2j * chi)
+
+    def test_stacks_are_read_only(self, basis_g2n2):
+        rep = basis_g2n2.base
+        stacks = [rep.images, rep.inverse_images]
+        stacks += [chi.values for chi in self.cocycles(basis_g2n2)]
+        for stack in stacks:
+            assert isinstance(stack, np.ndarray)
+            assert stack.shape == (4, 2, 2) and stack.dtype == complex
+            assert not stack.flags.writeable
+            with pytest.raises(ValueError):
+                stack[0, 0, 0] = 0
+
+    def test_flat_concatenates_vec_bit_for_bit(self, basis_g2n2):
+        for chi in self.cocycles(basis_g2n2):
+            reference = np.concatenate([vec(m) for m in chi.values])
+            assert chi.flat.tobytes() == reference.tobytes()
+
+    def test_from_flat_round_trip_bit_for_bit(self, basis_g2n2):
+        for chi in self.cocycles(basis_g2n2):
+            again = from_flat(chi.base, chi.flat)
+            assert again.values.tobytes() == chi.values.tobytes()

@@ -8,8 +8,7 @@ from goldman import (ConvergenceError, InputError, Presentation, Representation,
                      coboundary, coboundary_matrix, commutant_dimension,
                      commutator_factor, conjugate_representation, evaluate,
                      newton_project, random_representation, relator_defect)
-from goldman.linalg import (frob, haar_unitary, polar_unitary, split_singular_values,
-                            unvec, vec)
+from goldman.linalg import frob, haar_unitary, polar_unitary, split_singular_values, vec
 from goldman.reps import relator_tangent_matrix
 
 
@@ -267,7 +266,7 @@ def per_generator_newton(presentation, images, flavor):
         step, *_ = np.linalg.lstsq(jac, rhs, rcond=tolerances.SVD_RELATIVE)
         candidate = []
         for i in range(len(images)):
-            d = unvec(step[i * n * n:(i + 1) * n * n], n)
+            d = step[i * n * n:(i + 1) * n * n].reshape((n, n), order="F")
             updated = scipy.linalg.expm(d) @ images[i]
             candidate.append(polar_unitary(updated) if flavor == "unitary" else updated)
         new_r, new_defect = relator_image(candidate)
@@ -372,6 +371,17 @@ class TestConstructionValidation:
         pres = Presentation(2)
         with pytest.raises(InputError):
             Representation(pres, 1, (np.eye(1),) * 3, "unitary")
+
+    @pytest.mark.parametrize("flavor", ["unitary", "general-linear"])
+    @pytest.mark.parametrize("images", [
+        [np.eye(2)] * 3 + [np.eye(3)],
+        [np.eye(3)] * 4,
+        np.ones((4, 2)),
+    ], ids=["ragged", "rank", "two-axes"])
+    def test_malformed_images_rejected(self, flavor, images):
+        # the image count and non-finite entries have their own tests
+        with pytest.raises(InputError, match="generator images"):
+            Representation(Presentation(2), 2, images, flavor)
 
     @pytest.mark.parametrize("flavor", ["unitary", "general-linear"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -7,7 +7,8 @@ import goldman.cocycles
 import goldman.pairing
 import goldman.reps
 import goldman.verify
-from goldman import ConditioningError, Representation, commutant_dimension
+from goldman import (Cocycle, ConditioningError, Representation, commutant_dimension,
+                     conjugate_representation, random_cocycle)
 from goldman.config import RunConfig
 from goldman.pairing import dual_form_matrix
 from goldman.verify import (SuiteRun, check_antisymmetry, check_bilinearity,
@@ -126,6 +127,43 @@ class TestSignDraw:
             assert int(indexed.integers(0, 6)) == int(chosen.integers(0, 6))
             assert (-1, 1)[int(indexed.integers(0, 2))] == int(chosen.choice([-1, 1]))
         assert indexed.random() == chosen.random()
+
+
+class TestConjugator:
+    def test_condition_number_is_bounded(self):
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            for n in (1, 2, 3):
+                c = goldman.verify._conjugator(rng, n)
+                assert np.linalg.cond(c) <= np.exp(0.8) * (1 + 1e-12)
+                if n > 1:
+                    assert np.abs(c.conj().T @ c - np.eye(n)).max() > 1e-3
+
+    @pytest.mark.parametrize("flavor", ["unitary", "general-linear"])
+    def test_seed_twelve_passes(self, tmp_path, flavor):
+        # the verify-suite benchmark seed whose Gaussian conjugator had
+        # cond(c) = 112 and failed at the 1e-9 threshold
+        run = SuiteRun(RunConfig(flavor=flavor, seed=3731056256, out=tmp_path))
+        result = check_conjugation_equivariance(run)
+        assert result.passed
+        assert result.max_residual < 1e-12
+
+    def test_wrong_transport_is_caught(self, tmp_path):
+        """Transporting by c chi c instead of c chi c^-1 misses the
+        threshold of conjugation-equivariance by orders of magnitude."""
+        run = SuiteRun(RunConfig(out=tmp_path))
+        rng = np.random.default_rng(5)
+        c = goldman.verify._conjugator(rng, run.rep.rank)
+        moved = conjugate_representation(run.rep, c)
+        chi1, chi2 = (random_cocycle(run.basis, rng) for _ in range(2))
+        expected = chi1.flat @ run.rep.dual_form @ chi2.flat
+
+        def residual(right):
+            x, y = (Cocycle(moved, c @ chi.values @ right) for chi in (chi1, chi2))
+            return abs(x.flat @ moved.dual_form @ y.flat - expected)
+
+        assert residual(np.linalg.inv(c)) < 1e-12
+        assert residual(c) > 1e-3
 
 
 class TestRunConfig:
