@@ -23,9 +23,8 @@ from .pairing import (GoldmanGram, SymplecticBasis, UnitaryLocusReport,
                       dual_form_matrix, gram, gram_matrix, pairing_cup,
                       pairing_dual, standard_block_j, symplectic_basis,
                       unitary_restriction_check)
-from .charts import (Chart, DeformationCurve, closedness_check, deform,
-                     deformation_correction, rh_differential,
-                     transport_values)
+from .charts import (Chart, closedness_check, deform, deformation_correction,
+                     rh_differential)
 from .errors import (ConditioningError, ConvergenceError, DegenerateFormError,
                      GoldmanError, InputError)
 

@@ -1,21 +1,22 @@
 """Local differential geometry on the character variety.
 
-Deformation curves move a representation along a cocycle direction by
-exponentials on the generator images followed by Newton projection back
-to the relator variety (a retraction with first-order tangency).  The
-differential of the deformation/monodromy map is recovered from such a
-curve by central differences with right division,
+A chart is a representation with a frame of cocycles.  Its point at
+coordinates c is the exponential move along sum_i c_i chi_i on the
+generator images followed by Newton projection back to the relator
+variety (a retraction with first-order tangency), memoised by coordinate
+tuple; a curve along one cocycle chi is the one-axis chart (chi,).  The
+differential of the deformation/monodromy map is recovered from three
+points of a curve by central differences with right division,
 
     chi(x) ~ [sigma_{+h}(x) - sigma_{-h}(x)] / (2h) * sigma(x)^{-1},
 
-and a finite-difference check of d(omega) = 0 runs over coordinate
-charts built from an H1-complement frame.
+and a finite-difference check of d(omega) = 0 reads the pairing in a
+chart built from an H1-complement frame.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -34,13 +35,14 @@ def _raw_deformed_images(rep: Representation, direction: Cocycle, t: float):
     return scipy.linalg.expm(t * direction.values) @ rep.images
 
 
-def _check_trust(rep: Representation, direction: Cocycle, t: float):
+def _check_trust(direction: Cocycle, t: float):
     # a NaN step fails the comparison too
     radius = tolerances.DEFORM_TRUST * (1 + tolerances.DEFORM_TRUST_SLACK)
-    if not abs(t) * direction.norm() <= radius:
+    length = abs(t) * direction.norm()
+    if not length <= radius:
         raise InputError(
-            f"step {t:g} leaves the deformation trust region "
-            f"(|t|*||chi|| <= {tolerances.DEFORM_TRUST:g})")
+            f"move |t|*||chi|| = {length:g} leaves the deformation trust region "
+            f"(<= {tolerances.DEFORM_TRUST:g})")
 
 
 def _check_fd_step(step: float):
@@ -57,90 +59,40 @@ def deform(rep: Representation, direction: Cocycle, t: float) -> Representation:
     """
     if not rep.same_base(direction.base):
         raise InputError("direction cocycle lives over a different representation")
-    _check_trust(rep, direction, t)
+    _check_trust(direction, t)
     if t == 0.0:
         return rep
     raw = _raw_deformed_images(rep, direction, t)
     return newton_project(rep.presentation, raw, GENERAL_LINEAR, seed=rep.seed)
 
 
-def transport_values(chi: Cocycle, new_base: Representation) -> Cocycle:
-    """Reuse generator values over a nearby base (zeroth-order transport)."""
-    return Cocycle(new_base, chi.values)
-
-
-@dataclass(frozen=True, eq=False)
-class DeformationCurve:
-    """A curve of representations through a center point.
-
-    The default evaluator deforms along a fixed cocycle direction; a
-    custom evaluator (for example a pure conjugation curve) may be
-    supplied instead.  Points along the direction are deterministic, so
-    they are cached by parameter; a custom evaluator is called every time.
-    """
-
-    center: Representation
-    direction: Cocycle | None = None
-    evaluator: Callable[[float], Representation] | None = None
-    _cache: dict = field(default_factory=dict, init=False, repr=False)
-
-    def at(self, t: float) -> Representation:
-        if t == 0.0:
-            return self.center
-        if self.evaluator is not None:
-            return self.evaluator(t)
-        if self.direction is None:
-            raise InputError("curve needs a direction or an explicit evaluator")
-        if t not in self._cache:
-            self._cache[t] = deform(self.center, self.direction, t)
-        return self._cache[t]
-
-
-def deformation_correction(curve: DeformationCurve, t: float) -> float:
-    """Distance between the raw exponential move along a direction curve and
-    its Newton retraction, the curve's memoised point at t.
-
-    Second order in t: the exponential move is tangent to the variety.
-    """
-    if curve.direction is None:
-        raise InputError("the correction needs a curve along a cocycle direction")
-    if t == 0.0:
-        return 0.0
-    raw = _raw_deformed_images(curve.center, curve.direction, t)
-    projected = curve.at(t)
-    return float(np.sqrt(sum(
-        np.linalg.norm(a - b) ** 2 for a, b in zip(raw, projected.images))))
-
-
-def rh_differential(curve: DeformationCurve, step: float) -> Cocycle:
-    """Central-difference tangent cocycle of a representation curve.
+def rh_differential(center: Representation, plus: Representation,
+                    minus: Representation, step: float) -> Cocycle:
+    """Central-difference tangent cocycle of a curve through center, from
+    its points plus and minus at parameters +step and -step.
 
     Right trivialization: the difference quotient of the generator images
-    is divided by the center image on the right.  The result satisfies
-    the cocycle law and the relator constraint to second order in the
-    step.
+    is divided by the center image on the right.  On a curve of retracted
+    points the result satisfies the cocycle law and the relator
+    constraint to second order in the step.
     """
-    _check_fd_step(step)  # the trust region is checked by deform
-    center = curve.center
-    plus = curve.at(step)
-    minus = curve.at(-step)
+    _check_fd_step(step)
     return Cocycle(center, (plus.images - minus.images) / (2.0 * step)
                    @ center.inverse_images)
 
 
-def rh_word_value(curve: DeformationCurve, word, step: float) -> np.ndarray:
-    """Word-level difference quotient of a curve, right-trivialized.
+def rh_word_value(center: Representation, plus: Representation,
+                  minus: Representation, word, step: float) -> np.ndarray:
+    """Word-level central difference quotient, right-trivialized.
 
     Unlike extending rh_differential generator values (which satisfies
-    the cocycle law by construction), this evaluates the whole word on
-    the curve, so comparing it against the law is a real second-order
+    the cocycle law by construction), this evaluates the whole word at
+    each point, so comparing it against the law is a real second-order
     consistency test of the differential.
     """
     _check_fd_step(step)
-    plus = evaluate(curve.at(step), word)
-    minus = evaluate(curve.at(-step), word)
-    center = evaluate(curve.center, word)
-    return (plus - minus) / (2.0 * step) @ np.linalg.inv(center)
+    return ((evaluate(plus, word) - evaluate(minus, word)) / (2.0 * step)
+            @ np.linalg.inv(evaluate(center, word)))
 
 
 @dataclass(eq=False)
@@ -148,12 +100,20 @@ class Chart:
     """Coordinates around a representation: center plus a cocycle frame.
 
     Points are Newton-retracted exponentials along real combinations of
-    the frame; evaluations are pure and cached by coordinate tuple.
+    the frame (deform at t = 1); evaluations are pure and cached by
+    coordinate tuple.  A curve along chi is the one-axis chart (chi,).
     """
 
     center: Representation
     frame: tuple[Cocycle, ...]
     _cache: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        # points combine the frame over the center, so deform's base check
+        # on a direction is made here, once per frame cocycle
+        for chi in self.frame:
+            if not self.center.same_base(chi.base):
+                raise InputError("chart frame cocycle lives over a different representation")
 
     @property
     def dimension(self) -> int:
@@ -165,6 +125,10 @@ class Chart:
             raise InputError(f"expected {self.dimension} chart coordinates")
         key = tuple(coords.tolist())
         if key not in self._cache:
+            # a non-finite move scales no cocycle: refuse it as deform does
+            if not np.isfinite(coords).all():
+                raise InputError(f"chart coordinates {key} leave the deformation "
+                                 "trust region")
             if not np.any(coords):
                 self._cache[key] = self.center
             else:
@@ -175,15 +139,11 @@ class Chart:
     def transported_frame_direction(self, coords: np.ndarray, axis: int,
                                     step: float) -> Cocycle:
         """Pushforward of the coordinate direction `axis` at a chart point."""
-        base = self.point(coords)
-
-        def evaluator(t: float) -> Representation:
-            offset = np.array(coords, dtype=float)
-            offset[axis] += t
-            return self.point(offset)
-
-        return rh_differential(DeformationCurve(center=base, evaluator=evaluator),
-                               step)
+        _check_fd_step(step)
+        offset = np.zeros(self.dimension)
+        offset[axis] = step
+        return rh_differential(self.point(coords), self.point(coords + offset),
+                               self.point(coords - offset), step)
 
     def form_coefficient(self, coords, i: int, j: int, step: float) -> complex:
         """omega(d/de_i, d/de_j) at a chart point, via transported directions."""
@@ -191,6 +151,20 @@ class Chart:
         chi_i = self.transported_frame_direction(coords, i, step)
         chi_j = self.transported_frame_direction(coords, j, step)
         return pairing_dual(chi_i, chi_j)
+
+
+def deformation_correction(chart: Chart, coords) -> float:
+    """Distance between the raw exponential move to chart coordinates and
+    its Newton retraction, the chart's memoised point.
+
+    Second order in the coordinates: the exponential move is tangent to
+    the variety.
+    """
+    projected = chart.point(coords)  # validates the coordinates first
+    direction = linear_combination(chart.center, coords, chart.frame)
+    raw = _raw_deformed_images(chart.center, direction, 1.0)
+    return float(np.sqrt(sum(
+        np.linalg.norm(a - b) ** 2 for a, b in zip(raw, projected.images))))
 
 
 def closedness_check(chart: Chart, triple: tuple[int, int, int],

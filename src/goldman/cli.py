@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .charts import (TRIVIALIZATION, Chart, DeformationCurve, closedness_check,
-                     convergence_order, deformation_correction)
+from .charts import (TRIVIALIZATION, Chart, closedness_check, convergence_order,
+                     deformation_correction)
 from .cocycles import cocycle_basis, expected_h1_dimension
 from .config import RunConfig
 from .errors import EXIT_OK, EXIT_PROPERTY_FAILURE, GoldmanError, InputError
@@ -185,10 +185,10 @@ def cmd_symplectic_basis(config: RunConfig, rep_path, cocycle_paths) -> int:
 def cmd_deform(config: RunConfig, rep_path, cocycle_path, step: float) -> int:
     rep = fileio.read_representation(rep_path)
     chi = fileio.read_cocycle(cocycle_path, rep)
-    curve = DeformationCurve(center=rep, direction=chi)
-    moved = curve.at(step)
-    correction = deformation_correction(curve, step)
-    correction_half = deformation_correction(curve, step / 2)
+    chart = Chart(center=rep, frame=(chi,))
+    moved = chart.point((step,))
+    correction = deformation_correction(chart, (step,))
+    correction_half = deformation_correction(chart, (step / 2,))
     fileio.ensure_directory(config.out)
     target = config.out / "deformed.txt"
     fileio.write_representation(target, moved)

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import ConditioningError, InputError
 from .linalg import (canonical_frame, column_space, complement_dimension,
-                     complement_within, frob, generator_stack, nullspace, real_flatten,
-                     row_space)
+                     complement_within, complex_gaussian, frob, generator_stack,
+                     nullspace, real_flatten, row_space)
 from .reps import (UNITARY, Representation, coboundary_matrix, evaluate_words,
                    fox_jacobian, letter_codes, relator_tangent_matrix)
 from .words import GroupRingElement, GroupWord, letter_fox_terms
@@ -55,7 +55,7 @@ class Cocycle:
         return float(np.linalg.norm(self.flat))
 
     def __add__(self, other: "Cocycle") -> "Cocycle":
-        _check_same_base(self, other)
+        common_base((self, other))
         return Cocycle(self.base, self.values + other.values)
 
     def __mul__(self, scalar) -> "Cocycle":
@@ -64,9 +64,14 @@ class Cocycle:
     __rmul__ = __mul__
 
 
-def _check_same_base(one: Cocycle, other: Cocycle):
-    if not one.base.same_base(other.base):
-        raise InputError("cocycles live over different base representations")
+def common_base(cocycles) -> Representation:
+    """The base representation of a non-empty sequence of cocycles; InputError
+    (exit 2) when two of them live over different bases."""
+    first, *rest = cocycles
+    for chi in rest:
+        if not first.base.same_base(chi.base):
+            raise InputError("cocycles live over different base representations")
+    return first.base
 
 
 def from_flat(base: Representation, flat: np.ndarray) -> Cocycle:
@@ -316,7 +321,7 @@ def random_cocycle(basis: CocycleBasis, rng: np.random.Generator,
         pool = basis.h1_complement
     else:
         raise InputError(f"unknown cocycle space {space!r}, expected 'z1' or 'h1'")
-    coeffs = rng.standard_normal(len(pool)) + 1j * rng.standard_normal(len(pool))
+    coeffs = complex_gaussian(rng, len(pool))
     return linear_combination(basis.base, coeffs, pool)
 
 

@@ -148,9 +148,10 @@ def canonical_frame(v: Array) -> Array:
     if cols == 0:
         return np.ascontiguousarray(v)
     rng = np.random.default_rng((rows, cols))
-    probe = rng.standard_normal((rows, cols))
     if np.iscomplexobj(v):
-        probe = probe + 1j * rng.standard_normal((rows, cols))
+        probe = complex_gaussian(rng, (rows, cols))
+    else:
+        probe = rng.standard_normal((rows, cols))
     # v (v^H G) = (v q) r with v q orthonormal: the small factor's QR is
     # the frame's, and its singular values are those of v (v^H G)
     q, r = np.linalg.qr(v.conj().T @ probe)
@@ -162,16 +163,24 @@ def canonical_frame(v: Array) -> Array:
     return v @ (q * (d / np.abs(d)))
 
 
+def complex_gaussian(rng: np.random.Generator, shape) -> Array:
+    """Array of the given shape with independent standard normal real and
+    imaginary parts, drawn as the whole real block, then the imaginary one.
+    Every complex draw of the package goes through here, so seeded streams
+    depend on this one order."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 def haar_unitary(rng: np.random.Generator, n: int) -> Array:
     """Haar-distributed U(n) sample (QR of a complex Ginibre matrix)."""
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    g = complex_gaussian(rng, (n, n))
     q, r = np.linalg.qr(g)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
 
 
 def ginibre(rng: np.random.Generator, n: int) -> Array:
-    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2 * n)
+    return complex_gaussian(rng, (n, n)) / np.sqrt(2 * n)
 
 
 def polar_unitary(m: Array) -> Array:

@@ -28,22 +28,16 @@ import numpy as np
 
 from . import tolerances
 from .errors import DegenerateFormError, InputError
-from .cocycles import (Cocycle, extend, extend_ring, linear_combination,
-                       word_jacobian)
+from .cocycles import (Cocycle, common_base, extend, extend_ring,
+                       linear_combination, word_jacobian)
 from .linalg import ad_matrix, frob, split_singular_values
-from .reps import Representation, evaluate
+from .reps import UNITARY, Representation, evaluate
 from .words import anti_involution
-
-
-def _common_base(chi1: Cocycle, chi2: Cocycle) -> Representation:
-    if not chi1.base.same_base(chi2.base):
-        raise InputError("pairing requires cocycles over the same base representation")
-    return chi1.base
 
 
 def pairing_dual(chi1: Cocycle, chi2: Cocycle) -> complex:
     """Closed-form pairing in the dual generators alpha_k, beta_k."""
-    rep = _common_base(chi1, chi2)
+    rep = common_base((chi1, chi2))
     pres = rep.presentation
     duals = pres.dual_generators()
     total = 0.0 + 0.0j
@@ -64,7 +58,7 @@ def pairing_cup(chi1: Cocycle, chi2: Cocycle) -> complex:
     Equals -sum over generators of B(chi1(# dR/dx), chi2(x)) with # the
     group-ring anti-involution; chi1 is extended linearly to the ring.
     """
-    rep = _common_base(chi1, chi2)
+    rep = common_base((chi1, chi2))
     cycle = rep.presentation.fundamental_two_cycle()
     total = 0.0 + 0.0j
     for coefficient, generator in cycle.pairs:
@@ -112,9 +106,7 @@ def gram_matrix(cocycles) -> np.ndarray:
     cocycles = list(cocycles)
     if not cocycles:
         return np.zeros((0, 0), dtype=complex)
-    rep = cocycles[0].base
-    for chi in cocycles[1:]:
-        _common_base(cocycles[0], chi)
+    rep = common_base(cocycles)
     v = np.column_stack([chi.flat for chi in cocycles])
     return v.T @ rep.dual_form @ v
 
@@ -254,7 +246,7 @@ def unitary_restriction_check(cocycles) -> UnitaryLocusReport:
     if not cocycles:
         raise InputError("need at least one cocycle")
     base = cocycles[0].base
-    if base.flavor != "unitary":
+    if base.flavor != UNITARY:
         raise InputError("unitary restriction check requires a unitary base")
     for chi in cocycles:
         for m in chi.values:

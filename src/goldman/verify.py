@@ -31,16 +31,15 @@ import numpy as np
 import scipy.linalg
 
 from . import fileio, tolerances
-from .charts import (Chart, DeformationCurve, closedness_check, convergence_order,
-                     deform, deformation_correction, rh_differential, rh_word_value,
-                     transport_values)
+from .charts import (Chart, closedness_check, convergence_order, deform,
+                     deformation_correction, rh_differential, rh_word_value)
 from .cocycles import (Cocycle, CocycleBasis, anti_hermitian_part, coboundary,
                        cocycle_basis, cocycle_law_residuals, expected_h1_dimension,
                        random_cocycle, real_locus_bases, relator_residual,
                        star_involution)
 from .config import RunConfig
 from .errors import ConvergenceError
-from .linalg import frob, haar_unitary
+from .linalg import complex_gaussian, frob, haar_unitary
 from .pairing import (gram, gram_matrix, pairing_cup, pairing_dual,
                       symplectic_basis, unitary_restriction_check)
 from .reps import (GENERAL_LINEAR, UNITARY, Representation,
@@ -290,8 +289,7 @@ def check_commutator_factor(run: SuiteRun) -> CheckResult:
             a, b = commutator_factor(u, unitary=True)
             worst = max(worst, frob(a @ b @ np.linalg.inv(a) @ np.linalg.inv(b) - u))
             samples += 1
-            m = haar_unitary(rng, n) + 0.3 * (rng.standard_normal((n, n))
-                                              + 1j * rng.standard_normal((n, n)))
+            m = haar_unitary(rng, n) + 0.3 * complex_gaussian(rng, (n, n))
             m = m * np.linalg.det(m) ** (-1.0 / n)
             a, b = commutator_factor(m, unitary=False)
             worst = max(worst, frob(a @ b @ np.linalg.inv(a) @ np.linalg.inv(b) - m))
@@ -338,7 +336,7 @@ def check_newton_projection(run: SuiteRun) -> CheckResult:
 
     noisy = []
     for m in rep.images:
-        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        z = complex_gaussian(rng, (n, n))
         if rep.flavor == UNITARY:
             z = (z - z.conj().T) / 2
         noisy.append((np.eye(n) + 1e-3 * z) @ m)
@@ -391,7 +389,7 @@ def check_coboundary_containment(run: SuiteRun) -> CheckResult:
     frame = basis.z1_frame
     worst = 0.0
     for _ in range(20):
-        v = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        v = complex_gaussian(rng, (n, n))
         delta = coboundary(v, rep)
         worst = max(worst, relator_residual(delta))
         residual = delta.flat - frame @ (frame.conj().T @ delta.flat)
@@ -408,7 +406,7 @@ def check_star_involution(run: SuiteRun) -> CheckResult:
         chi = random_cocycle(basis, rng)
         again = star_involution(star_involution(chi))
         worst = max(worst, max(frob(a - b) for a, b in zip(again.values, chi.values)))
-        v = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        v = complex_gaussian(rng, (n, n))
         lhs = star_involution(coboundary(v, rep))
         rhs = coboundary(v.conj().T, rep)
         worst = max(worst, max(frob(a - b) for a, b in zip(lhs.values, rhs.values)))
@@ -464,7 +462,7 @@ def check_class_invariance(run: SuiteRun) -> CheckResult:
     for _ in range(samples):
         chi1 = random_cocycle(basis, rng)
         chi2 = random_cocycle(basis, rng)
-        v = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        v = complex_gaussian(rng, (n, n))
         base_value = dual(chi1, chi2)
         worst = max(worst, abs(dual(chi1 + coboundary(v, rep), chi2) - base_value))
         worst = max(worst, abs(dual(chi1, chi2 + coboundary(v, rep)) - base_value))
@@ -494,7 +492,7 @@ def check_bilinearity(run: SuiteRun) -> CheckResult:
         chi1 = random_cocycle(basis, rng)
         chi2 = random_cocycle(basis, rng)
         chi3 = random_cocycle(basis, rng)
-        s = complex(rng.standard_normal(), rng.standard_normal())
+        s = complex(complex_gaussian(rng, ()))
         lhs = dual(chi1 * s + chi3, chi2)
         rhs = s * dual(chi1, chi2) + dual(chi3, chi2)
         worst = max(worst, abs(lhs - rhs))
@@ -564,8 +562,8 @@ def check_intersection_form(run: SuiteRun) -> CheckResult:
 
     rng = run.rng("intersection-form")
     for _ in range(20):
-        x = rng.standard_normal(count) + 1j * rng.standard_normal(count)
-        y = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+        x = complex_gaussian(rng, count)
+        y = complex_gaussian(rng, count)
         chi1 = Cocycle(rep, x.reshape(count, 1, 1))
         chi2 = Cocycle(rep, y.reshape(count, 1, 1))
         hand = sum(x[2 * k] * y[2 * k + 1] - x[2 * k + 1] * y[2 * k]
@@ -619,8 +617,8 @@ def check_deformation_correction_order(run: SuiteRun) -> CheckResult:
     rep = run.rep
     chi = _unit_direction(run, "deformation-correction-order")
     steps = [1e-2, 1e-3, 1e-4]
-    curve = DeformationCurve(center=rep, direction=chi)
-    corrections = [deformation_correction(curve, t) for t in steps]
+    chart = Chart(center=rep, frame=(chi,))
+    corrections = [deformation_correction(chart, (t,)) for t in steps]
     return _order_result("deformation-correction-order", steps, corrections)
 
 
@@ -629,7 +627,7 @@ def check_coboundary_deformation(run: SuiteRun) -> CheckResult:
     rng = run.rng("coboundary-deformation")
     rep = run.rep
     n = rep.rank
-    v = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    v = complex_gaussian(rng, (n, n))
     if rep.flavor == UNITARY:
         v = (v - v.conj().T) / 2
     v = v / max(1.0, coboundary(v, rep).norm())
@@ -649,11 +647,11 @@ def check_coboundary_deformation(run: SuiteRun) -> CheckResult:
 def check_rh_round_trip(run: SuiteRun) -> CheckResult:
     rep, basis = run.rep, run.basis
     chi = _unit_direction(run, "rh-round-trip")
-    curve = DeformationCurve(center=rep, direction=chi)
+    chart = Chart(center=rep, frame=(chi,))
     target = basis.h1_coordinates(chi)
     steps = [1e-2, 5e-3, 2.5e-3, 1.25e-3]
-    errors = [float(np.linalg.norm(basis.h1_coordinates(rh_differential(curve, h))
-                                   - target)) for h in steps]
+    errors = [float(np.linalg.norm(basis.h1_coordinates(rh_differential(
+        rep, chart.point((h,)), chart.point((-h,)), h)) - target)) for h in steps]
     ratios = [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]
     worst = max(abs(r - 4.0) for r in ratios)
     return _result("rh-round-trip", len(steps), worst, 0.5)
@@ -664,20 +662,18 @@ def check_rh_conjugation_curve(run: SuiteRun) -> CheckResult:
     rng = run.rng("rh-conjugation-curve")
     rep, basis = run.rep, run.basis
     n = rep.rank
-    v = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    v = complex_gaussian(rng, (n, n))
     v = v / np.linalg.norm(v)
 
-    def evaluator(t):
+    def conjugated(t):
         c = scipy.linalg.expm(t * v)
         c_inv = scipy.linalg.expm(-t * v)
         return Representation(rep.presentation, n, c @ rep.images @ c_inv,
                               GENERAL_LINEAR, seed=rep.seed)
 
-    curve = DeformationCurve(center=rep, evaluator=evaluator)
-    recovered = rh_differential(curve, 1e-4)
+    recovered = rh_differential(rep, conjugated(1e-4), conjugated(-1e-4), 1e-4)
     residual = float(np.linalg.norm(basis.h1_coordinates(recovered)))
-    constant = rh_differential(DeformationCurve(center=rep,
-                                                evaluator=lambda t: rep), 1e-4)
+    constant = rh_differential(rep, rep, rep, 1e-4)
     residual = max(residual, constant.norm())
     return _result("rh-conjugation-curve", 2, residual, 1e-6)
 
@@ -689,16 +685,17 @@ def check_rh_cocycle_law_order(run: SuiteRun) -> CheckResult:
     rng = run.rng("rh-cocycle-law-order")
     rep = run.rep
     chi = _unit_direction(run, "rh-cocycle-law-order")
-    curve = DeformationCurve(center=rep, direction=chi)
+    chart = Chart(center=rep, frame=(chi,))
     pres = rep.presentation
     words = [(_random_word(pres, rng), _random_word(pres, rng)) for _ in range(50)]
     residuals = []
     for h in (2e-3, 1e-3):
+        points = (rep, chart.point((h,)), chart.point((-h,)))
         worst = 0.0
         for u, v in words:
             s_u = evaluate(rep, u)
-            law = (rh_word_value(curve, u * v, h) - rh_word_value(curve, u, h)
-                   - s_u @ rh_word_value(curve, v, h) @ np.linalg.inv(s_u))
+            law = (rh_word_value(*points, u * v, h) - rh_word_value(*points, u, h)
+                   - s_u @ rh_word_value(*points, v, h) @ np.linalg.inv(s_u))
             worst = max(worst, frob(law))
         residuals.append(worst)
     factor = residuals[0] / residuals[1]
@@ -713,8 +710,9 @@ def check_commuting_flows(run: SuiteRun) -> CheckResult:
     def both_orders(t):
         via1 = deform(rep, chi1, t)
         via2 = deform(rep, chi2, t)
-        first = deform(via1, transport_values(chi2, via1), t)
-        second = deform(via2, transport_values(chi1, via2), t)
+        # zeroth-order transport: the same generator values over the new base
+        first = deform(via1, Cocycle(via1, chi2.values), t)
+        second = deform(via2, Cocycle(via2, chi1.values), t)
         return np.sqrt(sum(frob(a - b) ** 2
                            for a, b in zip(first.images, second.images)))
 
@@ -766,8 +764,7 @@ def check_file_round_trip(run: SuiteRun) -> CheckResult:
     rep = run.rep
     n = rep.rank
     # the schema is exact for any values, so no cocycle basis is needed
-    chi = Cocycle(rep, [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-                        for _ in rep.images])
+    chi = Cocycle(rep, [complex_gaussian(rng, (n, n)) for _ in rep.images])
     failures = 0
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -787,7 +784,7 @@ def check_file_round_trip(run: SuiteRun) -> CheckResult:
         if (tmp / "coc.txt").read_bytes() != (tmp / "coc2.txt").read_bytes():
             failures += 1
 
-        matrix = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+        matrix = complex_gaussian(rng, (3, 5))
         fileio.write_matrix(tmp / "m.txt", matrix)
         if not np.array_equal(fileio.read_matrix(tmp / "m.txt"), matrix):
             failures += 1

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from goldman import (Chart, Cocycle, DeformationCurve, Presentation,
+from goldman import (Chart, Cocycle, Presentation,
                      Representation, closedness_check, coboundary,
                      cocycle_basis, commutant_dimension, commutator_factor,
                      gram, pairing_cup, pairing_dual, random_cocycle,
@@ -118,11 +118,12 @@ def test_deformation_differential_round_trip(basis_g2n2):
     rng = np.random.default_rng(4000)
     chi = random_cocycle(basis_g2n2, rng, space="h1")
     chi = chi * (1.0 / chi.norm())
-    curve = DeformationCurve(center=basis_g2n2.base, direction=chi)
+    rep = basis_g2n2.base
+    chart = Chart(center=rep, frame=(chi,))
     target = basis_g2n2.h1_coordinates(chi)
     steps = [1e-2, 5e-3, 2.5e-3, 1.25e-3]
-    errors = [float(np.linalg.norm(basis_g2n2.h1_coordinates(
-        rh_differential(curve, h)) - target)) for h in steps]
+    errors = [float(np.linalg.norm(basis_g2n2.h1_coordinates(rh_differential(
+        rep, chart.point((h,)), chart.point((-h,)), h)) - target)) for h in steps]
     for i in range(3):
         ratio = errors[i] / errors[i + 1]
         assert 3.5 <= ratio <= 4.5

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from goldman import (Chart, DeformationCurve, InputError,
-                     Representation, closedness_check, coboundary, cocycle_basis,
+import goldman.charts
+
+from goldman import (Chart, Cocycle, InputError, Representation,
+                     closedness_check, coboundary, cocycle_basis,
                      commutant_dimension, deform, deformation_correction,
-                     random_cocycle, relator_defect, rh_differential,
-                     transport_values)
+                     random_cocycle, random_representation, relator_defect,
+                     rh_differential)
 from goldman.charts import rh_word_value
 from goldman.linalg import frob
 from goldman.reps import evaluate
@@ -20,6 +22,11 @@ def unit_h1_direction(basis, seed):
 
 def fitted_order(steps, values):
     return float(np.polyfit(np.log(steps), np.log(values), 1)[0])
+
+
+def curve_differential(chart, h):
+    """rh_differential of the one-axis chart's curve at step h."""
+    return rh_differential(chart.center, chart.point((h,)), chart.point((-h,)), h)
 
 
 class TestDeform:
@@ -40,16 +47,24 @@ class TestDeform:
     def test_correction_second_order(self, basis_g2n2):
         chi = unit_h1_direction(basis_g2n2, 53)
         steps = [1e-2, 1e-3, 1e-4]
-        curve = DeformationCurve(center=basis_g2n2.base, direction=chi)
-        corrections = [deformation_correction(curve, t) for t in steps]
+        chart = Chart(center=basis_g2n2.base, frame=(chi,))
+        corrections = [deformation_correction(chart, (t,)) for t in steps]
         assert abs(fitted_order(steps, corrections) - 2.0) < 0.2
-        # the retracted points are the curve's memoised ones
-        assert sorted(curve._cache) == sorted(steps)
 
-    def test_correction_needs_a_direction(self, rep_g2n2):
-        curve = DeformationCurve(center=rep_g2n2, evaluator=lambda t: rep_g2n2)
-        with pytest.raises(InputError):
-            deformation_correction(curve, 1e-3)
+    def test_correction_reads_the_memoised_point(self, basis_g2n2, monkeypatch):
+        chi = unit_h1_direction(basis_g2n2, 53)
+        chart = Chart(center=basis_g2n2.base, frame=(chi,))
+        point = chart.point((1e-3,))
+        retractions = []
+        monkeypatch.setattr(goldman.charts, "newton_project",
+                            lambda *args, **kwargs: retractions.append(args))
+        deformation_correction(chart, (1e-3,))
+        assert retractions == []
+        assert list(chart._cache) == [(1e-3,)]
+        assert chart._cache[(1e-3,)] is point
+        monkeypatch.undo()
+        deformation_correction(chart, (5e-4,))
+        assert list(chart._cache) == [(1e-3,), (5e-4,)]
 
     def test_coboundary_direction_is_conjugation(self, basis_g2n2):
         # moving along delta_v tracks conjugation by exp(-t v) to first order
@@ -78,24 +93,23 @@ class TestDeform:
 
 class TestRhDifferential:
     def test_constant_curve_gives_zero(self, rep_g2n2):
-        curve = DeformationCurve(center=rep_g2n2, evaluator=lambda t: rep_g2n2)
-        chi = rh_differential(curve, 1e-4)
+        chi = rh_differential(rep_g2n2, rep_g2n2, rep_g2n2, 1e-4)
         assert chi.norm() < 1e-12
 
     def test_round_trip_second_order(self, basis_g2n2):
         chi = unit_h1_direction(basis_g2n2, 56)
-        curve = DeformationCurve(center=basis_g2n2.base, direction=chi)
+        chart = Chart(center=basis_g2n2.base, frame=(chi,))
         target = basis_g2n2.h1_coordinates(chi)
         steps = [1e-2, 5e-3, 2.5e-3, 1.25e-3]
         errors = [np.linalg.norm(basis_g2n2.h1_coordinates(
-            rh_differential(curve, h)) - target) for h in steps]
+            curve_differential(chart, h)) - target) for h in steps]
         for i in range(3):
             assert 3.5 <= errors[i] / errors[i + 1] <= 4.5
 
     def test_class_distance_at_small_step(self, basis_g2n2):
         chi = unit_h1_direction(basis_g2n2, 57)
-        curve = DeformationCurve(center=basis_g2n2.base, direction=chi)
-        rec = rh_differential(curve, 1e-4)
+        chart = Chart(center=basis_g2n2.base, frame=(chi,))
+        rec = curve_differential(chart, 1e-4)
         distance = np.linalg.norm(basis_g2n2.h1_coordinates(rec)
                                   - basis_g2n2.h1_coordinates(chi))
         assert distance < 1e-5
@@ -106,56 +120,41 @@ class TestRhDifferential:
         v = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         v = v / np.linalg.norm(v)
 
-        def evaluator(t):
+        def conjugated(t):
             c = scipy.linalg.expm(t * v)
             c_inv = scipy.linalg.expm(-t * v)
             return Representation(rep.presentation, 2,
                                   tuple(c @ m @ c_inv for m in rep.images),
                                   "general-linear")
 
-        curve = DeformationCurve(center=rep, evaluator=evaluator)
-        rec = rh_differential(curve, 1e-4)
+        rec = rh_differential(rep, conjugated(1e-4), conjugated(-1e-4), 1e-4)
         assert rec.norm() > 1e-2  # nonzero cocycle...
         assert np.linalg.norm(basis_g2n2.h1_coordinates(rec)) < 1e-6  # ...zero class
 
     def test_direction_points_are_cached(self, basis_g2n2):
         chi = unit_h1_direction(basis_g2n2, 5)
-        curve = DeformationCurve(center=basis_g2n2.base, direction=chi)
-        point = curve.at(1e-3)
-        assert curve.at(1e-3) is point
-        assert curve.at(-1e-3) is not point
-        calls = []
+        chart = Chart(center=basis_g2n2.base, frame=(chi,))
+        point = chart.point((1e-3,))
+        assert chart.point((1e-3,)) is point
+        assert chart.point((-1e-3,)) is not point
 
-        def evaluator(t):
-            calls.append(t)
-            return deform(basis_g2n2.base, chi, t)
-
-        custom = DeformationCurve(center=basis_g2n2.base, evaluator=evaluator)
-        custom.at(1e-3)
-        custom.at(1e-3)
-        assert calls == [1e-3, 1e-3]
-
-    def test_step_floor(self, basis_g2n2):
-        chi = unit_h1_direction(basis_g2n2, 59)
-        curve = DeformationCurve(center=basis_g2n2.base, direction=chi)
+    def test_step_floor(self, rep_g2n2):
         with pytest.raises(InputError):
-            rh_differential(curve, 1e-10)
+            rh_differential(rep_g2n2, rep_g2n2, rep_g2n2, 1e-10)
 
     @pytest.mark.parametrize("bad", [float("nan"), -float("nan")])
     def test_nan_step_rejected_at_every_entry(self, basis_g2n2, bad):
         rep = basis_g2n2.base
         chi = unit_h1_direction(basis_g2n2, 62)
-        curve = DeformationCurve(center=rep, direction=chi)
-        # a constant curve has no trust region: only the step check stands
+        chart = Chart(center=rep, frame=(chi,))
+        # constant points have no trust region: only the step check stands
         # between a NaN step and a NaN result
-        still = DeformationCurve(center=rep, evaluator=lambda t: rep)
         word = rep.presentation.word([(0, 1), (1, -1)])
         calls = [lambda: deform(rep, chi, bad),
-                 lambda: curve.at(bad),
-                 lambda: rh_differential(curve, bad),
-                 lambda: rh_differential(still, bad),
-                 lambda: rh_word_value(curve, word, bad),
-                 lambda: rh_word_value(still, word, bad)]
+                 lambda: chart.point((bad,)),
+                 lambda: rh_differential(rep, rep, rep, bad),
+                 lambda: rh_word_value(rep, rep, rep, word, bad),
+                 lambda: chart.transported_frame_direction(np.zeros(1), 0, bad)]
         for call in calls:
             with pytest.raises(InputError):
                 call()
@@ -164,8 +163,8 @@ class TestRhDifferential:
         from goldman import relator_residual
 
         chi = unit_h1_direction(basis_g2n2, 60)
-        curve = DeformationCurve(center=basis_g2n2.base, direction=chi)
-        res = [relator_residual(rh_differential(curve, h)) for h in (2e-3, 1e-3)]
+        chart = Chart(center=basis_g2n2.base, frame=(chi,))
+        res = [relator_residual(curve_differential(chart, h)) for h in (2e-3, 1e-3)]
         assert 3.4 <= res[0] / res[1] <= 4.6
 
     def test_word_level_law_second_order(self, basis_g2n2):
@@ -173,23 +172,40 @@ class TestRhDifferential:
         rep = basis_g2n2.base
         pres = rep.presentation
         chi = unit_h1_direction(basis_g2n2, 61)
-        curve = DeformationCurve(center=rep, direction=chi)
+        chart = Chart(center=rep, frame=(chi,))
         raw = lambda: [(int(rng.integers(0, 4)), int(rng.choice([-1, 1])))
                        for _ in range(int(rng.integers(1, 8)))]
         pairs = [(pres.word(raw()), pres.word(raw())) for _ in range(50)]
         residuals = []
         for h in (2e-3, 1e-3):
+            points = (rep, chart.point((h,)), chart.point((-h,)))
             worst = 0.0
             for u, v in pairs:
                 s_u = evaluate(rep, u)
-                law = (rh_word_value(curve, u * v, h) - rh_word_value(curve, u, h)
-                       - s_u @ rh_word_value(curve, v, h) @ np.linalg.inv(s_u))
+                law = (rh_word_value(*points, u * v, h) - rh_word_value(*points, u, h)
+                       - s_u @ rh_word_value(*points, v, h) @ np.linalg.inv(s_u))
                 worst = max(worst, frob(law))
             residuals.append(worst)
         assert 3.2 <= residuals[0] / residuals[1] <= 4.8
 
 
 class TestChart:
+    @pytest.mark.parametrize("flavor", ["unitary", "general-linear"])
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_one_axis_point_is_deform_bit_for_bit(self, flavor, rank):
+        # a curve along chi is the chart (chi,): its point at t is deform's
+        rep = random_representation(2, rank, flavor, seed=rank)
+        basis = cocycle_basis(rep)
+        rng = np.random.default_rng(64)
+        for space in ("h1", "z1"):
+            chi = random_cocycle(basis, rng, space=space)
+            chi = chi * (1.0 / chi.norm())
+            chart = Chart(center=rep, frame=(chi,))
+            for t in (-3e-3, -1e-3, 1e-4, 5e-4, 1e-3, 1e-2):
+                point, moved = chart.point((t,)), deform(rep, chi, t)
+                assert np.array_equal(point.images, moved.images)
+                assert np.array_equal(point.inverse_images, moved.inverse_images)
+
     def test_zero_coordinate_is_center(self, basis_g2n2):
         chart = Chart(center=basis_g2n2.base, frame=basis_g2n2.h1_complement)
         assert chart.point(np.zeros(10)) is basis_g2n2.base
@@ -202,6 +218,11 @@ class TestChart:
             point = chart.point(coords)
             assert relator_defect(point) <= 1e-10
             assert commutant_dimension(point) == 1
+
+    def test_frame_base_checked(self, basis_g2n2, trivial_scalar_rep):
+        chi = unit_h1_direction(basis_g2n2, 55)
+        with pytest.raises(InputError):
+            Chart(center=trivial_scalar_rep, frame=(chi,))
 
     def test_coordinate_shape_checked(self, basis_g2n2):
         chart = Chart(center=basis_g2n2.base, frame=basis_g2n2.h1_complement)
@@ -250,8 +271,8 @@ class TestCommutingFlows:
         def disagreement(t):
             via1 = deform(rep, chi1, t)
             via2 = deform(rep, chi2, t)
-            first = deform(via1, transport_values(chi2, via1), t)
-            second = deform(via2, transport_values(chi1, via2), t)
+            first = deform(via1, Cocycle(via1, chi2.values), t)
+            second = deform(via2, Cocycle(via2, chi1.values), t)
             return np.sqrt(sum(frob(a - b) ** 2
                                for a, b in zip(first.images, second.images)))
 

@@ -1,6 +1,6 @@
 """Import hygiene of the package source, checked on its syntax trees.
 
-Three rules, with no lint dependency:
+Four rules, with no lint dependency:
 
 - every module-level import is used in its module (the package
   ``__init__`` re-exports, and ``from __future__`` imports are exempt);
@@ -9,7 +9,10 @@ Three rules, with no lint dependency:
   at module level, and nothing else;
 - no module calls numpy's ``kron`` or ``einsum``: ``linalg.ad_matrix``
   is the one Kronecker form, and the tests keep ``np.kron`` as their
-  reference.
+  reference;
+- no module but ``linalg`` calls ``standard_normal``: complex draws go
+  through ``linalg.complex_gaussian``, so every seeded stream has one
+  draw order.
 """
 
 import ast
@@ -113,6 +116,12 @@ def test_no_einsum_call(path):
     assert calls_named(path, "einsum") == []
 
 
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "linalg.py"],
+                         ids=lambda p: p.name)
+def test_no_standard_normal_call_outside_linalg(path):
+    assert calls_named(path, "standard_normal") == []
+
+
 def test_rules_flag_what_they_name(tmp_path):
     module = tmp_path / "sample.py"
     module.write_text(
@@ -128,9 +137,12 @@ def test_rules_flag_what_they_name(tmp_path):
         "def g(a):\n"
         "    return np.kron(a, a) + kron(a, a), np.kron\n"
         "def h(a):\n"
-        "    return np.einsum('ij->ji', a), einsum, a.kron\n")
+        "    return np.einsum('ij->ji', a), einsum, a.kron\n"
+        "def r(rng):\n"
+        "    return rng.standard_normal(2) + 1j * rng.standard_normal(2)\n")
     assert unused_module_imports(module) == ["sample.py:2 json"]
     assert non_cycle_local_imports(module) == ["sample.py:6 in f", "sample.py:7 in f"]
     assert calls_named(module, "kron") == ["sample.py:11", "sample.py:11"]
     assert calls_named(module, "einsum") == ["sample.py:13"]
+    assert calls_named(module, "standard_normal") == ["sample.py:15", "sample.py:15"]
 
