@@ -19,11 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import tolerances
 from .errors import InputError
 from .cocycles import Cocycle, linear_combination
+from .linalg import expm
 from .pairing import pairing_dual
 from .reps import GENERAL_LINEAR, Representation, evaluate, newton_project
 
@@ -32,7 +32,7 @@ TRIVIALIZATION = "right"  # division side used in the difference quotient
 
 def _raw_deformed_images(rep: Representation, direction: Cocycle, t: float):
     # expm of a stack exponentiates (and scales) each matrix on its own
-    return scipy.linalg.expm(t * direction.values) @ rep.images
+    return expm(t * direction.values) @ rep.images
 
 
 def _check_trust(direction: Cocycle, t: float):
@@ -43,6 +43,11 @@ def _check_trust(direction: Cocycle, t: float):
         raise InputError(
             f"move |t|*||chi|| = {length:g} leaves the deformation trust region "
             f"(<= {tolerances.DEFORM_TRUST:g})")
+
+
+def _check_frame_index(index: int, dimension: int):
+    if not 0 <= index < dimension:
+        raise InputError(f"frame index {index} out of range 0..{dimension - 1}")
 
 
 def _check_fd_step(step: float):
@@ -139,6 +144,7 @@ class Chart:
     def transported_frame_direction(self, coords: np.ndarray, axis: int,
                                     step: float) -> Cocycle:
         """Pushforward of the coordinate direction `axis` at a chart point."""
+        _check_frame_index(axis, self.dimension)
         _check_fd_step(step)
         offset = np.zeros(self.dimension)
         offset[axis] = step
@@ -178,8 +184,7 @@ def closedness_check(chart: Chart, triple: tuple[int, int, int],
     i, j, k = triple
     d = chart.dimension
     for index in triple:
-        if not 0 <= index < d:
-            raise InputError(f"frame index {index} out of range 0..{d - 1}")
+        _check_frame_index(index, d)
     if not tolerances.FINITE_DIFFERENCE <= h <= tolerances.CLOSEDNESS_MAX_STEP:
         raise InputError(f"closedness step {h:g} outside [{tolerances.FINITE_DIFFERENCE:g}, "
                          f"{tolerances.CLOSEDNESS_MAX_STEP:g}]")

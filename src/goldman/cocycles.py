@@ -81,7 +81,10 @@ def from_flat(base: Representation, flat: np.ndarray) -> Cocycle:
 
 
 def linear_combination(base: Representation, coeffs, cocycles) -> Cocycle:
-    """The cocycle sum_i coeffs[i] * cocycles[i] over base, summed in order."""
+    """The cocycle sum_i coeffs[i] * cocycles[i] over base, summed in order;
+    InputError (exit 2) when a cocycle lives over another base."""
+    if cocycles and not base.same_base(common_base(cocycles)):
+        raise InputError("cocycles live over a different base representation")
     return Cocycle(base, sum(c * chi.values for c, chi in zip(coeffs, cocycles)))
 
 

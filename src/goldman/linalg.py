@@ -1,6 +1,9 @@
-"""Shared dense linear algebra: vectorization, rank decisions, samplers."""
+"""Shared dense linear algebra: vectorization, rank decisions, samplers,
+the matrix exponential and unitary eigenframes."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -46,6 +49,99 @@ def ad_matrix(s: Array, s_inv: Array) -> Array:
     s_inv_t = np.ascontiguousarray(np.swapaxes(s_inv, -1, -2))
     outer = s_inv_t[..., :, None, :, None] * s[..., None, :, None, :]
     return outer.reshape(outer.shape[:-4] + (n * n, n * n))
+
+
+# Higham (2005), Table 2.3: the Padé degrees m, and the largest 1-norm
+# theta_m at which the degree-m approximant of exp has backward error below
+# the double unit roundoff.
+_PADE_DEGREES = (3, 5, 7, 9, 13)
+_PADE_THETAS = (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
+                2.097847961257068e0, 5.371920351148152e0)
+# Coefficients b_j / b_0 of the [m/m] Padé numerator, each a correctly
+# rounded integer quotient: the constant term is exactly 1, so expm of the
+# zero matrix is exactly the identity.
+_PADE_COEFFICIENTS = {m: tuple(math.factorial(2 * m - j) * math.factorial(m)
+                               / (math.factorial(2 * m) * math.factorial(j)
+                                  * math.factorial(m - j))
+                               for j in range(m + 1))
+                      for m in _PADE_DEGREES}
+
+
+def _pade_choice(norm: float) -> tuple[int, int]:
+    """(degree m, squarings s) for a matrix of the given 1-norm."""
+    for m, theta in zip(_PADE_DEGREES, _PADE_THETAS):
+        if norm <= theta:
+            return m, 0
+    return 13, math.ceil(math.log2(norm / _PADE_THETAS[-1]))
+
+
+def _pade(a: Array, m: int, eye: Array) -> Array:
+    """Degree-m Padé approximant of exp on a (k, n, n) stack, as Higham's
+    odd part U and even part V: r = (V - U)^-1 (V + U)."""
+    c = _PADE_COEFFICIENTS[m]
+    a2 = a @ a
+    if m == 13:
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        u = a @ (a6 @ (c[13] * a6 + c[11] * a4 + c[9] * a2)
+                 + c[7] * a6 + c[5] * a4 + c[3] * a2 + c[1] * eye)
+        v = (a6 @ (c[12] * a6 + c[10] * a4 + c[8] * a2)
+             + c[6] * a6 + c[4] * a4 + c[2] * a2 + eye)
+    else:
+        powers = [a2]
+        while len(powers) < m // 2:
+            powers.append(powers[-1] @ a2)
+        u = a @ sum((c[2 * k + 3] * p for k, p in enumerate(powers)), c[1] * eye)
+        v = sum((c[2 * k + 2] * p for k, p in enumerate(powers)), eye)
+    return np.linalg.solve(v - u, v + u)
+
+
+def expm(a: Array) -> Array:
+    """Matrix exponential of one matrix or of each matrix of a (..., n, n)
+    stack: Higham's (2005) scaling and squaring, the Padé degree m in
+    (3, 5, 7, 9, 13) the least whose threshold theta_m bounds the 1-norm,
+    and above theta_13 degree 13 on a / 2^s, squared s times.
+
+    Degree and scaling are chosen per matrix, and each (degree, scaling)
+    group is evaluated on a C-contiguous copy of its matrices, so every
+    matrix of a stack gets exactly the value of expm called on it alone.
+    A 1 x 1 matrix is its entry's exponential.
+    """
+    a = np.asarray(a)
+    n = a.shape[-1]
+    if n == 1:
+        return np.exp(a)
+    flat = a.reshape(-1, n, n)
+    choices = [_pade_choice(norm)
+               for norm in np.abs(flat).sum(axis=-2).max(axis=-1).tolist()]
+    out = np.empty_like(flat)
+    eye = np.eye(n)
+    for m, s in set(choices):
+        chosen = [choice == (m, s) for choice in choices]
+        r = _pade(flat[chosen] / 2.0 ** s, m, eye)
+        for _ in range(s):
+            r = r @ r
+        out[chosen] = r
+    return out.reshape(a.shape)
+
+
+def unitary_eigenframe(u: Array):
+    """Eigenvalues lam and a unitary eigenbasis V of a normal matrix,
+    u = V diag(lam) V^H.
+
+    V is the Q factor of np.linalg.eig's eigenvectors: eigenspaces of a
+    normal matrix are orthogonal, so the QR only orthonormalises within a
+    cluster of equal eigenvalues, where eig's vectors need not be
+    orthogonal.  lam is then the diagonal of V^H u V.  Phase rule: each
+    column of V is scaled so that its entry of largest modulus (the first
+    of equal moduli) is real and positive.
+    """
+    _, w = np.linalg.eig(u)
+    v, _ = np.linalg.qr(w)
+    pivot = v[np.abs(v).argmax(axis=0), np.arange(v.shape[1])]
+    v = v * (pivot.conj() / np.abs(pivot))
+    lam = (v.conj() * (u @ v)).sum(axis=0)
+    return lam, v
 
 
 def split_singular_values(svals: Array):

@@ -13,12 +13,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from . import tolerances
 from .errors import ConditioningError, ConvergenceError, InputError
-from .linalg import (ad_matrix, frob, generator_stack, ginibre, haar_unitary,
-                     polar_unitary, split_singular_values, vec)
+from .linalg import (ad_matrix, expm, frob, generator_stack, ginibre, haar_unitary,
+                     polar_unitary, split_singular_values, unitary_eigenframe, vec)
 from .words import GroupWord, Presentation
 
 UNITARY = "unitary"
@@ -175,10 +174,8 @@ def commutator_factor(u: np.ndarray, unitary: bool = True):
     if unitary:
         if frob(u.conj().T @ u - np.eye(n)) > tol:
             raise InputError("matrix is not unitary within tolerance")
-        # complex Schur of a normal matrix: orthonormal eigenbasis even for
-        # degenerate eigenvalue clusters
-        t, v = scipy.linalg.schur(u, output="complex")
-        lam = np.diagonal(t).copy()
+        # orthonormal eigenbasis even for degenerate eigenvalue clusters
+        lam, v = unitary_eigenframe(u)
         lam = lam / np.abs(lam)
         v_inv = v.conj().T
     else:
@@ -229,7 +226,7 @@ def random_representation(genus: int, rank: int, flavor: str = UNITARY,
     def draw():
         if flavor == UNITARY:
             return haar_unitary(rng, n)
-        return scipy.linalg.expm(0.7 * ginibre(rng, n))
+        return expm(0.7 * ginibre(rng, n))
 
     if n == 1:
         return Representation(pres, n, [draw() for _ in range(2 * genus)], flavor,
@@ -342,7 +339,7 @@ def newton_project(presentation: Presentation, images, flavor: str,
         step, *_ = np.linalg.lstsq(jac, rhs, rcond=tolerances.SVD_RELATIVE)
         # block i of step is D_i column-stacked, so the rows of its
         # reshape are the columns of D_i
-        candidate = scipy.linalg.expm(step.reshape(-1, n, n).transpose(0, 2, 1)) @ images
+        candidate = expm(step.reshape(-1, n, n).transpose(0, 2, 1)) @ images
         if flavor == UNITARY:
             candidate = polar_unitary(candidate)
         new_r, new_defect = relator_image(candidate)

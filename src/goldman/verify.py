@@ -28,7 +28,6 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from . import fileio, tolerances
 from .charts import (Chart, closedness_check, convergence_order, deform,
@@ -39,7 +38,7 @@ from .cocycles import (Cocycle, CocycleBasis, anti_hermitian_part, coboundary,
                        star_involution)
 from .config import RunConfig
 from .errors import ConvergenceError
-from .linalg import complex_gaussian, frob, haar_unitary
+from .linalg import complex_gaussian, expm, frob, haar_unitary
 from .pairing import (gram, gram_matrix, pairing_cup, pairing_dual,
                       symplectic_basis, unitary_restriction_check)
 from .reps import (GENERAL_LINEAR, UNITARY, Representation,
@@ -636,8 +635,8 @@ def check_coboundary_deformation(run: SuiteRun) -> CheckResult:
     distances = []
     for t in steps:
         moved = deform(rep, delta, t)
-        conj = scipy.linalg.expm(-t * v)
-        conj_inv = scipy.linalg.expm(t * v)
+        conj = expm(-t * v)
+        conj_inv = expm(t * v)
         distances.append(np.sqrt(sum(
             frob(m - conj @ x @ conj_inv) ** 2
             for m, x in zip(moved.images, rep.images))))
@@ -666,8 +665,8 @@ def check_rh_conjugation_curve(run: SuiteRun) -> CheckResult:
     v = v / np.linalg.norm(v)
 
     def conjugated(t):
-        c = scipy.linalg.expm(t * v)
-        c_inv = scipy.linalg.expm(-t * v)
+        c = expm(t * v)
+        c_inv = expm(-t * v)
         return Representation(rep.presentation, n, c @ rep.images @ c_inv,
                               GENERAL_LINEAR, seed=rep.seed)
 

@@ -261,6 +261,13 @@ class TestClosedness:
         with pytest.raises(InputError):
             closedness_check(chart, (0, 1, 10), 1e-3)
 
+    @pytest.mark.parametrize("axis", [-1, 2])
+    def test_transported_axis_range_enforced(self, basis_g2n2, axis):
+        # a negative axis would index from the end, one past the last fails
+        chart = Chart(center=basis_g2n2.base, frame=basis_g2n2.h1_complement[:2])
+        with pytest.raises(InputError, match=rf"frame index {axis} out of range 0\.\.1"):
+            chart.transported_frame_direction(np.zeros(2), axis, 1e-3)
+
 
 class TestCommutingFlows:
     def test_first_order_flows_commute(self, basis_g2n2):

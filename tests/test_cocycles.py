@@ -644,6 +644,15 @@ class TestBaseMismatch:
         with pytest.raises(InputError):
             chi1 + chi2
 
+    def test_linear_combination_rejects_mismatch(self, rep_g2n2):
+        other = cocycle_basis(random_representation(2, 2, "unitary", seed=1))
+        chi = other.h1_complement[0]
+        with pytest.raises(InputError, match="different base"):
+            goldman.cocycles.linear_combination(rep_g2n2, [1.0], [chi])
+        # over its own base the same call is the scaled cocycle
+        same = goldman.cocycles.linear_combination(other.base, [1.0], [chi])
+        assert np.array_equal(same.values, chi.values)
+
     def test_value_shape_checked(self, rep_g2n2):
         with pytest.raises(InputError):
             Cocycle(rep_g2n2, tuple(np.zeros((3, 3)) for _ in range(4)))

@@ -16,35 +16,35 @@ from goldman.cli import main
 
 PINNED = {
     "unitary/representation":
-        "f68679e91bb405d19af3c52bb09bedd5e5f2865be0e84c9d6fec12fde000fbda",
+        "80ca73e47b0d410d5393216e0b62880080d51220dcef3713ccd1a860b4beb0f3",
     "unitary/cocycles":
-        "c0e4c880fa49cb89a8dbe96ecc0cf1ff11c54d23b9f2dea13bad8214d7b29c89",
+        "013d44598308a0955792857bc56aba209ff898eff5c0721f0151f87e514c8fb0",
     "unitary/gram":
-        "1a5a4c238961982618b42cc2985903658c8c63e62a9c0f4fef9a459818c22d0b",
+        "6cb68b7729c257d726d7ac2ed8764cd0fd13a005ce04a626062c72d6b33e62ff",
     "unitary/symplectic-basis":
-        "62a93921176726d52e79edbfb1a716ef2ee0bb2320189ea1cf2ad2eeb24fd2d9",
+        "a6c9ac6b05e39800855f402337c602f2c6860dc516a2af984c25d79b782c36f7",
     "unitary/deform-stdout":
-        "1ca483aff8fb8d148c418cd0f8e7c867be88eebf36b7a0f2324ea95eab5c6da2",
+        "5357cb788b62ce25b675b932c6a599c23493c63f7908826ffd4af137bb30d608",
     "unitary/deformed":
-        "ccefe980da9f761c92e6c7190dccc953f1ef4218df22060f7820b9d4b6589214",
+        "948453aa4e97e2fe8dc6f36dfa56e8280c51e613929b311057acb0a4d40841fd",
     "unitary/verify-report":
-        "0e8fada0c041aa1c80d8b64b9345ec10f89bd60cc98f200d06daf515ae4176cd",
+        "f9892dc114a5c6694edccb5c8350a83a437b4ef362b0aafc9b3781e5be7ba5b8",
     "general-linear/representation":
-        "3b88a8d7ffaaa610b213b32ee84d8ac1adef063c00eda10d20b2c2f73d271406",
+        "623ed2f22169cc4f459053a9cc915c02ce12bac79f828a569aa9b34dc94fd99a",
     "general-linear/cocycles":
-        "03057950545702f09dbb9a471745c83a252d1a05283d7f24cf795f3054a4bc4a",
+        "25e064b8eb2e7d7270be70de17f7d67c5ccba7c6844257ec1b65aef7b016f71f",
     "general-linear/gram":
-        "c5f5c8879849ba3d48e4d3d59ee211f22cc72be7473955fea31d587232004838",
+        "e3a84c381b76d3941fef8a751e812ed8fb738f8a0d9c1c547911bad3bc44d95e",
     "general-linear/symplectic-basis":
-        "576e599fa170dd97655854efb07bfd87376b59188030ccebb72e6443d96f912a",
+        "0e2002d004532a4fda24af2bd3a40024686e61e33413ff6e227700e1afa7ae6c",
     "general-linear/deform-stdout":
-        "954343970c4bb98c3b56a6d56839f89083f24b4c99bd6a3be76270d56f0ffd86",
+        "017099586556bde98d15db16d55567f22f80d11a3c43745e10569eb35f7151af",
     "general-linear/deformed":
-        "c3072857d1236f5091a65b18c471340a11fd6eb081d52cc8a03c03cd13d83f3d",
+        "4caaaeea9e37dd3fa1e9208377c561958f7024e36da44c454f6da02fb0b0264f",
     "general-linear/verify-report":
-        "c2c5f99cfd203067846574d8a4a3690972252ad635b8baa108ca980ae3e06939",
+        "d3f1a09934950ddacd2a99ee293038016a3a43c0ff0a91e48a20442cb287d4e6",
     "closedness-seed-9-stdout":
-        "1e4704afab7d8d714f45b9f7f6ea5f2da6a054b0c61886227772da8a88aca8c9",
+        "3d265884967db346a7bc65f3f0d65bf5850aca5817e46c583bad00d0152286b8",
 }
 
 

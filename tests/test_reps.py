@@ -8,7 +8,8 @@ from goldman import (ConvergenceError, InputError, Presentation, Representation,
                      coboundary, coboundary_matrix, commutant_dimension,
                      commutator_factor, conjugate_representation, evaluate,
                      newton_project, random_representation, relator_defect)
-from goldman.linalg import frob, haar_unitary, polar_unitary, split_singular_values, vec
+from goldman.linalg import (expm, frob, haar_unitary, polar_unitary,
+                            split_singular_values, vec)
 from goldman.reps import relator_tangent_matrix
 
 
@@ -267,7 +268,7 @@ def per_generator_newton(presentation, images, flavor):
         candidate = []
         for i in range(len(images)):
             d = step[i * n * n:(i + 1) * n * n].reshape((n, n), order="F")
-            updated = scipy.linalg.expm(d) @ images[i]
+            updated = expm(d) @ images[i]
             candidate.append(polar_unitary(updated) if flavor == "unitary" else updated)
         new_r, new_defect = relator_image(candidate)
         if new_defect >= defect:

@@ -1,6 +1,6 @@
 """Import hygiene of the package source, checked on its syntax trees.
 
-Four rules, with no lint dependency:
+Five rules, with no lint dependency:
 
 - every module-level import is used in its module (the package
   ``__init__`` re-exports, and ``from __future__`` imports are exempt);
@@ -12,7 +12,9 @@ Four rules, with no lint dependency:
   reference;
 - no module but ``linalg`` calls ``standard_normal``: complex draws go
   through ``linalg.complex_gaussian``, so every seeded stream has one
-  draw order.
+  draw order;
+- no module imports scipy: the runtime needs numpy only, and the tests
+  keep scipy.linalg as their reference.
 """
 
 import ast
@@ -92,6 +94,16 @@ def calls_named(path, name):
                  or getattr(node.func, "id", None) == name)]
 
 
+def scipy_imports(path):
+    """Imports of scipy or of one of its submodules, wherever they stand."""
+    lines = [node.lineno for node in ast.walk(_tree(path))
+             if (isinstance(node, ast.Import)
+                 and any(alias.name.partition(".")[0] == "scipy" for alias in node.names))
+             or (isinstance(node, ast.ImportFrom) and node.level == 0
+                 and node.module.partition(".")[0] == "scipy")]
+    return [f"{path.name}:{line}" for line in sorted(lines)]
+
+
 def test_source_files_found():
     assert {"reps.py", "verify.py", "__init__.py"} <= {p.name for p in MODULES}
 
@@ -122,6 +134,11 @@ def test_no_standard_normal_call_outside_linalg(path):
     assert calls_named(path, "standard_normal") == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_scipy_import(path):
+    assert scipy_imports(path) == []
+
+
 def test_rules_flag_what_they_name(tmp_path):
     module = tmp_path / "sample.py"
     module.write_text(
@@ -139,10 +156,14 @@ def test_rules_flag_what_they_name(tmp_path):
         "def h(a):\n"
         "    return np.einsum('ij->ji', a), einsum, a.kron\n"
         "def r(rng):\n"
-        "    return rng.standard_normal(2) + 1j * rng.standard_normal(2)\n")
+        "    return rng.standard_normal(2) + 1j * rng.standard_normal(2)\n"
+        "from scipy import linalg\n"
+        "def s(a):\n"
+        "    return linalg.expm(a)\n")
     assert unused_module_imports(module) == ["sample.py:2 json"]
     assert non_cycle_local_imports(module) == ["sample.py:6 in f", "sample.py:7 in f"]
     assert calls_named(module, "kron") == ["sample.py:11", "sample.py:11"]
     assert calls_named(module, "einsum") == ["sample.py:13"]
     assert calls_named(module, "standard_normal") == ["sample.py:15", "sample.py:15"]
+    assert scipy_imports(module) == ["sample.py:6", "sample.py:16"]
 
