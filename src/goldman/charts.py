@@ -30,9 +30,10 @@ from .reps import GENERAL_LINEAR, Representation, evaluate, newton_project
 TRIVIALIZATION = "right"  # division side used in the difference quotient
 
 
-def _raw_deformed_images(rep: Representation, direction: Cocycle, t: float):
-    # expm of a stack exponentiates (and scales) each matrix on its own
-    return expm(t * direction.values) @ rep.images
+def _raw_deformed_images(rep: Representation, values: np.ndarray, t: float):
+    # expm of a stack exponentiates (and scales) each matrix on its own,
+    # so a (k, 2g, n, n) stack of cocycle values moves each tuple alone
+    return expm(t * values) @ rep.images
 
 
 def _check_trust(direction: Cocycle, t: float):
@@ -67,7 +68,7 @@ def deform(rep: Representation, direction: Cocycle, t: float) -> Representation:
     _check_trust(direction, t)
     if t == 0.0:
         return rep
-    raw = _raw_deformed_images(rep, direction, t)
+    raw = _raw_deformed_images(rep, direction.values, t)
     return newton_project(rep.presentation, raw, GENERAL_LINEAR, seed=rep.seed)
 
 
@@ -125,31 +126,68 @@ class Chart:
         return len(self.frame)
 
     def point(self, coords) -> Representation:
+        return self.points((coords,))[0]
+
+    def points(self, coords_list) -> tuple[Representation, ...]:
+        """The points at each coordinate tuple, in order, memoised.
+
+        Each tuple is checked in turn: its shape, a non-finite entry, and
+        the trust region of its move (deform at t = 1); the zero tuple is
+        the center.  The raw moves of the tuples not yet cached are one
+        stacked exponential, and their retractions one newton_project
+        call on the stack, each bit for bit the retraction of its tuple
+        alone.  A bad tuple raises once the tuples before it are
+        retracted, so the first error in order is the one raised.
+        """
+        keys, moves = [], {}
+        try:
+            for coords in coords_list:
+                keys.append(self._checked_key(coords, moves))
+        finally:
+            # a Newton failure of an earlier tuple supersedes the error
+            # that stopped the loop
+            if moves:
+                raw = _raw_deformed_images(self.center, np.array(list(moves.values())), 1.0)
+                self._cache.update(zip(moves, newton_project(
+                    self.center.presentation, raw, GENERAL_LINEAR, seed=self.center.seed)))
+        return tuple(self._cache[key] for key in keys)
+
+    def _checked_key(self, coords, moves: dict):
+        """Cache key of one coordinate tuple; the center is cached at once,
+        and the cocycle values of a new move are added to moves."""
         coords = np.asarray(coords, dtype=float)
         if coords.shape != (self.dimension,):
             raise InputError(f"expected {self.dimension} chart coordinates")
         key = tuple(coords.tolist())
-        if key not in self._cache:
-            # a non-finite move scales no cocycle: refuse it as deform does
-            if not np.isfinite(coords).all():
-                raise InputError(f"chart coordinates {key} leave the deformation "
-                                 "trust region")
-            if not np.any(coords):
-                self._cache[key] = self.center
-            else:
-                direction = linear_combination(self.center, coords, self.frame)
-                self._cache[key] = deform(self.center, direction, 1.0)
-        return self._cache[key]
+        if key in self._cache or key in moves:
+            return key
+        # a non-finite move scales no cocycle: refuse it as deform does
+        if not np.isfinite(coords).all():
+            raise InputError(f"chart coordinates {key} leave the deformation "
+                             "trust region")
+        if not np.any(coords):
+            self._cache[key] = self.center
+        else:
+            direction = linear_combination(self.center, coords, self.frame)
+            _check_trust(direction, 1.0)
+            moves[key] = direction.values
+        return key
 
-    def transported_frame_direction(self, coords: np.ndarray, axis: int,
-                                    step: float) -> Cocycle:
-        """Pushforward of the coordinate direction `axis` at a chart point."""
+    def transport_stencil(self, coords: np.ndarray, axis: int, step: float):
+        """The chart coordinates transported_frame_direction reads: coords
+        and coords +- step along axis."""
         _check_frame_index(axis, self.dimension)
         _check_fd_step(step)
         offset = np.zeros(self.dimension)
         offset[axis] = step
-        return rh_differential(self.point(coords), self.point(coords + offset),
-                               self.point(coords - offset), step)
+        return coords, coords + offset, coords - offset
+
+    def transported_frame_direction(self, coords: np.ndarray, axis: int,
+                                    step: float) -> Cocycle:
+        """Pushforward of the coordinate direction `axis` at a chart point."""
+        center, plus, minus = self.transport_stencil(coords, axis, step)
+        return rh_differential(self.point(center), self.point(plus), self.point(minus),
+                               step)
 
     def form_coefficient(self, coords, i: int, j: int, step: float) -> complex:
         """omega(d/de_i, d/de_j) at a chart point, via transported directions."""
@@ -168,7 +206,7 @@ def deformation_correction(chart: Chart, coords) -> float:
     """
     projected = chart.point(coords)  # validates the coordinates first
     direction = linear_combination(chart.center, coords, chart.frame)
-    raw = _raw_deformed_images(chart.center, direction, 1.0)
+    raw = _raw_deformed_images(chart.center, direction.values, 1.0)
     return float(np.sqrt(sum(
         np.linalg.norm(a - b) ** 2 for a, b in zip(raw, projected.images))))
 
@@ -190,15 +228,25 @@ def closedness_check(chart: Chart, triple: tuple[int, int, int],
                          f"{tolerances.CLOSEDNESS_MAX_STEP:g}]")
     if len({i, j, k}) < 3:
         return 0.0
+    terms = ((i, j, k), (j, i, k), (k, i, j))  # d_axis omega_ab, signs + - +
 
-    def partial(axis: int, a: int, b: int) -> complex:
+    def sides(axis: int):
         plus = np.zeros(d)
         plus[axis] = h
-        omega_plus = chart.form_coefficient(plus, a, b, step=h)
-        omega_minus = chart.form_coefficient(-plus, a, b, step=h)
+        return plus, -plus
+
+    # every stencil point, in the order the partials read them, is
+    # retracted in one stacked Newton solve
+    chart.points([point for axis, a, b in terms for coords in sides(axis)
+                  for direction in (a, b)
+                  for point in chart.transport_stencil(coords, direction, h)])
+
+    def partial(axis: int, a: int, b: int) -> complex:
+        omega_plus, omega_minus = (chart.form_coefficient(coords, a, b, step=h)
+                                   for coords in sides(axis))
         return (omega_plus - omega_minus) / (2.0 * h)
 
-    residual = partial(i, j, k) - partial(j, i, k) + partial(k, i, j)
+    residual = partial(*terms[0]) - partial(*terms[1]) + partial(*terms[2])
     return abs(residual)
 
 

@@ -148,27 +148,28 @@ def extend_words(chi: Cocycle, words) -> np.ndarray:
     """Values on many words at once, shape (len(words), n, n).
 
     extend's right-to-left Horner fold, one stacked step per letter
-    position.  Both letter kinds take the one form
+    position over the rows whose word reaches it (letter_codes).  Both
+    letter kinds take the one form
 
         acc = c + l (acc - d) r,
 
     with (l, r, c, d) = (x, x^-1, chi(x), 0) for a letter x and
-    (x^-1, x, 0, chi(x)) for x^-1.  Words are padded on the right with
-    the identity letter (I, I, 0, 0), which keeps a zero fold zero, so
-    each value is extend's bit for bit.
+    (x^-1, x, 0, chi(x)) for x^-1.  Each row's fold starts at its own
+    last letter from extend's zero, so each value is extend's bit for
+    bit.
     """
     rep = chi.base
-    eye = np.eye(rep.rank, dtype=complex)[None]
-    left = np.concatenate([rep.images, rep.inverse_images, eye])
-    right = np.concatenate([rep.inverse_images, rep.images, eye])
-    zeros, pad = np.zeros_like(chi.values), np.zeros_like(eye)
-    plus = np.concatenate([chi.values, zeros, pad])
-    minus = np.concatenate([zeros, chi.values, pad])
-    codes = letter_codes(rep.presentation, words)
+    left = np.concatenate([rep.images, rep.inverse_images])
+    right = np.concatenate([rep.inverse_images, rep.images])
+    zeros = np.zeros_like(chi.values)
+    plus = np.concatenate([chi.values, zeros])
+    minus = np.concatenate([zeros, chi.values])
+    codes, reach, restore = letter_codes(rep.presentation, words)
     acc = np.zeros((len(words), rep.rank, rep.rank), dtype=complex)
-    for column in codes.T[::-1]:
-        acc = plus[column] + left[column] @ (acc - minus[column]) @ right[column]
-    return acc
+    for column, m in zip(codes.T[::-1], reach[::-1]):
+        letters = column[:m]
+        acc[:m] = plus[letters] + left[letters] @ (acc[:m] - minus[letters]) @ right[letters]
+    return acc[restore]
 
 
 def cocycle_law_residuals(chi: Cocycle, pairs) -> list[float]:

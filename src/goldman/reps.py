@@ -50,8 +50,9 @@ class Representation:
             raise InputError(f"unknown flavor {self.flavor!r}")
         images = generator_stack(self.images, self.presentation.generator_count, n,
                                  "generator images")
-        for m in images:
-            if abs(np.linalg.det(m)) < tolerances.SINGULAR_IMAGE:
+        # one stacked det still factors each image on its own
+        for m, det in zip(images, np.abs(np.linalg.det(images)).tolist()):
+            if det < tolerances.SINGULAR_IMAGE:
                 raise InputError("generator image is numerically singular")
             if (self.flavor == UNITARY
                     and frob(m.conj().T @ m - np.eye(n)) > tolerances.CONSTRUCTION):
@@ -104,52 +105,60 @@ def evaluate_words(rep: Representation, words) -> np.ndarray:
     """Images of many words at once, shape (len(words), n, n).
 
     evaluate's left-to-right product, one stacked product per letter
-    position over a letter table padded with the identity, so each image
-    is evaluate's bit for bit.
+    position over the rows whose word reaches it (letter_codes), so each
+    image is evaluate's bit for bit.
     """
-    eye = np.eye(rep.rank, dtype=complex)[None]
-    table = np.concatenate([rep.images, rep.inverse_images, eye])
-    codes = letter_codes(rep.presentation, words)
-    out = np.repeat(eye, len(words), axis=0)
-    for column in codes.T:
-        out = out @ table[column]
-    return out
+    table = np.concatenate([rep.images, rep.inverse_images])
+    codes, reach, restore = letter_codes(rep.presentation, words)
+    out = np.repeat(np.eye(rep.rank, dtype=complex)[None], len(words), axis=0)
+    for column, m in zip(codes.T, reach):
+        out[:m] = out[:m] @ table[column[:m]]
+    return out[restore]
 
 
-def letter_codes(presentation: Presentation, words) -> np.ndarray:
-    """Letters of words over the presentation, as a (len(words), longest)
-    integer array, for tables indexed like [images, inverses, identity].
+def letter_codes(presentation: Presentation, words):
+    """Letters of words over the presentation, longest word first, for
+    tables indexed like [images, inverses].
 
-    With c generators, x_i is coded i and x_i^-1 is c + i; the shorter
-    words are padded on the right with 2c, the identity letter.
+    Returns (codes, reach, restore).  The rows of the integer array
+    codes, of shape (len(words), longest), are the words stably sorted by
+    decreasing length, and indexing a stack of per-row results by
+    restore puts it back in word order.  With c generators, x_i is coded
+    i and x_i^-1 is c + i; shorter words are padded on the right with 2c,
+    past the end of the tables.  reach[p] counts the words with a letter
+    at position p, which are the first reach[p] rows: a fold reads those
+    alone, so it never meets the padding.
     """
     count = presentation.generator_count
     if any(w.genus != presentation.genus for w in words):
         raise InputError("word and representation have different genus")
     rows = [[gen if sign > 0 else count + gen for gen, sign in w.letters()]
             for w in words]
-    longest = max(map(len, rows), default=0)
-    return np.array([row + [2 * count] * (longest - len(row)) for row in rows],
-                    dtype=np.intp).reshape(len(rows), longest)
+    lengths = np.array([len(row) for row in rows], dtype=np.intp)
+    order = np.argsort(-lengths, kind="stable")
+    longest = int(lengths.max(initial=0))
+    codes = np.array([rows[r] + [2 * count] * (longest - len(rows[r])) for r in order],
+                     dtype=np.intp).reshape(len(rows), longest)
+    reach = (lengths[:, None] > np.arange(longest)).sum(axis=0).tolist()
+    return codes, reach, np.argsort(order)
 
 
 def _word_product(images, inverses, word) -> np.ndarray:
-    """Left-to-right product of the letter images of a word, run by run."""
-    out = np.eye(images[0].shape[0], dtype=complex)
+    """Left-to-right product of the letter images of a word, run by run,
+    for one (2g, n, n) image stack or each of a (k, 2g, n, n) stack."""
+    out = np.eye(images.shape[-1], dtype=complex)
     for gen, exp in word.runs:
-        m = images[gen] if exp > 0 else inverses[gen]
+        m = images[..., gen, :, :] if exp > 0 else inverses[..., gen, :, :]
         for _ in range(abs(exp)):
             out = out @ m
     return out
 
 
 def _invert_all(images, flavor: str) -> np.ndarray:
-    """Inverses of a (k, n, n) stack of images (or of a sequence of k
-    matrices, as relator_tangent_matrix accepts), as a new read-only
+    """Inverses of a (..., n, n) stack of images, as a new read-only
     stack: one stacked inversion, the conjugate transpose for the unitary
     flavor."""
-    images = np.asarray(images)
-    inverses = (images.conj().transpose(0, 2, 1) if flavor == UNITARY
+    inverses = (np.swapaxes(images.conj(), -1, -2) if flavor == UNITARY
                 else np.linalg.inv(images))
     inverses.setflags(write=False)
     return inverses
@@ -274,9 +283,11 @@ def relator_tangent_matrix(presentation: Presentation, images, flavor: str) -> n
     first order, by L(D) rho(R) where L is the group-ring pairing of the
     Fox derivatives of the relator with the D_x under conjugation.  The
     returned matrix represents L on column-stacked coordinates, shape
-    (n^2, 2g n^2).  The same matrix is the cocycle relator constraint:
+    (n^2, 2g n^2), or one such matrix per tuple of a (k, 2g, n, n) image
+    stack.  The same matrix is the cocycle relator constraint:
     fox_jacobian over the relator's cached relator_fox_terms.
     """
+    images = np.asarray(images)
     return fox_jacobian(images, _invert_all(images, flavor), presentation.relator(),
                         presentation.relator_fox_terms)
 
@@ -285,72 +296,98 @@ def fox_jacobian(images, inverses, word: GroupWord, terms) -> np.ndarray:
     """Sum over Fox terms (generator, length, coeff) of word of coeff *
     Ad(image of word's prefix of that length), in the column block of the
     generator: on its Fox terms, the matrix of chi.flat -> vec chi(word).
-    One walk keeps every prefix image and its inverse.  Terms are added
-    one by one: stacking all their Ad raised the peak memory of dims at
-    n = 14 by 1.4 MB."""
-    n = images[0].shape[0]
+    One walk keeps every prefix image and its inverse.  Leading axes of
+    the (..., 2g, n, n) images broadcast.  Terms are added one by one:
+    stacking all their Ad raised the peak memory of dims at n = 14 by
+    1.4 MB."""
+    *lead, count, n, _ = images.shape
     prefix = prefix_inv = np.eye(n, dtype=complex)
     prefixes, prefix_invs = [prefix], [prefix_inv]
     for gen, sign in word.letters():
+        image, inverse = images[..., gen, :, :], inverses[..., gen, :, :]
         if sign > 0:
-            prefix, prefix_inv = prefix @ images[gen], inverses[gen] @ prefix_inv
+            prefix, prefix_inv = prefix @ image, inverse @ prefix_inv
         else:
-            prefix, prefix_inv = prefix @ inverses[gen], images[gen] @ prefix_inv
+            prefix, prefix_inv = prefix @ inverse, image @ prefix_inv
         prefixes.append(prefix)
         prefix_invs.append(prefix_inv)
-    blocks = np.zeros((len(images), n * n, n * n), dtype=complex)
+    blocks = np.zeros((*lead, count, n * n, n * n), dtype=complex)
     for gen, length, coeff in terms:
-        blocks[gen] += coeff * ad_matrix(prefixes[length], prefix_invs[length])
-    return np.hstack(blocks)
+        blocks[..., gen, :, :] += coeff * ad_matrix(prefixes[length], prefix_invs[length])
+    # side by side: column block gen of row r is blocks[..., gen, r, :]
+    return np.swapaxes(blocks, -3, -2).reshape(*lead, n * n, count * n * n)
 
 
 def newton_project(presentation: Presentation, images, flavor: str,
-                   seed: int | None = None) -> Representation:
+                   seed: int | None = None) -> Representation | tuple[Representation, ...]:
     """Project approximate generator images back onto the relator variety.
 
     Gauss-Newton on the relator defect: each step solves the linearized
     relator constraint in the minimum-norm sense (a gauge slice orthogonal
     to the nullspace of the linearization, hence to the conjugation
     orbit), applies exp(D_x) g_x, and in the unitary flavor re-projects
-    every image to the unitary group by polar decomposition.  The images
-    are kept as one (2g, n, n) stack: each iterate is one stacked
-    inversion, and each update one stacked exponential times the stack.
+    every image to the unitary group by polar decomposition.
+
+    images is one (2g, n, n) tuple, projected to a Representation, or a
+    (k, 2g, n, n) stack of tuples, projected to a tuple of k of them.
+    The tuples iterate together, each on its own schedule of trust check,
+    target, stall and step limit: an iteration makes one stacked word
+    product and inversion for the relator images, one
+    relator_tangent_matrix call over the stack, one stacked exponential
+    and polar projection.  The least-squares step and the defect are
+    taken per tuple, so each result is bit for bit that of projecting
+    its tuple alone.  ConvergenceError names the first tuple, in order,
+    that leaves the trust region or does not converge.
     """
-    images = np.array(images, dtype=complex)
-    n = images.shape[-1]
+    stack = np.array(images, dtype=complex)
+    single = stack.ndim == 3
+    if single:
+        stack = stack[None]
+    n = stack.shape[-1]
     eye = np.eye(n)
     relator = presentation.relator()
 
-    def relator_image(images):
-        r = _word_product(images, _invert_all(images, flavor), relator)
-        return r, frob(r - eye)
+    def relator_images(stack):
+        r = _word_product(stack, _invert_all(stack, flavor), relator)
+        return r, [frob(m - eye) for m in r]
 
-    r, defect = relator_image(images)
-    if defect > tolerances.NEWTON_TRUST_DEFECT:
-        raise ConvergenceError(
-            f"input defect {defect:.3e} outside the Newton trust region "
-            f"{tolerances.NEWTON_TRUST_DEFECT:.1e}", defect=defect)
-
+    r, defects = relator_images(stack)
+    trusted = [not d > tolerances.NEWTON_TRUST_DEFECT for d in defects]
+    live = [i for i, ok in enumerate(trusted) if ok]
     for _ in range(tolerances.NEWTON_STEP_LIMIT):
-        if defect <= tolerances.NEWTON_TARGET:
+        live = [i for i in live if not defects[i] <= tolerances.NEWTON_TARGET]
+        if not live:
             break
-        rhs = -vec((r - eye) @ np.linalg.inv(r))
-        jac = relator_tangent_matrix(presentation, images, flavor)
-        step, *_ = np.linalg.lstsq(jac, rhs, rcond=tolerances.SVD_RELATIVE)
-        # block i of step is D_i column-stacked, so the rows of its
+        current, current_r = stack[live], r[live]
+        rhs = -((current_r - eye) @ np.linalg.inv(current_r))
+        jac = relator_tangent_matrix(presentation, current, flavor)
+        steps = np.array([np.linalg.lstsq(j, vec(b), rcond=tolerances.SVD_RELATIVE)[0]
+                          for j, b in zip(jac, rhs)])
+        # block i of a step is D_i column-stacked, so the rows of its
         # reshape are the columns of D_i
-        candidate = expm(step.reshape(-1, n, n).transpose(0, 2, 1)) @ images
+        candidate = expm(steps.reshape(len(live), -1, n, n).swapaxes(-1, -2)) @ current
         if flavor == UNITARY:
             candidate = polar_unitary(candidate)
-        new_r, new_defect = relator_image(candidate)
-        if new_defect >= defect:
-            break  # stalled; keep the best iterate seen
-        images, r, defect = candidate, new_r, new_defect
-    if defect > tolerances.CONSTRUCTION:
-        raise ConvergenceError(
-            f"Newton projection did not converge (final defect {defect:.3e})",
-            defect=defect)
-    return Representation(presentation, n, images, flavor, seed=seed)
+        new_r, new_defects = relator_images(candidate)
+        improved = []
+        for i, c, m, d in zip(live, candidate, new_r, new_defects):
+            if not d >= defects[i]:  # else stalled; keep the best iterate seen
+                stack[i], r[i], defects[i] = c, m, d
+                improved.append(i)
+        live = improved
+
+    out = []
+    for i, defect in enumerate(defects):
+        if not trusted[i]:
+            raise ConvergenceError(
+                f"input defect {defect:.3e} outside the Newton trust region "
+                f"{tolerances.NEWTON_TRUST_DEFECT:.1e}", defect=defect)
+        if defect > tolerances.CONSTRUCTION:
+            raise ConvergenceError(
+                f"Newton projection did not converge (final defect {defect:.3e})",
+                defect=defect)
+        out.append(Representation(presentation, n, stack[i], flavor, seed=seed))
+    return out[0] if single else tuple(out)
 
 
 def conjugate_representation(rep: Representation, c: np.ndarray) -> Representation:

@@ -21,6 +21,7 @@ the suite catches exactly that class of error.
 
 from __future__ import annotations
 
+import functools
 import tempfile
 import zlib
 from dataclasses import dataclass
@@ -71,11 +72,25 @@ def _result(name, samples, residual, threshold) -> CheckResult:
                        passed=residual <= threshold)
 
 
+MAX_WORD_LENGTH = 8
+
+
+@functools.cache
+def _letter_bounds(genus: int) -> np.ndarray:
+    """Exclusive bounds of the draws of a longest random word: generator,
+    sign, generator, sign, ..."""
+    bounds = np.tile((2 * genus, 2), MAX_WORD_LENGTH)
+    bounds.setflags(write=False)
+    return bounds
+
+
 def _random_word(pres: Presentation, rng) -> GroupWord:
-    length = int(rng.integers(0, 8 + 1))
-    raw = [(int(rng.integers(0, 2 * pres.genus)), (-1, 1)[int(rng.integers(0, 2))])
-           for _ in range(length)]
-    return pres.word(raw)
+    """A random word of 0 to MAX_WORD_LENGTH letters: its length, then each
+    letter's generator and sign, in one draw of the letters (the stream of
+    one draw per generator and per sign)."""
+    length = int(rng.integers(0, MAX_WORD_LENGTH + 1))
+    draws = rng.integers(0, _letter_bounds(pres.genus)[:2 * length]).tolist()
+    return pres.word([(gen, (-1, 1)[sign]) for gen, sign in zip(draws[0::2], draws[1::2])])
 
 
 def _random_ring_element(pres: Presentation, rng) -> GroupRingElement:
@@ -617,6 +632,7 @@ def check_deformation_correction_order(run: SuiteRun) -> CheckResult:
     chi = _unit_direction(run, "deformation-correction-order")
     steps = [1e-2, 1e-3, 1e-4]
     chart = Chart(center=rep, frame=(chi,))
+    chart.points([(t,) for t in steps])
     corrections = [deformation_correction(chart, (t,)) for t in steps]
     return _order_result("deformation-correction-order", steps, corrections)
 
@@ -643,6 +659,13 @@ def check_coboundary_deformation(run: SuiteRun) -> CheckResult:
     return _order_result("coboundary-deformation", steps, distances)
 
 
+def _curve_points(chart: Chart, steps):
+    """(h, point at +h, point at -h) for each step of a one-axis chart,
+    every point retracted by one Chart.points call."""
+    ladder = chart.points([(s,) for h in steps for s in (h, -h)])
+    return list(zip(steps, ladder[0::2], ladder[1::2]))
+
+
 def check_rh_round_trip(run: SuiteRun) -> CheckResult:
     rep, basis = run.rep, run.basis
     chi = _unit_direction(run, "rh-round-trip")
@@ -650,7 +673,7 @@ def check_rh_round_trip(run: SuiteRun) -> CheckResult:
     target = basis.h1_coordinates(chi)
     steps = [1e-2, 5e-3, 2.5e-3, 1.25e-3]
     errors = [float(np.linalg.norm(basis.h1_coordinates(rh_differential(
-        rep, chart.point((h,)), chart.point((-h,)), h)) - target)) for h in steps]
+        rep, plus, minus, h)) - target)) for h, plus, minus in _curve_points(chart, steps)]
     ratios = [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]
     worst = max(abs(r - 4.0) for r in ratios)
     return _result("rh-round-trip", len(steps), worst, 0.5)
@@ -688,8 +711,8 @@ def check_rh_cocycle_law_order(run: SuiteRun) -> CheckResult:
     pres = rep.presentation
     words = [(_random_word(pres, rng), _random_word(pres, rng)) for _ in range(50)]
     residuals = []
-    for h in (2e-3, 1e-3):
-        points = (rep, chart.point((h,)), chart.point((-h,)))
+    for h, plus, minus in _curve_points(chart, (2e-3, 1e-3)):
+        points = (rep, plus, minus)
         worst = 0.0
         for u, v in words:
             s_u = evaluate(rep, u)
@@ -744,16 +767,14 @@ def check_closedness_abelian(run: SuiteRun) -> CheckResult:
 
 def check_chart_irreducibility(run: SuiteRun) -> CheckResult:
     chart = Chart(center=run.rep, frame=run.basis.h1_complement)
-    failures = 0
-    samples = 0
+    ladder = []
     for axis in range(min(3, chart.dimension)):
         for sign in (1.0, -1.0):
             coords = np.zeros(chart.dimension)
             coords[axis] = sign * 5e-3
-            if commutant_dimension(chart.point(coords)) != 1:
-                failures += 1
-            samples += 1
-    return _result("chart-irreducibility", samples, failures, 0.0)
+            ladder.append(coords)
+    failures = sum(commutant_dimension(point) != 1 for point in chart.points(ladder))
+    return _result("chart-irreducibility", len(ladder), failures, 0.0)
 
 
 # -------------------------------------------------------------------- cli-io

@@ -10,6 +10,7 @@ from goldman import (Chart, Cocycle, InputError, Representation,
                      random_cocycle, random_representation, relator_defect,
                      rh_differential)
 from goldman.charts import rh_word_value
+from goldman.cocycles import linear_combination
 from goldman.linalg import frob
 from goldman.reps import evaluate
 
@@ -228,6 +229,98 @@ class TestChart:
         chart = Chart(center=basis_g2n2.base, frame=basis_g2n2.h1_complement)
         with pytest.raises(InputError):
             chart.point(np.zeros(3))
+
+
+def closedness_stencil(dimension, triple, h):
+    """The 18 chart coordinates of closedness_check at triple and step h:
+    +-h e_x and +-h e_x +- h e_y for x != y in the triple."""
+    points = []
+    for x in triple:
+        for sign in (1.0, -1.0):
+            coords = np.zeros(dimension)
+            coords[x] = sign * h
+            points.append(coords)
+            for y in triple:
+                if y != x:
+                    for other in (1.0, -1.0):
+                        moved = coords.copy()
+                        moved[y] = other * h
+                        points.append(moved)
+    return points
+
+
+def projection_shapes(monkeypatch):
+    """Record the image-stack shape of every newton_project call charts makes."""
+    project = goldman.charts.newton_project
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[1]))
+        return project(*args, **kwargs)
+
+    monkeypatch.setattr(goldman.charts, "newton_project", counted)
+    return calls
+
+
+class TestChartPoints:
+    @pytest.mark.parametrize("genus, rank, flavor", [
+        (2, 2, "unitary"), (2, 2, "general-linear"), (3, 2, "unitary"),
+        (2, 3, "general-linear"), (2, 1, "unitary")])
+    def test_stencil_equals_per_point_deform(self, genus, rank, flavor, monkeypatch):
+        rep = random_representation(genus, rank, flavor, seed=21)
+        chart = Chart(center=rep, frame=cocycle_basis(rep).h1_complement)
+        stencil = closedness_stencil(chart.dimension, (0, 1, 2), 2e-3)
+        calls = projection_shapes(monkeypatch)
+        points = chart.points(stencil)
+        monkeypatch.undo()
+        assert calls == [(18, 2 * genus, rank, rank)]
+        assert len(chart._cache) == 18
+        for coords, point in zip(stencil, points):
+            direction = linear_combination(rep, coords, chart.frame)
+            moved = deform(rep, direction, 1.0)
+            assert np.array_equal(point.images, moved.images)
+            assert chart.point(coords) is point
+
+    def test_closedness_retracts_its_stencil_once(self, basis_g2n2, monkeypatch):
+        chart = Chart(center=basis_g2n2.base, frame=basis_g2n2.h1_complement)
+        calls = projection_shapes(monkeypatch)
+        closedness_check(chart, (0, 1, 2), 2e-3)
+        assert calls == [(18, 4, 2, 2)]
+        expected = {tuple(c.tolist()) for c in closedness_stencil(10, (0, 1, 2), 2e-3)}
+        assert set(chart._cache) == expected
+
+    def test_repeated_and_cached_tuples_retract_once(self, basis_g2n2, monkeypatch):
+        chi = unit_h1_direction(basis_g2n2, 22)
+        chart = Chart(center=basis_g2n2.base, frame=(chi,))
+        first = chart.point((1e-3,))
+        calls = projection_shapes(monkeypatch)
+        points = chart.points([(1e-3,), (2e-3,), (0.0,), (2e-3,), (-1e-3,)])
+        assert calls == [(2, 4, 2, 2)]
+        assert points[0] is first and points[1] is points[3]
+        assert points[2] is basis_g2n2.base
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.5])
+    @pytest.mark.parametrize("at", [0, 2])
+    def test_first_bad_tuple_raises_its_own_error(self, basis_g2n2, bad, at):
+        # a non-finite coordinate and a move outside the trust region raise
+        # what tuple-by-tuple points would, after the tuples before them
+        chi = unit_h1_direction(basis_g2n2, 23)
+        ladder = [(1e-3,), (-1e-3,), (2e-3,), (-2e-3,)]
+        ladder[at] = (bad,)
+        ladder.append((np.nan,) if bad == 0.5 else (0.5,))
+        serial_chart = Chart(center=basis_g2n2.base, frame=(chi,))
+        with pytest.raises(InputError) as serial:
+            for coords in ladder:
+                serial_chart.point(coords)
+        chart = Chart(center=basis_g2n2.base, frame=(chi,))
+        with pytest.raises(InputError) as stacked:
+            chart.points(ladder)
+        assert type(stacked.value) is type(serial.value)
+        assert stacked.value.exit_code == serial.value.exit_code == 2
+        assert str(stacked.value) == str(serial.value)
+        assert list(chart._cache) == list(serial_chart._cache) == ladder[:at]
+        for key in ladder[:at]:
+            assert np.array_equal(chart._cache[key].images, serial_chart._cache[key].images)
 
 
 class TestClosedness:

@@ -16,7 +16,7 @@ from goldman.linalg import (ad_matrix, canonical_frame, column_space,
                             complement_dimension, complement_within, frob,
                             nullspace, real_flatten, row_space,
                             split_singular_values, vec)
-from goldman.reps import coboundary_matrix, relator_tangent_matrix
+from goldman.reps import coboundary_matrix, letter_codes, relator_tangent_matrix
 from goldman.words import GroupRingElement
 
 
@@ -127,6 +127,24 @@ class TestStackedWords:
         assert cocycle_law_residuals(chi, pairs) == expected
         # general-linear images grow along words of up to 16 letters
         assert max(expected) < 1e-6
+
+    def test_interleaved_lengths_keep_word_order(self, basis_g2n2):
+        # rows are folded longest first; empty and equal-length words sit
+        # between longer ones, so a wrong restore or an unstable sort shows
+        chi = basis_g2n2.basis[0]
+        pres = chi.base.presentation
+        parse = [(), ((0, 1), (1, -1), (2, 1)), (), ((3, 1),), ((1, 1), (0, 1), (2, -1)),
+                 ((2, -1),), (), ((0, -1), (1, -1), (2, 1), (3, 1), (0, 1))]
+        words = [pres.word(raw) for raw in parse]
+        codes, reach, restore = letter_codes(pres, words)
+        lengths = [len(w) for w in words]
+        assert [lengths[r] for r in np.argsort(restore)] == sorted(lengths, reverse=True)
+        assert reach == [sum(n > p for n in lengths) for p in range(max(lengths))]
+        folded = extend_words(chi, words)
+        images = evaluate_words(chi.base, words)
+        for w, value, image in zip(words, folded, images):
+            assert np.array_equal(value, extend(chi, w))
+            assert np.array_equal(image, evaluate(chi.base, w))
 
     def test_empty_input(self, basis_g2n2):
         chi = basis_g2n2.basis[0]

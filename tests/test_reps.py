@@ -342,6 +342,70 @@ class TestNewtonProject:
         assert excinfo.value.defect > 0.1
 
 
+class TestStackedNewtonProject:
+    """A (k, 2g, n, n) stack is projected tuple by tuple, bit for bit."""
+
+    @pytest.mark.parametrize("flavor", ["unitary", "general-linear"])
+    @pytest.mark.parametrize("genus, rank", [(2, 2), (3, 2), (2, 3), (2, 1)])
+    def test_stack_equals_one_tuple_calls(self, genus, rank, flavor, monkeypatch):
+        rep = random_representation(genus, rank, flavor, seed=17)
+        rng = np.random.default_rng(genus * 10 + rank)
+        # tuples on their own schedules: on the variety, near it, farther
+        stack = np.array([rep.images] + [perturbed_images(rep, rng, size)
+                                         for size in (1e-3, 1e-5, 2e-3, 3e-4)])
+        expected = [newton_project(rep.presentation, t, flavor, seed=5) for t in stack]
+        tangent = goldman.reps.relator_tangent_matrix
+        calls = []
+
+        def counted(*args):
+            calls.append(np.shape(args[1]))
+            return tangent(*args)
+
+        monkeypatch.setattr(goldman.reps, "relator_tangent_matrix", counted)
+        projected = newton_project(rep.presentation, stack, flavor, seed=5)
+        assert isinstance(projected, tuple) and len(projected) == len(stack)
+        for a, b in zip(projected, expected):
+            assert np.array_equal(a.images, b.images)
+            assert a.seed == 5 and a.flavor == flavor
+        # one linearization of the stack per iteration of its slowest tuple
+        iterations = [per_generator_newton(rep.presentation, t, flavor)[1] for t in stack]
+        assert len(calls) == max(iterations)
+        assert all(len(shape) == 4 for shape in calls)
+
+    @pytest.mark.parametrize("flavor", ["unitary", "general-linear"])
+    def test_stacked_tangent_matrix_equals_one_tuple_calls(self, flavor):
+        rep = random_representation(3, 2, flavor, seed=18)
+        rng = np.random.default_rng(18)
+        stack = np.array([perturbed_images(rep, rng, 1e-2) for _ in range(3)])
+        stacked = relator_tangent_matrix(rep.presentation, stack, flavor)
+        assert stacked.shape == (3, 4, 3 * 2 * 4)
+        for jac, images in zip(stacked, stack):
+            assert np.array_equal(jac, relator_tangent_matrix(rep.presentation, images,
+                                                              flavor))
+
+    @pytest.mark.parametrize("far_at", [[1], [1, 3], [0, 2]])
+    def test_first_failing_tuple_raises_its_own_error(self, far_at):
+        rep = random_representation(2, 2, "unitary", seed=19)
+        rng = np.random.default_rng(19)
+        stack = np.array([perturbed_images(rep, rng, 1e-3) for _ in range(4)])
+        for i in far_at:
+            stack[i] = [haar_unitary(rng, 2) for _ in range(4)]
+        serial = None
+        for images in stack:
+            try:
+                newton_project(rep.presentation, images, "unitary")
+            except ConvergenceError as exc:
+                serial = exc
+                break
+        assert serial is not None
+        with pytest.raises(ConvergenceError) as excinfo:
+            newton_project(rep.presentation, stack, "unitary")
+        assert type(excinfo.value) is type(serial)
+        assert excinfo.value.exit_code == serial.exit_code
+        assert str(excinfo.value) == str(serial)
+        assert excinfo.value.defect == serial.defect
+
+
 class TestConstructionValidation:
     def test_defective_relator_rejected(self):
         pres = Presentation(2)

@@ -1,6 +1,6 @@
 """Import hygiene of the package source, checked on its syntax trees.
 
-Five rules, with no lint dependency:
+Six rules, with no lint dependency:
 
 - every module-level import is used in its module (the package
   ``__init__`` re-exports, and ``from __future__`` imports are exempt);
@@ -14,7 +14,10 @@ Five rules, with no lint dependency:
   through ``linalg.complex_gaussian``, so every seeded stream has one
   draw order;
 - no module imports scipy: the runtime needs numpy only, and the tests
-  keep scipy.linalg as their reference.
+  keep scipy.linalg as their reference;
+- ``lstsq`` is called at one site, inside ``reps.newton_project``: the
+  one Gauss-Newton loop, which retracts a whole stack of image tuples,
+  so no second Newton loop can grow beside it.
 """
 
 import ast
@@ -94,6 +97,22 @@ def calls_named(path, name):
                  or getattr(node.func, "id", None) == name)]
 
 
+def call_sites(path, name):
+    """Calls of a function named name, as 'file:line in f' with f the
+    innermost enclosing function ('<module>' outside any)."""
+    def walk(node, func):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Call)
+                    and name in (getattr(child.func, "attr", None),
+                                 getattr(child.func, "id", None))):
+                yield f"{path.name}:{child.lineno} in {func}"
+            inner = (child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     else func)
+            yield from walk(child, inner)
+
+    return list(walk(_tree(path), "<module>"))
+
+
 def scipy_imports(path):
     """Imports of scipy or of one of its submodules, wherever they stand."""
     lines = [node.lineno for node in ast.walk(_tree(path))
@@ -139,6 +158,12 @@ def test_no_scipy_import(path):
     assert scipy_imports(path) == []
 
 
+def test_one_least_squares_site():
+    sites = [site for path in MODULES for site in call_sites(path, "lstsq")]
+    assert len(sites) == 1
+    assert sites[0].startswith("reps.py:") and sites[0].endswith(" in newton_project")
+
+
 def test_rules_flag_what_they_name(tmp_path):
     module = tmp_path / "sample.py"
     module.write_text(
@@ -159,11 +184,18 @@ def test_rules_flag_what_they_name(tmp_path):
         "    return rng.standard_normal(2) + 1j * rng.standard_normal(2)\n"
         "from scipy import linalg\n"
         "def s(a):\n"
-        "    return linalg.expm(a)\n")
+        "    return linalg.expm(a)\n"
+        "def t(a, b):\n"
+        "    def inner():\n"
+        "        return lstsq(a, b)\n"
+        "    return [np.linalg.lstsq(x, b) for x in a], inner\n"
+        "lstsq(1, 2)\n")
     assert unused_module_imports(module) == ["sample.py:2 json"]
     assert non_cycle_local_imports(module) == ["sample.py:6 in f", "sample.py:7 in f"]
     assert calls_named(module, "kron") == ["sample.py:11", "sample.py:11"]
     assert calls_named(module, "einsum") == ["sample.py:13"]
     assert calls_named(module, "standard_normal") == ["sample.py:15", "sample.py:15"]
     assert scipy_imports(module) == ["sample.py:6", "sample.py:16"]
+    assert call_sites(module, "lstsq") == ["sample.py:21 in inner", "sample.py:22 in t",
+                                           "sample.py:23 in <module>"]
 

@@ -7,8 +7,8 @@ import goldman.cocycles
 import goldman.pairing
 import goldman.reps
 import goldman.verify
-from goldman import (Cocycle, ConditioningError, Representation, commutant_dimension,
-                     conjugate_representation, random_cocycle)
+from goldman import (Cocycle, ConditioningError, Presentation, Representation,
+                     commutant_dimension, conjugate_representation, random_cocycle)
 from goldman.config import RunConfig
 from goldman.pairing import dual_form_matrix
 from goldman.verify import (SuiteRun, check_antisymmetry, check_bilinearity,
@@ -127,6 +127,25 @@ class TestSignDraw:
             assert int(indexed.integers(0, 6)) == int(chosen.integers(0, 6))
             assert (-1, 1)[int(indexed.integers(0, 2))] == int(chosen.choice([-1, 1]))
         assert indexed.random() == chosen.random()
+
+
+def _scalar_draw_word(pres, rng):
+    """The word draw of one integers call per length, generator and sign."""
+    length = int(rng.integers(0, 8 + 1))
+    return pres.word([(int(rng.integers(0, 2 * pres.genus)),
+                       (-1, 1)[int(rng.integers(0, 2))]) for _ in range(length)])
+
+
+class TestRandomWord:
+    @pytest.mark.parametrize("genus", [1, 2, 3])
+    def test_one_draw_per_word_keeps_the_scalar_stream(self, genus):
+        pres = Presentation(genus)
+        for seed in range(40):
+            stacked, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(40):
+                assert (goldman.verify._random_word(pres, stacked)
+                        == _scalar_draw_word(pres, scalar))
+            assert stacked.integers(0, 2 ** 40) == scalar.integers(0, 2 ** 40)
 
 
 class TestConjugator:
