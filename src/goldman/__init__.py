@@ -14,11 +14,11 @@ from .reps import (Representation, coboundary_matrix, commutant_dimension,
                    commutator_factor, conjugate_representation, evaluate,
                    evaluate_words, newton_project, random_representation,
                    relator_defect)
-from .cocycles import (Cocycle, CocycleBasis, anti_hermitian_part, coboundary,
-                       cocycle_basis, cocycle_law_residuals, extend,
+from .cocycles import (Cocycle, CocycleBasis, CocycleStack, anti_hermitian_part,
+                       coboundary, cocycle_basis, cocycle_law_residuals, extend,
                        extend_ring, extend_words, random_cocycle,
-                       real_locus_bases, relator_residual, star_involution,
-                       word_jacobian)
+                       real_locus_bases, relator_residual, stack_cocycles,
+                       star_involution, word_jacobian)
 from .pairing import (GoldmanGram, SymplecticBasis, UnitaryLocusReport,
                       dual_form_matrix, gram, gram_matrix, pairing_cup,
                       pairing_dual, standard_block_j, symplectic_basis,

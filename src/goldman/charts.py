@@ -25,7 +25,7 @@ from .errors import InputError
 from .cocycles import Cocycle, linear_combination
 from .linalg import expm
 from .pairing import pairing_dual
-from .reps import GENERAL_LINEAR, Representation, evaluate, newton_project
+from .reps import GENERAL_LINEAR, Representation, evaluate_words, newton_project
 
 TRIVIALIZATION = "right"  # division side used in the difference quotient
 
@@ -88,17 +88,20 @@ def rh_differential(center: Representation, plus: Representation,
 
 
 def rh_word_value(center: Representation, plus: Representation,
-                  minus: Representation, word, step: float) -> np.ndarray:
-    """Word-level central difference quotient, right-trivialized.
+                  minus: Representation, words, step: float) -> np.ndarray:
+    """Word-level central difference quotients, right-trivialized, shape
+    (len(words), n, n).
 
     Unlike extending rh_differential generator values (which satisfies
-    the cocycle law by construction), this evaluates the whole word at
+    the cocycle law by construction), this evaluates each whole word at
     each point, so comparing it against the law is a real second-order
-    consistency test of the differential.
+    consistency test of the differential.  Each point evaluates all the
+    words in one evaluate_words call, bit for bit evaluate word by word.
     """
     _check_fd_step(step)
-    return ((evaluate(plus, word) - evaluate(minus, word)) / (2.0 * step)
-            @ np.linalg.inv(evaluate(center, word)))
+    words = list(words)
+    return ((evaluate_words(plus, words) - evaluate_words(minus, words)) / (2.0 * step)
+            @ np.linalg.inv(evaluate_words(center, words)))
 
 
 @dataclass(eq=False)

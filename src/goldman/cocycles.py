@@ -19,8 +19,9 @@ from .errors import ConditioningError, InputError
 from .linalg import (canonical_frame, column_space, complement_dimension,
                      complement_within, complex_gaussian, frob, generator_stack,
                      nullspace, real_flatten, row_space)
-from .reps import (UNITARY, Representation, coboundary_matrix, evaluate_words,
-                   fox_jacobian, letter_codes, relator_tangent_matrix)
+from .reps import (UNITARY, Representation, RingCodes, coboundary_matrix,
+                   evaluate_words, fox_jacobian, letter_codes, relator_tangent_matrix,
+                   ring_codes)
 from .words import GroupRingElement, GroupWord, letter_fox_terms
 
 
@@ -64,6 +65,30 @@ class Cocycle:
     __rmul__ = __mul__
 
 
+@dataclass(frozen=True, eq=False)
+class CocycleStack:
+    """Cocycles over one base as one read-only (k, 2g, n, n) stack of
+    their generator values, the form the stacked kernels read; build one
+    with stack_cocycles."""
+
+    base: Representation
+    values: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+
+def stack_cocycles(cocycles) -> CocycleStack:
+    """The CocycleStack of a non-empty sequence of cocycles over one base;
+    InputError (exit 2) when it is empty or mixes bases."""
+    cocycles = tuple(cocycles)
+    if not cocycles:
+        raise InputError("need at least one cocycle")
+    values = np.stack([chi.values for chi in cocycles])
+    values.setflags(write=False)
+    return CocycleStack(common_base(cocycles), values)
+
+
 def common_base(cocycles) -> Representation:
     """The base representation of a non-empty sequence of cocycles; InputError
     (exit 2) when two of them live over different bases."""
@@ -81,11 +106,27 @@ def from_flat(base: Representation, flat: np.ndarray) -> Cocycle:
 
 
 def linear_combination(base: Representation, coeffs, cocycles) -> Cocycle:
-    """The cocycle sum_i coeffs[i] * cocycles[i] over base, summed in order;
-    InputError (exit 2) when a cocycle lives over another base."""
-    if cocycles and not base.same_base(common_base(cocycles)):
+    """The cocycle sum_i coeffs[i] * cocycles[i] over base; the empty
+    combination is the zero cocycle.
+
+    One ordered reduction over the stacked terms, bit for bit the Python
+    sum 0 + c_0 chi_0 + c_1 chi_1 + ...: a matrix product would reorder
+    the sum.  InputError (exit 2) when the number of coefficients is not
+    the number of cocycles, or a cocycle lives over another base.
+    """
+    cocycles = tuple(cocycles)
+    coeffs = np.asarray(coeffs)
+    if coeffs.shape != (len(cocycles),):
+        raise InputError(f"{len(cocycles)} cocycles need as many coefficients, "
+                         f"got shape {coeffs.shape}")
+    if not cocycles:
+        n = base.rank
+        return Cocycle(base, np.zeros((base.presentation.generator_count, n, n)))
+    stack = stack_cocycles(cocycles)
+    if not base.same_base(stack.base):
         raise InputError("cocycles live over a different base representation")
-    return Cocycle(base, sum(c * chi.values for c, chi in zip(coeffs, cocycles)))
+    return Cocycle(base, 0 + np.add.reduce(coeffs[:, None, None, None] * stack.values,
+                                           axis=0))
 
 
 def extend(chi: Cocycle, word: GroupWord) -> np.ndarray:
@@ -128,14 +169,27 @@ def word_jacobian(rep: Representation, word: GroupWord) -> np.ndarray:
 
 
 def extend_ring(chi: Cocycle, element: GroupRingElement) -> np.ndarray:
-    """Linear extension of the cocycle to the integral group ring."""
+    """Linear extension of the cocycle to the integral group ring: the
+    one-element case of ring_values."""
     rep = chi.base
     if element.genus != rep.genus:
         raise InputError("ring element and cocycle have different genus")
+    return ring_values(rep, chi.values, ring_codes(rep.presentation, (element,)))[0]
+
+
+def ring_values(rep: Representation, values: np.ndarray, ring: RingCodes) -> np.ndarray:
+    """Values of coded group-ring elements under cocycles over rep, shape
+    (..., ring.count, n, n) for generator values (..., 2g, n, n).
+
+    Every term's word is folded by extend_words' kernel, and each
+    element's terms are added to zero in terms() order, coefficient times
+    value: bit for bit the sum of coeff * extend(chi, word) term by term.
+    """
+    folded = _fold(rep, values, ring.letters)
     n = rep.rank
-    total = np.zeros((n, n), dtype=complex)
-    for word, coeff in element.terms():
-        total += coeff * extend(chi, word)
+    total = np.zeros((*values.shape[:-3], ring.count, n, n), dtype=complex)
+    for elements, rows, coeffs in ring.slots:
+        total[..., elements, :, :] += coeffs[:, None, None] * folded[..., rows, :, :]
     return total
 
 
@@ -159,17 +213,27 @@ def extend_words(chi: Cocycle, words) -> np.ndarray:
     bit.
     """
     rep = chi.base
+    return _fold(rep, chi.values, letter_codes(rep.presentation, words))
+
+
+def _fold(rep: Representation, values: np.ndarray, coded) -> np.ndarray:
+    """extend_words' fold of the words coded by letter_codes under
+    each cocycle of a (..., 2g, n, n) value stack over rep: shape
+    (..., words, n, n).  Leading cocycle axes broadcast against the
+    representation's letter tables."""
     left = np.concatenate([rep.images, rep.inverse_images])
     right = np.concatenate([rep.inverse_images, rep.images])
-    zeros = np.zeros_like(chi.values)
-    plus = np.concatenate([chi.values, zeros])
-    minus = np.concatenate([zeros, chi.values])
-    codes, reach, restore = letter_codes(rep.presentation, words)
-    acc = np.zeros((len(words), rep.rank, rep.rank), dtype=complex)
+    zeros = np.zeros_like(values)
+    plus = np.concatenate([values, zeros], axis=-3)
+    minus = np.concatenate([zeros, values], axis=-3)
+    codes, reach, restore = coded
+    acc = np.zeros((*values.shape[:-3], len(codes), rep.rank, rep.rank), dtype=complex)
     for column, m in zip(codes.T[::-1], reach[::-1]):
         letters = column[:m]
-        acc[:m] = plus[letters] + left[letters] @ (acc[:m] - minus[letters]) @ right[letters]
-    return acc[restore]
+        acc[..., :m, :, :] = (plus[..., letters, :, :] + left[letters]
+                              @ (acc[..., :m, :, :] - minus[..., letters, :, :])
+                              @ right[letters])
+    return acc[..., restore, :, :]
 
 
 def cocycle_law_residuals(chi: Cocycle, pairs) -> list[float]:

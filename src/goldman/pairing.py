@@ -28,11 +28,10 @@ import numpy as np
 
 from . import tolerances
 from .errors import DegenerateFormError, InputError
-from .cocycles import (Cocycle, common_base, extend, extend_ring,
-                       linear_combination, word_jacobian)
+from .cocycles import (Cocycle, CocycleStack, common_base, extend, linear_combination,
+                       ring_values, stack_cocycles, word_jacobian)
 from .linalg import ad_matrix, frob, split_singular_values
 from .reps import UNITARY, Representation, evaluate
-from .words import anti_involution
 
 
 def pairing_dual(chi1: Cocycle, chi2: Cocycle) -> complex:
@@ -52,21 +51,35 @@ def pairing_dual(chi1: Cocycle, chi2: Cocycle) -> complex:
     return complex(total)
 
 
-def pairing_cup(chi1: Cocycle, chi2: Cocycle) -> complex:
+def pairing_cup(chi1: Cocycle | CocycleStack,
+                chi2: Cocycle | CocycleStack) -> complex | np.ndarray:
     """Cup-product cochain evaluated on the fundamental two-cycle.
 
     Equals -sum over generators of B(chi1(# dR/dx), chi2(x)) with # the
     group-ring anti-involution; chi1 is extended linearly to the ring.
+
+    chi1 and chi2 are two cocycles, paired to a complex number, or two
+    CocycleStacks of k cocycles over one base, paired row by row to k
+    values; one pair is the one-row stack.  The anti-involuted two-cycle
+    is coded once per presentation (Presentation.two_cycle_codes), and
+    all its words are folded for every row at once (ring_values), so each
+    value is bit for bit the letterwise sum.  The oracle reads neither
+    the pairing matrix W nor a Fox Jacobian.
     """
+    single = isinstance(chi1, Cocycle)
+    if single != isinstance(chi2, Cocycle):
+        raise InputError("pair two cocycles or two cocycle stacks")
+    if single:
+        chi1, chi2 = stack_cocycles((chi1,)), stack_cocycles((chi2,))
     rep = common_base((chi1, chi2))
-    cycle = rep.presentation.fundamental_two_cycle()
-    total = 0.0 + 0.0j
-    for coefficient, generator in cycle.pairs:
-        index = generator.runs[0][0]
-        total -= np.trace(
-            extend_ring(chi1, anti_involution(coefficient)) @ chi2.values[index]
-        )
-    return complex(total)
+    if len(chi1) != len(chi2):
+        raise InputError(f"cannot pair {len(chi1)} cocycles with {len(chi2)}")
+    ring = ring_values(rep, chi1.values, rep.presentation.two_cycle_codes)
+    traces = np.trace(ring @ chi2.values, axis1=-2, axis2=-1)
+    total = np.zeros(len(traces), dtype=complex)
+    for trace in traces.T:  # generator by generator, as the letterwise sum
+        total -= trace
+    return complex(total[0]) if single else total
 
 
 def dual_form_matrix(rep: Representation) -> np.ndarray:

@@ -130,10 +130,14 @@ def letter_codes(presentation: Presentation, words):
     alone, so it never meets the padding.
     """
     count = presentation.generator_count
-    if any(w.genus != presentation.genus for w in words):
-        raise InputError("word and representation have different genus")
-    rows = [[gen if sign > 0 else count + gen for gen, sign in w.letters()]
-            for w in words]
+    rows = []
+    for w in words:
+        if w.genus != presentation.genus:
+            raise InputError("word and representation have different genus")
+        row = []
+        for gen, exp in w.runs:  # one list extend per run
+            row += [gen if exp > 0 else count + gen] * abs(exp)
+        rows.append(row)
     lengths = np.array([len(row) for row in rows], dtype=np.intp)
     order = np.argsort(-lengths, kind="stable")
     longest = int(lengths.max(initial=0))
@@ -141,6 +145,35 @@ def letter_codes(presentation: Presentation, words):
                      dtype=np.intp).reshape(len(rows), longest)
     reach = (lengths[:, None] > np.arange(longest)).sum(axis=0).tolist()
     return codes, reach, np.argsort(order)
+
+
+@dataclass(frozen=True, eq=False)
+class RingCodes:
+    """Group-ring elements coded for a stacked fold of their terms.
+
+    letters is letter_codes of every term's word, element by element and
+    each element's terms in terms() order.  Slot j of slots holds the j-th
+    term of every element that has one, as three arrays: the elements,
+    the terms' rows among letters' words, and their integer coefficients.
+    Adding slot after slot sums each element's terms in terms() order.
+    """
+
+    count: int
+    letters: tuple
+    slots: tuple
+
+
+def ring_codes(presentation: Presentation, elements) -> RingCodes:
+    """The RingCodes of a sequence of group-ring elements."""
+    terms = [element.terms() for element in elements]
+    starts = np.cumsum([0] + [len(t) for t in terms], dtype=np.intp)
+    slots = []
+    for j in range(max(map(len, terms), default=0)):
+        owners = [e for e, t in enumerate(terms) if len(t) > j]
+        slots.append((np.array(owners, dtype=np.intp), starts[owners] + j,
+                      np.array([terms[e][j][1] for e in owners], dtype=np.int64)))
+    letters = letter_codes(presentation, [word for t in terms for word, _ in t])
+    return RingCodes(len(terms), letters, tuple(slots))
 
 
 def _word_product(images, inverses, word) -> np.ndarray:

@@ -36,7 +36,7 @@ from .charts import (Chart, closedness_check, convergence_order, deform,
 from .cocycles import (Cocycle, CocycleBasis, anti_hermitian_part, coboundary,
                        cocycle_basis, cocycle_law_residuals, expected_h1_dimension,
                        random_cocycle, real_locus_bases, relator_residual,
-                       star_involution)
+                       stack_cocycles, star_involution)
 from .config import RunConfig
 from .errors import ConvergenceError
 from .linalg import complex_gaussian, expm, frob, haar_unitary
@@ -44,7 +44,8 @@ from .pairing import (gram, gram_matrix, pairing_cup, pairing_dual,
                       symplectic_basis, unitary_restriction_check)
 from .reps import (GENERAL_LINEAR, UNITARY, Representation,
                    commutant_dimension, commutator_factor, conjugate_representation,
-                   evaluate, newton_project, random_representation, relator_defect)
+                   evaluate, evaluate_words, newton_project, random_representation,
+                   relator_defect)
 from .words import (GroupRingElement, GroupWord, Presentation,
                     anti_involution, commutator, fox_derivative)
 
@@ -271,14 +272,12 @@ def check_evaluate_multiplicative(run: SuiteRun) -> CheckResult:
     rng = run.rng("evaluate-multiplicative")
     rep = run.rep
     pres = rep.presentation
-    worst = 0.0
     samples = 100
-    for _ in range(samples):
-        u = _random_word(pres, rng)
-        v = _random_word(pres, rng)
-        lhs = evaluate(rep, u * v)
-        rhs = evaluate(rep, u) @ evaluate(rep, v)
-        worst = max(worst, frob(lhs - rhs) / max(1.0, frob(rhs)))
+    pairs = [(_random_word(pres, rng), _random_word(pres, rng)) for _ in range(samples)]
+    images = evaluate_words(rep, [w for u, v in pairs for w in (u * v, u, v)])
+    rhs = images[1::3] @ images[2::3]
+    worst = max(0.0, *(frob(lhs - r) / max(1.0, frob(r))
+                       for lhs, r in zip(images[0::3], rhs)))
     return _result("evaluate-multiplicative", samples, worst, 1e-12)
 
 
@@ -457,12 +456,13 @@ def check_cup_dual_agreement(run: SuiteRun) -> CheckResult:
     rng = run.rng("cup-dual-agreement")
     basis = run.basis
     dual = _dual_pairing(run.rep, flip_b=run.config.mutate == "dual-sign")
-    worst = 0.0
     samples = 100
-    for _ in range(samples):
-        chi1 = random_cocycle(basis, rng)
-        chi2 = random_cocycle(basis, rng)
-        worst = max(worst, abs(dual(chi1, chi2) - pairing_cup(chi1, chi2)))
+    pairs = [(random_cocycle(basis, rng), random_cocycle(basis, rng))
+             for _ in range(samples)]
+    chi1s, chi2s = zip(*pairs)
+    cups = pairing_cup(stack_cocycles(chi1s), stack_cocycles(chi2s))
+    worst = max(0.0, *(abs(dual(chi1, chi2) - complex(cup))
+                       for (chi1, chi2), cup in zip(pairs, cups)))
     return _result("cup-dual-agreement", samples, worst, 1e-10)
 
 
@@ -710,16 +710,13 @@ def check_rh_cocycle_law_order(run: SuiteRun) -> CheckResult:
     chart = Chart(center=rep, frame=(chi,))
     pres = rep.presentation
     words = [(_random_word(pres, rng), _random_word(pres, rng)) for _ in range(50)]
+    s_u = evaluate_words(rep, [u for u, _ in words])
+    law_words = [w for u, v in words for w in (u * v, u, v)]
     residuals = []
     for h, plus, minus in _curve_points(chart, (2e-3, 1e-3)):
-        points = (rep, plus, minus)
-        worst = 0.0
-        for u, v in words:
-            s_u = evaluate(rep, u)
-            law = (rh_word_value(*points, u * v, h) - rh_word_value(*points, u, h)
-                   - s_u @ rh_word_value(*points, v, h) @ np.linalg.inv(s_u))
-            worst = max(worst, frob(law))
-        residuals.append(worst)
+        values = rh_word_value(rep, plus, minus, law_words, h)
+        laws = values[0::3] - values[1::3] - s_u @ values[2::3] @ np.linalg.inv(s_u)
+        residuals.append(max(0.0, *(frob(law) for law in laws)))
     factor = residuals[0] / residuals[1]
     return _result("rh-cocycle-law-order", 2 * len(words), abs(factor - 4.0), 0.8)
 

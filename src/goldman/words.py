@@ -188,6 +188,16 @@ class Presentation:
         return TwoCycle(tuple((deriv, self.generator(index))
                               for index, deriv in enumerate(self.relator_derivatives)))
 
+    @cached_property
+    def two_cycle_codes(self):
+        """The anti-involuted coefficients of the fundamental two-cycle,
+        coded once per presentation for pairing_cup's stacked fold
+        (reps.ring_codes); element i pairs with generator i."""
+        from .reps import ring_codes  # reps imports this module
+
+        return ring_codes(self, [anti_involution(coefficient)
+                                 for coefficient, _ in self.fundamental_two_cycle().pairs])
+
 
 @lru_cache(maxsize=None)
 def _relator(genus: int, k: int) -> GroupWord:

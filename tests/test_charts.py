@@ -154,7 +154,7 @@ class TestRhDifferential:
         calls = [lambda: deform(rep, chi, bad),
                  lambda: chart.point((bad,)),
                  lambda: rh_differential(rep, rep, rep, bad),
-                 lambda: rh_word_value(rep, rep, rep, word, bad),
+                 lambda: rh_word_value(rep, rep, rep, [word], bad),
                  lambda: chart.transported_frame_direction(np.zeros(1), 0, bad)]
         for call in calls:
             with pytest.raises(InputError):
@@ -183,11 +183,32 @@ class TestRhDifferential:
             worst = 0.0
             for u, v in pairs:
                 s_u = evaluate(rep, u)
-                law = (rh_word_value(*points, u * v, h) - rh_word_value(*points, u, h)
-                       - s_u @ rh_word_value(*points, v, h) @ np.linalg.inv(s_u))
+                uv_value, u_value, v_value = rh_word_value(*points, [u * v, u, v], h)
+                law = uv_value - u_value - s_u @ v_value @ np.linalg.inv(s_u)
                 worst = max(worst, frob(law))
             residuals.append(worst)
         assert 3.2 <= residuals[0] / residuals[1] <= 4.8
+
+    @pytest.mark.parametrize("genus,rank,flavor", [(2, 2, "unitary"), (2, 3, "general-linear"),
+                                                   (3, 2, "unitary"), (2, 1, "unitary")])
+    def test_word_values_are_wordwise_bit_for_bit(self, genus, rank, flavor):
+        # the letterwise quotient, word by word, is the reference
+        rep = random_representation(genus, rank, flavor, seed=rank)
+        chi = unit_h1_direction(cocycle_basis(rep), 65)
+        chart = Chart(center=rep, frame=(chi,))
+        points = (rep, chart.point((1e-3,)), chart.point((-1e-3,)))
+        rng = np.random.default_rng(66)
+        pres = rep.presentation
+        words = [pres.word([(int(rng.integers(0, 2 * genus)), int(rng.choice([-1, 1])))
+                            for _ in range(int(rng.integers(0, 9)))]) for _ in range(40)]
+        stacked = rh_word_value(*points, words, 1e-3)
+        assert stacked.shape == (40, rank, rank)
+        for w, value in zip(words, stacked):
+            center, plus, minus = (evaluate(p, w) for p in points)
+            reference = (plus - minus) / (2.0 * 1e-3) @ np.linalg.inv(center)
+            assert np.array_equal(value, reference)
+            assert np.array_equal(value, rh_word_value(*points, [w], 1e-3)[0])
+        assert rh_word_value(*points, [], 1e-3).shape == (0, rank, rank)
 
 
 class TestChart:

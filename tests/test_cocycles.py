@@ -11,12 +11,14 @@ from goldman import (Cocycle, ConditioningError, InputError, Presentation,
                      star_involution, word_jacobian)
 from goldman.cli import main
 from goldman.cocycles import (CocycleBasis, _real_span, cocycle_dimensions,
-                              expected_h1_dimension, from_flat)
+                              expected_h1_dimension, from_flat, linear_combination,
+                              ring_values, stack_cocycles)
 from goldman.linalg import (ad_matrix, canonical_frame, column_space,
                             complement_dimension, complement_within, frob,
                             nullspace, real_flatten, row_space,
                             split_singular_values, vec)
-from goldman.reps import coboundary_matrix, letter_codes, relator_tangent_matrix
+from goldman.reps import (coboundary_matrix, letter_codes, relator_tangent_matrix,
+                          ring_codes)
 from goldman.words import GroupRingElement
 
 
@@ -224,6 +226,83 @@ class TestExtendRing:
         w = pres.a(2) * pres.b(1).inverse()
         assert np.allclose(extend_ring(chi, GroupRingElement.from_word(w)),
                            extend(chi, w))
+
+
+    def test_is_the_term_by_term_sum_bit_for_bit(self, seeded_reps):
+        # the letterwise reference: coeff * extend(chi, word) added to zero
+        # term by term in terms() order
+        rng = np.random.default_rng(67)
+        for rep in seeded_reps.values():
+            pres = rep.presentation
+            chis = [random_values_cocycle(rep, rng) for _ in range(3)]
+            words = stacked_test_words(pres, rng, count=24)
+            elements = [GroupRingElement.zero(pres.genus)]
+            for start in range(0, 24, 4):  # one to four terms, some coefficients negative
+                terms = {w: int(rng.integers(-3, 4)) or 1
+                         for w in words[start:start + 1 + start // 4 % 4]}
+                elements.append(GroupRingElement(pres.genus, terms))
+            elements += list(pres.relator_derivatives)
+            stacked = ring_values(rep, stack_cocycles(chis).values, ring_codes(pres, elements))
+            assert stacked.shape == (3, len(elements), rep.rank, rep.rank)
+            for chi, row in zip(chis, stacked):
+                for element, value in zip(elements, row):
+                    reference = np.zeros((rep.rank, rep.rank), dtype=complex)
+                    for word, coeff in element.terms():
+                        reference += coeff * extend(chi, word)
+                    assert np.array_equal(extend_ring(chi, element), reference)
+                    assert np.array_equal(value, reference)
+
+    def test_genus_mismatch(self, basis_g2n2):
+        chi = basis_g2n2.basis[0]
+        with pytest.raises(InputError, match="different genus"):
+            extend_ring(chi, GroupRingElement.zero(3))
+
+
+def assert_same_bits(a, b):
+    """Equal values with equal signs of zero: the same bits, for finite
+    complex arrays."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a.real), np.signbit(b.real))
+    assert np.array_equal(np.signbit(a.imag), np.signbit(b.imag))
+
+
+def python_sum(coeffs, cocycles):
+    """linear_combination's letterwise reference, the ordered Python sum."""
+    return sum(c * chi.values for c, chi in zip(coeffs, cocycles))
+
+
+class TestLinearCombination:
+    def test_complex_and_real_coefficients(self, seeded_bases):
+        rng = np.random.default_rng(68)
+        for basis in seeded_bases.values():
+            pool = basis.basis
+            for coeffs in (rng.standard_normal(len(pool)) + 1j * rng.standard_normal(len(pool)),
+                           rng.standard_normal(len(pool)),
+                           rng.standard_normal(len(pool)).tolist(),
+                           rng.integers(-3, 4, len(pool)).tolist()):
+                assert_same_bits(linear_combination(basis.base, coeffs, pool).values,
+                                 python_sum(coeffs, pool))
+
+    def test_many_terms_keep_their_order(self, trivial_scalar_rep):
+        # 40 terms of 4 entries each: a pairwise or blocked sum would move bits
+        rng = np.random.default_rng(69)
+        chis = [random_values_cocycle(trivial_scalar_rep, rng) for _ in range(40)]
+        coeffs = rng.standard_normal(40) * 10.0 ** rng.integers(-8, 8, 40)
+        assert_same_bits(linear_combination(trivial_scalar_rep, coeffs, chis).values,
+                         python_sum(coeffs, chis))
+
+    def test_signed_zeros(self, rep_g2n2):
+        values = np.full((4, 2, 2), complex(-0.0, -0.0))
+        values[1, 0, 1] = complex(-0.0, 2.5)
+        values[2, 1, 0] = complex(-3.0, -0.0)
+        negative_zero = Cocycle(rep_g2n2, values)
+        other = Cocycle(rep_g2n2, -values)
+        for coeffs in ([-0.0], [1.0], [-1.0], [0.0, -0.0], [-1.0, 1.0], [-0.0, -0.0],
+                       [complex(-0.0, -0.0), complex(0.0, -1.0)]):
+            chis = [negative_zero, other][:len(coeffs)]
+            assert_same_bits(linear_combination(rep_g2n2, coeffs, chis).values,
+                             python_sum(coeffs, chis))
 
 
 class TestCoboundary:
@@ -670,6 +749,16 @@ class TestBaseMismatch:
         # over its own base the same call is the scaled cocycle
         same = goldman.cocycles.linear_combination(other.base, [1.0], [chi])
         assert np.array_equal(same.values, chi.values)
+        # a count mismatch is refused, not truncated to the shorter side
+        for coeffs, cocycles in (([1.0, 2.0, 3.0], other.basis), ([1.0, 2.0], [chi]),
+                                 ([[1.0]], [chi]), (1.0, [chi]), ([1.0], [])):
+            with pytest.raises(InputError, match="coefficients") as error:
+                goldman.cocycles.linear_combination(other.base, coeffs, cocycles)
+            assert error.value.exit_code == 2
+        # the empty combination is the zero cocycle over the given base
+        zero = goldman.cocycles.linear_combination(rep_g2n2, [], [])
+        assert zero.base is rep_g2n2
+        assert zero.values.shape == (4, 2, 2) and not zero.values.any()
 
     def test_value_shape_checked(self, rep_g2n2):
         with pytest.raises(InputError):

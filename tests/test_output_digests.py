@@ -4,7 +4,9 @@ A refactor that must not change any number shows it here: the file chain
 random-rep -> cocycle-basis -> gram -> symplectic-basis at (2,2) seed 7 in
 both flavors, with `deform --step 1e-3` along its first cocycle (stdout,
 output directory masked, and `deformed.txt`) and the `verify` report at
-the same point, and the closedness stdout at seed 9.  A deliberate output
+the same point, the closedness stdout at seed 9, and the `verify` report
+at three more sizes: (3,2) unitary seed 4, (2,3) general-linear seed 5
+and (2,1) unitary seed 2.  A deliberate output
 change re-pins the digests (run `pinned_outputs` and copy its result) and
 says so in CHANGES.md.  The digests hold for the floating-point libraries
 they were pinned with; another BLAS build may move the last printed digit.
@@ -45,7 +47,16 @@ PINNED = {
         "d3f1a09934950ddacd2a99ee293038016a3a43c0ff0a91e48a20442cb287d4e6",
     "closedness-seed-9-stdout":
         "3d265884967db346a7bc65f3f0d65bf5850aca5817e46c583bad00d0152286b8",
+    "g3n2-unitary-seed4/verify-report":
+        "9d5beb1d5b34811e2401967b9e154397530f74c44e8c3e84b4aa37dea657f9e9",
+    "g2n3-general-linear-seed5/verify-report":
+        "8f3732cffde2ba2b2b465b62f467769aab68a4eee39499de8317b02d0a640d4e",
+    "g2n1-unitary-seed2/verify-report":
+        "d6a546b99596dc4400e64853c488fcc8d1eff577af45c5e728aa7234129fa700",
 }
+
+# (genus, rank, flavor, seed) of the verify reports pinned beside (2,2)
+VERIFY_SIZES = ((3, 2, "unitary", 4), (2, 3, "general-linear", 5), (2, 1, "unitary", 2))
 
 
 def _digest(paths) -> str:
@@ -86,6 +97,12 @@ def pinned_outputs(tmp_path, capsys) -> dict:
     assert main(["--seed", "9", "closedness"]) == 0
     digests["closedness-seed-9-stdout"] = hashlib.sha256(
         capsys.readouterr().out.encode()).hexdigest()
+    for genus, rank, flavor, seed in VERIFY_SIZES:
+        out = tmp_path / f"g{genus}n{rank}-{flavor}-seed{seed}"
+        assert main(["--genus", str(genus), "--rank", str(rank), "--flavor", flavor,
+                     "--seed", str(seed), "--out", str(out), "verify"]) == 0
+        digests[f"{out.name}/verify-report"] = _digest([out / "verify-report.txt"])
+    capsys.readouterr()
     return digests
 
 

@@ -9,10 +9,12 @@ from goldman import (Cocycle, DegenerateFormError, InputError,
                      real_locus_bases, standard_block_j, symplectic_basis,
                      unitary_restriction_check)
 from goldman.cli import _file_gram, main
+from goldman.cocycles import extend, stack_cocycles
 from goldman.config import RunConfig
 from goldman.pairing import GoldmanGram
 from goldman.verify import (SuiteRun, check_gram_structure, check_symplectic_basis,
                             check_unitary_locus)
+from goldman.words import anti_involution
 
 GRID = [(g, n) for g in (2, 3) for n in (1, 2, 3)]
 
@@ -58,6 +60,79 @@ class TestPairingValues:
             hand = (x[0] * y[1] - x[1] * y[0]) + (x[2] * y[3] - x[3] * y[2])
             assert abs(pairing_dual(chi1, chi2) - hand) < 1e-12
             assert abs(pairing_cup(chi1, chi2) - hand) < 1e-12
+
+
+def letterwise_cup(chi1, chi2):
+    """The cup oracle term by term: coeff * extend(chi1, word) over the
+    anti-involuted coefficient of each two-cycle pair, added to zero, then
+    minus the trace against chi2 on the pair's generator."""
+    rep = chi1.base
+    total = 0.0 + 0.0j
+    for coefficient, generator in rep.presentation.fundamental_two_cycle().pairs:
+        ring = np.zeros((rep.rank, rep.rank), dtype=complex)
+        for word, coeff in anti_involution(coefficient).terms():
+            ring += coeff * extend(chi1, word)
+        total -= np.trace(ring @ chi2.values[generator.runs[0][0]])
+    return complex(total)
+
+
+def stacked_cup(pairs):
+    """pairing_cup of a list of pairs in one stacked call."""
+    chi1s, chi2s = zip(*pairs)
+    return pairing_cup(stack_cocycles(chi1s), stack_cocycles(chi2s))
+
+
+def random_values(rep, rng):
+    n = rep.rank
+    shape = (rep.presentation.generator_count, n, n)
+    return Cocycle(rep, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+class TestStackedCup:
+    """pairing_cup folds every word of the anti-involuted two-cycle for a
+    whole stack of pairs at once, bit for bit the letterwise oracle."""
+
+    @pytest.mark.parametrize("genus,rank,flavor", [
+        (2, 2, "unitary"), (3, 3, "general-linear"), (2, 4, "unitary"),
+        (2, 1, "unitary"), (4, 2, "unitary")])
+    def test_stack_is_letterwise_bit_for_bit(self, genus, rank, flavor):
+        rep = random_representation(genus, rank, flavor, seed=genus + rank)
+        rng = np.random.default_rng(70)
+        pairs = [(random_values(rep, rng), random_values(rep, rng)) for _ in range(12)]
+        reference = [letterwise_cup(chi1, chi2) for chi1, chi2 in pairs]
+        stacked = stacked_cup(pairs)
+        assert stacked.shape == (12,)
+        assert stacked.tolist() == reference
+        assert [pairing_cup(chi1, chi2) for chi1, chi2 in pairs] == reference
+
+    def test_basis_pairs_are_letterwise_bit_for_bit(self, seeded_bases):
+        rng = np.random.default_rng(71)
+        for basis in seeded_bases.values():
+            pairs = [(random_cocycle(basis, rng), random_cocycle(basis, rng))
+                     for _ in range(5)]
+            stacked = stacked_cup(pairs)
+            assert stacked.tolist() == [letterwise_cup(*pair) for pair in pairs]
+
+    def test_one_row_stack_is_one_pair(self, basis_g2n2):
+        chi, psi = basis_g2n2.h1_complement[:2]
+        one = pairing_cup(stack_cocycles([chi]), stack_cocycles([psi]))
+        assert isinstance(pairing_cup(chi, psi), complex)
+        assert one.tolist() == [pairing_cup(chi, psi)]
+
+    def test_malformed_stacks_rejected(self, basis_g2n2):
+        chi, psi = basis_g2n2.h1_complement[:2]
+        other = random_cocycle(cocycle_basis(random_representation(2, 2, seed=3)),
+                               np.random.default_rng(72))
+        with pytest.raises(InputError, match="cannot pair 2 cocycles with 1"):
+            pairing_cup(stack_cocycles([chi, psi]), stack_cocycles([psi]))
+        with pytest.raises(InputError, match="two cocycle stacks"):
+            pairing_cup(chi, stack_cocycles([psi]))
+        with pytest.raises(InputError, match="different base"):
+            pairing_cup(stack_cocycles([chi]), stack_cocycles([other]))
+        with pytest.raises(InputError, match="different base"):
+            stack_cocycles([chi, other])
+        with pytest.raises(InputError, match="at least one"):
+            stack_cocycles([])
 
 
 class TestCupPath:

@@ -1,6 +1,7 @@
-"""Import hygiene of the package source, checked on its syntax trees.
+"""Import hygiene of the package source, checked on its syntax trees,
+and the independence of the cup-product oracle.
 
-Six rules, with no lint dependency:
+Seven rules, with no lint dependency:
 
 - every module-level import is used in its module (the package
   ``__init__`` re-exports, and ``from __future__`` imports are exempt);
@@ -17,13 +18,24 @@ Six rules, with no lint dependency:
   keep scipy.linalg as their reference;
 - ``lstsq`` is called at one site, inside ``reps.newton_project``: the
   one Gauss-Newton loop, which retracts a whole stack of image tuples,
-  so no second Newton loop can grow beside it.
+  so no second Newton loop can grow beside it;
+- the cup-product oracle ``pairing_cup`` reads neither the pairing
+  matrix ``W`` nor a Fox Jacobian: it still returns with
+  ``dual_form_matrix``, ``word_jacobian``, ``fox_jacobian`` and
+  ``Representation.dual_form`` patched to raise.  The oracle shares its
+  Horner fold with ``extend_words``, so this run, not the code layout
+  alone, keeps it independent of the closed form it checks.
 """
 
 import ast
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from goldman import Cocycle, Representation, gram_matrix, pairing_cup, random_representation
+from goldman.cocycles import stack_cocycles
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "goldman"
 MODULES = sorted(SOURCE.glob("*.py"))
@@ -162,6 +174,28 @@ def test_one_least_squares_site():
     sites = [site for path in MODULES for site in call_sites(path, "lstsq")]
     assert len(sites) == 1
     assert sites[0].startswith("reps.py:") and sites[0].endswith(" in newton_project")
+
+
+def test_cup_oracle_reads_no_dual_form(monkeypatch):
+    rep = random_representation(2, 2, "general-linear", seed=23)
+    rng = np.random.default_rng(23)
+    chis = [Cocycle(rep, rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2)))
+            for _ in range(4)]
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the cup oracle read the closed form")
+
+    names = ("dual_form_matrix", "word_jacobian", "fox_jacobian")
+    for key, module in list(sys.modules.items()):
+        if key == "goldman" or key.startswith("goldman."):
+            for name in names:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(Representation, "dual_form", property(refuse))
+    with pytest.raises(RuntimeError):  # the patches are live
+        gram_matrix(chis[:2])
+    assert isinstance(pairing_cup(chis[0], chis[1]), complex)
+    assert pairing_cup(stack_cocycles(chis[:2]), stack_cocycles(chis[2:])).shape == (2,)
 
 
 def test_rules_flag_what_they_name(tmp_path):
