@@ -40,6 +40,18 @@ class TestDims:
         assert code == 0
         assert "H1=38 formula=38 MATCH" in out
 
+    @pytest.mark.parametrize("args, line", [
+        (["--rank", "8"], "Z1=193 B1=63 H1=130 formula=130 MATCH"),
+        (["--rank", "11"], "Z1=364 B1=120 H1=244 formula=244 MATCH"),
+        (["--rank", "14"], "Z1=589 B1=195 H1=394 formula=394 MATCH"),
+        (["--genus", "3", "--rank", "8"], "Z1=321 B1=63 H1=258 formula=258 MATCH"),
+        (["--rank", "4", "--flavor", "general-linear"], "Z1=49 B1=15 H1=34 formula=34 MATCH"),
+    ])
+    def test_pinned_lines_at_scale(self, capsys, args, line):
+        code, out, _ = run_cli(args + ["dims"], capsys)
+        assert code == 0
+        assert out == line + "\n"
+
     def test_mismatch_names_the_commutant(self, capsys):
         # at genus one every rank-two point is reducible
         code, out, _ = run_cli(["--genus", "1", "--rank", "2", "dims"], capsys)

@@ -3,7 +3,7 @@ import pytest
 
 import goldman.cocycles
 import goldman.tolerances
-from goldman import (Cocycle, ConditioningError, InputError, Presentation,
+from goldman import (Cocycle, ConditioningError, InputError, Presentation, Representation,
                      anti_hermitian_part, coboundary, cocycle_basis,
                      cocycle_law_residuals, evaluate, evaluate_words, extend,
                      extend_ring, extend_words, random_cocycle,
@@ -17,8 +17,8 @@ from goldman.linalg import (ad_matrix, canonical_frame, column_space,
                             complement_dimension, complement_within, frob,
                             nullspace, real_flatten, row_space,
                             split_singular_values, vec)
-from goldman.reps import (coboundary_matrix, letter_codes, relator_tangent_matrix,
-                          ring_codes)
+from goldman.reps import (coboundary_matrix, commutant_dimension, letter_codes,
+                          relator_tangent_matrix, ring_codes)
 from goldman.words import GroupRingElement
 
 
@@ -391,6 +391,36 @@ class TestCocycleBasis:
         shifted = chi + coboundary(v, basis_g2n2.base)
         delta = basis_g2n2.h1_coordinates(shifted) - basis_g2n2.h1_coordinates(chi)
         assert np.linalg.norm(delta) < 1e-12
+
+
+def block_diagonal_point(genus, sizes, seed):
+    """Unitary point whose images are block diagonal, block i a seeded
+    random_representation of rank sizes[i] (seed + i): reducible, with
+    commutant dimension len(sizes) when the blocks are irreducible and
+    pairwise non-isomorphic.  All-ones sizes give a diagonal point."""
+    n = sum(sizes)
+    images = np.zeros((2 * genus, n, n), dtype=complex)
+    start = 0
+    for i, k in enumerate(sizes):
+        block = random_representation(genus, k, "unitary", seed=seed + i).images
+        images[:, start:start + k, start:start + k] = block
+        start += k
+    return Representation(Presentation(genus), n, images, "unitary")
+
+
+class TestReducibleDimensions:
+    @pytest.mark.parametrize("genus, sizes, dims", [
+        (2, (1, 1), (14, 2, 12)),
+        (2, (1, 1, 1), (30, 6, 24)),
+        (2, (1, 2), (29, 7, 22)),
+        (3, (1, 1, 1, 1), (84, 12, 72)),
+        (3, (2, 2), (82, 14, 68)),
+        (3, (1, 3), (82, 14, 68)),
+    ])
+    def test_pinned_dims(self, genus, sizes, dims):
+        rep = block_diagonal_point(genus, sizes, seed=3)
+        assert cocycle_basis(rep).dims == dims
+        assert commutant_dimension(rep) == rep.rank ** 2 - dims[1]
 
 
 def direct_frames(rep):
