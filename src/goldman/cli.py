@@ -153,6 +153,11 @@ def cmd_cocycle_basis(config: RunConfig, rep_path, space: str) -> int:
     print(f"Z1: {z1}")
     print(f"B1: {b1}")
     print(f"H1: {h1}")
+    # a centre with a commutant above the scalars is reducible: the
+    # written count is then not the formula's (see cmd_dims)
+    commutant = rep.rank ** 2 - b1
+    if commutant != 1:
+        print(f"commutant-dimension: {commutant}")
     return EXIT_OK
 
 

@@ -345,8 +345,9 @@ def cocycle_basis(rep: Representation) -> CocycleBasis:
     The constraint chi(R) = 0 is the Fox expansion of the relator (the
     linear map that drives Newton projection); B1 is the column space of
     coboundary_matrix, the map v -> delta_v.  dim Z1 is 2g n^2 less the
-    rank of the constraint, from its thin SVD at the global threshold,
-    and dim H1 comes from cocycle_dimensions.
+    rank of the constraint, decided by row_space at the global threshold
+    (the thin SVD of the tall conjugate transpose), and dim H1 comes from
+    cocycle_dimensions.
     """
     constraint = relator_tangent_matrix(rep.presentation, rep.images, rep.flavor)
     row = row_space(constraint)
@@ -366,8 +367,11 @@ def cocycle_dimensions(row: np.ndarray, b1_frame: np.ndarray) -> tuple[int, int,
 
     Both arguments have orthonormal columns; Z1 is the orthogonal
     complement of row.  dim H1 is the number of columns complement_within
-    would keep, counted from principal angles.  B1 not lying inside Z1
-    shows as dim Z1 - dim B1 != dim H1 and raises ConditioningError.
+    would keep, counted by complement_dimension from the sines of the
+    principal angles, the singular values of the small matrix
+    row^H b1_frame; no Z1 frame or tall projection is formed.  B1 not
+    lying inside Z1 shows as dim Z1 - dim B1 != dim H1 and raises
+    ConditioningError.
     """
     dims = (row.shape[0] - row.shape[1], b1_frame.shape[1],
             complement_dimension(row, b1_frame))

@@ -175,6 +175,13 @@ def split_singular_values(svals: Array):
     return int(kept.size), margin
 
 
+def decided_rank(m: Array):
+    """(rank, margin) of m from its singular values, by
+    split_singular_values: the one rank decision of a matrix whose
+    factors are not needed."""
+    return split_singular_values(np.linalg.svd(m, compute_uv=False))
+
+
 def nullspace(m: Array) -> Array:
     """Orthonormal nullspace basis (columns), with an unambiguous rank cut."""
     m = np.atleast_2d(np.asarray(m))
@@ -184,12 +191,14 @@ def nullspace(m: Array) -> Array:
 
 
 def row_space(m: Array) -> Array:
-    """Orthonormal row-space basis (columns), the complement of nullspace(m):
-    a thin SVD with the same rank rule, and no full right factor."""
+    """Orthonormal row-space basis (columns), the complement of nullspace(m),
+    with the same rank rule: the leading left singular vectors of the thin
+    SVD of m^H.  For a wide m, m^H is tall, and LAPACK factors a tall
+    matrix faster than the wide one whose right factor it would read."""
     m = np.atleast_2d(np.asarray(m))
-    _, svals, vh = np.linalg.svd(m, full_matrices=False)
+    u, svals, _ = np.linalg.svd(m.conj().T, full_matrices=False)
     rank, _ = split_singular_values(svals)
-    return vh[:rank].conj().T
+    return u[:, :rank]
 
 
 def column_space(m: Array) -> Array:
@@ -216,20 +225,22 @@ def complement_within(z: Array, b: Array) -> Array:
 def complement_dimension(z_perp: Array, b: Array) -> int:
     """Column count of complement_within(z, b) without forming z.
 
-    z_perp has orthonormal columns spanning the orthogonal complement of
-    col(z).  The singular values of (I - b b^H) z are the sines of the
-    principal angles between col(z) and col(b), padded with ones; those
-    of (I - z_perp z_perp^H) b are their cosines.  A sine above s =
-    tolerances.COMPLEMENT_SINE is a cosine below sqrt(1 - s**2), so the
-    count of kept directions is dim col(z) less the cosines at or above it.
+    z_perp (r columns) and b (k columns) have orthonormal columns, and
+    z_perp spans the orthogonal complement of col(z).  The singular values
+    of the small r x k matrix z_perp^H b are the sines of the principal
+    angles between col(b) and col(z) (Bjorck and Golub, 1973); when k > r,
+    the other k - r directions of col(b) lie inside col(z), at sine 0.
+    complement_within drops a direction of col(z) for each angle whose
+    sine is at most s = tolerances.COMPLEMENT_SINE (its cosine, a singular
+    value of the tall (I - z_perp z_perp^H) b, at least sqrt(1 - s**2)),
+    so the count of kept directions is dim col(z) less those angles.
     """
     z_dim = z_perp.shape[0] - z_perp.shape[1]
     if b.shape[1] == 0:
         return z_dim
-    projected = b - z_perp @ (z_perp.conj().T @ b)
-    cosines = np.linalg.svd(projected, compute_uv=False)
-    cutoff = np.sqrt(1 - tolerances.COMPLEMENT_SINE ** 2)
-    return z_dim - int(np.count_nonzero(cosines >= cutoff))
+    sines = np.linalg.svd(z_perp.conj().T @ b, compute_uv=False)
+    inside = max(0, b.shape[1] - z_perp.shape[1])
+    return z_dim - inside - int(np.count_nonzero(sines <= tolerances.COMPLEMENT_SINE))
 
 
 def canonical_frame(v: Array) -> Array:

@@ -30,7 +30,7 @@ from . import tolerances
 from .errors import DegenerateFormError, InputError
 from .cocycles import (Cocycle, CocycleStack, common_base, extend, linear_combination,
                        ring_values, stack_cocycles, word_jacobian)
-from .linalg import ad_matrix, frob, split_singular_values
+from .linalg import ad_matrix, decided_rank, frob
 from .reps import UNITARY, Representation, evaluate
 
 
@@ -138,8 +138,7 @@ class GoldmanGram:
 
     def rank(self):
         """(rank, margin) of the Gram matrix at the global threshold."""
-        svals = np.linalg.svd(self.matrix, compute_uv=False)
-        return split_singular_values(svals)
+        return decided_rank(self.matrix)
 
 
 def gram(cocycles) -> GoldmanGram:
@@ -268,8 +267,7 @@ def unitary_restriction_check(cocycles) -> UnitaryLocusReport:
     d = len(cocycles)
     matrix = gram_matrix(cocycles)
     max_imag = float(np.abs(matrix.imag).max())
-    svals = np.linalg.svd(matrix.real, compute_uv=False)
-    rank, _ = split_singular_values(svals)
+    rank, _ = decided_rank(matrix.real)
     passed = max_imag < tolerances.UNITARY_IMAGINARY and rank == d
     return UnitaryLocusReport(max_imaginary=max_imag, real_rank=rank,
                               expected_rank=d, passed=passed)

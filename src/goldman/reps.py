@@ -16,8 +16,8 @@ import numpy as np
 
 from . import tolerances
 from .errors import ConditioningError, ConvergenceError, InputError
-from .linalg import (ad_matrix, expm, frob, generator_stack, ginibre, haar_unitary,
-                     polar_unitary, split_singular_values, unitary_eigenframe, vec)
+from .linalg import (ad_matrix, decided_rank, expm, frob, generator_stack, ginibre,
+                     haar_unitary, polar_unitary, unitary_eigenframe, vec)
 from .words import GroupWord, Presentation
 
 UNITARY = "unitary"
@@ -304,8 +304,7 @@ def commutant_dimension(rep: Representation) -> int:
     with every image exactly when delta_v = 0.  The representation is
     irreducible exactly when this is one.
     """
-    svals = np.linalg.svd(coboundary_matrix(rep), compute_uv=False)
-    rank, _ = split_singular_values(svals)
+    rank, _ = decided_rank(coboundary_matrix(rep))
     return rep.rank ** 2 - rank
 
 

@@ -70,7 +70,9 @@ class TestFileCommands:
 
         code, out, _ = run_cli(["--out", out_dir, "cocycle-basis"], capsys)
         assert code == 0
-        assert "count: 10" in out
+        # an irreducible centre prints no commutant line
+        assert out.splitlines() == ["space: h1-complement", "count: 10", "Z1: 13", "B1: 3",
+                                    "H1: 10"]
         cocycles = sorted(str(p) for p in tmp_path.glob("cocycle-*.txt"))
         assert len(cocycles) == 10
 
@@ -80,6 +82,23 @@ class TestFileCommands:
         assert (tmp_path / "gram.txt").exists()
         skew_line = [l for l in out.splitlines() if l.startswith("skewness")][0]
         assert float(skew_line.split(": ")[1]) < 1e-8
+
+    def test_basis_at_a_reducible_centre_names_the_commutant(self, tmp_path, capsys):
+        from goldman import Presentation, Representation
+
+        # diagonal U(2) images commute, so the relator holds exactly and
+        # the commutant is the diagonal algebra
+        rng = np.random.default_rng(12)
+        phases = np.exp(2j * np.pi * rng.random((4, 2)))
+        images = [np.diag(p) for p in phases]
+        rep_file = tmp_path / "rep.txt"
+        write_representation(rep_file, Representation(Presentation(2), 2, images, "unitary"))
+        code, out, _ = run_cli(["--out", str(tmp_path / "basis"), "cocycle-basis",
+                                "--rep", str(rep_file)], capsys)
+        assert code == 0
+        assert out.splitlines() == ["space: h1-complement", "count: 12", "Z1: 14", "B1: 2",
+                                    "H1: 12", "commutant-dimension: 2"]
+        assert len(list((tmp_path / "basis").glob("cocycle-*.txt"))) == 12
 
     def test_gram_same_cocycle_twice_is_zero(self, tmp_path, capsys):
         out_dir = str(tmp_path)

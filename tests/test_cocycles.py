@@ -14,8 +14,8 @@ from goldman.cocycles import (CocycleBasis, _real_span, cocycle_dimensions,
                               expected_h1_dimension, from_flat, linear_combination,
                               ring_values, stack_cocycles)
 from goldman.linalg import (ad_matrix, canonical_frame, column_space,
-                            complement_dimension, complement_within, frob,
-                            nullspace, real_flatten, row_space,
+                            complement_dimension, complement_within, decided_rank,
+                            frob, nullspace, real_flatten, row_space,
                             split_singular_values, vec)
 from goldman.reps import (coboundary_matrix, commutant_dimension, letter_codes,
                           relator_tangent_matrix, ring_codes)
@@ -514,13 +514,20 @@ def synthetic_pair(rng, q, z, b, tilts):
     inside, outside = frame[:, :z], frame[:, z:]
     angles = np.zeros(b)
     angles[b - len(tilts):] = np.radians(tilts)
+    # only the tilted columns leave Z, so B may have more columns than
+    # the q - z directions outside Z
+    escape = np.zeros((q - z, b), dtype=complex)
+    draw = orthonormal(q - z, min(b, q - z))
+    escape[:, b - len(tilts):] = draw[:, draw.shape[1] - len(tilts):]
     b_frame = (inside @ orthonormal(z, b) * np.cos(angles)
-               + outside @ orthonormal(q - z, b) * np.sin(angles))
+               + outside @ escape * np.sin(angles))
     return outside.conj().T, b_frame
 
 
 class TestPrincipalAngleCount:
-    @pytest.mark.parametrize("tilts", [(), (20,), (45,), (70,), (20, 45, 70), (70, 70)])
+    # 28 and 32 degrees lie on either side of the 30 degree cut
+    @pytest.mark.parametrize("tilts", [(), (20,), (45,), (70,), (20, 45, 70), (70, 70),
+                                       (28,), (32,), (28, 32)])
     def test_matches_complement_within(self, tilts):
         rng = np.random.default_rng(len(tilts) + sum(tilts))
         q, z, b = 24, 14, 5
@@ -537,6 +544,20 @@ class TestPrincipalAngleCount:
         else:
             assert cocycle_dimensions(row, b_frame) == (z, b, z - b)
 
+    @pytest.mark.parametrize("tilts", [(), (20,), (70,), (28, 32, 70)])
+    def test_more_coboundary_columns_than_rows(self, tilts):
+        # dim B1 = 6 > r = 3: at least three B1 directions lie inside Z1
+        # and have no sine in row^H b
+        rng = np.random.default_rng(50 + sum(tilts))
+        q, z, b = 12, 9, 6
+        constraint, b_frame = synthetic_pair(rng, q, z, b, tilts)
+        assert frob(b_frame.conj().T @ b_frame - np.eye(b)) < 1e-12
+        row = row_space(constraint)
+        assert row.shape == (q, q - z)
+        kept = complement_within(nullspace(constraint), b_frame).shape[1]
+        assert complement_dimension(row, b_frame) == kept
+        assert kept == z - b + sum(1 for t in tilts if t > 30)
+
     def test_empty_coboundaries_and_full_rank_constraint(self):
         rng = np.random.default_rng(40)
         constraint, b_frame = synthetic_pair(rng, 10, 4, 3, ())
@@ -545,6 +566,38 @@ class TestPrincipalAngleCount:
         assert cocycle_dimensions(row, b_frame[:, :0]) == (4, 0, 4)
         no_rows = np.zeros((10, 0), dtype=complex)
         assert complement_dimension(no_rows, b_frame) == 7
+
+
+class TestRowSpace:
+    @staticmethod
+    def cases(rng):
+        def gaussian(rows, cols):
+            return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+        yield gaussian(4, 16)                       # wide, full rank
+        yield gaussian(16, 4)                       # tall, full rank
+        yield gaussian(6, 3) @ gaussian(3, 20)      # wide, rank 3
+        yield gaussian(20, 3) @ gaussian(3, 6)      # tall, rank 3
+        yield rng.standard_normal((5, 9))           # real
+        yield np.zeros((4, 10), dtype=complex)      # rank 0
+
+    def test_complements_the_nullspace(self):
+        rng = np.random.default_rng(61)
+        for m in self.cases(rng):
+            row, null = row_space(m), nullspace(m)
+            cols = m.shape[1]
+            assert row.shape[1] + null.shape[1] == cols
+            assert row.shape[1] == split_singular_values(np.linalg.svd(m, compute_uv=False))[0]
+            projector = row @ row.conj().T + null @ null.conj().T
+            assert frob(projector - np.eye(cols)) < 1e-12
+            assert frob(row.conj().T @ row - np.eye(row.shape[1])) < 1e-12
+            assert frob(m @ null) < 1e-12 * max(1.0, frob(m))
+
+    def test_decided_rank_is_the_singular_value_rule(self):
+        rng = np.random.default_rng(62)
+        for m in self.cases(rng):
+            svals = np.linalg.svd(m, compute_uv=False)
+            assert decided_rank(m) == split_singular_values(svals)
 
 
 class TestAdMatrix:

@@ -1,7 +1,7 @@
 """Import hygiene of the package source, checked on its syntax trees,
 and the independence of the cup-product oracle.
 
-Seven rules, with no lint dependency:
+Eight rules, with no lint dependency:
 
 - every module-level import is used in its module (the package
   ``__init__`` re-exports, and ``from __future__`` imports are exempt);
@@ -14,6 +14,10 @@ Seven rules, with no lint dependency:
 - no module but ``linalg`` calls ``standard_normal``: complex draws go
   through ``linalg.complex_gaussian``, so every seeded stream has one
   draw order;
+- no module but ``linalg`` calls ``svd``: a rank read from singular
+  values goes through ``linalg.decided_rank`` (or a basis function that
+  decides by the same ``split_singular_values``), so every rank decision
+  of the package has one site;
 - no module imports scipy: the runtime needs numpy only, and the tests
   keep scipy.linalg as their reference;
 - ``lstsq`` is called at one site, inside ``reps.newton_project``: the
@@ -165,6 +169,12 @@ def test_no_standard_normal_call_outside_linalg(path):
     assert calls_named(path, "standard_normal") == []
 
 
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "linalg.py"],
+                         ids=lambda p: p.name)
+def test_no_svd_call_outside_linalg(path):
+    assert calls_named(path, "svd") == []
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_scipy_import(path):
     assert scipy_imports(path) == []
@@ -223,7 +233,9 @@ def test_rules_flag_what_they_name(tmp_path):
         "    def inner():\n"
         "        return lstsq(a, b)\n"
         "    return [np.linalg.lstsq(x, b) for x in a], inner\n"
-        "lstsq(1, 2)\n")
+        "lstsq(1, 2)\n"
+        "def u(m):\n"
+        "    return np.linalg.svd(m, compute_uv=False), svd(m), np.linalg.svd\n")
     assert unused_module_imports(module) == ["sample.py:2 json"]
     assert non_cycle_local_imports(module) == ["sample.py:6 in f", "sample.py:7 in f"]
     assert calls_named(module, "kron") == ["sample.py:11", "sample.py:11"]
@@ -232,4 +244,5 @@ def test_rules_flag_what_they_name(tmp_path):
     assert scipy_imports(module) == ["sample.py:6", "sample.py:16"]
     assert call_sites(module, "lstsq") == ["sample.py:21 in inner", "sample.py:22 in t",
                                            "sample.py:23 in <module>"]
+    assert calls_named(module, "svd") == ["sample.py:25", "sample.py:25"]
 
