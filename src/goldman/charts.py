@@ -4,14 +4,16 @@ A chart is a representation with a frame of cocycles.  Its point at
 coordinates c is the exponential move along sum_i c_i chi_i on the
 generator images followed by Newton projection back to the relator
 variety (a retraction with first-order tangency), memoised by coordinate
-tuple; a curve along one cocycle chi is the one-axis chart (chi,).  The
-differential of the deformation/monodromy map is recovered from three
-points of a curve by central differences with right division,
+tuple.  It is the one retraction: deform(rep, chi, t) is the point t of
+the one-axis chart (chi,), the curve along chi.  The differential of the
+deformation map is recovered from three points of a curve by central
+differences with right division,
 
     chi(x) ~ [sigma_{+h}(x) - sigma_{-h}(x)] / (2h) * sigma(x)^{-1},
 
 and a finite-difference check of d(omega) = 0 reads the pairing in a
-chart built from an H1-complement frame.
+chart built from an H1-complement frame.  convergence_order is the one
+rule that reads an order from such a ladder, or finds it flat.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from . import tolerances
 from .errors import InputError
 from .cocycles import Cocycle, linear_combination
 from .linalg import expm
-from .pairing import pairing_dual
+from .pairing import gram_matrix, pairing_dual
 from .reps import GENERAL_LINEAR, Representation, evaluate_words, newton_project
 
 TRIVIALIZATION = "right"  # division side used in the difference quotient
@@ -36,16 +38,6 @@ def _raw_deformed_images(rep: Representation, values: np.ndarray, t: float):
     return expm(t * values) @ rep.images
 
 
-def _check_trust(direction: Cocycle, t: float):
-    # a NaN step fails the comparison too
-    radius = tolerances.DEFORM_TRUST * (1 + tolerances.DEFORM_TRUST_SLACK)
-    length = abs(t) * direction.norm()
-    if not length <= radius:
-        raise InputError(
-            f"move |t|*||chi|| = {length:g} leaves the deformation trust region "
-            f"(<= {tolerances.DEFORM_TRUST:g})")
-
-
 def _check_frame_index(index: int, dimension: int):
     if not 0 <= index < dimension:
         raise InputError(f"frame index {index} out of range 0..{dimension - 1}")
@@ -54,22 +46,6 @@ def _check_frame_index(index: int, dimension: int):
 def _check_fd_step(step: float):
     if not step >= tolerances.MIN_FD_STEP:  # NaN fails too
         raise InputError(f"step {step:g} below minimum {tolerances.MIN_FD_STEP:g}")
-
-
-def deform(rep: Representation, direction: Cocycle, t: float) -> Representation:
-    """Move along a cocycle direction and retract onto the relator variety.
-
-    The deformed point is general-linear even over a unitary center: a
-    complex cocycle direction leaves the unitary locus, so the retraction
-    must not force images back into the unitary group.
-    """
-    if not rep.same_base(direction.base):
-        raise InputError("direction cocycle lives over a different representation")
-    _check_trust(direction, t)
-    if t == 0.0:
-        return rep
-    raw = _raw_deformed_images(rep, direction.values, t)
-    return newton_project(rep.presentation, raw, GENERAL_LINEAR, seed=rep.seed)
 
 
 def rh_differential(center: Representation, plus: Representation,
@@ -109,8 +85,8 @@ class Chart:
     """Coordinates around a representation: center plus a cocycle frame.
 
     Points are Newton-retracted exponentials along real combinations of
-    the frame (deform at t = 1); evaluations are pure and cached by
-    coordinate tuple.  A curve along chi is the one-axis chart (chi,).
+    the frame; evaluations are pure and cached by coordinate tuple.  A
+    curve along chi is the one-axis chart (chi,), and deform its point.
     """
 
     center: Representation
@@ -118,8 +94,8 @@ class Chart:
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        # points combine the frame over the center, so deform's base check
-        # on a direction is made here, once per frame cocycle
+        # points combine the frame over the center, so its base is checked
+        # here, once per frame cocycle
         for chi in self.frame:
             if not self.center.same_base(chi.base):
                 raise InputError("chart frame cocycle lives over a different representation")
@@ -135,12 +111,12 @@ class Chart:
         """The points at each coordinate tuple, in order, memoised.
 
         Each tuple is checked in turn: its shape, a non-finite entry, and
-        the trust region of its move (deform at t = 1); the zero tuple is
-        the center.  The raw moves of the tuples not yet cached are one
-        stacked exponential, and their retractions one newton_project
-        call on the stack, each bit for bit the retraction of its tuple
-        alone.  A bad tuple raises once the tuples before it are
-        retracted, so the first error in order is the one raised.
+        the trust region of its move; the zero tuple is the center.  The
+        raw moves of the tuples not yet cached are one stacked
+        exponential, and their retractions one newton_project call on
+        the stack, each bit for bit the retraction of its tuple alone.  A
+        bad tuple raises once the tuples before it are retracted, so the
+        first error in order is the one raised.
         """
         keys, moves = [], {}
         try:
@@ -164,16 +140,17 @@ class Chart:
         key = tuple(coords.tolist())
         if key in self._cache or key in moves:
             return key
-        # a non-finite move scales no cocycle: refuse it as deform does
+        # a non-finite move scales no cocycle: refuse it as too long
         if not np.isfinite(coords).all():
-            raise InputError(f"chart coordinates {key} leave the deformation "
-                             "trust region")
+            raise InputError(f"chart coordinates {key} leave the deformation trust region")
         if not np.any(coords):
             self._cache[key] = self.center
-        else:
-            direction = linear_combination(self.center, coords, self.frame)
-            _check_trust(direction, 1.0)
-            moves[key] = direction.values
+            return key
+        direction = linear_combination(self.center, coords, self.frame)
+        if not direction.norm() <= tolerances.DEFORM_TRUST * (1 + tolerances.DEFORM_TRUST_SLACK):
+            raise InputError(f"move of norm {direction.norm():g} leaves the deformation "
+                             f"trust region (<= {tolerances.DEFORM_TRUST:g})")
+        moves[key] = direction.values
         return key
 
     def transport_stencil(self, coords: np.ndarray, axis: int, step: float):
@@ -198,6 +175,13 @@ class Chart:
         chi_i = self.transported_frame_direction(coords, i, step)
         chi_j = self.transported_frame_direction(coords, j, step)
         return pairing_dual(chi_i, chi_j)
+
+
+def deform(rep: Representation, direction: Cocycle, t: float) -> Representation:
+    """The point at t of the one-axis chart (direction,): general-linear
+    even over a unitary center, as a complex direction leaves the unitary
+    locus and the retraction must not force it back."""
+    return Chart(rep, (direction,)).point((t,))
 
 
 def deformation_correction(chart: Chart, coords) -> float:
@@ -253,6 +237,28 @@ def closedness_check(chart: Chart, triple: tuple[int, int, int],
     return abs(residual)
 
 
-def convergence_order(steps, values) -> float:
-    """Least-squares slope of log(value) against log(step)."""
+def closedness_floors(chart: Chart, triple: tuple[int, int, int], steps) -> list[float]:
+    """Roundoff floor of closedness_check at each step: a constant form
+    (rank one) leaves about eps * max|omega| / h^2 after differencing,
+    omega over the triple's frame cocycles."""
+    for index in triple:
+        _check_frame_index(index, chart.dimension)
+    scale = np.abs(gram_matrix([chart.frame[index] for index in triple])).max()
+    return [np.finfo(float).eps * scale / h ** 2 for h in steps]
+
+
+FLAT = "flat"  # the order of a ladder whose values all lie at roundoff
+
+
+def convergence_order(steps, values, floors=None):
+    """Least-squares slope of log(value) against log(step): None with fewer
+    than two distinct steps, FLAT when every value lies below its floor
+    (default tolerances.FLAT_FLOOR), None when a value is not positive."""
+    if len(set(steps)) < 2:
+        return None
+    floors = floors or [tolerances.FLAT_FLOOR] * len(values)
+    if all(v < f for v, f in zip(values, floors)):
+        return FLAT
+    if not all(v > 0 for v in values):
+        return None
     return float(np.polyfit(np.log(steps), np.log(values), 1)[0])

@@ -13,16 +13,14 @@ import functools
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import fileio
-from .charts import (TRIVIALIZATION, Chart, closedness_check, convergence_order,
-                     deformation_correction)
+from .charts import (FLAT, TRIVIALIZATION, Chart, closedness_check, closedness_floors,
+                     convergence_order, deformation_correction)
 from .cocycles import cocycle_basis, expected_h1_dimension
 from .config import RunConfig
 from .errors import EXIT_OK, EXIT_PROPERTY_FAILURE, GoldmanError, InputError
 from .pairing import GoldmanGram, gram, symplectic_basis
-from .reps import relator_defect
+from .reps import commutant_dimension, relator_defect
 from .verify import render_report, run_suite
 
 
@@ -112,6 +110,20 @@ def _file_gram(rep_path, cocycle_paths) -> GoldmanGram:
     return gram(fileio.read_cocycle(p, rep) for p in cocycle_paths)
 
 
+def _name_commutant(commutant: int):
+    """A centre whose commutant is above the scalars is reducible, where
+    the formula's counts and the chart geometry need not hold: name it."""
+    if commutant != 1:
+        print(f"commutant-dimension: {commutant}")
+
+
+def _print_order(key: str, order):
+    """The line of an order read by convergence_order: its slope, flat at
+    roundoff, or no line when no slope can be read."""
+    if order is not None:
+        print(f"{key}: {order if order is FLAT else f'{order:.3f}'}")
+
+
 def cmd_dims(config: RunConfig) -> int:
     basis = cocycle_basis(config.representation())
     z1, b1, h1 = basis.dims
@@ -121,9 +133,8 @@ def cmd_dims(config: RunConfig) -> int:
     if verdict == "MATCH":
         return EXIT_OK
     # the formula holds at irreducible points; a commutant above 1 names
-    # the point as reducible.  B1 is the image of v -> delta_v, whose
-    # kernel is the commutant
-    print(f"commutant-dimension: {config.rank ** 2 - b1}")
+    # the point as reducible
+    print(f"commutant-dimension: {basis.commutant_dimension}")
     return EXIT_PROPERTY_FAILURE
 
 
@@ -153,11 +164,7 @@ def cmd_cocycle_basis(config: RunConfig, rep_path, space: str) -> int:
     print(f"Z1: {z1}")
     print(f"B1: {b1}")
     print(f"H1: {h1}")
-    # a centre with a commutant above the scalars is reducible: the
-    # written count is then not the formula's (see cmd_dims)
-    commutant = rep.rank ** 2 - b1
-    if commutant != 1:
-        print(f"commutant-dimension: {commutant}")
+    _name_commutant(basis.commutant_dimension)
     return EXIT_OK
 
 
@@ -192,8 +199,10 @@ def cmd_deform(config: RunConfig, rep_path, cocycle_path, step: float) -> int:
     chi = fileio.read_cocycle(cocycle_path, rep)
     chart = Chart(center=rep, frame=(chi,))
     moved = chart.point((step,))
-    correction = deformation_correction(chart, (step,))
-    correction_half = deformation_correction(chart, (step / 2,))
+    corrections = [deformation_correction(chart, (t,)) for t in (step, step / 2)]
+    # the correction is second order in the size of the step
+    order = convergence_order((abs(step), abs(step) / 2), corrections)
+    commutant = commutant_dimension(rep)
     fileio.ensure_directory(config.out)
     target = config.out / "deformed.txt"
     fileio.write_representation(target, moved)
@@ -201,10 +210,10 @@ def cmd_deform(config: RunConfig, rep_path, cocycle_path, step: float) -> int:
     print(f"trivialization: {TRIVIALIZATION}")
     print(f"step: {step:.6e}")
     print(f"relator-defect: {relator_defect(moved):.6e}")
-    print(f"correction: {correction:.6e}")
-    print(f"correction-half-step: {correction_half:.6e}")
-    if correction and correction_half:  # no order to read off an exact zero
-        print(f"correction-order: {float(np.log2(correction / correction_half)):.3f}")
+    print(f"correction: {corrections[0]:.6e}")
+    print(f"correction-half-step: {corrections[1]:.6e}")
+    _print_order("correction-order", order)
+    _name_commutant(commutant)
     return EXIT_OK
 
 
@@ -226,13 +235,14 @@ def cmd_closedness(config: RunConfig, rep_path, cocycle_paths,
     # closedness_check validates the triple and each step, so an input
     # error exits before anything is printed
     residuals = [closedness_check(chart, triple, h) for h in steps]
+    order = convergence_order(steps, residuals, closedness_floors(chart, triple, steps))
+    commutant = commutant_dimension(rep)
     print(f"trivialization: {TRIVIALIZATION}")
     print(f"triple: {triple[0]} {triple[1]} {triple[2]}")
     for h, residual in zip(steps, residuals):
         print(f"residual[h={h:.6e}]: {residual:.6e}")
-    # a slope needs two distinct steps and no exact zero
-    if len(set(steps)) >= 2 and all(r > 0 for r in residuals):
-        print(f"convergence-order: {convergence_order(steps, residuals):.3f}")
+    _print_order("convergence-order", order)
+    _name_commutant(commutant)
     return EXIT_OK
 
 

@@ -305,6 +305,12 @@ class CocycleBasis:
     constraint: np.ndarray
     b1_frame: np.ndarray
 
+    @property
+    def commutant_dimension(self) -> int:
+        """n^2 - dim B1: the kernel of v -> delta_v, whose image is B1, is
+        the commutant, one-dimensional exactly at irreducible bases."""
+        return self.base.rank ** 2 - self.dims[1]
+
     @cached_property
     def z1_frame(self) -> np.ndarray:
         """Canonical orthonormal Z1 columns in flattened coordinates."""

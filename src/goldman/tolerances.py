@@ -51,6 +51,10 @@ NEWTON_TRUST_DEFECT = 0.1
 # Deformation trust region: |t| * ||direction|| must stay below this.
 DEFORM_TRUST = 0.1
 
+# A ladder of finite-difference values all below this is flat at roundoff
+# and has no measurable order (charts.convergence_order's default floor).
+FLAT_FLOOR = 1e-12
+
 # Smallest admissible finite-difference step before roundoff dominates.
 MIN_FD_STEP = 1e-9
 

@@ -31,8 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio, tolerances
-from .charts import (Chart, closedness_check, convergence_order, deform,
-                     deformation_correction, rh_differential, rh_word_value)
+from .charts import (FLAT, Chart, closedness_check, closedness_floors, convergence_order,
+                     deform, deformation_correction, rh_differential, rh_word_value)
 from .cocycles import (Cocycle, CocycleBasis, anti_hermitian_part, coboundary,
                        cocycle_basis, cocycle_law_residuals, expected_h1_dimension,
                        random_cocycle, real_locus_bases, relator_residual,
@@ -40,8 +40,8 @@ from .cocycles import (Cocycle, CocycleBasis, anti_hermitian_part, coboundary,
 from .config import RunConfig
 from .errors import ConvergenceError
 from .linalg import complex_gaussian, expm, frob, haar_unitary
-from .pairing import (gram, gram_matrix, pairing_cup, pairing_dual,
-                      symplectic_basis, unitary_restriction_check)
+from .pairing import (gram, pairing_cup, pairing_dual, symplectic_basis,
+                      unitary_restriction_check)
 from .reps import (GENERAL_LINEAR, UNITARY, Representation,
                    commutant_dimension, commutator_factor, conjugate_representation,
                    evaluate, evaluate_words, newton_project, random_representation,
@@ -319,17 +319,13 @@ def check_representation_reproducibility(run: SuiteRun) -> CheckResult:
 
 
 def check_construction_quality(run: SuiteRun) -> CheckResult:
-    """Relator defect and irreducibility over the seeded size grid.
-
-    The commutant is the kernel of v -> delta_v, whose image is B1, so
-    its dimension is n^2 - dim B1.
-    """
+    """Relator defect and irreducibility over the seeded size grid."""
     worst = 0.0
     failures = 0
     samples = 0
     for rep, basis in zip(run.grid, run.grid_bases):
         worst = max(worst, relator_defect(rep))
-        if rep.rank ** 2 - basis.dims[1] != 1:
+        if basis.commutant_dimension != 1:
             failures += 1
         samples += 1
     if failures:
@@ -609,22 +605,13 @@ def _unit_direction(run: SuiteRun, salt: str) -> Cocycle:
     return chi * (1.0 / chi.norm())
 
 
-FLAT_FLOOR = 1e-12  # below this the measured quantity is exactly flat
-
-
 def _order_result(name, steps, values, window=0.3, floors=None) -> CheckResult:
-    """Fitted log-log slope against order two.
-
-    Quantities at roundoff level have no measurable order: the bound
-    holds with constant zero (the abelian rank-one case), so the check
-    passes with zero residual when every value lies below its floor,
-    FLAT_FLOOR unless per-step floors are given.
-    """
-    floors = floors or [FLAT_FLOOR] * len(values)
-    if all(v < f for v, f in zip(values, floors)):
-        return _result(name, len(steps), 0.0, window)
-    return _result(name, len(steps), abs(convergence_order(steps, values) - 2.0),
-                   window)
+    """Fitted log-log slope against order two.  A flat ladder passes with
+    zero residual: the bound holds with constant zero (the abelian
+    rank-one case).  A ladder with no slope fails with a NaN residual."""
+    order = convergence_order(steps, values, floors)
+    residual = 0.0 if order is FLAT else np.nan if order is None else abs(order - 2.0)
+    return _result(name, len(steps), residual, window)
 
 
 def check_deformation_correction_order(run: SuiteRun) -> CheckResult:
@@ -649,8 +636,7 @@ def check_coboundary_deformation(run: SuiteRun) -> CheckResult:
     delta = coboundary(v, rep)
     steps = [1e-2, 1e-3]
     distances = []
-    for t in steps:
-        moved = deform(rep, delta, t)
+    for t, moved in zip(steps, Chart(rep, (delta,)).points([(t,) for t in steps])):
         conj = expm(-t * v)
         conj_inv = expm(t * v)
         distances.append(np.sqrt(sum(
@@ -744,11 +730,8 @@ def check_closedness(run: SuiteRun) -> CheckResult:
     chart = Chart(center=run.rep, frame=run.basis.h1_complement)
     steps = [8e-3, 4e-3, 2e-3, 1e-3]
     residuals = [closedness_check(chart, (0, 1, 2), h) for h in steps]
-    # A constant form (rank one) leaves only the roundoff of its
-    # coefficients, about eps * max|omega| / h^2 after differencing.
-    scale = np.abs(gram_matrix(chart.frame[:3])).max()
-    floors = [np.finfo(float).eps * scale / h ** 2 for h in steps]
-    result = _order_result("closedness-order", steps, residuals, floors=floors)
+    result = _order_result("closedness-order", steps, residuals,
+                           floors=closedness_floors(chart, (0, 1, 2), steps))
     degenerate = closedness_check(chart, (0, 0, 1), 1e-3)
     if residuals[-1] >= tolerances.FINITE_DIFFERENCE or degenerate != 0.0:
         return _result("closedness-order", len(steps), 1.0, 0.3)

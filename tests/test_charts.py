@@ -7,12 +7,12 @@ import goldman.charts
 from goldman import (Chart, Cocycle, InputError, Representation,
                      closedness_check, coboundary, cocycle_basis,
                      commutant_dimension, deform, deformation_correction,
-                     random_cocycle, random_representation, relator_defect,
-                     rh_differential)
-from goldman.charts import rh_word_value
+                     pairing_dual, random_cocycle, random_representation,
+                     relator_defect, rh_differential)
+from goldman.charts import FLAT, closedness_floors, convergence_order, rh_word_value
 from goldman.cocycles import linear_combination
-from goldman.linalg import frob
-from goldman.reps import evaluate
+from goldman.linalg import expm, frob
+from goldman.reps import evaluate, newton_project
 
 
 def unit_h1_direction(basis, seed):
@@ -215,7 +215,8 @@ class TestChart:
     @pytest.mark.parametrize("flavor", ["unitary", "general-linear"])
     @pytest.mark.parametrize("rank", [1, 2, 3])
     def test_one_axis_point_is_deform_bit_for_bit(self, flavor, rank):
-        # a curve along chi is the chart (chi,): its point at t is deform's
+        # a curve along chi is the chart (chi,): its point at t is deform's,
+        # and both are the exponential move along t chi retracted alone
         rep = random_representation(2, rank, flavor, seed=rank)
         basis = cocycle_basis(rep)
         rng = np.random.default_rng(64)
@@ -224,9 +225,11 @@ class TestChart:
             chi = chi * (1.0 / chi.norm())
             chart = Chart(center=rep, frame=(chi,))
             for t in (-3e-3, -1e-3, 1e-4, 5e-4, 1e-3, 1e-2):
-                point, moved = chart.point((t,)), deform(rep, chi, t)
-                assert np.array_equal(point.images, moved.images)
-                assert np.array_equal(point.inverse_images, moved.inverse_images)
+                reference = newton_project(rep.presentation, expm(t * chi.values) @ rep.images,
+                                           "general-linear", seed=rep.seed)
+                for point in (chart.point((t,)), deform(rep, chi, t)):
+                    assert np.array_equal(point.images, reference.images)
+                    assert np.array_equal(point.inverse_images, reference.inverse_images)
 
     def test_zero_coordinate_is_center(self, basis_g2n2):
         chart = Chart(center=basis_g2n2.base, frame=basis_g2n2.h1_complement)
@@ -381,6 +384,47 @@ class TestClosedness:
         chart = Chart(center=basis_g2n2.base, frame=basis_g2n2.h1_complement[:2])
         with pytest.raises(InputError, match=rf"frame index {axis} out of range 0\.\.1"):
             chart.transported_frame_direction(np.zeros(2), axis, 1e-3)
+
+
+class TestConvergenceOrder:
+    def test_slope_of_a_power_law(self):
+        steps = [8e-3, 4e-3, 2e-3, 1e-3]
+        assert convergence_order(steps, [3.0 * h ** 2 for h in steps]) == pytest.approx(2.0)
+        # the two-point fit is the base-two logarithm of the ratio
+        order = convergence_order([1e-3, 5e-4], [2.5e-7, 6e-8])
+        assert order == pytest.approx(np.log2(2.5e-7 / 6e-8), abs=1e-13)
+
+    @pytest.mark.parametrize("steps", [[], [1e-3], [1e-3, 1e-3]])
+    def test_no_order_without_two_distinct_steps(self, steps):
+        # even a ladder of zeros: one step size gives no slope to read
+        assert convergence_order(steps, [0.0] * len(steps)) is None
+
+    def test_flat_below_the_default_floor(self):
+        assert convergence_order([2e-3, 1e-3], [0.0, 0.0]) is FLAT
+        assert convergence_order([2e-3, 1e-3], [9e-13, 3e-13]) is FLAT
+        # one value at the floor is not flat, and a slope is read
+        assert convergence_order([2e-3, 1e-3], [4e-12, 1e-12]) == pytest.approx(2.0)
+
+    def test_flat_below_per_step_floors(self):
+        values = [2e-11, 8e-11]
+        assert convergence_order([2e-3, 1e-3], values, floors=[1e-10, 1e-10]) is FLAT
+        assert convergence_order([2e-3, 1e-3], values, floors=[1e-10, 1e-11]) == \
+            pytest.approx(-2.0)
+
+    @pytest.mark.parametrize("values", [[1e-6, 0.0], [1e-6, -1e-7], [1e-6, np.nan]])
+    def test_no_order_when_a_value_is_not_positive(self, values):
+        assert convergence_order([2e-3, 1e-3], values) is None
+
+    def test_closedness_floors_scale_with_the_triple(self, basis_g2n2):
+        chart = Chart(center=basis_g2n2.base, frame=basis_g2n2.h1_complement)
+        floors = closedness_floors(chart, (0, 1, 2), [2e-3, 1e-3])
+        assert floors[1] == pytest.approx(4 * floors[0])
+        omega = np.array([[pairing_dual(a, b) for b in chart.frame[:3]]
+                          for a in chart.frame[:3]])
+        assert floors[1] == pytest.approx(np.finfo(float).eps * np.abs(omega).max() / 1e-6)
+        for triple in ((0, 1, 10), (-1, 0, 1)):  # a negative index would read the last
+            with pytest.raises(InputError, match="frame index"):
+                closedness_floors(chart, triple, [1e-3])
 
 
 class TestCommutingFlows:

@@ -8,8 +8,11 @@ import scipy.linalg
 import goldman.charts
 import goldman.cli
 import goldman.tolerances
+from goldman import Presentation, Representation
 from goldman.cli import main
+from goldman.config import RunConfig
 from goldman.fileio import read_cocycle, read_representation, write_representation
+from goldman.verify import SuiteRun, check_closedness
 
 
 def run_cli(args, capsys):
@@ -22,6 +25,15 @@ def assert_input_error(code, err):
     assert code == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def write_diagonal_point(path):
+    """A reducible genus-2 point: diagonal U(2) images commute, so the
+    relator holds exactly and the commutant is the diagonal algebra."""
+    rng = np.random.default_rng(12)
+    phases = np.exp(2j * np.pi * rng.random((4, 2)))
+    images = [np.diag(p) for p in phases]
+    write_representation(path, Representation(Presentation(2), 2, images, "unitary"))
 
 
 class TestDims:
@@ -84,15 +96,8 @@ class TestFileCommands:
         assert float(skew_line.split(": ")[1]) < 1e-8
 
     def test_basis_at_a_reducible_centre_names_the_commutant(self, tmp_path, capsys):
-        from goldman import Presentation, Representation
-
-        # diagonal U(2) images commute, so the relator holds exactly and
-        # the commutant is the diagonal algebra
-        rng = np.random.default_rng(12)
-        phases = np.exp(2j * np.pi * rng.random((4, 2)))
-        images = [np.diag(p) for p in phases]
         rep_file = tmp_path / "rep.txt"
-        write_representation(rep_file, Representation(Presentation(2), 2, images, "unitary"))
+        write_diagonal_point(rep_file)
         code, out, _ = run_cli(["--out", str(tmp_path / "basis"), "cocycle-basis",
                                 "--rep", str(rep_file)], capsys)
         assert code == 0
@@ -206,7 +211,21 @@ class TestFileCommands:
         lines = dict(l.split(": ", 1) for l in out.splitlines())
         assert float(lines["relator-defect"]) <= 1e-10
         assert 1.8 <= float(lines["correction-order"]) <= 2.2
+        assert "commutant-dimension" not in lines  # an irreducible centre
         assert (tmp_path / "deformed.txt").exists()
+
+    def test_deform_at_a_reducible_centre_names_the_commutant(self, tmp_path, capsys):
+        write_diagonal_point(tmp_path / "rep.txt")
+        run_cli(["--out", str(tmp_path), "cocycle-basis", "--rep", str(tmp_path / "rep.txt")],
+                capsys)
+        code, out, _ = run_cli(["--out", str(tmp_path), "deform",
+                                "--rep", str(tmp_path / "rep.txt"),
+                                "--cocycle", str(tmp_path / "cocycle-000.txt"),
+                                "--step", "1e-3"], capsys)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[-1] == "commutant-dimension: 2"
+        assert lines[-2].startswith("correction-order: ")
 
     def test_deform_projects_each_step_once(self, tmp_path, capsys, monkeypatch):
         out_dir = str(tmp_path)
@@ -246,7 +265,8 @@ class TestFileCommands:
     @pytest.mark.parametrize("rank,step", [(1, "1e-3"), (2, "0")])
     def test_deform_exact_move_prints_no_order(self, tmp_path, capsys, rank, step):
         # at rank one the exponential move stays on the variety, and a zero
-        # step does not move: both corrections are exactly zero
+        # step does not move: both corrections are exactly zero.  Two step
+        # sizes of zeros are flat; a zero step has one size and no order
         out_dir = str(tmp_path)
         run_cli(["--rank", str(rank), "--out", out_dir, "random-rep"], capsys)
         run_cli(["--rank", str(rank), "--out", out_dir, "cocycle-basis"], capsys)
@@ -257,7 +277,7 @@ class TestFileCommands:
         assert code == 0
         lines = dict(l.split(": ", 1) for l in out.splitlines())
         assert float(lines["correction"]) == float(lines["correction-half-step"]) == 0.0
-        assert "correction-order" not in lines
+        assert lines.get("correction-order") == ("flat" if rank == 1 else None)
 
     @pytest.mark.parametrize("step", ["nan", "-nan", "inf"])
     def test_deform_non_finite_step_exits_two(self, tmp_path, capsys, step):
@@ -370,6 +390,36 @@ class TestClosednessCommand:
         order = [float(l.split(": ")[1]) for l in lines
                  if l.startswith("convergence-order")][0]
         assert 1.7 <= order <= 2.3
+        assert lines[-1].startswith("convergence-order: ")  # an irreducible centre
+
+    @pytest.mark.parametrize("genus,rank,seed", [(2, 1, 0), (2, 1, 1034), (2, 1, 941414098),
+                                                 (1, 3, 0)])
+    def test_roundoff_ladder_is_flat(self, tmp_path, capsys, genus, rank, seed):
+        # the residuals lie at roundoff, where a fitted slope means nothing;
+        # verify's closedness-order reads the same ladder by the same rule
+        code, out, _ = run_cli(["--genus", str(genus), "--rank", str(rank), "--seed", str(seed),
+                                "closedness"], capsys)
+        assert code == 0
+        assert "convergence-order: flat" in out.splitlines()
+        if genus == 2:
+            result = check_closedness(SuiteRun(RunConfig(genus=genus, rank=rank, seed=seed,
+                                                         out=tmp_path)))
+            assert result.passed and result.max_residual == 0.0
+        else:  # every genus-one point is reducible
+            assert out.splitlines()[-1] == "commutant-dimension: 3"
+
+    def test_reducible_centre_names_the_commutant(self, tmp_path, capsys):
+        write_diagonal_point(tmp_path / "rep.txt")
+        code, out, _ = run_cli(["closedness", "--rep", str(tmp_path / "rep.txt")], capsys)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[-1] == "commutant-dimension: 2"
+        assert lines[-2].startswith("convergence-order: ")
+        # an input error still exits before anything is printed
+        code, out, err = run_cli(["closedness", "--rep", str(tmp_path / "rep.txt"),
+                                  "--triple", "0,1,12"], capsys)
+        assert_input_error(code, err)
+        assert out == ""
 
     def test_bad_triple_exits_two(self, capsys):
         code, _, err = run_cli(["closedness", "--triple", "0,1"], capsys)

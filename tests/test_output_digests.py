@@ -4,9 +4,10 @@ A refactor that must not change any number shows it here: the file chain
 random-rep -> cocycle-basis -> gram -> symplectic-basis at (2,2) seed 7 in
 both flavors, with `deform --step 1e-3` along its first cocycle (stdout,
 output directory masked, and `deformed.txt`) and the `verify` report at
-the same point, the closedness stdout at seed 9, and the `verify` report
-at three more sizes: (3,2) unitary seed 4, (2,3) general-linear seed 5
-and (2,1) unitary seed 2.  A deliberate output
+the same point, the closedness stdout at seed 9 and at (2,1) seed 0 (a
+ladder flat at roundoff), and the `verify` report at three more sizes:
+(3,2) unitary seed 4, (2,3) general-linear seed 5 and (2,1) unitary
+seed 2.  A deliberate output
 change re-pins the digests (run `pinned_outputs` and copy its result) and
 says so in CHANGES.md.  The digests hold for the floating-point libraries
 they were pinned with; another BLAS build may move the last printed digit.
@@ -47,6 +48,8 @@ PINNED = {
         "d3f1a09934950ddacd2a99ee293038016a3a43c0ff0a91e48a20442cb287d4e6",
     "closedness-seed-9-stdout":
         "3d265884967db346a7bc65f3f0d65bf5850aca5817e46c583bad00d0152286b8",
+    "closedness-g2n1-seed-0-stdout":
+        "90b78a6f9c44df93dfbc0790cf47a03084dc9bc6de543915ef75dbd223fa7af5",
     "g3n2-unitary-seed4/verify-report":
         "9d5beb1d5b34811e2401967b9e154397530f74c44e8c3e84b4aa37dea657f9e9",
     "g2n3-general-linear-seed5/verify-report":
@@ -96,6 +99,9 @@ def pinned_outputs(tmp_path, capsys) -> dict:
     capsys.readouterr()
     assert main(["--seed", "9", "closedness"]) == 0
     digests["closedness-seed-9-stdout"] = hashlib.sha256(
+        capsys.readouterr().out.encode()).hexdigest()
+    assert main(["--rank", "1", "--seed", "0", "closedness"]) == 0
+    digests["closedness-g2n1-seed-0-stdout"] = hashlib.sha256(
         capsys.readouterr().out.encode()).hexdigest()
     for genus, rank, flavor, seed in VERIFY_SIZES:
         out = tmp_path / f"g{genus}n{rank}-{flavor}-seed{seed}"

@@ -1,7 +1,7 @@
 """Import hygiene of the package source, checked on its syntax trees,
 and the independence of the cup-product oracle.
 
-Eight rules, with no lint dependency:
+Eleven rules, with no lint dependency:
 
 - every module-level import is used in its module (the package
   ``__init__`` re-exports, and ``from __future__`` imports are exempt);
@@ -23,6 +23,15 @@ Eight rules, with no lint dependency:
 - ``lstsq`` is called at one site, inside ``reps.newton_project``: the
   one Gauss-Newton loop, which retracts a whole stack of image tuples,
   so no second Newton loop can grow beside it;
+- ``newton_project`` is called in ``Chart.points``, the one retraction
+  (``deform`` is a one-axis chart point), and otherwise only by the
+  ``newton-projection`` check of ``verify``, which tests it directly;
+- ``polyfit`` is called at one site, inside ``charts.convergence_order``:
+  the one rule that reads an order from a ladder, or finds it flat;
+- n^2 less a rank (``x.rank ** 2 - y``) is written only in the two
+  ``commutant_dimension`` functions: ``reps.commutant_dimension``, which
+  decides the rank of v -> delta_v itself, and
+  ``CocycleBasis.commutant_dimension``, which reads it as dim B1;
 - the cup-product oracle ``pairing_cup`` reads neither the pairing
   matrix ``W`` nor a Fox Jacobian: it still returns with
   ``dual_form_matrix``, ``word_jacobian``, ``fox_jacobian`` and
@@ -113,20 +122,46 @@ def calls_named(path, name):
                  or getattr(node.func, "id", None) == name)]
 
 
-def call_sites(path, name):
-    """Calls of a function named name, as 'file:line in f' with f the
-    innermost enclosing function ('<module>' outside any)."""
-    def walk(node, func):
+def sites(path, matches):
+    """Nodes for which matches(node) holds, as 'file:line in f' with f the
+    innermost enclosing function ('<module>' outside any), a method named
+    with its class ('Class.method')."""
+    def walk(node, func, cls=None):
         for child in ast.iter_child_nodes(node):
-            if (isinstance(child, ast.Call)
-                    and name in (getattr(child.func, "attr", None),
-                                 getattr(child.func, "id", None))):
+            if matches(child):
                 yield f"{path.name}:{child.lineno} in {func}"
-            inner = (child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-                     else func)
-            yield from walk(child, inner)
+            if isinstance(child, ast.ClassDef):
+                yield from walk(child, func, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from walk(child, f"{cls}.{child.name}" if cls else child.name)
+            else:
+                yield from walk(child, func, cls)
 
     return list(walk(_tree(path), "<module>"))
+
+
+def call_sites(path, name):
+    """Calls of a function named name, as np.name(...) or name(...)."""
+    return sites(path, lambda node: isinstance(node, ast.Call) and name in (
+        getattr(node.func, "attr", None), getattr(node.func, "id", None)))
+
+
+def rank_square_differences(path):
+    """Sites of x.rank ** 2 - y: n^2 less a rank."""
+    def matches(node):
+        square = getattr(node, "left", None)
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+                and isinstance(square, ast.BinOp) and isinstance(square.op, ast.Pow)
+                and getattr(square.left, "attr", None) == "rank"
+                and getattr(square.right, "value", None) == 2)
+
+    return sites(path, matches)
+
+
+def _without_lines(found):
+    """'file in f' for each 'file:line in f' site."""
+    return sorted(f"{site.partition(':')[0]} in {site.partition(' in ')[2]}"
+                  for site in found)
 
 
 def scipy_imports(path):
@@ -186,6 +221,24 @@ def test_one_least_squares_site():
     assert sites[0].startswith("reps.py:") and sites[0].endswith(" in newton_project")
 
 
+def test_newton_projection_sites():
+    found = [site for path in MODULES for site in call_sites(path, "newton_project")]
+    assert sorted(set(_without_lines(found))) == ["charts.py in Chart.points",
+                                                  "verify.py in check_newton_projection"]
+    assert _without_lines(found).count("charts.py in Chart.points") == 1
+
+
+def test_one_polyfit_site():
+    found = [site for path in MODULES for site in call_sites(path, "polyfit")]
+    assert _without_lines(found) == ["charts.py in convergence_order"]
+
+
+def test_commutant_formula_sites():
+    found = [site for path in MODULES for site in rank_square_differences(path)]
+    assert _without_lines(found) == ["cocycles.py in CocycleBasis.commutant_dimension",
+                                     "reps.py in commutant_dimension"]
+
+
 def test_cup_oracle_reads_no_dual_form(monkeypatch):
     rep = random_representation(2, 2, "general-linear", seed=23)
     rng = np.random.default_rng(23)
@@ -235,7 +288,14 @@ def test_rules_flag_what_they_name(tmp_path):
         "    return [np.linalg.lstsq(x, b) for x in a], inner\n"
         "lstsq(1, 2)\n"
         "def u(m):\n"
-        "    return np.linalg.svd(m, compute_uv=False), svd(m), np.linalg.svd\n")
+        "    return np.linalg.svd(m, compute_uv=False), svd(m), np.linalg.svd\n"
+        "class C:\n"
+        "    def points(self, rep):\n"
+        "        return newton_project(rep), np.polyfit(1, 2, 1), rep.rank ** 2 - 1\n"
+        "    def later(self, rep):\n"
+        "        return [polyfit, rep.rank ** 3 - 1, rep.rank ** 2 + 1, 4 ** 2 - 1]\n"
+        "rank ** 2 - rank\n"
+        "newton_project.cache_clear(), n.rank ** 2 - dims[1]\n")
     assert unused_module_imports(module) == ["sample.py:2 json"]
     assert non_cycle_local_imports(module) == ["sample.py:6 in f", "sample.py:7 in f"]
     assert calls_named(module, "kron") == ["sample.py:11", "sample.py:11"]
@@ -245,4 +305,8 @@ def test_rules_flag_what_they_name(tmp_path):
     assert call_sites(module, "lstsq") == ["sample.py:21 in inner", "sample.py:22 in t",
                                            "sample.py:23 in <module>"]
     assert calls_named(module, "svd") == ["sample.py:25", "sample.py:25"]
+    assert call_sites(module, "newton_project") == ["sample.py:28 in C.points"]
+    assert call_sites(module, "polyfit") == ["sample.py:28 in C.points"]
+    assert rank_square_differences(module) == ["sample.py:28 in C.points",
+                                               "sample.py:32 in <module>"]
 
