@@ -91,7 +91,7 @@ class Chart:
 
     center: Representation
     frame: tuple[Cocycle, ...]
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         # points combine the frame over the center, so its base is checked

@@ -134,7 +134,7 @@ def cmd_dims(config: RunConfig) -> int:
         return EXIT_OK
     # the formula holds at irreducible points; a commutant above 1 names
     # the point as reducible
-    print(f"commutant-dimension: {basis.commutant_dimension}")
+    print(f"commutant-dimension: {commutant_dimension(basis.base)}")
     return EXIT_PROPERTY_FAILURE
 
 
@@ -164,7 +164,7 @@ def cmd_cocycle_basis(config: RunConfig, rep_path, space: str) -> int:
     print(f"Z1: {z1}")
     print(f"B1: {b1}")
     print(f"H1: {h1}")
-    _name_commutant(basis.commutant_dimension)
+    _name_commutant(commutant_dimension(basis.base))
     return EXIT_OK
 
 
@@ -198,7 +198,8 @@ def cmd_deform(config: RunConfig, rep_path, cocycle_path, step: float) -> int:
     rep = fileio.read_representation(rep_path)
     chi = fileio.read_cocycle(cocycle_path, rep)
     chart = Chart(center=rep, frame=(chi,))
-    moved = chart.point((step,))
+    # one stacked solve retracts both steps; the corrections read the memo
+    moved, _ = chart.points([(step,), (step / 2,)])
     corrections = [deformation_correction(chart, (t,)) for t in (step, step / 2)]
     # the correction is second order in the size of the step
     order = convergence_order((abs(step), abs(step) / 2), corrections)

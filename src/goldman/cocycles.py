@@ -19,9 +19,8 @@ from .errors import ConditioningError, InputError
 from .linalg import (canonical_frame, column_space, complement_dimension,
                      complement_within, complex_gaussian, frob, generator_stack,
                      nullspace, real_flatten, row_space)
-from .reps import (UNITARY, Representation, RingCodes, coboundary_matrix,
-                   evaluate_words, fox_jacobian, letter_codes, relator_tangent_matrix,
-                   ring_codes)
+from .reps import (UNITARY, Representation, RingCodes, evaluate_words, fox_jacobian,
+                   letter_codes, relator_tangent_matrix, ring_codes)
 from .words import GroupRingElement, GroupWord, letter_fox_terms
 
 
@@ -305,12 +304,6 @@ class CocycleBasis:
     constraint: np.ndarray
     b1_frame: np.ndarray
 
-    @property
-    def commutant_dimension(self) -> int:
-        """n^2 - dim B1: the kernel of v -> delta_v, whose image is B1, is
-        the commutant, one-dimensional exactly at irreducible bases."""
-        return self.base.rank ** 2 - self.dims[1]
-
     @cached_property
     def z1_frame(self) -> np.ndarray:
         """Canonical orthonormal Z1 columns in flattened coordinates."""
@@ -350,16 +343,15 @@ def cocycle_basis(rep: Representation) -> CocycleBasis:
 
     The constraint chi(R) = 0 is the Fox expansion of the relator (the
     linear map that drives Newton projection); B1 is the column space of
-    coboundary_matrix, the map v -> delta_v.  dim Z1 is 2g n^2 less the
+    coboundary_matrix, the map v -> delta_v, read from the
+    representation's cached coboundary_frame.  dim Z1 is 2g n^2 less the
     rank of the constraint, decided by row_space at the global threshold
     (the thin SVD of the tall conjugate transpose), and dim H1 comes from
     cocycle_dimensions.
     """
-    constraint = relator_tangent_matrix(rep.presentation, rep.images, rep.flavor)
-    row = row_space(constraint)
-    b1 = column_space(coboundary_matrix(rep))
-    b1.setflags(write=False)
-    return CocycleBasis(base=rep, dims=cocycle_dimensions(row, b1),
+    constraint = relator_tangent_matrix(rep.presentation, rep.images, rep.inverse_images)
+    b1 = rep.coboundary_frame
+    return CocycleBasis(base=rep, dims=cocycle_dimensions(row_space(constraint), b1),
                         constraint=constraint, b1_frame=b1)
 
 

@@ -39,6 +39,8 @@ class RunConfig:
                                  f"(known: {', '.join(_TOLERANCE_DEFAULTS)})")
             if not value > 0:
                 raise InputError(f"tolerance {name} must be positive, got {value}")
+            if value == float("inf"):  # a threshold no residual can exceed
+                raise InputError(f"tolerance {name} must be finite, got {value}")
         # a repeated name keeps its last value, as a repeated flag does
         object.__setattr__(self, "tolerance_overrides",
                            tuple(dict(self.tolerance_overrides).items()))

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tolerances
 from .errors import ConditioningError, ConvergenceError, InputError
-from .linalg import (ad_matrix, decided_rank, expm, frob, generator_stack, ginibre,
+from .linalg import (ad_matrix, column_space, expm, frob, generator_stack, ginibre,
                      haar_unitary, polar_unitary, unitary_eigenframe, vec)
 from .words import GroupWord, Presentation
 
@@ -66,6 +66,13 @@ class Representation:
     @cached_property
     def inverse_images(self) -> np.ndarray:
         return _invert_all(self.images, self.flavor)
+
+    @cached_property
+    def coboundary_frame(self) -> np.ndarray:
+        """Read-only orthonormal frame of B1, the column space of coboundary_matrix."""
+        frame = column_space(coboundary_matrix(self))
+        frame.setflags(write=False)
+        return frame
 
     @cached_property
     def dual_form(self) -> np.ndarray:
@@ -300,15 +307,14 @@ def coboundary_matrix(rep: Representation) -> np.ndarray:
 def commutant_dimension(rep: Representation) -> int:
     """Dimension of the algebra commuting with every generator image.
 
-    The nullity of coboundary_matrix, at the global rank rule: v commutes
-    with every image exactly when delta_v = 0.  The representation is
-    irreducible exactly when this is one.
+    The nullity of coboundary_matrix, n^2 less the columns of
+    rep.coboundary_frame: v commutes with every image exactly when
+    delta_v = 0.  The representation is irreducible exactly when this is one.
     """
-    rank, _ = decided_rank(coboundary_matrix(rep))
-    return rep.rank ** 2 - rank
+    return rep.rank ** 2 - rep.coboundary_frame.shape[1]
 
 
-def relator_tangent_matrix(presentation: Presentation, images, flavor: str) -> np.ndarray:
+def relator_tangent_matrix(presentation: Presentation, images, inverses) -> np.ndarray:
     """Linearization of the relator evaluation map around given images.
 
     Perturbing images as exp(t D_x) g_x changes the relator image, to
@@ -316,11 +322,10 @@ def relator_tangent_matrix(presentation: Presentation, images, flavor: str) -> n
     Fox derivatives of the relator with the D_x under conjugation.  The
     returned matrix represents L on column-stacked coordinates, shape
     (n^2, 2g n^2), or one such matrix per tuple of a (k, 2g, n, n) image
-    stack.  The same matrix is the cocycle relator constraint:
-    fox_jacobian over the relator's cached relator_fox_terms.
+    stack, read with the given inverses.  The same matrix is the cocycle
+    relator constraint: fox_jacobian over the relator's relator_fox_terms.
     """
-    images = np.asarray(images)
-    return fox_jacobian(images, _invert_all(images, flavor), presentation.relator(),
+    return fox_jacobian(np.asarray(images), np.asarray(inverses), presentation.relator(),
                         presentation.relator_fox_terms)
 
 
@@ -351,8 +356,8 @@ def fox_jacobian(images, inverses, word: GroupWord, terms) -> np.ndarray:
 
 
 def newton_project(presentation: Presentation, images, flavor: str,
-                   seed: int | None = None) -> Representation | tuple[Representation, ...]:
-    """Project approximate generator images back onto the relator variety.
+                   seed: int | None = None) -> tuple[Representation, ...]:
+    """Project stacked approximate image tuples back onto the relator variety.
 
     Gauss-Newton on the relator defect: each step solves the linearized
     relator constraint in the minimum-norm sense (a gauge slice orthogonal
@@ -360,30 +365,32 @@ def newton_project(presentation: Presentation, images, flavor: str,
     orbit), applies exp(D_x) g_x, and in the unitary flavor re-projects
     every image to the unitary group by polar decomposition.
 
-    images is one (2g, n, n) tuple, projected to a Representation, or a
-    (k, 2g, n, n) stack of tuples, projected to a tuple of k of them.
-    The tuples iterate together, each on its own schedule of trust check,
-    target, stall and step limit: an iteration makes one stacked word
-    product and inversion for the relator images, one
-    relator_tangent_matrix call over the stack, one stacked exponential
-    and polar projection.  The least-squares step and the defect are
-    taken per tuple, so each result is bit for bit that of projecting
-    its tuple alone.  ConvergenceError names the first tuple, in order,
-    that leaves the trust region or does not converge.
+    images is a (k, 2g, n, n) stack of tuples, projected to a tuple of k
+    representations; any other shape is an InputError.  The tuples iterate
+    together, each on its own schedule of trust check, target, stall and
+    step limit: an iteration makes one relator_tangent_matrix call over
+    the stack, on the inverses kept with the accepted tuples, one stacked
+    exponential and polar projection, and one stacked inversion and word
+    product for the relator images of the candidates.  The least-squares
+    step and the defect are taken per tuple, so each result is bit for
+    bit that of projecting its tuple alone.  ConvergenceError names the
+    first tuple, in order, that leaves the trust region or does not
+    converge.
     """
     stack = np.array(images, dtype=complex)
-    single = stack.ndim == 3
-    if single:
-        stack = stack[None]
+    if stack.ndim != 4 or stack.shape[1:3] != (presentation.generator_count, stack.shape[3]):
+        raise InputError(f"newton_project expects a (k, 2g, n, n) stack of image "
+                         f"tuples, got shape {stack.shape}")
     n = stack.shape[-1]
     eye = np.eye(n)
     relator = presentation.relator()
 
-    def relator_images(stack):
-        r = _word_product(stack, _invert_all(stack, flavor), relator)
+    def relator_images(stack, inverses):
+        r = _word_product(stack, inverses, relator)
         return r, [frob(m - eye) for m in r]
 
-    r, defects = relator_images(stack)
+    inverses = _invert_all(stack, flavor).copy()  # updated with each accepted tuple
+    r, defects = relator_images(stack, inverses)
     trusted = [not d > tolerances.NEWTON_TRUST_DEFECT for d in defects]
     live = [i for i, ok in enumerate(trusted) if ok]
     for _ in range(tolerances.NEWTON_STEP_LIMIT):
@@ -392,7 +399,7 @@ def newton_project(presentation: Presentation, images, flavor: str,
             break
         current, current_r = stack[live], r[live]
         rhs = -((current_r - eye) @ np.linalg.inv(current_r))
-        jac = relator_tangent_matrix(presentation, current, flavor)
+        jac = relator_tangent_matrix(presentation, current, inverses[live])
         steps = np.array([np.linalg.lstsq(j, vec(b), rcond=tolerances.SVD_RELATIVE)[0]
                           for j, b in zip(jac, rhs)])
         # block i of a step is D_i column-stacked, so the rows of its
@@ -400,11 +407,12 @@ def newton_project(presentation: Presentation, images, flavor: str,
         candidate = expm(steps.reshape(len(live), -1, n, n).swapaxes(-1, -2)) @ current
         if flavor == UNITARY:
             candidate = polar_unitary(candidate)
-        new_r, new_defects = relator_images(candidate)
+        new_inverses = _invert_all(candidate, flavor)
+        new_r, new_defects = relator_images(candidate, new_inverses)
         improved = []
-        for i, c, m, d in zip(live, candidate, new_r, new_defects):
+        for i, c, c_inv, m, d in zip(live, candidate, new_inverses, new_r, new_defects):
             if not d >= defects[i]:  # else stalled; keep the best iterate seen
-                stack[i], r[i], defects[i] = c, m, d
+                stack[i], inverses[i], r[i], defects[i] = c, c_inv, m, d
                 improved.append(i)
         live = improved
 
@@ -419,7 +427,7 @@ def newton_project(presentation: Presentation, images, flavor: str,
                 f"Newton projection did not converge (final defect {defect:.3e})",
                 defect=defect)
         out.append(Representation(presentation, n, stack[i], flavor, seed=seed))
-    return out[0] if single else tuple(out)
+    return tuple(out)
 
 
 def conjugate_representation(rep: Representation, c: np.ndarray) -> Representation:

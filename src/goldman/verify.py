@@ -320,17 +320,10 @@ def check_representation_reproducibility(run: SuiteRun) -> CheckResult:
 
 def check_construction_quality(run: SuiteRun) -> CheckResult:
     """Relator defect and irreducibility over the seeded size grid."""
-    worst = 0.0
-    failures = 0
-    samples = 0
-    for rep, basis in zip(run.grid, run.grid_bases):
-        worst = max(worst, relator_defect(rep))
-        if basis.commutant_dimension != 1:
-            failures += 1
-        samples += 1
-    if failures:
-        return _result("construction-quality", samples, 1.0, 0.0)
-    return _result("construction-quality", samples, worst, 1e-12)
+    reps = [basis.base for basis in run.grid_bases]
+    if any(commutant_dimension(rep) != 1 for rep in reps):
+        return _result("construction-quality", len(reps), 1.0, 0.0)
+    return _result("construction-quality", len(reps), max(map(relator_defect, reps)), 1e-12)
 
 
 def check_newton_projection(run: SuiteRun) -> CheckResult:
@@ -339,7 +332,7 @@ def check_newton_projection(run: SuiteRun) -> CheckResult:
     n = rep.rank
     failures = 0
 
-    projected = newton_project(rep.presentation, rep.images, rep.flavor)
+    (projected,) = newton_project(rep.presentation, rep.images[None], rep.flavor)
     if not np.array_equal(projected.images, rep.images):
         failures += 1
 
@@ -349,7 +342,7 @@ def check_newton_projection(run: SuiteRun) -> CheckResult:
         if rep.flavor == UNITARY:
             z = (z - z.conj().T) / 2
         noisy.append((np.eye(n) + 1e-3 * z) @ m)
-    repaired = newton_project(rep.presentation, noisy, rep.flavor)
+    (repaired,) = newton_project(rep.presentation, [noisy], rep.flavor)
     if relator_defect(repaired) > tolerances.CONSTRUCTION:
         failures += 1
 
@@ -358,7 +351,7 @@ def check_newton_projection(run: SuiteRun) -> CheckResult:
         samples = 3
         far = [haar_unitary(rng, n) for _ in rep.images]
         try:
-            newton_project(rep.presentation, far, UNITARY)
+            newton_project(rep.presentation, [far], UNITARY)
         except ConvergenceError:
             pass
         else:
@@ -712,17 +705,18 @@ def check_commuting_flows(run: SuiteRun) -> CheckResult:
     chi1 = _unit_direction(run, "commuting-flows-1")
     chi2 = _unit_direction(run, "commuting-flows-2")
 
-    def both_orders(t):
-        via1 = deform(rep, chi1, t)
-        via2 = deform(rep, chi2, t)
+    steps = [2e-3, 1e-3]
+    # the first-stage points (t, 0) and (0, t) are one stacked solve, each
+    # deform(rep, chi1, t) or deform(rep, chi2, t) bit for bit: 0 chi2 is +-0
+    firsts = Chart(rep, (chi1, chi2)).points(
+        [coords for t in steps for coords in ((t, 0.0), (0.0, t))])
+    distances = []
+    for t, via1, via2 in zip(steps, firsts[0::2], firsts[1::2]):
         # zeroth-order transport: the same generator values over the new base
         first = deform(via1, Cocycle(via1, chi2.values), t)
         second = deform(via2, Cocycle(via2, chi1.values), t)
-        return np.sqrt(sum(frob(a - b) ** 2
-                           for a, b in zip(first.images, second.images)))
-
-    steps = [2e-3, 1e-3]
-    distances = [both_orders(t) for t in steps]
+        distances.append(np.sqrt(sum(frob(a - b) ** 2
+                                     for a, b in zip(first.images, second.images))))
     return _order_result("commuting-flows", steps, distances, window=0.4)
 
 

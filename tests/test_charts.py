@@ -225,11 +225,20 @@ class TestChart:
             chi = chi * (1.0 / chi.norm())
             chart = Chart(center=rep, frame=(chi,))
             for t in (-3e-3, -1e-3, 1e-4, 5e-4, 1e-3, 1e-2):
-                reference = newton_project(rep.presentation, expm(t * chi.values) @ rep.images,
-                                           "general-linear", seed=rep.seed)
+                (reference,) = newton_project(rep.presentation,
+                                              [expm(t * chi.values) @ rep.images],
+                                              "general-linear", seed=rep.seed)
                 for point in (chart.point((t,)), deform(rep, chi, t)):
                     assert np.array_equal(point.images, reference.images)
                     assert np.array_equal(point.inverse_images, reference.inverse_images)
+
+    def test_cache_is_not_a_constructor_argument(self, basis_g2n2):
+        rep = basis_g2n2.base
+        with pytest.raises(TypeError):
+            Chart(rep, basis_g2n2.h1_complement, {(0.0,) * 10: rep})
+        with pytest.raises(TypeError):
+            Chart(center=rep, frame=basis_g2n2.h1_complement, _cache={})
+        assert Chart(rep, basis_g2n2.h1_complement)._cache == {}
 
     def test_zero_coordinate_is_center(self, basis_g2n2):
         chart = Chart(center=basis_g2n2.base, frame=basis_g2n2.h1_complement)

@@ -255,7 +255,8 @@ class TestFileCommands:
                                 "--cocycle", str(tmp_path / "cocycle-000.txt"),
                                 "--step", "1e-3"], capsys)
         assert code == 0
-        assert len(projections) == 2
+        # one stacked solve retracts both steps
+        assert [len(args[1]) for args in projections] == [2]
         assert ((tmp_path / "deformed.txt").read_bytes()
                 == (tmp_path / "expected.txt").read_bytes())
         lines = dict(l.split(": ", 1) for l in out.splitlines())
@@ -501,6 +502,18 @@ class TestVerifyCommand:
         assert_input_error(code, err)
         name = override.split("=")[0]
         assert err.strip() == f"error: unknown tolerance {name!r} (known: verification)"
+        assert out == ""
+        assert not (tmp_path / "verify-report.txt").exists()
+
+    @pytest.mark.parametrize("value, message", [
+        ("inf", "must be finite, got inf"), ("1e400", "must be finite, got inf"),
+        ("nan", "must be positive, got nan"), ("-1", "must be positive, got -1.0")])
+    def test_tolerance_must_be_positive_and_finite(self, tmp_path, capsys, value, message):
+        # an infinite threshold would switch its three checks off
+        code, out, err = run_cli(["--tol", f"verification={value}", "--out", str(tmp_path),
+                                  "verify"], capsys)
+        assert_input_error(code, err)
+        assert err.strip() == f"error: tolerance verification {message}"
         assert out == ""
         assert not (tmp_path / "verify-report.txt").exists()
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import goldman.cocycles
+import goldman.reps
 import goldman.tolerances
 from goldman import (Cocycle, ConditioningError, InputError, Presentation, Representation,
                      anti_hermitian_part, coboundary, cocycle_basis,
@@ -184,7 +185,7 @@ class TestWordJacobian:
         reps.append(random_representation(3, 2, "general-linear", seed=6))
         for rep in reps:
             jac = word_jacobian(rep, rep.presentation.relator())
-            fox = relator_tangent_matrix(rep.presentation, rep.images, rep.flavor)
+            fox = relator_tangent_matrix(rep.presentation, rep.images, rep.inverse_images)
             assert np.abs(jac - fox).max() < 1e-12
 
     def test_empty_word_is_zero(self, rep_g2n2):
@@ -427,7 +428,7 @@ def direct_frames(rep):
     """Z1, B1 and H1 frames built eagerly by nullspace and complement_within,
     with the B1 map formed generator by generator."""
     n = rep.rank
-    z1 = nullspace(relator_tangent_matrix(rep.presentation, rep.images, rep.flavor))
+    z1 = nullspace(relator_tangent_matrix(rep.presentation, rep.images, rep.inverse_images))
     delta = np.vstack([ad_matrix(m, m_inv) - np.eye(n * n)
                        for m, m_inv in zip(rep.images, rep.inverse_images)])
     u, svals, _ = np.linalg.svd(delta, full_matrices=False)
@@ -475,6 +476,19 @@ class TestRankFirstDimensions:
         assert same_columns(basis.basis, z1)
         assert same_columns(basis.coboundary_basis, canonical_frame(b1))
         assert same_columns(basis.h1_complement, h1)
+
+    @pytest.mark.parametrize("flavor", ["unitary", "general-linear"])
+    def test_coboundary_map_is_factored_once(self, monkeypatch, flavor):
+        rep = random_representation(2, 2, flavor, seed=5)
+        factored = []
+        matrix = goldman.reps.coboundary_matrix
+        monkeypatch.setattr(goldman.reps, "coboundary_matrix",
+                            lambda r: factored.append(r) or matrix(r))
+        basis = cocycle_basis(rep)
+        assert basis.b1_frame is rep.coboundary_frame
+        assert not basis.b1_frame.flags.writeable
+        assert commutant_dimension(rep) == rep.rank ** 2 - basis.dims[1] == 1
+        assert factored == [rep]
 
     def test_h1_coordinates_read_the_cached_frame(self, seeded_bases):
         rng = np.random.default_rng(31)

@@ -81,7 +81,7 @@ class TestRelatorTangentMatrix:
         (2, 3, "general-linear"), (3, 3, "general-linear")])
     def test_matches_two_product_reference(self, genus, rank, flavor):
         rep = random_representation(genus, rank, flavor, seed=6)
-        walk = relator_tangent_matrix(rep.presentation, rep.images, rep.flavor)
+        walk = relator_tangent_matrix(rep.presentation, rep.images, rep.inverse_images)
         reference = two_product_tangent_matrix(rep)
         # at rank one the terms cancel to roundoff: scale by the unit terms
         scale = max(1.0, np.abs(reference).max())
@@ -254,15 +254,15 @@ def per_generator_newton(presentation, images, flavor):
         r = np.eye(n, dtype=complex)
         for gen, sign in presentation.relator().letters():
             r = r @ (images[gen] if sign > 0 else inverses[gen])
-        return r, frob(r - eye)
+        return r, frob(r - eye), inverses
 
-    r, defect = relator_image(images)
+    r, defect, inverses = relator_image(images)
     iterations = 0
     for _ in range(tolerances.NEWTON_STEP_LIMIT):
         if defect <= tolerances.NEWTON_TARGET:
             break
         rhs = -vec((r - eye) @ np.linalg.inv(r))
-        jac = relator_tangent_matrix(presentation, images, flavor)
+        jac = relator_tangent_matrix(presentation, images, inverses)
         iterations += 1
         step, *_ = np.linalg.lstsq(jac, rhs, rcond=tolerances.SVD_RELATIVE)
         candidate = []
@@ -270,10 +270,10 @@ def per_generator_newton(presentation, images, flavor):
             d = step[i * n * n:(i + 1) * n * n].reshape((n, n), order="F")
             updated = expm(d) @ images[i]
             candidate.append(polar_unitary(updated) if flavor == "unitary" else updated)
-        new_r, new_defect = relator_image(candidate)
+        new_r, new_defect, new_inverses = relator_image(candidate)
         if new_defect >= defect:
             break
-        images, r, defect = candidate, new_r, new_defect
+        images, r, defect, inverses = candidate, new_r, new_defect, new_inverses
     return images, iterations
 
 
@@ -308,7 +308,7 @@ class TestNewtonProject:
             expected, iterations = per_generator_newton(rep.presentation, noisy, flavor)
             calls.clear()
             monkeypatch.setattr(goldman.reps, "relator_tangent_matrix", counted)
-            projected = newton_project(rep.presentation, noisy, flavor)
+            (projected,) = newton_project(rep.presentation, [noisy], flavor)
             monkeypatch.undo()
             # rank-one images commute, so the relator is exact and no step is taken
             assert iterations >= (rank > 1)
@@ -317,8 +317,8 @@ class TestNewtonProject:
                 assert np.array_equal(a, b)
 
     def test_fixed_point(self, rep_g2n2):
-        projected = newton_project(rep_g2n2.presentation, rep_g2n2.images,
-                                   rep_g2n2.flavor)
+        (projected,) = newton_project(rep_g2n2.presentation, rep_g2n2.images[None],
+                                      rep_g2n2.flavor)
         for a, b in zip(projected.images, rep_g2n2.images):
             assert np.array_equal(a, b)
 
@@ -329,7 +329,7 @@ class TestNewtonProject:
             z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             z = (z - z.conj().T) / 2
             noisy.append((np.eye(2) + 1e-3 * z) @ m)
-        repaired = newton_project(rep_g2n2.presentation, noisy, "unitary")
+        (repaired,) = newton_project(rep_g2n2.presentation, [noisy], "unitary")
         assert relator_defect(repaired) <= 1e-10
 
     def test_far_input_raises(self):
@@ -337,9 +337,17 @@ class TestNewtonProject:
         pres = Presentation(2)
         far = [haar_unitary(rng, 2) for _ in range(4)]
         with pytest.raises(ConvergenceError) as excinfo:
-            newton_project(pres, far, "unitary")
+            newton_project(pres, [far], "unitary")
         assert excinfo.value.defect is not None
         assert excinfo.value.defect > 0.1
+
+    @pytest.mark.parametrize("shape", [(4, 2, 2), (2, 2), (1, 1, 4, 2, 2), (1, 2, 2, 2),
+                                       (1, 4, 2, 3)])
+    def test_only_a_stack_of_tuples_is_accepted(self, rep_g2n2, shape):
+        # a lone (2g, n, n) tuple would otherwise be read as 2g tuples
+        images = np.resize(rep_g2n2.images, shape)
+        with pytest.raises(InputError, match=r"\(k, 2g, n, n\) stack"):
+            newton_project(rep_g2n2.presentation, images, "unitary")
 
 
 class TestStackedNewtonProject:
@@ -353,7 +361,7 @@ class TestStackedNewtonProject:
         # tuples on their own schedules: on the variety, near it, farther
         stack = np.array([rep.images] + [perturbed_images(rep, rng, size)
                                          for size in (1e-3, 1e-5, 2e-3, 3e-4)])
-        expected = [newton_project(rep.presentation, t, flavor, seed=5) for t in stack]
+        expected = [newton_project(rep.presentation, [t], flavor, seed=5)[0] for t in stack]
         tangent = goldman.reps.relator_tangent_matrix
         calls = []
 
@@ -377,11 +385,12 @@ class TestStackedNewtonProject:
         rep = random_representation(3, 2, flavor, seed=18)
         rng = np.random.default_rng(18)
         stack = np.array([perturbed_images(rep, rng, 1e-2) for _ in range(3)])
-        stacked = relator_tangent_matrix(rep.presentation, stack, flavor)
+        inverses = np.linalg.inv(stack)
+        stacked = relator_tangent_matrix(rep.presentation, stack, inverses)
         assert stacked.shape == (3, 4, 3 * 2 * 4)
-        for jac, images in zip(stacked, stack):
+        for jac, images, inverse in zip(stacked, stack, inverses):
             assert np.array_equal(jac, relator_tangent_matrix(rep.presentation, images,
-                                                              flavor))
+                                                              inverse))
 
     @pytest.mark.parametrize("far_at", [[1], [1, 3], [0, 2]])
     def test_first_failing_tuple_raises_its_own_error(self, far_at):
@@ -393,7 +402,7 @@ class TestStackedNewtonProject:
         serial = None
         for images in stack:
             try:
-                newton_project(rep.presentation, images, "unitary")
+                newton_project(rep.presentation, [images], "unitary")
             except ConvergenceError as exc:
                 serial = exc
                 break

@@ -1,7 +1,7 @@
 """Import hygiene of the package source, checked on its syntax trees,
 and the independence of the cup-product oracle.
 
-Eleven rules, with no lint dependency:
+Thirteen rules, with no lint dependency:
 
 - every module-level import is used in its module (the package
   ``__init__`` re-exports, and ``from __future__`` imports are exempt);
@@ -28,10 +28,16 @@ Eleven rules, with no lint dependency:
   ``newton-projection`` check of ``verify``, which tests it directly;
 - ``polyfit`` is called at one site, inside ``charts.convergence_order``:
   the one rule that reads an order from a ladder, or finds it flat;
-- n^2 less a rank (``x.rank ** 2 - y``) is written only in the two
-  ``commutant_dimension`` functions: ``reps.commutant_dimension``, which
-  decides the rank of v -> delta_v itself, and
-  ``CocycleBasis.commutant_dimension``, which reads it as dim B1;
+- n^2 less a rank (``x.rank ** 2 - y``) is written only in
+  ``reps.commutant_dimension``, which reads the rank of v -> delta_v as
+  the column count of ``Representation.coboundary_frame``;
+- ``coboundary_matrix`` is called only in
+  ``Representation.coboundary_frame``, the cached B1 frame that
+  ``cocycle_basis`` and ``commutant_dimension`` both read, so the rank of
+  v -> delta_v is decided once per representation;
+- ``_invert_all`` is called only in ``Representation.inverse_images``,
+  ``random_representation`` and ``newton_project``: every other reader of
+  inverse images, the Fox Jacobian included, is handed them;
 - the cup-product oracle ``pairing_cup`` reads neither the pairing
   matrix ``W`` nor a Fox Jacobian: it still returns with
   ``dual_form_matrix``, ``word_jacobian``, ``fox_jacobian`` and
@@ -235,8 +241,19 @@ def test_one_polyfit_site():
 
 def test_commutant_formula_sites():
     found = [site for path in MODULES for site in rank_square_differences(path)]
-    assert _without_lines(found) == ["cocycles.py in CocycleBasis.commutant_dimension",
-                                     "reps.py in commutant_dimension"]
+    assert _without_lines(found) == ["reps.py in commutant_dimension"]
+
+
+def test_one_coboundary_matrix_site():
+    found = [site for path in MODULES for site in call_sites(path, "coboundary_matrix")]
+    assert _without_lines(found) == ["reps.py in Representation.coboundary_frame"]
+
+
+def test_inversion_sites():
+    found = [site for path in MODULES for site in call_sites(path, "_invert_all")]
+    assert sorted(set(_without_lines(found))) == ["reps.py in Representation.inverse_images",
+                                                  "reps.py in newton_project",
+                                                  "reps.py in random_representation"]
 
 
 def test_cup_oracle_reads_no_dual_form(monkeypatch):
@@ -295,7 +312,13 @@ def test_rules_flag_what_they_name(tmp_path):
         "    def later(self, rep):\n"
         "        return [polyfit, rep.rank ** 3 - 1, rep.rank ** 2 + 1, 4 ** 2 - 1]\n"
         "rank ** 2 - rank\n"
-        "newton_project.cache_clear(), n.rank ** 2 - dims[1]\n")
+        "newton_project.cache_clear(), n.rank ** 2 - dims[1]\n"
+        "class R:\n"
+        "    @cached_property\n"
+        "    def coboundary_frame(self):\n"
+        "        return column_space(coboundary_matrix(self)), coboundary_matrix\n"
+        "def project(images):\n"
+        "    return _invert_all(images, 'unitary'), lambda: reps._invert_all(images, 'x')\n")
     assert unused_module_imports(module) == ["sample.py:2 json"]
     assert non_cycle_local_imports(module) == ["sample.py:6 in f", "sample.py:7 in f"]
     assert calls_named(module, "kron") == ["sample.py:11", "sample.py:11"]
@@ -309,4 +332,7 @@ def test_rules_flag_what_they_name(tmp_path):
     assert call_sites(module, "polyfit") == ["sample.py:28 in C.points"]
     assert rank_square_differences(module) == ["sample.py:28 in C.points",
                                                "sample.py:32 in <module>"]
+    assert call_sites(module, "coboundary_matrix") == ["sample.py:36 in R.coboundary_frame"]
+    assert call_sites(module, "_invert_all") == ["sample.py:38 in project",
+                                                 "sample.py:38 in project"]
 

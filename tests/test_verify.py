@@ -11,7 +11,8 @@ from goldman import (Cocycle, ConditioningError, Presentation, Representation,
                      commutant_dimension, conjugate_representation, random_cocycle)
 from goldman.config import RunConfig
 from goldman.pairing import dual_form_matrix
-from goldman.verify import (SuiteRun, check_antisymmetry, check_bilinearity,
+from goldman.verify import (SuiteRun, applicable_checks, check_antisymmetry,
+                            check_bilinearity,
                             check_class_invariance, check_closedness,
                             check_cocycle_law_on_basis,
                             check_conjugation_equivariance,
@@ -300,3 +301,12 @@ class TestCheckTable:
                     for name, samples, threshold in CHECK_TABLE
                     if flavor == "unitary" or name not in UNITARY_ONLY]
         assert [(r.name, r.samples, r.threshold, r.passed) for r in results] == expected
+
+    @pytest.mark.parametrize("genus, rank, flavor", [
+        (2, 2, "unitary"), (2, 2, "general-linear"), (1, 1, "unitary")])
+    def test_reported_names_are_the_table_names(self, tmp_path, genus, rank, flavor):
+        # the report prints the name each check passes to _result, while
+        # the benchmark's tracer times verify.<name>.s by Check.name
+        config = RunConfig(genus=genus, rank=rank, flavor=flavor, out=tmp_path)
+        assert ([r.name for r in run_suite(config)]
+                == [check.name for check in applicable_checks(config)])

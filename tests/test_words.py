@@ -350,7 +350,7 @@ class TestRelatorDerivativeCache:
         for step in np.linspace(1e-4, 1e-3, 10):
             moved = [scipy.linalg.expm(step * (m - m.conj().T) / 2) @ g
                      for m, g in zip(psi.values, rep.images)]
-            newton_project(rep.presentation, moved, flavor)
+            newton_project(rep.presentation, [moved], flavor)
             pairing_cup(chi, psi)
         assert sorted(index for _, index in fox_calls) == list(range(2 * genus))
 
