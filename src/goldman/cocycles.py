@@ -16,9 +16,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConditioningError, InputError
-from .linalg import (canonical_frame, column_space, complement_dimension,
-                     complement_within, complex_gaussian, frob, generator_stack,
-                     nullspace, real_flatten, row_space)
+from .linalg import (canonical_frame, column_space, complement_within, complex_gaussian,
+                     frob, generator_stack, nullspace, real_flatten, small_angle_count,
+                     split_singular_values, triangular_svd)
 from .reps import (UNITARY, Representation, RingCodes, evaluate_words, fox_jacobian,
                    letter_codes, relator_tangent_matrix, ring_codes)
 from .words import GroupRingElement, GroupWord, letter_fox_terms
@@ -277,12 +277,10 @@ def _frame_cocycles(base: Representation, frame: np.ndarray) -> tuple[Cocycle, .
 
 
 def _decided_frame(frame: np.ndarray, count: int, space: str) -> np.ndarray:
-    """The canonical frame of col(frame), read-only, once its column count
-    matches the rank decision."""
+    """frame, read-only, once its column count matches the rank decision."""
     if frame.shape[1] != count:
         raise ConditioningError(
             f"{space} basis has {frame.shape[1]} columns, the rank decision gave {count}")
-    frame = canonical_frame(frame)
     frame.setflags(write=False)
     return frame
 
@@ -295,24 +293,32 @@ class CocycleBasis:
     basis (Z1), coboundary_basis (B1) and h1_complement (the orthogonal
     complement of B1 in Z1, whose pairings represent cohomology classes)
     are the canonical frames of the nullspace of constraint (the Fox
-    relator constraint) and of col(b1_frame), built on first read; a
-    column count that disagrees with dims raises ConditioningError.
+    relator constraint) and of the column space of coboundary (the map
+    v -> delta_v), built on first read; a column count that disagrees
+    with dims raises ConditioningError.
     """
 
     base: Representation
     dims: tuple[int, int, int]
     constraint: np.ndarray
-    b1_frame: np.ndarray
+    coboundary: np.ndarray
 
     @cached_property
     def z1_frame(self) -> np.ndarray:
         """Canonical orthonormal Z1 columns in flattened coordinates."""
-        return _decided_frame(nullspace(self.constraint), self.dims[0], "Z1")
+        frame = canonical_frame(nullspace(self.constraint))
+        return _decided_frame(frame, self.dims[0], "Z1")
+
+    @cached_property
+    def b1_frame(self) -> np.ndarray:
+        """Orthonormal B1 columns in flattened coordinates, the leading left
+        singular vectors of coboundary."""
+        return _decided_frame(column_space(self.coboundary), self.dims[1], "B1")
 
     @cached_property
     def h1_frame(self) -> np.ndarray:
         """Canonical orthonormal H1-complement columns in flattened coordinates."""
-        frame = complement_within(self.z1_frame, self.b1_frame)
+        frame = canonical_frame(complement_within(self.z1_frame, self.b1_frame))
         return _decided_frame(frame, self.dims[2], "H1 complement")
 
     @cached_property
@@ -343,16 +349,15 @@ def cocycle_basis(rep: Representation) -> CocycleBasis:
 
     The constraint chi(R) = 0 is the Fox expansion of the relator (the
     linear map that drives Newton projection); B1 is the column space of
-    coboundary_matrix, the map v -> delta_v, read from the
-    representation's cached coboundary_frame.  dim Z1 is 2g n^2 less the
-    rank of the constraint, decided by row_space at the global threshold
-    (the thin SVD of the tall conjugate transpose), and dim H1 comes from
-    cocycle_dimensions.
+    the representation's cached coboundary_map, the map v -> delta_v,
+    whose rank is decided once in rep.coboundary_svd.  The dimensions
+    come from cocycle_dimensions.
     """
     constraint = relator_tangent_matrix(rep.presentation, rep.images, rep.inverse_images)
-    b1 = rep.coboundary_frame
-    return CocycleBasis(base=rep, dims=cocycle_dimensions(row_space(constraint), b1),
-                        constraint=constraint, b1_frame=b1)
+    coboundary = rep.coboundary_map
+    return CocycleBasis(base=rep,
+                        dims=cocycle_dimensions(constraint, coboundary, rep.coboundary_svd),
+                        constraint=constraint, coboundary=coboundary)
 
 
 def expected_h1_dimension(genus: int, rank: int) -> int:
@@ -360,19 +365,30 @@ def expected_h1_dimension(genus: int, rank: int) -> int:
     return (2 * genus - 2) * rank ** 2 + 2
 
 
-def cocycle_dimensions(row: np.ndarray, b1_frame: np.ndarray) -> tuple[int, int, int]:
-    """(dim Z1, dim B1, dim H1) from the constraint's row space and a B1 frame.
+def cocycle_dimensions(constraint: np.ndarray, coboundary: np.ndarray,
+                       coboundary_svd) -> tuple[int, int, int]:
+    """(dim Z1, dim B1, dim H1) for the nullspace Z1 of C = constraint and
+    the column space B1 of D = coboundary, whose decided triangular_svd is
+    coboundary_svd = (k, svals, vh).  No tall orthonormal factor is formed.
 
-    Both arguments have orthonormal columns; Z1 is the orthogonal
-    complement of row.  dim H1 is the number of columns complement_within
-    would keep, counted by complement_dimension from the sines of the
-    principal angles, the singular values of the small matrix
-    row^H b1_frame; no Z1 frame or tall projection is formed.  B1 not
-    lying inside Z1 shows as dim Z1 - dim B1 != dim H1 and raises
-    ConditioningError.
+    With the kept parts C^H = R S_C V_C^H (rank r) and D = b S_D V_D^H,
+    the singular values of the small r x k matrix
+
+        R^H b = S_C^-1 V_C^H (C D) V_D S_D^-1
+
+    are the sines of the principal angles between B1 and Z1 (Bjorck and
+    Golub, 1973); when k > r the other k - r directions of B1 lie inside
+    Z1.  dim H1 is dim Z1 less the angles that complement_within drops,
+    counted by small_angle_count.  B1 not lying inside Z1 shows as
+    dim Z1 - dim B1 != dim H1 and raises ConditioningError.
     """
-    dims = (row.shape[0] - row.shape[1], b1_frame.shape[1],
-            complement_dimension(row, b1_frame))
+    svals, vh = triangular_svd(constraint.conj().T)
+    r, _ = split_singular_values(svals)
+    k, b_svals, b_vh = coboundary_svd
+    sines = ((vh[:r] @ (constraint @ coboundary) @ b_vh[:k].conj().T)
+             / svals[:r, None] / b_svals[:k])
+    inside = max(0, k - r) + small_angle_count(sines)
+    dims = (constraint.shape[1] - r, k, constraint.shape[1] - r - inside)
     if dims[0] - dims[1] != dims[2]:
         raise ConditioningError(
             f"inconsistent dimensions: Z1 {dims[0]}, B1 {dims[1]}, complement {dims[2]}")

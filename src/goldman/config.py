@@ -7,7 +7,7 @@ from pathlib import Path
 
 from . import tolerances
 from .errors import InputError
-from .reps import (FLAVORS, UNITARY, Representation, check_seed,
+from .reps import (FLAVORS, UNITARY, Representation, check_seed, check_size,
                    random_representation)
 
 _TOLERANCE_DEFAULTS = {"verification": tolerances.VERIFICATION}
@@ -26,10 +26,7 @@ class RunConfig:
     mutate: str | None = None
 
     def __post_init__(self):
-        if self.genus < 1:
-            raise InputError(f"genus must be >= 1, got {self.genus}")
-        if self.rank < 1:
-            raise InputError(f"rank must be >= 1, got {self.rank}")
+        check_size(self.genus, self.rank)
         if self.flavor not in FLAVORS:
             raise InputError(f"unknown flavor {self.flavor!r}")
         check_seed(self.seed)

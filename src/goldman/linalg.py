@@ -32,10 +32,15 @@ def generator_stack(matrices, count: int, n: int, what: str) -> Array:
         raise InputError(f"{what} do not form one stack: {exc}") from exc
     if stack.shape != (count, n, n):
         raise InputError(f"{what} have shape {stack.shape}, expected {(count, n, n)}")
-    if not np.isfinite(stack).all():
-        raise InputError(f"{what} have a non-finite entry")
+    require_finite(stack, what)
     stack.setflags(write=False)
     return stack
+
+
+def require_finite(a: Array, what: str) -> None:
+    """InputError naming what when an entry of a is NaN or infinite."""
+    if not np.isfinite(a).all():
+        raise InputError(f"{what} have a non-finite entry")
 
 
 def ad_matrix(s: Array, s_inv: Array) -> Array:
@@ -105,9 +110,11 @@ def expm(a: Array) -> Array:
     Degree and scaling are chosen per matrix, and each (degree, scaling)
     group is evaluated on a C-contiguous copy of its matrices, so every
     matrix of a stack gets exactly the value of expm called on it alone.
-    A 1 x 1 matrix is its entry's exponential.
+    A 1 x 1 matrix is its entry's exponential.  A non-finite entry is an
+    InputError.
     """
     a = np.asarray(a)
+    require_finite(a, "exponent matrices")
     n = a.shape[-1]
     if n == 1:
         return np.exp(a)
@@ -182,23 +189,20 @@ def decided_rank(m: Array):
     return split_singular_values(np.linalg.svd(m, compute_uv=False))
 
 
+def triangular_svd(m: Array):
+    """(svals, vh): the singular values and right factor of m, up to
+    roundoff, from the SVD of the triangle of its QR (Chan's R-SVD, 1982).
+    For a tall m no factor as tall as m is formed: the QR keeps its
+    triangle alone, and the SVD is of a square of m's column count."""
+    return np.linalg.svd(np.linalg.qr(m, mode="r"), full_matrices=False)[1:]
+
+
 def nullspace(m: Array) -> Array:
     """Orthonormal nullspace basis (columns), with an unambiguous rank cut."""
     m = np.atleast_2d(np.asarray(m))
     _, svals, vh = np.linalg.svd(m, full_matrices=True)
     rank, _ = split_singular_values(svals)
     return vh[rank:].conj().T
-
-
-def row_space(m: Array) -> Array:
-    """Orthonormal row-space basis (columns), the complement of nullspace(m),
-    with the same rank rule: the leading left singular vectors of the thin
-    SVD of m^H.  For a wide m, m^H is tall, and LAPACK factors a tall
-    matrix faster than the wide one whose right factor it would read."""
-    m = np.atleast_2d(np.asarray(m))
-    u, svals, _ = np.linalg.svd(m.conj().T, full_matrices=False)
-    rank, _ = split_singular_values(svals)
-    return u[:, :rank]
 
 
 def column_space(m: Array) -> Array:
@@ -222,25 +226,16 @@ def complement_within(z: Array, b: Array) -> Array:
     return u[:, svals > tolerances.COMPLEMENT_SINE]
 
 
-def complement_dimension(z_perp: Array, b: Array) -> int:
-    """Column count of complement_within(z, b) without forming z.
+def small_angle_count(sines: Array) -> int:
+    """Number of singular values of sines at most tolerances.COMPLEMENT_SINE.
 
-    z_perp (r columns) and b (k columns) have orthonormal columns, and
-    z_perp spans the orthogonal complement of col(z).  The singular values
-    of the small r x k matrix z_perp^H b are the sines of the principal
-    angles between col(b) and col(z) (Bjorck and Golub, 1973); when k > r,
-    the other k - r directions of col(b) lie inside col(z), at sine 0.
-    complement_within drops a direction of col(z) for each angle whose
-    sine is at most s = tolerances.COMPLEMENT_SINE (its cosine, a singular
-    value of the tall (I - z_perp z_perp^H) b, at least sqrt(1 - s**2)),
-    so the count of kept directions is dim col(z) less those angles.
-    """
-    z_dim = z_perp.shape[0] - z_perp.shape[1]
-    if b.shape[1] == 0:
-        return z_dim
-    sines = np.linalg.svd(z_perp.conj().T @ b, compute_uv=False)
-    inside = max(0, b.shape[1] - z_perp.shape[1])
-    return z_dim - inside - int(np.count_nonzero(sines <= tolerances.COMPLEMENT_SINE))
+    When sines is z_perp^H b, for orthonormal frames z_perp of the
+    orthogonal complement of col(z) and b of col(b), its singular values
+    are the sines of the principal angles between col(b) and col(z)
+    (Bjorck and Golub, 1973), and the count is that of the directions
+    complement_within(z, b) drops."""
+    values = np.linalg.svd(sines, compute_uv=False)
+    return int(np.count_nonzero(values <= tolerances.COMPLEMENT_SINE))
 
 
 def canonical_frame(v: Array) -> Array:

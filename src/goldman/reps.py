@@ -16,8 +16,9 @@ import numpy as np
 
 from . import tolerances
 from .errors import ConditioningError, ConvergenceError, InputError
-from .linalg import (ad_matrix, column_space, expm, frob, generator_stack, ginibre,
-                     haar_unitary, polar_unitary, unitary_eigenframe, vec)
+from .linalg import (ad_matrix, expm, frob, generator_stack, ginibre, haar_unitary,
+                     polar_unitary, require_finite, split_singular_values,
+                     triangular_svd, unitary_eigenframe, vec)
 from .words import GroupWord, Presentation
 
 UNITARY = "unitary"
@@ -68,11 +69,21 @@ class Representation:
         return _invert_all(self.images, self.flavor)
 
     @cached_property
-    def coboundary_frame(self) -> np.ndarray:
-        """Read-only orthonormal frame of B1, the column space of coboundary_matrix."""
-        frame = column_space(coboundary_matrix(self))
-        frame.setflags(write=False)
-        return frame
+    def coboundary_map(self) -> np.ndarray:
+        """Read-only coboundary_matrix, the map v -> delta_v: B1 is its
+        column space, the commutant its nullspace."""
+        matrix = coboundary_matrix(self)
+        matrix.setflags(write=False)
+        return matrix
+
+    @cached_property
+    def coboundary_svd(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """(rank, svals, vh) of coboundary_map: its triangular_svd, with
+        the rank, dim B1, decided once by split_singular_values."""
+        svals, vh = triangular_svd(self.coboundary_map)
+        svals.setflags(write=False)
+        vh.setflags(write=False)
+        return split_singular_values(svals)[0], svals, vh
 
     @cached_property
     def dual_form(self) -> np.ndarray:
@@ -217,6 +228,7 @@ def commutator_factor(u: np.ndarray, unitary: bool = True):
     n = u.shape[0]
     if u.shape != (n, n):
         raise InputError("commutator_factor expects a square matrix")
+    require_finite(u, "matrices to factor")
     det = np.linalg.det(u)
     if abs(det - 1.0) > tol:
         raise InputError(f"determinant {det:.6g} is not 1 within {tol:.1e}")
@@ -250,6 +262,13 @@ def commutator_factor(u: np.ndarray, unitary: bool = True):
     return a, b
 
 
+def check_size(genus: int, rank: int) -> None:
+    """Genus and rank are integers >= 1, from the CLI and the API alike."""
+    for name, value in (("genus", genus), ("rank", rank)):
+        if not isinstance(value, (int, np.integer)) or value < 1:
+            raise InputError(f"{name} must be an integer >= 1, got {value}")
+
+
 def check_seed(seed: int) -> None:
     """Seeds are unsigned 64-bit integers, from the CLI and the API alike."""
     if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2 ** 64:
@@ -265,6 +284,7 @@ def random_representation(genus: int, rank: int, flavor: str = UNITARY,
     last handle is a commutator factorization of the inverse partial
     relator image, rescaled to determinant one.
     """
+    check_size(genus, rank)
     if flavor not in FLAVORS:
         raise InputError(f"unknown flavor {flavor!r}")
     check_seed(seed)
@@ -307,11 +327,11 @@ def coboundary_matrix(rep: Representation) -> np.ndarray:
 def commutant_dimension(rep: Representation) -> int:
     """Dimension of the algebra commuting with every generator image.
 
-    The nullity of coboundary_matrix, n^2 less the columns of
-    rep.coboundary_frame: v commutes with every image exactly when
+    The nullity of coboundary_matrix, n^2 less the rank decided in
+    rep.coboundary_svd: v commutes with every image exactly when
     delta_v = 0.  The representation is irreducible exactly when this is one.
     """
-    return rep.rank ** 2 - rep.coboundary_frame.shape[1]
+    return rep.rank ** 2 - rep.coboundary_svd[0]
 
 
 def relator_tangent_matrix(presentation: Presentation, images, inverses) -> np.ndarray:
@@ -381,6 +401,9 @@ def newton_project(presentation: Presentation, images, flavor: str,
     if stack.ndim != 4 or stack.shape[1:3] != (presentation.generator_count, stack.shape[3]):
         raise InputError(f"newton_project expects a (k, 2g, n, n) stack of image "
                          f"tuples, got shape {stack.shape}")
+    require_finite(stack, "image tuples")
+    if (np.abs(np.linalg.det(stack)) < tolerances.SINGULAR_IMAGE).any():
+        raise InputError("image tuples have a numerically singular image")
     n = stack.shape[-1]
     eye = np.eye(n)
     relator = presentation.relator()

@@ -8,7 +8,7 @@ import scipy.linalg
 import goldman.charts
 import goldman.cli
 import goldman.tolerances
-from goldman import Presentation, Representation
+from goldman import InputError, Presentation, Representation
 from goldman.cli import main
 from goldman.config import RunConfig
 from goldman.fileio import read_cocycle, read_representation, write_representation
@@ -516,6 +516,19 @@ class TestVerifyCommand:
         assert err.strip() == f"error: tolerance verification {message}"
         assert out == ""
         assert not (tmp_path / "verify-report.txt").exists()
+
+    @pytest.mark.parametrize("flag", ["--genus", "--rank"])
+    def test_size_below_one_is_an_input_error(self, capsys, flag):
+        code, out, err = run_cli([flag, "0", "dims"], capsys)
+        assert_input_error(code, err)
+        assert err.strip() == f"error: {flag[2:]} must be an integer >= 1, got 0"
+        assert out == ""
+
+    @pytest.mark.parametrize("sizes, name", [((1.5, 2), "genus"), ((2, 2.0), "rank")])
+    def test_config_sizes_are_integers(self, sizes, name):
+        # one size rule for RunConfig and random_representation
+        with pytest.raises(InputError, match=f"{name} must be an integer >= 1"):
+            RunConfig(genus=sizes[0], rank=sizes[1])
 
     def test_repeated_tolerance_takes_the_last_value(self, tmp_path, capsys):
         strict, loose = "verification=1e-30", "verification=1"

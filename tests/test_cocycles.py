@@ -14,12 +14,11 @@ from goldman.cli import main
 from goldman.cocycles import (CocycleBasis, _real_span, cocycle_dimensions,
                               expected_h1_dimension, from_flat, linear_combination,
                               ring_values, stack_cocycles)
-from goldman.linalg import (ad_matrix, canonical_frame, column_space,
-                            complement_dimension, complement_within, decided_rank,
-                            frob, nullspace, real_flatten, row_space,
-                            split_singular_values, vec)
-from goldman.reps import (coboundary_matrix, commutant_dimension, letter_codes,
-                          relator_tangent_matrix, ring_codes)
+from goldman.linalg import (ad_matrix, canonical_frame, column_space, complement_within,
+                            decided_rank, frob, nullspace, real_flatten,
+                            split_singular_values, triangular_svd, vec)
+from goldman.reps import (commutant_dimension, letter_codes, relator_tangent_matrix,
+                          ring_codes)
 from goldman.words import GroupRingElement
 
 
@@ -454,6 +453,7 @@ class TestRankFirstDimensions:
         monkeypatch.setattr(goldman.cocycles, "nullspace", fail)
         monkeypatch.setattr(goldman.cocycles, "complement_within", fail)
         monkeypatch.setattr(goldman.cocycles, "canonical_frame", fail)
+        monkeypatch.setattr(goldman.cocycles, "column_space", fail)
         formula = (2 * genus - 2) * rank * rank + 2
         z1, b1, h1 = cocycle_basis(random_representation(genus, rank, seed=0)).dims
         assert h1 == formula
@@ -485,9 +485,12 @@ class TestRankFirstDimensions:
         monkeypatch.setattr(goldman.reps, "coboundary_matrix",
                             lambda r: factored.append(r) or matrix(r))
         basis = cocycle_basis(rep)
-        assert basis.b1_frame is rep.coboundary_frame
-        assert not basis.b1_frame.flags.writeable
+        assert basis.coboundary is rep.coboundary_map
+        assert not basis.coboundary.flags.writeable
+        assert "b1_frame" not in vars(basis)
         assert commutant_dimension(rep) == rep.rank ** 2 - basis.dims[1] == 1
+        assert rep.coboundary_svd[0] == basis.dims[1]
+        assert not basis.b1_frame.flags.writeable
         assert factored == [rep]
 
     def test_h1_coordinates_read_the_cached_frame(self, seeded_bases):
@@ -506,10 +509,11 @@ class TestRankFirstDimensions:
     def test_basis_disagreeing_with_dims_raises_when_read(self, rep_g2n2, basis_g2n2):
         z1, b1, h1 = basis_g2n2.dims
         for dims, attr in [((z1 + 1, b1, h1 + 1), "basis"),
-                           ((z1, b1, h1 - 1), "h1_complement")]:
+                           ((z1, b1, h1 - 1), "h1_complement"),
+                           ((z1, b1 - 1, h1 + 1), "coboundary_basis")]:
             wrong = CocycleBasis(base=rep_g2n2, dims=dims,
                                  constraint=basis_g2n2.constraint,
-                                 b1_frame=basis_g2n2.b1_frame)
+                                 coboundary=basis_g2n2.coboundary)
             with pytest.raises(ConditioningError, match="rank decision"):
                 getattr(wrong, attr)
 
@@ -538,8 +542,36 @@ def synthetic_pair(rng, q, z, b, tilts):
     return outside.conj().T, b_frame
 
 
+def decided(m):
+    """(rank, svals, vh) of m, as Representation.coboundary_svd decides it."""
+    svals, vh = triangular_svd(m)
+    return split_singular_values(svals)[0], svals, vh
+
+
+def conditioned(rng, k):
+    """A seeded k x k matrix of condition number 1e3."""
+    def unitary():
+        return np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))[0]
+
+    return unitary() @ np.diag(np.logspace(0, -3, k)) @ unitary()
+
+
+def assert_count(constraint, coboundary, z, b, kept):
+    """cocycle_dimensions counts kept H1 directions: it returns them when
+    B1 lies in Z1 (kept == z - b) and names them in its error otherwise."""
+    if kept == z - b:
+        assert cocycle_dimensions(constraint, coboundary, decided(coboundary)) == (z, b, kept)
+    else:
+        with pytest.raises(ConditioningError,
+                           match=f"inconsistent dimensions: Z1 {z}, B1 {b}, complement {kept}$"):
+            cocycle_dimensions(constraint, coboundary, decided(coboundary))
+
+
 class TestPrincipalAngleCount:
-    # 28 and 32 degrees lie on either side of the 30 degree cut
+    # 28 and 32 degrees lie on either side of the 30 degree cut.  The
+    # constraint mixes its orthonormal rows, and the coboundary map the B1
+    # frame's columns, each by a matrix of condition 1e3, so the count
+    # must undo the singular values of both factors
     @pytest.mark.parametrize("tilts", [(), (20,), (45,), (70,), (20, 45, 70), (70, 70),
                                        (28,), (32,), (28, 32)])
     def test_matches_complement_within(self, tilts):
@@ -547,42 +579,35 @@ class TestPrincipalAngleCount:
         q, z, b = 24, 14, 5
         constraint, b_frame = synthetic_pair(rng, q, z, b, tilts)
         assert frob(b_frame.conj().T @ b_frame - np.eye(b)) < 1e-12
-        row = row_space(constraint)
         kept = complement_within(nullspace(constraint), b_frame).shape[1]
-        assert complement_dimension(row, b_frame) == kept
-        escaped = sum(1 for t in tilts if t > 30)
-        assert kept == z - b + escaped
-        if escaped:
-            with pytest.raises(ConditioningError, match="inconsistent dimensions"):
-                cocycle_dimensions(row, b_frame)
-        else:
-            assert cocycle_dimensions(row, b_frame) == (z, b, z - b)
+        assert kept == z - b + sum(1 for t in tilts if t > 30)
+        assert_count(conditioned(rng, q - z) @ constraint, b_frame @ conditioned(rng, b),
+                     z, b, kept)
 
     @pytest.mark.parametrize("tilts", [(), (20,), (70,), (28, 32, 70)])
     def test_more_coboundary_columns_than_rows(self, tilts):
         # dim B1 = 6 > r = 3: at least three B1 directions lie inside Z1
-        # and have no sine in row^H b
+        # and have no sine in R^H b
         rng = np.random.default_rng(50 + sum(tilts))
         q, z, b = 12, 9, 6
         constraint, b_frame = synthetic_pair(rng, q, z, b, tilts)
         assert frob(b_frame.conj().T @ b_frame - np.eye(b)) < 1e-12
-        row = row_space(constraint)
-        assert row.shape == (q, q - z)
         kept = complement_within(nullspace(constraint), b_frame).shape[1]
-        assert complement_dimension(row, b_frame) == kept
         assert kept == z - b + sum(1 for t in tilts if t > 30)
+        assert_count(conditioned(rng, q - z) @ constraint, b_frame @ conditioned(rng, b),
+                     z, b, kept)
 
     def test_empty_coboundaries_and_full_rank_constraint(self):
         rng = np.random.default_rng(40)
         constraint, b_frame = synthetic_pair(rng, 10, 4, 3, ())
-        row = row_space(constraint)
-        assert complement_dimension(row, b_frame[:, :0]) == 4
-        assert cocycle_dimensions(row, b_frame[:, :0]) == (4, 0, 4)
-        no_rows = np.zeros((10, 0), dtype=complex)
-        assert complement_dimension(no_rows, b_frame) == 7
+        assert_count(conditioned(rng, 6) @ constraint, b_frame[:, :0], 4, 0, 4)
+        no_rows = np.zeros((6, 10), dtype=complex)  # rank 0: Z1 is everything
+        assert_count(no_rows, b_frame @ conditioned(rng, 3), 10, 3, 7)
 
 
 class TestRowSpace:
+    """triangular_svd: the singular values, rank and row space of the SVD."""
+
     @staticmethod
     def cases(rng):
         def gaussian(rows, cols):
@@ -595,13 +620,27 @@ class TestRowSpace:
         yield rng.standard_normal((5, 9))           # real
         yield np.zeros((4, 10), dtype=complex)      # rank 0
 
+    def test_matches_the_svd(self):
+        rng = np.random.default_rng(60)
+        for m in self.cases(rng):
+            svals, vh = triangular_svd(m)
+            _, expected, expected_vh = np.linalg.svd(m, full_matrices=False)
+            assert svals.shape == expected.shape
+            assert np.abs(svals - expected).max() <= 1e-12 * expected[0]
+            rank = split_singular_values(svals)[0]
+            assert rank == split_singular_values(expected)[0]
+            row, expected_row = vh[:rank].conj().T, expected_vh[:rank].conj().T
+            assert frob(row @ row.conj().T - expected_row @ expected_row.conj().T) < 1e-12
+
     def test_complements_the_nullspace(self):
         rng = np.random.default_rng(61)
         for m in self.cases(rng):
-            row, null = row_space(m), nullspace(m)
+            svals, vh = triangular_svd(m)
+            rank = split_singular_values(svals)[0]
+            row, null = vh[:rank].conj().T, nullspace(m)
             cols = m.shape[1]
             assert row.shape[1] + null.shape[1] == cols
-            assert row.shape[1] == split_singular_values(np.linalg.svd(m, compute_uv=False))[0]
+            assert rank == split_singular_values(np.linalg.svd(m, compute_uv=False))[0]
             projector = row @ row.conj().T + null @ null.conj().T
             assert frob(projector - np.eye(cols)) < 1e-12
             assert frob(row.conj().T @ row - np.eye(row.shape[1])) < 1e-12
@@ -691,7 +730,7 @@ def nudged_basis(basis, rng):
 
     return CocycleBasis(base=basis.base, dims=basis.dims,
                         constraint=nudge(basis.constraint),
-                        b1_frame=column_space(nudge(coboundary_matrix(basis.base))))
+                        coboundary=nudge(basis.coboundary))
 
 
 class TestFrameStability:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from goldman import commutator_factor, tolerances
+from goldman import InputError, commutator_factor, tolerances
 from goldman.linalg import expm, frob, haar_unitary, unitary_eigenframe
 
 # Higham's thresholds theta_m for the Padé degrees 3, 5, 7, 9 and 13
@@ -30,6 +30,14 @@ class TestExpm:
                 a = with_one_norm(rng, n, norm)
                 reference = scipy.linalg.expm(a)
                 assert frob(expm(a) - reference) <= 1e-13 * frob(reference)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, n, bad):
+        a = np.zeros((2, n, n), dtype=complex)
+        a[1, 0, 0] = bad
+        with pytest.raises(InputError, match="non-finite"):
+            expm(a)
 
     def test_real_input_stays_real(self):
         a = np.random.default_rng(1).standard_normal((3, 3))

@@ -134,6 +134,12 @@ class TestCommutatorFactor:
         with pytest.raises(InputError):
             commutator_factor(2.0 * np.eye(2), unitary=False)
 
+    @pytest.mark.parametrize("unitary", [True, False])
+    def test_non_finite_input_rejected(self, unitary):
+        # NaN passes the determinant and unitarity tests, which compare
+        with pytest.raises(InputError, match="non-finite"):
+            commutator_factor(np.full((2, 2), np.nan), unitary=unitary)
+
     def test_degenerate_eigenvalues(self):
         # repeated eigenvalue clusters keep an orthonormal eigenbasis
         u = np.diag([1j, 1j, -1j, -1j]).astype(complex)
@@ -174,6 +180,14 @@ class TestRandomRepresentation:
     def test_seed_out_of_range(self, seed):
         with pytest.raises(InputError, match="seed"):
             random_representation(2, 2, seed=seed)
+
+    def test_rank_zero_rejected(self):
+        with pytest.raises(InputError, match="rank must be an integer >= 1, got 0"):
+            random_representation(2, 0, seed=0)
+
+    def test_fractional_genus_rejected(self):
+        with pytest.raises(InputError, match=r"genus must be an integer >= 1, got 1\.5"):
+            random_representation(1.5, 2, seed=0)
 
     def test_construction_quality_grid(self, seeded_reps):
         for rep in seeded_reps.values():
@@ -340,6 +354,20 @@ class TestNewtonProject:
             newton_project(pres, [far], "unitary")
         assert excinfo.value.defect is not None
         assert excinfo.value.defect > 0.1
+
+    def test_non_finite_stack_rejected(self, rep_g2n2, capfd):
+        images = np.array(rep_g2n2.images)[None].copy()
+        images[0, 1, 0, 0] = np.nan
+        with pytest.raises(InputError, match="image tuples have a non-finite entry"):
+            newton_project(rep_g2n2.presentation, images, "unitary")
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("flavor", ["unitary", "general-linear"])
+    def test_singular_image_rejected(self, rep_g2n2, flavor):
+        images = np.array(rep_g2n2.images)[None].copy()
+        images[0, 2] = 0
+        with pytest.raises(InputError, match="numerically singular image"):
+            newton_project(rep_g2n2.presentation, images, flavor)
 
     @pytest.mark.parametrize("shape", [(4, 2, 2), (2, 2), (1, 1, 4, 2, 2), (1, 2, 2, 2),
                                        (1, 4, 2, 3)])

@@ -1,7 +1,7 @@
 """Import hygiene of the package source, checked on its syntax trees,
 and the independence of the cup-product oracle.
 
-Thirteen rules, with no lint dependency:
+Fourteen rules, with no lint dependency:
 
 - every module-level import is used in its module (the package
   ``__init__`` re-exports, and ``from __future__`` imports are exempt);
@@ -15,9 +15,12 @@ Thirteen rules, with no lint dependency:
   through ``linalg.complex_gaussian``, so every seeded stream has one
   draw order;
 - no module but ``linalg`` calls ``svd``: a rank read from singular
-  values goes through ``linalg.decided_rank`` (or a basis function that
-  decides by the same ``split_singular_values``), so every rank decision
-  of the package has one site;
+  values goes through ``linalg.decided_rank`` (or a basis function, or
+  ``triangular_svd``'s values, decided by the same
+  ``split_singular_values``), so every rank decision of the package has
+  one rule;
+- no module but ``linalg`` calls ``qr``: ``linalg.triangular_svd`` is the
+  one QR whose triangle is read, so no tall factor is formed beside it;
 - no module imports scipy: the runtime needs numpy only, and the tests
   keep scipy.linalg as their reference;
 - ``lstsq`` is called at one site, inside ``reps.newton_project``: the
@@ -29,12 +32,13 @@ Thirteen rules, with no lint dependency:
 - ``polyfit`` is called at one site, inside ``charts.convergence_order``:
   the one rule that reads an order from a ladder, or finds it flat;
 - n^2 less a rank (``x.rank ** 2 - y``) is written only in
-  ``reps.commutant_dimension``, which reads the rank of v -> delta_v as
-  the column count of ``Representation.coboundary_frame``;
+  ``reps.commutant_dimension``, which reads the rank of v -> delta_v
+  decided in ``Representation.coboundary_svd``;
 - ``coboundary_matrix`` is called only in
-  ``Representation.coboundary_frame``, the cached B1 frame that
-  ``cocycle_basis`` and ``commutant_dimension`` both read, so the rank of
-  v -> delta_v is decided once per representation;
+  ``Representation.coboundary_map``, the cached map v -> delta_v whose
+  decided ``coboundary_svd`` ``cocycle_basis`` and
+  ``commutant_dimension`` both read, so the rank of v -> delta_v is
+  decided once per representation;
 - ``_invert_all`` is called only in ``Representation.inverse_images``,
   ``random_representation`` and ``newton_project``: every other reader of
   inverse images, the Fox Jacobian included, is handed them;
@@ -216,6 +220,12 @@ def test_no_svd_call_outside_linalg(path):
     assert calls_named(path, "svd") == []
 
 
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "linalg.py"],
+                         ids=lambda p: p.name)
+def test_no_qr_call_outside_linalg(path):
+    assert calls_named(path, "qr") == []
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_scipy_import(path):
     assert scipy_imports(path) == []
@@ -246,7 +256,7 @@ def test_commutant_formula_sites():
 
 def test_one_coboundary_matrix_site():
     found = [site for path in MODULES for site in call_sites(path, "coboundary_matrix")]
-    assert _without_lines(found) == ["reps.py in Representation.coboundary_frame"]
+    assert _without_lines(found) == ["reps.py in Representation.coboundary_map"]
 
 
 def test_inversion_sites():
@@ -315,10 +325,12 @@ def test_rules_flag_what_they_name(tmp_path):
         "newton_project.cache_clear(), n.rank ** 2 - dims[1]\n"
         "class R:\n"
         "    @cached_property\n"
-        "    def coboundary_frame(self):\n"
+        "    def coboundary_map(self):\n"
         "        return column_space(coboundary_matrix(self)), coboundary_matrix\n"
         "def project(images):\n"
-        "    return _invert_all(images, 'unitary'), lambda: reps._invert_all(images, 'x')\n")
+        "    return _invert_all(images, 'unitary'), lambda: reps._invert_all(images, 'x')\n"
+        "def triangle(m):\n"
+        "    return np.linalg.qr(m, mode='r'), qr(m), np.linalg.qr\n")
     assert unused_module_imports(module) == ["sample.py:2 json"]
     assert non_cycle_local_imports(module) == ["sample.py:6 in f", "sample.py:7 in f"]
     assert calls_named(module, "kron") == ["sample.py:11", "sample.py:11"]
@@ -332,7 +344,8 @@ def test_rules_flag_what_they_name(tmp_path):
     assert call_sites(module, "polyfit") == ["sample.py:28 in C.points"]
     assert rank_square_differences(module) == ["sample.py:28 in C.points",
                                                "sample.py:32 in <module>"]
-    assert call_sites(module, "coboundary_matrix") == ["sample.py:36 in R.coboundary_frame"]
+    assert call_sites(module, "coboundary_matrix") == ["sample.py:36 in R.coboundary_map"]
     assert call_sites(module, "_invert_all") == ["sample.py:38 in project",
                                                  "sample.py:38 in project"]
+    assert calls_named(module, "qr") == ["sample.py:40", "sample.py:40"]
 
