@@ -28,6 +28,7 @@ from .cocycles import Cocycle, linear_combination
 from .linalg import expm
 from .pairing import gram_matrix, pairing_dual
 from .reps import GENERAL_LINEAR, Representation, evaluate_words, newton_project
+from .words import check_index
 
 TRIVIALIZATION = "right"  # division side used in the difference quotient
 
@@ -36,11 +37,6 @@ def _raw_deformed_images(rep: Representation, values: np.ndarray, t: float):
     # expm of a stack exponentiates (and scales) each matrix on its own,
     # so a (k, 2g, n, n) stack of cocycle values moves each tuple alone
     return expm(t * values) @ rep.images
-
-
-def _check_frame_index(index: int, dimension: int):
-    if not 0 <= index < dimension:
-        raise InputError(f"frame index {index} out of range 0..{dimension - 1}")
 
 
 def _check_fd_step(step: float):
@@ -156,7 +152,7 @@ class Chart:
     def transport_stencil(self, coords: np.ndarray, axis: int, step: float):
         """The chart coordinates transported_frame_direction reads: coords
         and coords +- step along axis."""
-        _check_frame_index(axis, self.dimension)
+        check_index("frame index", axis, self.dimension)
         _check_fd_step(step)
         offset = np.zeros(self.dimension)
         offset[axis] = step
@@ -209,7 +205,7 @@ def closedness_check(chart: Chart, triple: tuple[int, int, int],
     i, j, k = triple
     d = chart.dimension
     for index in triple:
-        _check_frame_index(index, d)
+        check_index("frame index", index, d)
     if not tolerances.FINITE_DIFFERENCE <= h <= tolerances.CLOSEDNESS_MAX_STEP:
         raise InputError(f"closedness step {h:g} outside [{tolerances.FINITE_DIFFERENCE:g}, "
                          f"{tolerances.CLOSEDNESS_MAX_STEP:g}]")
@@ -242,7 +238,7 @@ def closedness_floors(chart: Chart, triple: tuple[int, int, int], steps) -> list
     (rank one) leaves about eps * max|omega| / h^2 after differencing,
     omega over the triple's frame cocycles."""
     for index in triple:
-        _check_frame_index(index, chart.dimension)
+        check_index("frame index", index, chart.dimension)
     scale = np.abs(gram_matrix([chart.frame[index] for index in triple])).max()
     return [np.finfo(float).eps * scale / h ** 2 for h in steps]
 

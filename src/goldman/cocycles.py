@@ -19,9 +19,10 @@ from .errors import ConditioningError, InputError
 from .linalg import (canonical_frame, column_space, complement_within, complex_gaussian,
                      frob, generator_stack, nullspace, real_flatten, small_angle_count,
                      split_singular_values, triangular_svd)
-from .reps import (UNITARY, Representation, RingCodes, evaluate_words, fox_jacobian,
-                   letter_codes, relator_tangent_matrix, ring_codes)
-from .words import GroupRingElement, GroupWord, letter_fox_terms
+from .reps import (UNITARY, Representation, evaluate_words, fox_jacobian, letter_table,
+                   relator_tangent_matrix)
+from .words import (GroupRingElement, GroupWord, RingCodes, letter_codes, letter_fox_terms,
+                    ring_codes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,17 +146,15 @@ def extend(chi: Cocycle, word: GroupWord) -> np.ndarray:
     rep = chi.base
     if word.genus != rep.genus:
         raise InputError("word and cocycle have different genus")
-    n = rep.rank
-    acc = np.zeros((n, n), dtype=complex)
-    for gen, exp in reversed(word.runs):
-        value = chi.values[gen]
-        image, image_inv = rep.images[gen], rep.inverse_images[gen]
-        if exp > 0:
-            for _ in range(exp):
-                acc = value + image @ acc @ image_inv
+    count = rep.presentation.generator_count
+    left = letter_table(rep.images, rep.inverse_images)
+    right = letter_table(rep.inverse_images, rep.images)
+    acc = np.zeros((rep.rank, rep.rank), dtype=complex)
+    for code in reversed(word.codes):
+        if code < count:
+            acc = chi.values[code] + left[code] @ acc @ right[code]
         else:
-            for _ in range(-exp):
-                acc = image_inv @ (acc - value) @ image
+            acc = left[code] @ (acc - chi.values[code - count]) @ right[code]
     return acc
 
 
@@ -220,8 +219,8 @@ def _fold(rep: Representation, values: np.ndarray, coded) -> np.ndarray:
     each cocycle of a (..., 2g, n, n) value stack over rep: shape
     (..., words, n, n).  Leading cocycle axes broadcast against the
     representation's letter tables."""
-    left = np.concatenate([rep.images, rep.inverse_images])
-    right = np.concatenate([rep.inverse_images, rep.images])
+    left = letter_table(rep.images, rep.inverse_images)
+    right = letter_table(rep.inverse_images, rep.images)
     zeros = np.zeros_like(values)
     plus = np.concatenate([values, zeros], axis=-3)
     minus = np.concatenate([zeros, values], axis=-3)

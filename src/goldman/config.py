@@ -7,8 +7,8 @@ from pathlib import Path
 
 from . import tolerances
 from .errors import InputError
-from .reps import (FLAVORS, UNITARY, Representation, check_seed, check_size,
-                   random_representation)
+from .reps import FLAVORS, UNITARY, Representation, check_seed, random_representation
+from .words import check_size
 
 _TOLERANCE_DEFAULTS = {"verification": tolerances.VERIFICATION}
 
@@ -26,7 +26,7 @@ class RunConfig:
     mutate: str | None = None
 
     def __post_init__(self):
-        check_size(self.genus, self.rank)
+        check_size(genus=self.genus, rank=self.rank)
         if self.flavor not in FLAVORS:
             raise InputError(f"unknown flavor {self.flavor!r}")
         check_seed(self.seed)

@@ -19,7 +19,7 @@ from .errors import ConditioningError, ConvergenceError, InputError
 from .linalg import (ad_matrix, expm, frob, generator_stack, ginibre, haar_unitary,
                      polar_unitary, require_finite, split_singular_values,
                      triangular_svd, unitary_eigenframe, vec)
-from .words import GroupWord, Presentation
+from .words import INTEGER, GroupWord, Presentation, check_size, letter_codes
 
 UNITARY = "unitary"
 GENERAL_LINEAR = "general-linear"
@@ -45,8 +45,7 @@ class Representation:
 
     def __post_init__(self):
         n = self.rank
-        if n < 1:
-            raise InputError(f"rank must be >= 1, got {n}")
+        check_size(rank=n)
         if self.flavor not in FLAVORS:
             raise InputError(f"unknown flavor {self.flavor!r}")
         images = generator_stack(self.images, self.presentation.generator_count, n,
@@ -126,7 +125,7 @@ def evaluate_words(rep: Representation, words) -> np.ndarray:
     position over the rows whose word reaches it (letter_codes), so each
     image is evaluate's bit for bit.
     """
-    table = np.concatenate([rep.images, rep.inverse_images])
+    table = letter_table(rep.images, rep.inverse_images)
     codes, reach, restore = letter_codes(rep.presentation, words)
     out = np.repeat(np.eye(rep.rank, dtype=complex)[None], len(words), axis=0)
     for column, m in zip(codes.T, reach):
@@ -134,74 +133,20 @@ def evaluate_words(rep: Representation, words) -> np.ndarray:
     return out[restore]
 
 
-def letter_codes(presentation: Presentation, words):
-    """Letters of words over the presentation, longest word first, for
-    tables indexed like [images, inverses].
-
-    Returns (codes, reach, restore).  The rows of the integer array
-    codes, of shape (len(words), longest), are the words stably sorted by
-    decreasing length, and indexing a stack of per-row results by
-    restore puts it back in word order.  With c generators, x_i is coded
-    i and x_i^-1 is c + i; shorter words are padded on the right with 2c,
-    past the end of the tables.  reach[p] counts the words with a letter
-    at position p, which are the first reach[p] rows: a fold reads those
-    alone, so it never meets the padding.
-    """
-    count = presentation.generator_count
-    rows = []
-    for w in words:
-        if w.genus != presentation.genus:
-            raise InputError("word and representation have different genus")
-        row = []
-        for gen, exp in w.runs:  # one list extend per run
-            row += [gen if exp > 0 else count + gen] * abs(exp)
-        rows.append(row)
-    lengths = np.array([len(row) for row in rows], dtype=np.intp)
-    order = np.argsort(-lengths, kind="stable")
-    longest = int(lengths.max(initial=0))
-    codes = np.array([rows[r] + [2 * count] * (longest - len(rows[r])) for r in order],
-                     dtype=np.intp).reshape(len(rows), longest)
-    reach = (lengths[:, None] > np.arange(longest)).sum(axis=0).tolist()
-    return codes, reach, np.argsort(order)
-
-
-@dataclass(frozen=True, eq=False)
-class RingCodes:
-    """Group-ring elements coded for a stacked fold of their terms.
-
-    letters is letter_codes of every term's word, element by element and
-    each element's terms in terms() order.  Slot j of slots holds the j-th
-    term of every element that has one, as three arrays: the elements,
-    the terms' rows among letters' words, and their integer coefficients.
-    Adding slot after slot sums each element's terms in terms() order.
-    """
-
-    count: int
-    letters: tuple
-    slots: tuple
-
-
-def ring_codes(presentation: Presentation, elements) -> RingCodes:
-    """The RingCodes of a sequence of group-ring elements."""
-    terms = [element.terms() for element in elements]
-    starts = np.cumsum([0] + [len(t) for t in terms], dtype=np.intp)
-    slots = []
-    for j in range(max(map(len, terms), default=0)):
-        owners = [e for e, t in enumerate(terms) if len(t) > j]
-        slots.append((np.array(owners, dtype=np.intp), starts[owners] + j,
-                      np.array([terms[e][j][1] for e in owners], dtype=np.int64)))
-    letters = letter_codes(presentation, [word for t in terms for word, _ in t])
-    return RingCodes(len(terms), letters, tuple(slots))
+def letter_table(images, inverses) -> np.ndarray:
+    """The letter images [images, inverses] of (..., 2g, n, n) stacks,
+    indexed by letter code on axis -3; letter_table(inverses, images)
+    holds each letter's inverse image."""
+    return np.concatenate([images, inverses], axis=-3)
 
 
 def _word_product(images, inverses, word) -> np.ndarray:
-    """Left-to-right product of the letter images of a word, run by run,
-    for one (2g, n, n) image stack or each of a (k, 2g, n, n) stack."""
+    """Left-to-right product of the letter images of a word, one step per
+    code, for one (2g, n, n) image stack or each of a (k, 2g, n, n) stack."""
+    table = letter_table(images, inverses)
     out = np.eye(images.shape[-1], dtype=complex)
-    for gen, exp in word.runs:
-        m = images[..., gen, :, :] if exp > 0 else inverses[..., gen, :, :]
-        for _ in range(abs(exp)):
-            out = out @ m
+    for code in word.codes:
+        out = out @ table[..., code, :, :]
     return out
 
 
@@ -262,16 +207,9 @@ def commutator_factor(u: np.ndarray, unitary: bool = True):
     return a, b
 
 
-def check_size(genus: int, rank: int) -> None:
-    """Genus and rank are integers >= 1, from the CLI and the API alike."""
-    for name, value in (("genus", genus), ("rank", rank)):
-        if not isinstance(value, (int, np.integer)) or value < 1:
-            raise InputError(f"{name} must be an integer >= 1, got {value}")
-
-
 def check_seed(seed: int) -> None:
     """Seeds are unsigned 64-bit integers, from the CLI and the API alike."""
-    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2 ** 64:
+    if not isinstance(seed, INTEGER) or not 0 <= seed < 2 ** 64:
         raise InputError("seed must be an unsigned 64-bit integer")
 
 
@@ -284,7 +222,7 @@ def random_representation(genus: int, rank: int, flavor: str = UNITARY,
     last handle is a commutator factorization of the inverse partial
     relator image, rescaled to determinant one.
     """
-    check_size(genus, rank)
+    check_size(genus=genus, rank=rank)
     if flavor not in FLAVORS:
         raise InputError(f"unknown flavor {flavor!r}")
     check_seed(seed)
@@ -358,14 +296,12 @@ def fox_jacobian(images, inverses, word: GroupWord, terms) -> np.ndarray:
     stacking all their Ad raised the peak memory of dims at n = 14 by
     1.4 MB."""
     *lead, count, n, _ = images.shape
+    table, inverse_table = letter_table(images, inverses), letter_table(inverses, images)
     prefix = prefix_inv = np.eye(n, dtype=complex)
     prefixes, prefix_invs = [prefix], [prefix_inv]
-    for gen, sign in word.letters():
-        image, inverse = images[..., gen, :, :], inverses[..., gen, :, :]
-        if sign > 0:
-            prefix, prefix_inv = prefix @ image, inverse @ prefix_inv
-        else:
-            prefix, prefix_inv = prefix @ inverse, image @ prefix_inv
+    for code in word.codes:
+        prefix = prefix @ table[..., code, :, :]
+        prefix_inv = inverse_table[..., code, :, :] @ prefix_inv
         prefixes.append(prefix)
         prefix_invs.append(prefix_inv)
     blocks = np.zeros((*lead, count, n * n, n * n), dtype=complex)

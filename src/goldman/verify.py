@@ -88,10 +88,12 @@ def _letter_bounds(genus: int) -> np.ndarray:
 def _random_word(pres: Presentation, rng) -> GroupWord:
     """A random word of 0 to MAX_WORD_LENGTH letters: its length, then each
     letter's generator and sign, in one draw of the letters (the stream of
-    one draw per generator and per sign)."""
+    one draw per generator and per sign), reduced from their codes."""
     length = int(rng.integers(0, MAX_WORD_LENGTH + 1))
     draws = rng.integers(0, _letter_bounds(pres.genus)[:2 * length]).tolist()
-    return pres.word([(gen, (-1, 1)[sign]) for gen, sign in zip(draws[0::2], draws[1::2])])
+    count = pres.generator_count
+    return pres.reduce([gen if sign else count + gen
+                        for gen, sign in zip(draws[0::2], draws[1::2])])
 
 
 def _random_ring_element(pres: Presentation, rng) -> GroupRingElement:

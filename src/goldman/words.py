@@ -8,90 +8,102 @@ that realizes the fundamental class of the surface in group homology.
 
 Generator indexing is interleaved: a_k has index 2(k-1), b_k has index
 2(k-1)+1, so the generator list reads [a1, b1, a2, b2, ...].
+
+A word is its letter codes: with c = 2g generators, x_i is coded i and
+x_i^-1 is c + i, its index in a table [images, inverses].  The codes are
+freely reduced, so equal group elements are equal words, each prefix is a
+slice of the codes, and every walker takes one step per code.
 """
 
 from __future__ import annotations
 
-import itertools
-import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import InputError
 
-_TOKEN_RE = re.compile(r"^([abAB])([1-9][0-9]*)$")
+# the one integer rule of every input check: a Python or numpy integer
+INTEGER = (int, np.integer)
 
 
-def _push_run(stack: list[tuple[int, int]], gen: int, exp: int) -> None:
-    """Append a nonzero run to a freely reduced stack of runs.
-
-    Only the top can merge with it; a merge that cancels pops the top.
-    """
-    if stack and stack[-1][0] == gen:
-        merged = stack.pop()[1] + exp
-        if merged != 0:
-            stack.append((gen, merged))
-    else:
-        stack.append((gen, exp))
+def check_index(what: str, index, stop: int) -> None:
+    """An index is an integer in 0..stop-1, from the CLI and the API alike."""
+    if not (isinstance(index, INTEGER) and 0 <= index < stop):
+        raise InputError(f"{what} {index!r} out of range 0..{stop - 1}")
 
 
-def _reduce_runs(runs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    """Stack-merge adjacent runs of the same generator; drop empty runs.
+def check_size(**sizes) -> None:
+    """Sizes such as genus and rank are integers >= 1, from the CLI and the
+    API alike."""
+    for name, value in sizes.items():
+        if not isinstance(value, INTEGER) or value < 1:
+            raise InputError(f"{name} must be an integer >= 1, got {value!r}")
 
-    Cancellation cascades: when a merge annihilates a run, the newly
-    exposed run may merge with the next one, which the stack handles.
-    """
-    out: list[tuple[int, int]] = []
-    for gen, exp in runs:
-        if exp != 0:
-            _push_run(out, gen, exp)
-    return tuple(out)
+
+@lru_cache(maxsize=None)
+def _letter_names(genus: int) -> tuple[str, ...]:
+    """The token of each letter code: a1 b1 a2 b2 ..., then A1 B1 A2 B2 ..."""
+    names = [f"{family}{k}" for k in range(1, genus + 1) for family in "ab"]
+    return tuple(names + [name.upper() for name in names])
 
 
 @dataclass(frozen=True)
 class GroupWord:
-    """A freely reduced word, stored as run-length (generator, exponent) pairs."""
+    """A freely reduced word as its letter codes: with c = 2g generators,
+    x_i is coded i and x_i^-1 is c + i.  Construction refuses a code out
+    of range and a code next to its own inverse."""
 
     genus: int
-    runs: tuple[tuple[int, int], ...]
+    codes: tuple[int, ...]
 
     def __post_init__(self):
-        for gen, exp in self.runs:
-            if not 0 <= gen < 2 * self.genus:
-                raise InputError(f"generator index {gen} out of range for genus {self.genus}")
-            if exp == 0:
-                raise InputError("zero-exponent run in a reduced word")
+        count = 2 * self.genus
+        previous = None
+        for code in self.codes:
+            if type(code) is not int or not 0 <= code < 2 * count:
+                raise InputError(f"letter code {code!r} is not an int in 0..{2 * count - 1}")
+            if previous is not None and abs(previous - code) == count:
+                raise InputError(f"letter codes {previous}, {code} cancel in a reduced word")
+            previous = code
 
     @property
     def is_identity(self) -> bool:
-        return not self.runs
+        return not self.codes
 
     def letters(self) -> Iterator[tuple[int, int]]:
         """Yield single letters (generator, +1/-1) left to right."""
-        for gen, exp in self.runs:
-            sign = 1 if exp > 0 else -1
-            for _ in range(abs(exp)):
-                yield gen, sign
+        count = 2 * self.genus
+        for code in self.codes:
+            yield (code, 1) if code < count else (code - count, -1)
 
     def __len__(self) -> int:
-        return sum(abs(exp) for _, exp in self.runs)
+        return len(self.codes)
 
     def __mul__(self, other):
+        """The reduced product: cancellation happens only where the two
+        reduced words meet."""
         if not isinstance(other, GroupWord):
             return NotImplemented
         if self.genus != other.genus:
             raise InputError("cannot multiply words over different presentations")
-        return GroupWord(self.genus, _reduce_runs(itertools.chain(self.runs, other.runs)))
+        count = 2 * self.genus
+        left, right = self.codes, other.codes
+        cut = 0
+        while (cut < min(len(left), len(right))
+               and abs(left[-1 - cut] - right[cut]) == count):
+            cut += 1
+        return GroupWord(self.genus, left[:len(left) - cut] + right[cut:])
 
     def inverse(self) -> "GroupWord":
-        return GroupWord(self.genus, tuple((gen, -exp) for gen, exp in reversed(self.runs)))
+        count = 2 * self.genus
+        return GroupWord(self.genus, tuple([code + count if code < count else code - count
+                                            for code in reversed(self.codes)]))
 
     def __str__(self) -> str:
         return format_word(self)
-
-    def sort_key(self):
-        return (len(self), self.runs)
 
 
 def commutator(u: GroupWord, v: GroupWord) -> GroupWord:
@@ -108,8 +120,7 @@ class Presentation:
     genus: int
 
     def __post_init__(self):
-        if self.genus < 1:
-            raise InputError(f"genus must be >= 1, got {self.genus}")
+        check_size(genus=self.genus)
 
     @property
     def generator_count(self) -> int:
@@ -119,9 +130,8 @@ class Presentation:
         return GroupWord(self.genus, ())
 
     def generator(self, index: int) -> GroupWord:
-        if not 0 <= index < 2 * self.genus:
-            raise InputError(f"generator index {index} out of range for genus {self.genus}")
-        return GroupWord(self.genus, ((index, 1),))
+        check_index("generator index", index, 2 * self.genus)
+        return GroupWord(self.genus, (int(index),))
 
     def a(self, k: int) -> GroupWord:
         """The handle generator a_k, 1-based."""
@@ -136,22 +146,41 @@ class Presentation:
         return self.generator(2 * (k - 1) + 1)
 
     def generator_name(self, index: int) -> str:
-        k, parity = divmod(index, 2)
-        return f"{'ab'[parity]}{k + 1}"
+        return format_word(self.generator(index))
 
     def word(self, raw: Sequence[tuple[int, int]]) -> GroupWord:
-        """Freely reduce a raw sequence of (generator index, exponent) pairs."""
-        for gen, _ in raw:
-            if not 0 <= gen < 2 * self.genus:
-                raise InputError(f"generator index {gen} out of range for genus {self.genus}")
-        return GroupWord(self.genus, _reduce_runs(raw))
+        """Freely reduce a raw sequence of (generator index, exponent) pairs:
+        their letter codes, through reduce."""
+        count = 2 * self.genus
+        codes: list[int] = []
+        for gen, exp in raw:
+            if not (isinstance(gen, INTEGER) and isinstance(exp, INTEGER)):
+                raise InputError(f"letter ({gen!r}, {exp!r}) is not a pair of integers")
+            check_index("generator index", gen, count)
+            codes += [int(gen) if exp > 0 else count + int(gen)] * abs(exp)
+        return self.reduce(codes)
+
+    def reduce(self, codes: Iterable[int]) -> GroupWord:
+        """The freely reduced word of a sequence of letter codes, through one
+        push-or-cancel stack: a code cancels the top of the stack when the
+        two differ by the generator count, x_i against x_i^-1."""
+        count = 2 * self.genus
+        stack: list[int] = []
+        for code in codes:
+            # checked before it can cancel: the constructor sees survivors only
+            if type(code) is not int or not 0 <= code < 2 * count:
+                raise InputError(f"letter code {code!r} is not an int in 0..{2 * count - 1}")
+            if stack and abs(stack[-1] - code) == count:
+                stack.pop()
+            else:
+                stack.append(code)
+        return GroupWord(self.genus, tuple(stack))
 
     def relator(self, k: int | None = None) -> GroupWord:
         """R_k = [a_1,b_1]...[a_k,b_k]; R_0 is the identity, default k = genus."""
         if k is None:
             k = self.genus
-        if not 0 <= k <= self.genus:
-            raise InputError(f"relator index {k} out of range 0..{self.genus}")
+        check_index("relator index", k, self.genus + 1)
         return _relator(self.genus, k)
 
     @cached_property
@@ -163,8 +192,7 @@ class Presentation:
 
     def relator_derivative(self, index: int) -> "GroupRingElement":
         """Fox derivative of the full relator with respect to one generator."""
-        if not 0 <= index < 2 * self.genus:
-            raise InputError(f"generator index {index} out of range for genus {self.genus}")
+        check_index("generator index", index, 2 * self.genus)
         return self.relator_derivatives[index]
 
     @cached_property
@@ -192,9 +220,7 @@ class Presentation:
     def two_cycle_codes(self):
         """The anti-involuted coefficients of the fundamental two-cycle,
         coded once per presentation for pairing_cup's stacked fold
-        (reps.ring_codes); element i pairs with generator i."""
-        from .reps import ring_codes  # reps imports this module
-
+        (ring_codes); element i pairs with generator i."""
         return ring_codes(self, [anti_involution(coefficient)
                                  for coefficient, _ in self.fundamental_two_cycle().pairs])
 
@@ -239,8 +265,8 @@ class GroupRingElement:
         return cls(genus, {})
 
     def terms(self) -> list[tuple[GroupWord, int]]:
-        """Terms in a deterministic order (by word length, then runs)."""
-        return sorted(self._terms.items(), key=lambda item: item[0].sort_key())
+        """Terms in a deterministic order (by word length, then codes)."""
+        return sorted(self._terms.items(), key=lambda item: (len(item[0]), item[0].codes))
 
     @property
     def is_zero(self) -> bool:
@@ -319,32 +345,81 @@ def fox_derivative(word: GroupWord, index: int) -> GroupRingElement:
     """Fox free derivative of a word with respect to generator `index`.
 
     Defined on letters by d(x)/dx = 1 and d(x^-1)/dx = -x^-1, extended by
-    the product rule d(uv)/dx = du/dx + u dv/dx.  One pass over the
-    letters keeps the freely reduced prefix as a stack of runs, so each
-    letter costs O(1) and each term one copy of the prefix.
+    the product rule d(uv)/dx = du/dx + u dv/dx: the terms of
+    letter_fox_terms for that generator, each prefix a slice of the
+    reduced word's codes.
     """
     genus = word.genus
-    if not 0 <= index < 2 * genus:
-        raise InputError(f"generator index {index} out of range for genus {genus}")
-    terms: dict[GroupWord, int] = {}
-    prefix: list[tuple[int, int]] = []
-    for gen, sign in word.letters():
-        if gen == index and sign == 1:
-            term = GroupWord(genus, tuple(prefix))
-            terms[term] = terms.get(term, 0) + 1
-        _push_run(prefix, gen, sign)
-        if gen == index and sign == -1:
-            term = GroupWord(genus, tuple(prefix))
-            terms[term] = terms.get(term, 0) - 1
-    return GroupRingElement(genus, terms)
+    check_index("generator index", index, 2 * genus)
+    return GroupRingElement(genus, {GroupWord(genus, word.codes[:length]): coeff
+                                    for gen, length, coeff in letter_fox_terms(word)
+                                    if gen == index})
 
 
 def letter_fox_terms(word: GroupWord) -> list[tuple[int, int, int]]:
     """(generator, prefix length, coefficient) of each letter's Fox term:
     x_i at position p gives (i, p, +1), x_i^-1 gives (i, p + 1, -1).  On a
-    freely reduced word these are the terms of fox_derivative."""
-    return [(gen, position + (sign < 0), sign)
-            for position, (gen, sign) in enumerate(word.letters())]
+    freely reduced word the prefixes are reduced and their lengths differ,
+    so these are the terms of fox_derivative."""
+    count = 2 * word.genus
+    return [(code, position, 1) if code < count else (code - count, position + 1, -1)
+            for position, code in enumerate(word.codes)]
+
+
+def letter_codes(presentation: Presentation, words):
+    """Letter codes of words over the presentation, longest word first,
+    for tables indexed like [images, inverses].
+
+    Returns (codes, reach, restore).  The rows of the integer array
+    codes, of shape (len(words), longest), are the words' codes stably
+    sorted by decreasing length, and indexing a stack of per-row results
+    by restore puts it back in word order.  With c generators, shorter
+    words are padded on the right with 2c, past the end of the tables.
+    reach[p] counts the words with a letter at position p, which are the
+    first reach[p] rows: a fold reads those alone, so it never meets the
+    padding.
+    """
+    words = list(words)
+    if any(w.genus != presentation.genus for w in words):
+        raise InputError("word and representation have different genus")
+    rows = [w.codes for w in words]
+    lengths = np.array([len(row) for row in rows], dtype=np.intp)
+    order = np.argsort(-lengths, kind="stable")
+    longest = int(lengths.max(initial=0))
+    pad = (2 * presentation.generator_count,)
+    codes = np.array([rows[r] + pad * (longest - len(rows[r])) for r in order],
+                     dtype=np.intp).reshape(len(rows), longest)
+    reach = (lengths[:, None] > np.arange(longest)).sum(axis=0).tolist()
+    return codes, reach, np.argsort(order)
+
+
+@dataclass(frozen=True, eq=False)
+class RingCodes:
+    """Group-ring elements coded for a stacked fold of their terms.
+
+    letters is letter_codes of every term's word, element by element and
+    each element's terms in terms() order.  Slot j of slots holds the j-th
+    term of every element that has one, as three arrays: the elements,
+    the terms' rows among letters' words, and their integer coefficients.
+    Adding slot after slot sums each element's terms in terms() order.
+    """
+
+    count: int
+    letters: tuple
+    slots: tuple
+
+
+def ring_codes(presentation: Presentation, elements) -> RingCodes:
+    """The RingCodes of a sequence of group-ring elements."""
+    terms = [element.terms() for element in elements]
+    starts = np.cumsum([0] + [len(t) for t in terms], dtype=np.intp)
+    slots = []
+    for j in range(max(map(len, terms), default=0)):
+        owners = [e for e, t in enumerate(terms) if len(t) > j]
+        slots.append((np.array(owners, dtype=np.intp), starts[owners] + j,
+                      np.array([terms[e][j][1] for e in owners], dtype=np.int64)))
+    letters = letter_codes(presentation, [word for t in terms for word, _ in t])
+    return RingCodes(len(terms), letters, tuple(slots))
 
 
 @dataclass(frozen=True)
@@ -365,26 +440,14 @@ def parse_word(presentation: Presentation, text: str) -> GroupWord:
     tokens = text.split()
     if tokens == ["1"]:
         return presentation.identity()
-    raw = []
+    codes = {name: code for code, name in enumerate(_letter_names(presentation.genus))}
     for token in tokens:
-        m = _TOKEN_RE.match(token)
-        if m is None:
-            raise InputError(f"cannot parse word token {token!r}")
-        family, k = m.group(1), int(m.group(2))
-        if k > presentation.genus:
-            raise InputError(f"token {token!r} exceeds genus {presentation.genus}")
-        index = 2 * (k - 1) + (0 if family in "aA" else 1)
-        raw.append((index, 1 if family.islower() else -1))
-    return presentation.word(raw)
+        if token not in codes:
+            raise InputError(f"cannot parse word token {token!r} at genus {presentation.genus}")
+    return presentation.reduce([codes[token] for token in tokens])
 
 
 def format_word(word: GroupWord) -> str:
     """Inverse of parse_word: one token per letter, `1` for the identity."""
-    if word.is_identity:
-        return "1"
-    k_of = lambda gen: gen // 2 + 1
-    tokens = []
-    for gen, sign in word.letters():
-        family = "ab"[gen % 2]
-        tokens.append(f"{family if sign > 0 else family.upper()}{k_of(gen)}")
-    return " ".join(tokens)
+    names = _letter_names(word.genus)
+    return " ".join(names[code] for code in word.codes) or "1"

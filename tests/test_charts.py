@@ -387,9 +387,10 @@ class TestClosedness:
         with pytest.raises(InputError):
             closedness_check(chart, (0, 1, 10), 1e-3)
 
-    @pytest.mark.parametrize("axis", [-1, 2])
+    @pytest.mark.parametrize("axis", [-1, 2, 1.0])
     def test_transported_axis_range_enforced(self, basis_g2n2, axis):
-        # a negative axis would index from the end, one past the last fails
+        # a negative axis would index from the end, one past the last fails,
+        # and a float is no index
         chart = Chart(center=basis_g2n2.base, frame=basis_g2n2.h1_complement[:2])
         with pytest.raises(InputError, match=rf"frame index {axis} out of range 0\.\.1"):
             chart.transported_frame_direction(np.zeros(2), axis, 1e-3)

@@ -17,9 +17,8 @@ from goldman.cocycles import (CocycleBasis, _real_span, cocycle_dimensions,
 from goldman.linalg import (ad_matrix, canonical_frame, column_space, complement_within,
                             decided_rank, frob, nullspace, real_flatten,
                             split_singular_values, triangular_svd, vec)
-from goldman.reps import (commutant_dimension, letter_codes, relator_tangent_matrix,
-                          ring_codes)
-from goldman.words import GroupRingElement
+from goldman.reps import commutant_dimension, relator_tangent_matrix
+from goldman.words import GroupRingElement, letter_codes, ring_codes
 
 
 def indicator(rep, index):

@@ -72,7 +72,7 @@ def letterwise_cup(chi1, chi2):
         ring = np.zeros((rep.rank, rep.rank), dtype=complex)
         for word, coeff in anti_involution(coefficient).terms():
             ring += coeff * extend(chi1, word)
-        total -= np.trace(ring @ chi2.values[generator.runs[0][0]])
+        total -= np.trace(ring @ chi2.values[generator.codes[0]])
     return complex(total)
 
 

@@ -1,13 +1,15 @@
 """Import hygiene of the package source, checked on its syntax trees,
 and the independence of the cup-product oracle.
 
-Fourteen rules, with no lint dependency:
+Fifteen rules, with no lint dependency:
 
 - every module-level import is used in its module (the package
   ``__init__`` re-exports, and ``from __future__`` imports are exempt);
 - imports inside functions are only for breaking import cycles: a
   function may import from a goldman module that its file does not import
   at module level, and nothing else;
+- ``words`` is the base layer: it imports nothing from the package but
+  ``errors``, so every other module may read words and their codes;
 - no module calls numpy's ``kron`` or ``einsum``: ``linalg.ad_matrix``
   is the one Kronecker form, and the tests keep ``np.kron`` as their
   reference;
@@ -113,6 +115,14 @@ def unused_module_imports(path):
             for name in _bound_names(node) if name not in used]
 
 
+def package_imports(path):
+    """'file:line module' for each goldman module an import reads from,
+    wherever the import stands, in line order."""
+    found = [(node.lineno, module) for node in ast.walk(_tree(path))
+             for module in sorted(_goldman_modules(node))]
+    return [f"{path.name}:{line} {module}" for line, module in sorted(found)]
+
+
 def non_cycle_local_imports(path):
     tree = _tree(path)
     at_module_level = set().union(*map(_goldman_modules, _module_imports(tree)))
@@ -196,6 +206,11 @@ def test_no_unused_module_level_import(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_function_local_imports_only_break_cycles(path):
     assert non_cycle_local_imports(path) == []
+
+
+def test_words_is_the_base_layer():
+    found = package_imports(SOURCE / "words.py")
+    assert {site.partition(" ")[2] for site in found} == {"errors"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -333,6 +348,8 @@ def test_rules_flag_what_they_name(tmp_path):
         "    return np.linalg.qr(m, mode='r'), qr(m), np.linalg.qr\n")
     assert unused_module_imports(module) == ["sample.py:2 json"]
     assert non_cycle_local_imports(module) == ["sample.py:6 in f", "sample.py:7 in f"]
+    assert package_imports(module) == ["sample.py:4 reps", "sample.py:7 reps",
+                                       "sample.py:8 fileio"]
     assert calls_named(module, "kron") == ["sample.py:11", "sample.py:11"]
     assert calls_named(module, "einsum") == ["sample.py:13"]
     assert calls_named(module, "standard_normal") == ["sample.py:15", "sample.py:15"]

@@ -4,14 +4,19 @@ The identities here are the ones the verify checks word-reduction-confluence,
 fox-product-rule and anti-involution sample with seeded loops: free
 reduction is confluent, Fox derivatives obey the product rule, and the
 group-ring anti-involution is an additive, product-reversing involution.
+The word contract is checked against a naive reference on letter lists:
+a GroupWord holds freely reduced letter codes only, so equal group
+elements are equal words with equal hashes, however they were built.
 Hypothesis runs derandomized and without an example database, so every
 run draws the same examples.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goldman import GroupRingElement, Presentation, anti_involution, fox_derivative
+from goldman import (GroupRingElement, GroupWord, InputError, Presentation, anti_involution,
+                     format_word, fox_derivative, parse_word)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -71,3 +76,86 @@ def test_anti_involution(data, genus):
     assert anti_involution(anti_involution(e)) == e
     assert anti_involution(e + f) == anti_involution(e) + anti_involution(f)
     assert anti_involution(e * f) == anti_involution(f) * anti_involution(e)
+
+
+def naive_reduce(letters):
+    """Cancel adjacent (x, +1)(x, -1) pairs of a letter list, leftmost
+    first, until none is left: the reference free reduction."""
+    work = list(letters)
+    i = 0
+    while i < len(work) - 1:
+        (gen, sign), (next_gen, next_sign) = work[i], work[i + 1]
+        if gen == next_gen and sign == -next_sign:
+            del work[i:i + 2]
+            i = max(i - 1, 0)
+        else:
+            i += 1
+    return work
+
+
+def raw_pairs(genus, max_size=8):
+    """Unreduced (generator index, exponent) sequences, exponents -3..3."""
+    return st.lists(st.tuples(st.integers(0, 2 * genus - 1), st.integers(-3, 3)),
+                    max_size=max_size)
+
+
+def expand(raw):
+    return [(gen, 1 if exp > 0 else -1) for gen, exp in raw for _ in range(abs(exp))]
+
+
+@PROPERTY
+@given(data=st.data(), genus=genera)
+def test_word_matches_the_letter_list_reference(data, genus):
+    pres = Presentation(genus)
+    raw = data.draw(raw_pairs(genus))
+    word = pres.word(raw)
+    expected = naive_reduce(expand(raw))
+    assert list(word.letters()) == expected
+    assert len(word) == len(expected) == len(word.codes)
+    assert word.codes == tuple(gen if sign > 0 else 2 * genus + gen for gen, sign in expected)
+    assert pres.reduce(list(word.codes)) == word
+
+
+@PROPERTY
+@given(data=st.data(), genus=genera)
+def test_product_and_inverse_match_the_letter_list_reference(data, genus):
+    pres = Presentation(genus)
+    u, v = data.draw(words(genus)), data.draw(words(genus))
+    u_letters, v_letters = list(u.letters()), list(v.letters())
+    assert list((u * v).letters()) == naive_reduce(u_letters + v_letters)
+    assert list(u.inverse().letters()) == [(gen, -sign) for gen, sign in reversed(u_letters)]
+    assert len(u * v) == len(naive_reduce(u_letters + v_letters))
+    assert (u * u.inverse()).is_identity and u.inverse().inverse() == u
+
+
+@PROPERTY
+@given(data=st.data(), genus=genera)
+def test_constructor_refuses_unreduced_and_out_of_range_codes(data, genus):
+    count = 2 * genus
+    word = data.draw(words(genus))
+    codes = list(word.codes)
+    at = data.draw(st.integers(0, len(codes)))
+    code = data.draw(st.integers(0, 2 * count - 1))
+    with pytest.raises(InputError):
+        GroupWord(genus, tuple(codes[:at] + [code, (code + count) % (2 * count)] + codes[at:]))
+    bad = data.draw(st.one_of(st.integers(max_value=-1), st.integers(min_value=2 * count)))
+    with pytest.raises(InputError):
+        GroupWord(genus, tuple(codes[:at] + [bad] + codes[at:]))
+    with pytest.raises(InputError):
+        Presentation(genus).reduce(codes[:at] + [bad] + codes[at:])
+    assert GroupWord(genus, word.codes) == word
+
+
+@PROPERTY
+@given(data=st.data(), genus=genera)
+def test_equal_elements_are_equal_words(data, genus):
+    pres = Presentation(genus)
+    raw = data.draw(raw_pairs(genus))
+    cut = data.draw(st.integers(0, len(raw)))
+    built = [pres.word(raw), pres.word(raw[:cut]) * pres.word(raw[cut:]),
+             parse_word(pres, format_word(pres.word(raw))),
+             parse_word(pres, " ".join(format_word(pres.word([letter]))
+                                       for letter in expand(raw)) or "1")]
+    assert all(w == built[0] for w in built)
+    assert len({hash(w) for w in built}) == 1
+    assert len({w: None for w in built}) == 1

@@ -17,11 +17,11 @@ def words_of(pres, text):
 def letterwise_fox_derivative(word, index):
     """Reference Fox derivative: the product rule letter by letter, each
     prefix re-reduced from scratch (quadratic in the word length)."""
-    genus = word.genus
-    result = GroupRingElement.zero(genus)
-    prefix = GroupWord(genus, ())
+    pres = Presentation(word.genus)
+    result = GroupRingElement.zero(word.genus)
+    prefix = pres.identity()
     for gen, sign in word.letters():
-        letter = GroupWord(genus, ((gen, sign),))
+        letter = pres.word([(gen, sign)])
         if gen == index:
             if sign == 1:
                 result = result + GroupRingElement.from_word(prefix)
@@ -51,7 +51,7 @@ class TestReduction:
         pres = Presentation(3)
         raw = [(0, 1), (1, 1), (1, -1), (4, 1), (4, -1), (0, -1), (2, 1)]
         once = pres.word(raw)
-        assert pres.word(once.runs) == once
+        assert pres.word(list(once.letters())) == once
 
     def test_unknown_generator_rejected(self):
         pres = Presentation(2)
@@ -59,6 +59,30 @@ class TestReduction:
             pres.word([(4, 1)])
         with pytest.raises(InputError):
             pres.word([(-1, 1)])
+
+    def test_words_are_their_codes(self):
+        # a1 a1 built by hand and by reduction is one word; a1 A1 is no word
+        pres = Presentation(2)
+        assert GroupWord(2, (0, 0)) == pres.word([(0, 2)])
+        assert hash(GroupWord(2, (0, 0))) == hash(pres.word([(0, 1), (0, 1)]))
+        assert pres.word([(1, -1), (2, 1)]).codes == (5, 2)
+        with pytest.raises(InputError, match="cancel"):
+            GroupWord(2, (0, 4))
+        for codes in ((8,), (-1,), (1.0,), (np.int64(1),)):
+            with pytest.raises(InputError, match=r"is not an int in 0\.\.7"):
+                GroupWord(2, codes)
+
+    @pytest.mark.parametrize("letter", [(0, 1.5), (0.0, 1), ("0", 1), (0, None)])
+    def test_non_integer_letter_rejected(self, letter):
+        with pytest.raises(InputError, match="not a pair of integers"):
+            Presentation(2).word([letter])
+
+    def test_numpy_integer_letters_accepted(self):
+        pres = Presentation(2)
+        word = pres.word([(np.int64(1), np.int64(-2)), (np.intp(0), np.int8(1))])
+        assert word == pres.word([(1, -2), (0, 1)])
+        assert all(type(code) is int for code in word.codes)
+        assert str(word) == "B1 B1 a1"
 
     def test_cascading_cancellation(self):
         pres = Presentation(1)
@@ -169,8 +193,8 @@ class TestFoxDerivative:
 
     def test_matches_letterwise_reference(self):
         rng = np.random.default_rng(5)
-        words = [GroupWord(2, ((0, 1), (0, 1), (1, -1))),
-                 GroupWord(2, ((0, 1), (0, -1), (1, 2), (1, -1)))]
+        pres = Presentation(2)
+        words = [pres.word([(0, 2), (1, -1)]), pres.word([(0, 1), (0, -1), (1, 2), (1, -1)])]
         for genus in (1, 2, 3):
             pres = Presentation(genus)
             words.append(pres.relator())
@@ -385,6 +409,32 @@ class TestTextFormat:
             with pytest.raises(InputError):
                 parse_word(pres, text)
 
+    def test_indices_follow_the_integer_rule(self):
+        pres = Presentation(2)
+        word = pres.relator()
+        for call in (lambda: pres.generator(1.0), lambda: pres.relator(1.5),
+                     lambda: pres.relator_derivative(1.5), lambda: fox_derivative(word, 1.5),
+                     lambda: pres.word([(4, 1)]), lambda: pres.relator(3)):
+            with pytest.raises(InputError, match="out of range"):
+                call()
+        assert pres.generator(np.int64(3)) == pres.b(2)
+        assert pres.relator(np.int64(1)) == pres.relator(1)
+
+    def test_generator_names(self):
+        pres = Presentation(2)
+        assert [pres.generator_name(i) for i in range(4)] == ["a1", "b1", "a2", "b2"]
+        for index in (-1, 4):
+            with pytest.raises(InputError):
+                pres.generator_name(index)
+
     def test_genus_validation(self):
         with pytest.raises(InputError):
             Presentation(0)
+
+    @pytest.mark.parametrize("genus", [1.5, "2", 2.0, None])
+    def test_non_integer_genus_rejected(self, genus):
+        with pytest.raises(InputError, match="genus must be an integer >= 1"):
+            Presentation(genus)
+
+    def test_numpy_integer_genus_accepted(self):
+        assert Presentation(np.int64(2)).relator() == Presentation(2).relator()
