@@ -36,11 +36,22 @@ def check_index(what: str, index, stop: int) -> None:
 
 
 def check_size(**sizes) -> None:
-    """Sizes such as genus and rank are integers >= 1, from the CLI and the
-    API alike."""
+    """Sizes such as genus and rank are integers >= 1, from the CLI and the API alike."""
     for name, value in sizes.items():
         if not isinstance(value, INTEGER) or value < 1:
             raise InputError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def _check_codes(codes: Sequence, count: int, reduced: bool = True) -> None:
+    """Refuse a letter code that is not a Python int in 0..2c-1, c = count (codes
+    hash and index tables as they are), and in a reduced word one next to its inverse."""
+    previous = None
+    for code in codes:
+        if type(code) is not int or not 0 <= code < 2 * count:
+            raise InputError(f"letter code {code!r} is not an int in 0..{2 * count - 1}")
+        if reduced and previous is not None and abs(previous - code) == count:
+            raise InputError(f"letter codes {previous}, {code} cancel in a reduced word")
+        previous = code
 
 
 @lru_cache(maxsize=None)
@@ -60,14 +71,10 @@ class GroupWord:
     codes: tuple[int, ...]
 
     def __post_init__(self):
-        count = 2 * self.genus
-        previous = None
-        for code in self.codes:
-            if type(code) is not int or not 0 <= code < 2 * count:
-                raise InputError(f"letter code {code!r} is not an int in 0..{2 * count - 1}")
-            if previous is not None and abs(previous - code) == count:
-                raise InputError(f"letter codes {previous}, {code} cancel in a reduced word")
-            previous = code
+        if type(self.genus) is not int:  # a numpy genus would make numpy codes
+            check_size(genus=self.genus)
+            object.__setattr__(self, "genus", int(self.genus))
+        _check_codes(self.codes, 2 * self.genus)
 
     @property
     def is_identity(self) -> bool:
@@ -92,8 +99,7 @@ class GroupWord:
         count = 2 * self.genus
         left, right = self.codes, other.codes
         cut = 0
-        while (cut < min(len(left), len(right))
-               and abs(left[-1 - cut] - right[cut]) == count):
+        while cut < min(len(left), len(right)) and abs(left[-1 - cut] - right[cut]) == count:
             cut += 1
         return GroupWord(self.genus, left[:len(left) - cut] + right[cut:])
 
@@ -121,6 +127,7 @@ class Presentation:
 
     def __post_init__(self):
         check_size(genus=self.genus)
+        object.__setattr__(self, "genus", int(self.genus))
 
     @property
     def generator_count(self) -> int:
@@ -154,9 +161,9 @@ class Presentation:
         count = 2 * self.genus
         codes: list[int] = []
         for gen, exp in raw:
-            if not (isinstance(gen, INTEGER) and isinstance(exp, INTEGER)):
-                raise InputError(f"letter ({gen!r}, {exp!r}) is not a pair of integers")
             check_index("generator index", gen, count)
+            if not isinstance(exp, INTEGER):
+                raise InputError(f"exponent {exp!r} of generator {gen} is not an integer")
             codes += [int(gen) if exp > 0 else count + int(gen)] * abs(exp)
         return self.reduce(codes)
 
@@ -165,11 +172,10 @@ class Presentation:
         push-or-cancel stack: a code cancels the top of the stack when the
         two differ by the generator count, x_i against x_i^-1."""
         count = 2 * self.genus
+        codes = list(codes)
+        _check_codes(codes, count, reduced=False)  # before any code can cancel
         stack: list[int] = []
         for code in codes:
-            # checked before it can cancel: the constructor sees survivors only
-            if type(code) is not int or not 0 <= code < 2 * count:
-                raise InputError(f"letter code {code!r} is not an int in 0..{2 * count - 1}")
             if stack and abs(stack[-1] - code) == count:
                 stack.pop()
             else:
@@ -178,10 +184,9 @@ class Presentation:
 
     def relator(self, k: int | None = None) -> GroupWord:
         """R_k = [a_1,b_1]...[a_k,b_k]; R_0 is the identity, default k = genus."""
-        if k is None:
-            k = self.genus
+        k = self.genus if k is None else k
         check_index("relator index", k, self.genus + 1)
-        return _relator(self.genus, k)
+        return _relator(self.genus, int(k))
 
     @cached_property
     def relator_derivatives(self) -> tuple["GroupRingElement", ...]:
@@ -239,11 +244,9 @@ def _dual_generators(genus: int) -> tuple[GroupWord, ...]:
     pres = Presentation(genus)
     out = []
     for k in range(1, genus + 1):
-        r_prev = pres.relator(k - 1)
-        r_k = pres.relator(k)
-        alpha = r_prev * pres.b(k).inverse() * r_k.inverse()
-        beta = r_k * pres.a(k).inverse() * r_prev.inverse()
-        out.extend([alpha, beta])
+        r_prev, r_k = pres.relator(k - 1), pres.relator(k)
+        out += [r_prev * pres.b(k).inverse() * r_k.inverse(),  # alpha_k
+                r_k * pres.a(k).inverse() * r_prev.inverse()]  # beta_k
     return tuple(out)
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -72,9 +74,13 @@ class TestReduction:
             with pytest.raises(InputError, match=r"is not an int in 0\.\.7"):
                 GroupWord(2, codes)
 
-    @pytest.mark.parametrize("letter", [(0, 1.5), (0.0, 1), ("0", 1), (0, None)])
-    def test_non_integer_letter_rejected(self, letter):
-        with pytest.raises(InputError, match="not a pair of integers"):
+    @pytest.mark.parametrize("letter, message", [
+        ((0, 1.5), "exponent 1.5 of generator 0 is not an integer"),
+        ((0, None), "exponent None of generator 0 is not an integer"),
+        ((0.0, 1), "generator index 0.0 out of range"),
+        (("0", 1), "generator index '0' out of range")])
+    def test_non_integer_letter_rejected(self, letter, message):
+        with pytest.raises(InputError, match=re.escape(message)):
             Presentation(2).word([letter])
 
     def test_numpy_integer_letters_accepted(self):
@@ -437,4 +443,15 @@ class TestTextFormat:
             Presentation(genus)
 
     def test_numpy_integer_genus_accepted(self):
-        assert Presentation(np.int64(2)).relator() == Presentation(2).relator()
+        # the genus is stored as an int, so every code derived from it is
+        # an int; the relator cache is emptied so that no earlier int-genus
+        # call can answer for the numpy one
+        goldman.words._relator.cache_clear()
+        pres = Presentation(np.int64(3))
+        assert type(pres.genus) is int and type(GroupWord(np.int64(3), ()).genus) is int
+        assert pres.a(1).inverse().codes == (6,)
+        assert pres.word([(0, -1)]).codes == (6,)
+        assert pres.relator() == Presentation(3).relator()
+        assert all(type(code) is int for code in pres.relator().codes)
+        rep = random_representation(np.int64(3), 2)
+        assert np.array_equal(rep.images, random_representation(3, 2).images)
