@@ -189,12 +189,21 @@ def decided_rank(m: Array):
     return split_singular_values(np.linalg.svd(m, compute_uv=False))
 
 
-def triangular_svd(m: Array):
-    """(svals, vh): the singular values and right factor of m, up to
-    roundoff, from the SVD of the triangle of its QR (Chan's R-SVD, 1982).
-    For a tall m no factor as tall as m is formed: the QR keeps its
-    triangle alone, and the SVD is of a square of m's column count."""
-    return np.linalg.svd(np.linalg.qr(m, mode="r"), full_matrices=False)[1:]
+def triangular_values(m: Array):
+    """(svals, triangle): the singular values of m, up to roundoff, from
+    the triangle of its QR (Chan's R-SVD, 1982), and that triangle.  For a
+    tall m no factor as tall as m is formed: the QR keeps its triangle
+    alone, and the values-only SVD is of a square of m's column count."""
+    triangle = np.linalg.qr(m, mode="r")
+    return np.linalg.svd(triangle, compute_uv=False), triangle
+
+
+def right_factor(triangle: Array):
+    """(svals, vh) of a triangle of triangular_values: the singular values
+    and right factor of its m, up to roundoff.  The one place singular
+    vectors of a triangle are formed; a rank is decided from the values
+    alone."""
+    return np.linalg.svd(triangle, full_matrices=False)[1:]
 
 
 def nullspace(m: Array) -> Array:

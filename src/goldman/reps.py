@@ -18,7 +18,7 @@ from . import tolerances
 from .errors import ConditioningError, ConvergenceError, InputError
 from .linalg import (ad_matrix, expm, frob, generator_stack, ginibre, haar_unitary,
                      polar_unitary, require_finite, split_singular_values,
-                     triangular_svd, unitary_eigenframe, vec)
+                     triangular_values, unitary_eigenframe, vec)
 from .words import INTEGER, GroupWord, Presentation, check_size, letter_codes
 
 UNITARY = "unitary"
@@ -77,12 +77,13 @@ class Representation:
 
     @cached_property
     def coboundary_svd(self) -> tuple[int, np.ndarray, np.ndarray]:
-        """(rank, svals, vh) of coboundary_map: its triangular_svd, with
-        the rank, dim B1, decided once by split_singular_values."""
-        svals, vh = triangular_svd(self.coboundary_map)
+        """(rank, svals, triangle) of coboundary_map: its
+        triangular_values, with the rank, dim B1, decided once by
+        split_singular_values.  No singular vectors are formed."""
+        svals, triangle = triangular_values(self.coboundary_map)
         svals.setflags(write=False)
-        vh.setflags(write=False)
-        return split_singular_values(svals)[0], svals, vh
+        triangle.setflags(write=False)
+        return split_singular_values(svals)[0], svals, triangle
 
     @cached_property
     def dual_form(self) -> np.ndarray:
@@ -292,9 +293,11 @@ def fox_jacobian(images, inverses, word: GroupWord, terms) -> np.ndarray:
     Ad(image of word's prefix of that length), in the column block of the
     generator: on its Fox terms, the matrix of chi.flat -> vec chi(word).
     One walk keeps every prefix image and its inverse.  Leading axes of
-    the (..., 2g, n, n) images broadcast.  Terms are added one by one:
-    stacking all their Ad raised the peak memory of dims at n = 14 by
-    1.4 MB."""
+    the (..., 2g, n, n) images broadcast.  Terms are added one by one,
+    each into its column block of the output layout, so the final reshape
+    is a view: stacking all their Ad raised the peak memory of dims at
+    n = 14 by 1.4 MB, and a transposed copy of the whole Jacobian made
+    it 2.6 times slower at (2,14)."""
     *lead, count, n, _ = images.shape
     table, inverse_table = letter_table(images, inverses), letter_table(inverses, images)
     prefix = prefix_inv = np.eye(n, dtype=complex)
@@ -304,11 +307,11 @@ def fox_jacobian(images, inverses, word: GroupWord, terms) -> np.ndarray:
         prefix_inv = inverse_table[..., code, :, :] @ prefix_inv
         prefixes.append(prefix)
         prefix_invs.append(prefix_inv)
-    blocks = np.zeros((*lead, count, n * n, n * n), dtype=complex)
+    # side by side: column block gen of row r is blocks[..., r, gen, :]
+    blocks = np.zeros((*lead, n * n, count, n * n), dtype=complex)
     for gen, length, coeff in terms:
-        blocks[..., gen, :, :] += coeff * ad_matrix(prefixes[length], prefix_invs[length])
-    # side by side: column block gen of row r is blocks[..., gen, r, :]
-    return np.swapaxes(blocks, -3, -2).reshape(*lead, n * n, count * n * n)
+        blocks[..., :, gen, :] += coeff * ad_matrix(prefixes[length], prefix_invs[length])
+    return blocks.reshape(*lead, n * n, count * n * n)
 
 
 def newton_project(presentation: Presentation, images, flavor: str,

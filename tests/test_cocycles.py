@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import goldman.cocycles
+import goldman.linalg
 import goldman.reps
 import goldman.tolerances
 from goldman import (Cocycle, ConditioningError, InputError, Presentation, Representation,
@@ -13,10 +16,10 @@ from goldman import (Cocycle, ConditioningError, InputError, Presentation, Repre
 from goldman.cli import main
 from goldman.cocycles import (CocycleBasis, _real_span, cocycle_dimensions,
                               expected_h1_dimension, from_flat, linear_combination,
-                              ring_values, stack_cocycles)
+                              principal_sines, ring_values, sine_bound, stack_cocycles)
 from goldman.linalg import (ad_matrix, canonical_frame, column_space, complement_within,
-                            decided_rank, frob, nullspace, real_flatten,
-                            split_singular_values, triangular_svd, vec)
+                            decided_rank, frob, nullspace, real_flatten, right_factor,
+                            split_singular_values, triangular_values, vec)
 from goldman.reps import commutant_dimension, relator_tangent_matrix
 from goldman.words import GroupRingElement, letter_codes, ring_codes
 
@@ -407,7 +410,19 @@ def block_diagonal_point(genus, sizes, seed):
     return Representation(Presentation(genus), n, images, "unitary")
 
 
+@pytest.fixture
+def no_singular_vectors(monkeypatch):
+    """right_factor patched to raise, in linalg and in its cocycles alias:
+    every dimension read under it is decided from singular values alone."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("singular vectors were formed")
+
+    monkeypatch.setattr(goldman.linalg, "right_factor", refuse)
+    monkeypatch.setattr(goldman.cocycles, "right_factor", refuse)
+
+
 class TestReducibleDimensions:
+    # decided from singular values alone
     @pytest.mark.parametrize("genus, sizes, dims", [
         (2, (1, 1), (14, 2, 12)),
         (2, (1, 1, 1), (30, 6, 24)),
@@ -416,7 +431,7 @@ class TestReducibleDimensions:
         (3, (2, 2), (82, 14, 68)),
         (3, (1, 3), (82, 14, 68)),
     ])
-    def test_pinned_dims(self, genus, sizes, dims):
+    def test_pinned_dims(self, no_singular_vectors, genus, sizes, dims):
         rep = block_diagonal_point(genus, sizes, seed=3)
         assert cocycle_basis(rep).dims == dims
         assert commutant_dimension(rep) == rep.rank ** 2 - dims[1]
@@ -458,6 +473,18 @@ class TestRankFirstDimensions:
         assert h1 == formula
         assert z1 - b1 == h1
         assert main(["--genus", str(genus), "--rank", str(rank), "dims"]) == 0
+        assert capsys.readouterr().out.endswith(f"H1={formula} formula={formula} MATCH\n")
+
+    @pytest.mark.parametrize("flavor", ["unitary", "general-linear"])
+    @pytest.mark.parametrize("genus, rank", [(2, 6), (3, 3)])
+    def test_dims_form_no_singular_vectors(self, no_singular_vectors, capsys,
+                                           genus, rank, flavor):
+        formula = (2 * genus - 2) * rank * rank + 2
+        rep = random_representation(genus, rank, flavor, seed=0)
+        assert cocycle_basis(rep).dims[2] == formula
+        assert commutant_dimension(rep) == 1
+        args = ["--genus", str(genus), "--rank", str(rank), "--flavor", flavor, "dims"]
+        assert main(args) == 0
         assert capsys.readouterr().out.endswith(f"H1={formula} formula={formula} MATCH\n")
 
     @pytest.mark.parametrize("genus, rank, flavor", [
@@ -542,9 +569,9 @@ def synthetic_pair(rng, q, z, b, tilts):
 
 
 def decided(m):
-    """(rank, svals, vh) of m, as Representation.coboundary_svd decides it."""
-    svals, vh = triangular_svd(m)
-    return split_singular_values(svals)[0], svals, vh
+    """(rank, svals, triangle) of m, as Representation.coboundary_svd decides it."""
+    svals, triangle = triangular_values(m)
+    return split_singular_values(svals)[0], svals, triangle
 
 
 def conditioned(rng, k):
@@ -566,6 +593,39 @@ def assert_count(constraint, coboundary, z, b, kept):
             cocycle_dimensions(constraint, coboundary, decided(coboundary))
 
 
+def angle_case(seed, q, z, b, tilts):
+    """A synthetic_pair seeded by seed, its constraint rows and B1 columns
+    each mixed by a matrix of condition 1e3, as assert_count's arguments
+    (constraint, coboundary, z, b, kept): kept is the H1 count that
+    complement_within gives on the unmixed pair."""
+    rng = np.random.default_rng(seed)
+    constraint, b_frame = synthetic_pair(rng, q, z, b, tilts)
+    assert frob(b_frame.conj().T @ b_frame - np.eye(b)) < 1e-12
+    kept = complement_within(nullspace(constraint), b_frame).shape[1]
+    assert kept == z - b + sum(1 for t in tilts if t > 30)
+    return (conditioned(rng, q - z) @ constraint, b_frame @ conditioned(rng, b),
+            z, b, kept)
+
+
+@pytest.fixture
+def formed(monkeypatch):
+    """The arguments of each principal_sines call: the exact count's runs."""
+    calls = []
+    sines = goldman.cocycles.principal_sines
+    monkeypatch.setattr(goldman.cocycles, "principal_sines",
+                        lambda *args: calls.append(args) or sines(*args))
+    return calls
+
+
+def assert_exact_when_tilted(formed, tilts):
+    """A sine above the cut exceeds the sine bound too, so the sines are
+    formed and counted; with B1 inside Z1 the bound decides alone."""
+    if any(t > 30 for t in tilts):
+        assert len(formed) == 1
+    if not tilts:
+        assert formed == []
+
+
 class TestPrincipalAngleCount:
     # 28 and 32 degrees lie on either side of the 30 degree cut.  The
     # constraint mixes its orthonormal rows, and the coboundary map the B1
@@ -573,28 +633,16 @@ class TestPrincipalAngleCount:
     # must undo the singular values of both factors
     @pytest.mark.parametrize("tilts", [(), (20,), (45,), (70,), (20, 45, 70), (70, 70),
                                        (28,), (32,), (28, 32)])
-    def test_matches_complement_within(self, tilts):
-        rng = np.random.default_rng(len(tilts) + sum(tilts))
-        q, z, b = 24, 14, 5
-        constraint, b_frame = synthetic_pair(rng, q, z, b, tilts)
-        assert frob(b_frame.conj().T @ b_frame - np.eye(b)) < 1e-12
-        kept = complement_within(nullspace(constraint), b_frame).shape[1]
-        assert kept == z - b + sum(1 for t in tilts if t > 30)
-        assert_count(conditioned(rng, q - z) @ constraint, b_frame @ conditioned(rng, b),
-                     z, b, kept)
+    def test_matches_complement_within(self, formed, tilts):
+        assert_count(*angle_case(len(tilts) + sum(tilts), 24, 14, 5, tilts))
+        assert_exact_when_tilted(formed, tilts)
 
     @pytest.mark.parametrize("tilts", [(), (20,), (70,), (28, 32, 70)])
-    def test_more_coboundary_columns_than_rows(self, tilts):
+    def test_more_coboundary_columns_than_rows(self, formed, tilts):
         # dim B1 = 6 > r = 3: at least three B1 directions lie inside Z1
         # and have no sine in R^H b
-        rng = np.random.default_rng(50 + sum(tilts))
-        q, z, b = 12, 9, 6
-        constraint, b_frame = synthetic_pair(rng, q, z, b, tilts)
-        assert frob(b_frame.conj().T @ b_frame - np.eye(b)) < 1e-12
-        kept = complement_within(nullspace(constraint), b_frame).shape[1]
-        assert kept == z - b + sum(1 for t in tilts if t > 30)
-        assert_count(conditioned(rng, q - z) @ constraint, b_frame @ conditioned(rng, b),
-                     z, b, kept)
+        assert_count(*angle_case(50 + sum(tilts), 12, 9, 6, tilts))
+        assert_exact_when_tilted(formed, tilts)
 
     def test_empty_coboundaries_and_full_rank_constraint(self):
         rng = np.random.default_rng(40)
@@ -604,8 +652,25 @@ class TestPrincipalAngleCount:
         assert_count(no_rows, b_frame @ conditioned(rng, 3), 10, 3, 7)
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1), wide=st.booleans(),
+       tilts=st.lists(st.integers(0, 89), max_size=3))
+def test_sine_bound_covers_the_largest_sine(seed, wide, tilts):
+    q, z, b = (12, 9, 6) if wide else (24, 14, 5)
+    constraint, coboundary, *_ = angle_case(seed, q, z, b, tilts)
+    svals, triangle = triangular_values(constraint.conj().T)
+    r = split_singular_values(svals)[0]
+    k, b_svals, b_triangle = decided(coboundary)
+    product = constraint @ coboundary
+    sines = principal_sines(product, triangle, r, b_triangle, k)
+    largest = np.linalg.svd(sines, compute_uv=False)[0]
+    # the bound holds exactly; the two sides differ by roundoff at most
+    assert sine_bound(product, svals[:r], b_svals[:k]) >= largest * (1 - 1e-12)
+
+
 class TestRowSpace:
-    """triangular_svd: the singular values, rank and row space of the SVD."""
+    """triangular_values and right_factor: the singular values, rank and
+    row space of the SVD."""
 
     @staticmethod
     def cases(rng):
@@ -622,10 +687,12 @@ class TestRowSpace:
     def test_matches_the_svd(self):
         rng = np.random.default_rng(60)
         for m in self.cases(rng):
-            svals, vh = triangular_svd(m)
+            svals, triangle = triangular_values(m)
+            factor_svals, vh = right_factor(triangle)
             _, expected, expected_vh = np.linalg.svd(m, full_matrices=False)
-            assert svals.shape == expected.shape
+            assert svals.shape == factor_svals.shape == expected.shape
             assert np.abs(svals - expected).max() <= 1e-12 * expected[0]
+            assert np.abs(factor_svals - expected).max() <= 1e-12 * expected[0]
             rank = split_singular_values(svals)[0]
             assert rank == split_singular_values(expected)[0]
             row, expected_row = vh[:rank].conj().T, expected_vh[:rank].conj().T
@@ -634,7 +701,8 @@ class TestRowSpace:
     def test_complements_the_nullspace(self):
         rng = np.random.default_rng(61)
         for m in self.cases(rng):
-            svals, vh = triangular_svd(m)
+            svals, triangle = triangular_values(m)
+            _, vh = right_factor(triangle)
             rank = split_singular_values(svals)[0]
             row, null = vh[:rank].conj().T, nullspace(m)
             cols = m.shape[1]

@@ -1,7 +1,7 @@
 """Import hygiene of the package source, checked on its syntax trees,
 and the independence of the cup-product oracle.
 
-Fifteen rules, with no lint dependency:
+Sixteen rules, with no lint dependency:
 
 - every module-level import is used in its module (the package
   ``__init__`` re-exports, and ``from __future__`` imports are exempt);
@@ -18,11 +18,14 @@ Fifteen rules, with no lint dependency:
   draw order;
 - no module but ``linalg`` calls ``svd``: a rank read from singular
   values goes through ``linalg.decided_rank`` (or a basis function, or
-  ``triangular_svd``'s values, decided by the same
+  ``triangular_values``, decided by the same
   ``split_singular_values``), so every rank decision of the package has
   one rule;
-- no module but ``linalg`` calls ``qr``: ``linalg.triangular_svd`` is the
-  one QR whose triangle is read, so no tall factor is formed beside it;
+- no module but ``linalg`` calls ``qr``: ``linalg.triangular_values`` is
+  the one QR whose triangle is read, so no tall factor is formed beside it;
+- ``right_factor`` is called only in ``cocycles.principal_sines``, the
+  exact count of the angles between B1 and Z1 when their sine bound
+  cannot decide, so no caller forms singular vectors to decide a rank;
 - no module imports scipy: the runtime needs numpy only, and the tests
   keep scipy.linalg as their reference;
 - ``lstsq`` is called at one site, inside ``reps.newton_project``: the
@@ -274,6 +277,11 @@ def test_one_coboundary_matrix_site():
     assert _without_lines(found) == ["reps.py in Representation.coboundary_map"]
 
 
+def test_one_right_factor_site():
+    found = [site for path in MODULES for site in call_sites(path, "right_factor")]
+    assert sorted(set(_without_lines(found))) == ["cocycles.py in principal_sines"]
+
+
 def test_inversion_sites():
     found = [site for path in MODULES for site in call_sites(path, "_invert_all")]
     assert sorted(set(_without_lines(found))) == ["reps.py in Representation.inverse_images",
@@ -345,7 +353,9 @@ def test_rules_flag_what_they_name(tmp_path):
         "def project(images):\n"
         "    return _invert_all(images, 'unitary'), lambda: reps._invert_all(images, 'x')\n"
         "def triangle(m):\n"
-        "    return np.linalg.qr(m, mode='r'), qr(m), np.linalg.qr\n")
+        "    return np.linalg.qr(m, mode='r'), qr(m), np.linalg.qr\n"
+        "def principal_sines(t):\n"
+        "    return right_factor(t), linalg.right_factor(t), right_factor\n")
     assert unused_module_imports(module) == ["sample.py:2 json"]
     assert non_cycle_local_imports(module) == ["sample.py:6 in f", "sample.py:7 in f"]
     assert package_imports(module) == ["sample.py:4 reps", "sample.py:7 reps",
@@ -365,4 +375,6 @@ def test_rules_flag_what_they_name(tmp_path):
     assert call_sites(module, "_invert_all") == ["sample.py:38 in project",
                                                  "sample.py:38 in project"]
     assert calls_named(module, "qr") == ["sample.py:40", "sample.py:40"]
+    assert call_sites(module, "right_factor") == ["sample.py:42 in principal_sines",
+                                                  "sample.py:42 in principal_sines"]
 
