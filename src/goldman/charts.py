@@ -33,10 +33,10 @@ from .words import check_index
 TRIVIALIZATION = "right"  # division side used in the difference quotient
 
 
-def _raw_deformed_images(rep: Representation, values: np.ndarray, t: float):
+def _raw_deformed_images(rep: Representation, values: np.ndarray):
     # expm of a stack exponentiates (and scales) each matrix on its own,
     # so a (k, 2g, n, n) stack of cocycle values moves each tuple alone
-    return expm(t * values) @ rep.images
+    return expm(values) @ rep.images
 
 
 def _check_fd_step(step: float):
@@ -81,13 +81,15 @@ class Chart:
     """Coordinates around a representation: center plus a cocycle frame.
 
     Points are Newton-retracted exponentials along real combinations of
-    the frame; evaluations are pure and cached by coordinate tuple.  A
+    the frame; evaluations are pure and cached by coordinate tuple, with
+    the raw exponential move of each tuple beside its retraction.  A
     curve along chi is the one-axis chart (chi,), and deform its point.
     """
 
     center: Representation
     frame: tuple[Cocycle, ...]
     _cache: dict = field(default_factory=dict, init=False, repr=False)
+    _raw: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         # points combine the frame over the center, so its base is checked
@@ -122,9 +124,10 @@ class Chart:
             # a Newton failure of an earlier tuple supersedes the error
             # that stopped the loop
             if moves:
-                raw = _raw_deformed_images(self.center, np.array(list(moves.values())), 1.0)
+                raw = _raw_deformed_images(self.center, np.array(list(moves.values())))
                 self._cache.update(zip(moves, newton_project(
                     self.center.presentation, raw, GENERAL_LINEAR, seed=self.center.seed)))
+                self._raw.update(zip(moves, raw))
         return tuple(self._cache[key] for key in keys)
 
     def _checked_key(self, coords, moves: dict):
@@ -140,7 +143,7 @@ class Chart:
         if not np.isfinite(coords).all():
             raise InputError(f"chart coordinates {key} leave the deformation trust region")
         if not np.any(coords):
-            self._cache[key] = self.center
+            self._cache[key], self._raw[key] = self.center, self.center.images
             return key
         direction = linear_combination(self.center, coords, self.frame)
         if not direction.norm() <= tolerances.DEFORM_TRUST * (1 + tolerances.DEFORM_TRUST_SLACK):
@@ -182,14 +185,13 @@ def deform(rep: Representation, direction: Cocycle, t: float) -> Representation:
 
 def deformation_correction(chart: Chart, coords) -> float:
     """Distance between the raw exponential move to chart coordinates and
-    its Newton retraction, the chart's memoised point.
+    its Newton retraction, both read from the chart's memo.
 
     Second order in the coordinates: the exponential move is tangent to
     the variety.
     """
     projected = chart.point(coords)  # validates the coordinates first
-    direction = linear_combination(chart.center, coords, chart.frame)
-    raw = _raw_deformed_images(chart.center, direction.values, 1.0)
+    raw = chart._raw[tuple(np.asarray(coords, dtype=float).tolist())]
     return float(np.sqrt(sum(
         np.linalg.norm(a - b) ** 2 for a, b in zip(raw, projected.images))))
 

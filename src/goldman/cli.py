@@ -44,31 +44,41 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", type=Path, default=Path("."),
                         help="output directory for generated files")
 
+    # each subcommand names its handler, run(config, args); the handlers
+    # look cmd_* up when called, so a rebound module name is the one run
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("dims", help="cocycle space dimensions vs the closed formula")
+    p = sub.add_parser("dims", help="cocycle space dimensions vs the closed formula")
+    p.set_defaults(run=lambda config, args: cmd_dims(config))
 
     p = sub.add_parser("random-rep", help="write a seeded representation file")
     p.add_argument("--file", type=Path, default=None)
+    p.set_defaults(run=lambda config, args: cmd_random_rep(config, args.file))
 
     p = sub.add_parser("cocycle-basis", help="write a basis of cocycle files")
     p.add_argument("--rep", type=Path, default=None)
     p.add_argument("--space", choices=["z1", "h1-complement"],
                    default="h1-complement")
+    p.set_defaults(run=lambda config, args: cmd_cocycle_basis(config, args.rep, args.space))
 
     p = sub.add_parser("gram", help="Gram matrix of the pairing on cocycle files")
     p.add_argument("--rep", type=Path, required=True)
     p.add_argument("cocycles", nargs="+", type=Path)
+    p.set_defaults(run=lambda config, args: cmd_gram(config, args.rep, args.cocycles))
 
     p = sub.add_parser("symplectic-basis",
                        help="reduce the pairing on cocycle files to standard form")
     p.add_argument("--rep", type=Path, required=True)
     p.add_argument("cocycles", nargs="+", type=Path)
+    p.set_defaults(run=lambda config, args: cmd_symplectic_basis(config, args.rep,
+                                                                 args.cocycles))
 
     p = sub.add_parser("deform", help="move a representation along a cocycle")
     p.add_argument("--rep", type=Path, required=True)
     p.add_argument("--cocycle", type=Path, required=True)
     p.add_argument("--step", type=float, required=True)
+    p.set_defaults(run=lambda config, args: cmd_deform(config, args.rep, args.cocycle,
+                                                       args.step))
 
     p = sub.add_parser("closedness", help="finite-difference exterior derivative")
     p.add_argument("--rep", type=Path, default=None,
@@ -78,11 +88,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--triple", default="0,1,2", metavar="I,J,K")
     p.add_argument("--steps", default="8e-3,4e-3,2e-3,1e-3",
                    help="comma-separated ladder of step sizes")
+    p.set_defaults(run=lambda config, args: cmd_closedness(config, args.rep, args.cocycles,
+                                                           args.triple, args.steps))
 
     p = sub.add_parser("verify", help="run the bundled property suite")
     p.add_argument("--mutate", choices=["dual-sign"], default=None,
                    help="test instrumentation: inject a known defect so the "
                         "suite must fail")
+    p.set_defaults(run=lambda config, args: cmd_verify(config))
     return parser
 
 
@@ -261,25 +274,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _config(args)
-        if args.command == "dims":
-            return cmd_dims(config)
-        if args.command == "random-rep":
-            return cmd_random_rep(config, args.file)
-        if args.command == "cocycle-basis":
-            return cmd_cocycle_basis(config, args.rep, args.space)
-        if args.command == "gram":
-            return cmd_gram(config, args.rep, args.cocycles)
-        if args.command == "symplectic-basis":
-            return cmd_symplectic_basis(config, args.rep, args.cocycles)
-        if args.command == "deform":
-            return cmd_deform(config, args.rep, args.cocycle, args.step)
-        if args.command == "closedness":
-            return cmd_closedness(config, args.rep, args.cocycles,
-                                  args.triple, args.steps)
-        if args.command == "verify":
-            return cmd_verify(config)
-        raise InputError(f"unknown command {args.command!r}")
+        return args.run(_config(args), args)
     except GoldmanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

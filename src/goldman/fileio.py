@@ -1,5 +1,11 @@
 """Line-oriented text schemas for representations, cocycles and matrices.
 
+Every file is one document: a `format: <kind> 1` line, `key: value`
+header lines, then labelled blocks of matrix rows, one `generator:
+<name>` block per generator or a single `data:` block.  _document writes
+that layout and _read_document reads it back, strictly: the expected
+blocks with their rows, finite entries, and nothing after them.
+
 Floats are written with 17 significant digits, which round-trips IEEE
 doubles exactly, so write-then-read is lossless bit for bit.  A
 representation file carries a content hash; cocycle files reference that
@@ -15,6 +21,7 @@ import numpy as np
 
 from .cocycles import Cocycle
 from .errors import InputError
+from .linalg import require_finite
 from .reps import Representation
 from .words import Presentation
 
@@ -23,29 +30,6 @@ FORMAT_VERSION = "1"
 
 def format_float(x: float) -> str:
     return f"{x:.17g}"
-
-
-def _matrix_lines(m: np.ndarray):
-    for row in np.asarray(m):
-        yield " ".join(f"{format_float(z.real)} {format_float(z.imag)}" for z in row)
-
-
-def _parse_matrix(lines, rows: int, cols: int) -> np.ndarray:
-    out = []
-    for _ in range(rows):
-        try:
-            raw = next(lines)
-        except StopIteration:
-            raise InputError("unexpected end of file inside a matrix block")
-        parts = raw.split()
-        if len(parts) != 2 * cols:
-            raise InputError(f"expected {2 * cols} numbers in a matrix row, got {len(parts)}")
-        try:
-            values = [float(p) for p in parts]
-        except ValueError as exc:
-            raise InputError(f"bad float in matrix row: {exc}")
-        out.append([complex(values[2 * i], values[2 * i + 1]) for i in range(cols)])
-    return np.array(out, dtype=complex)
 
 
 def _read_text(path) -> str:
@@ -74,52 +58,20 @@ def ensure_directory(path) -> None:
         raise InputError(str(exc)) from exc
 
 
-def _representation_payload(rep: Representation) -> str:
-    lines = [
-        f"format: representation {FORMAT_VERSION}",
-        f"genus: {rep.genus}",
-        f"rank: {rep.rank}",
-        f"flavor: {rep.flavor}",
-        f"seed: {'none' if rep.seed is None else rep.seed}",
-    ]
-    for i, m in enumerate(rep.images):
-        lines.append(f"generator: {rep.presentation.generator_name(i)}")
-        lines.extend(_matrix_lines(m))
+def _generator_labels(pres: Presentation):
+    """The block labels of a generator-indexed stack, in presentation order."""
+    return (f"generator: {pres.generator_name(i)}" for i in range(pres.generator_count))
+
+
+def _document(kind: str, header, blocks) -> str:
+    """The text of a file: its format line, the header lines, then each
+    (label, matrix) block, one matrix row per line as `re im` pairs."""
+    lines = [f"format: {kind} {FORMAT_VERSION}", *header]
+    for label, matrix in blocks:
+        lines.append(label)
+        lines.extend(" ".join(f"{format_float(z.real)} {format_float(z.imag)}" for z in row)
+                     for row in matrix.tolist())
     return "\n".join(lines) + "\n"
-
-
-def representation_fingerprint(rep: Representation) -> str:
-    return hashlib.sha256(_representation_payload(rep).encode()).hexdigest()
-
-
-def write_representation(path, rep: Representation) -> str:
-    """Write a representation file; returns its content hash."""
-    payload = _representation_payload(rep)
-    digest = hashlib.sha256(payload.encode()).hexdigest()
-    head, _, tail = payload.partition("\n")
-    write_text(path, f"{head}\nhash: {digest}\n{tail}")
-    return digest
-
-
-def _read_header(lines, expected_kind: str) -> dict:
-    try:
-        first = next(lines)
-    except StopIteration:
-        raise InputError("empty file")
-    if first != f"format: {expected_kind} {FORMAT_VERSION}":
-        raise InputError(f"not a {expected_kind} file (header {first!r})")
-    header = {"format": f"{expected_kind} {FORMAT_VERSION}"}
-    for line in lines:
-        if line == "data:":
-            break
-        key, sep, value = line.partition(": ")
-        if not sep:
-            raise InputError(f"malformed header line {line!r}")
-        if key == "generator":
-            header.setdefault("_first_generator", value)
-            break
-        header[key] = value
-    return header
 
 
 def _header_int(header: dict, key: str) -> int:
@@ -131,40 +83,92 @@ def _header_int(header: dict, key: str) -> int:
         raise InputError(f"header field {key!r} is not an integer")
 
 
-def _read_generator_blocks(lines, header: dict, pres: Presentation, rank: int):
-    """One matrix per generator, from `generator:` blocks in presentation order."""
-    matrices = []
-    name = header.get("_first_generator")
-    for position in range(pres.generator_count):
-        want = pres.generator_name(position)
-        if position > 0:
+def _read_document(path, kind: str):
+    """(header, blocks) of a file of kind: header maps each header key to
+    its value, and blocks holds one complex matrix per block, in order.
+
+    The header declares the blocks: one rows x cols `data:` block for a
+    matrix, one rank x rank `generator:` block per generator, in
+    presentation order, otherwise.  Exactly those blocks follow the
+    header, each with exactly its rows and finite entries; any line
+    after the last of them is an input error.
+    """
+    lines = _read_text(path).splitlines()
+    first = lines[0] if lines else ""
+    if first != f"format: {kind} {FORMAT_VERSION}":
+        raise InputError(f"not a {kind} file (first line {first!r})")
+    header, at = {}, 1
+    while at < len(lines) and lines[at] != "data:" and not lines[at].startswith("generator: "):
+        key, sep, value = lines[at].partition(": ")
+        if not sep:
+            raise InputError(f"malformed header line {lines[at]!r}")
+        if key in header:
+            raise InputError(f"repeated header field {key!r}")
+        header[key] = value
+        at += 1
+    if kind == "matrix":
+        labels, rows, cols = ["data:"], _header_int(header, "rows"), _header_int(header, "cols")
+    else:
+        labels = _generator_labels(Presentation(_header_int(header, "genus")))
+        rows = cols = _header_int(header, "rank")
+    if rows < 0 or cols < 0:
+        raise InputError(f"{kind} shape {rows} x {cols} has a negative side")
+    blocks = []
+    for label in labels:
+        if lines[at:at + 1] != [label]:
+            raise InputError(f"expected a {label!r} line at line {at + 1}")
+        block = lines[at + 1:at + 1 + rows]
+        if len(block) != rows:
+            raise InputError(f"{label!r} block has {len(block)} rows, expected {rows}")
+        values = []
+        for raw in block:
+            parts = raw.split()
+            if len(parts) != 2 * cols:
+                raise InputError(f"expected {2 * cols} numbers in a matrix row, "
+                                 f"got {len(parts)}")
             try:
-                line = next(lines)
-            except StopIteration:
-                raise InputError("missing generator blocks")
-            key, sep, name = line.partition(": ")
-            if key != "generator" or not sep:
-                raise InputError(f"expected a generator line, got {line!r}")
-        if name != want:
-            raise InputError(f"generator blocks out of order: expected {want}, got {name}")
-        matrices.append(_parse_matrix(lines, rank, rank))
-    return matrices
+                values.extend(map(float, parts))
+            except ValueError as exc:
+                raise InputError(f"bad float in matrix row: {exc}")
+        blocks.append(np.array(values, dtype=float).view(complex).reshape(rows, cols))
+        require_finite(blocks[-1], f"{kind} file blocks")
+        at += 1 + rows
+    if at < len(lines):
+        raise InputError(f"unexpected line {lines[at]!r} after the last block")
+    return header, blocks
+
+
+def _representation_document(rep: Representation) -> str:
+    """The text of a representation file, less its hash line."""
+    seed = "none" if rep.seed is None else rep.seed
+    return _document("representation",
+                     [f"genus: {rep.genus}", f"rank: {rep.rank}",
+                      f"flavor: {rep.flavor}", f"seed: {seed}"],
+                     zip(_generator_labels(rep.presentation), rep.images))
+
+
+def representation_fingerprint(rep: Representation) -> str:
+    return hashlib.sha256(_representation_document(rep).encode()).hexdigest()
+
+
+def write_representation(path, rep: Representation) -> str:
+    """Write a representation file; returns its content hash."""
+    payload = _representation_document(rep)
+    digest = hashlib.sha256(payload.encode()).hexdigest()
+    head, _, tail = payload.partition("\n")
+    write_text(path, f"{head}\nhash: {digest}\n{tail}")
+    return digest
 
 
 def read_representation(path) -> Representation:
-    lines = iter(_read_text(path).splitlines())
-    header = _read_header(lines, "representation")
-    genus = _header_int(header, "genus")
-    rank = _header_int(header, "rank")
-    flavor = header.get("flavor")
+    header, images = _read_document(path, "representation")
     seed = None if header.get("seed", "none") == "none" else _header_int(header, "seed")
     stored_hash = header.get("hash")
     if stored_hash is None:
         raise InputError("representation file is missing its hash line")
-
-    pres = Presentation(genus)
-    images = _read_generator_blocks(lines, header, pres, rank)
-    rep = Representation(pres, rank, images, flavor, seed=seed)
+    rep = Representation(Presentation(_header_int(header, "genus")),
+                         _header_int(header, "rank"), images, header.get("flavor"),
+                         seed=seed)
     if rep.fingerprint != stored_hash:
         raise InputError("representation file hash does not match its contents")
     return rep
@@ -172,47 +176,27 @@ def read_representation(path) -> Representation:
 
 def write_cocycle(path, chi: Cocycle) -> None:
     rep = chi.base
-    lines = [
-        f"format: cocycle {FORMAT_VERSION}",
-        f"genus: {rep.genus}",
-        f"rank: {rep.rank}",
-        f"base-hash: {rep.fingerprint}",
-    ]
-    for i, m in enumerate(chi.values):
-        lines.append(f"generator: {rep.presentation.generator_name(i)}")
-        lines.extend(_matrix_lines(m))
-    write_text(path, "\n".join(lines) + "\n")
+    write_text(path, _document(
+        "cocycle",
+        [f"genus: {rep.genus}", f"rank: {rep.rank}", f"base-hash: {rep.fingerprint}"],
+        zip(_generator_labels(rep.presentation), chi.values)))
 
 
 def read_cocycle(path, base: Representation) -> Cocycle:
-    lines = iter(_read_text(path).splitlines())
-    header = _read_header(lines, "cocycle")
-    genus = _header_int(header, "genus")
-    rank = _header_int(header, "rank")
-    base_hash = header.get("base-hash")
-    if genus != base.genus or rank != base.rank:
+    header, values = _read_document(path, "cocycle")
+    if (_header_int(header, "genus"), _header_int(header, "rank")) != (base.genus, base.rank):
         raise InputError("cocycle file shape does not match the base representation")
-    if base_hash != base.fingerprint:
+    if header.get("base-hash") != base.fingerprint:
         raise InputError("cocycle base hash does not match the provided representation")
-    return Cocycle(base, _read_generator_blocks(lines, header, base.presentation, rank))
+    return Cocycle(base, values)
 
 
 def write_matrix(path, matrix: np.ndarray, header_lines=()) -> None:
     matrix = np.atleast_2d(np.asarray(matrix, dtype=complex))
-    lines = [f"format: matrix {FORMAT_VERSION}",
-             f"rows: {matrix.shape[0]}",
-             f"cols: {matrix.shape[1]}"]
-    lines.extend(header_lines)
-    lines.append("data:")
-    lines.extend(_matrix_lines(matrix))
-    write_text(path, "\n".join(lines) + "\n")
+    write_text(path, _document(
+        "matrix", [f"rows: {matrix.shape[0]}", f"cols: {matrix.shape[1]}", *header_lines],
+        [("data:", matrix)]))
 
 
 def read_matrix(path) -> np.ndarray:
-    lines = iter(_read_text(path).splitlines())
-    header = _read_header(lines, "matrix")
-    rows, cols = _header_int(header, "rows"), _header_int(header, "cols")
-    if rows < 0 or cols < 0:
-        raise InputError(f"matrix shape {rows} x {cols} has a negative side")
-    # a 0 x k block parses as an empty list, which numpy shapes (0,)
-    return _parse_matrix(lines, rows, cols).reshape(rows, cols)
+    return _read_document(path, "matrix")[1][0]

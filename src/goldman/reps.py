@@ -33,8 +33,8 @@ class Representation:
     images is a read-only complex (2g, n, n) stack ordered like the
     generators, [a1, b1, a2, b2, ...], from any sequence of 2g matrices;
     inverse_images is the read-only stack of their inverses.
-    Construction enforces the relator defect and, for the unitary flavor,
-    unitarity of every image.
+    Construction enforces the relator defect, the seed rule of check_seed
+    and, for the unitary flavor, unitarity of every image.
     """
 
     presentation: Presentation
@@ -48,6 +48,8 @@ class Representation:
         check_size(rank=n)
         if self.flavor not in FLAVORS:
             raise InputError(f"unknown flavor {self.flavor!r}")
+        if self.seed is not None:
+            check_seed(self.seed)
         images = generator_stack(self.images, self.presentation.generator_count, n,
                                  "generator images")
         # one stacked det still factors each image on its own
@@ -209,7 +211,7 @@ def commutator_factor(u: np.ndarray, unitary: bool = True):
 
 
 def check_seed(seed: int) -> None:
-    """Seeds are unsigned 64-bit integers, from the CLI and the API alike."""
+    """Seeds are unsigned 64-bit integers, from the CLI, the API and files alike."""
     if not isinstance(seed, INTEGER) or not 0 <= seed < 2 ** 64:
         raise InputError("seed must be an unsigned 64-bit integer")
 

@@ -31,8 +31,9 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio, tolerances
-from .charts import (FLAT, Chart, closedness_check, closedness_floors, convergence_order,
-                     deform, deformation_correction, rh_differential, rh_word_value)
+from .charts import (FLAT, TRIVIALIZATION, Chart, closedness_check, closedness_floors,
+                     convergence_order, deform, deformation_correction, rh_differential,
+                     rh_word_value)
 from .cocycles import (Cocycle, CocycleBasis, anti_hermitian_part, coboundary,
                        cocycle_basis, cocycle_law_residuals, expected_h1_dimension,
                        random_cocycle, real_locus_bases, relator_residual,
@@ -859,7 +860,7 @@ def run_suite(config: RunConfig):
 
 def render_report(config: RunConfig, results) -> str:
     lines = [f"config: {config.describe()}",
-             f"trivialization: right"]
+             f"trivialization: {TRIVIALIZATION}"]
     failed = 0
     for result in results:
         lines.append(result.line())

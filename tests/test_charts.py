@@ -67,6 +67,29 @@ class TestDeform:
         deformation_correction(chart, (5e-4,))
         assert list(chart._cache) == [(1e-3,), (5e-4,)]
 
+    def test_correction_reads_the_memoised_raw_move(self, basis_g2n2, monkeypatch):
+        chi = unit_h1_direction(basis_g2n2, 53)
+        chart = Chart(center=basis_g2n2.base, frame=(chi,))
+        moves = []
+        raw_move = goldman.charts._raw_deformed_images
+
+        def counted(rep, values):
+            moves.append(len(values))
+            return raw_move(rep, values)
+
+        monkeypatch.setattr(goldman.charts, "_raw_deformed_images", counted)
+        steps = (1e-3, 5e-4)
+        points = chart.points([(t,) for t in steps])
+        corrections = [deformation_correction(chart, (t,)) for t in steps + (0.0,)]
+        # one stacked raw move for both steps; the centre's is its images
+        assert moves == [2]
+        assert corrections[2] == 0.0
+        for t, point, correction in zip(steps, points, corrections):
+            raw = [scipy.linalg.expm(t * v) @ x for v, x in zip(chi.values, chart.center.images)]
+            expected = np.sqrt(sum(np.linalg.norm(a - b) ** 2
+                                   for a, b in zip(raw, point.images)))
+            assert correction == pytest.approx(expected, rel=1e-6)
+
     def test_coboundary_direction_is_conjugation(self, basis_g2n2):
         # moving along delta_v tracks conjugation by exp(-t v) to first order
         rng = np.random.default_rng(54)

@@ -320,6 +320,19 @@ class TestFileCommands:
         assert_input_error(code, err)
         assert "seed" in err
 
+    def test_gram_rep_with_trailing_line_exits_two(self, tmp_path, capsys):
+        out_dir = str(tmp_path)
+        run_cli(["--out", out_dir, "random-rep"], capsys)
+        run_cli(["--out", out_dir, "cocycle-basis"], capsys)
+        rep_file = tmp_path / "representation.txt"
+        rep_file.write_text(rep_file.read_text() + "junk\n")
+        code, out, err = run_cli(["--out", out_dir, "gram", "--rep", str(rep_file),
+                                  str(tmp_path / "cocycle-000.txt")], capsys)
+        assert_input_error(code, err)
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "gram.txt").exists()
+
     def test_write_into_missing_directory_exits_two(self, tmp_path, capsys):
         code, _, err = run_cli(["random-rep", "--file",
                                 str(tmp_path / "absent" / "rep.txt")], capsys)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,18 @@ from goldman import InputError, random_cocycle, random_representation
 from goldman.fileio import (format_float, read_cocycle, read_matrix,
                             read_representation, write_cocycle, write_matrix,
                             write_representation)
+
+
+def rehashed(text, **fields):
+    """A representation file's text with header fields replaced and its
+    hash line recomputed, as the writer computes it."""
+    lines = [line for line in text.splitlines() if not line.startswith("hash: ")]
+    for key, value in fields.items():
+        lines = [f"{key}: {value}" if line.startswith(f"{key}: ") else line
+                 for line in lines]
+    payload = "\n".join(lines) + "\n"
+    head, _, tail = payload.partition("\n")
+    return f"{head}\nhash: {hashlib.sha256(payload.encode()).hexdigest()}\n{tail}"
 
 
 class TestFloatFormat:
@@ -55,6 +69,30 @@ class TestRepresentationFile:
         with pytest.raises(InputError):
             read_representation(path)
 
+    @pytest.mark.parametrize("seed", [-3, 2 ** 70])
+    def test_rehashed_out_of_range_seed_rejected(self, tmp_path, rep_g2n2, seed):
+        path = tmp_path / "rep.txt"
+        write_representation(path, rep_g2n2)
+        path.write_text(rehashed(path.read_text(), seed=seed))
+        with pytest.raises(InputError, match="seed"):
+            read_representation(path)
+
+    @pytest.mark.parametrize("line", ["junk", ""])
+    def test_trailing_line_rejected(self, tmp_path, rep_g2n2, line):
+        path = tmp_path / "rep.txt"
+        write_representation(path, rep_g2n2)
+        path.write_text(path.read_text() + line + "\n")
+        with pytest.raises(InputError, match="after the last block"):
+            read_representation(path)
+
+    def test_extra_generator_block_rejected(self, tmp_path, rep_g2n2):
+        path = tmp_path / "rep.txt"
+        write_representation(path, rep_g2n2)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + ["generator: a3"] + lines[-2:]) + "\n")
+        with pytest.raises(InputError, match="generator: a3"):
+            read_representation(path)
+
     def test_general_linear_round_trip(self, tmp_path):
         rep = random_representation(2, 3, "general-linear", seed=21)
         write_representation(tmp_path / "rep.txt", rep)
@@ -97,6 +135,25 @@ class TestCocycleFile:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-2]) + "\n")
         with pytest.raises(InputError):
+            read_cocycle(path, rep_g2n2)
+
+
+    def test_extra_row_rejected(self, tmp_path, rep_g2n2, basis_g2n2):
+        chi = random_cocycle(basis_g2n2, np.random.default_rng(74))
+        path = tmp_path / "coc.txt"
+        write_cocycle(path, chi)
+        text = path.read_text()
+        path.write_text(text + text.splitlines()[-1] + "\n")
+        with pytest.raises(InputError, match="after the last block"):
+            read_cocycle(path, rep_g2n2)
+
+    def test_repeated_header_field_rejected(self, tmp_path, rep_g2n2, basis_g2n2):
+        chi = random_cocycle(basis_g2n2, np.random.default_rng(74))
+        path = tmp_path / "coc.txt"
+        write_cocycle(path, chi)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:2] + lines[1:]) + "\n")
+        with pytest.raises(InputError, match="repeated header field 'genus'"):
             read_cocycle(path, rep_g2n2)
 
 
@@ -148,6 +205,21 @@ class TestMatrixFile:
         lines[-1] = " ".join(["one"] + lines[-1].split()[1:])
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(InputError, match="bad float"):
+            read_matrix(path)
+
+    def test_extra_row_rejected(self, tmp_path):
+        path = tmp_path / "m.txt"
+        write_matrix(path, np.array([[1 + 2j]]))
+        path.write_text(path.read_text() + "1 2\n")
+        with pytest.raises(InputError, match="after the last block"):
+            read_matrix(path)
+
+    @pytest.mark.parametrize("entry", ["nan inf", "1 nan", "-inf 0"])
+    def test_non_finite_entry_rejected(self, tmp_path, entry):
+        path = tmp_path / "m.txt"
+        write_matrix(path, np.array([[1 + 2j]]))
+        path.write_text(path.read_text().replace("\n1 2\n", f"\n{entry}\n"))
+        with pytest.raises(InputError, match="non-finite"):
             read_matrix(path)
 
     def test_directory_rejected(self, tmp_path):

@@ -1,8 +1,9 @@
 """Property tests of the file schemas.
 
-Every schema round-trips bit for bit, and a file with one line edited
+Every schema round-trips bit for bit, a file with one line edited
 either reads back (a representation with its original fingerprint) or
-raises InputError: no other exception escapes a reader.  Hypothesis runs
+raises InputError: no other exception escapes a reader, and a file with
+any line appended raises InputError.  Hypothesis runs
 derandomized and without an example database, so every run draws the
 same examples.
 """
@@ -181,3 +182,36 @@ class TestOneLineEdit:
             read_matrix(path)
         except InputError:
             pass
+
+
+def _appended(workdir, line, write, name):
+    """Write a file, append one line to it, and return its path."""
+    path = workdir / name
+    write(path)
+    path.write_text(path.read_text() + line + "\n", encoding="utf-8")
+    return path
+
+
+class TestAppendedLine:
+    """Nothing may follow the expected blocks, not even a blank line."""
+
+    @PROPERTY
+    @given(rep=representations, line=new_lines)
+    def test_representation(self, workdir, rep, line):
+        path = _appended(workdir, line, lambda p: write_representation(p, rep), "rep.txt")
+        with pytest.raises(InputError):
+            read_representation(path)
+
+    @PROPERTY
+    @given(chi=cocycles(), line=new_lines)
+    def test_cocycle(self, workdir, chi, line):
+        path = _appended(workdir, line, lambda p: write_cocycle(p, chi), "coc.txt")
+        with pytest.raises(InputError):
+            read_cocycle(path, chi.base)
+
+    @PROPERTY
+    @given(matrix=matrices, line=new_lines)
+    def test_matrix(self, workdir, matrix, line):
+        path = _appended(workdir, line, lambda p: write_matrix(p, matrix), "m.txt")
+        with pytest.raises(InputError):
+            read_matrix(path)

@@ -1,7 +1,7 @@
 """Import hygiene of the package source, checked on its syntax trees,
 and the independence of the cup-product oracle.
 
-Sixteen rules, with no lint dependency:
+Seventeen rules, with no lint dependency:
 
 - every module-level import is used in its module (the package
   ``__init__`` re-exports, and ``from __future__`` imports are exempt);
@@ -44,6 +44,10 @@ Sixteen rules, with no lint dependency:
   decided ``coboundary_svd`` ``cocycle_basis`` and
   ``commutant_dimension`` both read, so the rank of v -> delta_v is
   decided once per representation;
+- ``fileio._read_text`` is called only in ``fileio._read_document``, the
+  one strict reader of the file layout, and ``format_float`` only in
+  ``fileio._document``, its one writer, so no second parser or
+  serializer can grow beside them;
 - ``_invert_all`` is called only in ``Representation.inverse_images``,
   ``random_representation`` and ``newton_project``: every other reader of
   inverse images, the Fox Jacobian included, is handed them;
@@ -282,6 +286,13 @@ def test_one_right_factor_site():
     assert sorted(set(_without_lines(found))) == ["cocycles.py in principal_sines"]
 
 
+def test_one_document_reader_and_writer():
+    reads = [site for path in MODULES for site in call_sites(path, "_read_text")]
+    writes = [site for path in MODULES for site in call_sites(path, "format_float")]
+    assert sorted(set(_without_lines(reads))) == ["fileio.py in _read_document"]
+    assert sorted(set(_without_lines(writes))) == ["fileio.py in _document"]
+
+
 def test_inversion_sites():
     found = [site for path in MODULES for site in call_sites(path, "_invert_all")]
     assert sorted(set(_without_lines(found))) == ["reps.py in Representation.inverse_images",
@@ -355,7 +366,11 @@ def test_rules_flag_what_they_name(tmp_path):
         "def triangle(m):\n"
         "    return np.linalg.qr(m, mode='r'), qr(m), np.linalg.qr\n"
         "def principal_sines(t):\n"
-        "    return right_factor(t), linalg.right_factor(t), right_factor\n")
+        "    return right_factor(t), linalg.right_factor(t), right_factor\n"
+        "def _read_document(path):\n"
+        "    return _read_text(path), fileio._read_text(path), format_float\n"
+        "def _document(rows):\n"
+        "    return [format_float(x) for row in rows for x in row]\n")
     assert unused_module_imports(module) == ["sample.py:2 json"]
     assert non_cycle_local_imports(module) == ["sample.py:6 in f", "sample.py:7 in f"]
     assert package_imports(module) == ["sample.py:4 reps", "sample.py:7 reps",
@@ -377,4 +392,7 @@ def test_rules_flag_what_they_name(tmp_path):
     assert calls_named(module, "qr") == ["sample.py:40", "sample.py:40"]
     assert call_sites(module, "right_factor") == ["sample.py:42 in principal_sines",
                                                   "sample.py:42 in principal_sines"]
+    assert call_sites(module, "_read_text") == ["sample.py:44 in _read_document",
+                                                "sample.py:44 in _read_document"]
+    assert call_sites(module, "format_float") == ["sample.py:46 in _document"]
 
