@@ -19,7 +19,7 @@ from .errors import ConditioningError, ConvergenceError, InputError
 from .linalg import (ad_matrix, expm, frob, generator_stack, ginibre, haar_unitary,
                      polar_unitary, require_finite, split_singular_values,
                      triangular_values, unitary_eigenframe, vec)
-from .words import INTEGER, GroupWord, Presentation, check_size, letter_codes
+from .words import GroupWord, Presentation, check_size, is_integer, letter_codes
 
 UNITARY = "unitary"
 GENERAL_LINEAR = "general-linear"
@@ -212,7 +212,7 @@ def commutator_factor(u: np.ndarray, unitary: bool = True):
 
 def check_seed(seed: int) -> None:
     """Seeds are unsigned 64-bit integers, from the CLI, the API and files alike."""
-    if not isinstance(seed, INTEGER) or not 0 <= seed < 2 ** 64:
+    if not is_integer(seed) or not 0 <= seed < 2 ** 64:
         raise InputError("seed must be an unsigned 64-bit integer")
 
 

@@ -1,10 +1,13 @@
 """The bundled property suite: every standing invariant, one line each.
 
-Each check is a function of one run (SuiteRun) built from the
-configuration, which shares its seeded objects among the checks and
-gives each check its own deterministic random stream.  A check reports
-(name, samples, max residual, threshold, verdict).  Checks never abort
-the suite; the caller turns any failure into a nonzero exit status.
+A check is a measurement of one run and one stream: check_x(run, rng)
+returns (samples, max residual, threshold), where the run (SuiteRun),
+built from the configuration, shares its seeded objects among the
+checks.  The runner, run_check, names, seeds and judges it: the check's
+ALL_CHECKS row is the one place it is named, its stream is
+run.rng(name), and it reports (name, samples, max residual, threshold,
+verdict).  Checks never abort the suite; the caller turns any failure
+into a nonzero exit status.
 
 The checks that pair many cocycles over one fixed base (cup-dual-agreement,
 class-invariance, antisymmetry, bilinearity, conjugation-equivariance)
@@ -68,10 +71,8 @@ class CheckResult:
                 f"threshold={self.threshold:.6e} verdict={verdict}")
 
 
-def _result(name, samples, residual, threshold) -> CheckResult:
-    residual = float(residual)
-    return CheckResult(name, samples, residual, threshold,
-                       passed=residual <= threshold)
+# what a check measures: (samples, max residual, threshold)
+Measurement = tuple[int, float, float]
 
 
 MAX_WORD_LENGTH = 8
@@ -152,9 +153,8 @@ class SuiteRun:
 
 # ----------------------------------------------------------------- word core
 
-def check_word_reduction_confluence(run: SuiteRun) -> CheckResult:
+def check_word_reduction_confluence(run: SuiteRun, rng) -> Measurement:
     """Random-order cancellation agrees with the eager reducer."""
-    rng = run.rng("word-reduction-confluence")
     pres = Presentation(run.config.genus)
     failures = 0
     samples = 100
@@ -173,11 +173,10 @@ def check_word_reduction_confluence(run: SuiteRun) -> CheckResult:
             del work[i:i + 2]
         if pres.word(work) != eager:
             failures += 1
-    return _result("word-reduction-confluence", samples, failures, 0.0)
+    return samples, failures, 0.0
 
 
-def check_fox_product_rule(run: SuiteRun) -> CheckResult:
-    rng = run.rng("fox-product-rule")
+def check_fox_product_rule(run: SuiteRun, rng) -> Measurement:
     pres = Presentation(run.config.genus)
     failures = 0
     samples = 0
@@ -190,10 +189,10 @@ def check_fox_product_rule(run: SuiteRun) -> CheckResult:
             samples += 1
             if lhs != rhs:
                 failures += 1
-    return _result("fox-product-rule", samples, failures, 0.0)
+    return samples, failures, 0.0
 
 
-def check_fox_closed_form(run: SuiteRun) -> CheckResult:
+def check_fox_closed_form(run: SuiteRun, rng) -> Measurement:
     """Recursive Fox derivative of the relator vs the partial-product forms."""
     failures = 0
     samples = 0
@@ -210,10 +209,10 @@ def check_fox_closed_form(run: SuiteRun) -> CheckResult:
                 failures += 1
             if pres.relator_derivative(2 * (k - 1) + 1) != closed_b:
                 failures += 1
-    return _result("fox-closed-form", samples, failures, 0.0)
+    return samples, failures, 0.0
 
 
-def check_dual_generator_identities(run: SuiteRun) -> CheckResult:
+def check_dual_generator_identities(run: SuiteRun, rng) -> Measurement:
     """Dual commutators telescope to inverse partial relators; the inverse
     generators are recovered from the dual side."""
     failures = 0
@@ -236,11 +235,10 @@ def check_dual_generator_identities(run: SuiteRun) -> CheckResult:
             samples += 1
             if pres.b(k).inverse() != prev_script_r * alpha * script_r.inverse():
                 failures += 1
-    return _result("dual-generator-identities", samples, failures, 0.0)
+    return samples, failures, 0.0
 
 
-def check_anti_involution(run: SuiteRun) -> CheckResult:
-    rng = run.rng("anti-involution")
+def check_anti_involution(run: SuiteRun, rng) -> Measurement:
     pres = Presentation(run.config.genus)
     failures = 0
     samples = 50
@@ -253,10 +251,10 @@ def check_anti_involution(run: SuiteRun) -> CheckResult:
             failures += 1
         if anti_involution(e + f) != anti_involution(e) + anti_involution(f):
             failures += 1
-    return _result("anti-involution", samples, failures, 0.0)
+    return samples, failures, 0.0
 
 
-def check_two_cycle_shape(run: SuiteRun) -> CheckResult:
+def check_two_cycle_shape(run: SuiteRun, rng) -> Measurement:
     failures = 0
     for genus in (1, 2, 3):
         pres = Presentation(genus)
@@ -266,13 +264,12 @@ def check_two_cycle_shape(run: SuiteRun) -> CheckResult:
         for coefficient, generator in cycle.pairs:
             if len(generator) != 1:
                 failures += 1
-    return _result("two-cycle-shape", 3, failures, 0.0)
+    return 3, failures, 0.0
 
 
 # ------------------------------------------------------------------ rep core
 
-def check_evaluate_multiplicative(run: SuiteRun) -> CheckResult:
-    rng = run.rng("evaluate-multiplicative")
+def check_evaluate_multiplicative(run: SuiteRun, rng) -> Measurement:
     rep = run.rep
     pres = rep.presentation
     samples = 100
@@ -281,21 +278,19 @@ def check_evaluate_multiplicative(run: SuiteRun) -> CheckResult:
     rhs = images[1::3] @ images[2::3]
     worst = max(0.0, *(frob(lhs - r) / max(1.0, frob(r))
                        for lhs, r in zip(images[0::3], rhs)))
-    return _result("evaluate-multiplicative", samples, worst, 1e-12)
+    return samples, worst, 1e-12
 
 
-def check_partial_relator_determinants(run: SuiteRun) -> CheckResult:
+def check_partial_relator_determinants(run: SuiteRun, rng) -> Measurement:
     rep = run.rep
     worst = 0.0
     for k in range(rep.genus + 1):
         det = np.linalg.det(evaluate(rep, rep.presentation.relator(k)))
         worst = max(worst, abs(det - 1.0))
-    return _result("partial-relator-determinants", rep.genus + 1, worst,
-                   tolerances.CONSTRUCTION)
+    return rep.genus + 1, worst, tolerances.CONSTRUCTION
 
 
-def check_commutator_factor(run: SuiteRun) -> CheckResult:
-    rng = run.rng("commutator-factor")
+def check_commutator_factor(run: SuiteRun, rng) -> Measurement:
     worst = 0.0
     samples = 0
     for n in (2, 3, 4):
@@ -310,27 +305,26 @@ def check_commutator_factor(run: SuiteRun) -> CheckResult:
             a, b = commutator_factor(m, unitary=False)
             worst = max(worst, frob(a @ b @ np.linalg.inv(a) @ np.linalg.inv(b) - m))
             samples += 1
-    return _result("commutator-factor", samples, worst, tolerances.CONSTRUCTION)
+    return samples, worst, tolerances.CONSTRUCTION
 
 
-def check_representation_reproducibility(run: SuiteRun) -> CheckResult:
+def check_representation_reproducibility(run: SuiteRun, rng) -> Measurement:
     one = run.rep
     two = run.config.representation()  # an independent fresh build
     identical = (np.array_equal(one.images, two.images)
                  and one.fingerprint == two.fingerprint)
-    return _result("representation-reproducibility", 2, 0.0 if identical else 1.0, 0.0)
+    return 2, 0.0 if identical else 1.0, 0.0
 
 
-def check_construction_quality(run: SuiteRun) -> CheckResult:
+def check_construction_quality(run: SuiteRun, rng) -> Measurement:
     """Relator defect and irreducibility over the seeded size grid."""
     reps = [basis.base for basis in run.grid_bases]
     if any(commutant_dimension(rep) != 1 for rep in reps):
-        return _result("construction-quality", len(reps), 1.0, 0.0)
-    return _result("construction-quality", len(reps), max(map(relator_defect, reps)), 1e-12)
+        return len(reps), 1.0, 0.0
+    return len(reps), max(map(relator_defect, reps)), 1e-12
 
 
-def check_newton_projection(run: SuiteRun) -> CheckResult:
-    rng = run.rng("newton-projection")
+def check_newton_projection(run: SuiteRun, rng) -> Measurement:
     rep = run.rep
     n = rep.rank
     failures = 0
@@ -359,13 +353,12 @@ def check_newton_projection(run: SuiteRun) -> CheckResult:
             pass
         else:
             failures += 1
-    return _result("newton-projection", samples, failures, 0.0)
+    return samples, failures, 0.0
 
 
 # -------------------------------------------------------------- cocycle core
 
-def check_cocycle_law_on_basis(run: SuiteRun) -> CheckResult:
-    rng = run.rng("cocycle-law-on-basis")
+def check_cocycle_law_on_basis(run: SuiteRun, rng) -> Measurement:
     basis = run.basis
     pres = basis.base.presentation
     worst = 0.0
@@ -374,21 +367,19 @@ def check_cocycle_law_on_basis(run: SuiteRun) -> CheckResult:
         pairs = [(_random_word(pres, rng), _random_word(pres, rng)) for _ in range(100)]
         worst = max(worst, *cocycle_law_residuals(chi, pairs))
         samples += len(pairs)
-    return _result("cocycle-law-on-basis", samples, worst,
-                   run.config.tolerance("verification"))
+    return samples, worst, run.config.tolerance("verification")
 
 
-def check_dimension_formula(run: SuiteRun) -> CheckResult:
+def check_dimension_formula(run: SuiteRun, rng) -> Measurement:
     failures = 0
     for (g, n), basis in zip(GRID, run.grid_bases):
         dims = basis.dims
         if dims[2] != expected_h1_dimension(g, n) or dims[0] - dims[1] != dims[2]:
             failures += 1
-    return _result("dimension-formula", len(GRID), failures, 0.0)
+    return len(GRID), failures, 0.0
 
 
-def check_coboundary_containment(run: SuiteRun) -> CheckResult:
-    rng = run.rng("coboundary-containment")
+def check_coboundary_containment(run: SuiteRun, rng) -> Measurement:
     rep, basis = run.rep, run.basis
     n = rep.rank
     frame = basis.z1_frame
@@ -399,11 +390,10 @@ def check_coboundary_containment(run: SuiteRun) -> CheckResult:
         worst = max(worst, relator_residual(delta))
         residual = delta.flat - frame @ (frame.conj().T @ delta.flat)
         worst = max(worst, float(np.linalg.norm(residual)))
-    return _result("coboundary-containment", 20, worst, 1e-10)
+    return 20, worst, 1e-10
 
 
-def check_star_involution(run: SuiteRun) -> CheckResult:
-    rng = run.rng("star-involution")
+def check_star_involution(run: SuiteRun, rng) -> Measurement:
     rep, basis = run.rep, run.basis
     n = rep.rank
     worst = 0.0
@@ -418,14 +408,14 @@ def check_star_involution(run: SuiteRun) -> CheckResult:
         anti = anti_hermitian_part(chi)
         flipped = star_involution(anti)
         worst = max(worst, max(frob(a + b) for a, b in zip(flipped.values, anti.values)))
-    return _result("star-involution", 20, worst, 1e-12)
+    return 20, worst, 1e-12
 
 
-def check_real_locus_dimensions(run: SuiteRun) -> CheckResult:
+def check_real_locus_dimensions(run: SuiteRun, rng) -> Measurement:
     basis = run.basis
     z1_real, h1_real = run.real_locus
     ok = len(z1_real) == basis.dims[0] and len(h1_real) == basis.dims[2]
-    return _result("real-locus-dimensions", 2, 0.0 if ok else 1.0, 0.0)
+    return 2, 0.0 if ok else 1.0, 0.0
 
 
 # -------------------------------------------------------------- goldman core
@@ -444,8 +434,7 @@ def _dual_pairing(rep: Representation, flip_b: bool = False):
     return lambda chi1, chi2: complex(chi1.flat @ w @ chi2.flat)
 
 
-def check_cup_dual_agreement(run: SuiteRun) -> CheckResult:
-    rng = run.rng("cup-dual-agreement")
+def check_cup_dual_agreement(run: SuiteRun, rng) -> Measurement:
     basis = run.basis
     dual = _dual_pairing(run.rep, flip_b=run.config.mutate == "dual-sign")
     samples = 100
@@ -455,11 +444,10 @@ def check_cup_dual_agreement(run: SuiteRun) -> CheckResult:
     cups = pairing_cup(stack_cocycles(chi1s), stack_cocycles(chi2s))
     worst = max(0.0, *(abs(dual(chi1, chi2) - complex(cup))
                        for (chi1, chi2), cup in zip(pairs, cups)))
-    return _result("cup-dual-agreement", samples, worst, 1e-10)
+    return samples, worst, 1e-10
 
 
-def check_class_invariance(run: SuiteRun) -> CheckResult:
-    rng = run.rng("class-invariance")
+def check_class_invariance(run: SuiteRun, rng) -> Measurement:
     rep, basis = run.rep, run.basis
     n = rep.rank
     dual = _dual_pairing(rep)
@@ -472,11 +460,10 @@ def check_class_invariance(run: SuiteRun) -> CheckResult:
         base_value = dual(chi1, chi2)
         worst = max(worst, abs(dual(chi1 + coboundary(v, rep), chi2) - base_value))
         worst = max(worst, abs(dual(chi1, chi2 + coboundary(v, rep)) - base_value))
-    return _result("class-invariance", samples, worst, 1e-9)
+    return samples, worst, 1e-9
 
 
-def check_antisymmetry(run: SuiteRun) -> CheckResult:
-    rng = run.rng("antisymmetry")
+def check_antisymmetry(run: SuiteRun, rng) -> Measurement:
     basis = run.basis
     dual = _dual_pairing(run.rep)
     worst = 0.0
@@ -485,11 +472,10 @@ def check_antisymmetry(run: SuiteRun) -> CheckResult:
         chi1 = random_cocycle(basis, rng)
         chi2 = random_cocycle(basis, rng)
         worst = max(worst, abs(dual(chi1, chi2) + dual(chi2, chi1)))
-    return _result("antisymmetry", samples, worst, 1e-9)
+    return samples, worst, 1e-9
 
 
-def check_bilinearity(run: SuiteRun) -> CheckResult:
-    rng = run.rng("bilinearity")
+def check_bilinearity(run: SuiteRun, rng) -> Measurement:
     basis = run.basis
     dual = _dual_pairing(run.rep)
     worst = 0.0
@@ -505,7 +491,7 @@ def check_bilinearity(run: SuiteRun) -> CheckResult:
         lhs = dual(chi1, chi2 * s + chi3)
         rhs = s * dual(chi1, chi2) + dual(chi1, chi3)
         worst = max(worst, abs(lhs - rhs))
-    return _result("bilinearity", samples, worst, 1e-9)
+    return samples, worst, 1e-9
 
 
 def _conjugator(rng, n: int) -> np.ndarray:
@@ -515,8 +501,7 @@ def _conjugator(rng, n: int) -> np.ndarray:
     return haar_unitary(rng, n) * np.exp(0.4 * rng.uniform(-1, 1, n))
 
 
-def check_conjugation_equivariance(run: SuiteRun) -> CheckResult:
-    rng = run.rng("conjugation-equivariance")
+def check_conjugation_equivariance(run: SuiteRun, rng) -> Measurement:
     rep, basis = run.rep, run.basis
     c = _conjugator(rng, rep.rank)
     c_inv = np.linalg.inv(c)
@@ -530,10 +515,10 @@ def check_conjugation_equivariance(run: SuiteRun) -> CheckResult:
         moved1 = Cocycle(moved, c @ chi1.values @ c_inv)
         moved2 = Cocycle(moved, c @ chi2.values @ c_inv)
         worst = max(worst, abs(dual_moved(moved1, moved2) - dual(chi1, chi2)))
-    return _result("conjugation-equivariance", samples, worst, 1e-9)
+    return samples, worst, 1e-9
 
 
-def check_gram_structure(run: SuiteRun) -> CheckResult:
+def check_gram_structure(run: SuiteRun, rng) -> Measurement:
     basis = run.basis
     g_complement = gram(basis.h1_complement)
     rank, margin = g_complement.rank()
@@ -543,11 +528,10 @@ def check_gram_structure(run: SuiteRun) -> CheckResult:
     rank_full, _ = g_full.rank()
     ok = ok and rank_full == basis.dims[2]
     residual = g_complement.skewness_residual if ok else 1.0
-    return _result("gram-structure", 2, residual,
-                   run.config.tolerance("verification"))
+    return 2, residual, run.config.tolerance("verification")
 
 
-def check_intersection_form(run: SuiteRun) -> CheckResult:
+def check_intersection_form(run: SuiteRun, rng) -> Measurement:
     """Trivial rank-one action: the Gram of indicator cocycles is the
     standard intersection form, and matches the hand closed form."""
     genus = max(run.config.genus, 2)
@@ -566,7 +550,6 @@ def check_intersection_form(run: SuiteRun) -> CheckResult:
             worst = max(worst, abs(pairing_cup(indicators[i], indicators[j])
                                    - expected[i, j]))
 
-    rng = run.rng("intersection-form")
     for _ in range(20):
         x = complex_gaussian(rng, count)
         y = complex_gaussian(rng, count)
@@ -575,54 +558,51 @@ def check_intersection_form(run: SuiteRun) -> CheckResult:
         hand = sum(x[2 * k] * y[2 * k + 1] - x[2 * k + 1] * y[2 * k]
                    for k in range(genus))
         worst = max(worst, abs(pairing_dual(chi1, chi2) - hand))
-    return _result("intersection-form", count * count + 20, worst, 1e-12)
+    return count * count + 20, worst, 1e-12
 
 
-def check_symplectic_basis(run: SuiteRun) -> CheckResult:
+def check_symplectic_basis(run: SuiteRun, rng) -> Measurement:
     basis = run.basis
     sb = symplectic_basis(gram(basis.h1_complement))
-    return _result("symplectic-basis", (2 * sb.pair_count) ** 2,
-                   sb.normal_form_residual,
-                   run.config.tolerance("verification"))
+    return ((2 * sb.pair_count) ** 2, sb.normal_form_residual,
+            run.config.tolerance("verification"))
 
 
-def check_unitary_locus(run: SuiteRun) -> CheckResult:
+def check_unitary_locus(run: SuiteRun, rng) -> Measurement:
     _, h1_real = run.real_locus
     report = unitary_restriction_check(h1_real)
     residual = report.max_imaginary if report.passed else 1.0
-    return _result("unitary-locus", len(h1_real) ** 2, residual,
-                   tolerances.UNITARY_IMAGINARY)
+    return len(h1_real) ** 2, residual, tolerances.UNITARY_IMAGINARY
 
 
 # ------------------------------------------------------------ chart geometry
 
-def _unit_direction(run: SuiteRun, salt: str) -> Cocycle:
-    chi = random_cocycle(run.basis, run.rng(salt), space="h1")
+def _unit_direction(run: SuiteRun, rng) -> Cocycle:
+    chi = random_cocycle(run.basis, rng, space="h1")
     return chi * (1.0 / chi.norm())
 
 
-def _order_result(name, steps, values, window=0.3, floors=None) -> CheckResult:
+def _order_result(steps, values, window=0.3, floors=None) -> Measurement:
     """Fitted log-log slope against order two.  A flat ladder passes with
     zero residual: the bound holds with constant zero (the abelian
     rank-one case).  A ladder with no slope fails with a NaN residual."""
     order = convergence_order(steps, values, floors)
     residual = 0.0 if order is FLAT else np.nan if order is None else abs(order - 2.0)
-    return _result(name, len(steps), residual, window)
+    return len(steps), residual, window
 
 
-def check_deformation_correction_order(run: SuiteRun) -> CheckResult:
+def check_deformation_correction_order(run: SuiteRun, rng) -> Measurement:
     rep = run.rep
-    chi = _unit_direction(run, "deformation-correction-order")
+    chi = _unit_direction(run, rng)
     steps = [1e-2, 1e-3, 1e-4]
     chart = Chart(center=rep, frame=(chi,))
     chart.points([(t,) for t in steps])
     corrections = [deformation_correction(chart, (t,)) for t in steps]
-    return _order_result("deformation-correction-order", steps, corrections)
+    return _order_result(steps, corrections)
 
 
-def check_coboundary_deformation(run: SuiteRun) -> CheckResult:
+def check_coboundary_deformation(run: SuiteRun, rng) -> Measurement:
     """Deforming along a coboundary is conjugation to first order."""
-    rng = run.rng("coboundary-deformation")
     rep = run.rep
     n = rep.rank
     v = complex_gaussian(rng, (n, n))
@@ -638,7 +618,7 @@ def check_coboundary_deformation(run: SuiteRun) -> CheckResult:
         distances.append(np.sqrt(sum(
             frob(m - conj @ x @ conj_inv) ** 2
             for m, x in zip(moved.images, rep.images))))
-    return _order_result("coboundary-deformation", steps, distances)
+    return _order_result(steps, distances)
 
 
 def _curve_points(chart: Chart, steps):
@@ -648,9 +628,9 @@ def _curve_points(chart: Chart, steps):
     return list(zip(steps, ladder[0::2], ladder[1::2]))
 
 
-def check_rh_round_trip(run: SuiteRun) -> CheckResult:
+def check_rh_round_trip(run: SuiteRun, rng) -> Measurement:
     rep, basis = run.rep, run.basis
-    chi = _unit_direction(run, "rh-round-trip")
+    chi = _unit_direction(run, rng)
     chart = Chart(center=rep, frame=(chi,))
     target = basis.h1_coordinates(chi)
     steps = [1e-2, 5e-3, 2.5e-3, 1.25e-3]
@@ -658,12 +638,11 @@ def check_rh_round_trip(run: SuiteRun) -> CheckResult:
         rep, plus, minus, h)) - target)) for h, plus, minus in _curve_points(chart, steps)]
     ratios = [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]
     worst = max(abs(r - 4.0) for r in ratios)
-    return _result("rh-round-trip", len(steps), worst, 0.5)
+    return len(steps), worst, 0.5
 
 
-def check_rh_conjugation_curve(run: SuiteRun) -> CheckResult:
+def check_rh_conjugation_curve(run: SuiteRun, rng) -> Measurement:
     """A pure conjugation curve has vanishing class."""
-    rng = run.rng("rh-conjugation-curve")
     rep, basis = run.rep, run.basis
     n = rep.rank
     v = complex_gaussian(rng, (n, n))
@@ -679,16 +658,17 @@ def check_rh_conjugation_curve(run: SuiteRun) -> CheckResult:
     residual = float(np.linalg.norm(basis.h1_coordinates(recovered)))
     constant = rh_differential(rep, rep, rep, 1e-4)
     residual = max(residual, constant.norm())
-    return _result("rh-conjugation-curve", 2, residual, 1e-6)
+    return 2, residual, 1e-6
 
 
-def check_rh_cocycle_law_order(run: SuiteRun) -> CheckResult:
+def check_rh_cocycle_law_order(run: SuiteRun, rng) -> Measurement:
     """Word-level difference quotients obey the twisted additivity law to
     second order; extended generator values satisfy it identically, so the
     test works on whole-word quotients."""
-    rng = run.rng("rh-cocycle-law-order")
     rep = run.rep
-    chi = _unit_direction(run, "rh-cocycle-law-order")
+    # a second generator on the words' seed: the direction's normals and
+    # the words' integer draws read one bit stream
+    chi = _unit_direction(run, run.rng("rh-cocycle-law-order"))
     chart = Chart(center=rep, frame=(chi,))
     pres = rep.presentation
     words = [(_random_word(pres, rng), _random_word(pres, rng)) for _ in range(50)]
@@ -700,13 +680,13 @@ def check_rh_cocycle_law_order(run: SuiteRun) -> CheckResult:
         laws = values[0::3] - values[1::3] - s_u @ values[2::3] @ np.linalg.inv(s_u)
         residuals.append(max(0.0, *(frob(law) for law in laws)))
     factor = residuals[0] / residuals[1]
-    return _result("rh-cocycle-law-order", 2 * len(words), abs(factor - 4.0), 0.8)
+    return 2 * len(words), abs(factor - 4.0), 0.8
 
 
-def check_commuting_flows(run: SuiteRun) -> CheckResult:
+def check_commuting_flows(run: SuiteRun, rng) -> Measurement:
     rep = run.rep
-    chi1 = _unit_direction(run, "commuting-flows-1")
-    chi2 = _unit_direction(run, "commuting-flows-2")
+    chi1 = _unit_direction(run, run.rng("commuting-flows-1"))
+    chi2 = _unit_direction(run, run.rng("commuting-flows-2"))
 
     steps = [2e-3, 1e-3]
     # the first-stage points (t, 0) and (0, t) are one stacked solve, each
@@ -720,29 +700,29 @@ def check_commuting_flows(run: SuiteRun) -> CheckResult:
         second = deform(via2, Cocycle(via2, chi1.values), t)
         distances.append(np.sqrt(sum(frob(a - b) ** 2
                                      for a, b in zip(first.images, second.images))))
-    return _order_result("commuting-flows", steps, distances, window=0.4)
+    return _order_result(steps, distances, window=0.4)
 
 
-def check_closedness(run: SuiteRun) -> CheckResult:
+def check_closedness(run: SuiteRun, rng) -> Measurement:
     chart = Chart(center=run.rep, frame=run.basis.h1_complement)
     steps = [8e-3, 4e-3, 2e-3, 1e-3]
     residuals = [closedness_check(chart, (0, 1, 2), h) for h in steps]
-    result = _order_result("closedness-order", steps, residuals,
-                           floors=closedness_floors(chart, (0, 1, 2), steps))
+    measured = _order_result(steps, residuals,
+                             floors=closedness_floors(chart, (0, 1, 2), steps))
     degenerate = closedness_check(chart, (0, 0, 1), 1e-3)
     if residuals[-1] >= tolerances.FINITE_DIFFERENCE or degenerate != 0.0:
-        return _result("closedness-order", len(steps), 1.0, 0.3)
-    return result
+        return len(steps), 1.0, 0.3
+    return measured
 
 
-def check_closedness_abelian(run: SuiteRun) -> CheckResult:
+def check_closedness_abelian(run: SuiteRun, rng) -> Measurement:
     rep = _trivial_rank_one(2)
     chart = Chart(center=rep, frame=cocycle_basis(rep).h1_complement)
     worst = max(closedness_check(chart, (0, 1, 2), h) for h in (1e-2, 1e-3, 1e-4))
-    return _result("closedness-abelian", 3, worst, 1e-10)
+    return 3, worst, 1e-10
 
 
-def check_chart_irreducibility(run: SuiteRun) -> CheckResult:
+def check_chart_irreducibility(run: SuiteRun, rng) -> Measurement:
     chart = Chart(center=run.rep, frame=run.basis.h1_complement)
     ladder = []
     for axis in range(min(3, chart.dimension)):
@@ -751,13 +731,12 @@ def check_chart_irreducibility(run: SuiteRun) -> CheckResult:
             coords[axis] = sign * 5e-3
             ladder.append(coords)
     failures = sum(commutant_dimension(point) != 1 for point in chart.points(ladder))
-    return _result("chart-irreducibility", len(ladder), failures, 0.0)
+    return len(ladder), failures, 0.0
 
 
 # -------------------------------------------------------------------- cli-io
 
-def check_file_round_trip(run: SuiteRun) -> CheckResult:
-    rng = run.rng("file-round-trip")
+def check_file_round_trip(run: SuiteRun, rng) -> Measurement:
     rep = run.rep
     n = rep.rank
     # the schema is exact for any values, so no cocycle basis is needed
@@ -785,7 +764,7 @@ def check_file_round_trip(run: SuiteRun) -> CheckResult:
         fileio.write_matrix(tmp / "m.txt", matrix)
         if not np.array_equal(fileio.read_matrix(tmp / "m.txt"), matrix):
             failures += 1
-    return _result("file-round-trip", 5, failures, 0.0)
+    return 5, failures, 0.0
 
 
 @dataclass(frozen=True)
@@ -851,11 +830,20 @@ def applicable_checks(config: RunConfig):
         yield check
 
 
+def run_check(run: SuiteRun, check: Check) -> CheckResult:
+    """Measure one check on its own stream, run.rng(check.name), and judge
+    it under its table name."""
+    samples, residual, threshold = check.fn(run, run.rng(check.name))
+    residual = float(residual)
+    return CheckResult(check.name, samples, residual, threshold,
+                       passed=residual <= threshold)
+
+
 def run_suite(config: RunConfig):
     """Run every applicable check on one shared run; returns the list of
     CheckResult."""
     run = SuiteRun(config)
-    return [check.fn(run) for check in applicable_checks(config)]
+    return [run_check(run, check) for check in applicable_checks(config)]
 
 
 def render_report(config: RunConfig, results) -> str:

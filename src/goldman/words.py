@@ -19,26 +19,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import InputError
 
-# the one integer rule of every input check: a Python or numpy integer
-INTEGER = (int, np.integer)
+def is_integer(value) -> bool:
+    """The one integer rule of every input check: a Python or numpy
+    integer, and not a bool, which Python counts as an int."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def check_index(what: str, index, stop: int) -> None:
     """An index is an integer in 0..stop-1, from the CLI and the API alike."""
-    if not (isinstance(index, INTEGER) and 0 <= index < stop):
+    if not (is_integer(index) and 0 <= index < stop):
         raise InputError(f"{what} {index!r} out of range 0..{stop - 1}")
 
 
 def check_size(**sizes) -> None:
     """Sizes such as genus and rank are integers >= 1, from the CLI and the API alike."""
     for name, value in sizes.items():
-        if not isinstance(value, INTEGER) or value < 1:
+        if not is_integer(value) or value < 1:
             raise InputError(f"{name} must be an integer >= 1, got {value!r}")
 
 
@@ -79,12 +81,6 @@ class GroupWord:
     @property
     def is_identity(self) -> bool:
         return not self.codes
-
-    def letters(self) -> Iterator[tuple[int, int]]:
-        """Yield single letters (generator, +1/-1) left to right."""
-        count = 2 * self.genus
-        for code in self.codes:
-            yield (code, 1) if code < count else (code - count, -1)
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -162,7 +158,7 @@ class Presentation:
         codes: list[int] = []
         for gen, exp in raw:
             check_index("generator index", gen, count)
-            if not isinstance(exp, INTEGER):
+            if not is_integer(exp):
                 raise InputError(f"exponent {exp!r} of generator {gen} is not an integer")
             codes += [int(gen) if exp > 0 else count + int(gen)] * abs(exp)
         return self.reduce(codes)

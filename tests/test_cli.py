@@ -12,7 +12,7 @@ from goldman import InputError, Presentation, Representation
 from goldman.cli import main
 from goldman.config import RunConfig
 from goldman.fileio import read_cocycle, read_representation, write_representation
-from goldman.verify import SuiteRun, check_closedness
+from goldman.verify import ALL_CHECKS, SuiteRun, run_check
 
 
 def run_cli(args, capsys):
@@ -416,8 +416,9 @@ class TestClosednessCommand:
         assert code == 0
         assert "convergence-order: flat" in out.splitlines()
         if genus == 2:
-            result = check_closedness(SuiteRun(RunConfig(genus=genus, rank=rank, seed=seed,
-                                                         out=tmp_path)))
+            closedness = next(c for c in ALL_CHECKS if c.name == "closedness-order")
+            result = run_check(SuiteRun(RunConfig(genus=genus, rank=rank, seed=seed,
+                                                  out=tmp_path)), closedness)
             assert result.passed and result.max_residual == 0.0
         else:  # every genus-one point is reducible
             assert out.splitlines()[-1] == "commutant-dimension: 3"

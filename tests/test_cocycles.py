@@ -84,7 +84,7 @@ def stacked_test_words(pres, rng, count=300):
         if kind == 0:
             words.append(u * u.inverse())
         elif kind == 1:
-            tail = pres.word(list(u.letters())[len(u) // 2:])
+            tail = pres.reduce(u.codes[len(u) // 2:])
             words.append(u * (tail.inverse() * v))
         else:
             words.append(u)

@@ -12,8 +12,7 @@ from goldman.cli import _file_gram, main
 from goldman.cocycles import extend, stack_cocycles
 from goldman.config import RunConfig
 from goldman.pairing import GoldmanGram
-from goldman.verify import (SuiteRun, check_gram_structure, check_symplectic_basis,
-                            check_unitary_locus)
+from goldman.verify import ALL_CHECKS, SuiteRun, run_check
 from goldman.words import anti_involution
 
 GRID = [(g, n) for g in (2, 3) for n in (1, 2, 3)]
@@ -318,9 +317,9 @@ class TestDualForm:
         gram(basis.h1_complement)
         unitary_restriction_check(real_locus_bases(basis)[1])
         run = SuiteRun(RunConfig(seed=13))
-        for check in (check_gram_structure, check_symplectic_basis,
-                      check_unitary_locus):
-            assert check(run).passed
+        checks = {check.name: check for check in ALL_CHECKS}
+        for name in ("gram-structure", "symplectic-basis", "unitary-locus"):
+            assert run_check(run, checks[name]).passed
 
         out = str(tmp_path)
         assert main(["--seed", "13", "--out", out, "random-rep"]) == 0

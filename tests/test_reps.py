@@ -176,10 +176,15 @@ class TestRandomRepresentation:
         two = random_representation(2, 2, "unitary", seed=2)
         assert one.fingerprint != two.fingerprint
 
-    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5])
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5, True])
     def test_seed_out_of_range(self, seed):
         with pytest.raises(InputError, match="seed"):
             random_representation(2, 2, seed=seed)
+
+    def test_bool_sizes_rejected(self):
+        # Python counts a bool as an int; the integer rule does not
+        with pytest.raises(InputError, match="genus must be an integer >= 1, got True"):
+            random_representation(True, True, seed=1)
 
     def test_rank_zero_rejected(self):
         with pytest.raises(InputError, match="rank must be an integer >= 1, got 0"):
@@ -266,8 +271,8 @@ def per_generator_newton(presentation, images, flavor):
         inverses = [m.conj().T if flavor == "unitary" else np.linalg.inv(m)
                     for m in images]
         r = np.eye(n, dtype=complex)
-        for gen, sign in presentation.relator().letters():
-            r = r @ (images[gen] if sign > 0 else inverses[gen])
+        for code in presentation.relator().codes:  # x_i is i, x_i^-1 is 2g + i
+            r = r @ (images + inverses)[code]
         return r, frob(r - eye), inverses
 
     r, defect, inverses = relator_image(images)

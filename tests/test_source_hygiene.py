@@ -1,7 +1,7 @@
 """Import hygiene of the package source, checked on its syntax trees,
 and the independence of the cup-product oracle.
 
-Seventeen rules, with no lint dependency:
+Eighteen rules, with no lint dependency:
 
 - every module-level import is used in its module (the package
   ``__init__`` re-exports, and ``from __future__`` imports are exempt);
@@ -51,6 +51,11 @@ Seventeen rules, with no lint dependency:
 - ``_invert_all`` is called only in ``Representation.inverse_images``,
   ``random_representation`` and ``newton_project``: every other reader of
   inverse images, the Fox Jacobian included, is handed them;
+- each name of ``verify.ALL_CHECKS`` is a string literal once in
+  ``verify.py``, in its table row: the runner hands it to the check's
+  stream and report line, so no second copy can drift from the table.
+  The one other site is the second generator on its own stream that
+  ``rh-cocycle-law-order`` draws its unit direction from;
 - the cup-product oracle ``pairing_cup`` reads neither the pairing
   matrix ``W`` nor a Fox Jacobian: it still returns with
   ``dual_form_matrix``, ``word_jacobian``, ``fox_jacobian`` and
@@ -68,6 +73,7 @@ import pytest
 
 from goldman import Cocycle, Representation, gram_matrix, pairing_cup, random_representation
 from goldman.cocycles import stack_cocycles
+from goldman.verify import ALL_CHECKS
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "goldman"
 MODULES = sorted(SOURCE.glob("*.py"))
@@ -185,6 +191,12 @@ def rank_square_differences(path):
     return sites(path, matches)
 
 
+def string_literal_sites(path, text):
+    """Sites of a string literal equal to text; a longer string that
+    holds text does not count."""
+    return sites(path, lambda node: isinstance(node, ast.Constant) and node.value == text)
+
+
 def _without_lines(found):
     """'file in f' for each 'file:line in f' site."""
     return sorted(f"{site.partition(':')[0]} in {site.partition(' in ')[2]}"
@@ -300,6 +312,13 @@ def test_inversion_sites():
                                                   "reps.py in random_representation"]
 
 
+def test_each_check_is_named_once():
+    named = {check.name: _without_lines(string_literal_sites(SOURCE / "verify.py", check.name))
+             for check in ALL_CHECKS}
+    named["rh-cocycle-law-order"].remove("verify.py in check_rh_cocycle_law_order")
+    assert named == {check.name: ["verify.py in <module>"] for check in ALL_CHECKS}
+
+
 def test_cup_oracle_reads_no_dual_form(monkeypatch):
     rep = random_representation(2, 2, "general-linear", seed=23)
     rng = np.random.default_rng(23)
@@ -370,7 +389,10 @@ def test_rules_flag_what_they_name(tmp_path):
         "def _read_document(path):\n"
         "    return _read_text(path), fileio._read_text(path), format_float\n"
         "def _document(rows):\n"
-        "    return [format_float(x) for row in rows for x in row]\n")
+        "    return [format_float(x) for row in rows for x in row]\n"
+        "def check_x(run, rng):\n"
+        "    return run.rng('x-check'), 'x-check', 'x-checks', 'an x-check', 1\n"
+        "CHECKS = ('x-check',)\n")
     assert unused_module_imports(module) == ["sample.py:2 json"]
     assert non_cycle_local_imports(module) == ["sample.py:6 in f", "sample.py:7 in f"]
     assert package_imports(module) == ["sample.py:4 reps", "sample.py:7 reps",
@@ -395,4 +417,7 @@ def test_rules_flag_what_they_name(tmp_path):
     assert call_sites(module, "_read_text") == ["sample.py:44 in _read_document",
                                                 "sample.py:44 in _read_document"]
     assert call_sites(module, "format_float") == ["sample.py:46 in _document"]
+    assert string_literal_sites(module, "x-check") == ["sample.py:48 in check_x",
+                                                       "sample.py:48 in check_x",
+                                                       "sample.py:49 in <module>"]
 

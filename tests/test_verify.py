@@ -11,14 +11,9 @@ from goldman import (Cocycle, ConditioningError, Presentation, Representation,
                      commutant_dimension, conjugate_representation, random_cocycle)
 from goldman.config import RunConfig
 from goldman.pairing import dual_form_matrix
-from goldman.verify import (SuiteRun, applicable_checks, check_antisymmetry,
-                            check_bilinearity,
-                            check_class_invariance, check_closedness,
-                            check_cocycle_law_on_basis,
-                            check_conjugation_equivariance,
-                            check_construction_quality, check_cup_dual_agreement,
-                            check_dimension_formula, check_intersection_form,
-                            check_newton_projection, run_suite)
+from goldman.verify import ALL_CHECKS, SuiteRun, applicable_checks, run_check, run_suite
+
+CHECKS = {check.name: check for check in ALL_CHECKS}
 
 
 def _count_calls(monkeypatch, module, name):
@@ -83,8 +78,8 @@ class TestSuiteRun:
             assert commutant_dimension(rep) == rep.rank ** 2 - basis.dims[1]
         run = SuiteRun(RunConfig(out=tmp_path))
         decisions = _count_calls(monkeypatch, goldman.reps, "coboundary_matrix")
-        assert check_construction_quality(run).passed
-        assert check_dimension_formula(run).passed
+        assert run_check(run, CHECKS["construction-quality"]).passed
+        assert run_check(run, CHECKS["dimension-formula"]).passed
         assert len(decisions) == len(run.grid) == 6
 
     def test_basis_error_comes_from_the_first_check_that_needs_it(
@@ -94,9 +89,9 @@ class TestSuiteRun:
 
         monkeypatch.setattr(goldman.verify, "cocycle_basis", fail)
         run = SuiteRun(RunConfig(out=tmp_path))
-        assert check_newton_projection(run).passed
+        assert run_check(run, CHECKS["newton-projection"]).passed
         with pytest.raises(ConditioningError):
-            check_cocycle_law_on_basis(run)
+            run_check(run, CHECKS["cocycle-law-on-basis"])
         with pytest.raises(ConditioningError):
             run_suite(RunConfig(out=tmp_path))
 
@@ -112,8 +107,9 @@ class TestClosednessOrder:
 
     @pytest.mark.parametrize("flavor", ["unitary", "general-linear"])
     def test_rank_two_ladder_is_fitted(self, tmp_path, flavor):
-        result = check_closedness(SuiteRun(RunConfig(genus=2, rank=2, flavor=flavor,
-                                                     seed=0, out=tmp_path)))
+        result = run_check(SuiteRun(RunConfig(genus=2, rank=2, flavor=flavor,
+                                              seed=0, out=tmp_path)),
+                           CHECKS["closedness-order"])
         assert result.passed
         assert result.max_residual > 0.0
 
@@ -164,7 +160,7 @@ class TestConjugator:
         # the verify-suite benchmark seed whose Gaussian conjugator had
         # cond(c) = 112 and failed at the 1e-9 threshold
         run = SuiteRun(RunConfig(flavor=flavor, seed=3731056256, out=tmp_path))
-        result = check_conjugation_equivariance(run)
+        result = run_check(run, CHECKS["conjugation-equivariance"])
         assert result.passed
         assert result.max_residual < 1e-12
 
@@ -195,9 +191,8 @@ class TestRunConfig:
         assert config.describe().endswith(" tol.verification=1")
 
 
-FIXED_BASE_CHECKS = (check_cup_dual_agreement, check_class_invariance,
-                     check_antisymmetry, check_bilinearity,
-                     check_conjugation_equivariance)
+FIXED_BASE_CHECKS = ("cup-dual-agreement", "class-invariance", "antisymmetry",
+                     "bilinearity", "conjugation-equivariance")
 
 
 def _negated_b_blocks(rep):
@@ -217,15 +212,15 @@ class TestPairingPaths:
     def test_fixed_base_checks_read_w(self, monkeypatch, tmp_path, flavor):
         run = SuiteRun(RunConfig(flavor=flavor, out=tmp_path))
         letterwise = _count_calls(monkeypatch, goldman.pairing, "pairing_dual")
-        assert check_intersection_form(run).passed
+        assert run_check(run, CHECKS["intersection-form"]).passed
         assert letterwise
 
         def refuse(chi1, chi2):
             raise AssertionError("letterwise pairing_dual was called")
 
         monkeypatch.setattr(goldman.verify, "pairing_dual", refuse)
-        for check in FIXED_BASE_CHECKS:
-            assert check(run).passed, check.__name__
+        for name in FIXED_BASE_CHECKS:
+            assert run_check(run, CHECKS[name]).passed, name
 
     def test_a_sign_error_in_w_fails_three_checks(self, monkeypatch, tmp_path):
         """A W whose b_k blocks are negated disagrees with the cup product,
@@ -238,14 +233,13 @@ class TestPairingPaths:
         """
         monkeypatch.setattr(Representation, "dual_form", property(_negated_b_blocks))
         run = SuiteRun(RunConfig(out=tmp_path))
-        results = {check.__name__: check(run) for check in FIXED_BASE_CHECKS}
-        for name in ("check_cup_dual_agreement", "check_class_invariance",
-                     "check_antisymmetry"):
+        results = {name: run_check(run, CHECKS[name]) for name in FIXED_BASE_CHECKS}
+        for name in ("cup-dual-agreement", "class-invariance", "antisymmetry"):
             assert not results[name].passed
             assert results[name].max_residual > 1.0
-        assert results["check_bilinearity"].passed
-        assert results["check_conjugation_equivariance"].passed
-        assert check_intersection_form(run).passed
+        assert results["bilinearity"].passed
+        assert results["conjugation-equivariance"].passed
+        assert run_check(run, CHECKS["intersection-form"]).passed
 
 
 # (name, samples, threshold) of every report line at (2,2) seed 0, in report
@@ -305,8 +299,8 @@ class TestCheckTable:
     @pytest.mark.parametrize("genus, rank, flavor", [
         (2, 2, "unitary"), (2, 2, "general-linear"), (1, 1, "unitary")])
     def test_reported_names_are_the_table_names(self, tmp_path, genus, rank, flavor):
-        # the report prints the name each check passes to _result, while
-        # the benchmark's tracer times verify.<name>.s by Check.name
+        # the runner reports each check under its Check.name, the name by
+        # which the benchmark's tracer times verify.<name>.s
         config = RunConfig(genus=genus, rank=rank, flavor=flavor, out=tmp_path)
         assert ([r.name for r in run_suite(config)]
                 == [check.name for check in applicable_checks(config)])

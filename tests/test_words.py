@@ -22,10 +22,11 @@ def letterwise_fox_derivative(word, index):
     pres = Presentation(word.genus)
     result = GroupRingElement.zero(word.genus)
     prefix = pres.identity()
-    for gen, sign in word.letters():
-        letter = pres.word([(gen, sign)])
-        if gen == index:
-            if sign == 1:
+    count = pres.generator_count
+    for code in word.codes:  # x_i is coded i, x_i^-1 is count + i
+        letter = pres.reduce([code])
+        if code % count == index:
+            if code < count:
                 result = result + GroupRingElement.from_word(prefix)
             else:
                 result = result - GroupRingElement.from_word(prefix * letter)
@@ -53,7 +54,7 @@ class TestReduction:
         pres = Presentation(3)
         raw = [(0, 1), (1, 1), (1, -1), (4, 1), (4, -1), (0, -1), (2, 1)]
         once = pres.word(raw)
-        assert pres.word(list(once.letters())) == once
+        assert pres.reduce(once.codes) == once
 
     def test_unknown_generator_rejected(self):
         pres = Presentation(2)
@@ -78,7 +79,8 @@ class TestReduction:
         ((0, 1.5), "exponent 1.5 of generator 0 is not an integer"),
         ((0, None), "exponent None of generator 0 is not an integer"),
         ((0.0, 1), "generator index 0.0 out of range"),
-        (("0", 1), "generator index '0' out of range")])
+        (("0", 1), "generator index '0' out of range"),
+        ((0, True), "exponent True of generator 0 is not an integer")])
     def test_non_integer_letter_rejected(self, letter, message):
         with pytest.raises(InputError, match=re.escape(message)):
             Presentation(2).word([letter])
@@ -227,8 +229,7 @@ class TestFoxDerivative:
                        for _ in range(int(rng.integers(0, 16)))]
                 words.append(pres.word(raw))
             for word in words:
-                letters = list(word.letters())
-                from_letters = {(gen, pres.word(letters[:length])): coeff
+                from_letters = {(gen, pres.reduce(word.codes[:length])): coeff
                                 for gen, length, coeff in letter_fox_terms(word)}
                 assert len(from_letters) == len(word)
                 from_fox = {(index, term): coeff for index in range(2 * genus)
@@ -437,10 +438,15 @@ class TestTextFormat:
         with pytest.raises(InputError):
             Presentation(0)
 
-    @pytest.mark.parametrize("genus", [1.5, "2", 2.0, None])
+    @pytest.mark.parametrize("genus", [1.5, "2", 2.0, None, True])
     def test_non_integer_genus_rejected(self, genus):
         with pytest.raises(InputError, match="genus must be an integer >= 1"):
             Presentation(genus)
+
+    def test_bool_index_rejected(self):
+        # Python counts a bool as an int; the integer rule does not
+        with pytest.raises(InputError, match="generator index True out of range"):
+            Presentation(2).generator(True)
 
     def test_numpy_integer_genus_accepted(self):
         # the genus is stored as an int, so every code derived from it is
