@@ -18,8 +18,8 @@ import numpy as np
 from . import tolerances
 from .errors import ConditioningError, InputError
 from .linalg import (canonical_frame, column_space, complement_within, complex_gaussian,
-                     frob, generator_stack, nullspace, real_flatten, right_factor,
-                     small_angle_count, split_singular_values, triangular_values)
+                     frob, generator_stack, nullspace, real_flatten, split_singular_values,
+                     triangular_values)
 from .reps import (UNITARY, Representation, evaluate_words, fox_jacobian, letter_table,
                    relator_tangent_matrix)
 from .words import (GroupRingElement, GroupWord, RingCodes, letter_codes, letter_fox_terms,
@@ -253,8 +253,9 @@ def cocycle_law_residuals(chi: Cocycle, pairs) -> list[float]:
 
 
 def coboundary(v: np.ndarray, rep: Representation) -> Cocycle:
-    """delta_v with values Ad(sigma(x)) v - v on each generator."""
-    v = np.asarray(v, dtype=complex)
+    """delta_v with values Ad(sigma(x)) v - v on each generator; InputError
+    (exit 2) unless v is a finite n x n matrix."""
+    v = generator_stack([v], 1, rep.rank, "coboundary arguments")[0]
     return Cocycle(rep, rep.images @ v @ rep.inverse_images - v)
 
 
@@ -367,60 +368,44 @@ def expected_h1_dimension(genus: int, rank: int) -> int:
 
 def cocycle_dimensions(constraint: np.ndarray, coboundary: np.ndarray,
                        coboundary_svd) -> tuple[int, int, int]:
-    """(dim Z1, dim B1, dim H1) for the nullspace Z1 of C = constraint and
-    the column space B1 of D = coboundary, whose decided triangular_values
-    are coboundary_svd = (k, svals, triangle).  No tall orthonormal factor
-    is formed, and no singular vector while sine_bound decides.
+    """(dim Z1, dim B1, dim H1) = (q - k, k, q - 2k) for the nullspace Z1
+    of C = constraint, with q = 2g n^2 columns, and the column space B1 of
+    D = coboundary, whose decided triangular_values are coboundary_svd =
+    (k, svals).  No tall orthonormal factor and no singular vector is
+    formed.
 
-    With the kept parts C^H = R S_C V_C^H (rank r) and D = b S_D V_D^H,
-    the singular values of the small r x k matrix
-
-        R^H b = S_C^-1 V_C^H (C D) V_D S_D^-1
-
-    are the sines of the principal angles between B1 and Z1 (Bjorck and
-    Golub, 1973); when k > r the other k - r directions of B1 lie inside
-    Z1.  dim H1 is dim Z1 less the angles that complement_within drops.
-    When sine_bound puts every sine at most COMPLEMENT_SINE, that is all
-    k of B1; otherwise principal_sines forms R^H b and small_angle_count
-    counts them.  B1 not lying inside Z1 shows as dim Z1 - dim B1 !=
-    dim H1 and raises ConditioningError.
+    On a closed surface group H2 is dual to H0 under the trace form
+    (Goldman, 1984), so rank C = n^2 - dim H2 = n^2 - dim H0 = rank D, and
+    the one rank k decides all three dimensions.  Two guards raise
+    ConditioningError: rank C, decided from triangular_values(C^H),
+    differs from k; or sine_bound puts the largest sine between B1 and Z1
+    above COMPLEMENT_SINE, so that B1 does not lie inside Z1.
     """
-    svals, triangle = triangular_values(constraint.conj().T)
+    svals = triangular_values(constraint.conj().T)
     r, _ = split_singular_values(svals)
-    k, b_svals, b_triangle = coboundary_svd
-    product = constraint @ coboundary
-    if sine_bound(product, svals[:r], b_svals[:k]) <= tolerances.COMPLEMENT_SINE:
-        inside = k
-    else:
-        inside = max(0, k - r) + small_angle_count(
-            principal_sines(product, triangle, r, b_triangle, k))
-    dims = (constraint.shape[1] - r, k, constraint.shape[1] - r - inside)
-    if dims[0] - dims[1] != dims[2]:
+    k, b_svals = coboundary_svd
+    if r != k:
         raise ConditioningError(
-            f"inconsistent dimensions: Z1 {dims[0]}, B1 {dims[1]}, complement {dims[2]}")
-    return dims
+            f"rank of the relator constraint {r} differs from dim B1 {k}")
+    bound = sine_bound(constraint @ coboundary, svals[:r], b_svals[:k])
+    if bound > tolerances.COMPLEMENT_SINE:
+        raise ConditioningError(
+            f"B1 leaves Z1: sine bound {bound:.3g} exceeds {tolerances.COMPLEMENT_SINE:.3g}")
+    q = constraint.shape[1]
+    return q - k, k, q - 2 * k
 
 
 def sine_bound(product: np.ndarray, svals: np.ndarray, b_svals: np.ndarray) -> float:
     """Upper bound ||C D||_F / (sigma_r(C) sigma_k(D)) on the largest sine
     between B1 and Z1, from product = C D and the kept singular values of
-    C and D alone: ||S_C^-1 V_C^H M V_D S_D^-1||_2 <= ||M||_F / (sigma_r
-    sigma_k), as V_C and V_D have orthonormal rows.  0 when r or k is 0,
-    where there is no sine."""
+    C and D alone.  With the kept parts C^H = R S_C V_C^H and
+    D = b S_D V_D^H, the sines are the singular values of
+    R^H b = S_C^-1 V_C^H (C D) V_D S_D^-1 (Bjorck and Golub, 1973), whose
+    norm is at most the bound, as V_C and V_D have orthonormal rows.
+    0 when r or k is 0, where there is no sine."""
     if svals.size == 0 or b_svals.size == 0:
         return 0.0
     return frob(product) / (svals[-1] * b_svals[-1])
-
-
-def principal_sines(product: np.ndarray, triangle: np.ndarray, r: int,
-                    b_triangle: np.ndarray, k: int) -> np.ndarray:
-    """The r x k matrix S_C^-1 V_C^H (C D) V_D S_D^-1 of cocycle_dimensions,
-    whose singular values are the sines between B1 and Z1, from
-    product = C D and the triangles of C^H and D, with their ranks r and k
-    decided before.  The one reader of right_factor."""
-    svals, vh = right_factor(triangle)
-    b_svals, b_vh = right_factor(b_triangle)
-    return (vh[:r] @ product @ b_vh[:k].conj().T) / svals[:r, None] / b_svals[:k]
 
 
 def random_cocycle(basis: CocycleBasis, rng: np.random.Generator,

@@ -189,21 +189,12 @@ def decided_rank(m: Array):
     return split_singular_values(np.linalg.svd(m, compute_uv=False))
 
 
-def triangular_values(m: Array):
-    """(svals, triangle): the singular values of m, up to roundoff, from
-    the triangle of its QR (Chan's R-SVD, 1982), and that triangle.  For a
-    tall m no factor as tall as m is formed: the QR keeps its triangle
-    alone, and the values-only SVD is of a square of m's column count."""
-    triangle = np.linalg.qr(m, mode="r")
-    return np.linalg.svd(triangle, compute_uv=False), triangle
-
-
-def right_factor(triangle: Array):
-    """(svals, vh) of a triangle of triangular_values: the singular values
-    and right factor of its m, up to roundoff.  The one place singular
-    vectors of a triangle are formed; a rank is decided from the values
-    alone."""
-    return np.linalg.svd(triangle, full_matrices=False)[1:]
+def triangular_values(m: Array) -> Array:
+    """The singular values of m, up to roundoff, from the triangle of its
+    QR (Chan's R-SVD, 1982).  For a tall m no factor as tall as m is
+    formed: the QR keeps its triangle alone, and the values-only SVD is of
+    a square of m's column count."""
+    return np.linalg.svd(np.linalg.qr(m, mode="r"), compute_uv=False)
 
 
 def nullspace(m: Array) -> Array:
@@ -233,18 +224,6 @@ def complement_within(z: Array, b: Array) -> Array:
     projected = z - b @ (b.conj().T @ z)
     u, svals, _ = np.linalg.svd(projected, full_matrices=False)
     return u[:, svals > tolerances.COMPLEMENT_SINE]
-
-
-def small_angle_count(sines: Array) -> int:
-    """Number of singular values of sines at most tolerances.COMPLEMENT_SINE.
-
-    When sines is z_perp^H b, for orthonormal frames z_perp of the
-    orthogonal complement of col(z) and b of col(b), its singular values
-    are the sines of the principal angles between col(b) and col(z)
-    (Bjorck and Golub, 1973), and the count is that of the directions
-    complement_within(z, b) drops."""
-    values = np.linalg.svd(sines, compute_uv=False)
-    return int(np.count_nonzero(values <= tolerances.COMPLEMENT_SINE))
 
 
 def canonical_frame(v: Array) -> Array:

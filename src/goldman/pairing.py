@@ -32,6 +32,7 @@ from .cocycles import (Cocycle, CocycleStack, common_base, extend, linear_combin
                        ring_values, stack_cocycles, word_jacobian)
 from .linalg import ad_matrix, decided_rank, frob
 from .reps import UNITARY, Representation, evaluate
+from .words import is_integer
 
 
 def pairing_dual(chi1: Cocycle, chi2: Cocycle) -> complex:
@@ -180,6 +181,10 @@ class SymplecticBasis:
 
 
 def standard_block_j(m: int) -> np.ndarray:
+    """The standard skew block [[0, I_m], [-I_m, 0]]; InputError (exit 2)
+    unless m is an integer >= 0."""
+    if not is_integer(m) or m < 0:
+        raise InputError(f"pair count must be an integer >= 0, got {m!r}")
     j = np.zeros((2 * m, 2 * m))
     j[:m, m:] = np.eye(m)
     j[m:, :m] = -np.eye(m)

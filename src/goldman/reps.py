@@ -78,14 +78,13 @@ class Representation:
         return matrix
 
     @cached_property
-    def coboundary_svd(self) -> tuple[int, np.ndarray, np.ndarray]:
-        """(rank, svals, triangle) of coboundary_map: its
-        triangular_values, with the rank, dim B1, decided once by
-        split_singular_values.  No singular vectors are formed."""
-        svals, triangle = triangular_values(self.coboundary_map)
+    def coboundary_svd(self) -> tuple[int, np.ndarray]:
+        """(rank, svals) of coboundary_map: its triangular_values, with
+        the rank, dim B1, decided once by split_singular_values.  No
+        singular vectors are formed."""
+        svals = triangular_values(self.coboundary_map)
         svals.setflags(write=False)
-        triangle.setflags(write=False)
-        return split_singular_values(svals)[0], svals, triangle
+        return split_singular_values(svals)[0], svals
 
     @cached_property
     def dual_form(self) -> np.ndarray:
@@ -398,8 +397,12 @@ def conjugate_representation(rep: Representation, c: np.ndarray) -> Representati
     """Conjugate every generator image by a fixed invertible matrix.
 
     The result is a general-linear representation whatever the base
-    flavor: conjugation by a non-unitary matrix leaves U(n).
+    flavor: conjugation by a non-unitary matrix leaves U(n).  InputError
+    (exit 2) unless c is a finite n x n matrix with |det c| at least
+    SINGULAR_IMAGE.
     """
-    c = np.asarray(c, dtype=complex)
+    c = generator_stack([c], 1, rep.rank, "conjugators")[0]
+    if abs(np.linalg.det(c)) < tolerances.SINGULAR_IMAGE:
+        raise InputError("conjugator is numerically singular")
     return Representation(rep.presentation, rep.rank, c @ rep.images @ np.linalg.inv(c),
                           GENERAL_LINEAR, seed=rep.seed)

@@ -27,7 +27,8 @@ SVD_NATURAL_SCALE = 1.0
 RANK_AMBIGUITY_FACTOR = 10.0
 
 # Complement of B in Z: directions whose principal-angle sine to B exceeds
-# this (cosine below sqrt(1 - COMPLEMENT_SINE**2)).
+# this (cosine below sqrt(1 - COMPLEMENT_SINE**2)).  Also the guard of
+# cocycles.cocycle_dimensions: a sine bound above it means B1 leaves Z1.
 COMPLEMENT_SINE = 0.5
 
 # Largest condition number of the probe in linalg.canonical_frame: the

@@ -8,10 +8,12 @@ import scipy.linalg
 import goldman.charts
 import goldman.cli
 import goldman.tolerances
-from goldman import InputError, Presentation, Representation
+from goldman import (ConditioningError, InputError, Presentation, Representation,
+                     cocycle_basis, newton_project)
 from goldman.cli import main
 from goldman.config import RunConfig
 from goldman.fileio import read_cocycle, read_representation, write_representation
+from goldman.linalg import expm
 from goldman.verify import ALL_CHECKS, SuiteRun, run_check
 
 
@@ -34,6 +36,20 @@ def write_diagonal_point(path):
     phases = np.exp(2j * np.pi * rng.random((4, 2)))
     images = [np.diag(p) for p in phases]
     write_representation(path, Representation(Presentation(2), 2, images, "unitary"))
+
+
+def near_reducible_point():
+    """A genus-2 U(2) point near the diagonal ones: seeded diagonal phase
+    images moved by expm(1e-8 X), X anti-Hermitian, and projected back by
+    newton_project.  The third singular values of the relator constraint
+    (3.05e-8) and of the coboundary map (2.03e-8) lie on either side of
+    the rank cutoff 2.83e-8, so the two ranks are decided 3 and 2."""
+    rng = np.random.default_rng(5)
+    phases = rng.uniform(0, 2 * np.pi, (4, 2))
+    x = rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2))
+    x = (x - x.conj().transpose(0, 2, 1)) / 2
+    images = np.stack([np.diag(np.exp(1j * p)) for p in phases])
+    return newton_project(Presentation(2), (expm(1e-8 * x) @ images)[None], "unitary")[0]
 
 
 class TestDims:
@@ -196,6 +212,21 @@ class TestFileCommands:
         assert code == 3
         assert out == ""
         assert err.startswith("error: frame probe condition")
+        assert not list(tmp_path.glob("cocycle-*.txt"))
+
+    def test_cocycle_basis_at_a_near_reducible_point_exits_three(self, tmp_path, capsys):
+        # rank C = rank D on a closed surface group, so two different
+        # decided ranks name the point as not decidable
+        message = "rank of the relator constraint 3 differs from dim B1 2"
+        rep = near_reducible_point()
+        with pytest.raises(ConditioningError, match=f"^{message}$"):
+            cocycle_basis(rep)
+        write_representation(tmp_path / "rep.txt", rep)
+        code, out, err = run_cli(["--out", str(tmp_path), "cocycle-basis",
+                                  "--rep", str(tmp_path / "rep.txt")], capsys)
+        assert code == 3
+        assert out == ""
+        assert err == f"error: {message}\n"
         assert not list(tmp_path.glob("cocycle-*.txt"))
 
     def test_deform_command(self, tmp_path, capsys):

@@ -1,3 +1,5 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,11 +16,12 @@ from goldman import (Cocycle, ConditioningError, InputError, Presentation, Repre
                      random_representation, real_locus_bases, relator_residual,
                      star_involution, word_jacobian)
 from goldman.cli import main
+from goldman.config import RunConfig
 from goldman.cocycles import (CocycleBasis, _real_span, cocycle_dimensions,
                               expected_h1_dimension, from_flat, linear_combination,
-                              principal_sines, ring_values, sine_bound, stack_cocycles)
+                              ring_values, sine_bound, stack_cocycles)
 from goldman.linalg import (ad_matrix, canonical_frame, column_space, complement_within,
-                            decided_rank, frob, nullspace, real_flatten, right_factor,
+                            decided_rank, frob, nullspace, real_flatten,
                             split_singular_values, triangular_values, vec)
 from goldman.reps import commutant_dimension, relator_tangent_matrix
 from goldman.words import GroupRingElement, letter_codes, ring_codes
@@ -412,13 +415,29 @@ def block_diagonal_point(genus, sizes, seed):
 
 @pytest.fixture
 def no_singular_vectors(monkeypatch):
-    """right_factor patched to raise, in linalg and in its cocycles alias:
-    every dimension read under it is decided from singular values alone."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("singular vectors were formed")
+    """A context in which numpy's svd refuses to form singular vectors and
+    its qr any factor but the triangle: every dimension read under it is
+    decided from singular values alone."""
+    svd, qr = np.linalg.svd, np.linalg.qr
 
-    monkeypatch.setattr(goldman.linalg, "right_factor", refuse)
-    monkeypatch.setattr(goldman.cocycles, "right_factor", refuse)
+    def values_only(m, *args, compute_uv=True, **kwargs):
+        if compute_uv:
+            raise AssertionError("singular vectors were formed")
+        return svd(m, *args, compute_uv=False, **kwargs)
+
+    def triangle_only(m, mode="reduced"):
+        if mode != "r":
+            raise AssertionError("an orthogonal factor was formed")
+        return qr(m, mode="r")
+
+    @contextmanager
+    def refusing():
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "svd", values_only)
+            patch.setattr(np.linalg, "qr", triangle_only)
+            yield
+
+    return refusing
 
 
 class TestReducibleDimensions:
@@ -433,8 +452,9 @@ class TestReducibleDimensions:
     ])
     def test_pinned_dims(self, no_singular_vectors, genus, sizes, dims):
         rep = block_diagonal_point(genus, sizes, seed=3)
-        assert cocycle_basis(rep).dims == dims
-        assert commutant_dimension(rep) == rep.rank ** 2 - dims[1]
+        with no_singular_vectors():
+            assert cocycle_basis(rep).dims == dims
+            assert commutant_dimension(rep) == rep.rank ** 2 - dims[1]
 
 
 def direct_frames(rep):
@@ -477,14 +497,18 @@ class TestRankFirstDimensions:
 
     @pytest.mark.parametrize("flavor", ["unitary", "general-linear"])
     @pytest.mark.parametrize("genus, rank", [(2, 6), (3, 3)])
-    def test_dims_form_no_singular_vectors(self, no_singular_vectors, capsys,
+    def test_dims_form_no_singular_vectors(self, no_singular_vectors, monkeypatch, capsys,
                                            genus, rank, flavor):
         formula = (2 * genus - 2) * rank * rank + 2
+        # the seeded point is drawn and projected first, with the factors
+        # its construction needs, and the command reads that point
         rep = random_representation(genus, rank, flavor, seed=0)
-        assert cocycle_basis(rep).dims[2] == formula
-        assert commutant_dimension(rep) == 1
+        monkeypatch.setattr(RunConfig, "representation", lambda config: rep)
         args = ["--genus", str(genus), "--rank", str(rank), "--flavor", flavor, "dims"]
-        assert main(args) == 0
+        with no_singular_vectors():
+            assert cocycle_basis(rep).dims[2] == formula
+            assert commutant_dimension(rep) == 1
+            assert main(args) == 0
         assert capsys.readouterr().out.endswith(f"H1={formula} formula={formula} MATCH\n")
 
     @pytest.mark.parametrize("genus, rank, flavor", [
@@ -569,9 +593,9 @@ def synthetic_pair(rng, q, z, b, tilts):
 
 
 def decided(m):
-    """(rank, svals, triangle) of m, as Representation.coboundary_svd decides it."""
-    svals, triangle = triangular_values(m)
-    return split_singular_values(svals)[0], svals, triangle
+    """(rank, svals) of m, as Representation.coboundary_svd decides it."""
+    svals = triangular_values(m)
+    return split_singular_values(svals)[0], svals
 
 
 def conditioned(rng, k):
@@ -583,14 +607,24 @@ def conditioned(rng, k):
 
 
 def assert_count(constraint, coboundary, z, b, kept):
-    """cocycle_dimensions counts kept H1 directions: it returns them when
-    B1 lies in Z1 (kept == z - b) and names them in its error otherwise."""
-    if kept == z - b:
-        assert cocycle_dimensions(constraint, coboundary, decided(coboundary)) == (z, b, kept)
-    else:
-        with pytest.raises(ConditioningError,
-                           match=f"inconsistent dimensions: Z1 {z}, B1 {b}, complement {kept}$"):
+    """cocycle_dimensions gives the duality count (z, b, z - b) when B1
+    lies in Z1, as complement_within's kept count does, and refuses a pair
+    from which complement_within keeps more: B1 leaves Z1.  A tilt within
+    the cut may be refused too, exactly when sine_bound exceeds it."""
+    k, b_svals = decided(coboundary)
+    svals = triangular_values(constraint.conj().T)
+    bound = sine_bound(constraint @ coboundary, svals[:k], b_svals[:k])
+    if kept != z - b or bound > goldman.tolerances.COMPLEMENT_SINE:
+        with pytest.raises(ConditioningError, match="^B1 leaves Z1: sine bound"):
             cocycle_dimensions(constraint, coboundary, decided(coboundary))
+    else:
+        assert cocycle_dimensions(constraint, coboundary, decided(coboundary)) == (z, b, kept)
+
+
+def assert_rank_refused(constraint, coboundary, r, k):
+    with pytest.raises(ConditioningError,
+                       match=f"^rank of the relator constraint {r} differs from dim B1 {k}$"):
+        cocycle_dimensions(constraint, coboundary, decided(coboundary))
 
 
 def angle_case(seed, q, z, b, tilts):
@@ -607,49 +641,51 @@ def angle_case(seed, q, z, b, tilts):
             z, b, kept)
 
 
-@pytest.fixture
-def formed(monkeypatch):
-    """The arguments of each principal_sines call: the exact count's runs."""
-    calls = []
-    sines = goldman.cocycles.principal_sines
-    monkeypatch.setattr(goldman.cocycles, "principal_sines",
-                        lambda *args: calls.append(args) or sines(*args))
-    return calls
-
-
-def assert_exact_when_tilted(formed, tilts):
-    """A sine above the cut exceeds the sine bound too, so the sines are
-    formed and counted; with B1 inside Z1 the bound decides alone."""
-    if any(t > 30 for t in tilts):
-        assert len(formed) == 1
-    if not tilts:
-        assert formed == []
-
-
 class TestPrincipalAngleCount:
+    """cocycle_dimensions on synthetic pairs: the one rank k gives
+    (q - k, k, q - 2k) when rank C is k and B1 lies in Z1, and each guard
+    refuses the pairs that break its condition.  Every decision is read
+    from singular values alone."""
+
     # 28 and 32 degrees lie on either side of the 30 degree cut.  The
     # constraint mixes its orthonormal rows, and the coboundary map the B1
-    # frame's columns, each by a matrix of condition 1e3, so the count
-    # must undo the singular values of both factors
+    # frame's columns, each by a matrix of condition 1e3, so the guard
+    # must undo the singular values of both factors.  rank C = dim B1 = 10
     @pytest.mark.parametrize("tilts", [(), (20,), (45,), (70,), (20, 45, 70), (70, 70),
                                        (28,), (32,), (28, 32)])
-    def test_matches_complement_within(self, formed, tilts):
-        assert_count(*angle_case(len(tilts) + sum(tilts), 24, 14, 5, tilts))
-        assert_exact_when_tilted(formed, tilts)
+    def test_matches_complement_within(self, no_singular_vectors, tilts):
+        case = angle_case(len(tilts) + sum(tilts), 24, 14, 10, tilts)
+        with no_singular_vectors():
+            assert_count(*case)
 
     @pytest.mark.parametrize("tilts", [(), (20,), (70,), (28, 32, 70)])
-    def test_more_coboundary_columns_than_rows(self, formed, tilts):
-        # dim B1 = 6 > r = 3: at least three B1 directions lie inside Z1
-        # and have no sine in R^H b
-        assert_count(*angle_case(50 + sum(tilts), 12, 9, 6, tilts))
-        assert_exact_when_tilted(formed, tilts)
+    def test_more_coboundary_columns_than_rows(self, no_singular_vectors, tilts):
+        # dim B1 = 6 > rank C = 3: no B1 of a closed surface group
+        constraint, coboundary, *_ = angle_case(50 + sum(tilts), 12, 9, 6, tilts)
+        with no_singular_vectors():
+            assert_rank_refused(constraint, coboundary, 3, 6)
 
-    def test_empty_coboundaries_and_full_rank_constraint(self):
+    def test_empty_coboundaries_and_full_rank_constraint(self, no_singular_vectors):
         rng = np.random.default_rng(40)
         constraint, b_frame = synthetic_pair(rng, 10, 4, 3, ())
-        assert_count(conditioned(rng, 6) @ constraint, b_frame[:, :0], 4, 0, 4)
+        constraint, coboundary = conditioned(rng, 6) @ constraint, b_frame @ conditioned(rng, 3)
         no_rows = np.zeros((6, 10), dtype=complex)  # rank 0: Z1 is everything
-        assert_count(no_rows, b_frame @ conditioned(rng, 3), 10, 3, 7)
+        with no_singular_vectors():
+            assert_rank_refused(constraint, b_frame[:, :0], 6, 0)
+            assert_rank_refused(no_rows, coboundary, 0, 3)
+            assert cocycle_dimensions(no_rows, b_frame[:, :0], (0, np.zeros(0))) == (10, 0, 10)
+
+
+def exact_largest_sine(constraint, coboundary):
+    """The largest sine between col(coboundary) and the nullspace of
+    constraint, from orthonormal frames: the largest singular value of
+    R^H b for a frame R of the orthogonal complement of the nullspace and
+    a frame b of col(coboundary), both from np.linalg.svd."""
+    _, svals, vh = np.linalg.svd(constraint)
+    outside = vh[:split_singular_values(svals)[0]].conj().T
+    u, b_svals, _ = np.linalg.svd(coboundary, full_matrices=False)
+    b_frame = u[:, :split_singular_values(b_svals)[0]]
+    return np.linalg.svd(outside.conj().T @ b_frame, compute_uv=False)[0]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -658,19 +694,17 @@ class TestPrincipalAngleCount:
 def test_sine_bound_covers_the_largest_sine(seed, wide, tilts):
     q, z, b = (12, 9, 6) if wide else (24, 14, 5)
     constraint, coboundary, *_ = angle_case(seed, q, z, b, tilts)
-    svals, triangle = triangular_values(constraint.conj().T)
+    svals = triangular_values(constraint.conj().T)
     r = split_singular_values(svals)[0]
-    k, b_svals, b_triangle = decided(coboundary)
-    product = constraint @ coboundary
-    sines = principal_sines(product, triangle, r, b_triangle, k)
-    largest = np.linalg.svd(sines, compute_uv=False)[0]
+    k, b_svals = decided(coboundary)
+    largest = exact_largest_sine(constraint, coboundary)
     # the bound holds exactly; the two sides differ by roundoff at most
-    assert sine_bound(product, svals[:r], b_svals[:k]) >= largest * (1 - 1e-12)
+    assert sine_bound(constraint @ coboundary, svals[:r], b_svals[:k]) >= largest * (1 - 1e-12)
 
 
 class TestRowSpace:
-    """triangular_values and right_factor: the singular values, rank and
-    row space of the SVD."""
+    """triangular_values: the singular values and rank of the SVD, with
+    the nullspace of the same rule as the rank's complement."""
 
     @staticmethod
     def cases(rng):
@@ -687,30 +721,19 @@ class TestRowSpace:
     def test_matches_the_svd(self):
         rng = np.random.default_rng(60)
         for m in self.cases(rng):
-            svals, triangle = triangular_values(m)
-            factor_svals, vh = right_factor(triangle)
-            _, expected, expected_vh = np.linalg.svd(m, full_matrices=False)
-            assert svals.shape == factor_svals.shape == expected.shape
+            svals = triangular_values(m)
+            expected = np.linalg.svd(m, compute_uv=False)
+            assert svals.shape == expected.shape
             assert np.abs(svals - expected).max() <= 1e-12 * expected[0]
-            assert np.abs(factor_svals - expected).max() <= 1e-12 * expected[0]
-            rank = split_singular_values(svals)[0]
-            assert rank == split_singular_values(expected)[0]
-            row, expected_row = vh[:rank].conj().T, expected_vh[:rank].conj().T
-            assert frob(row @ row.conj().T - expected_row @ expected_row.conj().T) < 1e-12
+            assert split_singular_values(svals)[0] == split_singular_values(expected)[0]
 
     def test_complements_the_nullspace(self):
         rng = np.random.default_rng(61)
         for m in self.cases(rng):
-            svals, triangle = triangular_values(m)
-            _, vh = right_factor(triangle)
-            rank = split_singular_values(svals)[0]
-            row, null = vh[:rank].conj().T, nullspace(m)
-            cols = m.shape[1]
-            assert row.shape[1] + null.shape[1] == cols
-            assert rank == split_singular_values(np.linalg.svd(m, compute_uv=False))[0]
-            projector = row @ row.conj().T + null @ null.conj().T
-            assert frob(projector - np.eye(cols)) < 1e-12
-            assert frob(row.conj().T @ row - np.eye(row.shape[1])) < 1e-12
+            rank = split_singular_values(triangular_values(m))[0]
+            null = nullspace(m)
+            assert rank + null.shape[1] == m.shape[1]
+            assert frob(null.conj().T @ null - np.eye(null.shape[1])) < 1e-12
             assert frob(m @ null) < 1e-12 * max(1.0, frob(m))
 
     def test_decided_rank_is_the_singular_value_rule(self):

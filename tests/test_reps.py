@@ -7,7 +7,8 @@ from goldman import tolerances
 from goldman import (ConvergenceError, InputError, Presentation, Representation,
                      coboundary, coboundary_matrix, commutant_dimension,
                      commutator_factor, conjugate_representation, evaluate,
-                     newton_project, random_representation, relator_defect)
+                     newton_project, random_representation, relator_defect,
+                     standard_block_j)
 from goldman.linalg import (expm, frob, haar_unitary, polar_unitary,
                             split_singular_values, vec)
 from goldman.reps import relator_tangent_matrix
@@ -497,3 +498,18 @@ class TestConstructionValidation:
         images[1][0, 1] = bad
         with pytest.raises(InputError, match="non-finite"):
             Representation(rep_g2n2.presentation, 2, tuple(images), flavor)
+
+
+@pytest.mark.parametrize("call", [
+    lambda rep: conjugate_representation(rep, np.zeros((2, 2))),
+    lambda rep: conjugate_representation(rep, np.eye(3)),
+    lambda rep: standard_block_j(-1),
+    lambda rep: standard_block_j(1.5),
+    lambda rep: standard_block_j(True),
+    lambda rep: coboundary(np.zeros((3, 3)), rep),
+    lambda rep: coboundary([[1, 2], [3]], rep),
+], ids=["singular-conjugator", "wide-conjugator", "negative-block", "fractional-block",
+        "bool-block", "wide-coboundary", "ragged-coboundary"])
+def test_exported_calls_refuse_bad_input(rep_g2n2, call):
+    with pytest.raises(InputError):
+        call(rep_g2n2)

@@ -23,9 +23,9 @@ Eighteen rules, with no lint dependency:
   one rule;
 - no module but ``linalg`` calls ``qr``: ``linalg.triangular_values`` is
   the one QR whose triangle is read, so no tall factor is formed beside it;
-- ``right_factor`` is called only in ``cocycles.principal_sines``, the
-  exact count of the angles between B1 and Z1 when their sine bound
-  cannot decide, so no caller forms singular vectors to decide a rank;
+- every public module-level function of ``linalg`` is called in another
+  module of the package, so a deletion elsewhere leaves no orphan helper
+  behind;
 - no module imports scipy: the runtime needs numpy only, and the tests
   keep scipy.linalg as their reference;
 - ``lstsq`` is called at one site, inside ``reps.newton_project``: the
@@ -203,6 +203,18 @@ def _without_lines(found):
                   for site in found)
 
 
+def public_functions(path):
+    """Names of the public module-level functions of a module."""
+    return [node.name for node in _tree(path).body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+
+
+def orphan_functions(path, others):
+    """Public module-level functions of path called in none of others."""
+    return [name for name in public_functions(path)
+            if not any(call_sites(other, name) for other in others)]
+
+
 def scipy_imports(path):
     """Imports of scipy or of one of its submodules, wherever they stand."""
     lines = [node.lineno for node in ast.walk(_tree(path))
@@ -293,9 +305,9 @@ def test_one_coboundary_matrix_site():
     assert _without_lines(found) == ["reps.py in Representation.coboundary_map"]
 
 
-def test_one_right_factor_site():
-    found = [site for path in MODULES for site in call_sites(path, "right_factor")]
-    assert sorted(set(_without_lines(found))) == ["cocycles.py in principal_sines"]
+def test_every_linalg_function_has_an_outside_caller():
+    others = [path for path in MODULES if path.name != "linalg.py"]
+    assert orphan_functions(SOURCE / "linalg.py", others) == []
 
 
 def test_one_document_reader_and_writer():
@@ -384,8 +396,6 @@ def test_rules_flag_what_they_name(tmp_path):
         "    return _invert_all(images, 'unitary'), lambda: reps._invert_all(images, 'x')\n"
         "def triangle(m):\n"
         "    return np.linalg.qr(m, mode='r'), qr(m), np.linalg.qr\n"
-        "def principal_sines(t):\n"
-        "    return right_factor(t), linalg.right_factor(t), right_factor\n"
         "def _read_document(path):\n"
         "    return _read_text(path), fileio._read_text(path), format_float\n"
         "def _document(rows):\n"
@@ -412,12 +422,17 @@ def test_rules_flag_what_they_name(tmp_path):
     assert call_sites(module, "_invert_all") == ["sample.py:38 in project",
                                                  "sample.py:38 in project"]
     assert calls_named(module, "qr") == ["sample.py:40", "sample.py:40"]
-    assert call_sites(module, "right_factor") == ["sample.py:42 in principal_sines",
-                                                  "sample.py:42 in principal_sines"]
-    assert call_sites(module, "_read_text") == ["sample.py:44 in _read_document",
-                                                "sample.py:44 in _read_document"]
-    assert call_sites(module, "format_float") == ["sample.py:46 in _document"]
-    assert string_literal_sites(module, "x-check") == ["sample.py:48 in check_x",
-                                                       "sample.py:48 in check_x",
-                                                       "sample.py:49 in <module>"]
+    assert call_sites(module, "_read_text") == ["sample.py:42 in _read_document",
+                                                "sample.py:42 in _read_document"]
+    assert call_sites(module, "format_float") == ["sample.py:44 in _document"]
+    assert string_literal_sites(module, "x-check") == ["sample.py:46 in check_x",
+                                                       "sample.py:46 in check_x",
+                                                       "sample.py:47 in <module>"]
+    assert public_functions(module) == ["f", "g", "h", "r", "s", "t", "u", "project",
+                                        "triangle", "check_x"]
+    caller = tmp_path / "caller.py"
+    caller.write_text("def v(m):\n"
+                      "    return f(), sample.g(m), h, [r for r in m], C().points(m)\n")
+    assert orphan_functions(module, [caller]) == ["h", "r", "s", "t", "u", "project",
+                                                  "triangle", "check_x"]
 
