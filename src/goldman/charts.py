@@ -19,12 +19,13 @@ rule that reads an order from such a ladder, or finds it flat.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import tolerances
 from .errors import InputError
-from .cocycles import Cocycle, linear_combination
+from .cocycles import Cocycle, CocycleStack, linear_combination, stack_cocycles
 from .linalg import expm
 from .pairing import gram_matrix, pairing_dual
 from .reps import GENERAL_LINEAR, Representation, evaluate_words, newton_project
@@ -102,6 +103,12 @@ class Chart:
     def dimension(self) -> int:
         return len(self.frame)
 
+    @cached_property
+    def frame_stack(self) -> CocycleStack:
+        """The frame as one read-only stack, built on the first move that
+        combines it."""
+        return stack_cocycles(self.frame)
+
     def point(self, coords) -> Representation:
         return self.points((coords,))[0]
 
@@ -145,7 +152,7 @@ class Chart:
         if not np.any(coords):
             self._cache[key], self._raw[key] = self.center, self.center.images
             return key
-        direction = linear_combination(self.center, coords, self.frame)
+        direction = linear_combination(self.center, coords, self.frame_stack)
         if not direction.norm() <= tolerances.DEFORM_TRUST * (1 + tolerances.DEFORM_TRUST_SLACK):
             raise InputError(f"move of norm {direction.norm():g} leaves the deformation "
                              f"trust region (<= {tolerances.DEFORM_TRUST:g})")

@@ -20,7 +20,7 @@ from .errors import ConditioningError, InputError
 from .linalg import (canonical_frame, column_space, complement_within, complex_gaussian,
                      frob, generator_stack, nullspace, real_flatten, split_singular_values,
                      triangular_values)
-from .reps import (UNITARY, Representation, evaluate_words, fox_jacobian, letter_table,
+from .reps import (UNITARY, Representation, evaluate_words, fox_jacobian,
                    relator_tangent_matrix)
 from .words import (GroupRingElement, GroupWord, RingCodes, letter_codes, letter_fox_terms,
                     ring_codes)
@@ -107,23 +107,27 @@ def from_flat(base: Representation, flat: np.ndarray) -> Cocycle:
 
 
 def linear_combination(base: Representation, coeffs, cocycles) -> Cocycle:
-    """The cocycle sum_i coeffs[i] * cocycles[i] over base; the empty
-    combination is the zero cocycle.
+    """The cocycle sum_i coeffs[i] * cocycles[i] over base, for a sequence
+    of cocycles or a CocycleStack; the empty combination is the zero
+    cocycle.
 
     One ordered reduction over the stacked terms, bit for bit the Python
     sum 0 + c_0 chi_0 + c_1 chi_1 + ...: a matrix product would reorder
-    the sum.  InputError (exit 2) when the number of coefficients is not
-    the number of cocycles, or a cocycle lives over another base.
+    the sum.  A caller that combines the same cocycles many times passes
+    their stack, built once.  InputError (exit 2) when the number of
+    coefficients is not the number of cocycles, or a cocycle lives over
+    another base.
     """
-    cocycles = tuple(cocycles)
+    if not isinstance(cocycles, CocycleStack):
+        cocycles = tuple(cocycles)
     coeffs = np.asarray(coeffs)
     if coeffs.shape != (len(cocycles),):
         raise InputError(f"{len(cocycles)} cocycles need as many coefficients, "
                          f"got shape {coeffs.shape}")
-    if not cocycles:
+    if not len(cocycles):
         n = base.rank
         return Cocycle(base, np.zeros((base.presentation.generator_count, n, n)))
-    stack = stack_cocycles(cocycles)
+    stack = cocycles if isinstance(cocycles, CocycleStack) else stack_cocycles(cocycles)
     if not base.same_base(stack.base):
         raise InputError("cocycles live over a different base representation")
     return Cocycle(base, 0 + np.add.reduce(coeffs[:, None, None, None] * stack.values,
@@ -148,8 +152,7 @@ def extend(chi: Cocycle, word: GroupWord) -> np.ndarray:
     if word.genus != rep.genus:
         raise InputError("word and cocycle have different genus")
     count = rep.presentation.generator_count
-    left = letter_table(rep.images, rep.inverse_images)
-    right = letter_table(rep.inverse_images, rep.images)
+    left, right = rep.letter_tables
     acc = np.zeros((rep.rank, rep.rank), dtype=complex)
     for code in reversed(word.codes):
         if code < count:
@@ -220,8 +223,7 @@ def _fold(rep: Representation, values: np.ndarray, coded) -> np.ndarray:
     each cocycle of a (..., 2g, n, n) value stack over rep: shape
     (..., words, n, n).  Leading cocycle axes broadcast against the
     representation's letter tables."""
-    left = letter_table(rep.images, rep.inverse_images)
-    right = letter_table(rep.inverse_images, rep.images)
+    left, right = rep.letter_tables
     zeros = np.zeros_like(values)
     plus = np.concatenate([values, zeros], axis=-3)
     minus = np.concatenate([zeros, values], axis=-3)
@@ -334,6 +336,16 @@ class CocycleBasis:
     def h1_complement(self) -> tuple[Cocycle, ...]:
         return _frame_cocycles(self.base, self.h1_frame)
 
+    @cached_property
+    def basis_stack(self) -> CocycleStack:
+        """basis as one read-only stack, for the combinations of random_cocycle."""
+        return stack_cocycles(self.basis)
+
+    @cached_property
+    def h1_stack(self) -> CocycleStack:
+        """h1_complement as one read-only stack, for the combinations of random_cocycle."""
+        return stack_cocycles(self.h1_complement)
+
     def h1_coordinates(self, chi: Cocycle) -> np.ndarray:
         """Coefficients of the class of chi in the H1 complement basis.
 
@@ -415,9 +427,9 @@ def random_cocycle(basis: CocycleBasis, rng: np.random.Generator,
     space is "z1" (the Z1 basis) or "h1" (the H1 complement).
     """
     if space == "z1":
-        pool = basis.basis
+        pool = basis.basis_stack
     elif space == "h1":
-        pool = basis.h1_complement
+        pool = basis.h1_stack
     else:
         raise InputError(f"unknown cocycle space {space!r}, expected 'z1' or 'h1'")
     coeffs = complex_gaussian(rng, len(pool))

@@ -233,7 +233,8 @@ def symplectic_basis(g: GoldmanGram) -> SymplecticBasis:
         f_vectors.append(f_vec)
 
     transform = np.column_stack(e_vectors + f_vectors)
-    combined = tuple(linear_combination(g.base, transform[:, c], g.vectors)
+    vectors = stack_cocycles(g.vectors)
+    combined = tuple(linear_combination(g.base, transform[:, c], vectors)
                      for c in range(transform.shape[1]))
     m = len(e_vectors)
     return SymplecticBasis(base=g.base, e=combined[:m], f=combined[m:],

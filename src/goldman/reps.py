@@ -70,6 +70,17 @@ class Representation:
         return _invert_all(self.images, self.flavor)
 
     @cached_property
+    def letter_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only letter_table(images, inverse_images) and
+        letter_table(inverse_images, images), built once: the image and
+        the inverse image of each letter code, for every word walker."""
+        tables = (letter_table(self.images, self.inverse_images),
+                  letter_table(self.inverse_images, self.images))
+        for table in tables:
+            table.setflags(write=False)
+        return tables
+
+    @cached_property
     def coboundary_map(self) -> np.ndarray:
         """Read-only coboundary_matrix, the map v -> delta_v: B1 is its
         column space, the commutant its nullspace."""
@@ -112,7 +123,7 @@ def evaluate(rep: Representation, word: GroupWord) -> np.ndarray:
     """Image of a word: multiplicative, identity on the empty word."""
     if word.genus != rep.genus:
         raise InputError("word and representation have different genus")
-    return _word_product(rep.images, rep.inverse_images, word)
+    return _word_product(rep.letter_tables[0], word)
 
 
 def relator_defect(rep: Representation) -> float:
@@ -127,7 +138,7 @@ def evaluate_words(rep: Representation, words) -> np.ndarray:
     position over the rows whose word reaches it (letter_codes), so each
     image is evaluate's bit for bit.
     """
-    table = letter_table(rep.images, rep.inverse_images)
+    table = rep.letter_tables[0]
     codes, reach, restore = letter_codes(rep.presentation, words)
     out = np.repeat(np.eye(rep.rank, dtype=complex)[None], len(words), axis=0)
     for column, m in zip(codes.T, reach):
@@ -142,11 +153,11 @@ def letter_table(images, inverses) -> np.ndarray:
     return np.concatenate([images, inverses], axis=-3)
 
 
-def _word_product(images, inverses, word) -> np.ndarray:
+def _word_product(table, word) -> np.ndarray:
     """Left-to-right product of the letter images of a word, one step per
-    code, for one (2g, n, n) image stack or each of a (k, 2g, n, n) stack."""
-    table = letter_table(images, inverses)
-    out = np.eye(images.shape[-1], dtype=complex)
+    code, in the letter_table of one (2g, n, n) image stack or of each of
+    a (k, 2g, n, n) stack."""
+    out = np.eye(table.shape[-1], dtype=complex)
     for code in word.codes:
         out = out @ table[..., code, :, :]
     return out
@@ -245,7 +256,8 @@ def random_representation(genus: int, rank: int, flavor: str = UNITARY,
     # partial relator of the first g-1 handles
     images = np.array([draw() for _ in range(2 * (genus - 1))] + [np.eye(n)] * 2,
                       dtype=complex)
-    partial = _word_product(images, _invert_all(images, flavor), pres.relator(genus - 1))
+    partial = _word_product(letter_table(images, _invert_all(images, flavor)),
+                            pres.relator(genus - 1))
     target = np.linalg.inv(partial)
     det = np.linalg.det(target)
     target = target * det ** (-1.0 / n)
@@ -349,7 +361,7 @@ def newton_project(presentation: Presentation, images, flavor: str,
     relator = presentation.relator()
 
     def relator_images(stack, inverses):
-        r = _word_product(stack, inverses, relator)
+        r = _word_product(letter_table(stack, inverses), relator)
         return r, [frob(m - eye) for m in r]
 
     inverses = _invert_all(stack, flavor).copy()  # updated with each accepted tuple
@@ -398,11 +410,14 @@ def conjugate_representation(rep: Representation, c: np.ndarray) -> Representati
 
     The result is a general-linear representation whatever the base
     flavor: conjugation by a non-unitary matrix leaves U(n).  InputError
-    (exit 2) unless c is a finite n x n matrix with |det c| at least
-    SINGULAR_IMAGE.
+    (exit 2) unless c is a finite n x n matrix with |det c| above
+    SINGULAR_IMAGE * ||c||_2^n.  The cut is relative: |det c| / ||c||_2^n
+    is the product of the singular values over the n-th power of the
+    largest, so it refuses a near-singular c at any scale (the zero
+    matrix included) and accepts a small scalar matrix.
     """
     c = generator_stack([c], 1, rep.rank, "conjugators")[0]
-    if abs(np.linalg.det(c)) < tolerances.SINGULAR_IMAGE:
+    if abs(np.linalg.det(c)) <= tolerances.SINGULAR_IMAGE * np.linalg.norm(c, 2) ** rep.rank:
         raise InputError("conjugator is numerically singular")
     return Representation(rep.presentation, rep.rank, c @ rep.images @ np.linalg.inv(c),
                           GENERAL_LINEAR, seed=rep.seed)

@@ -66,7 +66,8 @@ CLOSEDNESS_MAX_STEP = 1e-2
 # radius itself is not refused for a rounding error.
 DEFORM_TRUST_SLACK = 1e-12
 
-# A generator image whose |det| is below this is refused as singular.
+# A generator image whose |det| is below this is refused as singular; a
+# conjugator c of rank n, when |det c| is at most this times ||c||_2^n.
 SINGULAR_IMAGE = 1e-12
 
 # Skew Gram-Schmidt pivot: a pairing at or below this times the larger of

@@ -97,15 +97,25 @@ class GroupWord:
         cut = 0
         while cut < min(len(left), len(right)) and abs(left[-1 - cut] - right[cut]) == count:
             cut += 1
-        return GroupWord(self.genus, left[:len(left) - cut] + right[cut:])
+        return _trusted(self.genus, left[:len(left) - cut] + right[cut:])
 
     def inverse(self) -> "GroupWord":
         count = 2 * self.genus
-        return GroupWord(self.genus, tuple([code + count if code < count else code - count
-                                            for code in reversed(self.codes)]))
+        return _trusted(self.genus, tuple([code + count if code < count else code - count
+                                           for code in reversed(self.codes)]))
 
     def __str__(self) -> str:
         return format_word(self)
+
+
+def _trusted(genus: int, codes: tuple[int, ...]) -> GroupWord:
+    """The GroupWord of codes that this module has just made freely reduced
+    and in range, over an int genus, without GroupWord's checks: a product,
+    an inverse, a reduction and a Fox prefix are reduced by construction."""
+    word = object.__new__(GroupWord)
+    object.__setattr__(word, "genus", genus)
+    object.__setattr__(word, "codes", codes)
+    return word
 
 
 def commutator(u: GroupWord, v: GroupWord) -> GroupWord:
@@ -176,7 +186,7 @@ class Presentation:
                 stack.pop()
             else:
                 stack.append(code)
-        return GroupWord(self.genus, tuple(stack))
+        return _trusted(self.genus, tuple(stack))
 
     def relator(self, k: int | None = None) -> GroupWord:
         """R_k = [a_1,b_1]...[a_k,b_k]; R_0 is the identity, default k = genus."""
@@ -350,7 +360,7 @@ def fox_derivative(word: GroupWord, index: int) -> GroupRingElement:
     """
     genus = word.genus
     check_index("generator index", index, 2 * genus)
-    return GroupRingElement(genus, {GroupWord(genus, word.codes[:length]): coeff
+    return GroupRingElement(genus, {_trusted(genus, word.codes[:length]): coeff
                                     for gen, length, coeff in letter_fox_terms(word)
                                     if gen == index})
 

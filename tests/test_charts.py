@@ -337,6 +337,15 @@ class TestChartPoints:
             assert np.array_equal(point.images, moved.images)
             assert chart.point(coords) is point
 
+    def test_frame_is_stacked_once_and_read_only(self, basis_g2n2):
+        chart = Chart(center=basis_g2n2.base, frame=basis_g2n2.h1_complement)
+        stack = chart.frame_stack
+        assert chart.frame_stack is stack and stack.base is basis_g2n2.base
+        assert np.array_equal(stack.values, np.stack([chi.values for chi in chart.frame]))
+        assert not stack.values.flags.writeable
+        with pytest.raises(ValueError):
+            stack.values[0, 0, 0, 0] = 1.0
+
     def test_closedness_retracts_its_stencil_once(self, basis_g2n2, monkeypatch):
         chart = Chart(center=basis_g2n2.base, frame=basis_g2n2.h1_complement)
         calls = projection_shapes(monkeypatch)

@@ -309,6 +309,45 @@ class TestLinearCombination:
             assert_same_bits(linear_combination(rep_g2n2, coeffs, chis).values,
                              python_sum(coeffs, chis))
 
+    def test_stack_gives_the_tuple_bits(self, seeded_bases):
+        rng = np.random.default_rng(70)
+        for basis in seeded_bases.values():
+            for pool, stack in ((basis.basis, basis.basis_stack),
+                                (basis.h1_complement, basis.h1_stack)):
+                for coeffs in (rng.standard_normal(len(pool))
+                               + 1j * rng.standard_normal(len(pool)),
+                               rng.integers(-3, 4, len(pool)).tolist()):
+                    combined = linear_combination(basis.base, coeffs, stack)
+                    assert_same_bits(combined.values,
+                                     linear_combination(basis.base, coeffs, pool).values)
+                    assert_same_bits(combined.values, python_sum(coeffs, pool))
+
+    def test_stack_refuses_a_wrong_count_and_another_base(self, rep_g2n2, basis_g2n2):
+        stack = basis_g2n2.basis_stack
+        for coeffs in (np.ones(len(stack) - 1), np.ones(len(stack) + 1), [[1.0]], 1.0):
+            with pytest.raises(InputError, match="coefficients") as error:
+                linear_combination(rep_g2n2, coeffs, stack)
+            assert error.value.exit_code == 2
+        other = random_representation(2, 2, "unitary", seed=1)
+        with pytest.raises(InputError, match="different base") as error:
+            linear_combination(other, np.ones(len(stack)), stack)
+        assert error.value.exit_code == 2
+
+    def test_random_cocycle_reads_the_cached_stacks(self, basis_g2n2):
+        for space, pool, name in (("z1", basis_g2n2.basis, "basis_stack"),
+                                  ("h1", basis_g2n2.h1_complement, "h1_stack")):
+            stack = getattr(basis_g2n2, name)
+            assert getattr(basis_g2n2, name) is stack  # built once
+            assert stack.base is basis_g2n2.base and len(stack) == len(pool)
+            assert_same_bits(stack.values, np.stack([chi.values for chi in pool]))
+            assert not stack.values.flags.writeable
+            with pytest.raises(ValueError):
+                stack.values[0, 0, 0, 0] = 1.0
+            # the same draw combines the cached stack and the tuple alike
+            chi = random_cocycle(basis_g2n2, np.random.default_rng(71), space)
+            coeffs = goldman.linalg.complex_gaussian(np.random.default_rng(71), len(pool))
+            assert_same_bits(chi.values, python_sum(coeffs, pool))
+
 
 class TestCoboundary:
     def test_zero_matrix(self, rep_g2n2):

@@ -56,6 +56,19 @@ class TestEvaluate:
             rhs = evaluate(rep_g2n2, u) @ evaluate(rep_g2n2, v)
             assert frob(lhs - rhs) / max(1.0, frob(rhs)) < 1e-12
 
+    @pytest.mark.parametrize("genus, rank, flavor", [
+        (2, 2, "unitary"), (2, 3, "general-linear"), (3, 1, "unitary")])
+    def test_letter_tables_are_cached_read_only(self, genus, rank, flavor):
+        rep = random_representation(genus, rank, flavor, seed=6)
+        left, right = rep.letter_tables
+        assert rep.letter_tables[0] is left and rep.letter_tables[1] is right
+        assert np.array_equal(left, np.concatenate([rep.images, rep.inverse_images]))
+        assert np.array_equal(right, np.concatenate([rep.inverse_images, rep.images]))
+        for table in (left, right):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0, 0] = 1.0
+
     def test_partial_relator_determinants(self, seeded_reps):
         for rep in seeded_reps.values():
             for k in range(rep.genus + 1):
@@ -259,6 +272,23 @@ class TestConjugateRepresentation:
         for m, image in zip(rep_g2n2.images, moved.images):
             assert np.array_equal(image, c @ m @ np.linalg.inv(c))
         assert relator_defect(moved) < 1e-10
+
+    @pytest.mark.parametrize("scale", [1e-7, 1.0, 1e7])
+    def test_singularity_cut_is_relative_to_scale(self, rep_g2n2, scale):
+        # a scalar conjugator changes nothing, however small
+        moved = conjugate_representation(rep_g2n2, scale * np.eye(2))
+        assert np.allclose(moved.images, rep_g2n2.images, atol=1e-14)
+        # a near-singular one is refused at every scale
+        for c in (np.diag([1.0, 1e-13]), np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]])):
+            with pytest.raises(InputError, match="numerically singular") as error:
+                conjugate_representation(rep_g2n2, scale * c)
+            assert error.value.exit_code == 2
+
+    def test_generator_images_keep_the_absolute_cut(self, rep_g2n2):
+        images = np.array(rep_g2n2.images)
+        images[0] = 1e-7 * np.eye(2)  # well conditioned, but |det| = 1e-14
+        with pytest.raises(InputError, match="numerically singular"):
+            Representation(rep_g2n2.presentation, 2, images, "general-linear")
 
 
 def per_generator_newton(presentation, images, flavor):

@@ -1,7 +1,7 @@
 """Import hygiene of the package source, checked on its syntax trees,
 and the independence of the cup-product oracle.
 
-Eighteen rules, with no lint dependency:
+Nineteen rules, with no lint dependency:
 
 - every module-level import is used in its module (the package
   ``__init__`` re-exports, and ``from __future__`` imports are exempt);
@@ -51,6 +51,11 @@ Eighteen rules, with no lint dependency:
 - ``_invert_all`` is called only in ``Representation.inverse_images``,
   ``random_representation`` and ``newton_project``: every other reader of
   inverse images, the Fox Jacobian included, is handed them;
+- the trusted word constructor ``words._trusted`` is called only in
+  ``words``, by ``GroupWord.__mul__``, ``GroupWord.inverse``,
+  ``Presentation.reduce`` and ``fox_derivative``, on codes that the
+  module has just made freely reduced and in range: every word built
+  from outside input passes ``GroupWord``'s checks;
 - each name of ``verify.ALL_CHECKS`` is a string literal once in
   ``verify.py``, in its table row: the runner hands it to the check's
   stream and report line, so no second copy can drift from the table.
@@ -324,6 +329,14 @@ def test_inversion_sites():
                                                   "reps.py in random_representation"]
 
 
+def test_trusted_words_are_built_only_in_words():
+    found = [site for path in MODULES for site in call_sites(path, "_trusted")]
+    assert sorted(set(_without_lines(found))) == ["words.py in GroupWord.__mul__",
+                                                  "words.py in GroupWord.inverse",
+                                                  "words.py in Presentation.reduce",
+                                                  "words.py in fox_derivative"]
+
+
 def test_each_check_is_named_once():
     named = {check.name: _without_lines(string_literal_sites(SOURCE / "verify.py", check.name))
              for check in ALL_CHECKS}
@@ -402,7 +415,9 @@ def test_rules_flag_what_they_name(tmp_path):
         "    return [format_float(x) for row in rows for x in row]\n"
         "def check_x(run, rng):\n"
         "    return run.rng('x-check'), 'x-check', 'x-checks', 'an x-check', 1\n"
-        "CHECKS = ('x-check',)\n")
+        "CHECKS = ('x-check',)\n"
+        "def power(word):\n"
+        "    return _trusted(word.genus, word.codes * 2), words._trusted, _trusted_ok\n")
     assert unused_module_imports(module) == ["sample.py:2 json"]
     assert non_cycle_local_imports(module) == ["sample.py:6 in f", "sample.py:7 in f"]
     assert package_imports(module) == ["sample.py:4 reps", "sample.py:7 reps",
@@ -428,11 +443,12 @@ def test_rules_flag_what_they_name(tmp_path):
     assert string_literal_sites(module, "x-check") == ["sample.py:46 in check_x",
                                                        "sample.py:46 in check_x",
                                                        "sample.py:47 in <module>"]
+    assert call_sites(module, "_trusted") == ["sample.py:49 in power"]
     assert public_functions(module) == ["f", "g", "h", "r", "s", "t", "u", "project",
-                                        "triangle", "check_x"]
+                                        "triangle", "check_x", "power"]
     caller = tmp_path / "caller.py"
     caller.write_text("def v(m):\n"
                       "    return f(), sample.g(m), h, [r for r in m], C().points(m)\n")
     assert orphan_functions(module, [caller]) == ["h", "r", "s", "t", "u", "project",
-                                                  "triangle", "check_x"]
+                                                  "triangle", "check_x", "power"]
 

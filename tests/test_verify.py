@@ -222,6 +222,17 @@ class TestPairingPaths:
         for name in FIXED_BASE_CHECKS:
             assert run_check(run, CHECKS[name]).passed, name
 
+    @pytest.mark.parametrize("genus", [1, 2, 3])
+    def test_intersection_form_pairs_every_indicator_pair_in_one_cup_call(
+            self, monkeypatch, tmp_path, genus):
+        run = SuiteRun(RunConfig(genus=genus, rank=1, out=tmp_path))
+        cups = _count_calls(monkeypatch, goldman.pairing, "pairing_cup")
+        result = run_check(run, CHECKS["intersection-form"])
+        count = 2 * max(genus, 2)
+        assert result.passed and result.samples == count * count + 20
+        assert len(cups) == 1
+        assert [len(stack) for stack in cups[0]] == [count * count] * 2
+
     def test_a_sign_error_in_w_fails_three_checks(self, monkeypatch, tmp_path):
         """A W whose b_k blocks are negated disagrees with the cup product,
         is not skew and does not vanish on coboundaries.

@@ -11,6 +11,7 @@ Hypothesis runs derandomized and without an example database, so every
 run draws the same examples.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -166,3 +167,43 @@ def test_equal_elements_are_equal_words(data, genus):
     assert all(w == built[0] for w in built)
     assert len({hash(w) for w in built}) == 1
     assert len({w: None for w in built}) == 1
+
+
+def assert_checked_twin(word):
+    """A word built on the trusted path equals, and hashes like, the word
+    GroupWord's checked constructor builds from the same codes."""
+    twin = GroupWord(word.genus, word.codes)
+    assert type(word.genus) is int and all(type(code) is int for code in word.codes)
+    assert word == twin and hash(word) == hash(twin)
+    assert len({word: None, twin: None}) == 1
+
+
+@PROPERTY
+@given(data=st.data(), genus=genera)
+def test_trusted_words_equal_their_checked_twins(data, genus):
+    pres = Presentation(genus)
+    u, v = data.draw(words(genus)), data.draw(words(genus))
+    raw = data.draw(st.lists(st.integers(0, 4 * genus - 1), max_size=12))
+    built = [u * v, v * u, u.inverse(), (u * v).inverse(), pres.reduce(raw),
+             pres.reduce(list(u.codes) + list(v.codes))]
+    index = data.draw(st.integers(0, 2 * genus - 1))
+    built += [prefix for prefix, _ in fox_derivative(u * v, index).terms()]
+    for word in built:
+        assert_checked_twin(word)
+
+
+@PROPERTY
+@given(data=st.data(), genus=genera)
+def test_checked_constructor_still_refuses_bad_codes(data, genus):
+    count = 2 * genus
+    codes = list(data.draw(words(genus)).codes)
+    at = data.draw(st.integers(0, len(codes)))
+    code = data.draw(st.integers(0, 2 * count - 1))
+    bad_codes = [data.draw(st.one_of(st.integers(max_value=-1),
+                                     st.integers(min_value=2 * count))),
+                 data.draw(st.booleans()), np.int64(code), np.intp(code)]
+    for bad in bad_codes:
+        with pytest.raises(InputError, match="letter code"):
+            GroupWord(genus, tuple(codes[:at] + [bad] + codes[at:]))
+    with pytest.raises(InputError, match="cancel"):
+        GroupWord(genus, (code, (code + count) % (2 * count)))
