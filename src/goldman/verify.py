@@ -24,7 +24,7 @@ the suite catches exactly that class of error.
 
 from __future__ import annotations
 
-import functools
+import itertools
 import tempfile
 import zlib
 from dataclasses import dataclass
@@ -78,31 +78,47 @@ Measurement = tuple[int, float, float]
 MAX_WORD_LENGTH = 8
 
 
-@functools.cache
-def _letter_bounds(genus: int) -> np.ndarray:
-    """Exclusive bounds of the draws of a longest random word: generator,
-    sign, generator, sign, ..."""
-    bounds = np.tile((2 * genus, 2), MAX_WORD_LENGTH)
-    bounds.setflags(write=False)
-    return bounds
-
-
-def _random_word(pres: Presentation, rng) -> GroupWord:
-    """A random word of 0 to MAX_WORD_LENGTH letters: its length, then each
-    letter's generator and sign, in one draw of the letters (the stream of
-    one draw per generator and per sign), reduced from their codes."""
-    length = int(rng.integers(0, MAX_WORD_LENGTH + 1))
-    draws = rng.integers(0, _letter_bounds(pres.genus)[:2 * length]).tolist()
+def _letter_codes(pres: Presentation, rng, lengths: np.ndarray) -> list[list[int]]:
+    """The letter codes of words of the given lengths: every letter's
+    generator in one draw, then every letter's sign in one (1 for x_i,
+    0 for x_i^-1)."""
     count = pres.generator_count
-    return pres.reduce([gen if sign else count + gen
-                        for gen, sign in zip(draws[0::2], draws[1::2])])
+    total = int(lengths.sum())
+    generators = rng.integers(0, count, size=total)
+    signs = rng.integers(0, 2, size=total)
+    codes = (generators + count * (1 - signs)).tolist()
+    ends = np.cumsum(lengths).tolist()
+    return [codes[end - length:end] for end, length in zip(ends, lengths.tolist())]
 
 
-def _random_ring_element(pres: Presentation, rng) -> GroupRingElement:
-    out = GroupRingElement.zero(pres.genus)
-    for _ in range(int(rng.integers(1, 4))):
-        coeff = int(rng.integers(-3, 4)) or 1
-        out = out + GroupRingElement.from_word(_random_word(pres, rng), coeff)
+def _random_words(pres: Presentation, rng, count: int) -> list[GroupWord]:
+    """count random words of 0 to MAX_WORD_LENGTH letters: every length in
+    one draw, then their letters (_letter_codes), each word reduced from
+    its codes."""
+    lengths = rng.integers(0, MAX_WORD_LENGTH + 1, size=count)
+    return [pres.reduce(codes) for codes in _letter_codes(pres, rng, lengths)]
+
+
+def _random_pairs(pres: Presentation, rng, count: int) -> list[tuple[GroupWord, GroupWord]]:
+    """count pairs (u, v) of random words, from one batch of 2 count words."""
+    words = _random_words(pres, rng, 2 * count)
+    return list(zip(words[0::2], words[1::2]))
+
+
+def _random_ring_elements(pres: Presentation, rng, count: int) -> list[GroupRingElement]:
+    """count random group ring elements of 1 to 3 terms: every term count in
+    one draw, every coefficient in one (0 read as 1), then every term's
+    word in one batch."""
+    term_counts = rng.integers(1, 4, size=count).tolist()
+    coeffs = rng.integers(-3, 4, size=sum(term_counts))
+    terms = iter(zip(_random_words(pres, rng, len(coeffs)),
+                     np.where(coeffs == 0, 1, coeffs).tolist()))
+    out = []
+    for term_count in term_counts:
+        element = GroupRingElement.zero(pres.genus)
+        for word, coeff in itertools.islice(terms, term_count):
+            element = element + GroupRingElement.from_word(word, coeff)
+        out.append(element)
     return out
 
 
@@ -156,11 +172,13 @@ class SuiteRun:
 def check_word_reduction_confluence(run: SuiteRun, rng) -> Measurement:
     """Random-order cancellation agrees with the eager reducer."""
     pres = Presentation(run.config.genus)
+    count = pres.generator_count
     failures = 0
     samples = 100
-    for _ in range(samples):
-        letters = [(int(rng.integers(0, 2 * pres.genus)), (-1, 1)[int(rng.integers(0, 2))])
-                   for _ in range(int(rng.integers(0, 14)))]
+    # the letter lists in one batch; each cancellation site is drawn from
+    # the list as reduced so far
+    for codes in _letter_codes(pres, rng, rng.integers(0, 14, size=samples)):
+        letters = [(code % count, 1 if code < count else -1) for code in codes]
         eager = pres.word(letters)
         work = list(letters)
         while True:
@@ -181,9 +199,7 @@ def check_fox_product_rule(run: SuiteRun, rng) -> Measurement:
     failures = 0
     samples = 0
     for index in range(2 * pres.genus):
-        for _ in range(100):
-            u = _random_word(pres, rng)
-            v = _random_word(pres, rng)
+        for u, v in _random_pairs(pres, rng, 100):
             lhs = fox_derivative(u * v, index)
             rhs = fox_derivative(u, index) + u * fox_derivative(v, index)
             samples += 1
@@ -242,9 +258,8 @@ def check_anti_involution(run: SuiteRun, rng) -> Measurement:
     pres = Presentation(run.config.genus)
     failures = 0
     samples = 50
-    for _ in range(samples):
-        e = _random_ring_element(pres, rng)
-        f = _random_ring_element(pres, rng)
+    elements = _random_ring_elements(pres, rng, 2 * samples)
+    for e, f in zip(elements[0::2], elements[1::2]):
         if anti_involution(anti_involution(e)) != e:
             failures += 1
         if anti_involution(e * f) != anti_involution(f) * anti_involution(e):
@@ -273,7 +288,7 @@ def check_evaluate_multiplicative(run: SuiteRun, rng) -> Measurement:
     rep = run.rep
     pres = rep.presentation
     samples = 100
-    pairs = [(_random_word(pres, rng), _random_word(pres, rng)) for _ in range(samples)]
+    pairs = _random_pairs(pres, rng, samples)
     images = evaluate_words(rep, [w for u, v in pairs for w in (u * v, u, v)])
     rhs = images[1::3] @ images[2::3]
     worst = max(0.0, *(frob(lhs - r) / max(1.0, frob(r))
@@ -364,7 +379,7 @@ def check_cocycle_law_on_basis(run: SuiteRun, rng) -> Measurement:
     worst = 0.0
     samples = 0
     for chi in basis.basis:
-        pairs = [(_random_word(pres, rng), _random_word(pres, rng)) for _ in range(100)]
+        pairs = _random_pairs(pres, rng, 100)
         worst = max(worst, *cocycle_law_residuals(chi, pairs))
         samples += len(pairs)
     return samples, worst, run.config.tolerance("verification")
@@ -668,12 +683,9 @@ def check_rh_cocycle_law_order(run: SuiteRun, rng) -> Measurement:
     second order; extended generator values satisfy it identically, so the
     test works on whole-word quotients."""
     rep = run.rep
-    # a second generator on the words' seed: the direction's normals and
-    # the words' integer draws read one bit stream
-    chi = _unit_direction(run, run.rng("rh-cocycle-law-order"))
+    chi = _unit_direction(run, run.rng("rh-cocycle-law-order-direction"))
     chart = Chart(center=rep, frame=(chi,))
-    pres = rep.presentation
-    words = [(_random_word(pres, rng), _random_word(pres, rng)) for _ in range(50)]
+    words = _random_pairs(rep.presentation, rng, 50)
     s_u = evaluate_words(rep, [u for u, _ in words])
     law_words = [w for u, v in words for w in (u * v, u, v)]
     residuals = []

@@ -31,7 +31,7 @@ PINNED = {
     "unitary/deformed":
         "948453aa4e97e2fe8dc6f36dfa56e8280c51e613929b311057acb0a4d40841fd",
     "unitary/verify-report":
-        "f9892dc114a5c6694edccb5c8350a83a437b4ef362b0aafc9b3781e5be7ba5b8",
+        "6db1dd5387bef3616fc0331c59a59395fe0b54b541cc9f891abb401aecb476f6",
     "general-linear/representation":
         "623ed2f22169cc4f459053a9cc915c02ce12bac79f828a569aa9b34dc94fd99a",
     "general-linear/cocycles":
@@ -45,17 +45,17 @@ PINNED = {
     "general-linear/deformed":
         "4caaaeea9e37dd3fa1e9208377c561958f7024e36da44c454f6da02fb0b0264f",
     "general-linear/verify-report":
-        "d3f1a09934950ddacd2a99ee293038016a3a43c0ff0a91e48a20442cb287d4e6",
+        "cb5d9303e7931e7f1fc6855e3b8b230cffab48653837e10fe12983bc4c91b3e7",
     "closedness-seed-9-stdout":
         "3d265884967db346a7bc65f3f0d65bf5850aca5817e46c583bad00d0152286b8",
     "closedness-g2n1-seed-0-stdout":
         "90b78a6f9c44df93dfbc0790cf47a03084dc9bc6de543915ef75dbd223fa7af5",
     "g3n2-unitary-seed4/verify-report":
-        "9d5beb1d5b34811e2401967b9e154397530f74c44e8c3e84b4aa37dea657f9e9",
+        "265eccb95c57ba7c95f7d4a4e7dff01957d945c6b76f870425dd44f9ae88f6f3",
     "g2n3-general-linear-seed5/verify-report":
-        "8f3732cffde2ba2b2b465b62f467769aab68a4eee39499de8317b02d0a640d4e",
+        "286b8fe824acaa26d3e617c5df3c87b3ea7b79418e1dfb6d351d334da329b82b",
     "g2n1-unitary-seed2/verify-report":
-        "d6a546b99596dc4400e64853c488fcc8d1eff577af45c5e728aa7234129fa700",
+        "420e4a8f22e355b4ae8f49b2f74b7b80c52d8d62a8128d1bf722f5db90e8aab0",
 }
 
 # (genus, rank, flavor, seed) of the verify reports pinned beside (2,2)

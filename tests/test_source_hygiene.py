@@ -58,9 +58,7 @@ Nineteen rules, with no lint dependency:
   from outside input passes ``GroupWord``'s checks;
 - each name of ``verify.ALL_CHECKS`` is a string literal once in
   ``verify.py``, in its table row: the runner hands it to the check's
-  stream and report line, so no second copy can drift from the table.
-  The one other site is the second generator on its own stream that
-  ``rh-cocycle-law-order`` draws its unit direction from;
+  stream and report line, so no second copy can drift from the table;
 - the cup-product oracle ``pairing_cup`` reads neither the pairing
   matrix ``W`` nor a Fox Jacobian: it still returns with
   ``dual_form_matrix``, ``word_jacobian``, ``fox_jacobian`` and
@@ -340,7 +338,6 @@ def test_trusted_words_are_built_only_in_words():
 def test_each_check_is_named_once():
     named = {check.name: _without_lines(string_literal_sites(SOURCE / "verify.py", check.name))
              for check in ALL_CHECKS}
-    named["rh-cocycle-law-order"].remove("verify.py in check_rh_cocycle_law_order")
     assert named == {check.name: ["verify.py in <module>"] for check in ALL_CHECKS}
 
 

@@ -126,23 +126,85 @@ class TestSignDraw:
         assert indexed.random() == chosen.random()
 
 
-def _scalar_draw_word(pres, rng):
-    """The word draw of one integers call per length, generator and sign."""
-    length = int(rng.integers(0, 8 + 1))
-    return pres.word([(int(rng.integers(0, 2 * pres.genus)),
-                       (-1, 1)[int(rng.integers(0, 2))]) for _ in range(length)])
+class _Recording:
+    """A generator that records the result of every integers call."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.draws = []
+
+    def integers(self, *args, **kwargs):
+        out = self._rng.integers(*args, **kwargs)
+        self.draws.append(out)
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
 
 
-class TestRandomWord:
+def _reference_words(pres, rng, count):
+    """The batched word stream: every length, then every letter's generator,
+    then every letter's sign (1 for x_i, 0 for x_i^-1)."""
+    lengths = rng.integers(0, 8 + 1, size=count)
+    generators = rng.integers(0, 2 * pres.genus, size=lengths.sum())
+    signs = rng.integers(0, 2, size=lengths.sum())
+    words, start = [], 0
+    for length in lengths:
+        letters = zip(generators[start:start + length], signs[start:start + length])
+        words.append(pres.word([(int(gen), 1 if sign else -1) for gen, sign in letters]))
+        start += length
+    return words
+
+
+class TestRandomWords:
     @pytest.mark.parametrize("genus", [1, 2, 3])
-    def test_one_draw_per_word_keeps_the_scalar_stream(self, genus):
+    def test_batch_reads_lengths_then_generators_then_signs(self, genus):
         pres = Presentation(genus)
-        for seed in range(40):
-            stacked, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
-            for _ in range(40):
-                assert (goldman.verify._random_word(pres, stacked)
-                        == _scalar_draw_word(pres, scalar))
-            assert stacked.integers(0, 2 ** 40) == scalar.integers(0, 2 ** 40)
+        for seed in range(20):
+            batched, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            for count in (0, 1, 7, 200):
+                assert (goldman.verify._random_words(pres, batched, count)
+                        == _reference_words(pres, reference, count))
+            assert batched.integers(0, 2 ** 40) == reference.integers(0, 2 ** 40)
+
+    @pytest.mark.parametrize("genus", [1, 2, 3])
+    def test_lengths_generators_and_signs_are_uniform(self, genus):
+        rng = _Recording(np.random.default_rng(100 + genus))
+        goldman.verify._random_words(Presentation(genus), rng, 20000)
+        lengths, generators, signs = rng.draws
+        for draws, values in ((lengths, 9), (generators, 2 * genus), (signs, 2)):
+            frequencies = np.bincount(draws, minlength=values) / len(draws)
+            assert len(frequencies) == values
+            assert np.all(np.abs(frequencies * values - 1) < 0.1)
+
+    @pytest.mark.parametrize("genus", [1, 2, 3])
+    def test_each_word_is_the_reduction_of_its_drawn_letters(self, genus):
+        pres = Presentation(genus)
+        for seed in range(10):
+            rng = _Recording(np.random.default_rng(seed))
+            words = goldman.verify._random_words(pres, rng, 300)
+            lengths, generators, signs = rng.draws  # one call each per batch
+            assert len(lengths) == len(words) == 300
+            ends = np.cumsum(lengths)
+            for word, end, length in zip(words, ends, lengths):
+                letters = [(int(gen), 1 if sign else -1) for gen, sign
+                           in zip(generators[end - length:end], signs[end - length:end])]
+                assert word == pres.word(letters)
+
+    def test_the_suite_draws_integers_in_batches(self, monkeypatch, tmp_path):
+        # 142 calls at (2,2) seed 1, most of them word-reduction-confluence's
+        # cancellation sites; one call per word or letter was 9609
+        streams = []
+        seeded = SuiteRun.rng
+
+        def counted(run, name):
+            streams.append(_Recording(seeded(run, name)))
+            return streams[-1]
+
+        monkeypatch.setattr(SuiteRun, "rng", counted)
+        results = run_suite(RunConfig(genus=2, rank=2, seed=1, out=tmp_path))
+        assert all(r.passed for r in results)
+        assert sum(len(stream.draws) for stream in streams) <= 300
 
 
 class TestConjugator:
