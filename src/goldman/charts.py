@@ -19,7 +19,6 @@ rule that reads an order from such a ladder, or finds it flat.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -89,25 +88,20 @@ class Chart:
 
     center: Representation
     frame: tuple[Cocycle, ...]
+    frame_stack: CocycleStack = field(init=False, repr=False)
     _cache: dict = field(default_factory=dict, init=False, repr=False)
     _raw: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        # points combine the frame over the center, so its base is checked
-        # here, once per frame cocycle
-        for chi in self.frame:
-            if not self.center.same_base(chi.base):
-                raise InputError("chart frame cocycle lives over a different representation")
+        # points combine the frame over the center: it is stacked once, here,
+        # and its one base checked against the center
+        self.frame_stack = stack_cocycles(self.frame)
+        if not self.center.same_base(self.frame_stack.base):
+            raise InputError("chart frame cocycle lives over a different representation")
 
     @property
     def dimension(self) -> int:
         return len(self.frame)
-
-    @cached_property
-    def frame_stack(self) -> CocycleStack:
-        """The frame as one read-only stack, built on the first move that
-        combines it."""
-        return stack_cocycles(self.frame)
 
     def point(self, coords) -> Representation:
         return self.points((coords,))[0]
@@ -211,13 +205,9 @@ def closedness_check(chart: Chart, triple: tuple[int, int, int],
     the chart center; repeated indices give zero exactly by alternation.
     The residual decays at second order in h for a closed form.
     """
-    i, j, k = triple
+    i, j, k = _frame_triple(chart, triple)
+    _check_closedness_step(h)
     d = chart.dimension
-    for index in triple:
-        check_index("frame index", index, d)
-    if not tolerances.FINITE_DIFFERENCE <= h <= tolerances.CLOSEDNESS_MAX_STEP:
-        raise InputError(f"closedness step {h:g} outside [{tolerances.FINITE_DIFFERENCE:g}, "
-                         f"{tolerances.CLOSEDNESS_MAX_STEP:g}]")
     if len({i, j, k}) < 3:
         return 0.0
     terms = ((i, j, k), (j, i, k), (k, i, j))  # d_axis omega_ab, signs + - +
@@ -245,11 +235,31 @@ def closedness_check(chart: Chart, triple: tuple[int, int, int],
 def closedness_floors(chart: Chart, triple: tuple[int, int, int], steps) -> list[float]:
     """Roundoff floor of closedness_check at each step: a constant form
     (rank one) leaves about eps * max|omega| / h^2 after differencing,
-    omega over the triple's frame cocycles."""
-    for index in triple:
-        check_index("frame index", index, chart.dimension)
+    omega over the triple's frame cocycles.  The triple and the steps are
+    refused as closedness_check refuses them."""
+    triple = _frame_triple(chart, triple)
+    steps = list(steps)
+    for h in steps:
+        _check_closedness_step(h)
     scale = np.abs(gram_matrix([chart.frame[index] for index in triple])).max()
     return [np.finfo(float).eps * scale / h ** 2 for h in steps]
+
+
+def _frame_triple(chart: Chart, triple) -> tuple[int, int, int]:
+    """triple as three frame indices of chart; InputError (exit 2) otherwise."""
+    try:
+        i, j, k = triple
+    except (TypeError, ValueError):
+        raise InputError(f"closedness needs a triple of frame indices, got {triple!r}") from None
+    for index in (i, j, k):
+        check_index("frame index", index, chart.dimension)
+    return i, j, k
+
+
+def _check_closedness_step(h) -> None:
+    if not tolerances.FINITE_DIFFERENCE <= h <= tolerances.CLOSEDNESS_MAX_STEP:
+        raise InputError(f"closedness step {h:g} outside [{tolerances.FINITE_DIFFERENCE:g}, "
+                         f"{tolerances.CLOSEDNESS_MAX_STEP:g}]")
 
 
 FLAT = "flat"  # the order of a ladder whose values all lie at roundoff

@@ -69,11 +69,18 @@ class Cocycle:
 @dataclass(frozen=True, eq=False)
 class CocycleStack:
     """Cocycles over one base as one read-only (k, 2g, n, n) stack of
-    their generator values, the form the stacked kernels read; build one
-    with stack_cocycles."""
+    their generator values, the form the stacked kernels read: k >= 1
+    tuples checked by Cocycle's rules and copied in C order, np.stack's
+    layout.  stack_cocycles builds the stack of given cocycles."""
 
     base: Representation
     values: np.ndarray
+
+    def __post_init__(self):
+        rep = self.base
+        object.__setattr__(self, "values", generator_stack(
+            self.values, rep.presentation.generator_count, rep.rank, "cocycle stack values",
+            rows=True))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -83,16 +90,14 @@ def stack_cocycles(cocycles) -> CocycleStack:
     """The CocycleStack of a non-empty sequence of cocycles over one base;
     InputError (exit 2) when it is empty or mixes bases."""
     cocycles = tuple(cocycles)
-    if not cocycles:
-        raise InputError("need at least one cocycle")
-    values = np.stack([chi.values for chi in cocycles])
-    values.setflags(write=False)
-    return CocycleStack(common_base(cocycles), values)
+    return CocycleStack(common_base(cocycles), [chi.values for chi in cocycles])
 
 
 def common_base(cocycles) -> Representation:
     """The base representation of a non-empty sequence of cocycles; InputError
-    (exit 2) when two of them live over different bases."""
+    (exit 2) when it is empty or two of them live over different bases."""
+    if not cocycles:
+        raise InputError("need at least one cocycle")
     first, *rest = cocycles
     for chi in rest:
         if not first.base.same_base(chi.base):
@@ -106,28 +111,21 @@ def from_flat(base: Representation, flat: np.ndarray) -> Cocycle:
     return Cocycle(base, np.reshape(flat, (-1, n, n)).transpose(0, 2, 1))
 
 
-def linear_combination(base: Representation, coeffs, cocycles) -> Cocycle:
-    """The cocycle sum_i coeffs[i] * cocycles[i] over base, for a sequence
-    of cocycles or a CocycleStack; the empty combination is the zero
-    cocycle.
+def linear_combination(base: Representation, coeffs, stack: CocycleStack) -> Cocycle:
+    """The cocycle sum_i coeffs[i] * chi_i over base, for the cocycles chi_i
+    of a CocycleStack.
 
     One ordered reduction over the stacked terms, bit for bit the Python
     sum 0 + c_0 chi_0 + c_1 chi_1 + ...: a matrix product would reorder
-    the sum.  A caller that combines the same cocycles many times passes
-    their stack, built once.  InputError (exit 2) when the number of
-    coefficients is not the number of cocycles, or a cocycle lives over
+    the sum.  A caller that combines the same cocycles many times builds
+    their stack once.  InputError (exit 2) when the number of
+    coefficients is not the number of cocycles, or the stack lives over
     another base.
     """
-    if not isinstance(cocycles, CocycleStack):
-        cocycles = tuple(cocycles)
     coeffs = np.asarray(coeffs)
-    if coeffs.shape != (len(cocycles),):
-        raise InputError(f"{len(cocycles)} cocycles need as many coefficients, "
+    if coeffs.shape != (len(stack),):
+        raise InputError(f"{len(stack)} cocycles need as many coefficients, "
                          f"got shape {coeffs.shape}")
-    if not len(cocycles):
-        n = base.rank
-        return Cocycle(base, np.zeros((base.presentation.generator_count, n, n)))
-    stack = cocycles if isinstance(cocycles, CocycleStack) else stack_cocycles(cocycles)
     if not base.same_base(stack.base):
         raise InputError("cocycles live over a different base representation")
     return Cocycle(base, 0 + np.add.reduce(coeffs[:, None, None, None] * stack.values,

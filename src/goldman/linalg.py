@@ -22,16 +22,20 @@ def vec(m: Array) -> Array:
     return np.asarray(m).ravel(order="F")
 
 
-def generator_stack(matrices, count: int, n: int, what: str) -> Array:
+def generator_stack(matrices, count: int, n: int, what: str, rows: bool = False) -> Array:
     """Matrices indexed by generator as one read-only complex (count, n, n)
-    stack: a copy in the input's memory layout (order 'K').  Ragged input,
-    another shape and non-finite entries raise InputError naming what."""
+    stack: a copy in the input's memory layout (order 'K').  With rows, k >= 1
+    such tuples as one (k, count, n, n) stack in C order, np.stack's layout.
+    Ragged input, another shape and non-finite entries raise InputError
+    naming what."""
     try:
-        stack = np.array(matrices, dtype=complex)
+        stack = np.array(matrices, dtype=complex, order="C" if rows else "K")
     except (TypeError, ValueError) as exc:
         raise InputError(f"{what} do not form one stack: {exc}") from exc
-    if stack.shape != (count, n, n):
-        raise InputError(f"{what} have shape {stack.shape}, expected {(count, n, n)}")
+    lead = stack.shape[:1] if rows else ()
+    if stack.shape != (*lead, count, n, n) or lead == (0,):
+        raise InputError(f"{what} have shape {stack.shape}, "
+                         f"expected ({'k >= 1, ' * rows}{count}, {n}, {n})")
     require_finite(stack, what)
     stack.setflags(write=False)
     return stack

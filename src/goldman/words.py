@@ -66,16 +66,18 @@ def _letter_names(genus: int) -> tuple[str, ...]:
 @dataclass(frozen=True)
 class GroupWord:
     """A freely reduced word as its letter codes: with c = 2g generators,
-    x_i is coded i and x_i^-1 is c + i.  Construction refuses a code out
-    of range and a code next to its own inverse."""
+    x_i is coded i and x_i^-1 is c + i.  Construction refuses a genus
+    that is not an integer >= 1 (check_size), a code out of range and a
+    code next to its own inverse; any sequence of codes is held as a tuple."""
 
     genus: int
     codes: tuple[int, ...]
 
     def __post_init__(self):
-        if type(self.genus) is not int:  # a numpy genus would make numpy codes
-            check_size(genus=self.genus)
-            object.__setattr__(self, "genus", int(self.genus))
+        check_size(genus=self.genus)
+        # a numpy genus would make numpy codes, and a list of codes would not hash
+        object.__setattr__(self, "genus", int(self.genus))
+        object.__setattr__(self, "codes", tuple(self.codes))
         _check_codes(self.codes, 2 * self.genus)
 
     @property
@@ -159,7 +161,8 @@ class Presentation:
         return self.generator(2 * (k - 1) + 1)
 
     def generator_name(self, index: int) -> str:
-        return format_word(self.generator(index))
+        check_index("generator index", index, 2 * self.genus)
+        return _letter_names(self.genus)[index]
 
     def word(self, raw: Sequence[tuple[int, int]]) -> GroupWord:
         """Freely reduce a raw sequence of (generator index, exponent) pairs:

@@ -332,7 +332,7 @@ class TestChartPoints:
         assert calls == [(18, 2 * genus, rank, rank)]
         assert len(chart._cache) == 18
         for coords, point in zip(stencil, points):
-            direction = linear_combination(rep, coords, chart.frame)
+            direction = linear_combination(rep, coords, chart.frame_stack)
             moved = deform(rep, direction, 1.0)
             assert np.array_equal(point.images, moved.images)
             assert chart.point(coords) is point
@@ -345,6 +345,21 @@ class TestChartPoints:
         assert not stack.values.flags.writeable
         with pytest.raises(ValueError):
             stack.values[0, 0, 0, 0] = 1.0
+
+    def test_frame_is_stacked_at_construction(self, basis_g2n2, monkeypatch):
+        stack_cocycles = goldman.charts.stack_cocycles
+        calls = []
+        monkeypatch.setattr(goldman.charts, "stack_cocycles",
+                            lambda frame: calls.append(len(frame)) or stack_cocycles(frame))
+        chart = Chart(center=basis_g2n2.base, frame=basis_g2n2.h1_complement)
+        assert calls == [chart.dimension]
+        chart.points([1e-3 * np.eye(chart.dimension)[0], np.zeros(chart.dimension)])
+        assert calls == [chart.dimension]
+        # a frame over two bases is refused before any point is asked for
+        other = unit_h1_direction(cocycle_basis(random_representation(2, 2, seed=1)), 56)
+        with pytest.raises(InputError, match="different base") as error:
+            Chart(center=basis_g2n2.base, frame=(basis_g2n2.h1_complement[0], other))
+        assert error.value.exit_code == 2
 
     def test_closedness_retracts_its_stencil_once(self, basis_g2n2, monkeypatch):
         chart = Chart(center=basis_g2n2.base, frame=basis_g2n2.h1_complement)

@@ -4,14 +4,20 @@ import scipy.linalg
 
 import goldman.reps
 from goldman import tolerances
-from goldman import (ConvergenceError, InputError, Presentation, Representation,
-                     coboundary, coboundary_matrix, commutant_dimension,
+from goldman import (Chart, CocycleStack, ConvergenceError, GroupWord, InputError,
+                     Presentation, Representation, closedness_check, coboundary,
+                     coboundary_matrix, cocycle_basis, commutant_dimension,
                      commutator_factor, conjugate_representation, evaluate,
                      newton_project, random_representation, relator_defect,
                      standard_block_j)
+from goldman.charts import closedness_floors
 from goldman.linalg import (expm, frob, haar_unitary, polar_unitary,
                             split_singular_values, vec)
 from goldman.reps import relator_tangent_matrix
+
+
+def h1_chart(rep):
+    return Chart(center=rep, frame=cocycle_basis(rep).h1_complement)
 
 
 def reconstruction_error(a, b, u):
@@ -538,8 +544,18 @@ class TestConstructionValidation:
     lambda rep: standard_block_j(True),
     lambda rep: coboundary(np.zeros((3, 3)), rep),
     lambda rep: coboundary([[1, 2], [3]], rep),
+    lambda rep: CocycleStack(rep, np.full((1, 4, 2, 2), np.nan)),
+    lambda rep: CocycleStack(rep, np.zeros((1, 3, 2, 2))),
+    lambda rep: CocycleStack(rep, np.zeros((0, 4, 2, 2))),
+    lambda rep: CocycleStack(rep, np.zeros((1, 4, 3, 3))),
+    lambda rep: GroupWord(0, ()),
+    lambda rep: GroupWord(-2, ()),
+    lambda rep: closedness_check(h1_chart(rep), (0, 1), 1e-3),
+    lambda rep: closedness_floors(h1_chart(rep), (0, 1, 2), [0.0]),
 ], ids=["singular-conjugator", "wide-conjugator", "negative-block", "fractional-block",
-        "bool-block", "wide-coboundary", "ragged-coboundary"])
+        "bool-block", "wide-coboundary", "ragged-coboundary", "nan-stack",
+        "stack-generator-count", "empty-stack", "stack-rank", "genus-zero-word",
+        "negative-genus-word", "closedness-pair", "closedness-zero-step-floor"])
 def test_exported_calls_refuse_bad_input(rep_g2n2, call):
     with pytest.raises(InputError):
         call(rep_g2n2)

@@ -114,18 +114,6 @@ class TestClosednessOrder:
         assert result.max_residual > 0.0
 
 
-class TestSignDraw:
-    @pytest.mark.parametrize("seed", [0, 7, 2 ** 40 + 3])
-    def test_indexed_draw_matches_choice(self, seed):
-        # verify draws letter signs as (-1, 1)[rng.integers(0, 2)]; every
-        # sample stays what rng.choice([-1, 1]) drew on the same stream
-        indexed, chosen = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(1000):
-            assert int(indexed.integers(0, 6)) == int(chosen.integers(0, 6))
-            assert (-1, 1)[int(indexed.integers(0, 2))] == int(chosen.choice([-1, 1]))
-        assert indexed.random() == chosen.random()
-
-
 class _Recording:
     """A generator that records the result of every integers call."""
 

@@ -75,6 +75,11 @@ class TestReduction:
             with pytest.raises(InputError, match=r"is not an int in 0\.\.7"):
                 GroupWord(2, codes)
 
+    def test_a_list_of_codes_is_the_tuple_word(self):
+        listed, word = GroupWord(2, [0, 1]), GroupWord(2, (0, 1))
+        assert listed == word and hash(listed) == hash(word)
+        assert listed.codes == (0, 1) and type(listed.codes) is tuple
+
     @pytest.mark.parametrize("letter, message", [
         ((0, 1.5), "exponent 1.5 of generator 0 is not an integer"),
         ((0, None), "exponent None of generator 0 is not an integer"),
