@@ -20,9 +20,8 @@ from .cocycles import (Cocycle, CocycleBasis, CocycleStack, anti_hermitian_part,
                        real_locus_bases, relator_residual, stack_cocycles,
                        star_involution, word_jacobian)
 from .pairing import (GoldmanGram, SymplecticBasis, UnitaryLocusReport,
-                      dual_form_matrix, gram, gram_matrix, pairing_cup,
-                      pairing_dual, standard_block_j, symplectic_basis,
-                      unitary_restriction_check)
+                      dual_form_matrix, gram, pairing_cup, pairing_dual,
+                      standard_block_j, symplectic_basis, unitary_restriction_check)
 from .charts import (Chart, closedness_check, deform, deformation_correction,
                      rh_differential)
 from .errors import (ConditioningError, ConvergenceError, DegenerateFormError,

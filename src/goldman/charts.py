@@ -26,7 +26,7 @@ from . import tolerances
 from .errors import InputError
 from .cocycles import Cocycle, CocycleStack, linear_combination, stack_cocycles
 from .linalg import expm
-from .pairing import gram_matrix, pairing_dual
+from .pairing import gram, pairing_dual
 from .reps import GENERAL_LINEAR, Representation, evaluate_words, newton_project
 from .words import check_index
 
@@ -52,9 +52,12 @@ def rh_differential(center: Representation, plus: Representation,
     Right trivialization: the difference quotient of the generator images
     is divided by the center image on the right.  On a curve of retracted
     points the result satisfies the cocycle law and the relator
-    constraint to second order in the step.
+    constraint to second order in the step.  InputError (exit 2) when the
+    three points differ in genus or rank.
     """
     _check_fd_step(step)
+    if not center.images.shape == plus.images.shape == minus.images.shape:
+        raise InputError("center, plus and minus points differ in genus or rank")
     return Cocycle(center, (plus.images - minus.images) / (2.0 * step)
                    @ center.inverse_images)
 
@@ -241,7 +244,7 @@ def closedness_floors(chart: Chart, triple: tuple[int, int, int], steps) -> list
     steps = list(steps)
     for h in steps:
         _check_closedness_step(h)
-    scale = np.abs(gram_matrix([chart.frame[index] for index in triple])).max()
+    scale = np.abs(gram([chart.frame[index] for index in triple]).matrix).max()
     return [np.finfo(float).eps * scale / h ** 2 for h in steps]
 
 

@@ -94,10 +94,14 @@ def stack_cocycles(cocycles) -> CocycleStack:
 
 
 def common_base(cocycles) -> Representation:
-    """The base representation of a non-empty sequence of cocycles; InputError
-    (exit 2) when it is empty or two of them live over different bases."""
+    """The base representation of a non-empty sequence of cocycles or
+    cocycle stacks; InputError (exit 2) when it is empty, holds anything
+    else, or two of them live over different bases."""
     if not cocycles:
         raise InputError("need at least one cocycle")
+    for chi in cocycles:
+        if not isinstance(chi, (Cocycle, CocycleStack)):
+            raise InputError(f"expected a cocycle or a cocycle stack, got {type(chi).__name__}")
     first, *rest = cocycles
     for chi in rest:
         if not first.base.same_base(chi.base):
@@ -119,9 +123,12 @@ def linear_combination(base: Representation, coeffs, stack: CocycleStack) -> Coc
     sum 0 + c_0 chi_0 + c_1 chi_1 + ...: a matrix product would reorder
     the sum.  A caller that combines the same cocycles many times builds
     their stack once.  InputError (exit 2) when the number of
-    coefficients is not the number of cocycles, or the stack lives over
-    another base.
+    coefficients is not the number of cocycles, or stack is not a
+    CocycleStack or lives over another base.
     """
+    if not isinstance(stack, CocycleStack):
+        raise InputError(f"linear_combination combines a CocycleStack, "
+                         f"got {type(stack).__name__}")
     coeffs = np.asarray(coeffs)
     if coeffs.shape != (len(stack),):
         raise InputError(f"{len(stack)} cocycles need as many coefficients, "

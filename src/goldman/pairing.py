@@ -36,7 +36,10 @@ from .words import is_integer
 
 
 def pairing_dual(chi1: Cocycle, chi2: Cocycle) -> complex:
-    """Closed-form pairing in the dual generators alpha_k, beta_k."""
+    """Closed-form pairing in the dual generators alpha_k, beta_k, of two
+    cocycles; InputError (exit 2) for anything else."""
+    if not (isinstance(chi1, Cocycle) and isinstance(chi2, Cocycle)):
+        raise InputError("pairing_dual pairs two cocycles")
     rep = common_base((chi1, chi2))
     pres = rep.presentation
     duals = pres.dual_generators()
@@ -111,26 +114,12 @@ def dual_form_matrix(rep: Representation) -> np.ndarray:
     return w
 
 
-def gram_matrix(cocycles) -> np.ndarray:
-    """Pairings of every ordered pair of cocycles over one base: V^T W V.
-
-    Entry (i, j) is omega(c_i, c_j); V holds the flattened cocycles as
-    columns and W is the base representation's cached dual_form.
-    """
-    cocycles = list(cocycles)
-    if not cocycles:
-        return np.zeros((0, 0), dtype=complex)
-    rep = common_base(cocycles)
-    v = np.column_stack([chi.flat for chi in cocycles])
-    return v.T @ rep.dual_form @ v
-
-
 @dataclass(frozen=True, eq=False)
 class GoldmanGram:
-    """Skew Gram matrix of the pairing on a list of cocycles."""
+    """Skew Gram matrix of the pairing on a stack of cocycles; its base is
+    the stack's."""
 
-    base: Representation
-    vectors: tuple[Cocycle, ...]
+    vectors: CocycleStack
     matrix: np.ndarray
 
     @property
@@ -143,17 +132,21 @@ class GoldmanGram:
 
 
 def gram(cocycles) -> GoldmanGram:
-    """Gram matrix of the pairing on cocycles over one base, read-only.
+    """Pairings of every ordered pair of cocycles over one base, V^T W V,
+    read-only: entry (i, j) is omega(c_i, c_j).
 
     The one constructor of GoldmanGram: pass basis.basis (Z1) or
     basis.h1_complement of a CocycleBasis, or cocycles read from files.
+    They are stacked once (stack_cocycles); column i of V is Cocycle.flat
+    of cocycle i, and W is the base's cached dual_form.
     """
-    vectors = tuple(cocycles)
-    if not vectors:
-        raise InputError("need at least one cocycle")
-    matrix = gram_matrix(vectors)
+    stack = stack_cocycles(cocycles)
+    # a C-contiguous V (np.column_stack's layout) fixes the BLAS path of the
+    # product, and with it the digits that gram.txt prints
+    v = np.ascontiguousarray(stack.values.transpose(0, 1, 3, 2).reshape(len(stack), -1).T)
+    matrix = v.T @ stack.base.dual_form @ v
     matrix.setflags(write=False)
-    return GoldmanGram(base=vectors[0].base, vectors=vectors, matrix=matrix)
+    return GoldmanGram(vectors=stack, matrix=matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,7 +157,6 @@ class SymplecticBasis:
     the c-th output vector in the input basis, ordered e_1..e_m f_1..f_m.
     """
 
-    base: Representation
     e: tuple[Cocycle, ...]
     f: tuple[Cocycle, ...]
     transform: np.ndarray
@@ -177,7 +169,7 @@ class SymplecticBasis:
     def normal_form_residual(self) -> float:
         """Largest entry of the Gram matrix of e_1..e_m f_1..f_m minus J."""
         expected = standard_block_j(self.pair_count)
-        return float(np.abs(gram_matrix(self.e + self.f) - expected).max())
+        return float(np.abs(gram(self.e + self.f).matrix - expected).max())
 
 
 def standard_block_j(m: int) -> np.ndarray:
@@ -233,12 +225,10 @@ def symplectic_basis(g: GoldmanGram) -> SymplecticBasis:
         f_vectors.append(f_vec)
 
     transform = np.column_stack(e_vectors + f_vectors)
-    vectors = stack_cocycles(g.vectors)
-    combined = tuple(linear_combination(g.base, transform[:, c], vectors)
+    combined = tuple(linear_combination(g.vectors.base, transform[:, c], g.vectors)
                      for c in range(transform.shape[1]))
     m = len(e_vectors)
-    return SymplecticBasis(base=g.base, e=combined[:m], f=combined[m:],
-                           transform=transform)
+    return SymplecticBasis(e=combined[:m], f=combined[m:], transform=transform)
 
 
 @dataclass(frozen=True)
@@ -260,20 +250,17 @@ def unitary_restriction_check(cocycles) -> UnitaryLocusReport:
     unitary locus; the trace form is negative-definite on anti-Hermitian
     matrices, which is what forces the values real.
     """
-    cocycles = list(cocycles)
-    if not cocycles:
-        raise InputError("need at least one cocycle")
-    base = cocycles[0].base
-    if base.flavor != UNITARY:
+    g = gram(cocycles)
+    stack = g.vectors
+    if stack.base.flavor != UNITARY:
         raise InputError("unitary restriction check requires a unitary base")
-    for chi in cocycles:
-        for m in chi.values:
+    for values in stack.values:
+        for m in values:
             if frob(m + m.conj().T) > tolerances.VERIFICATION * max(1.0, frob(m)):
                 raise InputError("cocycle values are not anti-Hermitian")
-    d = len(cocycles)
-    matrix = gram_matrix(cocycles)
-    max_imag = float(np.abs(matrix.imag).max())
-    rank, _ = decided_rank(matrix.real)
+    d = len(stack)
+    max_imag = float(np.abs(g.matrix.imag).max())
+    rank, _ = decided_rank(g.matrix.real)
     passed = max_imag < tolerances.UNITARY_IMAGINARY and rank == d
     return UnitaryLocusReport(max_imaginary=max_imag, real_rank=rank,
                               expected_rank=d, passed=passed)

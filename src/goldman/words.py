@@ -68,13 +68,17 @@ class GroupWord:
     """A freely reduced word as its letter codes: with c = 2g generators,
     x_i is coded i and x_i^-1 is c + i.  Construction refuses a genus
     that is not an integer >= 1 (check_size), a code out of range and a
-    code next to its own inverse; any sequence of codes is held as a tuple."""
+    code next to its own inverse, and codes that are not a tuple or a list;
+    a list of codes is held as a tuple."""
 
     genus: int
     codes: tuple[int, ...]
 
     def __post_init__(self):
         check_size(genus=self.genus)
+        if not isinstance(self.codes, (tuple, list)):
+            raise InputError(f"word codes must be a tuple or a list, "
+                             f"got {type(self.codes).__name__}")
         # a numpy genus would make numpy codes, and a list of codes would not hash
         object.__setattr__(self, "genus", int(self.genus))
         object.__setattr__(self, "codes", tuple(self.codes))

@@ -1,10 +1,12 @@
+import sys
+
 import numpy as np
 import pytest
 
 import goldman.pairing
-from goldman import (Cocycle, DegenerateFormError, InputError,
+from goldman import (Cocycle, CocycleStack, DegenerateFormError, InputError,
                      Representation, coboundary, cocycle_basis,
-                     dual_form_matrix, gram, gram_matrix, pairing_cup,
+                     dual_form_matrix, gram, pairing_cup,
                      pairing_dual, random_cocycle, random_representation,
                      real_locus_bases, standard_block_j, symplectic_basis,
                      unitary_restriction_check)
@@ -231,7 +233,7 @@ class TestGram:
             vectors = basis.h1_complement[:10]
             entrywise = np.array([[pairing_dual(u, v) for v in vectors]
                                   for u in vectors])
-            assert np.abs(gram_matrix(vectors) - entrywise).max() < 1e-12
+            assert np.abs(gram(vectors).matrix - entrywise).max() < 1e-12
 
     def test_matrix_is_read_only(self, basis_g2n2):
         assert not gram(basis_g2n2.basis).matrix.flags.writeable
@@ -239,7 +241,7 @@ class TestGram:
     def test_mixed_bases_rejected(self, basis_g2n2):
         other = cocycle_basis(random_representation(2, 2, "unitary", seed=77))
         with pytest.raises(InputError):
-            gram_matrix([basis_g2n2.basis[0], other.basis[0]])
+            gram([basis_g2n2.basis[0], other.basis[0]])
 
     @pytest.mark.parametrize("genus,rank", [(4, 4), (6, 3)])
     def test_large_sizes_match_cup_with_margin(self, genus, rank):
@@ -256,6 +258,10 @@ class TestGram:
     def test_empty_rejected(self):
         with pytest.raises(InputError):
             gram(())
+
+    def test_empty_list_names_the_rule(self):
+        with pytest.raises(InputError, match="need at least one cocycle"):
+            gram([])
 
     def test_file_command_matrix_is_read_only(self, tmp_path):
         out = str(tmp_path)
@@ -332,11 +338,28 @@ class TestDualForm:
 
 class TestSymplecticBasis:
     def test_standard_input_identity_transform(self, basis_g2n2):
-        g = GoldmanGram(base=basis_g2n2.base,
-                        vectors=tuple(basis_g2n2.h1_complement[:4]),
+        g = GoldmanGram(vectors=stack_cocycles(basis_g2n2.h1_complement[:4]),
                         matrix=standard_block_j(2).astype(complex))
         sb = symplectic_basis(g)
         assert np.allclose(sb.transform, np.eye(4))
+
+    def test_cocycles_are_stacked_once(self, basis_g2n2, monkeypatch):
+        calls = []
+
+        def counting(cocycles):
+            calls.append(cocycles)
+            return stack_cocycles(cocycles)
+
+        for key, module in list(sys.modules.items()):
+            if (key == "goldman" or key.startswith("goldman.")) and hasattr(
+                    module, "stack_cocycles"):
+                monkeypatch.setattr(module, "stack_cocycles", counting)
+        g = gram(basis_g2n2.h1_complement)
+        assert len(calls) == 1
+        sb = symplectic_basis(g)
+        assert len(calls) == 1
+        assert isinstance(g.vectors, CocycleStack)
+        assert all(chi.base is g.vectors.base for chi in sb.e + sb.f)
 
     def test_trivial_action_two_pairs(self, trivial_scalar_rep):
         basis = cocycle_basis(trivial_scalar_rep)
@@ -358,14 +381,13 @@ class TestSymplecticBasis:
         vectors = (basis_g2n2.basis[0],
                    coboundary(rng.standard_normal((2, 2)), rep))
         matrix = np.array([[pairing_dual(u, v) for v in vectors] for u in vectors])
-        g = GoldmanGram(base=rep, vectors=vectors, matrix=matrix)
+        g = GoldmanGram(vectors=stack_cocycles(vectors), matrix=matrix)
         with pytest.raises(DegenerateFormError) as excinfo:
             symplectic_basis(g)
         assert excinfo.value.null_vector is not None
 
     def test_odd_dimension_rejected(self, basis_g2n2):
-        g = GoldmanGram(base=basis_g2n2.base,
-                        vectors=tuple(basis_g2n2.h1_complement[:3]),
+        g = GoldmanGram(vectors=stack_cocycles(basis_g2n2.h1_complement[:3]),
                         matrix=np.zeros((3, 3), dtype=complex))
         with pytest.raises(DegenerateFormError):
             symplectic_basis(g)

@@ -4,13 +4,14 @@ import scipy.linalg
 
 import goldman.reps
 from goldman import tolerances
-from goldman import (Chart, CocycleStack, ConvergenceError, GroupWord, InputError,
+from goldman import (Chart, Cocycle, CocycleStack, ConvergenceError, GroupWord, InputError,
                      Presentation, Representation, closedness_check, coboundary,
                      coboundary_matrix, cocycle_basis, commutant_dimension,
-                     commutator_factor, conjugate_representation, evaluate,
-                     newton_project, random_representation, relator_defect,
-                     standard_block_j)
+                     commutator_factor, conjugate_representation, evaluate, gram,
+                     newton_project, pairing_dual, random_representation, relator_defect,
+                     rh_differential, stack_cocycles, standard_block_j)
 from goldman.charts import closedness_floors
+from goldman.cocycles import linear_combination
 from goldman.linalg import (expm, frob, haar_unitary, polar_unitary,
                             split_singular_values, vec)
 from goldman.reps import relator_tangent_matrix
@@ -18,6 +19,10 @@ from goldman.reps import relator_tangent_matrix
 
 def h1_chart(rep):
     return Chart(center=rep, frame=cocycle_basis(rep).h1_complement)
+
+
+def zero_cocycle(rep):
+    return Cocycle(rep, np.zeros((4, 2, 2)))
 
 
 def reconstruction_error(a, b, u):
@@ -552,10 +557,19 @@ class TestConstructionValidation:
     lambda rep: GroupWord(-2, ()),
     lambda rep: closedness_check(h1_chart(rep), (0, 1), 1e-3),
     lambda rep: closedness_floors(h1_chart(rep), (0, 1, 2), [0.0]),
+    lambda rep: gram([1, 2]),
+    lambda rep: pairing_dual(zero_cocycle(rep), 3),
+    lambda rep: pairing_dual(zero_cocycle(rep), stack_cocycles([zero_cocycle(rep)])),
+    lambda rep: Chart(rep, (np.zeros((4, 2, 2)),)),
+    lambda rep: rh_differential(rep, random_representation(2, 3, seed=1), rep, 1e-3),
+    lambda rep: linear_combination(rep, [1.0], [zero_cocycle(rep)]),
+    lambda rep: GroupWord(2, 5),
 ], ids=["singular-conjugator", "wide-conjugator", "negative-block", "fractional-block",
         "bool-block", "wide-coboundary", "ragged-coboundary", "nan-stack",
         "stack-generator-count", "empty-stack", "stack-rank", "genus-zero-word",
-        "negative-genus-word", "closedness-pair", "closedness-zero-step-floor"])
+        "negative-genus-word", "closedness-pair", "closedness-zero-step-floor",
+        "gram-of-integers", "pair-with-integer", "pair-with-stack", "chart-of-arrays",
+        "rh-rank-mismatch", "combine-a-list", "integer-word-codes"])
 def test_exported_calls_refuse_bad_input(rep_g2n2, call):
     with pytest.raises(InputError):
         call(rep_g2n2)

@@ -1,7 +1,7 @@
 """Import hygiene of the package source, checked on its syntax trees,
 and the independence of the cup-product oracle.
 
-Nineteen rules, with no lint dependency:
+Twenty rules, with no lint dependency:
 
 - every module-level import is used in its module (the package
   ``__init__`` re-exports, and ``from __future__`` imports are exempt);
@@ -59,6 +59,10 @@ Nineteen rules, with no lint dependency:
 - each name of ``verify.ALL_CHECKS`` is a string literal once in
   ``verify.py``, in its table row: the runner hands it to the check's
   stream and report line, so no second copy can drift from the table;
+- the pairing matrix ``W`` (the attribute ``.dual_form``) is read only in
+  ``pairing.gram``, the one ``V^T W V``, and in ``verify._dual_pairing``,
+  the per-pair path that ``--mutate dual-sign`` flips, so no second Gram
+  assembly can grow beside ``gram``;
 - the cup-product oracle ``pairing_cup`` reads neither the pairing
   matrix ``W`` nor a Fox Jacobian: it still returns with
   ``dual_form_matrix``, ``word_jacobian``, ``fox_jacobian`` and
@@ -74,7 +78,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from goldman import Cocycle, Representation, gram_matrix, pairing_cup, random_representation
+from goldman import Cocycle, Representation, gram, pairing_cup, random_representation
 from goldman.cocycles import stack_cocycles
 from goldman.verify import ALL_CHECKS
 
@@ -192,6 +196,11 @@ def rank_square_differences(path):
                 and getattr(square.right, "value", None) == 2)
 
     return sites(path, matches)
+
+
+def attribute_reads(path, name):
+    """Sites of an attribute read x.name."""
+    return sites(path, lambda node: isinstance(node, ast.Attribute) and node.attr == name)
 
 
 def string_literal_sites(path, text):
@@ -341,6 +350,11 @@ def test_each_check_is_named_once():
     assert named == {check.name: ["verify.py in <module>"] for check in ALL_CHECKS}
 
 
+def test_dual_form_read_sites():
+    found = [site for path in MODULES for site in attribute_reads(path, "dual_form")]
+    assert _without_lines(found) == ["pairing.py in gram", "verify.py in _dual_pairing"]
+
+
 def test_cup_oracle_reads_no_dual_form(monkeypatch):
     rep = random_representation(2, 2, "general-linear", seed=23)
     rng = np.random.default_rng(23)
@@ -358,7 +372,7 @@ def test_cup_oracle_reads_no_dual_form(monkeypatch):
                     monkeypatch.setattr(module, name, refuse)
     monkeypatch.setattr(Representation, "dual_form", property(refuse))
     with pytest.raises(RuntimeError):  # the patches are live
-        gram_matrix(chis[:2])
+        gram(chis[:2])
     assert isinstance(pairing_cup(chis[0], chis[1]), complex)
     assert pairing_cup(stack_cocycles(chis[:2]), stack_cocycles(chis[2:])).shape == (2,)
 
@@ -414,7 +428,10 @@ def test_rules_flag_what_they_name(tmp_path):
         "    return run.rng('x-check'), 'x-check', 'x-checks', 'an x-check', 1\n"
         "CHECKS = ('x-check',)\n"
         "def power(word):\n"
-        "    return _trusted(word.genus, word.codes * 2), words._trusted, _trusted_ok\n")
+        "    return _trusted(word.genus, word.codes * 2), words._trusted, _trusted_ok\n"
+        "class G:\n"
+        "    def gram(self, v):\n"
+        "        return v.T @ self.base.dual_form @ v, self.dual_form_matrix, 'dual_form'\n")
     assert unused_module_imports(module) == ["sample.py:2 json"]
     assert non_cycle_local_imports(module) == ["sample.py:6 in f", "sample.py:7 in f"]
     assert package_imports(module) == ["sample.py:4 reps", "sample.py:7 reps",
@@ -441,6 +458,7 @@ def test_rules_flag_what_they_name(tmp_path):
                                                        "sample.py:46 in check_x",
                                                        "sample.py:47 in <module>"]
     assert call_sites(module, "_trusted") == ["sample.py:49 in power"]
+    assert attribute_reads(module, "dual_form") == ["sample.py:52 in G.gram"]
     assert public_functions(module) == ["f", "g", "h", "r", "s", "t", "u", "project",
                                         "triangle", "check_x", "power"]
     caller = tmp_path / "caller.py"
