@@ -18,6 +18,7 @@ rule that reads an order from such a ladder, or finds it flat.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,6 +97,10 @@ class Chart:
     _raw: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
+        if not isinstance(self.frame, Sequence):
+            raise InputError(f"chart frame must be a sequence of cocycles, "
+                             f"got {type(self.frame).__name__}")
+        self.frame = tuple(self.frame)
         # points combine the frame over the center: it is stacked once, here,
         # and its one base checked against the center
         self.frame_stack = stack_cocycles(self.frame)
@@ -206,46 +211,65 @@ def closedness_check(chart: Chart, triple: tuple[int, int, int],
 
     d(omega)_{ijk} = d_i omega_{jk} - d_j omega_{ik} + d_k omega_{ij} at
     the chart center; repeated indices give zero exactly by alternation.
-    The residual decays at second order in h for a closed form.
+    The residual decays at second order in h for a closed form.  It is
+    closedness_residuals of the one-step ladder (h,).
     """
-    i, j, k = _frame_triple(chart, triple)
-    _check_closedness_step(h)
-    d = chart.dimension
+    return closedness_residuals(chart, triple, (h,))[0]
+
+
+def closedness_residuals(chart: Chart, triple: tuple[int, int, int], steps) -> list[float]:
+    """closedness_check at each step of a ladder, from one retraction.
+
+    The triple and every step are checked first, so a bad one raises
+    before any point is retracted.  The stencils of all the steps, in
+    ladder order and in the order the partials read them, are one
+    chart.points call, one stacked Newton solve; each residual then reads
+    its points from the chart's memo.  Newton retracts each tuple of a
+    stack as it would alone, so each value is closedness_check's at its
+    step bit for bit.
+    """
+    (i, j, k), steps = _closedness_ladder(chart, triple, steps)
     if len({i, j, k}) < 3:
-        return 0.0
+        return [0.0] * len(steps)
+    d = chart.dimension
     terms = ((i, j, k), (j, i, k), (k, i, j))  # d_axis omega_ab, signs + - +
 
-    def sides(axis: int):
+    def sides(axis: int, h: float):
         plus = np.zeros(d)
         plus[axis] = h
         return plus, -plus
 
-    # every stencil point, in the order the partials read them, is
-    # retracted in one stacked Newton solve
-    chart.points([point for axis, a, b in terms for coords in sides(axis)
+    chart.points([point for h in steps for axis, a, b in terms for coords in sides(axis, h)
                   for direction in (a, b)
                   for point in chart.transport_stencil(coords, direction, h)])
 
-    def partial(axis: int, a: int, b: int) -> complex:
+    def partial(h: float, axis: int, a: int, b: int) -> complex:
         omega_plus, omega_minus = (chart.form_coefficient(coords, a, b, step=h)
-                                   for coords in sides(axis))
+                                   for coords in sides(axis, h))
         return (omega_plus - omega_minus) / (2.0 * h)
 
-    residual = partial(*terms[0]) - partial(*terms[1]) + partial(*terms[2])
-    return abs(residual)
+    return [abs(partial(h, *terms[0]) - partial(h, *terms[1]) + partial(h, *terms[2]))
+            for h in steps]
 
 
 def closedness_floors(chart: Chart, triple: tuple[int, int, int], steps) -> list[float]:
     """Roundoff floor of closedness_check at each step: a constant form
     (rank one) leaves about eps * max|omega| / h^2 after differencing,
     omega over the triple's frame cocycles.  The triple and the steps are
-    refused as closedness_check refuses them."""
+    refused as closedness_residuals refuses them."""
+    triple, steps = _closedness_ladder(chart, triple, steps)
+    scale = np.abs(gram([chart.frame[index] for index in triple]).matrix).max()
+    return [np.finfo(float).eps * scale / h ** 2 for h in steps]
+
+
+def _closedness_ladder(chart: Chart, triple, steps) -> tuple[tuple[int, int, int], list]:
+    """(triple, steps) as three frame indices of chart and a list of
+    closedness steps; InputError (exit 2) at the first bad one."""
     triple = _frame_triple(chart, triple)
     steps = list(steps)
     for h in steps:
         _check_closedness_step(h)
-    scale = np.abs(gram([chart.frame[index] for index in triple]).matrix).max()
-    return [np.finfo(float).eps * scale / h ** 2 for h in steps]
+    return triple, steps
 
 
 def _frame_triple(chart: Chart, triple) -> tuple[int, int, int]:

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import fileio
-from .charts import (FLAT, TRIVIALIZATION, Chart, closedness_check, closedness_floors,
+from .charts import (FLAT, TRIVIALIZATION, Chart, closedness_floors, closedness_residuals,
                      convergence_order, deformation_correction)
 from .cocycles import cocycle_basis, expected_h1_dimension
 from .config import RunConfig
@@ -246,9 +246,9 @@ def cmd_closedness(config: RunConfig, rep_path, cocycle_paths,
     else:
         frame = cocycle_basis(rep).h1_complement
     chart = Chart(center=rep, frame=frame)
-    # closedness_check validates the triple and each step, so an input
-    # error exits before anything is printed
-    residuals = [closedness_check(chart, triple, h) for h in steps]
+    # closedness_residuals validates the triple and each step first, so an
+    # input error exits before anything is printed
+    residuals = closedness_residuals(chart, triple, steps)
     order = convergence_order(steps, residuals, closedness_floors(chart, triple, steps))
     commutant = commutant_dimension(rep)
     print(f"trivialization: {TRIVIALIZATION}")

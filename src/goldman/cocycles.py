@@ -87,9 +87,17 @@ class CocycleStack:
 
 
 def stack_cocycles(cocycles) -> CocycleStack:
-    """The CocycleStack of a non-empty sequence of cocycles over one base;
-    InputError (exit 2) when it is empty or mixes bases."""
-    cocycles = tuple(cocycles)
+    """The CocycleStack of a non-empty sequence of cocycles over one base,
+    or a CocycleStack itself, unchanged; InputError (exit 2) when it is
+    empty, mixes bases or is not a sequence (a lone Cocycle is not)."""
+    if isinstance(cocycles, CocycleStack):
+        return cocycles
+    try:
+        items = iter(cocycles)
+    except TypeError:
+        raise InputError(f"expected a sequence of cocycles, "
+                         f"got {type(cocycles).__name__}") from None
+    cocycles = tuple(items)
     return CocycleStack(common_base(cocycles), [chi.values for chi in cocycles])
 
 

@@ -136,9 +136,10 @@ def gram(cocycles) -> GoldmanGram:
     read-only: entry (i, j) is omega(c_i, c_j).
 
     The one constructor of GoldmanGram: pass basis.basis (Z1) or
-    basis.h1_complement of a CocycleBasis, or cocycles read from files.
-    They are stacked once (stack_cocycles); column i of V is Cocycle.flat
-    of cocycle i, and W is the base's cached dual_form.
+    basis.h1_complement of a CocycleBasis, a CocycleStack such as its
+    cached h1_stack, or cocycles read from files.  They are stacked once
+    (stack_cocycles, which returns a stack as it is); column i of V is
+    Cocycle.flat of cocycle i, and W is the base's cached dual_form.
     """
     stack = stack_cocycles(cocycles)
     # a C-contiguous V (np.column_stack's layout) fixes the BLAS path of the

@@ -44,24 +44,16 @@ class Representation:
     seed: int | None = None
 
     def __post_init__(self):
-        n = self.rank
-        check_size(rank=n)
-        if self.flavor not in FLAVORS:
-            raise InputError(f"unknown flavor {self.flavor!r}")
-        if self.seed is not None:
-            check_seed(self.seed)
-        images = generator_stack(self.images, self.presentation.generator_count, n,
+        _check_settings(self.rank, self.flavor, self.seed)
+        images = generator_stack(self.images, self.presentation.generator_count, self.rank,
                                  "generator images")
-        # one stacked det still factors each image on its own
-        for m, det in zip(images, np.abs(np.linalg.det(images)).tolist()):
-            if det < tolerances.SINGULAR_IMAGE:
-                raise InputError("generator image is numerically singular")
-            if (self.flavor == UNITARY
-                    and frob(m.conj().T @ m - np.eye(n)) > tolerances.CONSTRUCTION):
-                raise InputError("generator image is not unitary within tolerance")
+        _check_images(images, self.flavor)
         object.__setattr__(self, "images", images)
-        defect = relator_defect(self)
-        if defect > tolerances.CONSTRUCTION:
+        # finite images may still overflow the relator product: a NaN
+        # defect is refused, not passed
+        with np.errstate(over="ignore", invalid="ignore"):
+            defect = relator_defect(self)
+        if not defect <= tolerances.CONSTRUCTION:
             raise InputError(f"relator defect {defect:.3e} exceeds construction "
                              f"tolerance {tolerances.CONSTRUCTION:.1e}")
 
@@ -171,6 +163,64 @@ def _invert_all(images, flavor: str) -> np.ndarray:
                 else np.linalg.inv(images))
     inverses.setflags(write=False)
     return inverses
+
+
+def _check_settings(rank: int, flavor: str, seed: int | None) -> None:
+    """Representation's rank, flavor and seed rules."""
+    check_size(rank=rank)
+    if flavor not in FLAVORS:
+        raise InputError(f"unknown flavor {flavor!r}")
+    if seed is not None:
+        check_seed(seed)
+
+
+def _has_singular_image(images) -> bool:
+    """Whether an image of a (..., n, n) stack has |det| below
+    SINGULAR_IMAGE: one stacked det still factors each image on its own,
+    and a det that overflows is not singular."""
+    with np.errstate(over="ignore"):
+        return bool((np.abs(np.linalg.det(images)) < tolerances.SINGULAR_IMAGE).any())
+
+
+def _check_images(images, flavor: str) -> None:
+    """InputError unless every image of a finite (..., n, n) stack is
+    nonsingular and, for the unitary flavor, within CONSTRUCTION of U(n)
+    in the Frobenius norm."""
+    if _has_singular_image(images):
+        raise InputError("generator image is numerically singular")
+    if flavor == UNITARY:
+        with np.errstate(over="ignore", invalid="ignore"):
+            products = np.swapaxes(images.conj(), -1, -2) @ images
+            gaps = np.linalg.norm(products - np.eye(images.shape[-1]), axis=(-2, -1))
+        if not (gaps <= tolerances.CONSTRUCTION).all():
+            raise InputError("generator image is not unitary within tolerance")
+
+
+def _accepted_points(presentation: Presentation, stack: np.ndarray, inverses: np.ndarray,
+                     flavor: str, seed: int | None) -> tuple[Representation, ...]:
+    """The points of newton_project's accepted (k, 2g, n, n) image stack,
+    without Representation's __post_init__: its checks run once over the
+    whole stack, and the relator gate is Newton's own, on final defects
+    from the same _word_product over the same images and inverses.  Each
+    point holds read-only copies of its images and of its row of
+    inverses, the latter as its inverse_images, so no point inverts its
+    images or evaluates its relator again."""
+    n = stack.shape[-1]
+    _check_settings(n, flavor, seed)
+    require_finite(stack, "generator images")
+    _check_images(stack, flavor)
+    points = []
+    for images, inverse_images in zip(stack, inverses):
+        images, inverse_images = images.copy(), inverse_images.copy()
+        images.setflags(write=False)
+        inverse_images.setflags(write=False)
+        point = object.__new__(Representation)
+        for name, value in (("presentation", presentation), ("rank", n), ("images", images),
+                            ("flavor", flavor), ("seed", seed),
+                            ("inverse_images", inverse_images)):
+            object.__setattr__(point, name, value)
+        points.append(point)
+    return tuple(points)
 
 
 def commutator_factor(u: np.ndarray, unitary: bool = True):
@@ -345,28 +395,33 @@ def newton_project(presentation: Presentation, images, flavor: str,
     exponential and polar projection, and one stacked inversion and word
     product for the relator images of the candidates.  The least-squares
     step and the defect are taken per tuple, so each result is bit for
-    bit that of projecting its tuple alone.  ConvergenceError names the
-    first tuple, in order, that leaves the trust region or does not
-    converge.
+    bit that of projecting its tuple alone.  A NaN defect (finite images
+    whose relator product overflows) is neither trusted nor an
+    improvement.  ConvergenceError names the first tuple, in order, that
+    leaves the trust region or does not converge.  The points carry the
+    inverses Newton kept as their inverse_images (_accepted_points).
     """
     stack = np.array(images, dtype=complex)
     if stack.ndim != 4 or stack.shape[1:3] != (presentation.generator_count, stack.shape[3]):
         raise InputError(f"newton_project expects a (k, 2g, n, n) stack of image "
                          f"tuples, got shape {stack.shape}")
     require_finite(stack, "image tuples")
-    if (np.abs(np.linalg.det(stack)) < tolerances.SINGULAR_IMAGE).any():
+    if _has_singular_image(stack):
         raise InputError("image tuples have a numerically singular image")
     n = stack.shape[-1]
     eye = np.eye(n)
     relator = presentation.relator()
 
     def relator_images(stack, inverses):
-        r = _word_product(letter_table(stack, inverses), relator)
-        return r, [frob(m - eye) for m in r]
+        # finite images may overflow the product: their defect is NaN,
+        # which is neither trusted nor an improvement
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = _word_product(letter_table(stack, inverses), relator)
+            return r, [frob(m - eye) for m in r]
 
     inverses = _invert_all(stack, flavor).copy()  # updated with each accepted tuple
     r, defects = relator_images(stack, inverses)
-    trusted = [not d > tolerances.NEWTON_TRUST_DEFECT for d in defects]
+    trusted = [d <= tolerances.NEWTON_TRUST_DEFECT for d in defects]
     live = [i for i, ok in enumerate(trusted) if ok]
     for _ in range(tolerances.NEWTON_STEP_LIMIT):
         live = [i for i in live if not defects[i] <= tolerances.NEWTON_TARGET]
@@ -386,23 +441,21 @@ def newton_project(presentation: Presentation, images, flavor: str,
         new_r, new_defects = relator_images(candidate, new_inverses)
         improved = []
         for i, c, c_inv, m, d in zip(live, candidate, new_inverses, new_r, new_defects):
-            if not d >= defects[i]:  # else stalled; keep the best iterate seen
+            if d < defects[i]:  # else stalled; keep the best iterate seen
                 stack[i], inverses[i], r[i], defects[i] = c, c_inv, m, d
                 improved.append(i)
         live = improved
 
-    out = []
-    for i, defect in enumerate(defects):
-        if not trusted[i]:
+    for ok, defect in zip(trusted, defects):
+        if not ok:
             raise ConvergenceError(
                 f"input defect {defect:.3e} outside the Newton trust region "
                 f"{tolerances.NEWTON_TRUST_DEFECT:.1e}", defect=defect)
-        if defect > tolerances.CONSTRUCTION:
+        if not defect <= tolerances.CONSTRUCTION:
             raise ConvergenceError(
                 f"Newton projection did not converge (final defect {defect:.3e})",
                 defect=defect)
-        out.append(Representation(presentation, n, stack[i], flavor, seed=seed))
-    return tuple(out)
+    return _accepted_points(presentation, stack, inverses, flavor, seed)
 
 
 def conjugate_representation(rep: Representation, c: np.ndarray) -> Representation:

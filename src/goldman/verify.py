@@ -35,8 +35,8 @@ import numpy as np
 
 from . import fileio, tolerances
 from .charts import (FLAT, TRIVIALIZATION, Chart, closedness_check, closedness_floors,
-                     convergence_order, deform, deformation_correction, rh_differential,
-                     rh_word_value)
+                     closedness_residuals, convergence_order, deform, deformation_correction,
+                     rh_differential, rh_word_value)
 from .cocycles import (Cocycle, CocycleBasis, anti_hermitian_part, coboundary,
                        cocycle_basis, cocycle_law_residuals, expected_h1_dimension,
                        random_cocycle, real_locus_bases, relator_residual,
@@ -720,7 +720,7 @@ def check_commuting_flows(run: SuiteRun, rng) -> Measurement:
 def check_closedness(run: SuiteRun, rng) -> Measurement:
     chart = Chart(center=run.rep, frame=run.basis.h1_complement)
     steps = [8e-3, 4e-3, 2e-3, 1e-3]
-    residuals = [closedness_check(chart, (0, 1, 2), h) for h in steps]
+    residuals = closedness_residuals(chart, (0, 1, 2), steps)
     measured = _order_result(steps, residuals,
                              floors=closedness_floors(chart, (0, 1, 2), steps))
     degenerate = closedness_check(chart, (0, 0, 1), 1e-3)
@@ -732,7 +732,7 @@ def check_closedness(run: SuiteRun, rng) -> Measurement:
 def check_closedness_abelian(run: SuiteRun, rng) -> Measurement:
     rep = _trivial_rank_one(2)
     chart = Chart(center=rep, frame=cocycle_basis(rep).h1_complement)
-    worst = max(closedness_check(chart, (0, 1, 2), h) for h in (1e-2, 1e-3, 1e-4))
+    worst = max(closedness_residuals(chart, (0, 1, 2), (1e-2, 1e-3, 1e-4)))
     return 3, worst, 1e-10
 
 

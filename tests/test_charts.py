@@ -1,15 +1,19 @@
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 import goldman.charts
+import goldman.cli
 
 from goldman import (Chart, Cocycle, InputError, Representation,
                      closedness_check, coboundary, cocycle_basis,
                      commutant_dimension, deform, deformation_correction,
                      pairing_dual, random_cocycle, random_representation,
                      relator_defect, rh_differential)
-from goldman.charts import FLAT, closedness_floors, convergence_order, rh_word_value
+from goldman.charts import (FLAT, closedness_floors, closedness_residuals, convergence_order,
+                            rh_word_value)
 from goldman.cocycles import linear_combination
 from goldman.linalg import expm, frob
 from goldman.reps import evaluate, newton_project
@@ -281,6 +285,16 @@ class TestChart:
         with pytest.raises(InputError):
             Chart(center=trivial_scalar_rep, frame=(chi,))
 
+    @pytest.mark.parametrize("frame", [
+        lambda basis: basis.h1_complement[0], lambda basis: basis.h1_stack,
+        lambda basis: iter(basis.h1_complement)], ids=["cocycle", "stack", "iterator"])
+    def test_frame_is_a_sequence_of_cocycles(self, basis_g2n2, frame):
+        with pytest.raises(InputError, match="sequence of cocycles") as error:
+            Chart(center=basis_g2n2.base, frame=frame(basis_g2n2))
+        assert error.value.exit_code == 2
+        chart = Chart(center=basis_g2n2.base, frame=list(basis_g2n2.h1_complement))
+        assert chart.frame == basis_g2n2.h1_complement
+
     def test_coordinate_shape_checked(self, basis_g2n2):
         chart = Chart(center=basis_g2n2.base, frame=basis_g2n2.h1_complement)
         with pytest.raises(InputError):
@@ -441,6 +455,59 @@ class TestClosedness:
         chart = Chart(center=basis_g2n2.base, frame=basis_g2n2.h1_complement[:2])
         with pytest.raises(InputError, match=rf"frame index {axis} out of range 0\.\.1"):
             chart.transported_frame_direction(np.zeros(2), axis, 1e-3)
+
+
+class TestClosednessLadder:
+    """closedness_residuals retracts the stencils of a whole ladder once."""
+
+    @pytest.mark.parametrize("flavor, triple, steps", [
+        ("unitary", (0, 1, 2), [8e-3, 4e-3, 2e-3, 1e-3]),
+        ("general-linear", (2, 0, 1), [5e-3, 1e-3, 2.5e-4]),
+        ("general-linear", (0, 1, 3), [1e-3])])
+    def test_ladder_is_per_step_checks_bit_for_bit(self, flavor, triple, steps,
+                                                   monkeypatch):
+        rep = random_representation(2, 2, flavor, seed=41)
+        frame = cocycle_basis(rep).h1_complement
+        chart = Chart(center=rep, frame=frame)
+        calls = projection_shapes(monkeypatch)
+        residuals = closedness_residuals(chart, triple, steps)
+        monkeypatch.undo()
+        assert calls == [(18 * len(steps), 4, 2, 2)]
+        serial = [closedness_check(Chart(center=rep, frame=frame), triple, h) for h in steps]
+        assert residuals == serial
+        assert all(type(r) is float for r in residuals)
+
+    @pytest.mark.parametrize("bad", [1e-5, 0.1, np.nan])
+    @pytest.mark.parametrize("at", [0, 1, 3])
+    def test_bad_step_anywhere_raises_before_any_retraction(self, basis_g2n2, bad, at,
+                                                           monkeypatch):
+        chart = Chart(center=basis_g2n2.base, frame=basis_g2n2.h1_complement)
+        steps = [8e-3, 4e-3, 2e-3, 1e-3]
+        steps[at] = bad
+        calls = projection_shapes(monkeypatch)
+        with pytest.raises(InputError, match="closedness step"):
+            closedness_residuals(chart, (0, 1, 2), steps)
+        with pytest.raises(InputError, match="out of range"):
+            closedness_residuals(chart, (0, 1, 10), [1e-3])
+        assert calls == [] and chart._cache == {}
+
+    def test_repeated_index_ladder_is_zero_without_points(self, basis_g2n2, monkeypatch):
+        chart = Chart(center=basis_g2n2.base, frame=basis_g2n2.h1_complement)
+        calls = projection_shapes(monkeypatch)
+        assert closedness_residuals(chart, (1, 0, 1), [4e-3, 1e-3]) == [0.0, 0.0]
+        assert calls == [] and chart._cache == {}
+
+    def test_command_output_is_pinned(self, capsys):
+        # the benchmark's closedness job shape: (2,2) general-linear with the
+        # default triple and ladder; the digest was taken before the ladder
+        # shared one retraction
+        argv = ["--genus", "2", "--rank", "2", "--flavor", "general-linear", "--seed", "7",
+                "closedness"]
+        assert goldman.cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.count("residual[h=") == 4
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "7648ca711b7b2cbc6f7dea13d4c01f4f9d9db145d51eca7609488fb6116d0081")
 
 
 class TestConvergenceOrder:

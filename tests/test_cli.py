@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 
@@ -9,11 +10,12 @@ import goldman.charts
 import goldman.cli
 import goldman.tolerances
 from goldman import (ConditioningError, InputError, Presentation, Representation,
-                     cocycle_basis, newton_project)
+                     cocycle_basis, newton_project, random_representation)
 from goldman.cli import main
 from goldman.config import RunConfig
-from goldman.fileio import read_cocycle, read_representation, write_representation
-from goldman.linalg import expm
+from goldman.fileio import (format_float, read_cocycle, read_representation,
+                            write_representation)
+from goldman.linalg import complex_gaussian, expm
 from goldman.verify import ALL_CHECKS, SuiteRun, run_check
 
 
@@ -50,6 +52,23 @@ def near_reducible_point():
     x = (x - x.conj().transpose(0, 2, 1)) / 2
     images = np.stack([np.diag(np.exp(1j * p)) for p in phases])
     return newton_project(Presentation(2), (expm(1e-8 * x) @ images)[None], "unitary")[0]
+
+
+def write_overflowing_point(path):
+    """A genus-2 general-linear representation file, its hash recomputed,
+    whose images are 1e160 times a seed-0 complex normal stack: finite,
+    with dets that overflow to inf, and a relator product that overflows
+    to a NaN defect."""
+    write_representation(path, random_representation(2, 2, "general-linear", seed=0))
+    images = 1e160 * complex_gaussian(np.random.default_rng(0), (4, 2, 2))
+    rows = iter(" ".join(f"{format_float(z.real)} {format_float(z.imag)}" for z in row)
+                for m in images for row in m)
+    lines = [line if line.startswith(("format: ", "genus: ", "rank: ", "flavor: ", "seed: ",
+                                      "generator: ")) else next(rows)
+             for line in path.read_text().splitlines() if not line.startswith("hash: ")]
+    payload = "\n".join(lines) + "\n"
+    head, _, tail = payload.partition("\n")
+    path.write_text(f"{head}\nhash: {hashlib.sha256(payload.encode()).hexdigest()}\n{tail}")
 
 
 class TestDims:
@@ -422,6 +441,19 @@ class TestFileCommands:
                                capsys)
         assert code == 2
         assert "non-finite" in err
+
+
+class TestOverflowingRelator:
+    @pytest.mark.parametrize("command", [["cocycle-basis"], ["closedness"],
+                                         ["closedness", "--steps", "4e-3,2e-3"]])
+    def test_nan_defect_file_is_an_input_error(self, tmp_path, capsys, command):
+        write_overflowing_point(tmp_path / "rep.txt")
+        code, out, err = run_cli(["--out", str(tmp_path), *command,
+                                  "--rep", str(tmp_path / "rep.txt")], capsys)
+        assert_input_error(code, err)
+        assert "relator defect nan exceeds" in err
+        assert out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rep.txt"]
 
 
 class TestClosednessCommand:

@@ -263,6 +263,18 @@ class TestGram:
         with pytest.raises(InputError, match="need at least one cocycle"):
             gram([])
 
+    def test_stack_is_the_tuple_bit_for_bit(self, seeded_bases):
+        for basis in seeded_bases.values():
+            stacked = gram(basis.h1_stack)
+            assert stacked.vectors is basis.h1_stack
+            assert np.array_equal(stacked.matrix, gram(basis.h1_complement).matrix)
+        assert stack_cocycles(basis.h1_stack) is basis.h1_stack
+
+    def test_lone_cocycle_rejected(self, basis_g2n2):
+        with pytest.raises(InputError, match="sequence of cocycles, got Cocycle") as error:
+            gram(basis_g2n2.basis[0])
+        assert error.value.exit_code == 2
+
     def test_file_command_matrix_is_read_only(self, tmp_path):
         out = str(tmp_path)
         assert main(["--seed", "13", "--out", out, "random-rep"]) == 0

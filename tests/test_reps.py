@@ -12,7 +12,7 @@ from goldman import (Chart, Cocycle, CocycleStack, ConvergenceError, GroupWord, 
                      rh_differential, stack_cocycles, standard_block_j)
 from goldman.charts import closedness_floors
 from goldman.cocycles import linear_combination
-from goldman.linalg import (expm, frob, haar_unitary, polar_unitary,
+from goldman.linalg import (complex_gaussian, expm, frob, haar_unitary, polar_unitary,
                             split_singular_values, vec)
 from goldman.reps import relator_tangent_matrix
 
@@ -490,7 +490,94 @@ class TestStackedNewtonProject:
         assert excinfo.value.defect == serial.defect
 
 
+def overflowing_images(scale):
+    """scale times a seed-0 complex normal (4, 2, 2) stack: finite genus-2
+    images whose relator product overflows at scale 1e155 and above."""
+    return scale * complex_gaussian(np.random.default_rng(0), (4, 2, 2))
+
+
+class TestAcceptedPoints:
+    """Newton's points are the checked Representation of their images,
+    built from the inverses and defects Newton already has."""
+
+    @pytest.mark.parametrize("k", [1, 5])
+    @pytest.mark.parametrize("genus, rank, flavor", [
+        (2, 2, "unitary"), (2, 2, "general-linear"), (3, 2, "unitary"),
+        (2, 3, "general-linear")])
+    def test_points_equal_checked_representations(self, genus, rank, flavor, k,
+                                                  monkeypatch):
+        rep = random_representation(genus, rank, flavor, seed=31)
+        rng = np.random.default_rng(31)
+        stack = np.array([rep.images] + [perturbed_images(rep, rng, size)
+                                         for size in (1e-3, 1e-5, 2e-3, 3e-4)][:k - 1])
+        calls = {name: [] for name in ("_invert_all", "_word_product",
+                                       "relator_tangent_matrix")}
+        for name, found in calls.items():
+            original = getattr(goldman.reps, name)
+            monkeypatch.setattr(goldman.reps, name, lambda *args, found=found,
+                                original=original: found.append(None) or original(*args))
+        points = newton_project(rep.presentation, stack, flavor, seed=8)
+        inverses = [point.inverse_images for point in points]
+        monkeypatch.undo()
+        assert len(points) == k
+        # one inversion and one relator product for the input and for each
+        # iteration's candidates, none for the points
+        iterations = len(calls["relator_tangent_matrix"])
+        assert len(calls["_invert_all"]) == len(calls["_word_product"]) == 1 + iterations
+        for point, inverse in zip(points, inverses):
+            checked = Representation(rep.presentation, rank, point.images, flavor, seed=8)
+            assert point.seed == 8 and point.flavor == flavor and point.rank == rank
+            assert point.presentation == rep.presentation
+            assert np.array_equal(point.images, checked.images)
+            assert np.array_equal(inverse, checked.inverse_images)
+            assert relator_defect(point) <= tolerances.CONSTRUCTION
+            for array in (point.images, inverse):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0, 0, 0] = 1.0
+        # each point holds its own arrays, not a view of Newton's stacks
+        assert all(point.images.base is None for point in points)
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5])
+    def test_seed_rule_is_kept(self, rep_g2n2, seed):
+        with pytest.raises(InputError, match="seed"):
+            newton_project(rep_g2n2.presentation, rep_g2n2.images[None], "unitary", seed=seed)
+
+    def test_flavor_rule_is_kept(self, rep_g2n2):
+        with pytest.raises(InputError, match="unknown flavor"):
+            newton_project(rep_g2n2.presentation, rep_g2n2.images[None], "orthogonal")
+
+    def test_overflowing_input_is_not_trusted(self, capfd):
+        # the relator defect of these finite images is NaN: it is outside
+        # the trust region, not a least-squares input
+        with pytest.raises(ConvergenceError, match="input defect nan") as excinfo:
+            newton_project(Presentation(2), overflowing_images(1e155)[None],
+                           "general-linear")
+        assert np.isnan(excinfo.value.defect)
+        assert capfd.readouterr().err == ""
+
+    def test_nan_candidate_is_no_improvement(self, rep_g2n2, monkeypatch, capfd):
+        # a step to 1e155 times the images keeps them finite and invertible,
+        # but overflows the relator product: the NaN candidate is a stall,
+        # so the input tuple is kept and reported, not iterated on
+        rng = np.random.default_rng(32)
+        noisy = np.array(perturbed_images(rep_g2n2, rng, 1e-3))[None]
+        monkeypatch.setattr(goldman.reps, "expm",
+                            lambda steps: 1e155 * np.broadcast_to(np.eye(2), steps.shape))
+        with pytest.raises(ConvergenceError, match="did not converge") as excinfo:
+            newton_project(rep_g2n2.presentation, noisy, "general-linear")
+        assert tolerances.CONSTRUCTION < excinfo.value.defect < tolerances.NEWTON_TRUST_DEFECT
+        assert capfd.readouterr().err == ""
+
+
 class TestConstructionValidation:
+    @pytest.mark.parametrize("scale", [1e155, 1e160])
+    def test_overflowing_relator_rejected(self, scale):
+        # the images are finite and their dets overflow to inf, but the
+        # relator product does too: its NaN defect is refused
+        with pytest.raises(InputError, match="relator defect nan exceeds"):
+            Representation(Presentation(2), 2, overflowing_images(scale), "general-linear")
+
     def test_defective_relator_rejected(self):
         pres = Presentation(2)
         rng = np.random.default_rng(14)

@@ -1,7 +1,7 @@
 """Import hygiene of the package source, checked on its syntax trees,
 and the independence of the cup-product oracle.
 
-Twenty rules, with no lint dependency:
+Twenty-one rules, with no lint dependency:
 
 - every module-level import is used in its module (the package
   ``__init__`` re-exports, and ``from __future__`` imports are exempt);
@@ -68,7 +68,11 @@ Twenty rules, with no lint dependency:
   ``dual_form_matrix``, ``word_jacobian``, ``fox_jacobian`` and
   ``Representation.dual_form`` patched to raise.  The oracle shares its
   Horner fold with ``extend_words``, so this run, not the code layout
-  alone, keeps it independent of the closed form it checks.
+  alone, keeps it independent of the closed form it checks;
+- the trusted points constructor ``reps._accepted_points`` is called
+  only in ``reps.newton_project``, on the images, inverses and defects
+  its Gauss-Newton loop has just formed and gated: every representation
+  built from outside input passes ``Representation``'s checks.
 """
 
 import ast
@@ -344,6 +348,11 @@ def test_trusted_words_are_built_only_in_words():
                                                   "words.py in fox_derivative"]
 
 
+def test_trusted_points_are_built_only_by_newton():
+    found = [site for path in MODULES for site in call_sites(path, "_accepted_points")]
+    assert _without_lines(found) == ["reps.py in newton_project"]
+
+
 def test_each_check_is_named_once():
     named = {check.name: _without_lines(string_literal_sites(SOURCE / "verify.py", check.name))
              for check in ALL_CHECKS}
@@ -431,7 +440,9 @@ def test_rules_flag_what_they_name(tmp_path):
         "    return _trusted(word.genus, word.codes * 2), words._trusted, _trusted_ok\n"
         "class G:\n"
         "    def gram(self, v):\n"
-        "        return v.T @ self.base.dual_form @ v, self.dual_form_matrix, 'dual_form'\n")
+        "        return v.T @ self.base.dual_form @ v, self.dual_form_matrix, 'dual_form'\n"
+        "def _retract(stack):\n"
+        "    return _accepted_points(stack), reps._accepted_points\n")
     assert unused_module_imports(module) == ["sample.py:2 json"]
     assert non_cycle_local_imports(module) == ["sample.py:6 in f", "sample.py:7 in f"]
     assert package_imports(module) == ["sample.py:4 reps", "sample.py:7 reps",
@@ -459,6 +470,7 @@ def test_rules_flag_what_they_name(tmp_path):
                                                        "sample.py:47 in <module>"]
     assert call_sites(module, "_trusted") == ["sample.py:49 in power"]
     assert attribute_reads(module, "dual_form") == ["sample.py:52 in G.gram"]
+    assert call_sites(module, "_accepted_points") == ["sample.py:54 in _retract"]
     assert public_functions(module) == ["f", "g", "h", "r", "s", "t", "u", "project",
                                         "triangle", "check_x", "power"]
     caller = tmp_path / "caller.py"
