@@ -16,10 +16,10 @@ from functools import cached_property
 import numpy as np
 
 from . import tolerances
-from .errors import ConditioningError, InputError
-from .linalg import (canonical_frame, column_space, complement_within, complex_gaussian,
-                     frob, generator_stack, nullspace, real_flatten, split_singular_values,
-                     triangular_values)
+from .errors import ConditioningError, InputError, require_type
+from .linalg import (RandomStream, canonical_frame, column_space, complement_within,
+                     complex_gaussian, frob, generator_stack, nullspace, real_flatten,
+                     split_singular_values, square_stack, triangular_values)
 from .reps import (UNITARY, Representation, evaluate_words, fox_jacobian,
                    relator_tangent_matrix)
 from .words import (GroupRingElement, GroupWord, RingCodes, letter_codes, letter_fox_terms,
@@ -85,6 +85,11 @@ class CocycleStack:
     def __len__(self) -> int:
         return len(self.values)
 
+    @cached_property
+    def flat(self) -> np.ndarray:
+        """(k, 2g n^2) rows: row i is Cocycle.flat of cocycle i."""
+        return self.values.transpose(0, 1, 3, 2).reshape(len(self), -1)
+
 
 def stack_cocycles(cocycles) -> CocycleStack:
     """The CocycleStack of a non-empty sequence of cocycles over one base,
@@ -108,8 +113,7 @@ def common_base(cocycles) -> Representation:
     if not cocycles:
         raise InputError("need at least one cocycle")
     for chi in cocycles:
-        if not isinstance(chi, (Cocycle, CocycleStack)):
-            raise InputError(f"expected a cocycle or a cocycle stack, got {type(chi).__name__}")
+        require_type(chi, (Cocycle, CocycleStack), "each cocycle")
     first, *rest = cocycles
     for chi in rest:
         if not first.base.same_base(chi.base):
@@ -123,28 +127,39 @@ def from_flat(base: Representation, flat: np.ndarray) -> Cocycle:
     return Cocycle(base, np.reshape(flat, (-1, n, n)).transpose(0, 2, 1))
 
 
-def linear_combination(base: Representation, coeffs, stack: CocycleStack) -> Cocycle:
+def linear_combination(base: Representation, coeffs, stack: CocycleStack):
     """The cocycle sum_i coeffs[i] * chi_i over base, for the cocycles chi_i
-    of a CocycleStack.
+    of a CocycleStack; for an (s, k) coefficient matrix, the CocycleStack
+    of its s row combinations.
 
-    One ordered reduction over the stacked terms, bit for bit the Python
-    sum 0 + c_0 chi_0 + c_1 chi_1 + ...: a matrix product would reorder
-    the sum.  A caller that combines the same cocycles many times builds
-    their stack once.  InputError (exit 2) when the number of
-    coefficients is not the number of cocycles, or stack is not a
-    CocycleStack or lives over another base.
+    Each combination is bit for bit the Python sum 0 + c_0 chi_0 + c_1
+    chi_1 + ...: a matrix product would reorder the sum.  One row is one
+    ordered reduction over the stacked terms; a matrix adds its terms one
+    at a time over all its rows, so the (s, k, 2g, n, n) products are
+    never held at once.  A caller that combines the same cocycles many
+    times builds their stack once.  InputError (exit 2) when base is not a
+    representation, stack is not a CocycleStack or lives over another
+    base, or the coefficients are not numbers in one row or a non-empty
+    matrix of as many columns as there are cocycles.
     """
-    if not isinstance(stack, CocycleStack):
-        raise InputError(f"linear_combination combines a CocycleStack, "
-                         f"got {type(stack).__name__}")
+    require_type(base, Representation, "the combination's base")
+    require_type(stack, CocycleStack, "the cocycles to combine")
     coeffs = np.asarray(coeffs)
-    if coeffs.shape != (len(stack),):
-        raise InputError(f"{len(stack)} cocycles need as many coefficients, "
-                         f"got shape {coeffs.shape}")
+    k = len(stack)
+    if (coeffs.dtype.kind not in "iufc" or coeffs.ndim not in (1, 2)
+            or coeffs.shape[-1] != k or coeffs.size == 0):
+        raise InputError(f"{k} cocycles need a row or a non-empty matrix of {k} numeric "
+                         f"coefficients, got {coeffs.dtype} of shape {coeffs.shape}")
     if not base.same_base(stack.base):
         raise InputError("cocycles live over a different base representation")
-    return Cocycle(base, 0 + np.add.reduce(coeffs[:, None, None, None] * stack.values,
-                                           axis=0))
+    if coeffs.ndim == 1:
+        return Cocycle(base, 0 + np.add.reduce(coeffs[:, None, None, None] * stack.values,
+                                               axis=0))
+    columns = coeffs.T[:, :, None, None, None]
+    total = columns[0] * stack.values[0]
+    for column, values in zip(columns[1:], stack.values[1:]):
+        total = total + column * values
+    return CocycleStack(base, 0 + total)
 
 
 def extend(chi: Cocycle, word: GroupWord) -> np.ndarray:
@@ -267,11 +282,20 @@ def cocycle_law_residuals(chi: Cocycle, pairs) -> list[float]:
     return [frob(m) for m in chi_uv - rhs]
 
 
-def coboundary(v: np.ndarray, rep: Representation) -> Cocycle:
-    """delta_v with values Ad(sigma(x)) v - v on each generator; InputError
-    (exit 2) unless v is a finite n x n matrix."""
-    v = generator_stack([v], 1, rep.rank, "coboundary arguments")[0]
-    return Cocycle(rep, rep.images @ v @ rep.inverse_images - v)
+def coboundary(v: np.ndarray, rep: Representation):
+    """delta_v with values Ad(sigma(x)) v - v on each generator: a Cocycle
+    for one n x n matrix v, a CocycleStack of one coboundary per matrix
+    for an (s, n, n) stack, each bit for bit its one-matrix call.
+    InputError (exit 2) unless rep is a representation and v a finite
+    matrix or stack of its rank."""
+    require_type(rep, Representation, "the coboundary's base")
+    v = square_stack(v, "coboundary arguments")
+    if v.ndim > 3 or v.shape[-1] != rep.rank:
+        raise InputError(f"coboundary arguments have shape {v.shape}, "
+                         f"expected ([s, ]{rep.rank}, {rep.rank})")
+    spread = v[..., None, :, :]  # one v per generator image
+    values = rep.images @ spread @ rep.inverse_images - spread
+    return Cocycle(rep, values) if v.ndim == 2 else CocycleStack(rep, values)
 
 
 def star_involution(chi: Cocycle) -> Cocycle:
@@ -437,8 +461,12 @@ def random_cocycle(basis: CocycleBasis, rng: np.random.Generator,
                    space: str = "z1") -> Cocycle:
     """Random complex combination of basis cocycles (seeded, deterministic).
 
-    space is "z1" (the Z1 basis) or "h1" (the H1 complement).
+    space is "z1" (the Z1 basis) or "h1" (the H1 complement).  InputError
+    (exit 2) when basis is not a CocycleBasis or rng is no RandomStream.
     """
+    require_type(basis, CocycleBasis, "the basis to draw from")
+    # a Generator is a RandomStream; naming it first spares the protocol's slow check
+    require_type(rng, (np.random.Generator, RandomStream), "the random stream")
     if space == "z1":
         pool = basis.basis_stack
     elif space == "h1":

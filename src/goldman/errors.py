@@ -42,3 +42,15 @@ class DegenerateFormError(ConditioningError):
     def __init__(self, message, null_vector=None):
         super().__init__(message)
         self.null_vector = null_vector
+
+
+def require_type(value, kinds, name: str):
+    """value, when it is an instance of kinds (a type or a tuple of
+    types); otherwise InputError (exit 2) naming name and the type given.
+    The one type rule of the exported calls, so a wrong argument type ends
+    here and not in an AttributeError further in."""
+    if not isinstance(value, kinds):
+        wanted = " or ".join(kind.__name__ for kind in
+                             (kinds if isinstance(kinds, tuple) else (kinds,)))
+        raise InputError(f"{name} must be a {wanted}, got {type(value).__name__}")
+    return value

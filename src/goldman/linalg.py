@@ -4,6 +4,7 @@ the matrix exponential and unitary eigenframes."""
 from __future__ import annotations
 
 import math
+from typing import Protocol, runtime_checkable
 
 import numpy as np
 
@@ -22,22 +23,39 @@ def vec(m: Array) -> Array:
     return np.asarray(m).ravel(order="F")
 
 
+def _complex_array(values, what: str, order: str) -> Array:
+    """A complex copy of values in the given memory order; InputError
+    naming what when they do not convert (a ragged nesting, a string)."""
+    try:
+        return np.array(values, dtype=complex, order=order)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{what} do not form one stack: {exc}") from exc
+
+
 def generator_stack(matrices, count: int, n: int, what: str, rows: bool = False) -> Array:
     """Matrices indexed by generator as one read-only complex (count, n, n)
     stack: a copy in the input's memory layout (order 'K').  With rows, k >= 1
     such tuples as one (k, count, n, n) stack in C order, np.stack's layout.
     Ragged input, another shape and non-finite entries raise InputError
     naming what."""
-    try:
-        stack = np.array(matrices, dtype=complex, order="C" if rows else "K")
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{what} do not form one stack: {exc}") from exc
+    stack = _complex_array(matrices, what, "C" if rows else "K")
     lead = stack.shape[:1] if rows else ()
     if stack.shape != (*lead, count, n, n) or lead == (0,):
         raise InputError(f"{what} have shape {stack.shape}, "
                          f"expected ({'k >= 1, ' * rows}{count}, {n}, {n})")
     require_finite(stack, what)
     stack.setflags(write=False)
+    return stack
+
+
+def square_stack(matrices, what: str) -> Array:
+    """One square matrix or a (..., n, n) stack of them as a complex copy
+    in the input's memory layout; InputError naming what when it does not
+    convert, is not square or has a non-finite entry."""
+    stack = _complex_array(matrices, what, "K")
+    if stack.ndim < 2 or stack.shape[-1] != stack.shape[-2]:
+        raise InputError(f"{what} have shape {stack.shape}, expected (..., n, n)")
+    require_finite(stack, what)
     return stack
 
 
@@ -138,7 +156,9 @@ def expm(a: Array) -> Array:
 
 def unitary_eigenframe(u: Array):
     """Eigenvalues lam and a unitary eigenbasis V of a normal matrix,
-    u = V diag(lam) V^H.
+    u = V diag(lam) V^H, for one matrix or each matrix of a (..., n, n)
+    stack: every stacked factorization equals its one-matrix call bit for
+    bit.
 
     V is the Q factor of np.linalg.eig's eigenvectors: eigenspaces of a
     normal matrix are orthogonal, so the QR only orthonormalises within a
@@ -149,9 +169,10 @@ def unitary_eigenframe(u: Array):
     """
     _, w = np.linalg.eig(u)
     v, _ = np.linalg.qr(w)
-    pivot = v[np.abs(v).argmax(axis=0), np.arange(v.shape[1])]
-    v = v * (pivot.conj() / np.abs(pivot))
-    lam = (v.conj() * (u @ v)).sum(axis=0)
+    rows = np.abs(v).argmax(axis=-2)
+    pivot = np.take_along_axis(v, rows[..., None, :], axis=-2)[..., 0, :]
+    v = v * (pivot.conj() / np.abs(pivot))[..., None, :]
+    lam = (v.conj() * (u @ v)).sum(axis=-2)
     return lam, v
 
 
@@ -257,20 +278,55 @@ def canonical_frame(v: Array) -> Array:
     return v @ (q * (d / np.abs(d)))
 
 
+@runtime_checkable
+class RandomStream(Protocol):
+    """What the samplers draw from: numpy's Generator, or a stand-in that
+    forwards its standard_normal draws."""
+
+    def standard_normal(self, size=None): ...
+
+
+def complex_gaussians(rng: np.random.Generator, count: int, shapes) -> tuple[Array, ...]:
+    """count rounds of complex Gaussian arrays, one (count, *shape) array
+    for each shape: the stream of count rounds of complex_gaussian(rng,
+    shape) over the shapes in turn, from one standard_normal draw of
+    count rows, each row every shape's real block, then its imaginary
+    one.  A shape is a tuple or an integer length."""
+    shapes = [tuple(shape) if np.iterable(shape) else (shape,) for shape in shapes]
+    sizes = [math.prod(shape) for shape in shapes]
+    rows = rng.standard_normal((count, 2 * sum(sizes)))
+    arrays, start = [], 0
+    for shape, size in zip(shapes, sizes):
+        real = rows[:, start:start + size].reshape(count, *shape)
+        imag = rows[:, start + size:start + 2 * size].reshape(count, *shape)
+        arrays.append(real + 1j * imag)
+        start += 2 * size
+    return tuple(arrays)
+
+
 def complex_gaussian(rng: np.random.Generator, shape) -> Array:
     """Array of the given shape with independent standard normal real and
-    imaginary parts, drawn as the whole real block, then the imaginary one.
-    Every complex draw of the package goes through here, so seeded streams
-    depend on this one order."""
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    imaginary parts, drawn as the whole real block, then the imaginary one:
+    the one-round case of complex_gaussians.  Every complex draw of the
+    package goes through complex_gaussians, so seeded streams depend on
+    this one order."""
+    return complex_gaussians(rng, 1, (shape,))[0][0]
+
+
+def haar_stack(gaussians: Array) -> Array:
+    """Haar-distributed U(n) samples from complex Ginibre matrices, one for
+    one (n, n) matrix or for each matrix of a (..., n, n) stack: the Q
+    factor of its QR, each column's phase making diag(R) positive.  A
+    stack's samples equal the one-matrix calls bit for bit."""
+    q, r = np.linalg.qr(gaussians)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def haar_unitary(rng: np.random.Generator, n: int) -> Array:
-    """Haar-distributed U(n) sample (QR of a complex Ginibre matrix)."""
-    g = complex_gaussian(rng, (n, n))
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    """Haar-distributed U(n) sample: haar_stack of one complex Ginibre
+    matrix."""
+    return haar_stack(complex_gaussian(rng, (n, n)))
 
 
 def ginibre(rng: np.random.Generator, n: int) -> Array:

@@ -144,7 +144,7 @@ def gram(cocycles) -> GoldmanGram:
     stack = stack_cocycles(cocycles)
     # a C-contiguous V (np.column_stack's layout) fixes the BLAS path of the
     # product, and with it the digits that gram.txt prints
-    v = np.ascontiguousarray(stack.values.transpose(0, 1, 3, 2).reshape(len(stack), -1).T)
+    v = np.ascontiguousarray(stack.flat.T)
     matrix = v.T @ stack.base.dual_form @ v
     matrix.setflags(write=False)
     return GoldmanGram(vectors=stack, matrix=matrix)

@@ -17,7 +17,7 @@ import numpy as np
 from . import tolerances
 from .errors import ConditioningError, ConvergenceError, InputError
 from .linalg import (ad_matrix, expm, frob, generator_stack, ginibre, haar_unitary,
-                     polar_unitary, require_finite, split_singular_values,
+                     polar_unitary, require_finite, split_singular_values, square_stack,
                      triangular_values, unitary_eigenframe, vec)
 from .words import GroupWord, Presentation, check_size, is_integer, letter_codes
 
@@ -224,29 +224,36 @@ def _accepted_points(presentation: Presentation, stack: np.ndarray, inverses: np
 
 
 def commutator_factor(u: np.ndarray, unitary: bool = True):
-    """Factor a determinant-one matrix as a single commutator A B A^-1 B^-1.
+    """Factor a determinant-one matrix as a single commutator A B A^-1 B^-1,
+    for one n x n matrix or each matrix of a (..., n, n) stack, as expm
+    takes them: every stacked factor equals its one-matrix call bit for
+    bit.
 
     Diagonalize u = V diag(lambda) V^-1, take A = V P V^-1 with P the
     cyclic shift and B = V E V^-1 with E diagonal solving the eigenvalue
     ratio equations around the cycle; the cycle closes because the
-    eigenvalues multiply to one.
+    eigenvalues multiply to one.  Each matrix is checked on its own: a
+    determinant off one, or for the unitary flavor a matrix off U(n), is
+    an InputError, and a factorization whose residual exceeds
+    CONSTRUCTION (a defective or ill-conditioned matrix) a
+    ConditioningError.
     """
     tol = tolerances.CONSTRUCTION
-    u = np.asarray(u, dtype=complex)
-    n = u.shape[0]
-    if u.shape != (n, n):
-        raise InputError("commutator_factor expects a square matrix")
-    require_finite(u, "matrices to factor")
+    u = square_stack(u, "matrices to factor")
+    n = u.shape[-1]
     det = np.linalg.det(u)
-    if abs(det - 1.0) > tol:
-        raise InputError(f"determinant {det:.6g} is not 1 within {tol:.1e}")
+    off = np.abs(det - 1.0) > tol
+    if off.any():
+        raise InputError(f"determinant {np.ravel(det)[np.ravel(off)][0]:.6g} "
+                         f"is not 1 within {tol:.1e}")
     if unitary:
-        if frob(u.conj().T @ u - np.eye(n)) > tol:
+        gaps = np.linalg.norm(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(n), axis=(-2, -1))
+        if (gaps > tol).any():
             raise InputError("matrix is not unitary within tolerance")
         # orthonormal eigenbasis even for degenerate eigenvalue clusters
         lam, v = unitary_eigenframe(u)
         lam = lam / np.abs(lam)
-        v_inv = v.conj().T
+        v_inv = np.swapaxes(v.conj(), -1, -2)
     else:
         lam, v = np.linalg.eig(u)
         v_inv = np.linalg.inv(v)
@@ -254,17 +261,20 @@ def commutator_factor(u: np.ndarray, unitary: bool = True):
     shift = np.zeros((n, n), dtype=complex)
     for i in range(n):
         shift[(i + 1) % n, i] = 1.0
-    e = np.ones(n, dtype=complex)
+    e = np.ones(lam.shape, dtype=complex)
     for i in range(1, n):
-        e[i] = e[i - 1] / lam[i]
+        e[..., i] = e[..., i - 1] / lam[..., i]
     if unitary:
         e = e / np.abs(e)
+    diagonal = np.zeros((*e.shape, n), dtype=complex)
+    diagonal[..., np.arange(n), np.arange(n)] = e
     a = v @ shift @ v_inv
-    b = v @ np.diag(e) @ v_inv
-    residual = frob(a @ b @ np.linalg.inv(a) @ np.linalg.inv(b) - u)
-    if residual > tol:
+    b = v @ diagonal @ v_inv
+    residuals = np.linalg.norm(a @ b @ np.linalg.inv(a) @ np.linalg.inv(b) - u,
+                               axis=(-2, -1))
+    if (residuals > tol).any():
         raise ConditioningError(
-            f"commutator factorization residual {residual:.3e} exceeds {tol:.1e} "
+            f"commutator factorization residual {residuals.max():.3e} exceeds {tol:.1e} "
             "(defective or ill-conditioned input)"
         )
     return a, b

@@ -16,6 +16,13 @@ omega(x, y) = x.flat @ W @ y.flat.  intersection-form keeps the letterwise
 pairing_dual, checked against the cup product, as the suite's check of
 that path.
 
+These five checks and commutator-factor stack their samples:
+complex_gaussians draws the samples' numbers at once, in per-sample
+order, and omega, the cup product and the commutator factors are
+evaluated over whole stacks, bit for bit the per-sample loops.  Moduli are np.hypot,
+which rounds as Python's abs(complex) does; bilinearity's scalar
+right-hand sides stay in Python complex arithmetic.
+
 Mutation mode (config.mutate = "dual-sign") deliberately flips a sign in
 the dual-generator pairing (the b_k column blocks of the pairing matrix
 W) so the cup/dual cross-check must fail; it exists to demonstrate that
@@ -37,13 +44,13 @@ from . import fileio, tolerances
 from .charts import (FLAT, TRIVIALIZATION, Chart, closedness_check, closedness_floors,
                      closedness_residuals, convergence_order, deform, deformation_correction,
                      rh_differential, rh_word_value)
-from .cocycles import (Cocycle, CocycleBasis, anti_hermitian_part, coboundary,
-                       cocycle_basis, cocycle_law_residuals, expected_h1_dimension,
-                       random_cocycle, real_locus_bases, relator_residual,
-                       stack_cocycles, star_involution)
+from .cocycles import (Cocycle, CocycleBasis, CocycleStack, anti_hermitian_part,
+                       coboundary, cocycle_basis, cocycle_law_residuals,
+                       expected_h1_dimension, linear_combination, random_cocycle,
+                       real_locus_bases, relator_residual, stack_cocycles, star_involution)
 from .config import RunConfig
 from .errors import ConvergenceError
-from .linalg import complex_gaussian, expm, frob, haar_unitary
+from .linalg import complex_gaussian, complex_gaussians, expm, frob, haar_stack, haar_unitary
 from .pairing import (gram, pairing_cup, pairing_dual, symplectic_basis,
                       unitary_restriction_check)
 from .reps import (GENERAL_LINEAR, UNITARY, Representation,
@@ -306,20 +313,21 @@ def check_partial_relator_determinants(run: SuiteRun, rng) -> Measurement:
 
 
 def check_commutator_factor(run: SuiteRun, rng) -> Measurement:
+    """Special unitary and general determinant-one matrices at n = 2, 3, 4
+    factor as commutators: per n, 17 rounds of three Ginibre matrices (a
+    unitary's, a general matrix's and its perturbation), each kind
+    factored as one stack."""
     worst = 0.0
     samples = 0
     for n in (2, 3, 4):
-        for _ in range(17):
-            u = haar_unitary(rng, n)
-            u = u * np.linalg.det(u) ** (-1.0 / n)
-            a, b = commutator_factor(u, unitary=True)
-            worst = max(worst, frob(a @ b @ np.linalg.inv(a) @ np.linalg.inv(b) - u))
-            samples += 1
-            m = haar_unitary(rng, n) + 0.3 * complex_gaussian(rng, (n, n))
-            m = m * np.linalg.det(m) ** (-1.0 / n)
-            a, b = commutator_factor(m, unitary=False)
-            worst = max(worst, frob(a @ b @ np.linalg.inv(a) @ np.linalg.inv(b) - m))
-            samples += 1
+        unitary_draw, general_draw, noise = complex_gaussians(rng, 17, ((n, n),) * 3)
+        for m, unitary in ((haar_stack(unitary_draw), True),
+                           (haar_stack(general_draw) + 0.3 * noise, False)):
+            m = m * (np.linalg.det(m) ** (-1.0 / n))[:, None, None]
+            a, b = commutator_factor(m, unitary=unitary)
+            residuals = a @ b @ np.linalg.inv(a) @ np.linalg.inv(b) - m
+            worst = max(worst, *map(frob, residuals))
+            samples += len(m)
     return samples, worst, tolerances.CONSTRUCTION
 
 
@@ -436,76 +444,79 @@ def check_real_locus_dimensions(run: SuiteRun, rng) -> Measurement:
 # -------------------------------------------------------------- goldman core
 
 def _dual_pairing(rep: Representation, flip_b: bool = False):
-    """omega at one fixed base through its cached matrix W,
-    omega(x, y) = x.flat @ W @ y.flat.  flip_b is the deliberate error of
-    --mutate dual-sign: the handle-b terms enter with a flipped sign, i.e.
-    a copy of W has its b_k column blocks negated."""
+    """omega at one fixed base through its cached matrix W, row by row
+    over two CocycleStacks of one length: omega(x, y) = x.flat @ W @ y.flat
+    for each pair of rows, as stacked (1, N) row products, which equal the
+    one-pair products bit for bit (a 2-D X @ W would not).  flip_b is the
+    deliberate error of --mutate dual-sign: the handle-b terms enter with
+    a flipped sign, i.e. a copy of W has its b_k column blocks negated."""
     w = rep.dual_form
     if flip_b:
         w = np.array(w)
         n2 = rep.rank ** 2
         for k in range(rep.genus):
             w[:, (2 * k + 1) * n2:(2 * k + 2) * n2] *= -1
-    return lambda chi1, chi2: complex(chi1.flat @ w @ chi2.flat)
+    return lambda xs, ys: ((xs.flat[:, None, :] @ w) @ ys.flat[:, :, None])[:, 0, 0]
+
+
+def _moduli(z: np.ndarray) -> list[float]:
+    """|z| of each entry as Python's abs(complex) rounds it, which np.abs
+    of a complex array need not."""
+    return np.hypot(z.real, z.imag).tolist()
+
+
+def _z1_samples(basis: CocycleBasis, rng, samples: int, cocycles: int, *shapes):
+    """samples rounds, as the per-sample loops drew them, of `cocycles`
+    random_cocycle draws from the Z1 basis and then one complex_gaussian
+    of each shape: a CocycleStack per cocycle draw, then a
+    (samples, *shape) array per shape."""
+    pool = basis.basis_stack
+    draws = complex_gaussians(rng, samples, (len(pool),) * cocycles + shapes)
+    return (*(linear_combination(basis.base, c, pool) for c in draws[:cocycles]),
+            *draws[cocycles:])
 
 
 def check_cup_dual_agreement(run: SuiteRun, rng) -> Measurement:
-    basis = run.basis
-    dual = _dual_pairing(run.rep, flip_b=run.config.mutate == "dual-sign")
+    omega = _dual_pairing(run.rep, flip_b=run.config.mutate == "dual-sign")
     samples = 100
-    pairs = [(random_cocycle(basis, rng), random_cocycle(basis, rng))
-             for _ in range(samples)]
-    chi1s, chi2s = zip(*pairs)
-    cups = pairing_cup(stack_cocycles(chi1s), stack_cocycles(chi2s))
-    worst = max(0.0, *(abs(dual(chi1, chi2) - complex(cup))
-                       for (chi1, chi2), cup in zip(pairs, cups)))
-    return samples, worst, 1e-10
+    chi1s, chi2s = _z1_samples(run.basis, rng, samples, 2)
+    worst = _moduli(omega(chi1s, chi2s) - pairing_cup(chi1s, chi2s))
+    return samples, max(0.0, *worst), 1e-10
 
 
 def check_class_invariance(run: SuiteRun, rng) -> Measurement:
-    rep, basis = run.rep, run.basis
-    n = rep.rank
-    dual = _dual_pairing(rep)
-    worst = 0.0
+    rep = run.rep
+    omega = _dual_pairing(rep)
     samples = 100
-    for _ in range(samples):
-        chi1 = random_cocycle(basis, rng)
-        chi2 = random_cocycle(basis, rng)
-        delta = coboundary(complex_gaussian(rng, (n, n)), rep)
-        base_value = dual(chi1, chi2)
-        worst = max(worst, abs(dual(chi1 + delta, chi2) - base_value))
-        worst = max(worst, abs(dual(chi1, chi2 + delta) - base_value))
-    return samples, worst, 1e-9
+    chi1s, chi2s, v = _z1_samples(run.basis, rng, samples, 2, (rep.rank, rep.rank))
+    deltas = coboundary(v, rep).values
+    base_value = omega(chi1s, chi2s)
+    left = omega(CocycleStack(rep, chi1s.values + deltas), chi2s)
+    right = omega(chi1s, CocycleStack(rep, chi2s.values + deltas))
+    return samples, max(0.0, *_moduli(left - base_value), *_moduli(right - base_value)), 1e-9
 
 
 def check_antisymmetry(run: SuiteRun, rng) -> Measurement:
-    basis = run.basis
-    dual = _dual_pairing(run.rep)
-    worst = 0.0
+    omega = _dual_pairing(run.rep)
     samples = 100
-    for _ in range(samples):
-        chi1 = random_cocycle(basis, rng)
-        chi2 = random_cocycle(basis, rng)
-        worst = max(worst, abs(dual(chi1, chi2) + dual(chi2, chi1)))
-    return samples, worst, 1e-9
+    chi1s, chi2s = _z1_samples(run.basis, rng, samples, 2)
+    return samples, max(0.0, *_moduli(omega(chi1s, chi2s) + omega(chi2s, chi1s))), 1e-9
 
 
 def check_bilinearity(run: SuiteRun, rng) -> Measurement:
-    basis = run.basis
-    dual = _dual_pairing(run.rep)
-    worst = 0.0
+    rep = run.rep
+    omega = _dual_pairing(rep)
     samples = 25
-    for _ in range(samples):
-        chi1 = random_cocycle(basis, rng)
-        chi2 = random_cocycle(basis, rng)
-        chi3 = random_cocycle(basis, rng)
-        s = complex(complex_gaussian(rng, ()))
-        lhs = dual(chi1 * s + chi3, chi2)
-        rhs = s * dual(chi1, chi2) + dual(chi3, chi2)
-        worst = max(worst, abs(lhs - rhs))
-        lhs = dual(chi1, chi2 * s + chi3)
-        rhs = s * dual(chi1, chi2) + dual(chi1, chi3)
-        worst = max(worst, abs(lhs - rhs))
+    chi1s, chi2s, chi3s, s = _z1_samples(run.basis, rng, samples, 3, ())
+    scale = s[:, None, None, None]
+    left = omega(CocycleStack(rep, scale * chi1s.values + chi3s.values), chi2s)
+    right = omega(chi1s, CocycleStack(rep, scale * chi2s.values + chi3s.values))
+    worst = 0.0
+    # s omega(x, y) + omega(z, y) in Python complex arithmetic, sample by sample
+    for scalar, lhs1, lhs2, xy, zy, xz in zip(
+            s.tolist(), left.tolist(), right.tolist(), omega(chi1s, chi2s).tolist(),
+            omega(chi3s, chi2s).tolist(), omega(chi1s, chi3s).tolist()):
+        worst = max(worst, abs(lhs1 - (scalar * xy + zy)), abs(lhs2 - (scalar * xy + xz)))
     return samples, worst, 1e-9
 
 
@@ -521,16 +532,12 @@ def check_conjugation_equivariance(run: SuiteRun, rng) -> Measurement:
     c = _conjugator(rng, rep.rank)
     c_inv = np.linalg.inv(c)
     moved = conjugate_representation(rep, c)
-    dual, dual_moved = _dual_pairing(rep), _dual_pairing(moved)
-    worst = 0.0
+    omega, omega_moved = _dual_pairing(rep), _dual_pairing(moved)
     samples = 25
-    for _ in range(samples):
-        chi1 = random_cocycle(basis, rng)
-        chi2 = random_cocycle(basis, rng)
-        moved1 = Cocycle(moved, c @ chi1.values @ c_inv)
-        moved2 = Cocycle(moved, c @ chi2.values @ c_inv)
-        worst = max(worst, abs(dual_moved(moved1, moved2) - dual(chi1, chi2)))
-    return samples, worst, 1e-9
+    chi1s, chi2s = _z1_samples(basis, rng, samples, 2)
+    moved1, moved2 = (CocycleStack(moved, c @ chis.values @ c_inv) for chis in (chi1s, chi2s))
+    worst = _moduli(omega_moved(moved1, moved2) - omega(chi1s, chi2s))
+    return samples, max(0.0, *worst), 1e-9
 
 
 def check_gram_structure(run: SuiteRun, rng) -> Measurement:

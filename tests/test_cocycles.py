@@ -17,7 +17,7 @@ from goldman import (Cocycle, ConditioningError, InputError, Presentation, Repre
                      star_involution, word_jacobian)
 from goldman.cli import main
 from goldman.config import RunConfig
-from goldman.cocycles import (CocycleBasis, _real_span, cocycle_dimensions,
+from goldman.cocycles import (CocycleBasis, CocycleStack, _real_span, cocycle_dimensions,
                               expected_h1_dimension, from_flat, linear_combination,
                               ring_values, sine_bound, stack_cocycles)
 from goldman.linalg import (ad_matrix, canonical_frame, column_space, complement_within,
@@ -322,6 +322,39 @@ class TestLinearCombination:
                     combined = linear_combination(basis.base, coeffs, stack)
                     assert_same_bits(combined.values, python_sum(coeffs, pool))
 
+    def test_coefficient_matrix_is_row_by_row(self, seeded_bases):
+        # one (s, k) matrix gives the stack of its s one-row combinations, bit for bit
+        rng = np.random.default_rng(73)
+        for basis in seeded_bases.values():
+            stack = basis.basis_stack
+            k = len(stack)
+            for coeffs in (rng.standard_normal((7, k)) + 1j * rng.standard_normal((7, k)),
+                           rng.standard_normal((1, k)),
+                           rng.integers(-3, 4, (5, k)).tolist()):
+                combined = linear_combination(basis.base, coeffs, stack)
+                assert isinstance(combined, CocycleStack)
+                assert combined.base is basis.base and len(combined) == len(coeffs)
+                for row, values in zip(coeffs, combined.values):
+                    one = linear_combination(basis.base, row, stack)
+                    assert isinstance(one, Cocycle)
+                    assert_same_bits(values, one.values)
+                    assert_same_bits(values, python_sum(row, basis.basis))
+
+    def test_coefficient_matrix_keeps_signed_zeros(self, rep_g2n2):
+        values = np.full((4, 2, 2), complex(-0.0, -0.0))
+        values[1, 0, 1] = complex(-0.0, 2.5)
+        chis = [Cocycle(rep_g2n2, values), Cocycle(rep_g2n2, -values)]
+        coeffs = [[-0.0, -0.0], [0.0, -0.0], [-1.0, 1.0], [complex(-0.0, -0.0), -1j]]
+        combined = linear_combination(rep_g2n2, coeffs, stack_cocycles(chis))
+        for row, values in zip(coeffs, combined.values):
+            assert_same_bits(values, python_sum(row, chis))
+
+    def test_stack_flat_rows_are_cocycle_flats(self, basis_g2n2):
+        stack = basis_g2n2.basis_stack
+        assert stack.flat.shape == (len(stack), 4 * 4)
+        for row, chi in zip(stack.flat, basis_g2n2.basis):
+            assert_same_bits(row, chi.flat)
+
     def test_stack_refuses_a_wrong_count_and_another_base(self, rep_g2n2, basis_g2n2):
         stack = basis_g2n2.basis_stack
         for coeffs in (np.ones(len(stack) - 1), np.ones(len(stack) + 1), [[1.0]], 1.0):
@@ -357,6 +390,26 @@ class TestCoboundary:
     def test_identity_matrix(self, rep_g2n2):
         delta = coboundary(np.eye(2), rep_g2n2)
         assert all(frob(v) < 1e-14 for v in delta.values)
+
+    @pytest.mark.parametrize("genus,rank,flavor", [(2, 2, "unitary"), (2, 3, "general-linear"),
+                                                   (3, 2, "unitary"), (2, 1, "unitary")])
+    def test_stack_is_per_matrix(self, genus, rank, flavor):
+        rep = random_representation(genus, rank, flavor, seed=genus * rank)
+        rng = np.random.default_rng(24)
+        v = rng.standard_normal((6, rank, rank)) + 1j * rng.standard_normal((6, rank, rank))
+        deltas = coboundary(v, rep)
+        assert isinstance(deltas, CocycleStack) and deltas.base is rep and len(deltas) == 6
+        for one_v, values in zip(v, deltas.values):
+            one = coboundary(one_v, rep)
+            assert isinstance(one, Cocycle)
+            assert_same_bits(values, one.values)
+
+    @pytest.mark.parametrize("v", [np.zeros((3, 3, 3)), np.zeros((2, 1, 2, 2)),
+                                   np.zeros((0, 2, 2)), np.zeros(2)],
+                             ids=["rank", "four-axes", "empty", "vector"])
+    def test_malformed_stacks_refused(self, rep_g2n2, v):
+        with pytest.raises(InputError):
+            coboundary(v, rep_g2n2)
 
     def test_trivial_action(self, trivial_scalar_rep):
         delta = coboundary(np.array([[2.5 + 1j]]), trivial_scalar_rep)
@@ -1015,9 +1068,10 @@ class TestBaseMismatch:
         # over its own base the same call is the scaled cocycle
         same = goldman.cocycles.linear_combination(other.base, [1.0], one)
         assert np.array_equal(same.values, chi.values)
-        # a count mismatch is refused, not truncated to the shorter side
+        # a count mismatch is refused, not truncated to the shorter side; a
+        # (1, 1) matrix is one row of one coefficient, so its mismatch is a width
         for coeffs, stack in (([1.0, 2.0, 3.0], other.basis_stack), ([1.0, 2.0], one),
-                              ([[1.0]], one), (1.0, one)):
+                              ([[1.0, 2.0]], one), (1.0, one)):
             with pytest.raises(InputError, match="coefficients") as error:
                 goldman.cocycles.linear_combination(other.base, coeffs, stack)
             assert error.value.exit_code == 2

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from goldman import InputError, commutator_factor, tolerances
-from goldman.linalg import expm, frob, haar_unitary, unitary_eigenframe
+from goldman import ConditioningError, InputError, commutator_factor, tolerances
+from goldman.linalg import (complex_gaussian, complex_gaussians, expm, frob, haar_stack,
+                            haar_unitary, unitary_eigenframe)
 
 # Higham's thresholds theta_m for the Padé degrees 3, 5, 7, 9 and 13
 THETAS = (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
@@ -114,3 +115,123 @@ class TestUnitaryEigenframe:
             a, b = commutator_factor(u)
             residual = frob(a @ b @ np.linalg.inv(a) @ np.linalg.inv(b) - u)
             assert residual <= tolerances.CONSTRUCTION
+
+
+def per_round_gaussian(rng, shape):
+    """The per-sample complex draw: the real block, then the imaginary one."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def per_matrix_haar(rng, n):
+    """The per-sample Haar draw: the QR of one Ginibre matrix, phases fixed."""
+    q, r = np.linalg.qr(per_round_gaussian(rng, (n, n)))
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+SHAPE_MIXES = [((),), ((5,),), ((3, 3),), ((7,), (7,), (2, 2)), ((4,), (4,), (4,), ()),
+               ((2, 2), (2, 2), (2, 2)), (6, (), (3, 3), 6)]
+
+
+class TestStackedDraws:
+    """complex_gaussians and haar_stack read the stream of their per-round
+    draws, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("shapes", SHAPE_MIXES, ids=str)
+    def test_rounds_are_per_sample_draws(self, seed, shapes):
+        count = 9
+        stacked_rng = np.random.default_rng(seed)
+        stacked = complex_gaussians(stacked_rng, count, shapes)
+        rng = np.random.default_rng(seed)
+        rounds = [[per_round_gaussian(rng, shape) for shape in shapes] for _ in range(count)]
+        assert len(stacked) == len(shapes)
+        for index, array in enumerate(stacked):
+            reference = np.array([draws[index] for draws in rounds])
+            assert array.shape == reference.shape
+            assert np.array_equal(array, reference)
+        # both streams go on from the same place
+        assert stacked_rng.standard_normal() == rng.standard_normal()
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("shape", [(), 4, (4,), (2, 3)])
+    def test_one_round_is_complex_gaussian(self, seed, shape):
+        one = complex_gaussian(np.random.default_rng(seed), shape)
+        reference = per_round_gaussian(np.random.default_rng(seed), shape)
+        assert np.shape(one) == np.shape(reference)
+        assert np.array_equal(one, reference)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_haar_stack_is_per_matrix_haar(self, seed, n):
+        (gaussians,) = complex_gaussians(np.random.default_rng(seed), 11, ((n, n),))
+        stacked = haar_stack(gaussians)
+        rng = np.random.default_rng(seed)
+        reference = [per_matrix_haar(rng, n) for _ in range(11)]
+        assert np.array_equal(stacked, np.array(reference))
+        rng = np.random.default_rng(seed)
+        assert np.array_equal(stacked, np.array([haar_unitary(rng, n) for _ in range(11)]))
+
+
+class TestStackedFactors:
+    """unitary_eigenframe and commutator_factor on a stack equal their
+    one-matrix calls bit for bit, and check every matrix of it."""
+
+    def stacks(self, n, seed):
+        rng = np.random.default_rng(seed)
+        unitary = np.array([special_unitary(rng, n) for _ in range(9)])
+        general = np.array([haar_unitary(rng, n) + 0.3 * complex_gaussian(rng, (n, n))
+                            for _ in range(9)])
+        general = general * (np.linalg.det(general) ** (-1.0 / n))[:, None, None]
+        return unitary, general
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_eigenframe_stack_is_per_matrix(self, n):
+        unitary, _ = self.stacks(n, 30 + n)
+        lam, v = unitary_eigenframe(unitary.reshape(3, 3, n, n))
+        assert lam.shape == (3, 3, n) and v.shape == (3, 3, n, n)
+        for u, lam_u, v_u in zip(unitary, lam.reshape(9, n), v.reshape(9, n, n)):
+            one_lam, one_v = unitary_eigenframe(u)
+            assert np.array_equal(lam_u, one_lam)
+            assert np.array_equal(v_u, one_v)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_factor_stack_is_per_matrix(self, n):
+        for stack, unitary in zip(self.stacks(n, 40 + n), (True, False)):
+            a, b = commutator_factor(stack, unitary=unitary)
+            assert a.shape == b.shape == stack.shape
+            for m, a_m, b_m in zip(stack, a, b):
+                one_a, one_b = commutator_factor(m, unitary=unitary)
+                assert np.array_equal(a_m, one_a)
+                assert np.array_equal(b_m, one_b)
+
+    @pytest.mark.parametrize("unitary", [True, False])
+    def test_one_bad_determinant_refuses_the_stack(self, unitary):
+        stack = self.stacks(3, 50)[0].copy()
+        stack[4] = 1j * stack[4]  # determinant -i: still unitary
+        with pytest.raises(InputError, match="determinant"):
+            commutator_factor(stack, unitary=unitary)
+
+    def test_one_non_unitary_matrix_refuses_the_stack(self):
+        stack = self.stacks(2, 51)[0].copy()
+        stack[2] = np.array([[2.0, 0.0], [0.0, 0.5]])
+        with pytest.raises(InputError, match="not unitary"):
+            commutator_factor(stack)
+
+    def test_one_defective_matrix_is_a_conditioning_error(self):
+        stack = self.stacks(2, 52)[1].copy()
+        stack[6] = np.array([[1.0, 1.0], [0.0, 1.0]])  # a Jordan block, determinant one
+        with pytest.raises(ConditioningError, match="residual"):
+            commutator_factor(stack, unitary=False)
+
+    @pytest.mark.parametrize("bad", [np.zeros((3, 2, 3)), np.zeros(4), "x", [[1, 2], [3]]],
+                             ids=["non-square", "vector", "string", "ragged"])
+    def test_malformed_stacks_are_input_errors(self, bad):
+        with pytest.raises(InputError, match="matrices to factor"):
+            commutator_factor(bad)
+
+    def test_one_non_finite_matrix_refuses_the_stack(self):
+        stack = self.stacks(2, 53)[0].copy()
+        stack[3, 1, 0] = np.nan
+        with pytest.raises(InputError, match="non-finite"):
+            commutator_factor(stack)

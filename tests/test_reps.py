@@ -8,8 +8,8 @@ from goldman import (Chart, Cocycle, CocycleStack, ConvergenceError, GroupWord, 
                      Presentation, Representation, closedness_check, coboundary,
                      coboundary_matrix, cocycle_basis, commutant_dimension,
                      commutator_factor, conjugate_representation, evaluate, gram,
-                     newton_project, pairing_dual, random_representation, relator_defect,
-                     rh_differential, stack_cocycles, standard_block_j)
+                     newton_project, pairing_dual, random_cocycle, random_representation,
+                     relator_defect, rh_differential, stack_cocycles, standard_block_j)
 from goldman.charts import closedness_floors
 from goldman.cocycles import linear_combination
 from goldman.linalg import (complex_gaussian, expm, frob, haar_unitary, polar_unitary,
@@ -651,12 +651,27 @@ class TestConstructionValidation:
     lambda rep: rh_differential(rep, random_representation(2, 3, seed=1), rep, 1e-3),
     lambda rep: linear_combination(rep, [1.0], [zero_cocycle(rep)]),
     lambda rep: GroupWord(2, 5),
+    lambda rep: random_cocycle(cocycle_basis(rep), 3),
+    lambda rep: random_cocycle(3, np.random.default_rng(0)),
+    lambda rep: coboundary(np.eye(2), 3),
+    lambda rep: coboundary(np.zeros((3, 3, 3)), rep),
+    lambda rep: commutator_factor("x"),
+    lambda rep: commutator_factor(np.zeros((3, 2, 3))),
+    lambda rep: commutator_factor(np.stack([np.eye(2), np.full((2, 2), np.nan)])),
+    lambda rep: linear_combination(rep, np.ones((3, 2)), stack_cocycles([zero_cocycle(rep)])),
+    lambda rep: linear_combination(3, [1.0], stack_cocycles([zero_cocycle(rep)])),
+    lambda rep: linear_combination(rep, ["a"], stack_cocycles([zero_cocycle(rep)])),
+    lambda rep: linear_combination(rep, [[None]], stack_cocycles([zero_cocycle(rep)])),
 ], ids=["singular-conjugator", "wide-conjugator", "negative-block", "fractional-block",
         "bool-block", "wide-coboundary", "ragged-coboundary", "nan-stack",
         "stack-generator-count", "empty-stack", "stack-rank", "genus-zero-word",
         "negative-genus-word", "closedness-pair", "closedness-zero-step-floor",
         "gram-of-integers", "pair-with-integer", "pair-with-stack", "chart-of-arrays",
-        "rh-rank-mismatch", "combine-a-list", "integer-word-codes"])
+        "rh-rank-mismatch", "combine-a-list", "integer-word-codes",
+         "draw-from-an-integer", "draw-from-an-integer-basis", "coboundary-over-an-integer",
+         "coboundary-stack-rank", "factor-a-string", "factor-non-square-stack",
+         "factor-nan-stack", "combine-wide-matrix", "combine-over-an-integer",
+         "combine-strings", "combine-objects"])
 def test_exported_calls_refuse_bad_input(rep_g2n2, call):
     with pytest.raises(InputError):
         call(rep_g2n2)

@@ -61,8 +61,9 @@ Twenty-one rules, with no lint dependency:
   stream and report line, so no second copy can drift from the table;
 - the pairing matrix ``W`` (the attribute ``.dual_form``) is read only in
   ``pairing.gram``, the one ``V^T W V``, and in ``verify._dual_pairing``,
-  the per-pair path that ``--mutate dual-sign`` flips, so no second Gram
-  assembly can grow beside ``gram``;
+  the fixed-base checks' row-by-row omega over two stacks, which
+  ``--mutate dual-sign`` flips, so no second Gram assembly can grow
+  beside ``gram``;
 - the cup-product oracle ``pairing_cup`` reads neither the pairing
   matrix ``W`` nor a Fox Jacobian: it still returns with
   ``dual_form_matrix``, ``word_jacobian``, ``fox_jacobian`` and

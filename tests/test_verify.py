@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import goldman.cocycles
+import goldman.linalg
 import goldman.pairing
 import goldman.reps
 import goldman.verify
@@ -365,3 +366,161 @@ class TestCheckTable:
         config = RunConfig(genus=genus, rank=rank, flavor=flavor, out=tmp_path)
         assert ([r.name for r in run_suite(config)]
                 == [check.name for check in applicable_checks(config)])
+
+
+# ---------------------------------------------------------------- per-sample oracles
+# Each oracle is the per-sample loop a stacked check replaced: one Cocycle,
+# one pairing and one factorization at a time, every number drawn as the
+# sample reads it.
+
+def per_sample_gaussian(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def per_sample_haar(rng, n):
+    q, r = np.linalg.qr(per_sample_gaussian(rng, (n, n)))
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def per_sample_cocycle(basis, rng):
+    pool = basis.basis_stack
+    return goldman.cocycles.linear_combination(basis.base,
+                                               per_sample_gaussian(rng, len(pool)), pool)
+
+
+def per_pair_dual(rep, flip_b=False):
+    w = _negated_b_blocks(rep) if flip_b else rep.dual_form
+    return lambda chi1, chi2: complex(chi1.flat @ w @ chi2.flat)
+
+
+def per_sample_coboundary(v, rep):
+    return Cocycle(rep, rep.images @ v @ rep.inverse_images - v)
+
+
+def oracle_cup_dual_agreement(run, rng):
+    basis = run.basis
+    dual = per_pair_dual(run.rep, flip_b=run.config.mutate == "dual-sign")
+    pairs = [(per_sample_cocycle(basis, rng), per_sample_cocycle(basis, rng))
+             for _ in range(100)]
+    worst = max(0.0, *(abs(dual(chi1, chi2) - goldman.pairing.pairing_cup(chi1, chi2))
+                       for chi1, chi2 in pairs))
+    return 100, worst, 1e-10
+
+
+def oracle_class_invariance(run, rng):
+    rep, basis = run.rep, run.basis
+    dual = per_pair_dual(rep)
+    worst = 0.0
+    for _ in range(100):
+        chi1 = per_sample_cocycle(basis, rng)
+        chi2 = per_sample_cocycle(basis, rng)
+        delta = per_sample_coboundary(per_sample_gaussian(rng, (rep.rank, rep.rank)), rep)
+        base_value = dual(chi1, chi2)
+        worst = max(worst, abs(dual(chi1 + delta, chi2) - base_value))
+        worst = max(worst, abs(dual(chi1, chi2 + delta) - base_value))
+    return 100, worst, 1e-9
+
+
+def oracle_antisymmetry(run, rng):
+    dual = per_pair_dual(run.rep)
+    worst = 0.0
+    for _ in range(100):
+        chi1 = per_sample_cocycle(run.basis, rng)
+        chi2 = per_sample_cocycle(run.basis, rng)
+        worst = max(worst, abs(dual(chi1, chi2) + dual(chi2, chi1)))
+    return 100, worst, 1e-9
+
+
+def oracle_bilinearity(run, rng):
+    dual = per_pair_dual(run.rep)
+    worst = 0.0
+    for _ in range(25):
+        chi1, chi2, chi3 = (per_sample_cocycle(run.basis, rng) for _ in range(3))
+        s = complex(per_sample_gaussian(rng, ()))
+        worst = max(worst, abs(dual(chi1 * s + chi3, chi2)
+                               - (s * dual(chi1, chi2) + dual(chi3, chi2))))
+        worst = max(worst, abs(dual(chi1, chi2 * s + chi3)
+                               - (s * dual(chi1, chi2) + dual(chi1, chi3))))
+    return 25, worst, 1e-9
+
+
+def oracle_conjugation_equivariance(run, rng):
+    rep, basis = run.rep, run.basis
+    c = goldman.verify._conjugator(rng, rep.rank)
+    c_inv = np.linalg.inv(c)
+    moved = conjugate_representation(rep, c)
+    dual, dual_moved = per_pair_dual(rep), per_pair_dual(moved)
+    worst = 0.0
+    for _ in range(25):
+        chi1 = per_sample_cocycle(basis, rng)
+        chi2 = per_sample_cocycle(basis, rng)
+        moved1 = Cocycle(moved, c @ chi1.values @ c_inv)
+        moved2 = Cocycle(moved, c @ chi2.values @ c_inv)
+        worst = max(worst, abs(dual_moved(moved1, moved2) - dual(chi1, chi2)))
+    return 25, worst, 1e-9
+
+
+def oracle_commutator_factor(run, rng):
+    worst = 0.0
+    samples = 0
+    for n in (2, 3, 4):
+        for _ in range(17):
+            u = per_sample_haar(rng, n)
+            m = per_sample_haar(rng, n) + 0.3 * per_sample_gaussian(rng, (n, n))
+            for x, unitary in ((u, True), (m, False)):
+                x = x * np.linalg.det(x) ** (-1.0 / n)
+                a, b = goldman.reps.commutator_factor(x, unitary=unitary)
+                worst = max(worst, goldman.linalg.frob(
+                    a @ b @ np.linalg.inv(a) @ np.linalg.inv(b) - x))
+                samples += 1
+    return samples, worst, 1e-10
+
+
+ORACLES = {
+    "cup-dual-agreement": oracle_cup_dual_agreement,
+    "class-invariance": oracle_class_invariance,
+    "antisymmetry": oracle_antisymmetry,
+    "bilinearity": oracle_bilinearity,
+    "conjugation-equivariance": oracle_conjugation_equivariance,
+    "commutator-factor": oracle_commutator_factor,
+}
+
+
+class TestStackedChecks:
+    """The six checks that stack their samples measure exactly what their
+    per-sample loops measured: the same samples, residual and threshold."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("genus, rank, flavor", [
+        (2, 2, "unitary"), (2, 3, "general-linear"), (3, 2, "unitary"), (2, 1, "unitary")])
+    def test_each_check_equals_its_per_sample_oracle(self, tmp_path, genus, rank, flavor,
+                                                     seed):
+        run = SuiteRun(RunConfig(genus=genus, rank=rank, flavor=flavor, seed=seed,
+                                 out=tmp_path))
+        for name, oracle in ORACLES.items():
+            measured = CHECKS[name].fn(run, run.rng(name))
+            assert measured == oracle(run, run.rng(name)), name
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_mutated_cup_dual_agreement_equals_its_oracle(self, tmp_path, seed):
+        run = SuiteRun(RunConfig(seed=seed, mutate="dual-sign", out=tmp_path))
+        name = "cup-dual-agreement"
+        measured = CHECKS[name].fn(run, run.rng(name))
+        assert measured == oracle_cup_dual_agreement(run, run.rng(name))
+        assert measured[1] > 1.0
+
+    def test_a_verify_run_builds_few_cocycles(self, monkeypatch, tmp_path):
+        # 600 at (2,2) seed 1 with stacked samples; 1775 when each sample
+        # of the six stacked checks was its own Cocycle
+        built = []
+        checked = Cocycle.__post_init__
+
+        def counted(chi):
+            built.append(chi)
+            checked(chi)
+
+        monkeypatch.setattr(Cocycle, "__post_init__", counted)
+        results = run_suite(RunConfig(genus=2, rank=2, seed=1, out=tmp_path))
+        assert all(r.passed for r in results)
+        assert len(built) <= 700
