@@ -21,7 +21,7 @@ from .cocycles import (Cocycle, CocycleBasis, CocycleStack, anti_hermitian_part,
                        star_involution, word_jacobian)
 from .pairing import (GoldmanGram, SymplecticBasis, UnitaryLocusReport,
                       dual_form_matrix, gram, pairing_cup, pairing_dual,
-                      standard_block_j, symplectic_basis, unitary_restriction_check)
+                      pairing_duals, standard_block_j, symplectic_basis, unitary_restriction_check)
 from .charts import (Chart, closedness_check, deform, deformation_correction,
                      rh_differential)
 from .errors import (ConditioningError, ConvergenceError, DegenerateFormError,

@@ -12,22 +12,29 @@ differences with right division,
     chi(x) ~ [sigma_{+h}(x) - sigma_{-h}(x)] / (2h) * sigma(x)^{-1},
 
 and a finite-difference check of d(omega) = 0 reads the pairing in a
-chart built from an H1-complement frame.  convergence_order is the one
-rule that reads an order from such a ladder, or finds it flat.
+chart built from an H1-complement frame.  A closedness ladder retracts
+all its stencils in one Newton solve and reads all its form
+coefficients, over as many chart points, in one stacked pairing_duals
+call; form_coefficient stays the letterwise pairing_dual of one point.
+convergence_order is the one rule that reads an order from such a
+ladder, or finds it flat.  Steps are real numbers (errors.require_type)
+and coordinates arrays of them (linalg.real_array), so a wrong type is an
+InputError (exit 2).
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
 from . import tolerances
-from .errors import InputError
+from .errors import InputError, require_type
 from .cocycles import Cocycle, CocycleStack, linear_combination, stack_cocycles
-from .linalg import expm
-from .pairing import gram, pairing_dual
+from .linalg import expm, real_array
+from .pairing import gram, pairing_dual, pairing_duals
 from .reps import GENERAL_LINEAR, Representation, evaluate_words, newton_project
 from .words import check_index
 
@@ -41,6 +48,7 @@ def _raw_deformed_images(rep: Representation, values: np.ndarray):
 
 
 def _check_fd_step(step: float):
+    require_type(step, Real, "the difference step")
     if not step >= tolerances.MIN_FD_STEP:  # NaN fails too
         raise InputError(f"step {step:g} below minimum {tolerances.MIN_FD_STEP:g}")
 
@@ -142,7 +150,7 @@ class Chart:
     def _checked_key(self, coords, moves: dict):
         """Cache key of one coordinate tuple; the center is cached at once,
         and the cocycle values of a new move are added to moves."""
-        coords = np.asarray(coords, dtype=float)
+        coords = real_array(coords, "chart coordinates")
         if coords.shape != (self.dimension,):
             raise InputError(f"expected {self.dimension} chart coordinates")
         key = tuple(coords.tolist())
@@ -166,6 +174,7 @@ class Chart:
         and coords +- step along axis."""
         check_index("frame index", axis, self.dimension)
         _check_fd_step(step)
+        coords = real_array(coords, "chart coordinates")
         offset = np.zeros(self.dimension)
         offset[axis] = step
         return coords, coords + offset, coords - offset
@@ -179,7 +188,6 @@ class Chart:
 
     def form_coefficient(self, coords, i: int, j: int, step: float) -> complex:
         """omega(d/de_i, d/de_j) at a chart point, via transported directions."""
-        coords = np.asarray(coords, dtype=float)
         chi_i = self.transported_frame_direction(coords, i, step)
         chi_j = self.transported_frame_direction(coords, j, step)
         return pairing_dual(chi_i, chi_j)
@@ -223,10 +231,14 @@ def closedness_residuals(chart: Chart, triple: tuple[int, int, int], steps) -> l
     The triple and every step are checked first, so a bad one raises
     before any point is retracted.  The stencils of all the steps, in
     ladder order and in the order the partials read them, are one
-    chart.points call, one stacked Newton solve; each residual then reads
-    its points from the chart's memo.  Newton retracts each tuple of a
-    stack as it would alone, so each value is closedness_check's at its
-    step bit for bit.
+    chart.points call, one stacked Newton solve; the transported
+    directions are then read from the chart's memo.  The ladder's 6 form
+    coefficients per step, each at its own chart point, are one
+    pairing_duals call, and the residuals combine them in
+    form_coefficient's Python complex arithmetic.  Newton retracts each
+    tuple of a stack as it would alone, and pairing_duals pairs each pair
+    as pairing_dual would, so each value is closedness_check's at its
+    step, and the per-coefficient form_coefficient's, bit for bit.
     """
     (i, j, k), steps = _closedness_ladder(chart, triple, steps)
     if len({i, j, k}) < 3:
@@ -239,17 +251,18 @@ def closedness_residuals(chart: Chart, triple: tuple[int, int, int], steps) -> l
         plus[axis] = h
         return plus, -plus
 
-    chart.points([point for h in steps for axis, a, b in terms for coords in sides(axis, h)
-                  for direction in (a, b)
+    coefficients = [(coords, a, b, h) for h in steps for axis, a, b in terms
+                    for coords in sides(axis, h)]
+    chart.points([point for coords, a, b, h in coefficients for direction in (a, b)
                   for point in chart.transport_stencil(coords, direction, h)])
-
-    def partial(h: float, axis: int, a: int, b: int) -> complex:
-        omega_plus, omega_minus = (chart.form_coefficient(coords, a, b, step=h)
-                                   for coords in sides(axis, h))
-        return (omega_plus - omega_minus) / (2.0 * h)
-
-    return [abs(partial(h, *terms[0]) - partial(h, *terms[1]) + partial(h, *terms[2]))
-            for h in steps]
+    omega = pairing_duals([(chart.transported_frame_direction(coords, a, h),
+                            chart.transported_frame_direction(coords, b, h))
+                           for coords, a, b, h in coefficients]).tolist()
+    # d_axis omega_ab = (omega_ab(+h e_axis) - omega_ab(-h e_axis)) / 2h, per term
+    partials = [(plus - minus) / (2.0 * h) for plus, minus, h in
+                zip(omega[0::2], omega[1::2], [h for h in steps for _ in terms])]
+    return [abs(d_i - d_j + d_k)
+            for d_i, d_j, d_k in zip(partials[0::3], partials[1::3], partials[2::3])]
 
 
 def closedness_floors(chart: Chart, triple: tuple[int, int, int], steps) -> list[float]:
@@ -266,7 +279,7 @@ def _closedness_ladder(chart: Chart, triple, steps) -> tuple[tuple[int, int, int
     """(triple, steps) as three frame indices of chart and a list of
     closedness steps; InputError (exit 2) at the first bad one."""
     triple = _frame_triple(chart, triple)
-    steps = list(steps)
+    steps = list(require_type(steps, Iterable, "closedness steps"))
     for h in steps:
         _check_closedness_step(h)
     return triple, steps
@@ -284,6 +297,7 @@ def _frame_triple(chart: Chart, triple) -> tuple[int, int, int]:
 
 
 def _check_closedness_step(h) -> None:
+    require_type(h, Real, "a closedness step")
     if not tolerances.FINITE_DIFFERENCE <= h <= tolerances.CLOSEDNESS_MAX_STEP:
         raise InputError(f"closedness step {h:g} outside [{tolerances.FINITE_DIFFERENCE:g}, "
                          f"{tolerances.CLOSEDNESS_MAX_STEP:g}]")

@@ -215,7 +215,7 @@ def ring_values(rep: Representation, values: np.ndarray, ring: RingCodes) -> np.
     element's terms are added to zero in terms() order, coefficient times
     value: bit for bit the sum of coeff * extend(chi, word) term by term.
     """
-    folded = _fold(rep, values, ring.letters)
+    folded = _fold(rep.letter_tables, values, ring.letters)
     n = rep.rank
     total = np.zeros((*values.shape[:-3], ring.count, n, n), dtype=complex)
     for elements, rows, coeffs in ring.slots:
@@ -243,25 +243,28 @@ def extend_words(chi: Cocycle, words) -> np.ndarray:
     bit.
     """
     rep = chi.base
-    return _fold(rep, chi.values, letter_codes(rep.presentation, words))
+    return _fold(rep.letter_tables, chi.values, letter_codes(rep.presentation, words))
 
 
-def _fold(rep: Representation, values: np.ndarray, coded) -> np.ndarray:
-    """extend_words' fold of the words coded by letter_codes under
-    each cocycle of a (..., 2g, n, n) value stack over rep: shape
-    (..., words, n, n).  Leading cocycle axes broadcast against the
-    representation's letter tables."""
-    left, right = rep.letter_tables
+def _fold(tables, values: np.ndarray, coded) -> np.ndarray:
+    """extend_words' fold of the words coded by letter_codes under each
+    cocycle of a (..., 2g, n, n) value stack: shape (..., words, n, n).
+    tables are the (left, right) letter tables of the cocycles' base,
+    Representation.letter_tables: one representation's (4g, n, n) pair,
+    broadcast against every cocycle, or a (..., 4g, n, n) pair of
+    per-cocycle tables, each cocycle folded over its own base."""
+    left, right = tables
     zeros = np.zeros_like(values)
     plus = np.concatenate([values, zeros], axis=-3)
     minus = np.concatenate([zeros, values], axis=-3)
     codes, reach, restore = coded
-    acc = np.zeros((*values.shape[:-3], len(codes), rep.rank, rep.rank), dtype=complex)
+    n = values.shape[-1]
+    acc = np.zeros((*values.shape[:-3], len(codes), n, n), dtype=complex)
     for column, m in zip(codes.T[::-1], reach[::-1]):
         letters = column[:m]
-        acc[..., :m, :, :] = (plus[..., letters, :, :] + left[letters]
+        acc[..., :m, :, :] = (plus[..., letters, :, :] + left[..., letters, :, :]
                               @ (acc[..., :m, :, :] - minus[..., letters, :, :])
-                              @ right[letters])
+                              @ right[..., letters, :, :])
     return acc[..., restore, :, :]
 
 

@@ -52,5 +52,6 @@ def require_type(value, kinds, name: str):
     if not isinstance(value, kinds):
         wanted = " or ".join(kind.__name__ for kind in
                              (kinds if isinstance(kinds, tuple) else (kinds,)))
-        raise InputError(f"{name} must be a {wanted}, got {type(value).__name__}")
+        article = "an" if wanted[0].lower() in "aeiou" else "a"
+        raise InputError(f"{name} must be {article} {wanted}, got {type(value).__name__}")
     return value

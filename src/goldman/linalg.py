@@ -23,13 +23,23 @@ def vec(m: Array) -> Array:
     return np.asarray(m).ravel(order="F")
 
 
-def _complex_array(values, what: str, order: str) -> Array:
-    """A complex copy of values in the given memory order; InputError
-    naming what when they do not convert (a ragged nesting, a string)."""
+def _converted(values, what: str, **options) -> Array:
+    """np.array(values, **options); InputError naming what when they do
+    not convert (a ragged nesting, a string that reads as no number)."""
     try:
-        return np.array(values, dtype=complex, order=order)
+        return np.array(values, **options)
     except (TypeError, ValueError) as exc:
         raise InputError(f"{what} do not form one stack: {exc}") from exc
+
+
+def real_array(values, what: str) -> Array:
+    """A float copy of values; InputError naming what unless they form one
+    array of real numbers (not a ragged nesting, a string, a complex
+    number or an object)."""
+    array = _converted(values, what)
+    if array.dtype.kind not in "biuf":
+        raise InputError(f"{what} must be real numbers, got {array.dtype} values")
+    return array.astype(float, copy=False)
 
 
 def generator_stack(matrices, count: int, n: int, what: str, rows: bool = False) -> Array:
@@ -38,7 +48,7 @@ def generator_stack(matrices, count: int, n: int, what: str, rows: bool = False)
     such tuples as one (k, count, n, n) stack in C order, np.stack's layout.
     Ragged input, another shape and non-finite entries raise InputError
     naming what."""
-    stack = _complex_array(matrices, what, "C" if rows else "K")
+    stack = _converted(matrices, what, dtype=complex, order="C" if rows else "K")
     lead = stack.shape[:1] if rows else ()
     if stack.shape != (*lead, count, n, n) or lead == (0,):
         raise InputError(f"{what} have shape {stack.shape}, "
@@ -52,7 +62,7 @@ def square_stack(matrices, what: str) -> Array:
     """One square matrix or a (..., n, n) stack of them as a complex copy
     in the input's memory layout; InputError naming what when it does not
     convert, is not square or has a non-finite entry."""
-    stack = _complex_array(matrices, what, "K")
+    stack = _converted(matrices, what, dtype=complex, order="K")
     if stack.ndim < 2 or stack.shape[-1] != stack.shape[-2]:
         raise InputError(f"{what} have shape {stack.shape}, expected (..., n, n)")
     require_finite(stack, what)

@@ -14,7 +14,10 @@ The closed form is bilinear in the two cocycles and chi -> chi(w) is a
 fixed linear map (word_jacobian), so the form is one matrix W per
 representation, omega(x, y) = x.flat @ W @ y.flat.  Gram matrices are
 assembled from it as V^T W V; pairing_dual stays the letterwise
-single-pair evaluation.
+single-pair evaluation.  pairing_duals is the closed form over many
+pairs at once, each pair over its own base (the points of a chart, where
+no W is worth building): one stacked fold of the dual words coded once
+per presentation, bit for bit pairing_dual pair by pair.
 
 The pairing is complex bilinear, skew on cohomology classes, and
 independent of the choice of cocycle representatives.
@@ -22,16 +25,17 @@ independent of the choice of cocycle representatives.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tolerances
 from .errors import DegenerateFormError, InputError
-from .cocycles import (Cocycle, CocycleStack, common_base, extend, linear_combination,
+from .cocycles import (Cocycle, CocycleStack, _fold, common_base, extend, linear_combination,
                        ring_values, stack_cocycles, word_jacobian)
 from .linalg import ad_matrix, decided_rank, frob
-from .reps import UNITARY, Representation, evaluate
+from .reps import UNITARY, Representation, _word_product, evaluate
 from .words import is_integer
 
 
@@ -53,6 +57,47 @@ def pairing_dual(chi1: Cocycle, chi2: Cocycle) -> complex:
         total += np.trace(extend(chi1, alpha) @ (s_prev @ av @ np.linalg.inv(s_prev)))
         total -= np.trace(extend(chi1, beta) @ (s_k @ bv @ np.linalg.inv(s_k)))
     return complex(total)
+
+
+def pairing_duals(pairs) -> np.ndarray:
+    """pairing_dual of each (chi1, chi2) pair of a non-empty sequence, bit
+    for bit, as one complex array.
+
+    The two cocycles of a pair share one base; different pairs may sit
+    over different bases of one genus and rank, such as the points of a
+    chart.  The chi1 of every pair are folded over the dual words in one
+    stacked fold, each over its own base's letter tables, with the dual
+    words coded once per presentation (Presentation.dual_codes); each
+    relator prefix s_0 ... s_g is one stacked product over all the bases;
+    and the 2g traces are added in pairing_dual's order.  InputError
+    (exit 2) for an empty sequence, anything but pairs of cocycles, a pair
+    over two bases, or pairs that mix genus or rank.
+    """
+    if not (isinstance(pairs, Sequence) and pairs):
+        raise InputError("pairing_duals pairs a non-empty sequence of cocycle pairs")
+    for pair in pairs:
+        if not (isinstance(pair, Sequence) and len(pair) == 2
+                and all(isinstance(chi, Cocycle) for chi in pair)):
+            raise InputError("pairing_duals pairs a sequence of (cocycle, cocycle) pairs")
+    bases = [common_base(pair) for pair in pairs]
+    shape = bases[0].images.shape
+    if any(base.images.shape != shape for base in bases):
+        raise InputError("paired cocycles mix genus or rank")
+    pres = bases[0].presentation
+    tables = tuple(np.stack(table) for table in zip(*(base.letter_tables for base in bases)))
+    chi1 = np.stack([chi.values for chi, _ in pairs])
+    chi2 = np.stack([chi.values for _, chi in pairs])
+    folded = _fold(tables, chi1, pres.dual_codes)
+    prefixes = [_word_product(tables[0], pres.relator(k)) for k in range(pres.genus + 1)]
+    inverses = [np.linalg.inv(s) for s in prefixes]
+    total = np.zeros(len(pairs), dtype=complex)
+    for k in range(1, pres.genus + 1):
+        a, b = 2 * (k - 1), 2 * (k - 1) + 1
+        total += np.trace(folded[:, a] @ (prefixes[k - 1] @ chi2[:, a] @ inverses[k - 1]),
+                          axis1=-2, axis2=-1)
+        total -= np.trace(folded[:, b] @ (prefixes[k] @ chi2[:, b] @ inverses[k]),
+                          axis1=-2, axis2=-1)
+    return total
 
 
 def pairing_cup(chi1: Cocycle | CocycleStack,

@@ -82,6 +82,16 @@ class CheckResult:
 Measurement = tuple[int, float, float]
 
 
+def _worst(residuals) -> float:
+    """The largest of residuals, 0.0 for none, and NaN when any is NaN,
+    so that run_check fails the check: max() keeps its running value when
+    a comparison with NaN is false, and would drop a NaN residual."""
+    residuals = list(residuals)
+    if any(np.isnan(r) for r in residuals):
+        return np.nan
+    return max([0.0, *residuals])
+
+
 MAX_WORD_LENGTH = 8
 
 
@@ -298,17 +308,14 @@ def check_evaluate_multiplicative(run: SuiteRun, rng) -> Measurement:
     pairs = _random_pairs(pres, rng, samples)
     images = evaluate_words(rep, [w for u, v in pairs for w in (u * v, u, v)])
     rhs = images[1::3] @ images[2::3]
-    worst = max(0.0, *(frob(lhs - r) / max(1.0, frob(r))
-                       for lhs, r in zip(images[0::3], rhs)))
+    worst = _worst(frob(lhs - r) / max(1.0, frob(r)) for lhs, r in zip(images[0::3], rhs))
     return samples, worst, 1e-12
 
 
 def check_partial_relator_determinants(run: SuiteRun, rng) -> Measurement:
     rep = run.rep
-    worst = 0.0
-    for k in range(rep.genus + 1):
-        det = np.linalg.det(evaluate(rep, rep.presentation.relator(k)))
-        worst = max(worst, abs(det - 1.0))
+    worst = _worst(abs(np.linalg.det(evaluate(rep, rep.presentation.relator(k))) - 1.0)
+                   for k in range(rep.genus + 1))
     return rep.genus + 1, worst, tolerances.CONSTRUCTION
 
 
@@ -317,7 +324,7 @@ def check_commutator_factor(run: SuiteRun, rng) -> Measurement:
     factor as commutators: per n, 17 rounds of three Ginibre matrices (a
     unitary's, a general matrix's and its perturbation), each kind
     factored as one stack."""
-    worst = 0.0
+    residuals = []
     samples = 0
     for n in (2, 3, 4):
         unitary_draw, general_draw, noise = complex_gaussians(rng, 17, ((n, n),) * 3)
@@ -325,10 +332,9 @@ def check_commutator_factor(run: SuiteRun, rng) -> Measurement:
                            (haar_stack(general_draw) + 0.3 * noise, False)):
             m = m * (np.linalg.det(m) ** (-1.0 / n))[:, None, None]
             a, b = commutator_factor(m, unitary=unitary)
-            residuals = a @ b @ np.linalg.inv(a) @ np.linalg.inv(b) - m
-            worst = max(worst, *map(frob, residuals))
+            residuals.extend(map(frob, a @ b @ np.linalg.inv(a) @ np.linalg.inv(b) - m))
             samples += len(m)
-    return samples, worst, tolerances.CONSTRUCTION
+    return samples, _worst(residuals), tolerances.CONSTRUCTION
 
 
 def check_representation_reproducibility(run: SuiteRun, rng) -> Measurement:
@@ -344,7 +350,7 @@ def check_construction_quality(run: SuiteRun, rng) -> Measurement:
     reps = [basis.base for basis in run.grid_bases]
     if any(commutant_dimension(rep) != 1 for rep in reps):
         return len(reps), 1.0, 0.0
-    return len(reps), max(map(relator_defect, reps)), 1e-12
+    return len(reps), _worst(map(relator_defect, reps)), 1e-12
 
 
 def check_newton_projection(run: SuiteRun, rng) -> Measurement:
@@ -384,13 +390,10 @@ def check_newton_projection(run: SuiteRun, rng) -> Measurement:
 def check_cocycle_law_on_basis(run: SuiteRun, rng) -> Measurement:
     basis = run.basis
     pres = basis.base.presentation
-    worst = 0.0
-    samples = 0
+    residuals = []
     for chi in basis.basis:
-        pairs = _random_pairs(pres, rng, 100)
-        worst = max(worst, *cocycle_law_residuals(chi, pairs))
-        samples += len(pairs)
-    return samples, worst, run.config.tolerance("verification")
+        residuals.extend(cocycle_law_residuals(chi, _random_pairs(pres, rng, 100)))
+    return len(residuals), _worst(residuals), run.config.tolerance("verification")
 
 
 def check_dimension_formula(run: SuiteRun, rng) -> Measurement:
@@ -406,32 +409,31 @@ def check_coboundary_containment(run: SuiteRun, rng) -> Measurement:
     rep, basis = run.rep, run.basis
     n = rep.rank
     frame = basis.z1_frame
-    worst = 0.0
+    residuals = []
     for _ in range(20):
         v = complex_gaussian(rng, (n, n))
         delta = coboundary(v, rep)
-        worst = max(worst, relator_residual(delta))
         residual = delta.flat - frame @ (frame.conj().T @ delta.flat)
-        worst = max(worst, float(np.linalg.norm(residual)))
-    return 20, worst, 1e-10
+        residuals += [relator_residual(delta), float(np.linalg.norm(residual))]
+    return 20, _worst(residuals), 1e-10
 
 
 def check_star_involution(run: SuiteRun, rng) -> Measurement:
     rep, basis = run.rep, run.basis
     n = rep.rank
-    worst = 0.0
+    residuals = []
     for _ in range(20):
         chi = random_cocycle(basis, rng)
         again = star_involution(star_involution(chi))
-        worst = max(worst, max(frob(a - b) for a, b in zip(again.values, chi.values)))
+        residuals.extend(frob(a - b) for a, b in zip(again.values, chi.values))
         v = complex_gaussian(rng, (n, n))
         lhs = star_involution(coboundary(v, rep))
         rhs = coboundary(v.conj().T, rep)
-        worst = max(worst, max(frob(a - b) for a, b in zip(lhs.values, rhs.values)))
+        residuals.extend(frob(a - b) for a, b in zip(lhs.values, rhs.values))
         anti = anti_hermitian_part(chi)
         flipped = star_involution(anti)
-        worst = max(worst, max(frob(a + b) for a, b in zip(flipped.values, anti.values)))
-    return 20, worst, 1e-12
+        residuals.extend(frob(a + b) for a, b in zip(flipped.values, anti.values))
+    return 20, _worst(residuals), 1e-12
 
 
 def check_real_locus_dimensions(run: SuiteRun, rng) -> Measurement:
@@ -480,8 +482,8 @@ def check_cup_dual_agreement(run: SuiteRun, rng) -> Measurement:
     omega = _dual_pairing(run.rep, flip_b=run.config.mutate == "dual-sign")
     samples = 100
     chi1s, chi2s = _z1_samples(run.basis, rng, samples, 2)
-    worst = _moduli(omega(chi1s, chi2s) - pairing_cup(chi1s, chi2s))
-    return samples, max(0.0, *worst), 1e-10
+    worst = _worst(_moduli(omega(chi1s, chi2s) - pairing_cup(chi1s, chi2s)))
+    return samples, worst, 1e-10
 
 
 def check_class_invariance(run: SuiteRun, rng) -> Measurement:
@@ -493,14 +495,14 @@ def check_class_invariance(run: SuiteRun, rng) -> Measurement:
     base_value = omega(chi1s, chi2s)
     left = omega(CocycleStack(rep, chi1s.values + deltas), chi2s)
     right = omega(chi1s, CocycleStack(rep, chi2s.values + deltas))
-    return samples, max(0.0, *_moduli(left - base_value), *_moduli(right - base_value)), 1e-9
+    return samples, _worst(_moduli(left - base_value) + _moduli(right - base_value)), 1e-9
 
 
 def check_antisymmetry(run: SuiteRun, rng) -> Measurement:
     omega = _dual_pairing(run.rep)
     samples = 100
     chi1s, chi2s = _z1_samples(run.basis, rng, samples, 2)
-    return samples, max(0.0, *_moduli(omega(chi1s, chi2s) + omega(chi2s, chi1s))), 1e-9
+    return samples, _worst(_moduli(omega(chi1s, chi2s) + omega(chi2s, chi1s))), 1e-9
 
 
 def check_bilinearity(run: SuiteRun, rng) -> Measurement:
@@ -511,13 +513,13 @@ def check_bilinearity(run: SuiteRun, rng) -> Measurement:
     scale = s[:, None, None, None]
     left = omega(CocycleStack(rep, scale * chi1s.values + chi3s.values), chi2s)
     right = omega(chi1s, CocycleStack(rep, scale * chi2s.values + chi3s.values))
-    worst = 0.0
+    residuals = []
     # s omega(x, y) + omega(z, y) in Python complex arithmetic, sample by sample
     for scalar, lhs1, lhs2, xy, zy, xz in zip(
             s.tolist(), left.tolist(), right.tolist(), omega(chi1s, chi2s).tolist(),
             omega(chi3s, chi2s).tolist(), omega(chi1s, chi3s).tolist()):
-        worst = max(worst, abs(lhs1 - (scalar * xy + zy)), abs(lhs2 - (scalar * xy + xz)))
-    return samples, worst, 1e-9
+        residuals += [abs(lhs1 - (scalar * xy + zy)), abs(lhs2 - (scalar * xy + xz))]
+    return samples, _worst(residuals), 1e-9
 
 
 def _conjugator(rng, n: int) -> np.ndarray:
@@ -536,8 +538,8 @@ def check_conjugation_equivariance(run: SuiteRun, rng) -> Measurement:
     samples = 25
     chi1s, chi2s = _z1_samples(basis, rng, samples, 2)
     moved1, moved2 = (CocycleStack(moved, c @ chis.values @ c_inv) for chis in (chi1s, chi2s))
-    worst = _moduli(omega_moved(moved1, moved2) - omega(chi1s, chi2s))
-    return samples, max(0.0, *worst), 1e-9
+    worst = _worst(_moduli(omega_moved(moved1, moved2) - omega(chi1s, chi2s)))
+    return samples, worst, 1e-9
 
 
 def check_gram_structure(run: SuiteRun, rng) -> Measurement:
@@ -567,12 +569,11 @@ def check_intersection_form(run: SuiteRun, rng) -> Measurement:
     # every ordered pair in one stacked cup call, row i * count + j
     cups = pairing_cup(stack_cocycles([chi for chi in indicators for _ in indicators]),
                        stack_cocycles(indicators * count)).reshape(count, count)
-    worst = 0.0
+    residuals = []
     for i in range(count):
         for j in range(count):
-            worst = max(worst, abs(pairing_dual(indicators[i], indicators[j])
-                                   - expected[i, j]))
-            worst = max(worst, abs(cups[i, j] - expected[i, j]))
+            residuals += [abs(pairing_dual(indicators[i], indicators[j]) - expected[i, j]),
+                          abs(cups[i, j] - expected[i, j])]
 
     for _ in range(20):
         x = complex_gaussian(rng, count)
@@ -581,8 +582,8 @@ def check_intersection_form(run: SuiteRun, rng) -> Measurement:
         chi2 = Cocycle(rep, y.reshape(count, 1, 1))
         hand = sum(x[2 * k] * y[2 * k + 1] - x[2 * k + 1] * y[2 * k]
                    for k in range(genus))
-        worst = max(worst, abs(pairing_dual(chi1, chi2) - hand))
-    return count * count + 20, worst, 1e-12
+        residuals.append(abs(pairing_dual(chi1, chi2) - hand))
+    return count * count + 20, _worst(residuals), 1e-12
 
 
 def check_symplectic_basis(run: SuiteRun, rng) -> Measurement:
@@ -661,8 +662,7 @@ def check_rh_round_trip(run: SuiteRun, rng) -> Measurement:
     errors = [float(np.linalg.norm(basis.h1_coordinates(rh_differential(
         rep, plus, minus, h)) - target)) for h, plus, minus in _curve_points(chart, steps)]
     ratios = [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]
-    worst = max(abs(r - 4.0) for r in ratios)
-    return len(steps), worst, 0.5
+    return len(steps), _worst(abs(r - 4.0) for r in ratios), 0.5
 
 
 def check_rh_conjugation_curve(run: SuiteRun, rng) -> Measurement:
@@ -681,8 +681,7 @@ def check_rh_conjugation_curve(run: SuiteRun, rng) -> Measurement:
     recovered = rh_differential(rep, conjugated(1e-4), conjugated(-1e-4), 1e-4)
     residual = float(np.linalg.norm(basis.h1_coordinates(recovered)))
     constant = rh_differential(rep, rep, rep, 1e-4)
-    residual = max(residual, constant.norm())
-    return 2, residual, 1e-6
+    return 2, _worst([residual, constant.norm()]), 1e-6
 
 
 def check_rh_cocycle_law_order(run: SuiteRun, rng) -> Measurement:
@@ -699,7 +698,7 @@ def check_rh_cocycle_law_order(run: SuiteRun, rng) -> Measurement:
     for h, plus, minus in _curve_points(chart, (2e-3, 1e-3)):
         values = rh_word_value(rep, plus, minus, law_words, h)
         laws = values[0::3] - values[1::3] - s_u @ values[2::3] @ np.linalg.inv(s_u)
-        residuals.append(max(0.0, *(frob(law) for law in laws)))
+        residuals.append(_worst(frob(law) for law in laws))
     factor = residuals[0] / residuals[1]
     return 2 * len(words), abs(factor - 4.0), 0.8
 
@@ -739,8 +738,7 @@ def check_closedness(run: SuiteRun, rng) -> Measurement:
 def check_closedness_abelian(run: SuiteRun, rng) -> Measurement:
     rep = _trivial_rank_one(2)
     chart = Chart(center=rep, frame=cocycle_basis(rep).h1_complement)
-    worst = max(closedness_residuals(chart, (0, 1, 2), (1e-2, 1e-3, 1e-4)))
-    return 3, worst, 1e-10
+    return 3, _worst(closedness_residuals(chart, (0, 1, 2), (1e-2, 1e-3, 1e-4))), 1e-10
 
 
 def check_chart_irreducibility(run: SuiteRun, rng) -> Measurement:

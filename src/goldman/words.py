@@ -242,6 +242,12 @@ class Presentation:
         return ring_codes(self, [anti_involution(coefficient)
                                  for coefficient, _ in self.fundamental_two_cycle().pairs])
 
+    @cached_property
+    def dual_codes(self):
+        """The letter_codes of the dual generators, coded once per
+        presentation for pairing_duals' stacked fold."""
+        return letter_codes(self, self.dual_generators())
+
 
 @lru_cache(maxsize=None)
 def _relator(genus: int, k: int) -> GroupWord:

@@ -332,6 +332,42 @@ def projection_shapes(monkeypatch):
     return calls
 
 
+
+def pairing_calls(monkeypatch):
+    """Record every pairing call charts makes: ("pairing_duals", pair
+    count) for a stacked call, ("pairing_dual", 1) for a letterwise one."""
+    stacked, letterwise = goldman.charts.pairing_duals, goldman.charts.pairing_dual
+    calls = []
+
+    def counted_stacked(pairs):
+        calls.append(("pairing_duals", len(pairs)))
+        return stacked(pairs)
+
+    def counted_letterwise(chi1, chi2):
+        calls.append(("pairing_dual", 1))
+        return letterwise(chi1, chi2)
+
+    monkeypatch.setattr(goldman.charts, "pairing_duals", counted_stacked)
+    monkeypatch.setattr(goldman.charts, "pairing_dual", counted_letterwise)
+    return calls
+
+
+def form_coefficient_residuals(chart, triple, steps):
+    """The closedness residual at each step, coefficient by coefficient:
+    each partial d_x omega_ab is (omega_ab(+h e_x) - omega_ab(-h e_x)) / 2h
+    from two Chart.form_coefficient calls, letterwise pairing_dual each."""
+    i, j, k = triple
+
+    def partial(h, axis, a, b):
+        plus = np.zeros(chart.dimension)
+        plus[axis] = h
+        return (chart.form_coefficient(plus, a, b, h)
+                - chart.form_coefficient(-plus, a, b, h)) / (2.0 * h)
+
+    return [abs(partial(h, i, j, k) - partial(h, j, i, k) + partial(h, k, i, j))
+            for h in steps]
+
+
 class TestChartPoints:
     @pytest.mark.parametrize("genus, rank, flavor", [
         (2, 2, "unitary"), (2, 2, "general-linear"), (3, 2, "unitary"),
@@ -494,8 +530,28 @@ class TestClosednessLadder:
     def test_repeated_index_ladder_is_zero_without_points(self, basis_g2n2, monkeypatch):
         chart = Chart(center=basis_g2n2.base, frame=basis_g2n2.h1_complement)
         calls = projection_shapes(monkeypatch)
+        pairings = pairing_calls(monkeypatch)
         assert closedness_residuals(chart, (1, 0, 1), [4e-3, 1e-3]) == [0.0, 0.0]
-        assert calls == [] and chart._cache == {}
+        assert closedness_check(chart, (2, 2, 0), 1e-3) == 0.0
+        assert calls == [] and pairings == [] and chart._cache == {}
+
+    @pytest.mark.parametrize("genus, rank, flavor, triple, steps", [
+        (2, 2, "unitary", (0, 1, 2), [8e-3, 4e-3, 2e-3, 1e-3]),
+        (2, 2, "general-linear", (2, 0, 1), [5e-3, 1e-3]),
+        (3, 2, "unitary", (1, 4, 3), [2e-3]),
+        (2, 3, "general-linear", (0, 1, 2), [4e-3, 1e-3]),
+        (2, 1, "unitary", (0, 1, 2), [1e-2, 1e-3, 1e-4])])
+    def test_ladder_is_form_coefficients_bit_for_bit(self, genus, rank, flavor, triple,
+                                                     steps, monkeypatch):
+        rep = random_representation(genus, rank, flavor, seed=42)
+        frame = cocycle_basis(rep).h1_complement
+        pairings = pairing_calls(monkeypatch)
+        residuals = closedness_residuals(Chart(center=rep, frame=frame), triple, steps)
+        monkeypatch.undo()
+        # one stacked call pairs the 6 form coefficients of every step
+        assert pairings == [("pairing_duals", 6 * len(steps))]
+        reference = form_coefficient_residuals(Chart(center=rep, frame=frame), triple, steps)
+        assert residuals == reference
 
     def test_command_output_is_pinned(self, capsys):
         # the benchmark's closedness job shape: (2,2) general-linear with the

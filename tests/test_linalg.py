@@ -7,7 +7,7 @@ import scipy.linalg
 
 from goldman import ConditioningError, InputError, commutator_factor, tolerances
 from goldman.linalg import (complex_gaussian, complex_gaussians, expm, frob, haar_stack,
-                            haar_unitary, unitary_eigenframe)
+                            haar_unitary, real_array, unitary_eigenframe)
 
 # Higham's thresholds theta_m for the Padé degrees 3, 5, 7, 9 and 13
 THETAS = (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
@@ -235,3 +235,19 @@ class TestStackedFactors:
         stack[3, 1, 0] = np.nan
         with pytest.raises(InputError, match="non-finite"):
             commutator_factor(stack)
+
+
+class TestRealArray:
+    @pytest.mark.parametrize("values", [[1, 2], (True, 0.5), np.arange(3), [np.nan, 1e300]])
+    def test_real_numbers_become_a_float_copy(self, values):
+        array = real_array(values, "coordinates")
+        assert array.dtype == float
+        assert np.array_equal(array, np.asarray(values, dtype=float), equal_nan=True)
+        assert not np.shares_memory(array, values)
+
+    @pytest.mark.parametrize("values", [["x", 1.0], "0.5", [1j, 0.0], [None, 1.0],
+                                        [[1.0, 2.0], [3.0]]],
+                             ids=["string-entry", "string", "complex", "object", "ragged"])
+    def test_anything_else_is_an_input_error(self, values):
+        with pytest.raises(InputError, match="coordinates"):
+            real_array(values, "coordinates")

@@ -7,7 +7,7 @@ import goldman.pairing
 from goldman import (Cocycle, CocycleStack, DegenerateFormError, InputError,
                      Representation, coboundary, cocycle_basis,
                      dual_form_matrix, gram, pairing_cup,
-                     pairing_dual, random_cocycle, random_representation,
+                     pairing_dual, pairing_duals, random_cocycle, random_representation,
                      real_locus_bases, standard_block_j, symplectic_basis,
                      unitary_restriction_check)
 from goldman.cli import _file_gram, main
@@ -134,6 +134,57 @@ class TestStackedCup:
             stack_cocycles([chi, other])
         with pytest.raises(InputError, match="at least one"):
             stack_cocycles([])
+
+
+class TestStackedDual:
+    """pairing_duals pairs many cocycle pairs, each over its own base, in
+    one stacked fold of the dual words, bit for bit pairing_dual."""
+
+    @pytest.mark.parametrize("genus,rank,flavor", [
+        (2, 2, "unitary"), (3, 2, "unitary"), (2, 3, "general-linear"),
+        (2, 1, "unitary")])
+    def test_pairs_over_many_bases_are_letterwise_bit_for_bit(self, genus, rank, flavor):
+        bases = [random_representation(genus, rank, flavor, seed=seed) for seed in (80, 81, 82)]
+        rng = np.random.default_rng(80)
+        # the bases interleave, and one base recurs, as chart points do
+        pairs = [(random_values(rep, rng), random_values(rep, rng))
+                 for _ in range(3) for rep in (*bases, bases[0])]
+        reference = [pairing_dual(chi1, chi2) for chi1, chi2 in pairs]
+        stacked = pairing_duals(pairs)
+        assert stacked.shape == (len(pairs),) and stacked.dtype == complex
+        assert stacked.tolist() == reference
+
+    def test_basis_pairs_are_letterwise_bit_for_bit(self, seeded_bases):
+        rng = np.random.default_rng(81)
+        for basis in seeded_bases.values():
+            pairs = [(random_cocycle(basis, rng), random_cocycle(basis, rng))
+                     for _ in range(4)]
+            assert pairing_duals(pairs).tolist() == [pairing_dual(*pair) for pair in pairs]
+
+    def test_one_pair_is_pairing_dual(self, basis_g2n2):
+        chi, psi = basis_g2n2.h1_complement[:2]
+        assert pairing_duals([(chi, psi)]).tolist() == [pairing_dual(chi, psi)]
+
+    def test_malformed_pairs_rejected(self, rep_g2n2):
+        rng = np.random.default_rng(82)
+        chi, psi = random_values(rep_g2n2, rng), random_values(rep_g2n2, rng)
+        other = random_values(random_representation(2, 2, seed=83), rng)
+        genus3 = random_values(random_representation(3, 2, seed=83), rng)
+        rank3 = random_values(random_representation(2, 3, seed=83), rng)
+        with pytest.raises(InputError, match="non-empty sequence"):
+            pairing_duals([])
+        with pytest.raises(InputError, match="non-empty sequence"):
+            pairing_duals(iter([(chi, psi)]))
+        with pytest.raises(InputError, match="different base"):
+            pairing_duals([(chi, psi), (chi, other)])
+        with pytest.raises(InputError, match="mix genus or rank"):
+            pairing_duals([(chi, psi), (genus3, genus3)])
+        with pytest.raises(InputError, match="mix genus or rank"):
+            pairing_duals([(rank3, rank3), (chi, psi)])
+        for pair in ((chi,), (chi, psi, chi), (chi, 3), chi,
+                     (stack_cocycles([chi]), stack_cocycles([psi]))):
+            with pytest.raises(InputError, match=r"\(cocycle, cocycle\) pairs"):
+                pairing_duals([pair])
 
 
 class TestCupPath:

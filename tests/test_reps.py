@@ -7,10 +7,10 @@ from goldman import tolerances
 from goldman import (Chart, Cocycle, CocycleStack, ConvergenceError, GroupWord, InputError,
                      Presentation, Representation, closedness_check, coboundary,
                      coboundary_matrix, cocycle_basis, commutant_dimension,
-                     commutator_factor, conjugate_representation, evaluate, gram,
+                     commutator_factor, conjugate_representation, deform, evaluate, gram,
                      newton_project, pairing_dual, random_cocycle, random_representation,
                      relator_defect, rh_differential, stack_cocycles, standard_block_j)
-from goldman.charts import closedness_floors
+from goldman.charts import closedness_floors, closedness_residuals
 from goldman.cocycles import linear_combination
 from goldman.linalg import (complex_gaussian, expm, frob, haar_unitary, polar_unitary,
                             split_singular_values, vec)
@@ -662,6 +662,17 @@ class TestConstructionValidation:
     lambda rep: linear_combination(3, [1.0], stack_cocycles([zero_cocycle(rep)])),
     lambda rep: linear_combination(rep, ["a"], stack_cocycles([zero_cocycle(rep)])),
     lambda rep: linear_combination(rep, [[None]], stack_cocycles([zero_cocycle(rep)])),
+    lambda rep: closedness_check(h1_chart(rep), (0, 1, 2), "1e-3"),
+    lambda rep: closedness_residuals(h1_chart(rep), (0, 1, 2), [1e-3, "1e-3"]),
+    lambda rep: closedness_residuals(h1_chart(rep), (0, 1, 2), "1e-3"),
+    lambda rep: closedness_residuals(h1_chart(rep), (0, 1, 2), 1e-3),
+    lambda rep: rh_differential(rep, rep, rep, "1e-3"),
+    lambda rep: h1_chart(rep).transported_frame_direction(np.zeros(10), 0, "1e-3"),
+    lambda rep: h1_chart(rep).transported_frame_direction(["x"] * 10, 0, 1e-3),
+    lambda rep: h1_chart(rep).point(["x"] * 10),
+    lambda rep: h1_chart(rep).point([None] * 10),
+    lambda rep: h1_chart(rep).point([1j] * 10),
+    lambda rep: deform(rep, zero_cocycle(rep), "x"),
 ], ids=["singular-conjugator", "wide-conjugator", "negative-block", "fractional-block",
         "bool-block", "wide-coboundary", "ragged-coboundary", "nan-stack",
         "stack-generator-count", "empty-stack", "stack-rank", "genus-zero-word",
@@ -671,7 +682,11 @@ class TestConstructionValidation:
          "draw-from-an-integer", "draw-from-an-integer-basis", "coboundary-over-an-integer",
          "coboundary-stack-rank", "factor-a-string", "factor-non-square-stack",
          "factor-nan-stack", "combine-wide-matrix", "combine-over-an-integer",
-         "combine-strings", "combine-objects"])
+         "combine-strings", "combine-objects", "closedness-string-step",
+         "ladder-string-step", "ladder-of-a-string", "ladder-of-a-number",
+         "rh-string-step", "transport-string-step", "transport-string-coordinates",
+         "point-string-coordinates", "point-object-coordinates",
+         "point-complex-coordinates", "deform-string-time"])
 def test_exported_calls_refuse_bad_input(rep_g2n2, call):
     with pytest.raises(InputError):
         call(rep_g2n2)

@@ -1,7 +1,7 @@
 """Import hygiene of the package source, checked on its syntax trees,
 and the independence of the cup-product oracle.
 
-Twenty-one rules, with no lint dependency:
+Twenty-two rules, with no lint dependency:
 
 - every module-level import is used in its module (the package
   ``__init__`` re-exports, and ``from __future__`` imports are exempt);
@@ -73,7 +73,11 @@ Twenty-one rules, with no lint dependency:
 - the trusted points constructor ``reps._accepted_points`` is called
   only in ``reps.newton_project``, on the images, inverses and defects
   its Gauss-Newton loop has just formed and gated: every representation
-  built from outside input passes ``Representation``'s checks.
+  built from outside input passes ``Representation``'s checks;
+- the coded dual words ``Presentation.dual_codes`` are read only in
+  ``pairing.pairing_duals``, the stacked closed form over many bases, so
+  no third evaluation of the closed form grows beside it and the
+  letterwise ``pairing_dual``.
 """
 
 import ast
@@ -365,6 +369,11 @@ def test_dual_form_read_sites():
     assert _without_lines(found) == ["pairing.py in gram", "verify.py in _dual_pairing"]
 
 
+def test_dual_codes_read_sites():
+    found = [site for path in MODULES for site in attribute_reads(path, "dual_codes")]
+    assert _without_lines(found) == ["pairing.py in pairing_duals"]
+
+
 def test_cup_oracle_reads_no_dual_form(monkeypatch):
     rep = random_representation(2, 2, "general-linear", seed=23)
     rng = np.random.default_rng(23)
@@ -443,7 +452,9 @@ def test_rules_flag_what_they_name(tmp_path):
         "    def gram(self, v):\n"
         "        return v.T @ self.base.dual_form @ v, self.dual_form_matrix, 'dual_form'\n"
         "def _retract(stack):\n"
-        "    return _accepted_points(stack), reps._accepted_points\n")
+        "    return _accepted_points(stack), reps._accepted_points\n"
+        "def _duals(pres, tables, values):\n"
+        "    return _fold(tables, values, pres.dual_codes), dual_codes, 'dual_codes'\n")
     assert unused_module_imports(module) == ["sample.py:2 json"]
     assert non_cycle_local_imports(module) == ["sample.py:6 in f", "sample.py:7 in f"]
     assert package_imports(module) == ["sample.py:4 reps", "sample.py:7 reps",
@@ -472,6 +483,7 @@ def test_rules_flag_what_they_name(tmp_path):
     assert call_sites(module, "_trusted") == ["sample.py:49 in power"]
     assert attribute_reads(module, "dual_form") == ["sample.py:52 in G.gram"]
     assert call_sites(module, "_accepted_points") == ["sample.py:54 in _retract"]
+    assert attribute_reads(module, "dual_codes") == ["sample.py:56 in _duals"]
     assert public_functions(module) == ["f", "g", "h", "r", "s", "t", "u", "project",
                                         "triangle", "check_x", "power"]
     caller = tmp_path / "caller.py"

@@ -303,6 +303,31 @@ class TestPairingPaths:
         assert results["conjugation-equivariance"].passed
         assert run_check(run, CHECKS["intersection-form"]).passed
 
+    def test_a_nan_w_fails_every_fixed_base_check(self, monkeypatch, tmp_path):
+        # a NaN residual is the worst one: a running max() would drop it
+        monkeypatch.setattr(Representation, "dual_form", property(
+            lambda rep: np.full_like(dual_form_matrix(rep), np.nan)))
+        run = SuiteRun(RunConfig(genus=2, rank=2, seed=0, out=tmp_path))
+        for name in FIXED_BASE_CHECKS:
+            result = run_check(run, CHECKS[name])
+            assert np.isnan(result.max_residual) and not result.passed, name
+            assert " max-residual=nan " in result.line()
+            assert result.line().endswith(" verdict=FAIL")
+
+
+class TestWorst:
+    @pytest.mark.parametrize("residuals", [
+        [np.nan], [np.nan, 1.0], [1.0, np.nan], [0.0, 2.0, np.nan, 3.0],
+        [np.float64(np.nan)]])
+    def test_any_nan_is_the_worst(self, residuals):
+        assert np.isnan(goldman.verify._worst(residuals))
+        assert np.isnan(goldman.verify._worst(iter(residuals)))
+
+    def test_largest_or_zero(self):
+        assert goldman.verify._worst([]) == 0.0
+        assert goldman.verify._worst([3.0, 1.0, 4.0, 1.0]) == 4.0
+        assert goldman.verify._worst(x for x in (2.5, np.inf)) == np.inf
+
 
 # (name, samples, threshold) of every report line at (2,2) seed 0, in report
 # order; every verdict is PASS.  Only max-residual is left free, so no
