@@ -33,7 +33,7 @@ import numpy as np
 from . import tolerances
 from .errors import InputError, require_type
 from .cocycles import Cocycle, CocycleStack, linear_combination, stack_cocycles
-from .linalg import expm, real_array
+from .linalg import expm, frobs, real_array
 from .pairing import gram, pairing_dual, pairing_duals
 from .reps import GENERAL_LINEAR, Representation, evaluate_words, newton_project
 from .words import check_index
@@ -127,47 +127,68 @@ class Chart:
 
         Each tuple is checked in turn: its shape, a non-finite entry, and
         the trust region of its move; the zero tuple is the center.  The
-        raw moves of the tuples not yet cached are one stacked
-        exponential, and their retractions one newton_project call on
-        the stack, each bit for bit the retraction of its tuple alone.  A
-        bad tuple raises once the tuples before it are retracted, so the
-        first error in order is the one raised.
+        frame combinations of the tuples not yet cached are one
+        linear_combination call, their trust-region norms one frobs call,
+        their raw moves one stacked exponential, and their retractions one
+        newton_project call on the stack, each bit for bit its tuple's
+        alone.  A bad tuple raises once the tuples before it are
+        retracted, so the first error in order is the one raised.
         """
-        keys, moves = [], {}
+        keys, pending = [], {}
         try:
             for coords in coords_list:
-                keys.append(self._checked_key(coords, moves))
+                keys.append(self._checked_key(coords, pending))
         finally:
-            # a Newton failure of an earlier tuple supersedes the error
-            # that stopped the loop
-            if moves:
-                raw = _raw_deformed_images(self.center, np.array(list(moves.values())))
-                self._cache.update(zip(moves, newton_project(
+            # a move out of the trust region precedes the error that stopped
+            # the loop, and a Newton failure of an earlier tuple supersedes both
+            moving, values, error = self._trusted_moves(pending)
+            if moving:
+                raw = _raw_deformed_images(self.center, values)
+                self._cache.update(zip(moving, newton_project(
                     self.center.presentation, raw, GENERAL_LINEAR, seed=self.center.seed)))
-                self._raw.update(zip(moves, raw))
+                self._raw.update(zip(moving, raw))
+            if error:
+                raise error
         return tuple(self._cache[key] for key in keys)
 
-    def _checked_key(self, coords, moves: dict):
-        """Cache key of one coordinate tuple; the center is cached at once,
-        and the cocycle values of a new move are added to moves."""
+    def _checked_key(self, coords, pending: dict):
+        """Cache key of one coordinate tuple; a key not yet cached is added
+        to pending, with its coordinates, or None for the zero tuple."""
         coords = real_array(coords, "chart coordinates")
         if coords.shape != (self.dimension,):
             raise InputError(f"expected {self.dimension} chart coordinates")
         key = tuple(coords.tolist())
-        if key in self._cache or key in moves:
+        if key in self._cache or key in pending:
             return key
         # a non-finite move scales no cocycle: refuse it as too long
         if not np.isfinite(coords).all():
             raise InputError(f"chart coordinates {key} leave the deformation trust region")
-        if not np.any(coords):
-            self._cache[key], self._raw[key] = self.center, self.center.images
-            return key
-        direction = linear_combination(self.center, coords, self.frame_stack)
-        if not direction.norm() <= tolerances.DEFORM_TRUST * (1 + tolerances.DEFORM_TRUST_SLACK):
-            raise InputError(f"move of norm {direction.norm():g} leaves the deformation "
-                             f"trust region (<= {tolerances.DEFORM_TRUST:g})")
-        moves[key] = direction.values
+        pending[key] = coords if np.any(coords) else None
         return key
+
+    def _trusted_moves(self, pending: dict):
+        """(keys, cocycle values, error) of the pending moves, in order, up
+        to the first that leaves the trust region, whose InputError is
+        returned (None when every move is inside); the zero tuples before
+        it are cached as the center."""
+        moving = [key for key, coords in pending.items() if coords is not None]
+        values, norms = None, []
+        if moving:
+            directions = linear_combination(
+                self.center, np.array([pending[key] for key in moving]), self.frame_stack)
+            values, norms = directions.values, frobs(directions.flat)
+        limit = tolerances.DEFORM_TRUST * (1 + tolerances.DEFORM_TRUST_SLACK)
+        count = next((i for i, norm in enumerate(norms) if not norm <= limit), len(moving))
+        error = None
+        if count < len(moving):
+            error = InputError(f"move of norm {norms[count]:g} leaves the deformation "
+                               f"trust region (<= {tolerances.DEFORM_TRUST:g})")
+        for key, coords in pending.items():
+            if error and key == moving[count]:
+                break
+            if coords is None:
+                self._cache[key], self._raw[key] = self.center, self.center.images
+        return moving[:count], values[:count] if moving else None, error
 
     def transport_stencil(self, coords: np.ndarray, axis: int, step: float):
         """The chart coordinates transported_frame_direction reads: coords
@@ -209,8 +230,7 @@ def deformation_correction(chart: Chart, coords) -> float:
     """
     projected = chart.point(coords)  # validates the coordinates first
     raw = chart._raw[tuple(np.asarray(coords, dtype=float).tolist())]
-    return float(np.sqrt(sum(
-        np.linalg.norm(a - b) ** 2 for a, b in zip(raw, projected.images))))
+    return float(np.sqrt(sum(gap ** 2 for gap in frobs(raw - projected.images))))
 
 
 def closedness_check(chart: Chart, triple: tuple[int, int, int],

@@ -10,6 +10,7 @@ points.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -18,7 +19,7 @@ import numpy as np
 from . import tolerances
 from .errors import ConditioningError, InputError, require_type
 from .linalg import (RandomStream, canonical_frame, column_space, complement_within,
-                     complex_gaussian, frob, generator_stack, nullspace, real_flatten,
+                     complex_gaussian, frob, frobs, generator_stack, nullspace, real_flatten,
                      split_singular_values, square_stack, triangular_values)
 from .reps import (UNITARY, Representation, evaluate_words, fox_jacobian,
                    relator_tangent_matrix)
@@ -223,9 +224,17 @@ def ring_values(rep: Representation, values: np.ndarray, ring: RingCodes) -> np.
     return total
 
 
-def relator_residual(chi: Cocycle) -> float:
-    """Norm of chi on the full relator, computed by letterwise extension."""
-    return frob(extend(chi, chi.base.presentation.relator()))
+def relator_residual(chi: Cocycle | CocycleStack) -> float | list[float]:
+    """Norm of chi on the full relator: a float for a cocycle, one per row
+    for a CocycleStack, the one-cocycle call being the one-row case.  The
+    relator is folded by extend_words' kernel, bit for bit extend's, for
+    every row at once.  InputError (exit 2) for anything else."""
+    single = isinstance(require_type(chi, (Cocycle, CocycleStack), "the cocycle"), Cocycle)
+    pres = chi.base.presentation
+    values = chi.values[None] if single else chi.values
+    folded = _fold(chi.base.letter_tables, values, letter_codes(pres, [pres.relator()]))
+    norms = frobs(folded[:, 0])
+    return norms[0] if single else norms
 
 
 def extend_words(chi: Cocycle, words) -> np.ndarray:
@@ -273,16 +282,23 @@ def cocycle_law_residuals(chi: Cocycle, pairs) -> list[float]:
     pair.
 
     The words uv, u and v of every pair are folded at once by
-    extend_words, and sigma(u) is one stacked product by evaluate_words,
-    so each residual is the same bit for bit as from extend and evaluate
-    pair by pair.
+    extend_words, sigma(u) is one stacked product by evaluate_words, and
+    the norms are one frobs call, so each residual is the same bit for bit
+    as from extend, evaluate and frob pair by pair.  InputError (exit 2)
+    unless chi is a cocycle and pairs an iterable of (word, word) pairs.
     """
-    pairs = list(pairs)
+    require_type(chi, Cocycle, "the cocycle")
+    pairs = list(require_type(pairs, Iterable, "the word pairs"))
+    for pair in pairs:
+        if len(require_type(pair, (tuple, list), "each word pair")) != 2:
+            raise InputError(f"a word pair holds two words, got {len(pair)}")
+        for word in pair:
+            require_type(word, GroupWord, "each word of a pair")
     folded = extend_words(chi, [w for u, v in pairs for w in (u * v, u, v)])
     chi_uv, chi_u, chi_v = folded[0::3], folded[1::3], folded[2::3]
     sigma_u = evaluate_words(chi.base, [u for u, _ in pairs])
     rhs = chi_u + sigma_u @ chi_v @ np.linalg.inv(sigma_u)
-    return [frob(m) for m in chi_uv - rhs]
+    return frobs(chi_uv - rhs)
 
 
 def coboundary(v: np.ndarray, rep: Representation):
@@ -301,18 +317,28 @@ def coboundary(v: np.ndarray, rep: Representation):
     return Cocycle(rep, values) if v.ndim == 2 else CocycleStack(rep, values)
 
 
-def star_involution(chi: Cocycle) -> Cocycle:
-    """Valuewise conjugate transpose; needs a unitary base to stay a cocycle."""
-    if chi.base.flavor != UNITARY:
-        raise InputError("star involution requires a unitary base representation")
-    return Cocycle(chi.base, chi.values.conj().transpose(0, 2, 1))
+def star_involution(chi: Cocycle | CocycleStack) -> Cocycle | CocycleStack:
+    """Valuewise conjugate transpose; needs a unitary base to stay a
+    cocycle.  A CocycleStack maps row by row, each row bit for bit its
+    one-cocycle call.  InputError (exit 2) for anything else."""
+    _require_unitary(chi, "star involution")
+    return type(chi)(chi.base, np.swapaxes(chi.values.conj(), -1, -2))
 
 
-def anti_hermitian_part(chi: Cocycle) -> Cocycle:
-    """Valuewise (chi - chi*)/2; for unitary bases this is again a cocycle."""
+def anti_hermitian_part(chi: Cocycle | CocycleStack) -> Cocycle | CocycleStack:
+    """Valuewise (chi - chi*)/2; for unitary bases this is again a cocycle.
+    A CocycleStack maps row by row, each row bit for bit its one-cocycle
+    call.  InputError (exit 2) for anything else."""
+    _require_unitary(chi, "anti-Hermitian projection")
+    return type(chi)(chi.base, (chi.values - np.swapaxes(chi.values.conj(), -1, -2)) / 2)
+
+
+def _require_unitary(chi, what: str) -> None:
+    """InputError (exit 2) unless chi is a cocycle or a CocycleStack over a
+    unitary base."""
+    require_type(chi, (Cocycle, CocycleStack), f"the cocycle of the {what}")
     if chi.base.flavor != UNITARY:
-        raise InputError("anti-Hermitian projection requires a unitary base")
-    return Cocycle(chi.base, (chi.values - chi.values.conj().transpose(0, 2, 1)) / 2)
+        raise InputError(f"{what} requires a unitary base representation")
 
 
 def _frame_cocycles(base: Representation, frame: np.ndarray) -> tuple[Cocycle, ...]:

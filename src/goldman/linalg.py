@@ -18,6 +18,30 @@ def frob(m: Array) -> float:
     return float(np.linalg.norm(m))
 
 
+def frobs(stack) -> list[float]:
+    """frob of each matrix (or array) of a stack, in one call, bit for bit:
+    [] for an empty stack.
+
+    np.linalg.norm reads its argument in memory order (ravel order 'K')
+    and adds two 1-D dots, re . re + im . im for complex entries; here each
+    matrix is read in that order and its dots are stacked (1, N) @ (N, 1)
+    row products, which numpy takes as the same dot.  A stacked
+    norm(..., axis=(-2, -1)) sums in another order and would not match.
+    """
+    x = np.asarray(stack)
+    if not issubclass(x.dtype.type, np.inexact):
+        x = x.astype(float)
+    # each matrix's axes in decreasing stride, as ravel order 'K' reads them
+    axes = sorted(range(1, x.ndim), key=lambda axis: -abs(x.strides[axis]))
+    rows = x.transpose(0, *axes).reshape(len(x), 1, math.prod(x.shape[1:]))
+
+    def dots(part):
+        return (part @ part.swapaxes(-1, -2))[:, 0, 0]
+
+    squares = dots(rows.real) + dots(rows.imag) if np.iscomplexobj(rows) else dots(rows)
+    return np.sqrt(squares).tolist()
+
+
 def vec(m: Array) -> Array:
     """Column-stacking vectorization (Fortran order)."""
     return np.asarray(m).ravel(order="F")
@@ -58,11 +82,18 @@ def generator_stack(matrices, count: int, n: int, what: str, rows: bool = False)
     return stack
 
 
+def complex_array(values, what: str) -> Array:
+    """A complex copy of values in their memory layout (order 'K');
+    InputError naming what unless they form one array of numbers (not a
+    ragged nesting, a string that reads as no number or an object)."""
+    return _converted(values, what, dtype=complex, order="K")
+
+
 def square_stack(matrices, what: str) -> Array:
     """One square matrix or a (..., n, n) stack of them as a complex copy
     in the input's memory layout; InputError naming what when it does not
     convert, is not square or has a non-finite entry."""
-    stack = _converted(matrices, what, dtype=complex, order="K")
+    stack = complex_array(matrices, what)
     if stack.ndim < 2 or stack.shape[-1] != stack.shape[-2]:
         raise InputError(f"{what} have shape {stack.shape}, expected (..., n, n)")
     require_finite(stack, what)

@@ -34,7 +34,7 @@ from . import tolerances
 from .errors import DegenerateFormError, InputError
 from .cocycles import (Cocycle, CocycleStack, _fold, common_base, extend, linear_combination,
                        ring_values, stack_cocycles, word_jacobian)
-from .linalg import ad_matrix, decided_rank, frob
+from .linalg import ad_matrix, decided_rank, frob, frobs
 from .reps import UNITARY, Representation, _word_product, evaluate
 from .words import is_integer
 
@@ -300,10 +300,11 @@ def unitary_restriction_check(cocycles) -> UnitaryLocusReport:
     stack = g.vectors
     if stack.base.flavor != UNITARY:
         raise InputError("unitary restriction check requires a unitary base")
-    for values in stack.values:
-        for m in values:
-            if frob(m + m.conj().T) > tolerances.VERIFICATION * max(1.0, frob(m)):
-                raise InputError("cocycle values are not anti-Hermitian")
+    values = stack.values.reshape(-1, stack.base.rank, stack.base.rank)
+    gaps = frobs(values + np.swapaxes(values.conj(), -1, -2))
+    if any(gap > tolerances.VERIFICATION * max(1.0, size)
+           for gap, size in zip(gaps, frobs(values))):
+        raise InputError("cocycle values are not anti-Hermitian")
     d = len(stack)
     max_imag = float(np.abs(g.matrix.imag).max())
     rank, _ = decided_rank(g.matrix.real)

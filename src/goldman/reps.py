@@ -15,10 +15,10 @@ from functools import cached_property
 import numpy as np
 
 from . import tolerances
-from .errors import ConditioningError, ConvergenceError, InputError
-from .linalg import (ad_matrix, expm, frob, generator_stack, ginibre, haar_unitary,
-                     polar_unitary, require_finite, split_singular_values, square_stack,
-                     triangular_values, unitary_eigenframe, vec)
+from .errors import ConditioningError, ConvergenceError, InputError, require_type
+from .linalg import (ad_matrix, complex_array, expm, frob, frobs, generator_stack, ginibre,
+                     haar_unitary, polar_unitary, require_finite, split_singular_values,
+                     square_stack, triangular_values, unitary_eigenframe, vec)
 from .words import GroupWord, Presentation, check_size, is_integer, letter_codes
 
 UNITARY = "unitary"
@@ -119,7 +119,9 @@ def evaluate(rep: Representation, word: GroupWord) -> np.ndarray:
 
 
 def relator_defect(rep: Representation) -> float:
-    """Frobenius distance of the evaluated full relator from the identity."""
+    """Frobenius distance of the evaluated full relator from the identity;
+    InputError (exit 2) unless rep is a representation."""
+    require_type(rep, Representation, "the representation")
     return frob(evaluate(rep, rep.presentation.relator()) - np.eye(rep.rank))
 
 
@@ -398,20 +400,21 @@ def newton_project(presentation: Presentation, images, flavor: str,
     every image to the unitary group by polar decomposition.
 
     images is a (k, 2g, n, n) stack of tuples, projected to a tuple of k
-    representations; any other shape is an InputError.  The tuples iterate
+    representations; any other shape, or values that are not numbers
+    (linalg.complex_array), is an InputError.  The tuples iterate
     together, each on its own schedule of trust check, target, stall and
     step limit: an iteration makes one relator_tangent_matrix call over
     the stack, on the inverses kept with the accepted tuples, one stacked
     exponential and polar projection, and one stacked inversion and word
-    product for the relator images of the candidates.  The least-squares
-    step and the defect are taken per tuple, so each result is bit for
-    bit that of projecting its tuple alone.  A NaN defect (finite images
-    whose relator product overflows) is neither trusted nor an
-    improvement.  ConvergenceError names the first tuple, in order, that
+    product for the relator images of the candidates, whose defects are
+    one frobs call.  The least-squares step is taken per tuple, so each
+    result is bit for bit that of projecting its tuple alone.  A NaN
+    defect (finite images whose relator product overflows) is neither
+    trusted nor an improvement.  ConvergenceError names the first tuple, in order, that
     leaves the trust region or does not converge.  The points carry the
     inverses Newton kept as their inverse_images (_accepted_points).
     """
-    stack = np.array(images, dtype=complex)
+    stack = complex_array(images, "image tuples")
     if stack.ndim != 4 or stack.shape[1:3] != (presentation.generator_count, stack.shape[3]):
         raise InputError(f"newton_project expects a (k, 2g, n, n) stack of image "
                          f"tuples, got shape {stack.shape}")
@@ -427,7 +430,7 @@ def newton_project(presentation: Presentation, images, flavor: str,
         # which is neither trusted nor an improvement
         with np.errstate(over="ignore", invalid="ignore"):
             r = _word_product(letter_table(stack, inverses), relator)
-            return r, [frob(m - eye) for m in r]
+            return r, frobs(r - eye)
 
     inverses = _invert_all(stack, flavor).copy()  # updated with each accepted tuple
     r, defects = relator_images(stack, inverses)

@@ -12,16 +12,19 @@ into a nonzero exit status.
 The checks that pair many cocycles over one fixed base (cup-dual-agreement,
 class-invariance, antisymmetry, bilinearity, conjugation-equivariance)
 evaluate the closed form through the base's cached matrix W,
-omega(x, y) = x.flat @ W @ y.flat.  intersection-form keeps the letterwise
-pairing_dual, checked against the cup product, as the suite's check of
-that path.
+omega(x, y) = x.flat @ W @ y.flat.  intersection-form evaluates the
+closed form without W, all its pairs in one pairing_duals call, checked
+against the cup product and the hand formula.
 
-These five checks and commutator-factor stack their samples:
-complex_gaussians draws the samples' numbers at once, in per-sample
-order, and omega, the cup product and the commutator factors are
-evaluated over whole stacks, bit for bit the per-sample loops.  Moduli are np.hypot,
-which rounds as Python's abs(complex) does; bilinearity's scalar
-right-hand sides stay in Python complex arithmetic.
+These five checks, commutator-factor, star-involution and
+coboundary-containment stack their samples: complex_gaussians draws the
+samples' numbers at once, in per-sample order, and omega, the cup
+product, the commutator factors, the star involution and the
+coboundaries are evaluated over whole stacks, bit for bit the per-sample
+loops.  Moduli are np.hypot, which rounds as Python's abs(complex) does;
+bilinearity's scalar right-hand sides stay in Python complex arithmetic.
+Norms of a stack of matrices are one linalg.frobs call, bit for bit frob
+matrix by matrix.
 
 Mutation mode (config.mutate = "dual-sign") deliberately flips a sign in
 the dual-generator pairing (the b_k column blocks of the pairing matrix
@@ -32,6 +35,7 @@ the suite catches exactly that class of error.
 from __future__ import annotations
 
 import itertools
+import math
 import tempfile
 import zlib
 from dataclasses import dataclass
@@ -50,8 +54,8 @@ from .cocycles import (Cocycle, CocycleBasis, CocycleStack, anti_hermitian_part,
                        real_locus_bases, relator_residual, stack_cocycles, star_involution)
 from .config import RunConfig
 from .errors import ConvergenceError
-from .linalg import complex_gaussian, complex_gaussians, expm, frob, haar_stack, haar_unitary
-from .pairing import (gram, pairing_cup, pairing_dual, symplectic_basis,
+from .linalg import complex_gaussian, complex_gaussians, expm, frobs, haar_stack, haar_unitary
+from .pairing import (gram, pairing_cup, pairing_duals, symplectic_basis,
                       unitary_restriction_check)
 from .reps import (GENERAL_LINEAR, UNITARY, Representation,
                    commutant_dimension, commutator_factor, conjugate_representation,
@@ -85,9 +89,10 @@ Measurement = tuple[int, float, float]
 def _worst(residuals) -> float:
     """The largest of residuals, 0.0 for none, and NaN when any is NaN,
     so that run_check fails the check: max() keeps its running value when
-    a comparison with NaN is false, and would drop a NaN residual."""
+    a comparison with NaN is false, and would drop a NaN residual.
+    math.isnan, as np.isnan on a Python float costs ten times more."""
     residuals = list(residuals)
-    if any(np.isnan(r) for r in residuals):
+    if any(math.isnan(r) for r in residuals):
         return np.nan
     return max([0.0, *residuals])
 
@@ -308,7 +313,8 @@ def check_evaluate_multiplicative(run: SuiteRun, rng) -> Measurement:
     pairs = _random_pairs(pres, rng, samples)
     images = evaluate_words(rep, [w for u, v in pairs for w in (u * v, u, v)])
     rhs = images[1::3] @ images[2::3]
-    worst = _worst(frob(lhs - r) / max(1.0, frob(r)) for lhs, r in zip(images[0::3], rhs))
+    worst = _worst(gap / max(1.0, size)
+                   for gap, size in zip(frobs(images[0::3] - rhs), frobs(rhs)))
     return samples, worst, 1e-12
 
 
@@ -332,7 +338,7 @@ def check_commutator_factor(run: SuiteRun, rng) -> Measurement:
                            (haar_stack(general_draw) + 0.3 * noise, False)):
             m = m * (np.linalg.det(m) ** (-1.0 / n))[:, None, None]
             a, b = commutator_factor(m, unitary=unitary)
-            residuals.extend(map(frob, a @ b @ np.linalg.inv(a) @ np.linalg.inv(b) - m))
+            residuals.extend(frobs(a @ b @ np.linalg.inv(a) @ np.linalg.inv(b) - m))
             samples += len(m)
     return samples, _worst(residuals), tolerances.CONSTRUCTION
 
@@ -406,34 +412,34 @@ def check_dimension_formula(run: SuiteRun, rng) -> Measurement:
 
 
 def check_coboundary_containment(run: SuiteRun, rng) -> Measurement:
+    """Coboundaries of 20 random matrices, one stack, satisfy the relator
+    and lie in Z1: each is projected on the Z1 frame as a stacked
+    matrix-vector product, as one coboundary alone would be."""
     rep, basis = run.rep, run.basis
     n = rep.rank
     frame = basis.z1_frame
-    residuals = []
-    for _ in range(20):
-        v = complex_gaussian(rng, (n, n))
-        delta = coboundary(v, rep)
-        residual = delta.flat - frame @ (frame.conj().T @ delta.flat)
-        residuals += [relator_residual(delta), float(np.linalg.norm(residual))]
-    return 20, _worst(residuals), 1e-10
+    (v,) = complex_gaussians(rng, 20, ((n, n),))
+    deltas = coboundary(v, rep)
+    columns = deltas.flat[:, :, None]
+    residuals = deltas.flat - (frame @ (frame.conj().T @ columns))[:, :, 0]
+    return 20, _worst(relator_residual(deltas) + frobs(residuals)), 1e-10
 
 
 def check_star_involution(run: SuiteRun, rng) -> Measurement:
+    """The star involution squares to the identity, maps delta_v to
+    delta_(v*) and negates anti-Hermitian parts, over 20 samples of a
+    random cocycle and a random matrix drawn as one stack each."""
     rep, basis = run.rep, run.basis
     n = rep.rank
-    residuals = []
-    for _ in range(20):
-        chi = random_cocycle(basis, rng)
-        again = star_involution(star_involution(chi))
-        residuals.extend(frob(a - b) for a, b in zip(again.values, chi.values))
-        v = complex_gaussian(rng, (n, n))
-        lhs = star_involution(coboundary(v, rep))
-        rhs = coboundary(v.conj().T, rep)
-        residuals.extend(frob(a - b) for a, b in zip(lhs.values, rhs.values))
-        anti = anti_hermitian_part(chi)
-        flipped = star_involution(anti)
-        residuals.extend(frob(a + b) for a, b in zip(flipped.values, anti.values))
-    return 20, _worst(residuals), 1e-12
+    chis, v = _z1_samples(basis, rng, 20, 1, (n, n))
+    again = star_involution(star_involution(chis))
+    lhs = star_involution(coboundary(v, rep))
+    rhs = coboundary(np.swapaxes(v.conj(), -1, -2), rep)
+    anti = anti_hermitian_part(chis)
+    flipped = star_involution(anti)
+    differences = np.concatenate([again.values - chis.values, lhs.values - rhs.values,
+                                  flipped.values + anti.values])
+    return 20, _worst(frobs(differences.reshape(-1, n, n))), 1e-12
 
 
 def check_real_locus_dimensions(run: SuiteRun, rng) -> Measurement:
@@ -569,20 +575,21 @@ def check_intersection_form(run: SuiteRun, rng) -> Measurement:
     # every ordered pair in one stacked cup call, row i * count + j
     cups = pairing_cup(stack_cocycles([chi for chi in indicators for _ in indicators]),
                        stack_cocycles(indicators * count)).reshape(count, count)
+    xs, ys = complex_gaussians(rng, 20, (count, count))
+    randoms = [(Cocycle(rep, x.reshape(count, 1, 1)), Cocycle(rep, y.reshape(count, 1, 1)))
+               for x, y in zip(xs, ys)]
+    # the indicator pairs, then the random ones, in one stacked closed form
+    duals = pairing_duals([(chi1, chi2) for chi1 in indicators for chi2 in indicators]
+                          + randoms).tolist()
     residuals = []
     for i in range(count):
         for j in range(count):
-            residuals += [abs(pairing_dual(indicators[i], indicators[j]) - expected[i, j]),
+            residuals += [abs(duals[i * count + j] - expected[i, j]),
                           abs(cups[i, j] - expected[i, j])]
-
-    for _ in range(20):
-        x = complex_gaussian(rng, count)
-        y = complex_gaussian(rng, count)
-        chi1 = Cocycle(rep, x.reshape(count, 1, 1))
-        chi2 = Cocycle(rep, y.reshape(count, 1, 1))
+    for x, y, dual in zip(xs, ys, duals[count * count:]):
         hand = sum(x[2 * k] * y[2 * k + 1] - x[2 * k + 1] * y[2 * k]
                    for k in range(genus))
-        residuals.append(abs(pairing_dual(chi1, chi2) - hand))
+        residuals.append(abs(dual - hand))
     return count * count + 20, _worst(residuals), 1e-12
 
 
@@ -640,9 +647,8 @@ def check_coboundary_deformation(run: SuiteRun, rng) -> Measurement:
     for t, moved in zip(steps, Chart(rep, (delta,)).points([(t,) for t in steps])):
         conj = expm(-t * v)
         conj_inv = expm(t * v)
-        distances.append(np.sqrt(sum(
-            frob(m - conj @ x @ conj_inv) ** 2
-            for m, x in zip(moved.images, rep.images))))
+        gaps = frobs(moved.images - conj @ rep.images @ conj_inv)
+        distances.append(np.sqrt(sum(gap ** 2 for gap in gaps)))
     return _order_result(steps, distances)
 
 
@@ -698,7 +704,7 @@ def check_rh_cocycle_law_order(run: SuiteRun, rng) -> Measurement:
     for h, plus, minus in _curve_points(chart, (2e-3, 1e-3)):
         values = rh_word_value(rep, plus, minus, law_words, h)
         laws = values[0::3] - values[1::3] - s_u @ values[2::3] @ np.linalg.inv(s_u)
-        residuals.append(_worst(frob(law) for law in laws))
+        residuals.append(_worst(frobs(laws)))
     factor = residuals[0] / residuals[1]
     return 2 * len(words), abs(factor - 4.0), 0.8
 
@@ -718,8 +724,8 @@ def check_commuting_flows(run: SuiteRun, rng) -> Measurement:
         # zeroth-order transport: the same generator values over the new base
         first = deform(via1, Cocycle(via1, chi2.values), t)
         second = deform(via2, Cocycle(via2, chi1.values), t)
-        distances.append(np.sqrt(sum(frob(a - b) ** 2
-                                     for a, b in zip(first.images, second.images))))
+        gaps = frobs(first.images - second.images)
+        distances.append(np.sqrt(sum(gap ** 2 for gap in gaps)))
     return _order_result(steps, distances, window=0.4)
 
 

@@ -453,6 +453,52 @@ class TestChartPoints:
             assert np.array_equal(chart._cache[key].images, serial_chart._cache[key].images)
 
 
+    def test_new_moves_are_one_combination_and_one_norm_call(self, basis_g2n2, monkeypatch):
+        chart = Chart(center=basis_g2n2.base, frame=basis_g2n2.h1_complement)
+        combine, norms = goldman.charts.linear_combination, goldman.charts.frobs
+        calls = []
+        monkeypatch.setattr(goldman.charts, "linear_combination", lambda base, coeffs, stack: (
+            calls.append(("linear_combination", np.shape(coeffs)))
+            or combine(base, coeffs, stack)))
+        monkeypatch.setattr(goldman.charts, "frobs", lambda stack: (
+            calls.append(("frobs", np.shape(stack))) or norms(stack)))
+        stencil = closedness_stencil(chart.dimension, (0, 1, 2), 2e-3)
+        chart.points(stencil + [np.zeros(chart.dimension)] + stencil[:3])
+        assert calls == [("linear_combination", (18, 10)), ("frobs", (18, 16))]
+        calls.clear()
+        chart.points(stencil)
+        assert calls == []
+
+    @pytest.mark.parametrize("bad", ["non-finite", "trust-region"])
+    def test_batch_ending_in_a_bad_tuple_keeps_the_good_ones(self, basis_g2n2, bad):
+        chart = Chart(center=basis_g2n2.base, frame=basis_g2n2.h1_complement)
+        d = chart.dimension
+        good = [2e-3 * np.eye(d)[0], -3e-3 * np.eye(d)[4], 1e-3 * np.ones(d)]
+        last = np.full(d, np.nan) if bad == "non-finite" else np.eye(d)[2]
+        batch = [good[0], np.zeros(d), good[1], good[0], good[2], last]
+        with pytest.raises(InputError, match="trust region") as error:
+            chart.points(batch)
+        assert error.value.exit_code == 2
+        keys = [tuple(coords.tolist()) for coords in batch[:3] + batch[4:5]]
+        assert list(chart._cache) == [keys[1], keys[0], keys[2], keys[3]]
+        assert chart._cache[keys[1]] is basis_g2n2.base
+        for coords in good:
+            alone = Chart(center=basis_g2n2.base, frame=basis_g2n2.h1_complement)
+            assert np.array_equal(chart.point(coords).images, alone.point(coords).images)
+            assert np.array_equal(chart._raw[tuple(coords.tolist())],
+                                  alone._raw[tuple(coords.tolist())])
+
+    def test_a_trust_region_error_precedes_a_later_error(self, basis_g2n2):
+        # the move out of the trust region comes first in order, so its
+        # error is raised, and nothing after it is cached, the center either
+        chart = Chart(center=basis_g2n2.base, frame=basis_g2n2.h1_complement)
+        d = chart.dimension
+        good, far = 1e-3 * np.eye(d)[1], np.eye(d)[3]
+        with pytest.raises(InputError, match="move of norm 1 leaves the deformation trust"):
+            chart.points([good, far, np.zeros(d), 2e-3 * np.eye(d)[1], np.zeros(d + 1)])
+        assert list(chart._cache) == [tuple(good.tolist())]
+
+
 class TestClosedness:
     def test_degenerate_triple_exact_zero(self, basis_g2n2):
         chart = Chart(center=basis_g2n2.base, frame=basis_g2n2.h1_complement)

@@ -994,6 +994,64 @@ class TestStarInvolution:
             star_involution(chi)
 
 
+class TestStackedCocycleMaps:
+    """star_involution, anti_hermitian_part, coboundary and relator_residual
+    map a CocycleStack row by row, each row bit for bit its one-cocycle
+    call, and the one-cocycle relator residual is the letterwise
+    frob(extend(chi, relator)) bit for bit."""
+
+    @staticmethod
+    def stack_of(rep, rng, count=9):
+        values = (rng.standard_normal((count, 2 * rep.genus, rep.rank, rep.rank))
+                  + 1j * rng.standard_normal((count, 2 * rep.genus, rep.rank, rep.rank)))
+        return CocycleStack(rep, values)
+
+    @pytest.mark.parametrize("genus, rank", [(2, 2), (3, 2), (2, 3), (2, 1)])
+    def test_star_and_anti_hermitian_rows(self, genus, rank):
+        rep = random_representation(genus, rank, "unitary", seed=31)
+        stack = self.stack_of(rep, np.random.default_rng(31))
+        for stacked_map in (star_involution, anti_hermitian_part):
+            mapped = stacked_map(stack)
+            assert isinstance(mapped, CocycleStack) and mapped.base is rep
+            for values, one in zip(mapped.values, stack.values):
+                assert_same_bits(values, stacked_map(Cocycle(rep, one)).values)
+        again = star_involution(star_involution(stack))
+        assert_same_bits(again.values, stack.values)
+
+    @pytest.mark.parametrize("genus, rank, flavor", [
+        (2, 2, "unitary"), (3, 2, "unitary"), (2, 3, "general-linear"), (2, 1, "unitary")])
+    def test_relator_residual_rows(self, genus, rank, flavor):
+        rep = random_representation(genus, rank, flavor, seed=32)
+        rng = np.random.default_rng(32)
+        stack = self.stack_of(rep, rng)
+        deltas = coboundary(rng.standard_normal((5, rank, rank)), rep)
+        relator = rep.presentation.relator()
+        for cocycles in (stack, deltas):
+            residuals = relator_residual(cocycles)
+            assert isinstance(residuals, list) and len(residuals) == len(cocycles)
+            for residual, values in zip(residuals, cocycles.values):
+                one = Cocycle(rep, values)
+                assert relator_residual(one) == residual
+                assert relator_residual(one) == frob(extend(one, relator))
+
+    def test_stacked_coboundaries_star(self, rep_g2n2):
+        rng = np.random.default_rng(33)
+        v = rng.standard_normal((6, 2, 2)) + 1j * rng.standard_normal((6, 2, 2))
+        lhs = star_involution(coboundary(v, rep_g2n2))
+        rhs = coboundary(np.swapaxes(v.conj(), -1, -2), rep_g2n2)
+        for left, right, one_v in zip(lhs.values, rhs.values, v):
+            assert_same_bits(left, star_involution(coboundary(one_v, rep_g2n2)).values)
+            assert_same_bits(right, coboundary(one_v.conj().T, rep_g2n2).values)
+        assert max(map(frob, (lhs.values - rhs.values).reshape(-1, 2, 2))) < 1e-13
+
+    def test_a_stack_needs_a_unitary_base(self):
+        rep = random_representation(2, 2, "general-linear", seed=8)
+        stack = self.stack_of(rep, np.random.default_rng(34))
+        for stacked_map in (star_involution, anti_hermitian_part):
+            with pytest.raises(InputError, match="unitary base"):
+                stacked_map(stack)
+
+
 def explicit_real_coboundaries(rep):
     """Reference: delta over an explicit basis of u(n), real-flattened."""
     n = rep.rank

@@ -6,8 +6,8 @@ import pytest
 import scipy.linalg
 
 from goldman import ConditioningError, InputError, commutator_factor, tolerances
-from goldman.linalg import (complex_gaussian, complex_gaussians, expm, frob, haar_stack,
-                            haar_unitary, real_array, unitary_eigenframe)
+from goldman.linalg import (complex_array, complex_gaussian, complex_gaussians, expm, frob,
+                            frobs, haar_stack, haar_unitary, real_array, unitary_eigenframe)
 
 # Higham's thresholds theta_m for the Padé degrees 3, 5, 7, 9 and 13
 THETAS = (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
@@ -251,3 +251,74 @@ class TestRealArray:
     def test_anything_else_is_an_input_error(self, values):
         with pytest.raises(InputError, match="coordinates"):
             real_array(values, "coordinates")
+
+
+def frob_bits(values):
+    """The float64 bit patterns of a list of norms."""
+    return np.array(values, dtype=np.float64).view(np.int64).tolist()
+
+
+class TestFrobs:
+    """frobs is frob matrix by matrix, bit for bit, in one call."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("count", [0, 1, 7, 300])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_equals_frob_of_each_matrix(self, n, count, kind):
+        rng = np.random.default_rng([n, count])
+        for scale in (1e-300, 1e-160, 1e-16, 1.0, 1e2, 1e160, 1e300):
+            stack = rng.standard_normal((count, n, n))
+            if kind == "complex":
+                stack = stack + 1j * rng.standard_normal((count, n, n))
+            stack = scale * stack
+            with np.errstate(over="ignore", under="ignore"):  # squares past the range
+                expected, norms = [frob(m) for m in stack], frobs(stack)
+            assert norms == expected
+            assert frob_bits(norms) == frob_bits(expected)
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_entries(self, kind, bad):
+        rng = np.random.default_rng(3)
+        stack = rng.standard_normal((7, 3, 3)) * (1j if kind == "complex" else 1.0)
+        stack[2, 1, 0] = bad
+        stack[5] = bad
+        with np.errstate(invalid="ignore"):
+            norms, expected = frobs(stack), [frob(m) for m in stack]
+        assert [np.isnan(x) for x in norms] == [np.isnan(x) for x in expected]
+        assert [x for x in norms if x == x] == [x for x in expected if x == x]
+        assert np.isnan(norms[2]) == (bad != bad) and np.isnan(norms[5]) == (bad != bad)
+
+    @pytest.mark.parametrize("layout", ["transposed", "reversed", "strided",
+                                        "stack-innermost", "vectors"])
+    def test_every_memory_layout(self, layout):
+        # np.linalg.norm reads each matrix in memory order, and so does frobs
+        rng = np.random.default_rng(4)
+        stack = rng.standard_normal((20, 6, 6)) + 1j * rng.standard_normal((20, 6, 6))
+        view = {"transposed": lambda s: np.swapaxes(s, -1, -2),
+                "reversed": lambda s: s[::-1, :, ::-1],
+                "strided": lambda s: s[:, 1:, ::2],
+                "stack-innermost": lambda s: np.ascontiguousarray(
+                    s.transpose(1, 2, 0)).transpose(2, 0, 1),
+                "vectors": lambda s: s.reshape(20, -1)}[layout](stack)
+        assert frob_bits(frobs(view)) == frob_bits([frob(m) for m in view])
+
+    def test_integer_input_and_empty_stacks(self):
+        stack = np.arange(24).reshape(2, 3, 4)
+        assert frobs(stack) == [frob(m) for m in stack]
+        assert frobs(np.zeros((0, 3, 3))) == []
+        assert frobs(np.zeros((0, 2, 2), dtype=complex)) == []
+
+
+class TestComplexArray:
+    def test_is_a_complex_copy_in_memory_order(self):
+        values = np.asfortranarray(np.arange(6.0).reshape(2, 3))
+        array = complex_array(values, "values")
+        assert array.dtype == complex and np.array_equal(array, values)
+        assert array.flags.f_contiguous and not np.shares_memory(array, values)
+
+    @pytest.mark.parametrize("values", ["x", [[1, 2], [3]], [object()]],
+                             ids=["string", "ragged", "object"])
+    def test_refuses_what_is_not_numbers(self, values):
+        with pytest.raises(InputError, match="values do not form one stack"):
+            complex_array(values, "values")

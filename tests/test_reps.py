@@ -5,11 +5,12 @@ import scipy.linalg
 import goldman.reps
 from goldman import tolerances
 from goldman import (Chart, Cocycle, CocycleStack, ConvergenceError, GroupWord, InputError,
-                     Presentation, Representation, closedness_check, coboundary,
-                     coboundary_matrix, cocycle_basis, commutant_dimension,
-                     commutator_factor, conjugate_representation, deform, evaluate, gram,
-                     newton_project, pairing_dual, random_cocycle, random_representation,
-                     relator_defect, rh_differential, stack_cocycles, standard_block_j)
+                     Presentation, Representation, anti_hermitian_part, closedness_check,
+                     coboundary, coboundary_matrix, cocycle_basis, cocycle_law_residuals,
+                     commutant_dimension, commutator_factor, conjugate_representation, deform,
+                     evaluate, gram, newton_project, pairing_dual, random_cocycle,
+                     random_representation, relator_defect, relator_residual, rh_differential,
+                     stack_cocycles, standard_block_j, star_involution)
 from goldman.charts import closedness_floors, closedness_residuals
 from goldman.cocycles import linear_combination
 from goldman.linalg import (complex_gaussian, expm, frob, haar_unitary, polar_unitary,
@@ -673,6 +674,17 @@ class TestConstructionValidation:
     lambda rep: h1_chart(rep).point([None] * 10),
     lambda rep: h1_chart(rep).point([1j] * 10),
     lambda rep: deform(rep, zero_cocycle(rep), "x"),
+    lambda rep: cocycle_law_residuals(3, []),
+    lambda rep: cocycle_law_residuals(zero_cocycle(rep), [(1, 2)]),
+    lambda rep: cocycle_law_residuals(zero_cocycle(rep), 3),
+    lambda rep: cocycle_law_residuals(zero_cocycle(rep), [3]),
+    lambda rep: cocycle_law_residuals(zero_cocycle(rep), [(rep.presentation.a(1),) * 3]),
+    lambda rep: relator_residual(3),
+    lambda rep: star_involution(3),
+    lambda rep: anti_hermitian_part(3),
+    lambda rep: relator_defect(3),
+    lambda rep: newton_project(rep.presentation, "x", "unitary"),
+    lambda rep: newton_project(rep.presentation, [[["x"]]], "unitary"),
 ], ids=["singular-conjugator", "wide-conjugator", "negative-block", "fractional-block",
         "bool-block", "wide-coboundary", "ragged-coboundary", "nan-stack",
         "stack-generator-count", "empty-stack", "stack-rank", "genus-zero-word",
@@ -686,7 +698,12 @@ class TestConstructionValidation:
          "ladder-string-step", "ladder-of-a-string", "ladder-of-a-number",
          "rh-string-step", "transport-string-step", "transport-string-coordinates",
          "point-string-coordinates", "point-object-coordinates",
-         "point-complex-coordinates", "deform-string-time"])
+         "point-complex-coordinates", "deform-string-time", "law-of-an-integer",
+         "law-of-integer-pairs", "law-of-an-integer-pair-list", "law-of-a-non-pair",
+         "law-of-a-word-triple", "relator-residual-of-an-integer",
+         "star-of-an-integer", "anti-hermitian-part-of-an-integer",
+         "relator-defect-of-an-integer", "newton-of-a-string",
+         "newton-of-nested-strings"])
 def test_exported_calls_refuse_bad_input(rep_g2n2, call):
     with pytest.raises(InputError):
         call(rep_g2n2)

@@ -1,7 +1,7 @@
 """Import hygiene of the package source, checked on its syntax trees,
 and the independence of the cup-product oracle.
 
-Twenty-two rules, with no lint dependency:
+Twenty-three rules, with no lint dependency:
 
 - every module-level import is used in its module (the package
   ``__init__`` re-exports, and ``from __future__`` imports are exempt);
@@ -77,7 +77,10 @@ Twenty-two rules, with no lint dependency:
 - the coded dual words ``Presentation.dual_codes`` are read only in
   ``pairing.pairing_duals``, the stacked closed form over many bases, so
   no third evaluation of the closed form grows beside it and the
-  letterwise ``pairing_dual``.
+  letterwise ``pairing_dual``;
+- no ``frob`` call stands inside a comprehension or a generator
+  expression, and no ``map(frob, ...)``: ``linalg.frobs`` is the one norm
+  of a stack, one call bit for bit ``frob`` matrix by matrix.
 """
 
 import ast
@@ -216,6 +219,28 @@ def string_literal_sites(path, text):
     """Sites of a string literal equal to text; a longer string that
     holds text does not count."""
     return sites(path, lambda node: isinstance(node, ast.Constant) and node.value == text)
+
+
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def calls_in_comprehensions(path, name):
+    """'file:line' of each call of name (as x.name(...) or name(...))
+    inside a comprehension or a generator expression, and of each
+    map(name, ...) wherever it stands."""
+    def named(node):
+        return name in (getattr(node, "attr", None), getattr(node, "id", None))
+
+    def walk(node, inside):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and (
+                    (inside and named(child.func))
+                    or (getattr(child.func, "id", None) == "map"
+                        and child.args and named(child.args[0]))):
+                yield child.lineno
+            yield from walk(child, inside or isinstance(child, COMPREHENSIONS))
+
+    return [f"{path.name}:{line}" for line in walk(_tree(path), False)]
 
 
 def _without_lines(found):
@@ -374,6 +399,11 @@ def test_dual_codes_read_sites():
     assert _without_lines(found) == ["pairing.py in pairing_duals"]
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_frob_per_matrix_of_a_stack(path):
+    assert calls_in_comprehensions(path, "frob") == []
+
+
 def test_cup_oracle_reads_no_dual_form(monkeypatch):
     rep = random_representation(2, 2, "general-linear", seed=23)
     rng = np.random.default_rng(23)
@@ -454,7 +484,11 @@ def test_rules_flag_what_they_name(tmp_path):
         "def _retract(stack):\n"
         "    return _accepted_points(stack), reps._accepted_points\n"
         "def _duals(pres, tables, values):\n"
-        "    return _fold(tables, values, pres.dual_codes), dual_codes, 'dual_codes'\n")
+        "    return _fold(tables, values, pres.dual_codes), dual_codes, 'dual_codes'\n"
+        "def _norms(stack):\n"
+        "    return ([frob(m) for m in stack], sum(linalg.frob(m) ** 2 for m in stack),\n"
+        "            {m: [frob(m)] for m in stack}, list(map(frob, stack)), frob(stack),\n"
+        "            frobs(stack), [frobs(m) for m in stack], map(linalg.frob, stack))\n")
     assert unused_module_imports(module) == ["sample.py:2 json"]
     assert non_cycle_local_imports(module) == ["sample.py:6 in f", "sample.py:7 in f"]
     assert package_imports(module) == ["sample.py:4 reps", "sample.py:7 reps",
@@ -484,6 +518,9 @@ def test_rules_flag_what_they_name(tmp_path):
     assert attribute_reads(module, "dual_form") == ["sample.py:52 in G.gram"]
     assert call_sites(module, "_accepted_points") == ["sample.py:54 in _retract"]
     assert attribute_reads(module, "dual_codes") == ["sample.py:56 in _duals"]
+    assert calls_in_comprehensions(module, "frob") == ["sample.py:58", "sample.py:58",
+                                                       "sample.py:59", "sample.py:59",
+                                                       "sample.py:60"]
     assert public_functions(module) == ["f", "g", "h", "r", "s", "t", "u", "project",
                                         "triangle", "check_x", "power"]
     caller = tmp_path / "caller.py"

@@ -257,21 +257,21 @@ def _negated_b_blocks(rep):
 
 class TestPairingPaths:
     """The five checks that pair many cocycles over one base evaluate the
-    cached matrix W; intersection-form keeps the letterwise pairing_dual."""
+    cached matrix W; intersection-form pairs all its pairs in one stacked
+    pairing_duals call.  No check calls the letterwise pairing_dual."""
 
     @pytest.mark.parametrize("flavor", ["unitary", "general-linear"])
     def test_fixed_base_checks_read_w(self, monkeypatch, tmp_path, flavor):
         run = SuiteRun(RunConfig(flavor=flavor, out=tmp_path))
         letterwise = _count_calls(monkeypatch, goldman.pairing, "pairing_dual")
+        stacked = _count_calls(monkeypatch, goldman.pairing, "pairing_duals")
         assert run_check(run, CHECKS["intersection-form"]).passed
-        assert letterwise
-
-        def refuse(chi1, chi2):
-            raise AssertionError("letterwise pairing_dual was called")
-
-        monkeypatch.setattr(goldman.verify, "pairing_dual", refuse)
+        # the 16 indicator pairs and the 20 random pairs of genus 2
+        assert [len(pairs) for (pairs,) in stacked] == [16 + 20]
         for name in FIXED_BASE_CHECKS:
             assert run_check(run, CHECKS[name]).passed, name
+        assert len(stacked) == 1
+        assert letterwise == []
 
     @pytest.mark.parametrize("genus", [1, 2, 3])
     def test_intersection_form_pairs_every_indicator_pair_in_one_cup_call(
@@ -318,15 +318,20 @@ class TestPairingPaths:
 class TestWorst:
     @pytest.mark.parametrize("residuals", [
         [np.nan], [np.nan, 1.0], [1.0, np.nan], [0.0, 2.0, np.nan, 3.0],
-        [np.float64(np.nan)]])
+        [np.float64(np.nan)], [1.0, np.float64(np.nan), 2.0], [np.inf, np.nan],
+        [np.nan, np.float64(np.inf)]])
     def test_any_nan_is_the_worst(self, residuals):
         assert np.isnan(goldman.verify._worst(residuals))
         assert np.isnan(goldman.verify._worst(iter(residuals)))
+        assert np.isnan(goldman.verify._worst(r for r in residuals))
 
     def test_largest_or_zero(self):
         assert goldman.verify._worst([]) == 0.0
+        assert goldman.verify._worst(r for r in ()) == 0.0
         assert goldman.verify._worst([3.0, 1.0, 4.0, 1.0]) == 4.0
         assert goldman.verify._worst(x for x in (2.5, np.inf)) == np.inf
+        assert goldman.verify._worst([np.float64(np.inf), 1.0]) == np.inf
+        assert goldman.verify._worst([np.float64(0.5), 0.25]) == 0.5
 
 
 # (name, samples, threshold) of every report line at (2,2) seed 0, in report
@@ -502,6 +507,60 @@ def oracle_commutator_factor(run, rng):
     return samples, worst, 1e-10
 
 
+def oracle_coboundary_containment(run, rng):
+    rep, basis = run.rep, run.basis
+    frame = basis.z1_frame
+    worst = 0.0
+    for _ in range(20):
+        delta = per_sample_coboundary(per_sample_gaussian(rng, (rep.rank, rep.rank)), rep)
+        residual = delta.flat - frame @ (frame.conj().T @ delta.flat)
+        relator = goldman.linalg.frob(goldman.cocycles.extend(
+            delta, rep.presentation.relator()))
+        worst = max(worst, relator, float(np.linalg.norm(residual)))
+    return 20, worst, 1e-10
+
+
+def oracle_star_involution(run, rng):
+    rep, basis = run.rep, run.basis
+    frob = goldman.linalg.frob
+    star = goldman.cocycles.star_involution
+    worst = 0.0
+    for _ in range(20):
+        chi = per_sample_cocycle(basis, rng)
+        again = star(star(chi))
+        v = per_sample_gaussian(rng, (rep.rank, rep.rank))
+        lhs = star(goldman.cocycles.coboundary(v, rep))
+        rhs = goldman.cocycles.coboundary(v.conj().T, rep)
+        anti = goldman.cocycles.anti_hermitian_part(chi)
+        flipped = star(anti)
+        worst = max(worst, *(frob(a - b) for a, b in zip(again.values, chi.values)),
+                    *(frob(a - b) for a, b in zip(lhs.values, rhs.values)),
+                    *(frob(a + b) for a, b in zip(flipped.values, anti.values)))
+    return 20, worst, 1e-12
+
+
+def oracle_intersection_form(run, rng):
+    genus = max(run.config.genus, 2)
+    rep = goldman.verify._trivial_rank_one(genus)
+    count = 2 * genus
+    indicators = [Cocycle(rep, row.reshape(count, 1, 1)) for row in np.eye(count)]
+    worst = 0.0
+    for i in range(count):
+        for j in range(count):
+            expected = (i // 2 == j // 2) * (1.0 if i < j else -1.0 if i > j else 0.0)
+            worst = max(worst, abs(goldman.pairing.pairing_dual(indicators[i], indicators[j])
+                                   - expected),
+                        abs(goldman.pairing.pairing_cup(indicators[i], indicators[j])
+                            - expected))
+    for _ in range(20):
+        x = per_sample_gaussian(rng, count)
+        y = per_sample_gaussian(rng, count)
+        hand = sum(x[2 * k] * y[2 * k + 1] - x[2 * k + 1] * y[2 * k] for k in range(genus))
+        worst = max(worst, abs(goldman.pairing.pairing_dual(
+            Cocycle(rep, x.reshape(count, 1, 1)), Cocycle(rep, y.reshape(count, 1, 1))) - hand))
+    return count * count + 20, worst, 1e-12
+
+
 ORACLES = {
     "cup-dual-agreement": oracle_cup_dual_agreement,
     "class-invariance": oracle_class_invariance,
@@ -509,11 +568,14 @@ ORACLES = {
     "bilinearity": oracle_bilinearity,
     "conjugation-equivariance": oracle_conjugation_equivariance,
     "commutator-factor": oracle_commutator_factor,
+    "coboundary-containment": oracle_coboundary_containment,
+    "star-involution": oracle_star_involution,
+    "intersection-form": oracle_intersection_form,
 }
 
 
 class TestStackedChecks:
-    """The six checks that stack their samples measure exactly what their
+    """The checks that stack their samples measure exactly what their
     per-sample loops measured: the same samples, residual and threshold."""
 
     @pytest.mark.parametrize("seed", [0, 7])
@@ -524,6 +586,8 @@ class TestStackedChecks:
         run = SuiteRun(RunConfig(genus=genus, rank=rank, flavor=flavor, seed=seed,
                                  out=tmp_path))
         for name, oracle in ORACLES.items():
+            if CHECKS[name].needs_unitary and flavor != "unitary":
+                continue
             measured = CHECKS[name].fn(run, run.rng(name))
             assert measured == oracle(run, run.rng(name)), name
 
@@ -536,7 +600,7 @@ class TestStackedChecks:
         assert measured[1] > 1.0
 
     def test_a_verify_run_builds_few_cocycles(self, monkeypatch, tmp_path):
-        # 600 at (2,2) seed 1 with stacked samples; 1775 when each sample
+        # 263 at (2,2) seed 1 with stacked samples; 1775 when each sample
         # of the six stacked checks was its own Cocycle
         built = []
         checked = Cocycle.__post_init__
@@ -549,3 +613,14 @@ class TestStackedChecks:
         results = run_suite(RunConfig(genus=2, rank=2, seed=1, out=tmp_path))
         assert all(r.passed for r in results)
         assert len(built) <= 700
+
+    def test_a_verify_run_takes_stacked_norms_and_pairings(self, monkeypatch, tmp_path):
+        # 108 frob calls at (2,2) seed 1 with one frobs per stack, most of
+        # them relator defects of new points; 2426 when every residual of a
+        # stack was its own frob call.  No check pairs letterwise.
+        norms = _count_calls(monkeypatch, goldman.linalg, "frob")
+        letterwise = _count_calls(monkeypatch, goldman.pairing, "pairing_dual")
+        results = run_suite(RunConfig(genus=2, rank=2, seed=1, out=tmp_path))
+        assert all(r.passed for r in results)
+        assert len(norms) < 200
+        assert letterwise == []
