@@ -33,7 +33,7 @@ import numpy as np
 from . import tolerances
 from .errors import InputError, require_type
 from .cocycles import Cocycle, CocycleStack, linear_combination, stack_cocycles
-from .linalg import expm, frobs, real_array
+from .linalg import expm, frobs, real_array, tuple_distance
 from .pairing import gram, pairing_dual, pairing_duals
 from .reps import GENERAL_LINEAR, Representation, evaluate_words, newton_project
 from .words import check_index
@@ -99,8 +99,7 @@ class Chart:
     """
 
     center: Representation
-    frame: tuple[Cocycle, ...]
-    frame_stack: CocycleStack = field(init=False, repr=False)
+    frame: CocycleStack
     _cache: dict = field(default_factory=dict, init=False, repr=False)
     _raw: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -108,11 +107,10 @@ class Chart:
         if not isinstance(self.frame, Sequence):
             raise InputError(f"chart frame must be a sequence of cocycles, "
                              f"got {type(self.frame).__name__}")
-        self.frame = tuple(self.frame)
-        # points combine the frame over the center: it is stacked once, here,
-        # and its one base checked against the center
-        self.frame_stack = stack_cocycles(self.frame)
-        if not self.center.same_base(self.frame_stack.base):
+        # points combine the frame over the center: it is stacked once, here
+        # (a stack is kept), and its one base checked against the center
+        self.frame = stack_cocycles(self.frame)
+        if not self.center.same_base(self.frame.base):
             raise InputError("chart frame cocycle lives over a different representation")
 
     @property
@@ -175,7 +173,7 @@ class Chart:
         values, norms = None, []
         if moving:
             directions = linear_combination(
-                self.center, np.array([pending[key] for key in moving]), self.frame_stack)
+                self.center, np.array([pending[key] for key in moving]), self.frame)
             values, norms = directions.values, frobs(directions.flat)
         limit = tolerances.DEFORM_TRUST * (1 + tolerances.DEFORM_TRUST_SLACK)
         count = next((i for i, norm in enumerate(norms) if not norm <= limit), len(moving))
@@ -230,7 +228,7 @@ def deformation_correction(chart: Chart, coords) -> float:
     """
     projected = chart.point(coords)  # validates the coordinates first
     raw = chart._raw[tuple(np.asarray(coords, dtype=float).tolist())]
-    return float(np.sqrt(sum(gap ** 2 for gap in frobs(raw - projected.images))))
+    return tuple_distance(raw, projected.images)
 
 
 def closedness_check(chart: Chart, triple: tuple[int, int, int],

@@ -10,7 +10,7 @@ points.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -68,11 +68,12 @@ class Cocycle:
 
 
 @dataclass(frozen=True, eq=False)
-class CocycleStack:
+class CocycleStack(Sequence):
     """Cocycles over one base as one read-only (k, 2g, n, n) stack of
     their generator values, the form the stacked kernels read: k >= 1
     tuples checked by Cocycle's rules and copied in C order, np.stack's
-    layout.  stack_cocycles builds the stack of given cocycles."""
+    layout, built by stack_cocycles or from_flat.  A read-only sequence:
+    stack[i] is the Cocycle of row i, a slice the CocycleStack of its rows."""
 
     base: Representation
     values: np.ndarray
@@ -86,9 +87,14 @@ class CocycleStack:
     def __len__(self) -> int:
         return len(self.values)
 
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return CocycleStack(self.base, self.values[index])
+        return Cocycle(self.base, self.values[index])
+
     @cached_property
     def flat(self) -> np.ndarray:
-        """(k, 2g n^2) rows: row i is Cocycle.flat of cocycle i."""
+        """(k, 2g n^2) rows: row i is Cocycle.flat of cocycle i; from_flat inverts it."""
         return self.values.transpose(0, 1, 3, 2).reshape(len(self), -1)
 
 
@@ -122,10 +128,10 @@ def common_base(cocycles) -> Representation:
     return first.base
 
 
-def from_flat(base: Representation, flat: np.ndarray) -> Cocycle:
-    """The cocycle with column-stacked coordinates flat (Cocycle.flat)."""
+def from_flat(base: Representation, flat: np.ndarray) -> CocycleStack:
+    """The CocycleStack over base whose flat is the (k, 2g n^2) matrix flat."""
     n = base.rank
-    return Cocycle(base, np.reshape(flat, (-1, n, n)).transpose(0, 2, 1))
+    return CocycleStack(base, np.reshape(flat, (len(flat), -1, n, n)).transpose(0, 1, 3, 2))
 
 
 def linear_combination(base: Representation, coeffs, stack: CocycleStack):
@@ -341,10 +347,6 @@ def _require_unitary(chi, what: str) -> None:
         raise InputError(f"{what} requires a unitary base representation")
 
 
-def _frame_cocycles(base: Representation, frame: np.ndarray) -> tuple[Cocycle, ...]:
-    return tuple(from_flat(base, frame[:, j]) for j in range(frame.shape[1]))
-
-
 def _decided_frame(frame: np.ndarray, count: int, space: str) -> np.ndarray:
     """frame, read-only, once its column count matches the rank decision."""
     if frame.shape[1] != count:
@@ -358,12 +360,12 @@ def _decided_frame(frame: np.ndarray, count: int, space: str) -> np.ndarray:
 class CocycleBasis:
     """Dimensions of Z1, B1 and H1, with orthonormal bases built on first read.
 
-    dims is (dim Z1, dim B1, dim H1), fixed by cocycle_basis.  The bases
-    basis (Z1), coboundary_basis (B1) and h1_complement (the orthogonal
-    complement of B1 in Z1, whose pairings represent cohomology classes)
-    are the canonical frames of the nullspace of constraint (the Fox
-    relator constraint) and of the column space of coboundary (the map
-    v -> delta_v), built on first read; a column count that disagrees
+    dims is (dim Z1, dim B1, dim H1), fixed by cocycle_basis.  The frames
+    of Z1 (the nullspace of constraint, the Fox relator constraint), B1
+    (the column space of coboundary, the map v -> delta_v) and the H1
+    complement (of B1 in Z1, whose pairings represent cohomology classes)
+    are built on first read, and so are the CocycleStacks basis (Z1) and
+    h1_complement of the canonical ones; a column count that disagrees
     with dims raises ConditioningError.
     """
 
@@ -391,26 +393,12 @@ class CocycleBasis:
         return _decided_frame(frame, self.dims[2], "H1 complement")
 
     @cached_property
-    def basis(self) -> tuple[Cocycle, ...]:
-        return _frame_cocycles(self.base, self.z1_frame)
+    def basis(self) -> CocycleStack:
+        return from_flat(self.base, self.z1_frame.T)
 
     @cached_property
-    def coboundary_basis(self) -> tuple[Cocycle, ...]:
-        return _frame_cocycles(self.base, canonical_frame(self.b1_frame))
-
-    @cached_property
-    def h1_complement(self) -> tuple[Cocycle, ...]:
-        return _frame_cocycles(self.base, self.h1_frame)
-
-    @cached_property
-    def basis_stack(self) -> CocycleStack:
-        """basis as one read-only stack, for the combinations of random_cocycle."""
-        return stack_cocycles(self.basis)
-
-    @cached_property
-    def h1_stack(self) -> CocycleStack:
-        """h1_complement as one read-only stack, for the combinations of random_cocycle."""
-        return stack_cocycles(self.h1_complement)
+    def h1_complement(self) -> CocycleStack:
+        return from_flat(self.base, self.h1_frame.T)
 
     def h1_coordinates(self, chi: Cocycle) -> np.ndarray:
         """Coefficients of the class of chi in the H1 complement basis.
@@ -418,6 +406,7 @@ class CocycleBasis:
         Orthogonal projection; insensitive to coboundary shifts because
         the complement is orthogonal to B1 by construction.
         """
+        require_type(chi, Cocycle, "the cocycle")
         if not self.base.same_base(chi.base):
             raise InputError("cocycle over a different base representation")
         return self.h1_frame.conj().T @ chi.flat
@@ -432,6 +421,7 @@ def cocycle_basis(rep: Representation) -> CocycleBasis:
     whose rank is decided once in rep.coboundary_svd.  The dimensions
     come from cocycle_dimensions.
     """
+    require_type(rep, Representation, "the representation")
     constraint = relator_tangent_matrix(rep.presentation, rep.images, rep.inverse_images)
     coboundary = rep.coboundary_map
     return CocycleBasis(base=rep,
@@ -497,42 +487,43 @@ def random_cocycle(basis: CocycleBasis, rng: np.random.Generator,
     # a Generator is a RandomStream; naming it first spares the protocol's slow check
     require_type(rng, (np.random.Generator, RandomStream), "the random stream")
     if space == "z1":
-        pool = basis.basis_stack
+        pool = basis.basis
     elif space == "h1":
-        pool = basis.h1_stack
+        pool = basis.h1_complement
     else:
         raise InputError(f"unknown cocycle space {space!r}, expected 'z1' or 'h1'")
     coeffs = complex_gaussian(rng, len(pool))
     return linear_combination(basis.base, coeffs, pool)
 
 
-def _real_span(base: Representation, cocycles) -> np.ndarray:
+def _real_span(frame: np.ndarray, rank: int) -> np.ndarray:
     """Real-orthonormal columns, in real_flatten coordinates, spanning over
-    the reals the anti-Hermitian parts of the cocycles and of 1j times them."""
-    columns = [real_flatten(anti_hermitian_part(c).flat)
-               for chi in cocycles for c in (chi, 1j * chi)]
-    if not columns:
-        return np.zeros((2 * base.presentation.generator_count * base.rank ** 2, 0))
-    return column_space(np.column_stack(columns))
+    the reals the anti-Hermitian parts of the frame's cocycles and of 1j
+    times them, the columns chi_0, 1j chi_0, chi_1, ... of one C-ordered
+    matrix; a part of transposed matrices is the transposed part."""
+    size, k = frame.shape
+    both = np.stack([frame, 1j * frame], axis=-1).reshape(size // rank ** 2, rank, rank, 2 * k)
+    parts = (both - np.swapaxes(both.conj(), 1, 2)) / 2
+    return column_space(real_flatten(parts.reshape(size, 2 * k)))
 
 
-def real_locus_bases(basis: CocycleBasis):
+def real_locus_bases(basis: CocycleBasis) -> tuple[CocycleStack, CocycleStack]:
     """Canonical real-orthonormal bases of the anti-Hermitian-valued cocycles.
 
-    Returns (z1_real, h1_real): lists of cocycles with anti-Hermitian
-    values spanning, over the reals, the tangent space of the unitary
-    character variety and a complement of the real coboundaries in it.
-    Real dimensions match the complex ones: dim_R = dim_C Z1 and dim_C H1.
+    Returns (z1_real, h1_real): CocycleStacks with anti-Hermitian values
+    spanning, over the reals, the tangent space of the unitary character
+    variety and a complement of the real coboundaries in it.  Real
+    dimensions match the complex ones: dim_R = dim_C Z1 and dim_C H1.
     At a unitary base Ad commutes with the conjugate transpose, so the
     anti-Hermitian part of delta_v is delta of the anti-Hermitian part of
     v: the real coboundaries are the real span of B1's parts.
     """
-    rep = basis.base
+    rep = require_type(basis, CocycleBasis, "the cocycle basis").base
     if rep.flavor != UNITARY:
         raise InputError("the real locus requires a unitary base representation")
-    z1_real = canonical_frame(_real_span(rep, basis.basis))
+    z1_real = canonical_frame(_real_span(basis.z1_frame, rep.rank))
     h1_real = canonical_frame(
-        complement_within(z1_real, _real_span(rep, basis.coboundary_basis)))
+        complement_within(z1_real, _real_span(canonical_frame(basis.b1_frame), rep.rank)))
     half = z1_real.shape[0] // 2
-    return tuple(list(_frame_cocycles(rep, frame[:half] + 1j * frame[half:]))
+    return tuple(from_flat(rep, (frame[:half] + 1j * frame[half:]).T)
                  for frame in (z1_real, h1_real))

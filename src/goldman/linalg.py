@@ -42,6 +42,12 @@ def frobs(stack) -> list[float]:
     return np.sqrt(squares).tolist()
 
 
+def tuple_distance(a: Array, b: Array) -> float:
+    """Frobenius distance of two (..., n, n) image tuples: the square root
+    of the Python sum of the squared frobs of a - b."""
+    return float(np.sqrt(sum(gap ** 2 for gap in frobs(a - b))))
+
+
 def vec(m: Array) -> Array:
     """Column-stacking vectorization (Fortran order)."""
     return np.asarray(m).ravel(order="F")
@@ -382,6 +388,6 @@ def polar_unitary(m: Array) -> Array:
 
 
 def real_flatten(z: Array) -> Array:
-    """Real coordinates of a complex vector: [Re; Im]."""
+    """Real coordinates of a complex vector, or of each column of a matrix: [Re; Im]."""
     z = np.asarray(z)
     return np.concatenate([z.real, z.imag])

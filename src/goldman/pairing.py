@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances
-from .errors import DegenerateFormError, InputError
+from .errors import DegenerateFormError, InputError, require_type
 from .cocycles import (Cocycle, CocycleStack, _fold, common_base, extend, linear_combination,
                        ring_values, stack_cocycles, word_jacobian)
 from .linalg import ad_matrix, decided_rank, frob, frobs
@@ -140,7 +140,7 @@ def dual_form_matrix(rep: Representation) -> np.ndarray:
     E selects a generator block; so column block a_k (b_k) of W is the
     alpha_k (beta_k) term.  Representation.dual_form caches the result.
     """
-    pres = rep.presentation
+    pres = require_type(rep, Representation, "the representation").presentation
     n = rep.rank
     duals = pres.dual_generators()
     # vec(X^T) = vec(X)[transpose] for column-stacked n x n matrices X
@@ -181,10 +181,10 @@ def gram(cocycles) -> GoldmanGram:
     read-only: entry (i, j) is omega(c_i, c_j).
 
     The one constructor of GoldmanGram: pass basis.basis (Z1) or
-    basis.h1_complement of a CocycleBasis, a CocycleStack such as its
-    cached h1_stack, or cocycles read from files.  They are stacked once
-    (stack_cocycles, which returns a stack as it is); column i of V is
-    Cocycle.flat of cocycle i, and W is the base's cached dual_form.
+    basis.h1_complement of a CocycleBasis, each a CocycleStack kept as
+    it is, or cocycles read from files, stacked once (stack_cocycles);
+    column i of V is Cocycle.flat of cocycle i, and W is the base's
+    cached dual_form.
     """
     stack = stack_cocycles(cocycles)
     # a C-contiguous V (np.column_stack's layout) fixes the BLAS path of the
@@ -236,7 +236,7 @@ def symplectic_basis(g: GoldmanGram) -> SymplecticBasis:
     as f; both choices are deterministic, so a Gram matrix already in
     standard block form comes back with the identity transform.
     """
-    matrix = np.array(g.matrix)
+    matrix = np.array(require_type(g, GoldmanGram, "the Gram matrix").matrix)
     d = matrix.shape[0]
     if d % 2 != 0:
         raise DegenerateFormError(f"odd-dimensional skew form (d={d}) is degenerate")

@@ -192,10 +192,14 @@ def _check_images(images, flavor: str) -> None:
         raise InputError("generator image is numerically singular")
     if flavor == UNITARY:
         with np.errstate(over="ignore", invalid="ignore"):
-            products = np.swapaxes(images.conj(), -1, -2) @ images
-            gaps = np.linalg.norm(products - np.eye(images.shape[-1]), axis=(-2, -1))
+            gaps = _unitarity_gaps(images)
         if not (gaps <= tolerances.CONSTRUCTION).all():
             raise InputError("generator image is not unitary within tolerance")
+
+
+def _unitarity_gaps(u: np.ndarray) -> np.ndarray:
+    """||U^H U - I||_F of each matrix U of a (..., n, n) stack."""
+    return np.linalg.norm(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(u.shape[-1]), axis=(-2, -1))
 
 
 def _accepted_points(presentation: Presentation, stack: np.ndarray, inverses: np.ndarray,
@@ -249,8 +253,7 @@ def commutator_factor(u: np.ndarray, unitary: bool = True):
         raise InputError(f"determinant {np.ravel(det)[np.ravel(off)][0]:.6g} "
                          f"is not 1 within {tol:.1e}")
     if unitary:
-        gaps = np.linalg.norm(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(n), axis=(-2, -1))
-        if (gaps > tol).any():
+        if (_unitarity_gaps(u) > tol).any():
             raise InputError("matrix is not unitary within tolerance")
         # orthonormal eigenbasis even for degenerate eigenvalue clusters
         lam, v = unitary_eigenframe(u)
@@ -331,7 +334,7 @@ def coboundary_matrix(rep: Representation) -> np.ndarray:
     """Matrix of v -> delta_v on column-stacked coordinates, shape (2g n^2, n^2):
     block i is Ad(rho(x_i)) - I, delta_v on x_i, from one stacked ad_matrix.
     Its column space is B1, and its nullspace the commutant of the images."""
-    n = rep.rank
+    n = require_type(rep, Representation, "the representation").rank
     delta = ad_matrix(rep.images, rep.inverse_images)
     diagonal = np.arange(n * n)
     delta[:, diagonal, diagonal] -= 1
@@ -345,6 +348,7 @@ def commutant_dimension(rep: Representation) -> int:
     rep.coboundary_svd: v commutes with every image exactly when
     delta_v = 0.  The representation is irreducible exactly when this is one.
     """
+    rep = require_type(rep, Representation, "the representation")
     return rep.rank ** 2 - rep.coboundary_svd[0]
 
 

@@ -54,7 +54,8 @@ from .cocycles import (Cocycle, CocycleBasis, CocycleStack, anti_hermitian_part,
                        real_locus_bases, relator_residual, stack_cocycles, star_involution)
 from .config import RunConfig
 from .errors import ConvergenceError
-from .linalg import complex_gaussian, complex_gaussians, expm, frobs, haar_stack, haar_unitary
+from .linalg import (complex_gaussian, complex_gaussians, expm, frobs, haar_stack, haar_unitary,
+                     tuple_distance)
 from .pairing import (gram, pairing_cup, pairing_duals, symplectic_basis,
                       unitary_restriction_check)
 from .reps import (GENERAL_LINEAR, UNITARY, Representation,
@@ -478,7 +479,7 @@ def _z1_samples(basis: CocycleBasis, rng, samples: int, cocycles: int, *shapes):
     random_cocycle draws from the Z1 basis and then one complex_gaussian
     of each shape: a CocycleStack per cocycle draw, then a
     (samples, *shape) array per shape."""
-    pool = basis.basis_stack
+    pool = basis.basis
     draws = complex_gaussians(rng, samples, (len(pool),) * cocycles + shapes)
     return (*(linear_combination(basis.base, c, pool) for c in draws[:cocycles]),
             *draws[cocycles:])
@@ -647,8 +648,7 @@ def check_coboundary_deformation(run: SuiteRun, rng) -> Measurement:
     for t, moved in zip(steps, Chart(rep, (delta,)).points([(t,) for t in steps])):
         conj = expm(-t * v)
         conj_inv = expm(t * v)
-        gaps = frobs(moved.images - conj @ rep.images @ conj_inv)
-        distances.append(np.sqrt(sum(gap ** 2 for gap in gaps)))
+        distances.append(tuple_distance(moved.images, conj @ rep.images @ conj_inv))
     return _order_result(steps, distances)
 
 
@@ -724,8 +724,7 @@ def check_commuting_flows(run: SuiteRun, rng) -> Measurement:
         # zeroth-order transport: the same generator values over the new base
         first = deform(via1, Cocycle(via1, chi2.values), t)
         second = deform(via2, Cocycle(via2, chi1.values), t)
-        gaps = frobs(first.images - second.images)
-        distances.append(np.sqrt(sum(gap ** 2 for gap in gaps)))
+        distances.append(tuple_distance(first.images, second.images))
     return _order_result(steps, distances, window=0.4)
 
 

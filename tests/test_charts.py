@@ -14,7 +14,7 @@ from goldman import (Chart, Cocycle, InputError, Representation,
                      relator_defect, rh_differential)
 from goldman.charts import (FLAT, closedness_floors, closedness_residuals, convergence_order,
                             rh_word_value)
-from goldman.cocycles import linear_combination
+from goldman.cocycles import CocycleStack, linear_combination
 from goldman.linalg import expm, frob
 from goldman.reps import evaluate, newton_project
 
@@ -285,15 +285,21 @@ class TestChart:
         with pytest.raises(InputError):
             Chart(center=trivial_scalar_rep, frame=(chi,))
 
-    @pytest.mark.parametrize("frame", [
-        lambda basis: basis.h1_complement[0], lambda basis: basis.h1_stack,
-        lambda basis: iter(basis.h1_complement)], ids=["cocycle", "stack", "iterator"])
-    def test_frame_is_a_sequence_of_cocycles(self, basis_g2n2, frame):
-        with pytest.raises(InputError, match="sequence of cocycles") as error:
-            Chart(center=basis_g2n2.base, frame=frame(basis_g2n2))
-        assert error.value.exit_code == 2
-        chart = Chart(center=basis_g2n2.base, frame=list(basis_g2n2.h1_complement))
-        assert chart.frame == basis_g2n2.h1_complement
+    @pytest.mark.parametrize("frame, refused", [
+        (lambda basis: basis.h1_complement[0], True), (lambda basis: basis.h1_complement, False),
+        (lambda basis: iter(basis.h1_complement), True)], ids=["cocycle", "stack", "iterator"])
+    def test_frame_is_a_sequence_of_cocycles(self, basis_g2n2, frame, refused):
+        frame = frame(basis_g2n2)
+        if refused:
+            with pytest.raises(InputError, match="sequence of cocycles") as error:
+                Chart(center=basis_g2n2.base, frame=frame)
+            assert error.value.exit_code == 2
+        else:  # a CocycleStack is a sequence of cocycles, kept as it is
+            assert Chart(center=basis_g2n2.base, frame=frame).frame is frame
+        stack = basis_g2n2.h1_complement
+        chart = Chart(center=basis_g2n2.base, frame=list(stack))
+        assert isinstance(chart.frame, CocycleStack)
+        assert np.array_equal(chart.frame.values, stack.values)
 
     def test_coordinate_shape_checked(self, basis_g2n2):
         chart = Chart(center=basis_g2n2.base, frame=basis_g2n2.h1_complement)
@@ -382,16 +388,17 @@ class TestChartPoints:
         assert calls == [(18, 2 * genus, rank, rank)]
         assert len(chart._cache) == 18
         for coords, point in zip(stencil, points):
-            direction = linear_combination(rep, coords, chart.frame_stack)
+            direction = linear_combination(rep, coords, chart.frame)
             moved = deform(rep, direction, 1.0)
             assert np.array_equal(point.images, moved.images)
             assert chart.point(coords) is point
 
     def test_frame_is_stacked_once_and_read_only(self, basis_g2n2):
-        chart = Chart(center=basis_g2n2.base, frame=basis_g2n2.h1_complement)
-        stack = chart.frame_stack
-        assert chart.frame_stack is stack and stack.base is basis_g2n2.base
-        assert np.array_equal(stack.values, np.stack([chi.values for chi in chart.frame]))
+        chi, psi = basis_g2n2.h1_complement[:2]
+        chart = Chart(center=basis_g2n2.base, frame=(chi, psi))
+        stack = chart.frame
+        assert chart.frame is stack and stack.base is basis_g2n2.base
+        assert np.array_equal(stack.values, np.stack([chi.values, psi.values]))
         assert not stack.values.flags.writeable
         with pytest.raises(ValueError):
             stack.values[0, 0, 0, 0] = 1.0

@@ -1,3 +1,4 @@
+from collections.abc import Sequence
 from contextlib import contextmanager
 
 import numpy as np
@@ -286,8 +287,7 @@ class TestLinearCombination:
                            rng.standard_normal(len(pool)),
                            rng.standard_normal(len(pool)).tolist(),
                            rng.integers(-3, 4, len(pool)).tolist()):
-                assert_same_bits(linear_combination(basis.base, coeffs,
-                                                    basis.basis_stack).values,
+                assert_same_bits(linear_combination(basis.base, coeffs, pool).values,
                                  python_sum(coeffs, pool))
 
     def test_many_terms_keep_their_order(self, trivial_scalar_rep):
@@ -312,10 +312,11 @@ class TestLinearCombination:
                              python_sum(coeffs, chis))
 
     def test_stack_gives_the_tuple_bits(self, seeded_bases):
+        # a basis stack combines as the Python sum over the tuple of its rows
         rng = np.random.default_rng(70)
         for basis in seeded_bases.values():
-            for pool, stack in ((basis.basis, basis.basis_stack),
-                                (basis.h1_complement, basis.h1_stack)):
+            for stack in (basis.basis, basis.h1_complement):
+                pool = tuple(stack)
                 for coeffs in (rng.standard_normal(len(pool))
                                + 1j * rng.standard_normal(len(pool)),
                                rng.integers(-3, 4, len(pool)).tolist()):
@@ -326,7 +327,7 @@ class TestLinearCombination:
         # one (s, k) matrix gives the stack of its s one-row combinations, bit for bit
         rng = np.random.default_rng(73)
         for basis in seeded_bases.values():
-            stack = basis.basis_stack
+            stack = basis.basis
             k = len(stack)
             for coeffs in (rng.standard_normal((7, k)) + 1j * rng.standard_normal((7, k)),
                            rng.standard_normal((1, k)),
@@ -350,13 +351,13 @@ class TestLinearCombination:
             assert_same_bits(values, python_sum(row, chis))
 
     def test_stack_flat_rows_are_cocycle_flats(self, basis_g2n2):
-        stack = basis_g2n2.basis_stack
+        stack = basis_g2n2.basis
         assert stack.flat.shape == (len(stack), 4 * 4)
         for row, chi in zip(stack.flat, basis_g2n2.basis):
             assert_same_bits(row, chi.flat)
 
     def test_stack_refuses_a_wrong_count_and_another_base(self, rep_g2n2, basis_g2n2):
-        stack = basis_g2n2.basis_stack
+        stack = basis_g2n2.basis
         for coeffs in (np.ones(len(stack) - 1), np.ones(len(stack) + 1), [[1.0]], 1.0):
             with pytest.raises(InputError, match="coefficients") as error:
                 linear_combination(rep_g2n2, coeffs, stack)
@@ -367,19 +368,19 @@ class TestLinearCombination:
         assert error.value.exit_code == 2
 
     def test_random_cocycle_reads_the_cached_stacks(self, basis_g2n2):
-        for space, pool, name in (("z1", basis_g2n2.basis, "basis_stack"),
-                                  ("h1", basis_g2n2.h1_complement, "h1_stack")):
+        for space, name, frame in (("z1", "basis", basis_g2n2.z1_frame),
+                                   ("h1", "h1_complement", basis_g2n2.h1_frame)):
             stack = getattr(basis_g2n2, name)
             assert getattr(basis_g2n2, name) is stack  # built once
-            assert stack.base is basis_g2n2.base and len(stack) == len(pool)
-            assert_same_bits(stack.values, np.stack([chi.values for chi in pool]))
+            assert stack.base is basis_g2n2.base and len(stack) == frame.shape[1]
+            assert_same_bits(stack.flat, frame.T)  # one cocycle per frame column
             assert not stack.values.flags.writeable
             with pytest.raises(ValueError):
                 stack.values[0, 0, 0, 0] = 1.0
-            # the same draw combines the cached stack and the tuple alike
+            # the draw is the ordered Python sum over the stack's rows
             chi = random_cocycle(basis_g2n2, np.random.default_rng(71), space)
-            coeffs = goldman.linalg.complex_gaussian(np.random.default_rng(71), len(pool))
-            assert_same_bits(chi.values, python_sum(coeffs, pool))
+            coeffs = goldman.linalg.complex_gaussian(np.random.default_rng(71), len(stack))
+            assert_same_bits(chi.values, python_sum(coeffs, stack))
 
 
 class TestCoboundary:
@@ -478,7 +479,7 @@ class TestCocycleBasis:
 
     def test_complement_orthogonal_to_coboundaries(self, basis_g2n2):
         comp = np.column_stack([c.flat for c in basis_g2n2.h1_complement])
-        cob = np.column_stack([c.flat for c in basis_g2n2.coboundary_basis])
+        cob = basis_g2n2.b1_frame
         assert np.abs(cob.conj().T @ comp).max() < 1e-12
 
     def test_h1_coordinates_kill_coboundaries(self, basis_g2n2):
@@ -616,7 +617,6 @@ class TestRankFirstDimensions:
         assert basis.dims == (z1.shape[1], b1.shape[1], h1.shape[1])
         assert np.array_equal(basis.b1_frame, b1)
         assert same_columns(basis.basis, z1)
-        assert same_columns(basis.coboundary_basis, canonical_frame(b1))
         assert same_columns(basis.h1_complement, h1)
 
     @pytest.mark.parametrize("flavor", ["unitary", "general-linear"])
@@ -652,7 +652,7 @@ class TestRankFirstDimensions:
         z1, b1, h1 = basis_g2n2.dims
         for dims, attr in [((z1 + 1, b1, h1 + 1), "basis"),
                            ((z1, b1, h1 - 1), "h1_complement"),
-                           ((z1, b1 - 1, h1 + 1), "coboundary_basis")]:
+                           ((z1, b1 - 1, h1 + 1), "b1_frame")]:
             wrong = CocycleBasis(base=rep_g2n2, dims=dims,
                                  constraint=basis_g2n2.constraint,
                                  coboundary=basis_g2n2.coboundary)
@@ -895,7 +895,7 @@ def read_frames(basis):
     """Every frame read from a basis: Z1, H1 and B1, and on a unitary base
     the two real-locus frames."""
     frames = {"z1": basis.z1_frame, "h1": basis.h1_frame,
-              "b1": frame_of(basis.coboundary_basis)}
+              "b1": canonical_frame(basis.b1_frame)}
     if basis.base.flavor == "unitary":
         z1_real, h1_real = real_locus_bases(basis)
         frames["z1 real"] = frame_of(z1_real)
@@ -931,10 +931,11 @@ class TestFrameStability:
         spans = {"z1": z1, "h1": complement_within(z1, basis.b1_frame),
                  "b1": basis.b1_frame}
         if flavor == "unitary":
-            z1_real = _real_span(basis.base, basis.basis)
+            n = basis.base.rank
+            z1_real = _real_span(basis.z1_frame, n)
             spans["z1 real"] = z1_real
             spans["h1 real"] = complement_within(
-                z1_real, _real_span(basis.base, basis.coboundary_basis))
+                z1_real, _real_span(canonical_frame(basis.b1_frame), n))
         frames = read_frames(basis)
         if flavor == "unitary":
             for name in ("z1 real", "h1 real"):
@@ -1079,7 +1080,41 @@ def real_projector(cocycles, rows):
     return frame @ frame.T
 
 
+def per_cocycle_real_locus(basis):
+    """real_locus_bases' frames as values stacks, built one cocycle at a
+    time: anti_hermitian_part of each frame cocycle and of 1j times it,
+    column by column, and one Cocycle per column of every frame."""
+    rep = basis.base
+    n = rep.rank
+
+    def cocycles(frame):
+        return [Cocycle(rep, np.reshape(frame[:, j], (-1, n, n)).transpose(0, 2, 1))
+                for j in range(frame.shape[1])]
+
+    def real_span(frame):
+        columns = [real_flatten(anti_hermitian_part(c).flat)
+                   for chi in cocycles(frame) for c in (chi, 1j * chi)]
+        if not columns:
+            return np.zeros((2 * frame.shape[0], 0))
+        return column_space(np.column_stack(columns))
+
+    z1_real = canonical_frame(real_span(basis.z1_frame))
+    h1_real = canonical_frame(
+        complement_within(z1_real, real_span(canonical_frame(basis.b1_frame))))
+    half = z1_real.shape[0] // 2
+    return [np.stack([chi.values for chi in cocycles(frame[:half] + 1j * frame[half:])])
+            for frame in (z1_real, h1_real)]
+
+
 class TestRealLocus:
+    @pytest.mark.parametrize("genus,rank", [(2, 1), (2, 2), (3, 2)])
+    def test_stacked_frames_equal_the_per_cocycle_ones(self, seeded_bases, genus, rank):
+        basis = seeded_bases[(genus, rank)]
+        stacks = real_locus_bases(basis)
+        for stack, values in zip(stacks, per_cocycle_real_locus(basis)):
+            assert type(stack) is CocycleStack and stack.base is basis.base
+            assert_same_bits(stack.values, values)
+
     @pytest.mark.parametrize("genus,rank", [(2, 1), (2, 2), (2, 3)])
     def test_real_coboundaries_are_delta_of_u_n(self, seeded_bases, genus, rank):
         # Z1_real is the orthogonal sum of the real coboundaries and H1_real
@@ -1099,7 +1134,7 @@ class TestRealLocus:
 
     def test_values_anti_hermitian(self, basis_g2n2):
         z1_real, h1_real = real_locus_bases(basis_g2n2)
-        for chi in z1_real + h1_real:
+        for chi in (*z1_real, *h1_real):
             for m in chi.values:
                 assert frob(m + m.conj().T) < 1e-12
 
@@ -1128,7 +1163,7 @@ class TestBaseMismatch:
         assert np.array_equal(same.values, chi.values)
         # a count mismatch is refused, not truncated to the shorter side; a
         # (1, 1) matrix is one row of one coefficient, so its mismatch is a width
-        for coeffs, stack in (([1.0, 2.0, 3.0], other.basis_stack), ([1.0, 2.0], one),
+        for coeffs, stack in (([1.0, 2.0, 3.0], other.basis), ([1.0, 2.0], one),
                               ([[1.0, 2.0]], one), (1.0, one)):
             with pytest.raises(InputError, match="coefficients") as error:
                 goldman.cocycles.linear_combination(other.base, coeffs, stack)
@@ -1186,6 +1221,42 @@ class TestValueStack:
             assert chi.flat.tobytes() == reference.tobytes()
 
     def test_from_flat_round_trip_bit_for_bit(self, basis_g2n2):
-        for chi in self.cocycles(basis_g2n2):
-            again = from_flat(chi.base, chi.flat)
-            assert again.values.tobytes() == chi.values.tobytes()
+        cocycles = self.cocycles(basis_g2n2)
+        for stack in (basis_g2n2.basis, basis_g2n2.h1_complement, stack_cocycles(cocycles)):
+            again = from_flat(stack.base, stack.flat)
+            assert isinstance(again, CocycleStack) and again.base is stack.base
+            assert_same_bits(again.values, stack.values)
+            assert_same_bits(again.flat, stack.flat)
+        for chi in cocycles:
+            (again,) = from_flat(chi.base, chi.flat[None])
+            assert_same_bits(again.values, chi.values)
+
+
+class TestCocycleStackSequence:
+    """A CocycleStack is a read-only sequence of its cocycles."""
+
+    def test_index_gives_the_row_cocycle_bit_for_bit(self, basis_g2n2):
+        stack = basis_g2n2.h1_complement
+        assert isinstance(stack, Sequence)
+        for index in (0, 3, len(stack) - 1, -1, -len(stack)):
+            chi = stack[index]
+            assert type(chi) is Cocycle and chi.base is stack.base
+            assert_same_bits(chi.values, stack.values[index])
+            assert_same_bits(chi.flat, stack.flat[index])
+        assert len(list(stack)) == len(stack)
+        for chi, values in zip(stack, stack.values):
+            assert_same_bits(chi.values, values)
+
+    def test_slice_is_a_stack(self, basis_g2n2):
+        stack = basis_g2n2.basis
+        for part in (slice(2, 5), slice(None, 1), slice(None, None, -2)):
+            rows = stack[part]
+            assert type(rows) is CocycleStack and rows.base is stack.base
+            assert_same_bits(rows.values, stack.values[part])
+            assert not rows.values.flags.writeable
+        for index in (len(stack), -len(stack) - 1):
+            with pytest.raises(IndexError):
+                stack[index]
+        # a stack holds at least one row
+        with pytest.raises(InputError, match="k >= 1"):
+            stack[len(stack):]

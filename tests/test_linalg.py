@@ -7,7 +7,8 @@ import scipy.linalg
 
 from goldman import ConditioningError, InputError, commutator_factor, tolerances
 from goldman.linalg import (complex_array, complex_gaussian, complex_gaussians, expm, frob,
-                            frobs, haar_stack, haar_unitary, real_array, unitary_eigenframe)
+                            frobs, haar_stack, haar_unitary, real_array, tuple_distance,
+                            unitary_eigenframe)
 
 # Higham's thresholds theta_m for the Padé degrees 3, 5, 7, 9 and 13
 THETAS = (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
@@ -308,6 +309,19 @@ class TestFrobs:
         assert frobs(stack) == [frob(m) for m in stack]
         assert frobs(np.zeros((0, 3, 3))) == []
         assert frobs(np.zeros((0, 2, 2), dtype=complex)) == []
+
+
+class TestTupleDistance:
+    @pytest.mark.parametrize("count, n", [(4, 1), (4, 2), (6, 3), (8, 5)])
+    def test_is_the_python_sum_of_squared_frobs(self, count, n):
+        rng = np.random.default_rng([count, n])
+        a, b = (rng.standard_normal((2, count, n, n))
+                + 1j * rng.standard_normal((2, count, n, n)))
+        expected = float(np.sqrt(sum(frob(m) ** 2 for m in a - b)))
+        distance = tuple_distance(a, b)
+        assert type(distance) is float
+        assert frob_bits([distance]) == frob_bits([expected])
+        assert tuple_distance(a, a) == 0.0
 
 
 class TestComplexArray:

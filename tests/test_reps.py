@@ -8,9 +8,10 @@ from goldman import (Chart, Cocycle, CocycleStack, ConvergenceError, GroupWord, 
                      Presentation, Representation, anti_hermitian_part, closedness_check,
                      coboundary, coboundary_matrix, cocycle_basis, cocycle_law_residuals,
                      commutant_dimension, commutator_factor, conjugate_representation, deform,
-                     evaluate, gram, newton_project, pairing_dual, random_cocycle,
-                     random_representation, relator_defect, relator_residual, rh_differential,
-                     stack_cocycles, standard_block_j, star_involution)
+                     dual_form_matrix, evaluate, gram, newton_project, pairing_dual,
+                     random_cocycle, random_representation, real_locus_bases, relator_defect,
+                     relator_residual, rh_differential, stack_cocycles, standard_block_j,
+                     star_involution, symplectic_basis)
 from goldman.charts import closedness_floors, closedness_residuals
 from goldman.cocycles import linear_combination
 from goldman.linalg import (complex_gaussian, expm, frob, haar_unitary, polar_unitary,
@@ -685,6 +686,13 @@ class TestConstructionValidation:
     lambda rep: relator_defect(3),
     lambda rep: newton_project(rep.presentation, "x", "unitary"),
     lambda rep: newton_project(rep.presentation, [[["x"]]], "unitary"),
+    lambda rep: cocycle_basis(3),
+    lambda rep: real_locus_bases(3),
+    lambda rep: cocycle_basis(rep).h1_coordinates(3),
+    lambda rep: commutant_dimension(3),
+    lambda rep: coboundary_matrix(3),
+    lambda rep: dual_form_matrix(3),
+    lambda rep: symplectic_basis(np.eye(2)),
 ], ids=["singular-conjugator", "wide-conjugator", "negative-block", "fractional-block",
         "bool-block", "wide-coboundary", "ragged-coboundary", "nan-stack",
         "stack-generator-count", "empty-stack", "stack-rank", "genus-zero-word",
@@ -703,7 +711,10 @@ class TestConstructionValidation:
          "law-of-a-word-triple", "relator-residual-of-an-integer",
          "star-of-an-integer", "anti-hermitian-part-of-an-integer",
          "relator-defect-of-an-integer", "newton-of-a-string",
-         "newton-of-nested-strings"])
+         "newton-of-nested-strings", "basis-of-an-integer", "real-locus-of-an-integer",
+         "h1-coordinates-of-an-integer", "commutant-of-an-integer",
+         "coboundary-matrix-of-an-integer", "dual-form-of-an-integer",
+         "symplectic-basis-of-an-array"])
 def test_exported_calls_refuse_bad_input(rep_g2n2, call):
     with pytest.raises(InputError):
         call(rep_g2n2)

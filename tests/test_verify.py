@@ -414,7 +414,7 @@ def per_sample_haar(rng, n):
 
 
 def per_sample_cocycle(basis, rng):
-    pool = basis.basis_stack
+    pool = basis.basis
     return goldman.cocycles.linear_combination(basis.base,
                                                per_sample_gaussian(rng, len(pool)), pool)
 
@@ -600,8 +600,10 @@ class TestStackedChecks:
         assert measured[1] > 1.0
 
     def test_a_verify_run_builds_few_cocycles(self, monkeypatch, tmp_path):
-        # 263 at (2,2) seed 1 with stacked samples; 1775 when each sample
-        # of the six stacked checks was its own Cocycle
+        # 178 at (2,2) seed 1 with the bases, chart frames and real-locus
+        # bases held as CocycleStacks; 263 when each was built one Cocycle
+        # per column, and 1775 when each sample of the six stacked checks
+        # was its own Cocycle
         built = []
         checked = Cocycle.__post_init__
 
@@ -612,7 +614,7 @@ class TestStackedChecks:
         monkeypatch.setattr(Cocycle, "__post_init__", counted)
         results = run_suite(RunConfig(genus=2, rank=2, seed=1, out=tmp_path))
         assert all(r.passed for r in results)
-        assert len(built) <= 700
+        assert len(built) <= 180
 
     def test_a_verify_run_takes_stacked_norms_and_pairings(self, monkeypatch, tmp_path):
         # 108 frob calls at (2,2) seed 1 with one frobs per stack, most of
