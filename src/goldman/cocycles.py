@@ -73,7 +73,9 @@ class CocycleStack(Sequence):
     their generator values, the form the stacked kernels read: k >= 1
     tuples checked by Cocycle's rules and copied in C order, np.stack's
     layout, built by stack_cocycles or from_flat.  A read-only sequence:
-    stack[i] is the Cocycle of row i, a slice the CocycleStack of its rows."""
+    stack[i] is the Cocycle of row i, a slice the CocycleStack of its rows.
+    An empty slice is an InputError (exit 2), not an empty stack: every
+    stacked kernel, and generator_stack(rows=True), reads at least one row."""
 
     base: Representation
     values: np.ndarray
@@ -89,7 +91,11 @@ class CocycleStack(Sequence):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return CocycleStack(self.base, self.values[index])
+            rows = self.values[index]
+            if not len(rows):
+                raise InputError(f"empty slice {index} of {len(self)} cocycles: "
+                                 f"a CocycleStack holds k >= 1 rows")
+            return CocycleStack(self.base, rows)
         return Cocycle(self.base, self.values[index])
 
     @cached_property
@@ -140,14 +146,14 @@ def linear_combination(base: Representation, coeffs, stack: CocycleStack):
     of its s row combinations.
 
     Each combination is bit for bit the Python sum 0 + c_0 chi_0 + c_1
-    chi_1 + ...: a matrix product would reorder the sum.  One row is one
-    ordered reduction over the stacked terms; a matrix adds its terms one
-    at a time over all its rows, so the (s, k, 2g, n, n) products are
-    never held at once.  A caller that combines the same cocycles many
-    times builds their stack once.  InputError (exit 2) when base is not a
-    representation, stack is not a CocycleStack or lives over another
-    base, or the coefficients are not numbers in one row or a non-empty
-    matrix of as many columns as there are cocycles.
+    chi_1 + ...: a matrix product would reorder the sum.  The terms are
+    added one at a time over all the rows, so the (s, k, 2g, n, n)
+    products are never held at once; a row is the one-row matrix.  A
+    caller that combines the same cocycles many times builds their stack
+    once.  InputError (exit 2) when base is not a representation, stack is
+    not a CocycleStack or lives over another base, or the coefficients are
+    not numbers in one row or a non-empty matrix of as many columns as
+    there are cocycles.
     """
     require_type(base, Representation, "the combination's base")
     require_type(stack, CocycleStack, "the cocycles to combine")
@@ -159,48 +165,25 @@ def linear_combination(base: Representation, coeffs, stack: CocycleStack):
                          f"coefficients, got {coeffs.dtype} of shape {coeffs.shape}")
     if not base.same_base(stack.base):
         raise InputError("cocycles live over a different base representation")
-    if coeffs.ndim == 1:
-        return Cocycle(base, 0 + np.add.reduce(coeffs[:, None, None, None] * stack.values,
-                                               axis=0))
-    columns = coeffs.T[:, :, None, None, None]
+    columns = coeffs.reshape(-1, k).T[:, :, None, None, None]
     total = columns[0] * stack.values[0]
     for column, values in zip(columns[1:], stack.values[1:]):
         total = total + column * values
+    if coeffs.ndim == 1:
+        return Cocycle(base, 0 + total[0])
     return CocycleStack(base, 0 + total)
 
 
 def extend(chi: Cocycle, word: GroupWord) -> np.ndarray:
-    """Value on an arbitrary word via the twisted additivity law.
-
-    chi(empty) = 0 and chi(x^-1) = -Ad(sigma(x^-1)) chi(x).  Letters are
-    folded in Horner form, right to left: with acc = chi(w) for the
-    suffix w already read,
-
-        chi(x w)    = chi(x) + x acc x^-1,
-        chi(x^-1 w) = x^-1 (acc - chi(x)) x,
-
-    where x stands for sigma(x).  Each letter costs two matrix products,
-    where a left-to-right sum would also carry the prefix image and its
-    inverse and conjugate every letter's value by them.
-    """
-    rep = chi.base
-    if word.genus != rep.genus:
-        raise InputError("word and cocycle have different genus")
-    count = rep.presentation.generator_count
-    left, right = rep.letter_tables
-    acc = np.zeros((rep.rank, rep.rank), dtype=complex)
-    for code in reversed(word.codes):
-        if code < count:
-            acc = chi.values[code] + left[code] @ acc @ right[code]
-        else:
-            acc = left[code] @ (acc - chi.values[code - count]) @ right[code]
-    return acc
+    """Value on one word: the one-row case of extend_words."""
+    return extend_words(chi, [word])[0]
 
 
 def word_jacobian(rep: Representation, word: GroupWord) -> np.ndarray:
     """Matrix of the linear map chi.flat -> vec chi(word), shape (n^2, 2g n^2):
-    fox_jacobian over the word's letter terms (letter_fox_terms)."""
-    if word.genus != rep.genus:
+    fox_jacobian over the word's letter terms (letter_fox_terms).
+    InputError (exit 2) unless word is a word of rep's genus."""
+    if require_type(word, GroupWord, "the word").genus != rep.genus:
         raise InputError("word and representation have different genus")
     return fox_jacobian(rep.images, rep.inverse_images, word, letter_fox_terms(word))
 
@@ -220,7 +203,7 @@ def ring_values(rep: Representation, values: np.ndarray, ring: RingCodes) -> np.
 
     Every term's word is folded by extend_words' kernel, and each
     element's terms are added to zero in terms() order, coefficient times
-    value: bit for bit the sum of coeff * extend(chi, word) term by term.
+    value: bit for bit the sum of coeff * chi(word) term by term.
     """
     folded = _fold(rep.letter_tables, values, ring.letters)
     n = rep.rank
@@ -233,8 +216,8 @@ def ring_values(rep: Representation, values: np.ndarray, ring: RingCodes) -> np.
 def relator_residual(chi: Cocycle | CocycleStack) -> float | list[float]:
     """Norm of chi on the full relator: a float for a cocycle, one per row
     for a CocycleStack, the one-cocycle call being the one-row case.  The
-    relator is folded by extend_words' kernel, bit for bit extend's, for
-    every row at once.  InputError (exit 2) for anything else."""
+    relator is folded by extend_words' kernel for every row at once.
+    InputError (exit 2) for anything else."""
     single = isinstance(require_type(chi, (Cocycle, CocycleStack), "the cocycle"), Cocycle)
     pres = chi.base.presentation
     values = chi.values[None] if single else chi.values
@@ -244,20 +227,30 @@ def relator_residual(chi: Cocycle | CocycleStack) -> float | list[float]:
 
 
 def extend_words(chi: Cocycle, words) -> np.ndarray:
-    """Values on many words at once, shape (len(words), n, n).
+    """Values on many words at once via the twisted additivity law, shape
+    (len(words), n, n).
 
-    extend's right-to-left Horner fold, one stacked step per letter
-    position over the rows whose word reaches it (letter_codes).  Both
-    letter kinds take the one form
+    chi(empty) = 0 and chi(x^-1) = -Ad(sigma(x^-1)) chi(x).  Letters are
+    folded in Horner form, right to left: with acc = chi(w) for the
+    suffix w already read,
+
+        chi(x w)    = chi(x) + x acc x^-1,
+        chi(x^-1 w) = x^-1 (acc - chi(x)) x,
+
+    where x stands for sigma(x).  Each letter costs two matrix products,
+    where a left-to-right sum would also carry the prefix image and its
+    inverse and conjugate every letter's value by them.  Both letter kinds
+    take the one form
 
         acc = c + l (acc - d) r,
 
     with (l, r, c, d) = (x, x^-1, chi(x), 0) for a letter x and
-    (x^-1, x, 0, chi(x)) for x^-1.  Each row's fold starts at its own
-    last letter from extend's zero, so each value is extend's bit for
-    bit.
+    (x^-1, x, 0, chi(x)) for x^-1: one stacked step per letter position
+    over the rows whose word reaches it (letter_codes), each row's fold
+    starting at its own last letter from zero.  InputError (exit 2) unless
+    chi is a cocycle and words an iterable of words of its genus.
     """
-    rep = chi.base
+    rep = require_type(chi, Cocycle, "the cocycle").base
     return _fold(rep.letter_tables, chi.values, letter_codes(rep.presentation, words))
 
 

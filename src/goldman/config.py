@@ -7,8 +7,7 @@ from pathlib import Path
 
 from . import tolerances
 from .errors import InputError
-from .reps import FLAVORS, UNITARY, Representation, check_seed, random_representation
-from .words import check_size
+from .reps import UNITARY, Representation, check_settings, random_representation
 
 _TOLERANCE_DEFAULTS = {"verification": tolerances.VERIFICATION}
 
@@ -26,10 +25,7 @@ class RunConfig:
     mutate: str | None = None
 
     def __post_init__(self):
-        check_size(genus=self.genus, rank=self.rank)
-        if self.flavor not in FLAVORS:
-            raise InputError(f"unknown flavor {self.flavor!r}")
-        check_seed(self.seed)
+        check_settings(self.flavor, self.seed, genus=self.genus, rank=self.rank)
         for name, value in self.tolerance_overrides:
             if name not in _TOLERANCE_DEFAULTS:
                 raise InputError(f"unknown tolerance {name!r} "

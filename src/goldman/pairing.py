@@ -13,8 +13,8 @@ algebra; their agreement is a standing cross-check of both.
 The closed form is bilinear in the two cocycles and chi -> chi(w) is a
 fixed linear map (word_jacobian), so the form is one matrix W per
 representation, omega(x, y) = x.flat @ W @ y.flat.  Gram matrices are
-assembled from it as V^T W V; pairing_dual stays the letterwise
-single-pair evaluation.  pairing_duals is the closed form over many
+assembled from it as V^T W V; pairing_dual stays the single-pair
+evaluation, word by word.  pairing_duals is the closed form over many
 pairs at once, each pair over its own base (the points of a chart, where
 no W is worth building): one stacked fold of the dual words coded once
 per presentation, bit for bit pairing_dual pair by pair.
@@ -35,7 +35,7 @@ from .errors import DegenerateFormError, InputError, require_type
 from .cocycles import (Cocycle, CocycleStack, _fold, common_base, extend, linear_combination,
                        ring_values, stack_cocycles, word_jacobian)
 from .linalg import ad_matrix, decided_rank, frob, frobs
-from .reps import UNITARY, Representation, _word_product, evaluate
+from .reps import UNITARY, Representation, _word_product, evaluate, evaluate_words
 from .words import is_integer
 
 
@@ -145,15 +145,16 @@ def dual_form_matrix(rep: Representation) -> np.ndarray:
     duals = pres.dual_generators()
     # vec(X^T) = vec(X)[transpose] for column-stacked n x n matrices X
     transpose = np.arange(n * n).reshape((n, n), order="F").T.ravel(order="F")
-
-    def trace_ad(word):
-        return ad_matrix(evaluate(rep, word), evaluate(rep, word.inverse()))[transpose]
+    # T Ad(sigma(R_k)) for k = 0 .. g, from the images of R_k and R_k^-1
+    prefixes = [pres.relator(k) for k in range(pres.genus + 1)]
+    images = evaluate_words(rep, prefixes + [word.inverse() for word in prefixes])
+    trace_ad = ad_matrix(images[:len(prefixes)], images[len(prefixes):])[:, transpose]
 
     blocks = []
     for k in range(1, pres.genus + 1):
         alpha, beta = duals[2 * (k - 1)], duals[2 * (k - 1) + 1]
-        blocks.append(word_jacobian(rep, alpha).T @ trace_ad(pres.relator(k - 1)))
-        blocks.append(-word_jacobian(rep, beta).T @ trace_ad(pres.relator(k)))
+        blocks.append(word_jacobian(rep, alpha).T @ trace_ad[k - 1])
+        blocks.append(-word_jacobian(rep, beta).T @ trace_ad[k])
     w = np.hstack(blocks)
     w.setflags(write=False)
     return w
@@ -271,8 +272,7 @@ def symplectic_basis(g: GoldmanGram) -> SymplecticBasis:
         f_vectors.append(f_vec)
 
     transform = np.column_stack(e_vectors + f_vectors)
-    combined = tuple(linear_combination(g.vectors.base, transform[:, c], g.vectors)
-                     for c in range(transform.shape[1]))
+    combined = tuple(linear_combination(g.vectors.base, transform.T, g.vectors))
     m = len(e_vectors)
     return SymplecticBasis(e=combined[:m], f=combined[m:], transform=transform)
 

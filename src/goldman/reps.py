@@ -44,7 +44,7 @@ class Representation:
     seed: int | None = None
 
     def __post_init__(self):
-        _check_settings(self.rank, self.flavor, self.seed)
+        check_settings(self.flavor, self.seed, seed_optional=True, rank=self.rank)
         images = generator_stack(self.images, self.presentation.generator_count, self.rank,
                                  "generator images")
         _check_images(images, self.flavor)
@@ -113,7 +113,7 @@ class Representation:
 
 def evaluate(rep: Representation, word: GroupWord) -> np.ndarray:
     """Image of a word: multiplicative, identity on the empty word."""
-    if word.genus != rep.genus:
+    if require_type(word, GroupWord, "the word").genus != rep.genus:
         raise InputError("word and representation have different genus")
     return _word_product(rep.letter_tables[0], word)
 
@@ -167,12 +167,14 @@ def _invert_all(images, flavor: str) -> np.ndarray:
     return inverses
 
 
-def _check_settings(rank: int, flavor: str, seed: int | None) -> None:
-    """Representation's rank, flavor and seed rules."""
-    check_size(rank=rank)
+def check_settings(flavor: str, seed, *, seed_optional: bool = False, **sizes) -> None:
+    """The one settings rule of RunConfig, random_representation and Representation,
+    in this order: sizes by check_size, a known flavor, a seed by check_seed;
+    seed_optional lets None through, a representation that no seed drew."""
+    check_size(**sizes)
     if flavor not in FLAVORS:
         raise InputError(f"unknown flavor {flavor!r}")
-    if seed is not None:
+    if not (seed_optional and seed is None):
         check_seed(seed)
 
 
@@ -212,7 +214,7 @@ def _accepted_points(presentation: Presentation, stack: np.ndarray, inverses: np
     inverses, the latter as its inverse_images, so no point inverts its
     images or evaluates its relator again."""
     n = stack.shape[-1]
-    _check_settings(n, flavor, seed)
+    check_settings(flavor, seed, seed_optional=True, rank=n)
     require_finite(stack, "generator images")
     _check_images(stack, flavor)
     points = []
@@ -300,10 +302,7 @@ def random_representation(genus: int, rank: int, flavor: str = UNITARY,
     last handle is a commutator factorization of the inverse partial
     relator image, rescaled to determinant one.
     """
-    check_size(genus=genus, rank=rank)
-    if flavor not in FLAVORS:
-        raise InputError(f"unknown flavor {flavor!r}")
-    check_seed(seed)
+    check_settings(flavor, seed, genus=genus, rank=rank)
     pres = Presentation(genus)
     rng = np.random.default_rng(seed)
     n = rank

@@ -24,7 +24,8 @@ coboundaries are evaluated over whole stacks, bit for bit the per-sample
 loops.  Moduli are np.hypot, which rounds as Python's abs(complex) does;
 bilinearity's scalar right-hand sides stay in Python complex arithmetic.
 Norms of a stack of matrices are one linalg.frobs call, bit for bit frob
-matrix by matrix.
+matrix by matrix.  newton-projection and file-round-trip draw each image
+tuple in one complex_gaussians call, the per-image stream.
 
 Mutation mode (config.mutate = "dual-sign") deliberately flips a sign in
 the dual-generator pairing (the b_k column blocks of the pairing matrix
@@ -60,7 +61,7 @@ from .pairing import (gram, pairing_cup, pairing_duals, symplectic_basis,
                       unitary_restriction_check)
 from .reps import (GENERAL_LINEAR, UNITARY, Representation,
                    commutant_dimension, commutator_factor, conjugate_representation,
-                   evaluate, evaluate_words, newton_project, random_representation,
+                   evaluate_words, newton_project, random_representation,
                    relator_defect)
 from .words import (GroupRingElement, GroupWord, Presentation,
                     anti_involution, commutator, fox_derivative)
@@ -321,8 +322,8 @@ def check_evaluate_multiplicative(run: SuiteRun, rng) -> Measurement:
 
 def check_partial_relator_determinants(run: SuiteRun, rng) -> Measurement:
     rep = run.rep
-    worst = _worst(abs(np.linalg.det(evaluate(rep, rep.presentation.relator(k))) - 1.0)
-                   for k in range(rep.genus + 1))
+    images = evaluate_words(rep, [rep.presentation.relator(k) for k in range(rep.genus + 1)])
+    worst = _worst(np.abs(np.linalg.det(images) - 1.0).tolist())
     return rep.genus + 1, worst, tolerances.CONSTRUCTION
 
 
@@ -369,22 +370,21 @@ def check_newton_projection(run: SuiteRun, rng) -> Measurement:
     if not np.array_equal(projected.images, rep.images):
         failures += 1
 
-    noisy = []
-    for m in rep.images:
-        z = complex_gaussian(rng, (n, n))
-        if rep.flavor == UNITARY:
-            z = (z - z.conj().T) / 2
-        noisy.append((np.eye(n) + 1e-3 * z) @ m)
-    (repaired,) = newton_project(rep.presentation, [noisy], rep.flavor)
+    count = rep.presentation.generator_count
+    (z,) = complex_gaussians(rng, count, ((n, n),))
+    if rep.flavor == UNITARY:
+        z = (z - np.swapaxes(z.conj(), -1, -2)) / 2
+    noisy = (np.eye(n) + 1e-3 * z) @ rep.images
+    (repaired,) = newton_project(rep.presentation, noisy[None], rep.flavor)
     if relator_defect(repaired) > tolerances.CONSTRUCTION:
         failures += 1
 
     samples = 2
     if n > 1:  # rank one is abelian: every image tuple satisfies the relator
         samples = 3
-        far = [haar_unitary(rng, n) for _ in rep.images]
+        far = haar_stack(complex_gaussians(rng, count, ((n, n),))[0])
         try:
-            newton_project(rep.presentation, [far], UNITARY)
+            newton_project(rep.presentation, far[None], UNITARY)
         except ConvergenceError:
             pass
         else:
@@ -764,7 +764,7 @@ def check_file_round_trip(run: SuiteRun, rng) -> Measurement:
     rep = run.rep
     n = rep.rank
     # the schema is exact for any values, so no cocycle basis is needed
-    chi = Cocycle(rep, [complex_gaussian(rng, (n, n)) for _ in rep.images])
+    chi = Cocycle(rep, complex_gaussians(rng, rep.presentation.generator_count, ((n, n),))[0])
     failures = 0
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)

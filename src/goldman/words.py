@@ -12,18 +12,19 @@ Generator indexing is interleaved: a_k has index 2(k-1), b_k has index
 A word is its letter codes: with c = 2g generators, x_i is coded i and
 x_i^-1 is c + i, its index in a table [images, inverses].  The codes are
 freely reduced, so equal group elements are equal words, each prefix is a
-slice of the codes, and every walker takes one step per code.
+slice of the codes, and every walker takes one step per code.  A word
+argument that is not a GroupWord is an InputError (errors.require_type).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, require_type
 
 def is_integer(value) -> bool:
     """The one integer rule of every input check: a Python or numpy
@@ -125,6 +126,9 @@ def _trusted(genus: int, codes: tuple[int, ...]) -> GroupWord:
 
 
 def commutator(u: GroupWord, v: GroupWord) -> GroupWord:
+    """The reduced word u v u^-1 v^-1."""
+    require_type(u, GroupWord, "each word of a commutator")
+    require_type(v, GroupWord, "each word of a commutator")
     return u * v * u.inverse() * v.inverse()
 
 
@@ -371,7 +375,7 @@ def fox_derivative(word: GroupWord, index: int) -> GroupRingElement:
     letter_fox_terms for that generator, each prefix a slice of the
     reduced word's codes.
     """
-    genus = word.genus
+    genus = require_type(word, GroupWord, "the word").genus
     check_index("generator index", index, 2 * genus)
     return GroupRingElement(genus, {_trusted(genus, word.codes[:length]): coeff
                                     for gen, length, coeff in letter_fox_terms(word)
@@ -401,9 +405,10 @@ def letter_codes(presentation: Presentation, words):
     first reach[p] rows: a fold reads those alone, so it never meets the
     padding.
     """
-    words = list(words)
-    if any(w.genus != presentation.genus for w in words):
-        raise InputError("word and representation have different genus")
+    words = list(require_type(words, Iterable, "the words"))
+    for word in words:
+        if require_type(word, GroupWord, "each word").genus != presentation.genus:
+            raise InputError("word and representation have different genus")
     rows = [w.codes for w in words]
     lengths = np.array([len(row) for row in rows], dtype=np.intp)
     order = np.argsort(-lengths, kind="stable")
@@ -459,7 +464,8 @@ def parse_word(presentation: Presentation, text: str) -> GroupWord:
 
     Capital letters denote inverses; the bare token `1` is the identity.
     """
-    tokens = text.split()
+    require_type(presentation, Presentation, "the presentation")
+    tokens = require_type(text, str, "the word text").split()
     if tokens == ["1"]:
         return presentation.identity()
     codes = {name: code for code, name in enumerate(_letter_names(presentation.genus))}
@@ -471,5 +477,5 @@ def parse_word(presentation: Presentation, text: str) -> GroupWord:
 
 def format_word(word: GroupWord) -> str:
     """Inverse of parse_word: one token per letter, `1` for the identity."""
-    names = _letter_names(word.genus)
+    names = _letter_names(require_type(word, GroupWord, "the word").genus)
     return " ".join(names[code] for code in word.codes) or "1"

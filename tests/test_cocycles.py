@@ -10,8 +10,8 @@ import goldman.cocycles
 import goldman.linalg
 import goldman.reps
 import goldman.tolerances
-from goldman import (Cocycle, ConditioningError, InputError, Presentation, Representation,
-                     anti_hermitian_part, coboundary, cocycle_basis,
+from goldman import (Cocycle, ConditioningError, GroupWord, InputError, Presentation,
+                     Representation, anti_hermitian_part, coboundary, cocycle_basis,
                      cocycle_law_residuals, evaluate, evaluate_words, extend,
                      extend_ring, extend_words, random_cocycle,
                      random_representation, real_locus_bases, relator_residual,
@@ -26,6 +26,7 @@ from goldman.linalg import (ad_matrix, canonical_frame, column_space, complement
                             split_singular_values, triangular_values, vec)
 from goldman.reps import commutant_dimension, relator_tangent_matrix
 from goldman.words import GroupRingElement, letter_codes, ring_codes
+from letterwise import letterwise_extend
 
 
 def indicator(rep, index):
@@ -74,16 +75,17 @@ class TestExtend:
                 assert relator_residual(chi) < 1e-10
 
 
-def stacked_test_words(pres, rng, count=300):
+def stacked_test_words(pres, rng, count=300, longest=8):
     """count words over pres: the empty word, w w^-1 products that cancel
-    to it, products u v that cancel part way, and free random words."""
-    def raw(longest):
+    to it, products u v that cancel part way, and free random words, each
+    factor of up to longest letters."""
+    def raw():
         return [(int(rng.integers(0, 2 * pres.genus)), int(rng.choice([-1, 1])))
                 for _ in range(int(rng.integers(0, longest + 1)))]
 
     words = [pres.identity()]
     while len(words) < count:
-        u, v = pres.word(raw(8)), pres.word(raw(8))
+        u, v = pres.word(raw()), pres.word(raw())
         kind = len(words) % 3
         if kind == 0:
             words.append(u * u.inverse())
@@ -96,7 +98,7 @@ def stacked_test_words(pres, rng, count=300):
 
 
 def random_values_cocycle(rep, rng):
-    """A cocycle container with random values: extend does not need the
+    """A cocycle container with random values: a fold does not need the
     relator constraint."""
     n = rep.rank
     return Cocycle(rep, tuple(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -117,8 +119,32 @@ class TestStackedWords:
         images = evaluate_words(rep, words)
         assert folded.shape == images.shape == (len(words), rank, rank)
         for w, value, image in zip(words, folded, images):
-            assert np.array_equal(value, extend(chi, w))
+            reference = letterwise_extend(chi, w)
+            assert np.array_equal(value, reference)
+            assert np.array_equal(extend(chi, w), reference)
             assert np.array_equal(image, evaluate(rep, w))
+
+    @pytest.mark.parametrize("genus,rank,flavor", [
+        (4, 4, "general-linear"), (1, 4, "unitary"), (4, 1, "general-linear"),
+        (3, 2, "unitary")])
+    def test_long_words_equal_letterwise_bit_for_bit(self, genus, rank, flavor):
+        # reduced words of 0 to 40 letters: extend is the one-row extend_words
+        rep = random_representation(genus, rank, flavor, seed=genus * rank)
+        rng = np.random.default_rng(genus + 10 * rank)
+        chi = random_values_cocycle(rep, rng)
+        count = rep.presentation.generator_count
+        words = []
+        for length in [40, *rng.integers(0, 41, size=40)]:
+            codes = []
+            while len(codes) < length:
+                code = int(rng.integers(0, 2 * count))
+                if not (codes and abs(codes[-1] - code) == count):
+                    codes.append(code)
+            words.append(GroupWord(genus, codes))
+        for w, value in zip(words, extend_words(chi, words)):
+            reference = letterwise_extend(chi, w)
+            assert np.array_equal(value, reference)
+            assert np.array_equal(extend(chi, w), reference)
 
     @pytest.mark.parametrize("flavor", ["unitary", "general-linear"])
     def test_law_residuals_equal_pairwise_reference(self, flavor):
@@ -130,8 +156,9 @@ class TestStackedWords:
         expected = []
         for u, v in pairs:
             sigma_u = evaluate(rep, u)
-            rhs = extend(chi, u) + sigma_u @ extend(chi, v) @ np.linalg.inv(sigma_u)
-            expected.append(frob(extend(chi, u * v) - rhs))
+            rhs = (letterwise_extend(chi, u)
+                   + sigma_u @ letterwise_extend(chi, v) @ np.linalg.inv(sigma_u))
+            expected.append(frob(letterwise_extend(chi, u * v) - rhs))
         assert cocycle_law_residuals(chi, pairs) == expected
         # general-linear images grow along words of up to 16 letters
         assert max(expected) < 1e-6
@@ -151,7 +178,7 @@ class TestStackedWords:
         folded = extend_words(chi, words)
         images = evaluate_words(chi.base, words)
         for w, value, image in zip(words, folded, images):
-            assert np.array_equal(value, extend(chi, w))
+            assert np.array_equal(value, letterwise_extend(chi, w))
             assert np.array_equal(image, evaluate(chi.base, w))
 
     def test_empty_input(self, basis_g2n2):
@@ -235,8 +262,8 @@ class TestExtendRing:
 
 
     def test_is_the_term_by_term_sum_bit_for_bit(self, seeded_reps):
-        # the letterwise reference: coeff * extend(chi, word) added to zero
-        # term by term in terms() order
+        # the letterwise reference: coeff * chi(word), each word folded
+        # letter by letter, added to zero term by term in terms() order
         rng = np.random.default_rng(67)
         for rep in seeded_reps.values():
             pres = rep.presentation
@@ -254,7 +281,7 @@ class TestExtendRing:
                 for element, value in zip(elements, row):
                     reference = np.zeros((rep.rank, rep.rank), dtype=complex)
                     for word, coeff in element.terms():
-                        reference += coeff * extend(chi, word)
+                        reference += coeff * letterwise_extend(chi, word)
                     assert np.array_equal(extend_ring(chi, element), reference)
                     assert np.array_equal(value, reference)
 
@@ -999,7 +1026,7 @@ class TestStackedCocycleMaps:
     """star_involution, anti_hermitian_part, coboundary and relator_residual
     map a CocycleStack row by row, each row bit for bit its one-cocycle
     call, and the one-cocycle relator residual is the letterwise
-    frob(extend(chi, relator)) bit for bit."""
+    frob(letterwise_extend(chi, relator)) bit for bit."""
 
     @staticmethod
     def stack_of(rep, rng, count=9):
@@ -1033,7 +1060,7 @@ class TestStackedCocycleMaps:
             for residual, values in zip(residuals, cocycles.values):
                 one = Cocycle(rep, values)
                 assert relator_residual(one) == residual
-                assert relator_residual(one) == frob(extend(one, relator))
+                assert relator_residual(one) == frob(letterwise_extend(one, relator))
 
     def test_stacked_coboundaries_star(self, rep_g2n2):
         rng = np.random.default_rng(33)
@@ -1257,6 +1284,8 @@ class TestCocycleStackSequence:
         for index in (len(stack), -len(stack) - 1):
             with pytest.raises(IndexError):
                 stack[index]
-        # a stack holds at least one row
-        with pytest.raises(InputError, match="k >= 1"):
-            stack[len(stack):]
+        # a stack holds at least one row: an empty slice is refused by name
+        for part in (slice(len(stack), None), slice(2, 2), slice(3, 1)):
+            with pytest.raises(InputError, match=r"empty slice slice\(.*k >= 1") as error:
+                stack[part]
+            assert error.value.exit_code == 2

@@ -7,16 +7,19 @@ import goldman.charts
 import goldman.pairing
 from goldman import (Cocycle, CocycleStack, DegenerateFormError, InputError,
                      Representation, coboundary, cocycle_basis,
-                     dual_form_matrix, gram, pairing_cup,
+                     dual_form_matrix, gram, pairing_cup, word_jacobian,
                      pairing_dual, pairing_duals, random_cocycle, random_representation,
                      real_locus_bases, standard_block_j, symplectic_basis,
                      unitary_restriction_check)
 from goldman.cli import _file_gram, main
-from goldman.cocycles import extend, stack_cocycles
+from goldman.cocycles import linear_combination, stack_cocycles
+from goldman.linalg import ad_matrix
+from goldman.reps import evaluate
 from goldman.config import RunConfig
 from goldman.pairing import GoldmanGram
 from goldman.verify import ALL_CHECKS, SuiteRun, run_check
 from goldman.words import anti_involution
+from letterwise import letterwise_extend, letterwise_pairing_dual
 
 GRID = [(g, n) for g in (2, 3) for n in (1, 2, 3)]
 
@@ -65,7 +68,8 @@ class TestPairingValues:
 
 
 def letterwise_cup(chi1, chi2):
-    """The cup oracle term by term: coeff * extend(chi1, word) over the
+    """The cup oracle term by term: coeff * chi1(word), folded letter by
+    letter (letterwise_extend), over the
     anti-involuted coefficient of each two-cycle pair, added to zero, then
     minus the trace against chi2 on the pair's generator."""
     rep = chi1.base
@@ -73,7 +77,7 @@ def letterwise_cup(chi1, chi2):
     for coefficient, generator in rep.presentation.fundamental_two_cycle().pairs:
         ring = np.zeros((rep.rank, rep.rank), dtype=complex)
         for word, coeff in anti_involution(coefficient).terms():
-            ring += coeff * extend(chi1, word)
+            ring += coeff * letterwise_extend(chi1, word)
         total -= np.trace(ring @ chi2.values[generator.codes[0]])
     return complex(total)
 
@@ -139,7 +143,8 @@ class TestStackedCup:
 
 class TestStackedDual:
     """pairing_duals pairs many cocycle pairs, each over its own base, in
-    one stacked fold of the dual words, bit for bit pairing_dual."""
+    one stacked fold of the dual words, and pairing_dual one pair, each
+    bit for bit the letterwise closed form (letterwise_pairing_dual)."""
 
     @pytest.mark.parametrize("genus,rank,flavor", [
         (2, 2, "unitary"), (3, 2, "unitary"), (2, 3, "general-linear"),
@@ -150,17 +155,20 @@ class TestStackedDual:
         # the bases interleave, and one base recurs, as chart points do
         pairs = [(random_values(rep, rng), random_values(rep, rng))
                  for _ in range(3) for rep in (*bases, bases[0])]
-        reference = [pairing_dual(chi1, chi2) for chi1, chi2 in pairs]
+        reference = [letterwise_pairing_dual(chi1, chi2) for chi1, chi2 in pairs]
         stacked = pairing_duals(pairs)
         assert stacked.shape == (len(pairs),) and stacked.dtype == complex
         assert stacked.tolist() == reference
+        assert [pairing_dual(chi1, chi2) for chi1, chi2 in pairs] == reference
 
     def test_basis_pairs_are_letterwise_bit_for_bit(self, seeded_bases):
         rng = np.random.default_rng(81)
         for basis in seeded_bases.values():
             pairs = [(random_cocycle(basis, rng), random_cocycle(basis, rng))
                      for _ in range(4)]
-            assert pairing_duals(pairs).tolist() == [pairing_dual(*pair) for pair in pairs]
+            reference = [letterwise_pairing_dual(*pair) for pair in pairs]
+            assert pairing_duals(pairs).tolist() == reference
+            assert [pairing_dual(*pair) for pair in pairs] == reference
 
     def test_one_pair_is_pairing_dual(self, basis_g2n2):
         chi, psi = basis_g2n2.h1_complement[:2]
@@ -351,6 +359,25 @@ class TestDualForm:
                 assert abs(value - pairing_dual(chi1, chi2)) < 1e-10
                 assert abs(value - pairing_cup(chi1, chi2)) < 1e-10
 
+    @pytest.mark.parametrize("genus,rank,flavor", [
+        (2, 2, "unitary"), (3, 3, "general-linear"), (4, 3, "unitary"), (1, 2, "unitary")])
+    def test_blocks_are_letterwise_bit_for_bit(self, genus, rank, flavor):
+        # T Ad(sigma(R_k)) from letterwise images of R_k and R_k^-1, block by block
+        rep = random_representation(genus, rank, flavor, seed=genus + rank)
+        pres = rep.presentation
+        duals = pres.dual_generators()
+        n = rank
+        transpose = np.arange(n * n).reshape((n, n), order="F").T.ravel(order="F")
+
+        def trace_ad(word):
+            return ad_matrix(evaluate(rep, word), evaluate(rep, word.inverse()))[transpose]
+
+        blocks = []
+        for k in range(1, genus + 1):
+            blocks.append(word_jacobian(rep, duals[2 * k - 2]).T @ trace_ad(pres.relator(k - 1)))
+            blocks.append(-word_jacobian(rep, duals[2 * k - 1]).T @ trace_ad(pres.relator(k)))
+        assert np.array_equal(dual_form_matrix(rep), np.hstack(blocks))
+
     def test_trivial_action_is_intersection_form(self, trivial_scalar_rep):
         expected = np.zeros((4, 4))
         expected[0, 1], expected[1, 0] = 1.0, -1.0
@@ -425,6 +452,15 @@ class TestSymplecticBasis:
         assert len(calls) == 1
         assert isinstance(g.vectors, CocycleStack)
         assert all(chi.base is g.vectors.base for chi in sb.e + sb.f)
+
+    def test_outputs_are_one_row_combinations_bit_for_bit(self, seeded_bases):
+        # one matrix linear_combination gives each output as its column's row
+        for basis in seeded_bases.values():
+            g = gram(basis.h1_complement)
+            sb = symplectic_basis(g)
+            for chi, column in zip(sb.e + sb.f, sb.transform.T):
+                one = linear_combination(g.vectors.base, column, g.vectors)
+                assert np.array_equal(chi.values, one.values)
 
     def test_trivial_action_two_pairs(self, trivial_scalar_rep):
         basis = cocycle_basis(trivial_scalar_rep)

@@ -13,10 +13,12 @@ from goldman import (Chart, Cocycle, CocycleStack, ConvergenceError, GroupWord, 
                      relator_residual, rh_differential, stack_cocycles, standard_block_j,
                      star_involution, symplectic_basis)
 from goldman.charts import closedness_floors, closedness_residuals
-from goldman.cocycles import linear_combination
+from goldman.cocycles import extend, extend_words, linear_combination, word_jacobian
+from goldman.config import RunConfig
 from goldman.linalg import (complex_gaussian, expm, frob, haar_unitary, polar_unitary,
                             split_singular_values, vec)
-from goldman.reps import relator_tangent_matrix
+from goldman.reps import evaluate_words, relator_tangent_matrix
+from goldman.words import commutator, format_word, fox_derivative, parse_word
 
 
 def h1_chart(rep):
@@ -573,6 +575,29 @@ class TestAcceptedPoints:
 
 
 class TestConstructionValidation:
+    @pytest.mark.parametrize("genus,rank,flavor,seed", [
+        (0, 0, "orthogonal", -1), (True, 2, "unitary", 0), (2, 0, "orthogonal", -1),
+        (2, 2, "orthogonal", -1), (2, 2, "unitary", 2 ** 64), (2, 2, "unitary", None),
+        (2, 2, "general-linear", 1.5)])
+    def test_one_settings_rule(self, rep_g2n2, genus, rank, flavor, seed):
+        # RunConfig, random_representation and Representation refuse bad
+        # settings with one message, sizes first, then flavor, then seed
+        errors = []
+        for build in (lambda: RunConfig(genus=genus, rank=rank, flavor=flavor, seed=seed),
+                      lambda: random_representation(genus, rank, flavor, seed=seed)):
+            with pytest.raises(InputError) as error:
+                build()
+            errors.append(str(error.value))
+        assert errors[0] == errors[1]
+        if genus is True or genus < 1:
+            assert errors[0].startswith("genus must be")
+        elif seed is None:  # a representation that no seed drew
+            Representation(rep_g2n2.presentation, 2, rep_g2n2.images, flavor, seed=seed)
+        else:
+            with pytest.raises(InputError) as error:
+                Representation(rep_g2n2.presentation, rank, rep_g2n2.images, flavor, seed=seed)
+            assert str(error.value) == errors[0]
+
     @pytest.mark.parametrize("scale", [1e155, 1e160])
     def test_overflowing_relator_rejected(self, scale):
         # the images are finite and their dets overflow to inf, but the
@@ -693,6 +718,18 @@ class TestConstructionValidation:
     lambda rep: coboundary_matrix(3),
     lambda rep: dual_form_matrix(3),
     lambda rep: symplectic_basis(np.eye(2)),
+    lambda rep: evaluate(rep, "a1"),
+    lambda rep: extend(zero_cocycle(rep), "a1"),
+    lambda rep: evaluate_words(rep, [3]),
+    lambda rep: extend_words(zero_cocycle(rep), "ab"),
+    lambda rep: word_jacobian(rep, "a"),
+    lambda rep: format_word(3),
+    lambda rep: parse_word(3, 2),
+    lambda rep: fox_derivative(3, 0),
+    lambda rep: commutator(3, 4),
+    lambda rep: evaluate_words(rep, 3),
+    lambda rep: parse_word(rep.presentation, 3),
+    lambda rep: extend_words(3, [rep.presentation.a(1)]),
 ], ids=["singular-conjugator", "wide-conjugator", "negative-block", "fractional-block",
         "bool-block", "wide-coboundary", "ragged-coboundary", "nan-stack",
         "stack-generator-count", "empty-stack", "stack-rank", "genus-zero-word",
@@ -714,7 +751,11 @@ class TestConstructionValidation:
          "newton-of-nested-strings", "basis-of-an-integer", "real-locus-of-an-integer",
          "h1-coordinates-of-an-integer", "commutant-of-an-integer",
          "coboundary-matrix-of-an-integer", "dual-form-of-an-integer",
-         "symplectic-basis-of-an-array"])
+         "symplectic-basis-of-an-array", "evaluate-a-string", "extend-by-a-string",
+         "evaluate-integer-words", "extend-by-letters", "jacobian-of-a-string",
+         "format-an-integer", "parse-over-an-integer", "fox-derivative-of-an-integer",
+         "commutator-of-integers", "evaluate-an-integer", "parse-an-integer",
+         "extend-an-integer"])
 def test_exported_calls_refuse_bad_input(rep_g2n2, call):
     with pytest.raises(InputError):
         call(rep_g2n2)

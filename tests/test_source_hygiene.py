@@ -1,7 +1,7 @@
 """Import hygiene of the package source, checked on its syntax trees,
 and the independence of the cup-product oracle.
 
-Twenty-three rules, with no lint dependency:
+Twenty-four rules, with no lint dependency:
 
 - every module-level import is used in its module (the package
   ``__init__`` re-exports, and ``from __future__`` imports are exempt);
@@ -80,7 +80,13 @@ Twenty-three rules, with no lint dependency:
   letterwise ``pairing_dual``;
 - no ``frob`` call stands inside a comprehension or a generator
   expression, and no ``map(frob, ...)``: ``linalg.frobs`` is the one norm
-  of a stack, one call bit for bit ``frob`` matrix by matrix.
+  of a stack, one call bit for bit ``frob`` matrix by matrix;
+- outside ``words``, a ``for`` statement that iterates a word's ``.codes``
+  or a ``letter_codes`` array stands only in the four word walkers:
+  ``reps._word_product`` and ``reps.evaluate_words`` (products of images),
+  ``reps.fox_jacobian`` (the prefix walk of the Fox Jacobian) and
+  ``cocycles._fold`` (the one Horner fold of a cocycle), so no second fold
+  or product walk grows beside them.
 """
 
 import ast
@@ -243,6 +249,19 @@ def calls_in_comprehensions(path, name):
     return [f"{path.name}:{line}" for line in walk(_tree(path), False)]
 
 
+def word_walks(path):
+    """Sites of a for statement whose iterable reads a word's codes: an
+    attribute .codes, the name codes (a letter_codes array) or a
+    letter_codes call."""
+    def reads_codes(node):
+        return ("codes" in (getattr(node, "attr", None), getattr(node, "id", None))
+                or (isinstance(node, ast.Call) and "letter_codes" in (
+                    getattr(node.func, "attr", None), getattr(node.func, "id", None))))
+
+    return sites(path, lambda node: isinstance(node, ast.For)
+                 and any(reads_codes(part) for part in ast.walk(node.iter)))
+
+
 def _without_lines(found):
     """'file in f' for each 'file:line in f' site."""
     return sorted(f"{site.partition(':')[0]} in {site.partition(' in ')[2]}"
@@ -399,6 +418,12 @@ def test_dual_codes_read_sites():
     assert _without_lines(found) == ["pairing.py in pairing_duals"]
 
 
+def test_word_walkers_are_fixed():
+    found = [site for path in MODULES if path.name != "words.py" for site in word_walks(path)]
+    assert _without_lines(found) == ["cocycles.py in _fold", "reps.py in _word_product",
+                                     "reps.py in evaluate_words", "reps.py in fox_jacobian"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_frob_per_matrix_of_a_stack(path):
     assert calls_in_comprehensions(path, "frob") == []
@@ -488,7 +513,16 @@ def test_rules_flag_what_they_name(tmp_path):
         "def _norms(stack):\n"
         "    return ([frob(m) for m in stack], sum(linalg.frob(m) ** 2 for m in stack),\n"
         "            {m: [frob(m)] for m in stack}, list(map(frob, stack)), frob(stack),\n"
-        "            frobs(stack), [frobs(m) for m in stack], map(linalg.frob, stack))\n")
+        "            frobs(stack), [frobs(m) for m in stack], map(linalg.frob, stack))\n"
+        "def _walk(word, pres, words):\n"
+        "    for code in reversed(word.codes):\n"
+        "        codes, reach, restore = letter_codes(pres, words)\n"
+        "    for column, m in zip(codes.T, reach):\n"
+        "        for row in words.letter_codes(pres, [word])[0]:\n"
+        "            pass\n"
+        "    for w in words:\n"
+        "        pass\n"
+        "    return [c for c in word.codes], word.codes, _letter_codes\n")
     assert unused_module_imports(module) == ["sample.py:2 json"]
     assert non_cycle_local_imports(module) == ["sample.py:6 in f", "sample.py:7 in f"]
     assert package_imports(module) == ["sample.py:4 reps", "sample.py:7 reps",
@@ -521,6 +555,8 @@ def test_rules_flag_what_they_name(tmp_path):
     assert calls_in_comprehensions(module, "frob") == ["sample.py:58", "sample.py:58",
                                                        "sample.py:59", "sample.py:59",
                                                        "sample.py:60"]
+    assert word_walks(module) == ["sample.py:62 in _walk", "sample.py:64 in _walk",
+                                  "sample.py:65 in _walk"]
     assert public_functions(module) == ["f", "g", "h", "r", "s", "t", "u", "project",
                                         "triangle", "check_x", "power"]
     caller = tmp_path / "caller.py"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import goldman.cocycles
+import goldman.fileio
 import goldman.linalg
 import goldman.pairing
 import goldman.reps
@@ -598,6 +599,60 @@ class TestStackedChecks:
         measured = CHECKS[name].fn(run, run.rng(name))
         assert measured == oracle_cup_dual_agreement(run, run.rng(name))
         assert measured[1] > 1.0
+
+    @pytest.mark.parametrize("genus, rank, flavor", [
+        (2, 2, "unitary"), (3, 3, "general-linear"), (2, 1, "unitary")])
+    def test_image_tuple_draws_are_the_per_image_draws(self, monkeypatch, tmp_path, genus,
+                                                       rank, flavor):
+        # newton-projection's noisy and far tuples and file-round-trip's
+        # cocycle values are one draw per tuple: the per-image stream, bit
+        # for bit, up to the draw that follows them
+        run = SuiteRun(RunConfig(genus=genus, rank=rank, flavor=flavor, out=tmp_path))
+        rep, n = run.rep, rank
+        tuples, written = [], []
+        project = goldman.verify.newton_project
+        monkeypatch.setattr(goldman.verify, "newton_project", lambda pres, images, *rest: (
+            tuples.append(np.array(images)), project(pres, images, *rest))[1])
+        for name in ("write_cocycle", "write_matrix"):
+            write = getattr(goldman.fileio, name)
+            monkeypatch.setattr(goldman.fileio, name, lambda path, value, *rest, write=write: (
+                written.append(value), write(path, value, *rest))[1])
+
+        CHECKS["newton-projection"].fn(run, run.rng("newton-projection"))
+        rng = run.rng("newton-projection")
+        noisy = []
+        for m in rep.images:
+            z = per_sample_gaussian(rng, (n, n))
+            if flavor == "unitary":
+                z = (z - z.conj().T) / 2
+            noisy.append((np.eye(n) + 1e-3 * z) @ m)
+        expected = [rep.images[None], np.array([noisy])]
+        if n > 1:
+            expected.append(np.array([[per_sample_haar(rng, n) for _ in rep.images]]))
+        assert len(tuples) == len(expected)
+        for drawn, tuple_ in zip(tuples, expected):
+            assert np.array_equal(drawn, tuple_)
+
+        CHECKS["file-round-trip"].fn(run, run.rng("file-round-trip"))
+        rng = run.rng("file-round-trip")
+        values = [per_sample_gaussian(rng, (n, n)) for _ in rep.images]
+        cocycles = [chi for chi in written if isinstance(chi, Cocycle)]
+        assert len(cocycles) == 2
+        assert all(np.array_equal(chi.values, values) for chi in cocycles)
+        assert np.array_equal(written[-1], per_sample_gaussian(rng, (3, 5)))
+
+    def test_relator_prefixes_are_one_stacked_product(self, monkeypatch, tmp_path):
+        # W and partial-relator-determinants read R_0 ... R_g (and their
+        # inverses) from one evaluate_words call, never word by word
+        run = SuiteRun(RunConfig(genus=3, rank=2, seed=5, out=tmp_path))
+        rep = run.rep
+        alone = _count_calls(monkeypatch, goldman.reps, "evaluate")
+        stacked = _count_calls(monkeypatch, goldman.reps, "evaluate_words")
+        dual_form_matrix(rep)
+        name = "partial-relator-determinants"
+        samples, worst, _ = CHECKS[name].fn(run, run.rng(name))
+        assert alone == [] and len(stacked) == 2
+        assert samples == 4 and worst < 1e-12
 
     def test_a_verify_run_builds_few_cocycles(self, monkeypatch, tmp_path):
         # 178 at (2,2) seed 1 with the bases, chart frames and real-locus
