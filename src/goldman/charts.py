@@ -36,7 +36,7 @@ from .cocycles import Cocycle, CocycleStack, linear_combination, stack_cocycles
 from .linalg import expm, frobs, real_array, tuple_distance
 from .pairing import gram, pairing_dual, pairing_duals
 from .reps import GENERAL_LINEAR, Representation, evaluate_words, newton_project
-from .words import check_index
+from .words import WordBatch, check_index
 
 TRIVIALIZATION = "right"  # division side used in the difference quotient
 
@@ -80,10 +80,11 @@ def rh_word_value(center: Representation, plus: Representation,
     the cocycle law by construction), this evaluates each whole word at
     each point, so comparing it against the law is a real second-order
     consistency test of the differential.  Each point evaluates all the
-    words in one evaluate_words call, bit for bit evaluate word by word.
+    words, GroupWords or a WordBatch, in one evaluate_words call, bit for
+    bit evaluate word by word.
     """
     _check_fd_step(step)
-    words = list(words)
+    words = words if isinstance(words, WordBatch) else list(words)
     return ((evaluate_words(plus, words) - evaluate_words(minus, words)) / (2.0 * step)
             @ np.linalg.inv(evaluate_words(center, words)))
 

@@ -191,8 +191,8 @@ def word_jacobian(rep: Representation, word: GroupWord) -> np.ndarray:
 def extend_ring(chi: Cocycle, element: GroupRingElement) -> np.ndarray:
     """Linear extension of the cocycle to the integral group ring: the
     one-element case of ring_values."""
-    rep = chi.base
-    if element.genus != rep.genus:
+    rep = require_type(chi, Cocycle, "the cocycle").base
+    if require_type(element, GroupRingElement, "the ring element").genus != rep.genus:
         raise InputError("ring element and cocycle have different genus")
     return ring_values(rep, chi.values, ring_codes(rep.presentation, (element,)))[0]
 
@@ -248,7 +248,8 @@ def extend_words(chi: Cocycle, words) -> np.ndarray:
     (x^-1, x, 0, chi(x)) for x^-1: one stacked step per letter position
     over the rows whose word reaches it (letter_codes), each row's fold
     starting at its own last letter from zero.  InputError (exit 2) unless
-    chi is a cocycle and words an iterable of words of its genus.
+    chi is a cocycle and words an iterable of words, or a WordBatch, of its
+    genus.
     """
     rep = require_type(chi, Cocycle, "the cocycle").base
     return _fold(rep.letter_tables, chi.values, letter_codes(rep.presentation, words))

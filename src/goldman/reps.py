@@ -113,6 +113,7 @@ class Representation:
 
 def evaluate(rep: Representation, word: GroupWord) -> np.ndarray:
     """Image of a word: multiplicative, identity on the empty word."""
+    require_type(rep, Representation, "the representation")
     if require_type(word, GroupWord, "the word").genus != rep.genus:
         raise InputError("word and representation have different genus")
     return _word_product(rep.letter_tables[0], word)
@@ -126,7 +127,8 @@ def relator_defect(rep: Representation) -> float:
 
 
 def evaluate_words(rep: Representation, words) -> np.ndarray:
-    """Images of many words at once, shape (len(words), n, n).
+    """Images of many words at once, GroupWords or a WordBatch, shape
+    (len(words), n, n).
 
     evaluate's left-to-right product, one stacked product per letter
     position over the rows whose word reaches it (letter_codes), so each
@@ -134,7 +136,7 @@ def evaluate_words(rep: Representation, words) -> np.ndarray:
     """
     table = rep.letter_tables[0]
     codes, reach, restore = letter_codes(rep.presentation, words)
-    out = np.repeat(np.eye(rep.rank, dtype=complex)[None], len(words), axis=0)
+    out = np.repeat(np.eye(rep.rank, dtype=complex)[None], len(codes), axis=0)
     for column, m in zip(codes.T, reach):
         out[:m] = out[:m] @ table[column[:m]]
     return out[restore]

@@ -50,9 +50,9 @@ from .charts import (FLAT, TRIVIALIZATION, Chart, closedness_check, closedness_f
                      closedness_residuals, convergence_order, deform, deformation_correction,
                      rh_differential, rh_word_value)
 from .cocycles import (Cocycle, CocycleBasis, CocycleStack, anti_hermitian_part,
-                       coboundary, cocycle_basis, cocycle_law_residuals,
-                       expected_h1_dimension, linear_combination, random_cocycle,
-                       real_locus_bases, relator_residual, stack_cocycles, star_involution)
+                       coboundary, cocycle_basis, expected_h1_dimension, extend_words,
+                       linear_combination, random_cocycle, real_locus_bases,
+                       relator_residual, stack_cocycles, star_involution)
 from .config import RunConfig
 from .errors import ConvergenceError
 from .linalg import (complex_gaussian, complex_gaussians, expm, frobs, haar_stack, haar_unitary,
@@ -63,8 +63,8 @@ from .reps import (GENERAL_LINEAR, UNITARY, Representation,
                    commutant_dimension, commutator_factor, conjugate_representation,
                    evaluate_words, newton_project, random_representation,
                    relator_defect)
-from .words import (GroupRingElement, GroupWord, Presentation,
-                    anti_involution, commutator, fox_derivative)
+from .words import (GroupRingElement, GroupWord, Presentation, WordBatch,
+                    anti_involution, commutator, fox_derivative, join_batches)
 
 GRID = tuple((g, n) for g in (2, 3) for n in (1, 2, 3))
 
@@ -102,31 +102,45 @@ def _worst(residuals) -> float:
 MAX_WORD_LENGTH = 8
 
 
-def _letter_codes(pres: Presentation, rng, lengths: np.ndarray) -> list[list[int]]:
-    """The letter codes of words of the given lengths: every letter's
-    generator in one draw, then every letter's sign in one (1 for x_i,
-    0 for x_i^-1)."""
+def _letter_rows(pres: Presentation, rng, lengths: np.ndarray, width: int) -> np.ndarray:
+    """The letter codes of words of the given lengths, one row each padded
+    with 2c to width: every letter's generator in one draw, then every
+    letter's sign in one (1 for x_i, 0 for x_i^-1)."""
     count = pres.generator_count
     total = int(lengths.sum())
     generators = rng.integers(0, count, size=total)
     signs = rng.integers(0, 2, size=total)
-    codes = (generators + count * (1 - signs)).tolist()
-    ends = np.cumsum(lengths).tolist()
-    return [codes[end - length:end] for end, length in zip(ends, lengths.tolist())]
+    inside = np.arange(width) < lengths[:, None]
+    rows = np.full(inside.shape, 2 * count, dtype=np.min_scalar_type(-2 * count))
+    rows[inside] = generators + count * (1 - signs)
+    return rows
+
+
+def _random_batch(pres: Presentation, rng, count: int, draws: int = 1) -> WordBatch:
+    """draws batches of count random words of 0 to MAX_WORD_LENGTH letters,
+    one after another: each draws every length in one call, then their
+    letters (_letter_rows).  Every word of every draw is reduced at once."""
+    raw = []
+    for _ in range(draws):
+        lengths = rng.integers(0, MAX_WORD_LENGTH + 1, size=count)
+        raw.append((_letter_rows(pres, rng, lengths, MAX_WORD_LENGTH), lengths))
+    rows, lengths = (np.concatenate(part) for part in zip(*raw))
+    return pres.reduce_batch(rows, lengths)
 
 
 def _random_words(pres: Presentation, rng, count: int) -> list[GroupWord]:
-    """count random words of 0 to MAX_WORD_LENGTH letters: every length in
-    one draw, then their letters (_letter_codes), each word reduced from
-    its codes."""
-    lengths = rng.integers(0, MAX_WORD_LENGTH + 1, size=count)
-    return [pres.reduce(codes) for codes in _letter_codes(pres, rng, lengths)]
+    """count random words (_random_batch), each a GroupWord."""
+    return _random_batch(pres, rng, count).words()
 
 
-def _random_pairs(pres: Presentation, rng, count: int) -> list[tuple[GroupWord, GroupWord]]:
-    """count pairs (u, v) of random words, from one batch of 2 count words."""
-    words = _random_words(pres, rng, 2 * count)
-    return list(zip(words[0::2], words[1::2]))
+def _random_pairs(pres: Presentation, rng, count: int,
+                  draws: int = 1) -> tuple[WordBatch, WordBatch, WordBatch]:
+    """(uv, u, v) of draws batches of count pairs (u, v) of random words,
+    each batch from one draw of 2 count words (_random_batch), u and v
+    interleaved: u, v and their products uv as three batches."""
+    words = _random_batch(pres, rng, 2 * count, draws)
+    u, v = words[0::2], words[1::2]
+    return u * v, u, v
 
 
 def _random_ring_elements(pres: Presentation, rng, count: int) -> list[GroupRingElement]:
@@ -201,8 +215,9 @@ def check_word_reduction_confluence(run: SuiteRun, rng) -> Measurement:
     samples = 100
     # the letter lists in one batch; each cancellation site is drawn from
     # the list as reduced so far
-    for codes in _letter_codes(pres, rng, rng.integers(0, 14, size=samples)):
-        letters = [(code % count, 1 if code < count else -1) for code in codes]
+    lengths = rng.integers(0, 14, size=samples)
+    for row, length in zip(_letter_rows(pres, rng, lengths, 13).tolist(), lengths.tolist()):
+        letters = [(code % count, 1 if code < count else -1) for code in row[:length]]
         eager = pres.word(letters)
         work = list(letters)
         while True:
@@ -219,17 +234,16 @@ def check_word_reduction_confluence(run: SuiteRun, rng) -> Measurement:
 
 
 def check_fox_product_rule(run: SuiteRun, rng) -> Measurement:
+    """d(uv) = du + u dv on 100 random pairs per generator, one draw each."""
     pres = Presentation(run.config.genus)
+    count = pres.generator_count
     failures = 0
-    samples = 0
-    for index in range(2 * pres.genus):
-        for u, v in _random_pairs(pres, rng, 100):
-            lhs = fox_derivative(u * v, index)
-            rhs = fox_derivative(u, index) + u * fox_derivative(v, index)
-            samples += 1
-            if lhs != rhs:
-                failures += 1
-    return samples, failures, 0.0
+    for pair, (uv, u, v) in enumerate(zip(*(batch.words() for batch
+                                            in _random_pairs(pres, rng, 100, count)))):
+        index = pair // 100  # one draw of 100 pairs per generator
+        if fox_derivative(uv, index) != fox_derivative(u, index) + u * fox_derivative(v, index):
+            failures += 1
+    return count * 100, failures, 0.0
 
 
 def check_fox_closed_form(run: SuiteRun, rng) -> Measurement:
@@ -312,11 +326,10 @@ def check_evaluate_multiplicative(run: SuiteRun, rng) -> Measurement:
     rep = run.rep
     pres = rep.presentation
     samples = 100
-    pairs = _random_pairs(pres, rng, samples)
-    images = evaluate_words(rep, [w for u, v in pairs for w in (u * v, u, v)])
-    rhs = images[1::3] @ images[2::3]
-    worst = _worst(gap / max(1.0, size)
-                   for gap, size in zip(frobs(images[0::3] - rhs), frobs(rhs)))
+    images = evaluate_words(rep, join_batches(_random_pairs(pres, rng, samples)))
+    uv, u, v = images[:samples], images[samples:2 * samples], images[2 * samples:]
+    rhs = u @ v
+    worst = _worst(gap / max(1.0, size) for gap, size in zip(frobs(uv - rhs), frobs(rhs)))
     return samples, worst, 1e-12
 
 
@@ -394,12 +407,28 @@ def check_newton_projection(run: SuiteRun, rng) -> Measurement:
 
 # -------------------------------------------------------------- cocycle core
 
-def check_cocycle_law_on_basis(run: SuiteRun, rng) -> Measurement:
+def _cocycle_law_residuals(run: SuiteRun, rng) -> list[float]:
+    """cocycle_law_residuals of each basis cocycle on its own 100 random
+    pairs, one draw each, bit for bit: every draw is reduced, multiplied
+    and coded at once, sigma(u) is one evaluate_words and one inversion
+    over every u, each cocycle folds its uv, u and v in one extend_words
+    call, and the norms are one frobs call."""
     basis = run.basis
-    pres = basis.base.presentation
-    residuals = []
-    for chi in basis.basis:
-        residuals.extend(cocycle_law_residuals(chi, _random_pairs(pres, rng, 100)))
+    rep, k = basis.base, len(basis.basis)
+    uv, u, v = _random_pairs(rep.presentation, rng, 100, k)
+    law = join_batches([uv, u, v])
+    rows = np.arange(300 * k).reshape(3, k, 100).transpose(1, 0, 2).reshape(k, 300)
+    sigma = evaluate_words(rep, u).reshape(k, 100, rep.rank, rep.rank)
+    inverse = np.linalg.inv(sigma)
+    gaps = []
+    for chi, row, s_u, s_inv in zip(basis.basis, rows, sigma, inverse):
+        folded = extend_words(chi, law[row])
+        gaps.append(folded[:100] - (folded[100:200] + s_u @ folded[200:] @ s_inv))
+    return frobs(np.concatenate(gaps))
+
+
+def check_cocycle_law_on_basis(run: SuiteRun, rng) -> Measurement:
+    residuals = _cocycle_law_residuals(run, rng)
     return len(residuals), _worst(residuals), run.config.tolerance("verification")
 
 
@@ -697,16 +726,16 @@ def check_rh_cocycle_law_order(run: SuiteRun, rng) -> Measurement:
     rep = run.rep
     chi = _unit_direction(run, run.rng("rh-cocycle-law-order-direction"))
     chart = Chart(center=rep, frame=(chi,))
-    words = _random_pairs(rep.presentation, rng, 50)
-    s_u = evaluate_words(rep, [u for u, _ in words])
-    law_words = [w for u, v in words for w in (u * v, u, v)]
+    uv, u, v = _random_pairs(rep.presentation, rng, 50)
+    s_u = evaluate_words(rep, u)
+    law_words = join_batches([uv, u, v])
     residuals = []
     for h, plus, minus in _curve_points(chart, (2e-3, 1e-3)):
         values = rh_word_value(rep, plus, minus, law_words, h)
-        laws = values[0::3] - values[1::3] - s_u @ values[2::3] @ np.linalg.inv(s_u)
+        laws = values[:50] - values[50:100] - s_u @ values[100:] @ np.linalg.inv(s_u)
         residuals.append(_worst(frobs(laws)))
     factor = residuals[0] / residuals[1]
-    return 2 * len(words), abs(factor - 4.0), 0.8
+    return 2 * len(u), abs(factor - 4.0), 0.8
 
 
 def check_commuting_flows(run: SuiteRun, rng) -> Measurement:

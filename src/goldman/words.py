@@ -14,6 +14,12 @@ x_i^-1 is c + i, its index in a table [images, inverses].  The codes are
 freely reduced, so equal group elements are equal words, each prefix is a
 slice of the codes, and every walker takes one step per code.  A word
 argument that is not a GroupWord is an InputError (errors.require_type).
+
+Words as arrays: a WordBatch holds many reduced words as one code matrix
+padded with 2c, past the end of the tables, and a length vector.  It is
+reduced by one stacked push-or-cancel scan (Presentation.reduce_batch),
+multiplied row by row at one cut, and read by letter_codes as it stands,
+so the checks that draw words by the hundred never build them one by one.
 """
 
 from __future__ import annotations
@@ -125,6 +131,115 @@ def _trusted(genus: int, codes: tuple[int, ...]) -> GroupWord:
     return word
 
 
+class WordBatch:
+    """Freely reduced words as arrays: row i of the read-only (k, width)
+    integer matrix codes holds word i's letter codes in its first lengths[i]
+    entries and the pad 2c after them, c = 2g, as letter_codes pads.
+    WordBatch(genus, codes, lengths) refuses rows that reduce_batch would
+    change (a cancelling pair, a pad that is not 2c) or refuse; the module
+    builds batches by Presentation.reduce_batch, products, joins and row
+    selections.
+    batch[rows] is the batch of the rows a slice or an index array selects,
+    and words() the rows as GroupWords, where exact ring algebra needs them."""
+
+    __slots__ = ("genus", "codes", "lengths")
+
+    def __init__(self, genus: int, codes, lengths):
+        batch = Presentation(genus).reduce_batch(codes, lengths)
+        if not (np.array_equal(batch.lengths, lengths) and np.array_equal(batch.codes, codes)):
+            raise InputError(f"each row of a batch must be a freely reduced word, padded "
+                             f"with {4 * batch.genus} past its length")
+        for name in self.__slots__:
+            object.__setattr__(self, name, getattr(batch, name))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a WordBatch is read-only")
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def __getitem__(self, rows) -> "WordBatch":
+        codes = self.codes[rows]
+        if codes.ndim != 2:
+            raise InputError(f"a batch selects rows by a slice or an index array, got {rows!r}")
+        return _trusted_batch(self.genus, codes, self.lengths[rows])
+
+    def __mul__(self, other):
+        """The reduced products row by row, each cut as GroupWord.__mul__
+        cuts: at the first position where other's prefix stops inverting
+        self's suffix."""
+        if not isinstance(other, WordBatch):
+            return NotImplemented
+        if self.genus != other.genus or len(self) != len(other):
+            raise InputError("cannot multiply batches of different presentations or sizes")
+        count = 2 * self.genus
+        left, right, lu, lv = self.codes, other.codes, self.lengths, other.lengths
+        rows = np.arange(len(self))
+        cut = np.zeros(len(self), dtype=np.intp)
+        for t in range(min(left.shape[1], right.shape[1])):
+            cut += ((cut == t) & (t < np.minimum(lu, lv))
+                    & (np.abs(left[rows, lu - 1 - t] - right[:, t]) == count))
+        keep, lengths = lu - cut, lu + lv - 2 * cut
+        # left's kept prefix, then right past the cut, one column of right at a time
+        codes = np.full((len(self), left.shape[1] + right.shape[1]), 2 * count, dtype=left.dtype)
+        codes[:, :left.shape[1]] = np.where(np.arange(left.shape[1]) < keep[:, None], left,
+                                            2 * count)
+        for t, column in enumerate(right.T):
+            moved = (cut <= t) & (t < lv)
+            codes[rows[moved], (keep - cut + t)[moved]] = column[moved]
+        return _trusted_batch(self.genus, codes[:, :lengths.max(initial=0)], lengths)
+
+    def words(self) -> list[GroupWord]:
+        return [_trusted(self.genus, tuple(row[:length]))
+                for row, length in zip(self.codes.tolist(), self.lengths.tolist())]
+
+
+def join_batches(batches) -> WordBatch:
+    """The rows of a non-empty sequence of WordBatches of one genus, batch
+    after batch, as one batch padded to the widest."""
+    batches = list(require_type(batches, Iterable, "the batches"))
+    for batch in batches:
+        require_type(batch, WordBatch, "each batch")
+    if not batches or len({batch.genus for batch in batches}) != 1:
+        raise InputError("joining needs at least one batch, all of one genus")
+    genus = batches[0].genus
+    codes = np.full((sum(map(len, batches)), max(batch.codes.shape[1] for batch in batches)),
+                    4 * genus, dtype=batches[0].codes.dtype)
+    start = 0
+    for batch in batches:
+        codes[start:start + len(batch), :batch.codes.shape[1]] = batch.codes
+        start += len(batch)
+    return _trusted_batch(genus, codes, np.concatenate([batch.lengths for batch in batches]))
+
+
+def _trusted_batch(genus: int, codes: np.ndarray, lengths: np.ndarray) -> WordBatch:
+    """The WordBatch of arrays that this module has just made freely
+    reduced, in range and padded, codes of reduce_batch's type and intp
+    lengths over an int genus, without its checks."""
+    codes.setflags(write=False)
+    lengths.setflags(write=False)
+    batch = object.__new__(WordBatch)
+    for name, value in zip(WordBatch.__slots__, (genus, codes, lengths)):
+        object.__setattr__(batch, name, value)
+    return batch
+
+
+def _word_rows(genus: int, words) -> tuple[np.ndarray, np.ndarray]:
+    """The code matrix, padded with 2c, and the lengths of an iterable of
+    GroupWords of the genus, as a WordBatch holds them."""
+    words = list(require_type(words, Iterable, "the words"))
+    for word in words:
+        if require_type(word, GroupWord, "each word").genus != genus:
+            raise InputError("word and representation have different genus")
+    rows = [w.codes for w in words]
+    lengths = np.array([len(row) for row in rows], dtype=np.intp)
+    longest = int(lengths.max(initial=0))
+    pad = (4 * genus,)
+    codes = np.array([row + pad * (longest - len(row)) for row in rows],
+                     dtype=np.intp).reshape(len(rows), longest)
+    return codes, lengths
+
+
 def commutator(u: GroupWord, v: GroupWord) -> GroupWord:
     """The reduced word u v u^-1 v^-1."""
     require_type(u, GroupWord, "each word of a commutator")
@@ -158,15 +273,17 @@ class Presentation:
 
     def a(self, k: int) -> GroupWord:
         """The handle generator a_k, 1-based."""
-        if not 1 <= k <= self.genus:
-            raise InputError(f"a_{k} does not exist at genus {self.genus}")
-        return self.generator(2 * (k - 1))
+        return self._handle_generator("a", k)
 
     def b(self, k: int) -> GroupWord:
         """The handle generator b_k, 1-based."""
-        if not 1 <= k <= self.genus:
-            raise InputError(f"b_{k} does not exist at genus {self.genus}")
-        return self.generator(2 * (k - 1) + 1)
+        return self._handle_generator("b", k)
+
+    def _handle_generator(self, family: str, k) -> GroupWord:
+        """a_k or b_k for an integer k in 1..genus (is_integer: not a bool)."""
+        if not (is_integer(k) and 1 <= k <= self.genus):
+            raise InputError(f"{family}_k needs an integer k in 1..{self.genus}, got k={k!r}")
+        return self.generator(2 * (int(k) - 1) + "ab".index(family))
 
     def generator_name(self, index: int) -> str:
         check_index("generator index", index, 2 * self.genus)
@@ -177,7 +294,7 @@ class Presentation:
         their letter codes, through reduce."""
         count = 2 * self.genus
         codes: list[int] = []
-        for gen, exp in raw:
+        for gen, exp in require_type(raw, Iterable, "the raw word"):
             check_index("generator index", gen, count)
             if not is_integer(exp):
                 raise InputError(f"exponent {exp!r} of generator {gen} is not an integer")
@@ -189,7 +306,7 @@ class Presentation:
         push-or-cancel stack: a code cancels the top of the stack when the
         two differ by the generator count, x_i against x_i^-1."""
         count = 2 * self.genus
-        codes = list(codes)
+        codes = list(require_type(codes, Iterable, "the letter codes"))
         _check_codes(codes, count, reduced=False)  # before any code can cancel
         stack: list[int] = []
         for code in codes:
@@ -198,6 +315,34 @@ class Presentation:
             else:
                 stack.append(code)
         return _trusted(self.genus, tuple(stack))
+
+    def reduce_batch(self, codes, lengths) -> "WordBatch":
+        """reduce of every row of a (k, width) integer code matrix, row i
+        read up to lengths[i], as one WordBatch: the push-or-cancel stack of
+        every row at once, one column per step."""
+        count = 2 * self.genus
+        codes, lengths = np.asarray(codes), np.asarray(lengths)
+        if not (codes.ndim == 2 and codes.dtype.kind in "iu" and lengths.dtype.kind in "iu"
+                and lengths.shape == codes.shape[:1]
+                and np.all((lengths >= 0) & (lengths <= codes.shape[1]))):
+            raise InputError(f"a word batch is a (k, width) integer code matrix and k integer "
+                             f"lengths in 0..width, got {codes.dtype} {codes.shape} and "
+                             f"{lengths.dtype} {lengths.shape}")
+        inside = np.arange(codes.shape[1]) < lengths[:, None]
+        if np.any(inside & ((codes < 0) | (codes >= 2 * count))):
+            raise InputError(f"letter codes must be integers in 0..{2 * count - 1}")
+        # the smallest signed type of the pad 2c: no difference of two codes wraps
+        codes = codes.astype(np.min_scalar_type(-2 * count))
+        rows = np.arange(len(codes))
+        stack = np.full(codes.shape, 2 * count, dtype=codes.dtype)
+        top = np.zeros(len(codes), dtype=np.intp)
+        for column, live in zip(codes.T, inside.T):
+            cancel = live & (top > 0) & (np.abs(stack[rows, top - 1] - column) == count)
+            stack[rows, top] = column  # lands above the new top unless pushed
+            top += live
+            top -= 2 * cancel
+        stack[np.arange(codes.shape[1]) >= top[:, None]] = 2 * count
+        return _trusted_batch(self.genus, stack, top)
 
     def relator(self, k: int | None = None) -> GroupWord:
         """R_k = [a_1,b_1]...[a_k,b_k]; R_0 is the identity, default k = genus."""
@@ -284,7 +429,7 @@ class GroupRingElement:
 
     @classmethod
     def from_word(cls, word: GroupWord, coefficient: int = 1) -> "GroupRingElement":
-        return cls(word.genus, {word: coefficient})
+        return cls(require_type(word, GroupWord, "the word").genus, {word: coefficient})
 
     @classmethod
     def zero(cls, genus: int) -> "GroupRingElement":
@@ -322,17 +467,20 @@ class GroupRingElement:
             other = GroupRingElement.from_word(other)
         self._check_genus(other)
         terms: dict[GroupWord, int] = {}
-        for u, cu in self.terms():
-            for v, cv in other.terms():
+        for u, cu in self._terms.items():
+            for v, cv in other._terms.items():
                 w = u * v
                 terms[w] = terms.get(w, 0) + cu * cv
         return GroupRingElement(self.genus, terms)
 
     def __rmul__(self, other) -> "GroupRingElement":
+        """w * e for a word w maps each term by left multiplication, a
+        bijection of words: no two terms merge."""
         if isinstance(other, int):
             return self * other
         if isinstance(other, GroupWord):
-            return GroupRingElement.from_word(other) * self
+            self._check_genus(other)
+            return _trusted_ring(self.genus, {other * w: c for w, c in self._terms.items()})
         return NotImplemented
 
     def __eq__(self, other) -> bool:
@@ -357,29 +505,42 @@ class GroupRingElement:
         return text[2:] if text.startswith("+ ") else text
 
 
+def _trusted_ring(genus: int, terms: dict) -> GroupRingElement:
+    """The element of terms that this module has just made distinct and
+    nonzero, without GroupRingElement's zero filter."""
+    element = object.__new__(GroupRingElement)
+    element.genus, element._terms = genus, terms
+    return element
+
+
 def anti_involution(element: GroupRingElement) -> GroupRingElement:
     """Map each word to its inverse, keeping coefficients.
 
     An anti-homomorphism of the group ring, and an involution.
     """
-    return GroupRingElement(
-        element.genus, {w.inverse(): c for w, c in element._terms.items()}
-    )
+    require_type(element, GroupRingElement, "the ring element")
+    return _trusted_ring(element.genus, {w.inverse(): c for w, c in element._terms.items()})
 
 
 def fox_derivative(word: GroupWord, index: int) -> GroupRingElement:
     """Fox free derivative of a word with respect to generator `index`.
 
     Defined on letters by d(x)/dx = 1 and d(x^-1)/dx = -x^-1, extended by
-    the product rule d(uv)/dx = du/dx + u dv/dx: the terms of
-    letter_fox_terms for that generator, each prefix a slice of the
-    reduced word's codes.
+    the product rule d(uv)/dx = du/dx + u dv/dx: x_i at position p gives
+    the prefix of length p with +1, x_i^-1 the prefix of length p + 1
+    with -1 (letter_fox_terms), in one pass over the codes.  On a freely
+    reduced word the prefixes are distinct, so no two terms merge.
     """
     genus = require_type(word, GroupWord, "the word").genus
     check_index("generator index", index, 2 * genus)
-    return GroupRingElement(genus, {_trusted(genus, word.codes[:length]): coeff
-                                    for gen, length, coeff in letter_fox_terms(word)
-                                    if gen == index})
+    codes, inverse = word.codes, index + 2 * genus
+    terms = {}
+    for position, code in enumerate(codes):
+        if code == index:
+            terms[_trusted(genus, codes[:position])] = 1
+        elif code == inverse:
+            terms[_trusted(genus, codes[:position + 1])] = -1
+    return _trusted_ring(genus, terms)
 
 
 def letter_fox_terms(word: GroupWord) -> list[tuple[int, int, int]]:
@@ -387,14 +548,15 @@ def letter_fox_terms(word: GroupWord) -> list[tuple[int, int, int]]:
     x_i at position p gives (i, p, +1), x_i^-1 gives (i, p + 1, -1).  On a
     freely reduced word the prefixes are reduced and their lengths differ,
     so these are the terms of fox_derivative."""
-    count = 2 * word.genus
+    count = 2 * require_type(word, GroupWord, "the word").genus
     return [(code, position, 1) if code < count else (code - count, position + 1, -1)
             for position, code in enumerate(word.codes)]
 
 
 def letter_codes(presentation: Presentation, words):
     """Letter codes of words over the presentation, longest word first,
-    for tables indexed like [images, inverses].
+    for tables indexed like [images, inverses]: an iterable of GroupWords,
+    or a WordBatch, read as it stands.
 
     Returns (codes, reach, restore).  The rows of the integer array
     codes, of shape (len(words), longest), are the words' codes stably
@@ -405,19 +567,17 @@ def letter_codes(presentation: Presentation, words):
     first reach[p] rows: a fold reads those alone, so it never meets the
     padding.
     """
-    words = list(require_type(words, Iterable, "the words"))
-    for word in words:
-        if require_type(word, GroupWord, "each word").genus != presentation.genus:
-            raise InputError("word and representation have different genus")
-    rows = [w.codes for w in words]
-    lengths = np.array([len(row) for row in rows], dtype=np.intp)
+    genus = require_type(presentation, Presentation, "the presentation").genus
+    if not isinstance(words, WordBatch):
+        codes, lengths = _word_rows(genus, words)
+    elif words.genus == genus:
+        codes, lengths = words.codes, words.lengths
+    else:
+        raise InputError("word and representation have different genus")
     order = np.argsort(-lengths, kind="stable")
     longest = int(lengths.max(initial=0))
-    pad = (2 * presentation.generator_count,)
-    codes = np.array([rows[r] + pad * (longest - len(rows[r])) for r in order],
-                     dtype=np.intp).reshape(len(rows), longest)
     reach = (lengths[:, None] > np.arange(longest)).sum(axis=0).tolist()
-    return codes, reach, np.argsort(order)
+    return codes[order, :longest].astype(np.intp, copy=False), reach, np.argsort(order)
 
 
 @dataclass(frozen=True, eq=False)
@@ -438,7 +598,8 @@ class RingCodes:
 
 def ring_codes(presentation: Presentation, elements) -> RingCodes:
     """The RingCodes of a sequence of group-ring elements."""
-    terms = [element.terms() for element in elements]
+    terms = [require_type(element, GroupRingElement, "each ring element").terms()
+             for element in elements]
     starts = np.cumsum([0] + [len(t) for t in terms], dtype=np.intp)
     slots = []
     for j in range(max(map(len, terms), default=0)):

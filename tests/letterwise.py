@@ -3,11 +3,32 @@ for bit: the Horner fold of a cocycle over one word, one letter at a time,
 and the closed-form pairing in the dual generators built on it.  The
 package folds words only as stacks (cocycles.extend_words); these are
 kept here, apart from it, so that a test compares the stacked fold with
-an independent walk and not with itself."""
+an independent walk and not with itself.  The Fox derivative's reference
+is the product rule, letter by letter, in group-ring arithmetic."""
 
 import numpy as np
 
+from goldman import GroupRingElement, Presentation
 from goldman.reps import evaluate
+
+
+def letterwise_fox_derivative(word, index):
+    """Fox derivative by the product rule d(uv) = du + u dv, one letter at
+    a time: d(x)/dx = 1 and d(x^-1)/dx = -x^-1, each prefix re-reduced
+    from its letters (quadratic in the word length)."""
+    pres = Presentation(word.genus)
+    result = GroupRingElement.zero(word.genus)
+    prefix = pres.identity()
+    count = pres.generator_count
+    for code in word.codes:  # x_i is coded i, x_i^-1 is count + i
+        letter = pres.reduce([code])
+        if code % count == index:
+            if code < count:
+                result = result + GroupRingElement.from_word(prefix)
+            else:
+                result = result - GroupRingElement.from_word(prefix * letter)
+        prefix = prefix * letter
+    return result
 
 
 def letterwise_extend(chi, word):

@@ -13,12 +13,14 @@ from goldman import (Chart, Cocycle, CocycleStack, ConvergenceError, GroupWord, 
                      relator_residual, rh_differential, stack_cocycles, standard_block_j,
                      star_involution, symplectic_basis)
 from goldman.charts import closedness_floors, closedness_residuals
-from goldman.cocycles import extend, extend_words, linear_combination, word_jacobian
+from goldman.cocycles import extend, extend_ring, extend_words, linear_combination, word_jacobian
 from goldman.config import RunConfig
 from goldman.linalg import (complex_gaussian, expm, frob, haar_unitary, polar_unitary,
                             split_singular_values, vec)
 from goldman.reps import evaluate_words, relator_tangent_matrix
-from goldman.words import commutator, format_word, fox_derivative, parse_word
+from goldman.words import (GroupRingElement, WordBatch, anti_involution, commutator,
+                           format_word, fox_derivative, join_batches, letter_codes,
+                           letter_fox_terms, parse_word, ring_codes)
 
 
 def h1_chart(rep):
@@ -730,6 +732,27 @@ class TestConstructionValidation:
     lambda rep: evaluate_words(rep, 3),
     lambda rep: parse_word(rep.presentation, 3),
     lambda rep: extend_words(3, [rep.presentation.a(1)]),
+    lambda rep: anti_involution(3),
+    lambda rep: letter_fox_terms(3),
+    lambda rep: GroupRingElement.from_word(3),
+    lambda rep: extend_ring(zero_cocycle(rep), 3),
+    lambda rep: ring_codes(rep.presentation, [3]),
+    lambda rep: evaluate(3, rep.presentation.a(1)),
+    lambda rep: Presentation(2).reduce(3),
+    lambda rep: Presentation(2).word(3),
+    lambda rep: letter_codes(3, [rep.presentation.a(1)]),
+    lambda rep: WordBatch(2, [[0, 4]], [2]),
+    lambda rep: WordBatch(2, [[0, 7]], [1]),
+    lambda rep: WordBatch(2, [[0.0]], [1]),
+    lambda rep: WordBatch(50, np.array([[150, 50]], dtype=np.uint8), [2]),
+    lambda rep: Presentation(2).reduce_batch([[8]], [1]),
+    lambda rep: Presentation(2).reduce_batch([[0]], [2]),
+    lambda rep: letter_codes(Presentation(3), Presentation(2).reduce_batch([[0]], [1])),
+    lambda rep: join_batches([]),
+    lambda rep: join_batches([Presentation(2).reduce_batch([[0]], [1]), 3]),
+    lambda rep: Presentation(2).reduce_batch([[0]], [1])[0],
+    lambda rep: Presentation(2).reduce_batch([[0]], [1]) * Presentation(2).reduce_batch(
+        [[0], [1]], [1, 1]),
 ], ids=["singular-conjugator", "wide-conjugator", "negative-block", "fractional-block",
         "bool-block", "wide-coboundary", "ragged-coboundary", "nan-stack",
         "stack-generator-count", "empty-stack", "stack-rank", "genus-zero-word",
@@ -755,7 +778,14 @@ class TestConstructionValidation:
          "evaluate-integer-words", "extend-by-letters", "jacobian-of-a-string",
          "format-an-integer", "parse-over-an-integer", "fox-derivative-of-an-integer",
          "commutator-of-integers", "evaluate-an-integer", "parse-an-integer",
-         "extend-an-integer"])
+         "extend-an-integer", "anti-involution-of-an-integer",
+         "letter-terms-of-an-integer", "ring-element-of-an-integer",
+         "extend-ring-by-an-integer", "ring-codes-of-an-integer",
+         "evaluate-over-an-integer", "reduce-an-integer", "word-of-an-integer",
+         "codes-over-an-integer", "cancelling-batch", "badly-padded-batch",
+         "float-batch", "unsigned-cancelling-batch", "reduce-batch-out-of-range", "reduce-batch-too-long",
+         "batch-of-another-genus", "join-no-batches", "join-an-integer",
+         "batch-row-by-an-integer", "multiply-batches-of-two-sizes"])
 def test_exported_calls_refuse_bad_input(rep_g2n2, call):
     with pytest.raises(InputError):
         call(rep_g2n2)

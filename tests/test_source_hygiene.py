@@ -1,7 +1,7 @@
 """Import hygiene of the package source, checked on its syntax trees,
 and the independence of the cup-product oracle.
 
-Twenty-four rules, with no lint dependency:
+Twenty-five rules, with no lint dependency:
 
 - every module-level import is used in its module (the package
   ``__init__`` re-exports, and ``from __future__`` imports are exempt);
@@ -53,9 +53,11 @@ Twenty-four rules, with no lint dependency:
   inverse images, the Fox Jacobian included, is handed them;
 - the trusted word constructor ``words._trusted`` is called only in
   ``words``, by ``GroupWord.__mul__``, ``GroupWord.inverse``,
-  ``Presentation.reduce`` and ``fox_derivative``, on codes that the
-  module has just made freely reduced and in range: every word built
-  from outside input passes ``GroupWord``'s checks;
+  ``Presentation.reduce``, ``fox_derivative`` and ``WordBatch.words``,
+  and the trusted batch constructor ``words._trusted_batch`` only in
+  ``words`` too, on codes that the module has just made freely reduced
+  and in range: every word or batch built from outside input passes
+  ``GroupWord``'s or ``WordBatch``'s checks;
 - each name of ``verify.ALL_CHECKS`` is a string literal once in
   ``verify.py``, in its table row: the runner hands it to the check's
   stream and report line, so no second copy can drift from the table;
@@ -86,7 +88,11 @@ Twenty-four rules, with no lint dependency:
   ``reps._word_product`` and ``reps.evaluate_words`` (products of images),
   ``reps.fox_jacobian`` (the prefix walk of the Fox Jacobian) and
   ``cocycles._fold`` (the one Horner fold of a cocycle), so no second fold
-  or product walk grows beside them.
+  or product walk grows beside them;
+- ``verify.py`` calls neither ``reduce`` nor ``letter_codes``: its random
+  words are ``WordBatch``es, reduced, multiplied and coded as arrays, and
+  the checks hand them to ``evaluate_words`` and ``extend_words`` as they
+  stand, so no check goes back to reducing or coding word by word.
 """
 
 import ast
@@ -394,7 +400,15 @@ def test_trusted_words_are_built_only_in_words():
     assert sorted(set(_without_lines(found))) == ["words.py in GroupWord.__mul__",
                                                   "words.py in GroupWord.inverse",
                                                   "words.py in Presentation.reduce",
+                                                  "words.py in WordBatch.words",
                                                   "words.py in fox_derivative"]
+    batches = [site for path in MODULES for site in call_sites(path, "_trusted_batch")]
+    assert {site.partition(":")[0] for site in batches} == {"words.py"}
+
+
+def test_verify_reads_word_batches():
+    path = SOURCE / "verify.py"
+    assert call_sites(path, "reduce") + call_sites(path, "letter_codes") == []
 
 
 def test_trusted_points_are_built_only_by_newton():

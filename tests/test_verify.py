@@ -10,7 +10,8 @@ import goldman.pairing
 import goldman.reps
 import goldman.verify
 from goldman import (Cocycle, ConditioningError, Presentation, Representation,
-                     commutant_dimension, conjugate_representation, random_cocycle)
+                     cocycle_law_residuals, commutant_dimension, conjugate_representation,
+                     random_cocycle)
 from goldman.config import RunConfig
 from goldman.pairing import dual_form_matrix
 from goldman.verify import ALL_CHECKS, SuiteRun, applicable_checks, run_check, run_suite
@@ -195,6 +196,23 @@ class TestRandomWords:
         results = run_suite(RunConfig(genus=2, rank=2, seed=1, out=tmp_path))
         assert all(r.passed for r in results)
         assert sum(len(stream.draws) for stream in streams) <= 300
+
+
+class TestCocycleLawBatch:
+    @pytest.mark.parametrize("genus, rank, flavor", [(2, 2, "unitary"), (2, 2, "general-linear"),
+                                                     (3, 2, "unitary"), (2, 4, "unitary")])
+    def test_residuals_are_the_pairwise_loop_bit_for_bit(self, tmp_path, genus, rank, flavor):
+        # the oracle: one cocycle_law_residuals call per basis cocycle, on its
+        # own draw of 100 pairs of GroupWords
+        run = SuiteRun(RunConfig(genus=genus, rank=rank, flavor=flavor, seed=7, out=tmp_path))
+        name = "cocycle-law-on-basis"
+        batched = goldman.verify._cocycle_law_residuals(run, run.rng(name))
+        rng, expected = run.rng(name), []
+        for chi in run.basis.basis:
+            words = _reference_words(chi.base.presentation, rng, 200)
+            expected.extend(cocycle_law_residuals(chi, list(zip(words[0::2], words[1::2]))))
+        assert len(batched) == 100 * len(run.basis.basis)
+        assert batched == expected
 
 
 class TestConjugator:

@@ -9,29 +9,12 @@ from goldman import (Cocycle, GroupRingElement, GroupWord, InputError, Presentat
                      anti_involution, cocycle_basis, commutator, format_word,
                      fox_derivative, newton_project, pairing_cup, parse_word,
                      random_representation)
-from goldman.words import letter_fox_terms
+from goldman.words import WordBatch, join_batches, letter_codes, letter_fox_terms
+from letterwise import letterwise_fox_derivative
 
 
 def words_of(pres, text):
     return parse_word(pres, text)
-
-
-def letterwise_fox_derivative(word, index):
-    """Reference Fox derivative: the product rule letter by letter, each
-    prefix re-reduced from scratch (quadratic in the word length)."""
-    pres = Presentation(word.genus)
-    result = GroupRingElement.zero(word.genus)
-    prefix = pres.identity()
-    count = pres.generator_count
-    for code in word.codes:  # x_i is coded i, x_i^-1 is count + i
-        letter = pres.reduce([code])
-        if code % count == index:
-            if code < count:
-                result = result + GroupRingElement.from_word(prefix)
-            else:
-                result = result - GroupRingElement.from_word(prefix * letter)
-        prefix = prefix * letter
-    return result
 
 
 class TestReduction:
@@ -125,6 +108,73 @@ class TestReduction:
         w = pres.a(1) * pres.b(2)
         assert w * pres.identity() == w
         assert pres.identity() * w == w
+
+
+def _raw_rows(rng, genus, count=60, width=10):
+    """count rows of raw letter codes with their lengths: row 0 empty,
+    rows 1 and 2 full length, row 3 a word followed by its inverse, which
+    cancels completely, the rest random."""
+    letters = 2 * genus
+    codes = rng.integers(0, 2 * letters, size=(count, width))
+    lengths = rng.integers(0, width + 1, size=count)
+    lengths[:3] = (0, width, width)
+    half = width // 2
+    codes[3, half:2 * half] = ((codes[3, :half] + genus * 2) % (2 * letters))[::-1]
+    lengths[3] = 2 * half
+    return codes, lengths
+
+
+class TestWordBatch:
+    @pytest.mark.parametrize("genus", [1, 2, 3, 4])
+    def test_reduce_batch_is_reduce_row_by_row(self, genus):
+        pres = Presentation(genus)
+        for seed in range(5):
+            codes, lengths = _raw_rows(np.random.default_rng(seed), genus)
+            batch = pres.reduce_batch(codes, lengths)
+            expected = [pres.reduce(row[:length].tolist()) for row, length in zip(codes, lengths)]
+            assert batch.words() == expected
+            assert batch.words()[0].is_identity and batch.words()[3].is_identity
+            assert all(type(code) is int for word in batch.words() for code in word.codes)
+            assert WordBatch(genus, batch.codes, batch.lengths).words() == expected  # padded
+
+    @pytest.mark.parametrize("genus", [1, 2, 3, 4])
+    def test_product_is_the_word_product_row_by_row(self, genus):
+        pres = Presentation(genus)
+        for seed in range(5):
+            batch = pres.reduce_batch(*_raw_rows(np.random.default_rng(seed), genus))
+            u, v = batch[0::2], batch[1::2]
+            assert (u * v).words() == [x * y for x, y in zip(u.words(), v.words())]
+            # u times u^-1: every row cancels to the identity, at full length too
+            inverses = [list(x.inverse().codes) for x in u.words()]
+            width = max(map(len, inverses))
+            inverse = pres.reduce_batch([row + [4 * genus] * (width - len(row)) for row in inverses],
+                                        [len(row) for row in inverses])
+            assert all(word.is_identity for word in (u * inverse).words() + (inverse * u).words())
+            assert (u * inverse).codes.shape == (len(u), 0)
+
+    @pytest.mark.parametrize("genus", [1, 2, 3, 4])
+    def test_letter_codes_of_a_batch_are_those_of_its_words(self, genus):
+        pres = Presentation(genus)
+        batch = pres.reduce_batch(*_raw_rows(np.random.default_rng(genus), genus))
+        u, v = batch[0::2], batch[1::2]
+        empty = pres.reduce_batch(np.zeros((0, 8), dtype=int), np.zeros(0, dtype=int))
+        for words in (batch, u * v, join_batches([u * v, u, v]), batch[[3, 0]], empty):
+            codes, reach, restore = letter_codes(pres, words)
+            expected_codes, expected_reach, expected_restore = letter_codes(pres, words.words())
+            assert codes.dtype == expected_codes.dtype and np.array_equal(codes, expected_codes)
+            assert reach == expected_reach
+            assert np.array_equal(restore, expected_restore)
+
+    def test_rows_join_and_stay_read_only(self):
+        pres = Presentation(2)
+        batch = pres.reduce_batch(*_raw_rows(np.random.default_rng(0), 2))
+        words = batch.words()
+        assert join_batches([batch[5:], batch[:5]]).words() == words[5:] + words[:5]
+        assert batch[[2, 0]].words() == [words[2], words[0]]
+        for rows in (batch, batch * batch, join_batches([batch]), batch[1:]):
+            assert not rows.codes.flags.writeable and not rows.lengths.flags.writeable
+        with pytest.raises(AttributeError):
+            batch.lengths = batch.lengths[:1]
 
 
 class TestRelator:
@@ -295,6 +345,20 @@ class TestGroupRing:
         assert e * 3 == GroupRingElement.from_word(pres.a(1), 3)
         assert (e * 0).is_zero
 
+    def test_word_times_element_is_the_element_product(self):
+        rng = np.random.default_rng(3)
+        for genus in (1, 2, 3):
+            pres = Presentation(genus)
+            batch = pres.reduce_batch(*_raw_rows(rng, genus, count=200, width=6))
+            words = batch.words()
+            for start in range(0, 200, 4):
+                w, *terms = words[start:start + 4]
+                e = GroupRingElement.zero(genus)
+                for term in terms:
+                    e = e + GroupRingElement.from_word(term, int(rng.integers(-3, 4)) or 1)
+                assert w * e == GroupRingElement.from_word(w) * e
+                assert (w * e).terms() == (GroupRingElement.from_word(w) * e).terms()
+
 
 class TestDualGenerators:
     def test_alpha_one_genus_two(self):
@@ -431,6 +495,16 @@ class TestTextFormat:
                 call()
         assert pres.generator(np.int64(3)) == pres.b(2)
         assert pres.relator(np.int64(1)) == pres.relator(1)
+
+    def test_handle_index_follows_the_integer_rule(self):
+        pres = Presentation(2)
+        with pytest.raises(InputError, match=re.escape("a_k needs an integer k in 1..2, "
+                                                       "got k=1.5")):
+            pres.a(1.5)
+        for k in (True, 0, 3, 2.0, "1"):
+            with pytest.raises(InputError, match="b_k needs an integer k"):
+                pres.b(k)
+        assert pres.a(np.int64(2)) == pres.generator(2) and pres.b(1) == pres.generator(1)
 
     def test_generator_names(self):
         pres = Presentation(2)
