@@ -23,8 +23,8 @@ from .linalg import (RandomStream, canonical_frame, column_space, complement_wit
                      split_singular_values, square_stack, triangular_values)
 from .reps import (UNITARY, Representation, evaluate_words, fox_jacobian,
                    relator_tangent_matrix)
-from .words import (GroupRingElement, GroupWord, RingCodes, letter_codes, letter_fox_terms,
-                    ring_codes)
+from .words import (GroupRingElement, GroupWord, RingCodes, WordBatch, join_batches,
+                    letter_codes, letter_fox_terms, ring_codes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,26 +279,32 @@ def _fold(tables, values: np.ndarray, coded) -> np.ndarray:
 
 def cocycle_law_residuals(chi: Cocycle, pairs) -> list[float]:
     """Residuals |chi(uv) - chi(u) - Ad(sigma(u)) chi(v)|, one per (u, v)
-    pair.
+    pair: an iterable of (word, word) pairs, or a tuple (u, v) of two
+    WordBatches of one size, paired row by row.
 
     The words uv, u and v of every pair are folded at once by
     extend_words, sigma(u) is one stacked product by evaluate_words, and
     the norms are one frobs call, so each residual is the same bit for bit
     as from extend, evaluate and frob pair by pair.  InputError (exit 2)
-    unless chi is a cocycle and pairs an iterable of (word, word) pairs.
+    unless chi is a cocycle and pairs word pairs or two batches.
     """
     require_type(chi, Cocycle, "the cocycle")
-    pairs = list(require_type(pairs, Iterable, "the word pairs"))
-    for pair in pairs:
-        if len(require_type(pair, (tuple, list), "each word pair")) != 2:
-            raise InputError(f"a word pair holds two words, got {len(pair)}")
-        for word in pair:
-            require_type(word, GroupWord, "each word of a pair")
-    folded = extend_words(chi, [w for u, v in pairs for w in (u * v, u, v)])
-    chi_uv, chi_u, chi_v = folded[0::3], folded[1::3], folded[2::3]
-    sigma_u = evaluate_words(chi.base, [u for u, _ in pairs])
-    rhs = chi_u + sigma_u @ chi_v @ np.linalg.inv(sigma_u)
-    return frobs(chi_uv - rhs)
+    if isinstance(pairs, tuple) and len(pairs) == 2 and all(
+            isinstance(batch, WordBatch) for batch in pairs):
+        u, v = pairs
+        words = join_batches([u * v, u, v])
+    else:
+        pairs = list(require_type(pairs, Iterable, "the word pairs"))
+        for pair in pairs:
+            if len(require_type(pair, (tuple, list), "each word pair")) != 2:
+                raise InputError(f"a word pair holds two words, got {len(pair)}")
+            for word in pair:
+                require_type(word, GroupWord, "each word of a pair")
+        u, v = [x for x, _ in pairs], [y for _, y in pairs]
+        words = [x * y for x, y in pairs] + u + v
+    chi_uv, chi_u, chi_v = np.split(extend_words(chi, words), 3)
+    sigma_u = evaluate_words(chi.base, u)
+    return frobs(chi_uv - (chi_u + sigma_u @ chi_v @ np.linalg.inv(sigma_u)))
 
 
 def coboundary(v: np.ndarray, rep: Representation):

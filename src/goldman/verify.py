@@ -50,8 +50,8 @@ from .charts import (FLAT, TRIVIALIZATION, Chart, closedness_check, closedness_f
                      closedness_residuals, convergence_order, deform, deformation_correction,
                      rh_differential, rh_word_value)
 from .cocycles import (Cocycle, CocycleBasis, CocycleStack, anti_hermitian_part,
-                       coboundary, cocycle_basis, expected_h1_dimension, extend_words,
-                       linear_combination, random_cocycle, real_locus_bases,
+                       coboundary, cocycle_basis, cocycle_law_residuals,
+                       expected_h1_dimension, linear_combination, random_cocycle, real_locus_bases,
                        relator_residual, stack_cocycles, star_involution)
 from .config import RunConfig
 from .errors import ConvergenceError
@@ -111,7 +111,7 @@ def _letter_rows(pres: Presentation, rng, lengths: np.ndarray, width: int) -> np
     generators = rng.integers(0, count, size=total)
     signs = rng.integers(0, 2, size=total)
     inside = np.arange(width) < lengths[:, None]
-    rows = np.full(inside.shape, 2 * count, dtype=np.min_scalar_type(-2 * count))
+    rows = np.full(inside.shape, 2 * count)
     rows[inside] = generators + count * (1 - signs)
     return rows
 
@@ -134,13 +134,12 @@ def _random_words(pres: Presentation, rng, count: int) -> list[GroupWord]:
 
 
 def _random_pairs(pres: Presentation, rng, count: int,
-                  draws: int = 1) -> tuple[WordBatch, WordBatch, WordBatch]:
-    """(uv, u, v) of draws batches of count pairs (u, v) of random words,
-    each batch from one draw of 2 count words (_random_batch), u and v
-    interleaved: u, v and their products uv as three batches."""
+                  draws: int = 1) -> tuple[WordBatch, WordBatch]:
+    """draws batches of count pairs (u, v) of random words, each from one
+    draw of 2 count words (_random_batch), u and v interleaved: the u and
+    the v of every pair as two batches."""
     words = _random_batch(pres, rng, 2 * count, draws)
-    u, v = words[0::2], words[1::2]
-    return u * v, u, v
+    return words[0::2], words[1::2]
 
 
 def _random_ring_elements(pres: Presentation, rng, count: int) -> list[GroupRingElement]:
@@ -238,8 +237,9 @@ def check_fox_product_rule(run: SuiteRun, rng) -> Measurement:
     pres = Presentation(run.config.genus)
     count = pres.generator_count
     failures = 0
-    for pair, (uv, u, v) in enumerate(zip(*(batch.words() for batch
-                                            in _random_pairs(pres, rng, 100, count)))):
+    left, right = _random_pairs(pres, rng, 100, count)
+    for pair, (uv, u, v) in enumerate(zip(*(batch.words()
+                                            for batch in (left * right, left, right)))):
         index = pair // 100  # one draw of 100 pairs per generator
         if fox_derivative(uv, index) != fox_derivative(u, index) + u * fox_derivative(v, index):
             failures += 1
@@ -326,7 +326,8 @@ def check_evaluate_multiplicative(run: SuiteRun, rng) -> Measurement:
     rep = run.rep
     pres = rep.presentation
     samples = 100
-    images = evaluate_words(rep, join_batches(_random_pairs(pres, rng, samples)))
+    u, v = _random_pairs(pres, rng, samples)
+    images = evaluate_words(rep, join_batches([u * v, u, v]))
     uv, u, v = images[:samples], images[samples:2 * samples], images[2 * samples:]
     rhs = u @ v
     worst = _worst(gap / max(1.0, size) for gap, size in zip(frobs(uv - rhs), frobs(rhs)))
@@ -409,22 +410,13 @@ def check_newton_projection(run: SuiteRun, rng) -> Measurement:
 
 def _cocycle_law_residuals(run: SuiteRun, rng) -> list[float]:
     """cocycle_law_residuals of each basis cocycle on its own 100 random
-    pairs, one draw each, bit for bit: every draw is reduced, multiplied
-    and coded at once, sigma(u) is one evaluate_words and one inversion
-    over every u, each cocycle folds its uv, u and v in one extend_words
-    call, and the norms are one frobs call."""
+    pairs, one draw each: every draw is reduced at once, and each
+    cocycle's pairs are 100 rows of the two batches."""
     basis = run.basis
-    rep, k = basis.base, len(basis.basis)
-    uv, u, v = _random_pairs(rep.presentation, rng, 100, k)
-    law = join_batches([uv, u, v])
-    rows = np.arange(300 * k).reshape(3, k, 100).transpose(1, 0, 2).reshape(k, 300)
-    sigma = evaluate_words(rep, u).reshape(k, 100, rep.rank, rep.rank)
-    inverse = np.linalg.inv(sigma)
-    gaps = []
-    for chi, row, s_u, s_inv in zip(basis.basis, rows, sigma, inverse):
-        folded = extend_words(chi, law[row])
-        gaps.append(folded[:100] - (folded[100:200] + s_u @ folded[200:] @ s_inv))
-    return frobs(np.concatenate(gaps))
+    u, v = _random_pairs(basis.base.presentation, rng, 100, len(basis.basis))
+    return [residual for start, chi in zip(range(0, len(u), 100), basis.basis)
+            for residual in cocycle_law_residuals(chi, (u[start:start + 100],
+                                                        v[start:start + 100]))]
 
 
 def check_cocycle_law_on_basis(run: SuiteRun, rng) -> Measurement:
@@ -726,9 +718,9 @@ def check_rh_cocycle_law_order(run: SuiteRun, rng) -> Measurement:
     rep = run.rep
     chi = _unit_direction(run, run.rng("rh-cocycle-law-order-direction"))
     chart = Chart(center=rep, frame=(chi,))
-    uv, u, v = _random_pairs(rep.presentation, rng, 50)
+    u, v = _random_pairs(rep.presentation, rng, 50)
     s_u = evaluate_words(rep, u)
-    law_words = join_batches([uv, u, v])
+    law_words = join_batches([u * v, u, v])
     residuals = []
     for h, plus, minus in _curve_points(chart, (2e-3, 1e-3)):
         values = rh_word_value(rep, plus, minus, law_words, h)

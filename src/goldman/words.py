@@ -135,22 +135,13 @@ class WordBatch:
     """Freely reduced words as arrays: row i of the read-only (k, width)
     integer matrix codes holds word i's letter codes in its first lengths[i]
     entries and the pad 2c after them, c = 2g, as letter_codes pads.
-    WordBatch(genus, codes, lengths) refuses rows that reduce_batch would
-    change (a cancelling pair, a pad that is not 2c) or refuse; the module
-    builds batches by Presentation.reduce_batch, products, joins and row
+    Batches are built from outside arrays only by Presentation.reduce_batch,
+    which checks them; the module makes the rest by products, joins and row
     selections.
     batch[rows] is the batch of the rows a slice or an index array selects,
     and words() the rows as GroupWords, where exact ring algebra needs them."""
 
     __slots__ = ("genus", "codes", "lengths")
-
-    def __init__(self, genus: int, codes, lengths):
-        batch = Presentation(genus).reduce_batch(codes, lengths)
-        if not (np.array_equal(batch.lengths, lengths) and np.array_equal(batch.codes, codes)):
-            raise InputError(f"each row of a batch must be a freely reduced word, padded "
-                             f"with {4 * batch.genus} past its length")
-        for name in self.__slots__:
-            object.__setattr__(self, name, getattr(batch, name))
 
     def __setattr__(self, name, value):
         raise AttributeError("a WordBatch is read-only")
@@ -174,20 +165,22 @@ class WordBatch:
             raise InputError("cannot multiply batches of different presentations or sizes")
         count = 2 * self.genus
         left, right, lu, lv = self.codes, other.codes, self.lengths, other.lengths
-        rows = np.arange(len(self))
-        cut = np.zeros(len(self), dtype=np.intp)
-        for t in range(min(left.shape[1], right.shape[1])):
-            cut += ((cut == t) & (t < np.minimum(lu, lv))
-                    & (np.abs(left[rows, lu - 1 - t] - right[:, t]) == count))
+        rows = np.arange(len(self))[:, None]
+        depth = np.arange(min(left.shape[1], right.shape[1]))
+        # left's suffix, read backwards, against right's prefix: the cut is
+        # the leading run of inverse pairs
+        meets = ((depth < np.minimum(lu, lv)[:, None])
+                 & (np.abs(left[rows, lu[:, None] - 1 - depth] - right[:, depth]) == count))
+        cut = np.logical_and.accumulate(meets, axis=1).sum(axis=1, dtype=np.intp)
         keep, lengths = lu - cut, lu + lv - 2 * cut
-        # left's kept prefix, then right past the cut, one column of right at a time
-        codes = np.full((len(self), left.shape[1] + right.shape[1]), 2 * count, dtype=left.dtype)
-        codes[:, :left.shape[1]] = np.where(np.arange(left.shape[1]) < keep[:, None], left,
-                                            2 * count)
-        for t, column in enumerate(right.T):
-            moved = (cut <= t) & (t < lv)
-            codes[rows[moved], (keep - cut + t)[moved]] = column[moved]
-        return _trusted_batch(self.genus, codes[:, :lengths.max(initial=0)], lengths)
+        # left's kept prefix, then right past the cut, gathered from both side by side
+        joined = np.concatenate([left, right], axis=1)
+        column = np.arange(lengths.max(initial=0))
+        at = np.where(column < keep[:, None], column,
+                      left.shape[1] + cut[:, None] + column - keep[:, None])
+        codes = joined[rows, np.minimum(at, joined.shape[1] - 1)]
+        codes[column >= lengths[:, None]] = 2 * count
+        return _trusted_batch(self.genus, codes, lengths)
 
     def words(self) -> list[GroupWord]:
         return [_trusted(self.genus, tuple(row[:length]))
@@ -215,7 +208,7 @@ def join_batches(batches) -> WordBatch:
 def _trusted_batch(genus: int, codes: np.ndarray, lengths: np.ndarray) -> WordBatch:
     """The WordBatch of arrays that this module has just made freely
     reduced, in range and padded, codes of reduce_batch's type and intp
-    lengths over an int genus, without its checks."""
+    lengths over an int genus, without reduce_batch's checks."""
     codes.setflags(write=False)
     lengths.setflags(write=False)
     batch = object.__new__(WordBatch)
@@ -331,8 +324,9 @@ class Presentation:
         inside = np.arange(codes.shape[1]) < lengths[:, None]
         if np.any(inside & ((codes < 0) | (codes >= 2 * count))):
             raise InputError(f"letter codes must be integers in 0..{2 * count - 1}")
-        # the smallest signed type of the pad 2c: no difference of two codes wraps
-        codes = codes.astype(np.min_scalar_type(-2 * count))
+        # the smallest signed type of -2c - 1 holds the codes, the pad 2c and
+        # every difference of two of them: int8 up to genus 31
+        codes = codes.astype(np.min_scalar_type(-2 * count - 1))
         rows = np.arange(len(codes))
         stack = np.full(codes.shape, 2 * count, dtype=codes.dtype)
         top = np.zeros(len(codes), dtype=np.intp)
@@ -526,21 +520,15 @@ def fox_derivative(word: GroupWord, index: int) -> GroupRingElement:
     """Fox free derivative of a word with respect to generator `index`.
 
     Defined on letters by d(x)/dx = 1 and d(x^-1)/dx = -x^-1, extended by
-    the product rule d(uv)/dx = du/dx + u dv/dx: x_i at position p gives
-    the prefix of length p with +1, x_i^-1 the prefix of length p + 1
-    with -1 (letter_fox_terms), in one pass over the codes.  On a freely
-    reduced word the prefixes are distinct, so no two terms merge.
+    the product rule d(uv)/dx = du/dx + u dv/dx: the terms of the word's
+    letters in x_i (letter_fox_terms).  On a freely reduced word their
+    prefixes are distinct and their coefficients +-1, so no two terms merge.
     """
     genus = require_type(word, GroupWord, "the word").genus
     check_index("generator index", index, 2 * genus)
-    codes, inverse = word.codes, index + 2 * genus
-    terms = {}
-    for position, code in enumerate(codes):
-        if code == index:
-            terms[_trusted(genus, codes[:position])] = 1
-        elif code == inverse:
-            terms[_trusted(genus, codes[:position + 1])] = -1
-    return _trusted_ring(genus, terms)
+    return _trusted_ring(genus, {_trusted(genus, word.codes[:length]): coeff
+                                 for generator, length, coeff in letter_fox_terms(word)
+                                 if generator == index})
 
 
 def letter_fox_terms(word: GroupWord) -> list[tuple[int, int, int]]:

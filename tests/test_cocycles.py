@@ -75,6 +75,13 @@ class TestExtend:
                 assert relator_residual(chi) < 1e-10
 
 
+def word_batch(pres, words):
+    """The WordBatch of a non-empty list of words, through reduce_batch."""
+    width = max(map(len, words))
+    return pres.reduce_batch([list(w.codes) + [0] * (width - len(w)) for w in words],
+                             [len(w) for w in words])
+
+
 def stacked_test_words(pres, rng, count=300, longest=8):
     """count words over pres: the empty word, w w^-1 products that cancel
     to it, products u v that cancel part way, and free random words, each
@@ -160,6 +167,8 @@ class TestStackedWords:
                    + sigma_u @ letterwise_extend(chi, v) @ np.linalg.inv(sigma_u))
             expected.append(frob(letterwise_extend(chi, u * v) - rhs))
         assert cocycle_law_residuals(chi, pairs) == expected
+        u, v = word_batch(rep.presentation, words[0::2]), word_batch(rep.presentation, words[1::2])
+        assert cocycle_law_residuals(chi, (u, v)) == expected
         # general-linear images grow along words of up to 16 letters
         assert max(expected) < 1e-6
 

@@ -18,7 +18,7 @@ from goldman.config import RunConfig
 from goldman.linalg import (complex_gaussian, expm, frob, haar_unitary, polar_unitary,
                             split_singular_values, vec)
 from goldman.reps import evaluate_words, relator_tangent_matrix
-from goldman.words import (GroupRingElement, WordBatch, anti_involution, commutator,
+from goldman.words import (GroupRingElement, anti_involution, commutator,
                            format_word, fox_derivative, join_batches, letter_codes,
                            letter_fox_terms, parse_word, ring_codes)
 
@@ -707,6 +707,8 @@ class TestConstructionValidation:
     lambda rep: cocycle_law_residuals(zero_cocycle(rep), 3),
     lambda rep: cocycle_law_residuals(zero_cocycle(rep), [3]),
     lambda rep: cocycle_law_residuals(zero_cocycle(rep), [(rep.presentation.a(1),) * 3]),
+    lambda rep: cocycle_law_residuals(zero_cocycle(rep), (rep.presentation.reduce_batch(
+        [[0]], [1]), rep.presentation.reduce_batch([[0], [1]], [1, 1]))),
     lambda rep: relator_residual(3),
     lambda rep: star_involution(3),
     lambda rep: anti_hermitian_part(3),
@@ -741,10 +743,7 @@ class TestConstructionValidation:
     lambda rep: Presentation(2).reduce(3),
     lambda rep: Presentation(2).word(3),
     lambda rep: letter_codes(3, [rep.presentation.a(1)]),
-    lambda rep: WordBatch(2, [[0, 4]], [2]),
-    lambda rep: WordBatch(2, [[0, 7]], [1]),
-    lambda rep: WordBatch(2, [[0.0]], [1]),
-    lambda rep: WordBatch(50, np.array([[150, 50]], dtype=np.uint8), [2]),
+    lambda rep: Presentation(2).reduce_batch([[0.0]], [1]),
     lambda rep: Presentation(2).reduce_batch([[8]], [1]),
     lambda rep: Presentation(2).reduce_batch([[0]], [2]),
     lambda rep: letter_codes(Presentation(3), Presentation(2).reduce_batch([[0]], [1])),
@@ -768,7 +767,8 @@ class TestConstructionValidation:
          "point-string-coordinates", "point-object-coordinates",
          "point-complex-coordinates", "deform-string-time", "law-of-an-integer",
          "law-of-integer-pairs", "law-of-an-integer-pair-list", "law-of-a-non-pair",
-         "law-of-a-word-triple", "relator-residual-of-an-integer",
+         "law-of-a-word-triple", "law-of-batches-of-two-sizes",
+         "relator-residual-of-an-integer",
          "star-of-an-integer", "anti-hermitian-part-of-an-integer",
          "relator-defect-of-an-integer", "newton-of-a-string",
          "newton-of-nested-strings", "basis-of-an-integer", "real-locus-of-an-integer",
@@ -782,8 +782,8 @@ class TestConstructionValidation:
          "letter-terms-of-an-integer", "ring-element-of-an-integer",
          "extend-ring-by-an-integer", "ring-codes-of-an-integer",
          "evaluate-over-an-integer", "reduce-an-integer", "word-of-an-integer",
-         "codes-over-an-integer", "cancelling-batch", "badly-padded-batch",
-         "float-batch", "unsigned-cancelling-batch", "reduce-batch-out-of-range", "reduce-batch-too-long",
+         "codes-over-an-integer", "reduce-float-batch", "reduce-batch-out-of-range",
+         "reduce-batch-too-long",
          "batch-of-another-genus", "join-no-batches", "join-an-integer",
          "batch-row-by-an-integer", "multiply-batches-of-two-sizes"])
 def test_exported_calls_refuse_bad_input(rep_g2n2, call):

@@ -57,7 +57,7 @@ Twenty-five rules, with no lint dependency:
   and the trusted batch constructor ``words._trusted_batch`` only in
   ``words`` too, on codes that the module has just made freely reduced
   and in range: every word or batch built from outside input passes
-  ``GroupWord``'s or ``WordBatch``'s checks;
+  ``GroupWord``'s or ``Presentation.reduce_batch``'s checks;
 - each name of ``verify.ALL_CHECKS`` is a string literal once in
   ``verify.py``, in its table row: the runner hands it to the check's
   stream and report line, so no second copy can drift from the table;

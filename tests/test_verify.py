@@ -198,6 +198,14 @@ class TestRandomWords:
         assert sum(len(stream.draws) for stream in streams) <= 300
 
 
+@pytest.mark.parametrize("genus", [31, 32])
+def test_random_words_hold_the_pad_at_large_genus(genus):
+    # at genus 32 the pad 2c = 128 no longer fits int8
+    pres = Presentation(genus)
+    batched, reference = np.random.default_rng(genus), np.random.default_rng(genus)
+    assert goldman.verify._random_words(pres, batched, 50) == _reference_words(pres, reference, 50)
+
+
 class TestCocycleLawBatch:
     @pytest.mark.parametrize("genus, rank, flavor", [(2, 2, "unitary"), (2, 2, "general-linear"),
                                                      (3, 2, "unitary"), (2, 4, "unitary")])

@@ -9,7 +9,7 @@ from goldman import (Cocycle, GroupRingElement, GroupWord, InputError, Presentat
                      anti_involution, cocycle_basis, commutator, format_word,
                      fox_derivative, newton_project, pairing_cup, parse_word,
                      random_representation)
-from goldman.words import WordBatch, join_batches, letter_codes, letter_fox_terms
+from goldman.words import join_batches, letter_codes, letter_fox_terms
 from letterwise import letterwise_fox_derivative
 
 
@@ -125,7 +125,7 @@ def _raw_rows(rng, genus, count=60, width=10):
 
 
 class TestWordBatch:
-    @pytest.mark.parametrize("genus", [1, 2, 3, 4])
+    @pytest.mark.parametrize("genus", [1, 2, 3, 4, 31, 32])
     def test_reduce_batch_is_reduce_row_by_row(self, genus):
         pres = Presentation(genus)
         for seed in range(5):
@@ -135,9 +135,10 @@ class TestWordBatch:
             assert batch.words() == expected
             assert batch.words()[0].is_identity and batch.words()[3].is_identity
             assert all(type(code) is int for word in batch.words() for code in word.codes)
-            assert WordBatch(genus, batch.codes, batch.lengths).words() == expected  # padded
+            # unsigned input: the scan subtracts codes in reduce_batch's signed type
+            assert pres.reduce_batch(codes.astype(np.uint8), lengths).words() == expected
 
-    @pytest.mark.parametrize("genus", [1, 2, 3, 4])
+    @pytest.mark.parametrize("genus", [1, 2, 3, 4, 31, 32])
     def test_product_is_the_word_product_row_by_row(self, genus):
         pres = Presentation(genus)
         for seed in range(5):
@@ -152,7 +153,12 @@ class TestWordBatch:
             assert all(word.is_identity for word in (u * inverse).words() + (inverse * u).words())
             assert (u * inverse).codes.shape == (len(u), 0)
 
-    @pytest.mark.parametrize("genus", [1, 2, 3, 4])
+    @pytest.mark.parametrize("genus, dtype", [(31, np.int8), (32, np.int16)])
+    def test_codes_take_the_smallest_type_that_holds_the_pad(self, genus, dtype):
+        batch = Presentation(genus).reduce_batch([[0, 1]], [1])
+        assert batch.codes.dtype == dtype and batch.codes.tolist() == [[0, 4 * genus]]
+
+    @pytest.mark.parametrize("genus", [1, 2, 3, 4, 31, 32])
     def test_letter_codes_of_a_batch_are_those_of_its_words(self, genus):
         pres = Presentation(genus)
         batch = pres.reduce_batch(*_raw_rows(np.random.default_rng(genus), genus))
