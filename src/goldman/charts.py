@@ -61,9 +61,11 @@ def rh_differential(center: Representation, plus: Representation,
     Right trivialization: the difference quotient of the generator images
     is divided by the center image on the right.  On a curve of retracted
     points the result satisfies the cocycle law and the relator
-    constraint to second order in the step.  InputError (exit 2) when the
-    three points differ in genus or rank.
+    constraint to second order in the step.  InputError (exit 2) unless
+    the three points are representations of one genus and rank.
     """
+    for point in (center, plus, minus):
+        require_type(point, Representation, "each point of the difference")
     _check_fd_step(step)
     if not center.images.shape == plus.images.shape == minus.images.shape:
         raise InputError("center, plus and minus points differ in genus or rank")
@@ -105,6 +107,7 @@ class Chart:
     _raw: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
+        require_type(self.center, Representation, "the chart's center")
         if not isinstance(self.frame, Sequence):
             raise InputError(f"chart frame must be a sequence of cocycles, "
                              f"got {type(self.frame).__name__}")
@@ -225,9 +228,9 @@ def deformation_correction(chart: Chart, coords) -> float:
     its Newton retraction, both read from the chart's memo.
 
     Second order in the coordinates: the exponential move is tangent to
-    the variety.
+    the variety.  InputError (exit 2) unless chart is a Chart.
     """
-    projected = chart.point(coords)  # validates the coordinates first
+    projected = require_type(chart, Chart, "the chart").point(coords)  # checks the coordinates
     raw = chart._raw[tuple(np.asarray(coords, dtype=float).tolist())]
     return tuple_distance(raw, projected.images)
 
@@ -296,8 +299,9 @@ def closedness_floors(chart: Chart, triple: tuple[int, int, int], steps) -> list
 
 def _closedness_ladder(chart: Chart, triple, steps) -> tuple[tuple[int, int, int], list]:
     """(triple, steps) as three frame indices of chart and a list of
-    closedness steps; InputError (exit 2) at the first bad one."""
-    triple = _frame_triple(chart, triple)
+    closedness steps; InputError (exit 2) at the first bad one, a chart
+    that is not a Chart first."""
+    triple = _frame_triple(require_type(chart, Chart, "the chart"), triple)
     steps = list(require_type(steps, Iterable, "closedness steps"))
     for h in steps:
         _check_closedness_step(h)

@@ -46,7 +46,7 @@ class Cocycle:
     values: np.ndarray
 
     def __post_init__(self):
-        rep = self.base
+        rep = require_type(self.base, Representation, "the cocycle's base")
         object.__setattr__(self, "values", generator_stack(
             self.values, rep.presentation.generator_count, rep.rank, "cocycle values"))
 
@@ -81,7 +81,7 @@ class CocycleStack(Sequence):
     values: np.ndarray
 
     def __post_init__(self):
-        rep = self.base
+        rep = require_type(self.base, Representation, "the cocycles' base")
         object.__setattr__(self, "values", generator_stack(
             self.values, rep.presentation.generator_count, rep.rank, "cocycle stack values",
             rows=True))
@@ -182,7 +182,9 @@ def extend(chi: Cocycle, word: GroupWord) -> np.ndarray:
 def word_jacobian(rep: Representation, word: GroupWord) -> np.ndarray:
     """Matrix of the linear map chi.flat -> vec chi(word), shape (n^2, 2g n^2):
     fox_jacobian over the word's letter terms (letter_fox_terms).
-    InputError (exit 2) unless word is a word of rep's genus."""
+    InputError (exit 2) unless rep is a representation and word a word of
+    its genus."""
+    require_type(rep, Representation, "the representation")
     if require_type(word, GroupWord, "the word").genus != rep.genus:
         raise InputError("word and representation have different genus")
     return fox_jacobian(rep.images, rep.inverse_images, word, letter_fox_terms(word))
@@ -419,14 +421,16 @@ def cocycle_basis(rep: Representation) -> CocycleBasis:
     linear map that drives Newton projection); B1 is the column space of
     the representation's cached coboundary_map, the map v -> delta_v,
     whose rank is decided once in rep.coboundary_svd.  The dimensions
-    come from cocycle_dimensions.
+    come from cocycle_dimensions on the matrices that rep.decision_matrix
+    chooses (the u(n) real forms at a unitary base); the frames read the
+    complex ones.
     """
     require_type(rep, Representation, "the representation")
     constraint = relator_tangent_matrix(rep.presentation, rep.images, rep.inverse_images)
-    coboundary = rep.coboundary_map
-    return CocycleBasis(base=rep,
-                        dims=cocycle_dimensions(constraint, coboundary, rep.coboundary_svd),
-                        constraint=constraint, coboundary=coboundary)
+    dims = cocycle_dimensions(rep.decision_matrix(constraint), rep.coboundary_decision,
+                              rep.coboundary_svd)
+    return CocycleBasis(base=rep, dims=dims, constraint=constraint,
+                        coboundary=rep.coboundary_map)
 
 
 def expected_h1_dimension(genus: int, rank: int) -> int:
@@ -440,7 +444,9 @@ def cocycle_dimensions(constraint: np.ndarray, coboundary: np.ndarray,
     of C = constraint, with q = 2g n^2 columns, and the column space B1 of
     D = coboundary, whose decided triangular_values are coboundary_svd =
     (k, svals).  No tall orthonormal factor and no singular vector is
-    formed.
+    formed.  C and D may be the u(n) real forms T^H C T and T^H D T
+    (Representation.decision_matrix): T is unitary, so their singular
+    values and ||C D||_F, hence every decision, are the same.
 
     On a closed surface group H2 is dual to H0 under the trace form
     (Goldman, 1984), so rank C = n^2 - dim H2 = n^2 - dim H0 = rank D, and

@@ -18,7 +18,8 @@ from . import tolerances
 from .errors import ConditioningError, ConvergenceError, InputError, require_type
 from .linalg import (ad_matrix, complex_array, expm, frob, frobs, generator_stack, ginibre,
                      haar_unitary, polar_unitary, require_finite, split_singular_values,
-                     square_stack, triangular_values, unitary_eigenframe, vec)
+                     square_stack, triangular_values, unitary_eigenframe, unitary_real_form,
+                     vec)
 from .words import GroupWord, Presentation, check_size, is_integer, letter_codes
 
 UNITARY = "unitary"
@@ -44,6 +45,7 @@ class Representation:
     seed: int | None = None
 
     def __post_init__(self):
+        require_type(self.presentation, Presentation, "the presentation")
         check_settings(self.flavor, self.seed, seed_optional=True, rank=self.rank)
         images = generator_stack(self.images, self.presentation.generator_count, self.rank,
                                  "generator images")
@@ -80,12 +82,27 @@ class Representation:
         matrix.setflags(write=False)
         return matrix
 
+    def decision_matrix(self, m: np.ndarray) -> np.ndarray:
+        """The matrix that a rank decision of m, a map between stacks of
+        n x n matrices, reads.  At a unitary base Ad maps u(n) into u(n),
+        so m's u(n) real form (linalg.unitary_real_form) is real with m's
+        singular values, and its factorizations run in real arithmetic;
+        the general-linear flavor has no real form and reads m itself."""
+        return unitary_real_form(m, self.rank) if self.flavor == UNITARY else m
+
+    @cached_property
+    def coboundary_decision(self) -> np.ndarray:
+        """Read-only decision_matrix of coboundary_map, formed once."""
+        matrix = self.decision_matrix(self.coboundary_map)
+        matrix.setflags(write=False)
+        return matrix
+
     @cached_property
     def coboundary_svd(self) -> tuple[int, np.ndarray]:
-        """(rank, svals) of coboundary_map: its triangular_values, with
-        the rank, dim B1, decided once by split_singular_values.  No
-        singular vectors are formed."""
-        svals = triangular_values(self.coboundary_map)
+        """(rank, svals) of coboundary_map: the triangular_values of its
+        coboundary_decision, with the rank, dim B1, decided once by
+        split_singular_values.  No singular vectors are formed."""
+        svals = triangular_values(self.coboundary_decision)
         svals.setflags(write=False)
         return split_singular_values(svals)[0], svals
 
@@ -132,9 +149,10 @@ def evaluate_words(rep: Representation, words) -> np.ndarray:
 
     evaluate's left-to-right product, one stacked product per letter
     position over the rows whose word reaches it (letter_codes), so each
-    image is evaluate's bit for bit.
+    image is evaluate's bit for bit.  InputError (exit 2) unless rep is a
+    representation.
     """
-    table = rep.letter_tables[0]
+    table = require_type(rep, Representation, "the representation").letter_tables[0]
     codes, reach, restore = letter_codes(rep.presentation, words)
     out = np.repeat(np.eye(rep.rank, dtype=complex)[None], len(codes), axis=0)
     for column, m in zip(codes.T, reach):
@@ -174,7 +192,7 @@ def check_settings(flavor: str, seed, *, seed_optional: bool = False, **sizes) -
     in this order: sizes by check_size, a known flavor, a seed by check_seed;
     seed_optional lets None through, a representation that no seed drew."""
     check_size(**sizes)
-    if flavor not in FLAVORS:
+    if not isinstance(flavor, str) or flavor not in FLAVORS:
         raise InputError(f"unknown flavor {flavor!r}")
     if not (seed_optional and seed is None):
         check_seed(seed)
@@ -419,6 +437,8 @@ def newton_project(presentation: Presentation, images, flavor: str,
     leaves the trust region or does not converge.  The points carry the
     inverses Newton kept as their inverse_images (_accepted_points).
     """
+    require_type(presentation, Presentation, "the presentation")
+    check_settings(flavor, seed, seed_optional=True)
     stack = complex_array(images, "image tuples")
     if stack.ndim != 4 or stack.shape[1:3] != (presentation.generator_count, stack.shape[3]):
         raise InputError(f"newton_project expects a (k, 2g, n, n) stack of image "
@@ -485,8 +505,10 @@ def conjugate_representation(rep: Representation, c: np.ndarray) -> Representati
     SINGULAR_IMAGE * ||c||_2^n.  The cut is relative: |det c| / ||c||_2^n
     is the product of the singular values over the n-th power of the
     largest, so it refuses a near-singular c at any scale (the zero
-    matrix included) and accepts a small scalar matrix.
+    matrix included) and accepts a small scalar matrix.  InputError too
+    unless rep is a representation.
     """
+    require_type(rep, Representation, "the representation")
     c = generator_stack([c], 1, rep.rank, "conjugators")[0]
     if abs(np.linalg.det(c)) <= tolerances.SINGULAR_IMAGE * np.linalg.norm(c, 2) ** rep.rank:
         raise InputError("conjugator is numerically singular")

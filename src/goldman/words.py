@@ -284,7 +284,8 @@ class Presentation:
 
     def word(self, raw: Sequence[tuple[int, int]]) -> GroupWord:
         """Freely reduce a raw sequence of (generator index, exponent) pairs:
-        their letter codes, through reduce."""
+        their letter codes, each checked once here, freely reduced as in
+        reduce."""
         count = 2 * self.genus
         codes: list[int] = []
         for gen, exp in require_type(raw, Iterable, "the raw word"):
@@ -292,15 +293,20 @@ class Presentation:
             if not is_integer(exp):
                 raise InputError(f"exponent {exp!r} of generator {gen} is not an integer")
             codes += [int(gen) if exp > 0 else count + int(gen)] * abs(exp)
-        return self.reduce(codes)
+        return self._reduced(codes)
 
     def reduce(self, codes: Iterable[int]) -> GroupWord:
-        """The freely reduced word of a sequence of letter codes, through one
+        """The freely reduced word of a sequence of letter codes, each
+        checked first (_check_codes)."""
+        codes = list(require_type(codes, Iterable, "the letter codes"))
+        _check_codes(codes, 2 * self.genus, reduced=False)  # before any code can cancel
+        return self._reduced(codes)
+
+    def _reduced(self, codes: list[int]) -> GroupWord:
+        """The freely reduced word of checked letter codes, through one
         push-or-cancel stack: a code cancels the top of the stack when the
         two differ by the generator count, x_i against x_i^-1."""
         count = 2 * self.genus
-        codes = list(require_type(codes, Iterable, "the letter codes"))
-        _check_codes(codes, count, reduced=False)  # before any code can cancel
         stack: list[int] = []
         for code in codes:
             if stack and abs(stack[-1] - code) == count:

@@ -586,6 +586,84 @@ class TestReducibleDimensions:
             assert commutant_dimension(rep) == rep.rank ** 2 - dims[1]
 
 
+def complex_decisions(rep):
+    """The rank decisions of rep decided on the complex matrices: dims as
+    cocycle_dimensions gives them on the relator constraint C and the
+    coboundary map D (or the ConditioningError message), dim B1 and the
+    commutant dimension, with the singular values of C and D."""
+    constraint = relator_tangent_matrix(rep.presentation, rep.images, rep.inverse_images)
+    coboundary = goldman.reps.coboundary_matrix(rep)
+    svals = triangular_values(coboundary)
+    k = split_singular_values(svals)[0]
+    try:
+        dims = cocycle_dimensions(constraint, coboundary, (k, svals))
+    except ConditioningError as exc:
+        dims = str(exc)
+    return dims, k, rep.rank ** 2 - k, triangular_values(constraint.conj().T), svals
+
+
+def real_decisions(rep):
+    """complex_decisions as the package decides them."""
+    try:
+        dims = cocycle_basis(rep).dims
+    except ConditioningError as exc:
+        dims = str(exc)
+    constraint = relator_tangent_matrix(rep.presentation, rep.images, rep.inverse_images)
+    k, svals = rep.coboundary_svd
+    return (dims, k, commutant_dimension(rep),
+            triangular_values(rep.decision_matrix(constraint).T), svals)
+
+
+def assert_same_decisions(rep):
+    *decided, c_svals, d_svals = real_decisions(rep)
+    *reference, c_reference, d_reference = complex_decisions(rep)
+    assert decided == reference
+    for values, expected in ((c_svals, c_reference), (d_svals, d_reference)):
+        assert values.dtype == float and values.shape == expected.shape
+        assert np.max(np.abs(values - expected)) <= 1e-13 * max(expected[0], 1.0)
+
+
+class TestUnitaryRealFormDecisions:
+    """At a unitary base the rank decisions read the u(n) real forms of C
+    and D; they are the decisions of the complex matrices, and the
+    general-linear flavor reads the complex matrices as they are."""
+
+    @pytest.mark.parametrize("genus", [1, 2, 3, 4])
+    @pytest.mark.parametrize("rank", [1, 2, 3, 5, 8])
+    def test_real_forms_decide_as_the_complex_matrices(self, genus, rank):
+        for seed in range(4):
+            rep = random_representation(genus, rank, "unitary", seed=seed)
+            assert rep.coboundary_decision.dtype == float
+            assert_same_decisions(rep)
+
+    @pytest.mark.parametrize("genus, sizes", [(2, (1, 1)), (2, (1, 1, 1)), (2, (1, 2)),
+                                              (3, (1, 1, 1, 1)), (3, (2, 2)), (3, (1, 3))])
+    def test_reducible_points_decide_as_the_complex_matrices(self, genus, sizes):
+        assert_same_decisions(block_diagonal_point(genus, sizes, seed=3))
+
+    @pytest.mark.parametrize("genus, rank", [(1, 2), (2, 2), (2, 3), (3, 2)])
+    def test_general_linear_points_read_the_complex_matrices(self, genus, rank):
+        rep = random_representation(genus, rank, "general-linear", seed=7)
+        constraint = relator_tangent_matrix(rep.presentation, rep.images, rep.inverse_images)
+        assert rep.decision_matrix(constraint) is constraint
+        assert rep.coboundary_decision is rep.coboundary_map
+        k, svals = rep.coboundary_svd
+        assert np.array_equal(svals, triangular_values(rep.coboundary_map))
+        assert k == split_singular_values(svals)[0]
+
+    def test_each_real_form_is_formed_once(self, monkeypatch):
+        rep = random_representation(2, 3, "unitary", seed=5)
+        formed = []
+        real_form = goldman.reps.unitary_real_form
+        monkeypatch.setattr(goldman.reps, "unitary_real_form",
+                            lambda m, n: formed.append(m.shape) or real_form(m, n))
+        dims = cocycle_basis(rep).dims
+        assert commutant_dimension(rep) == 1 and cocycle_basis(rep).dims == dims
+        # the constraint once per basis, the coboundary map once per representation
+        assert formed == [(9, 36), (36, 9), (9, 36)]
+        assert not rep.coboundary_decision.flags.writeable
+
+
 def direct_frames(rep):
     """Z1, B1 and H1 frames built eagerly by nullspace and complement_within,
     with the B1 map formed generator by generator."""

@@ -1,14 +1,17 @@
 """The package's own matrix exponential and unitary eigenframe, against
-scipy.linalg as the reference."""
+scipy.linalg as the reference, and the u(n) real form against a dense
+change of basis."""
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from goldman import ConditioningError, InputError, commutator_factor, tolerances
+from goldman import (ConditioningError, InputError, commutator_factor, random_representation,
+                     tolerances)
 from goldman.linalg import (complex_array, complex_gaussian, complex_gaussians, expm, frob,
                             frobs, haar_stack, haar_unitary, real_array, tuple_distance,
-                            unitary_eigenframe)
+                            unitary_eigenframe, unitary_real_form, vec)
+from goldman.reps import coboundary_matrix, relator_tangent_matrix
 
 # Higham's thresholds theta_m for the Padé degrees 3, 5, 7, 9 and 13
 THETAS = (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
@@ -336,3 +339,60 @@ class TestComplexArray:
     def test_refuses_what_is_not_numbers(self, values):
         with pytest.raises(InputError, match="values do not form one stack"):
             complex_array(values, "values")
+
+
+def dense_u_basis(n):
+    """The orthonormal u(n) basis T of unitary_real_form as one dense
+    (n^2, n^2) matrix of column-stacked elements, in its order:
+    (E_jk - E_kj)/sqrt 2, i E_jj, i (E_jk + E_kj)/sqrt 2, j < k in row order."""
+    def unit(j, k):
+        e = np.zeros((n, n), dtype=complex)
+        e[j, k] = 1
+        return e
+
+    pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
+    elements = ([(unit(j, k) - unit(k, j)) / np.sqrt(2) for j, k in pairs]
+                + [1j * unit(j, j) for j in range(n)]
+                + [1j * (unit(j, k) + unit(k, j)) / np.sqrt(2) for j, k in pairs])
+    return np.column_stack([vec(e) for e in elements])
+
+
+def dense_form(m, n):
+    """T^H m T on every n^2 x n^2 block of m, by dense products."""
+    t = dense_u_basis(n)
+    p, q = m.shape[0] // n ** 2, m.shape[1] // n ** 2
+    return np.kron(np.eye(p), t).conj().T @ m @ np.kron(np.eye(q), t)
+
+
+class TestUnitaryRealForm:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_basis_is_orthonormal_anti_hermitian(self, n):
+        t = dense_u_basis(n)
+        assert frob(t.conj().T @ t - np.eye(n * n)) < 1e-14
+        elements = t.T.reshape(n * n, n, n).transpose(0, 2, 1)
+        assert frob(elements + elements.conj().transpose(0, 2, 1)) == 0.0
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("p, q", [(1, 1), (1, 4), (4, 1), (2, 3)])
+    def test_equals_the_dense_real_part(self, n, p, q):
+        rng = np.random.default_rng(10 * n + p + q)
+        m = complex_gaussian(rng, (p * n * n, q * n * n))
+        form = unitary_real_form(m, n)
+        assert form.dtype == float and form.shape == m.shape
+        reference = dense_form(m, n).real
+        assert np.max(np.abs(form - reference)) <= 1e-14 * np.max(np.abs(reference))
+
+    def test_reads_a_non_contiguous_matrix(self):
+        m = complex_gaussian(np.random.default_rng(4), (8, 4)).T
+        assert np.array_equal(unitary_real_form(m, 2),
+                              unitary_real_form(np.ascontiguousarray(m), 2))
+
+    @pytest.mark.parametrize("genus, rank, seed", [(1, 3, 0), (2, 2, 1), (2, 5, 2), (3, 3, 3),
+                                                   (2, 8, 4)])
+    def test_constraint_and_coboundaries_are_real_at_unitary_points(self, genus, rank, seed):
+        rep = random_representation(genus, rank, "unitary", seed=seed)
+        for m in (relator_tangent_matrix(rep.presentation, rep.images, rep.inverse_images),
+                  coboundary_matrix(rep)):
+            full = dense_form(m, rank)
+            assert frob(full.imag) <= 1e-14 * frob(m)
+            assert np.max(np.abs(unitary_real_form(m, rank) - full.real)) <= 1e-14 * frob(m)

@@ -1,13 +1,17 @@
+import inspect
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+import goldman
 import goldman.reps
 from goldman import tolerances
-from goldman import (Chart, Cocycle, CocycleStack, ConvergenceError, GroupWord, InputError,
-                     Presentation, Representation, anti_hermitian_part, closedness_check,
-                     coboundary, coboundary_matrix, cocycle_basis, cocycle_law_residuals,
-                     commutant_dimension, commutator_factor, conjugate_representation, deform,
+from goldman import (Chart, Cocycle, CocycleStack, ConvergenceError, GoldmanError, GroupWord,
+                     InputError, Presentation, Representation, anti_hermitian_part,
+                     closedness_check, coboundary, coboundary_matrix, cocycle_basis,
+                     cocycle_law_residuals, commutant_dimension, commutator_factor,
+                     conjugate_representation, deform, deformation_correction,
                      dual_form_matrix, evaluate, gram, newton_project, pairing_dual,
                      random_cocycle, random_representation, real_locus_bases, relator_defect,
                      relator_residual, rh_differential, stack_cocycles, standard_block_j,
@@ -752,6 +756,10 @@ class TestConstructionValidation:
     lambda rep: Presentation(2).reduce_batch([[0]], [1])[0],
     lambda rep: Presentation(2).reduce_batch([[0]], [1]) * Presentation(2).reduce_batch(
         [[0], [1]], [1, 1]),
+    lambda rep: conjugate_representation(3, np.eye(2)),
+    lambda rep: evaluate_words(3, [rep.presentation.a(1)]),
+    lambda rep: deformation_correction(3, np.zeros(10)),
+    lambda rep: rh_differential(3, rep, rep, 1e-3),
 ], ids=["singular-conjugator", "wide-conjugator", "negative-block", "fractional-block",
         "bool-block", "wide-coboundary", "ragged-coboundary", "nan-stack",
         "stack-generator-count", "empty-stack", "stack-rank", "genus-zero-word",
@@ -785,7 +793,84 @@ class TestConstructionValidation:
          "codes-over-an-integer", "reduce-float-batch", "reduce-batch-out-of-range",
          "reduce-batch-too-long",
          "batch-of-another-genus", "join-no-batches", "join-an-integer",
-         "batch-row-by-an-integer", "multiply-batches-of-two-sizes"])
+         "batch-row-by-an-integer", "multiply-batches-of-two-sizes",
+         "conjugate-an-integer", "evaluate-words-over-an-integer",
+         "correction-of-an-integer", "rh-of-an-integer"])
 def test_exported_calls_refuse_bad_input(rep_g2n2, call):
     with pytest.raises(InputError):
         call(rep_g2n2)
+
+
+BAD_ARGUMENTS = (3, "x", None, float("nan"), np.eye(2), [1, 2])
+
+
+def exported_callables():
+    """(name, callable, required positional parameter names) of every
+    public callable that goldman exports, its exceptions aside."""
+    found = []
+    for name, value in sorted(vars(goldman).items()):
+        if name.startswith("_") or inspect.ismodule(value) or not callable(value) or (
+                isinstance(value, type) and issubclass(value, BaseException)):
+            continue
+        required = [p.name for p in inspect.signature(value).parameters.values()
+                    if p.default is p.empty
+                    and p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+        found.append((name, value, required))
+    return found
+
+
+def valid_arguments(rep):
+    """A valid value for each required parameter of an exported call at
+    the (2, 2) point rep, by parameter name, with (call, name) entries for
+    the names that two calls read differently."""
+    pres = rep.presentation
+    basis = cocycle_basis(rep)
+    h1 = basis.h1_complement
+    g = gram(h1)
+    chi = h1[0]
+    chart = h1_chart(rep)
+    normal = symplectic_basis(g)
+    word = pres.a(1)
+    return {
+        "center": rep, "rep": rep, "base": rep, "plus": rep, "minus": rep, "frame": h1,
+        "values": np.zeros((4, 2, 2)), ("CocycleStack", "values"): np.zeros((1, 4, 2, 2)),
+        "dims": basis.dims, "constraint": basis.constraint, "coboundary": basis.coboundary,
+        "vectors": g.vectors, "matrix": g.matrix, "genus": 2, "codes": (0, 1),
+        "presentation": pres, "rank": 2, "images": rep.images, "flavor": "unitary",
+        ("newton_project", "images"): rep.images[None], "e": normal.e, "f": normal.f,
+        "transform": normal.transform, "pairs": ((GroupRingElement.from_word(word), word),),
+        ("cocycle_law_residuals", "pairs"): [(word, word)],
+        ("pairing_duals", "pairs"): [(chi, chi)],
+        "max_imaginary": 0.0, "real_rank": 10, "expected_rank": 10, "passed": True,
+        "chi": chi, "chi1": chi, "chi2": h1[1], "direction": chi,
+        "element": GroupRingElement.from_word(word), "chart": chart, "triple": (0, 1, 2),
+        "h": 1e-3, "step": 1e-3, "t": 1e-3, "v": np.eye(2), "c": np.eye(2),
+        "u": word, ("commutator_factor", "u"): np.eye(2), ("commutator", "v"): pres.b(1),
+        "coords": np.zeros(len(h1)), "word": word, "words": [word], "index": 0, "cocycles": h1,
+        ("unitary_restriction_check", "cocycles"): real_locus_bases(basis)[1],
+        "basis": basis, "rng": np.random.default_rng(0), "text": "a1", "m": 1, "g": g,
+    }
+
+
+def test_every_exported_call_refuses_bad_arguments_in_every_slot(rep_g2n2):
+    """Each bad value in each required positional slot of each exported
+    call, the other slots valid: a GoldmanError or a normal return, never
+    another exception."""
+    valid = valid_arguments(rep_g2n2)
+    calls = exported_callables()
+    assert {"conjugate_representation", "evaluate_words", "deformation_correction",
+            "rh_differential"} <= {name for name, _, _ in calls}
+    escaped = []
+    for name, call, required in calls:
+        args = [valid.get((name, slot), valid.get(slot)) for slot in required]
+        assert all(arg is not None for arg in args), (name, required)
+        call(*args)  # the valid arguments alone return normally
+        for i, slot in enumerate(required):
+            for bad in BAD_ARGUMENTS:
+                try:
+                    call(*args[:i], bad, *args[i + 1:])
+                except GoldmanError:
+                    pass
+                except Exception as exc:  # noqa: BLE001 - collected and reported below
+                    escaped.append(f"{name}({slot}={bad!r}): {type(exc).__name__}: {exc}")
+    assert escaped == []

@@ -1,7 +1,7 @@
 """Import hygiene of the package source, checked on its syntax trees,
 and the independence of the cup-product oracle.
 
-Twenty-five rules, with no lint dependency:
+Twenty-six rules, with no lint dependency:
 
 - every module-level import is used in its module (the package
   ``__init__`` re-exports, and ``from __future__`` imports are exempt);
@@ -53,7 +53,8 @@ Twenty-five rules, with no lint dependency:
   inverse images, the Fox Jacobian included, is handed them;
 - the trusted word constructor ``words._trusted`` is called only in
   ``words``, by ``GroupWord.__mul__``, ``GroupWord.inverse``,
-  ``Presentation.reduce``, ``fox_derivative`` and ``WordBatch.words``,
+  ``Presentation._reduced`` (the push-or-cancel stack of ``reduce`` and
+  ``word``), ``fox_derivative`` and ``WordBatch.words``,
   and the trusted batch constructor ``words._trusted_batch`` only in
   ``words`` too, on codes that the module has just made freely reduced
   and in range: every word or batch built from outside input passes
@@ -92,7 +93,11 @@ Twenty-five rules, with no lint dependency:
 - ``verify.py`` calls neither ``reduce`` nor ``letter_codes``: its random
   words are ``WordBatch``es, reduced, multiplied and coded as arrays, and
   the checks hand them to ``evaluate_words`` and ``extend_words`` as they
-  stand, so no check goes back to reducing or coding word by word.
+  stand, so no check goes back to reducing or coding word by word;
+- ``linalg.unitary_real_form`` is called at one site, in
+  ``Representation.decision_matrix``: the one method that chooses, by the
+  flavor, the matrix a rank decision reads (the u(n) real form at a
+  unitary base), so no second decision path can grow beside it.
 """
 
 import ast
@@ -399,7 +404,7 @@ def test_trusted_words_are_built_only_in_words():
     found = [site for path in MODULES for site in call_sites(path, "_trusted")]
     assert sorted(set(_without_lines(found))) == ["words.py in GroupWord.__mul__",
                                                   "words.py in GroupWord.inverse",
-                                                  "words.py in Presentation.reduce",
+                                                  "words.py in Presentation._reduced",
                                                   "words.py in WordBatch.words",
                                                   "words.py in fox_derivative"]
     batches = [site for path in MODULES for site in call_sites(path, "_trusted_batch")]
@@ -409,6 +414,11 @@ def test_trusted_words_are_built_only_in_words():
 def test_verify_reads_word_batches():
     path = SOURCE / "verify.py"
     assert call_sites(path, "reduce") + call_sites(path, "letter_codes") == []
+
+
+def test_one_real_form_site():
+    found = [site for path in MODULES for site in call_sites(path, "unitary_real_form")]
+    assert _without_lines(found) == ["reps.py in Representation.decision_matrix"]
 
 
 def test_trusted_points_are_built_only_by_newton():
@@ -536,7 +546,10 @@ def test_rules_flag_what_they_name(tmp_path):
         "            pass\n"
         "    for w in words:\n"
         "        pass\n"
-        "    return [c for c in word.codes], word.codes, _letter_codes\n")
+        "    return [c for c in word.codes], word.codes, _letter_codes\n"
+        "class Q:\n"
+        "    def decision_matrix(self, m):\n"
+        "        return unitary_real_form(m, 2), linalg.unitary_real_form, real_form(m)\n")
     assert unused_module_imports(module) == ["sample.py:2 json"]
     assert non_cycle_local_imports(module) == ["sample.py:6 in f", "sample.py:7 in f"]
     assert package_imports(module) == ["sample.py:4 reps", "sample.py:7 reps",
@@ -571,6 +584,7 @@ def test_rules_flag_what_they_name(tmp_path):
                                                        "sample.py:60"]
     assert word_walks(module) == ["sample.py:62 in _walk", "sample.py:64 in _walk",
                                   "sample.py:65 in _walk"]
+    assert call_sites(module, "unitary_real_form") == ["sample.py:72 in Q.decision_matrix"]
     assert public_functions(module) == ["f", "g", "h", "r", "s", "t", "u", "project",
                                         "triangle", "check_x", "power"]
     caller = tmp_path / "caller.py"
