@@ -444,9 +444,10 @@ def cocycle_dimensions(constraint: np.ndarray, coboundary: np.ndarray,
     of C = constraint, with q = 2g n^2 columns, and the column space B1 of
     D = coboundary, whose decided triangular_values are coboundary_svd =
     (k, svals).  No tall orthonormal factor and no singular vector is
-    formed.  C and D may be the u(n) real forms T^H C T and T^H D T
-    (Representation.decision_matrix): T is unitary, so their singular
-    values and ||C D||_F, hence every decision, are the same.
+    formed.  C and D may be the u(n) real forms Re C - (Im C) Pi and
+    Re D - (Im D) Pi (Representation.decision_matrix), C and D in the
+    orthonormal coordinates A + S of u(n): their singular values and
+    ||C D||_F, hence every decision, are the same up to roundoff.
 
     On a closed surface group H2 is dual to H0 under the trace form
     (Goldman, 1984), so rank C = n^2 - dim H2 = n^2 - dim H0 = rank D, and
@@ -487,11 +488,13 @@ def random_cocycle(basis: CocycleBasis, rng: np.random.Generator,
     """Random complex combination of basis cocycles (seeded, deterministic).
 
     space is "z1" (the Z1 basis) or "h1" (the H1 complement).  InputError
-    (exit 2) when basis is not a CocycleBasis or rng is no RandomStream.
+    (exit 2) when basis is not a CocycleBasis, rng is no RandomStream or
+    space is not one of those strings.
     """
     require_type(basis, CocycleBasis, "the basis to draw from")
     # a Generator is a RandomStream; naming it first spares the protocol's slow check
     require_type(rng, (np.random.Generator, RandomStream), "the random stream")
+    require_type(space, str, "the cocycle space")
     if space == "z1":
         pool = basis.basis
     elif space == "h1":

@@ -3,7 +3,6 @@ the matrix exponential and unitary eigenframes."""
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Protocol, runtime_checkable
 
@@ -262,59 +261,25 @@ def decided_rank(m: Array):
     return split_singular_values(np.linalg.svd(m, compute_uv=False))
 
 
-@functools.cache
-def _u_gathers(n: int):
-    """unitary_real_form's index data at rank n, built once: for the
-    antisymmetric output rows, then the imaginary ones, their slice, the
-    positions of each row's two entries (a diagonal one twice, which
-    doubles it), and the interleaved (position, part) gathers of every
-    column's two entries, in the part that the column meets those rows
-    in; the sign of each column's second entry; and the scale of each
-    block entry, negated where an antisymmetric row meets an imaginary
-    column."""
-    pairs = [(j + k * n, k + j * n) for j in range(n) for k in range(j + 1, n)]
-    entries = np.array(pairs + [(j * (n + 1),) * 2 for j in range(n)] + pairs, dtype=np.intp)
-    h = len(pairs)
-    imaginary = np.arange(n * n) >= h
-    scale = np.full(n * n, 0.5 ** 0.5)
-    scale[h:h + n] = 0.5
-    factor = np.outer(scale, scale)
-    factor[:h, h:] *= -1
-    halves = [(rows, entries[rows], 2 * entries.T + (imaginary ^ part))
-              for part, rows in enumerate((slice(None, h), slice(h, None)))]
-    return halves, np.where(imaginary, 1.0, -1.0), factor[:, None, :]
-
-
 def unitary_real_form(m: Array, n: int) -> Array:
-    """Re(T^H m T) on each n^2 x n^2 block of a complex (p n^2, q n^2)
-    matrix m, in real arithmetic.  T is the orthonormal basis of u(n) in
-    column-stacked coordinates, in this order: (E_jk - E_kj)/sqrt 2, then
-    i E_jj, then i (E_jk + E_kj)/sqrt 2, each over j < k in row order.
-    Where m maps u(n)^q into u(n)^p, as Ad of a unitary matrix does,
-    T^H m T is real and the result has m's singular values.
+    """The real form of a complex (p n^2, q n^2) matrix m that maps u(n)^q
+    into u(n)^p, as Ad of a unitary matrix does, in the coordinates A + S
+    of u(n): X = A + iS, A real antisymmetric and S real symmetric, has
+    coordinates Y = A + S, an isometry onto the real n x n matrices.
 
-    T = [U_a, i U_i] with U real and each column holding at most two
-    entries, so with m = A + iB the form is
-    [[U_a^T A U_a, -U_a^T B U_i], [U_i^T B U_a, U_i^T A U_i]]: for the
-    output rows of each part, one gather pair of columns from m's
-    interleaved (real, imaginary) view, then one gather of row pairs.
-    Every temporary is real, about half of m's size, and no matrix
-    product is formed.
+    A coordinate Y gives X = ((1 + i) Y - (1 - i) Y^T) / 2, and Z = m X,
+    in u(n), has coordinates Re Z + Im Z = Re((1 - i) Z); as
+    (1 - i)(1 + i)/2 = 1 and (1 - i)^2/2 = -i, the form is
+    Re(m + i m Pi) = Re m - (Im m) Pi, Pi the transpose of each column
+    block's n x n coordinates.  Its singular values are m's: both
+    coordinate maps are orthonormal.  One real subtraction, no index table
+    and no matrix product; a (p n^2, q n^2) float array.
     """
-    halves, signs, factor = _u_gathers(n)
-    size = n * n
-    p, q = m.shape[0] // size, m.shape[1] // size
-    parts = np.ascontiguousarray(m).view(float).reshape(p, size, q, 2 * size)
-    out = np.empty((p, size, q, size))
-    # the antisymmetric output rows, then the imaginary ones
-    for (rows, entries, (left, right)), combine in zip(halves, (np.subtract, np.add)):
-        z = parts.take(right, axis=-1)
-        z *= signs
-        z += parts.take(left, axis=-1)
-        z = z.take(entries, axis=1)
-        combine(z[:, :, 0], z[:, :, 1], out=out[:, rows])
-    out *= factor
-    return out.reshape(p * size, q * size)
+    rows, blocks = m.shape[0], m.shape[1] // (n * n)
+    out = np.empty((rows, blocks, n, n))
+    np.subtract(m.real.reshape(rows, blocks, n, n),
+                m.imag.reshape(rows, blocks, n, n).swapaxes(-1, -2), out=out)
+    return out.reshape(m.shape)
 
 
 def triangular_values(m: Array) -> Array:

@@ -85,9 +85,10 @@ class Representation:
     def decision_matrix(self, m: np.ndarray) -> np.ndarray:
         """The matrix that a rank decision of m, a map between stacks of
         n x n matrices, reads.  At a unitary base Ad maps u(n) into u(n),
-        so m's u(n) real form (linalg.unitary_real_form) is real with m's
-        singular values, and its factorizations run in real arithmetic;
-        the general-linear flavor has no real form and reads m itself."""
+        so m's u(n) real form Re m - (Im m) Pi (linalg.unitary_real_form)
+        has m's singular values, and its factorizations run in real
+        arithmetic; the general-linear flavor has no real form and reads m
+        itself."""
         return unitary_real_form(m, self.rank) if self.flavor == UNITARY else m
 
     @cached_property
@@ -264,8 +265,9 @@ def commutator_factor(u: np.ndarray, unitary: bool = True):
     determinant off one, or for the unitary flavor a matrix off U(n), is
     an InputError, and a factorization whose residual exceeds
     CONSTRUCTION (a defective or ill-conditioned matrix) a
-    ConditioningError.
+    ConditioningError.  A unitary flag that is not a bool is an InputError.
     """
+    require_type(unitary, bool, "the unitary flag")
     tol = tolerances.CONSTRUCTION
     u = square_stack(u, "matrices to factor")
     n = u.shape[-1]

@@ -419,13 +419,16 @@ def _dual_generators(genus: int) -> tuple[GroupWord, ...]:
 
 
 class GroupRingElement:
-    """Finite integer combination of reduced words (the integral group ring)."""
+    """Finite integer combination of reduced words (the integral group ring).
+    terms, when given, is a dict from word to coefficient; anything else is
+    an InputError."""
 
     __slots__ = ("genus", "_terms")
 
     def __init__(self, genus: int, terms: dict[GroupWord, int] | None = None):
         self.genus = genus
-        self._terms = {w: c for w, c in (terms or {}).items() if c != 0}
+        terms = {} if terms is None else require_type(terms, dict, "the terms")
+        self._terms = {w: c for w, c in terms.items() if c != 0}
 
     @classmethod
     def from_word(cls, word: GroupWord, coefficient: int = 1) -> "GroupRingElement":

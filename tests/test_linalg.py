@@ -1,6 +1,6 @@
 """The package's own matrix exponential and unitary eigenframe, against
 scipy.linalg as the reference, and the u(n) real form against a dense
-change of basis."""
+change of basis in its coordinates A + S."""
 
 import numpy as np
 import pytest
@@ -8,8 +8,8 @@ import scipy.linalg
 
 from goldman import (ConditioningError, InputError, commutator_factor, random_representation,
                      tolerances)
-from goldman.linalg import (complex_array, complex_gaussian, complex_gaussians, expm, frob,
-                            frobs, haar_stack, haar_unitary, real_array, tuple_distance,
+from goldman.linalg import (ad_matrix, complex_array, complex_gaussian, complex_gaussians, expm,
+                            frob, frobs, haar_stack, haar_unitary, real_array, tuple_distance,
                             unitary_eigenframe, unitary_real_form, vec)
 from goldman.reps import coboundary_matrix, relator_tangent_matrix
 
@@ -342,9 +342,10 @@ class TestComplexArray:
 
 
 def dense_u_basis(n):
-    """The orthonormal u(n) basis T of unitary_real_form as one dense
-    (n^2, n^2) matrix of column-stacked elements, in its order:
-    (E_jk - E_kj)/sqrt 2, i E_jj, i (E_jk + E_kj)/sqrt 2, j < k in row order."""
+    """The orthonormal u(n) basis T of the earlier real form (a reference
+    for singular values) as one dense (n^2, n^2) matrix of column-stacked
+    elements, in its order: (E_jk - E_kj)/sqrt 2, i E_jj,
+    i (E_jk + E_kj)/sqrt 2, j < k in row order."""
     def unit(j, k):
         e = np.zeros((n, n), dtype=complex)
         e[j, k] = 1
@@ -357,30 +358,70 @@ def dense_u_basis(n):
     return np.column_stack([vec(e) for e in elements])
 
 
-def dense_form(m, n):
-    """T^H m T on every n^2 x n^2 block of m, by dense products."""
-    t = dense_u_basis(n)
+def dense_as_basis(n):
+    """The u(n) basis of unitary_real_form's coordinates A + S as one dense
+    (n^2, n^2) matrix: column j + k n is vec(((1 + i) E_jk - (1 - i) E_kj) / 2),
+    the element whose coordinates are the unit matrix E_jk."""
+    units = np.eye(n * n).reshape(n * n, n, n).transpose(0, 2, 1)  # units[j + k n] = E_jk
+    elements = ((1 + 1j) * units - (1 - 1j) * units.transpose(0, 2, 1)) / 2
+    return np.column_stack([vec(e) for e in elements])
+
+
+def dense_form(m, n, basis=dense_u_basis):
+    """basis^H m basis on every n^2 x n^2 block of m, by dense products."""
+    t = basis(n)
     p, q = m.shape[0] // n ** 2, m.shape[1] // n ** 2
     return np.kron(np.eye(p), t).conj().T @ m @ np.kron(np.eye(q), t)
+
+
+def u_preserving(rng, n, p, q):
+    """A complex (p n^2, q n^2) matrix mapping u(n)^q into u(n)^p: every
+    block a real combination of three ad_matrix blocks of Haar unitaries."""
+    u = np.array([haar_unitary(rng, n) for _ in range(3 * p * q)]).reshape(p, q, 3, n, n)
+    weights = rng.standard_normal((p, q, 3, 1, 1))
+    blocks = (weights * ad_matrix(u, u.conj().swapaxes(-1, -2))).sum(axis=2)
+    return np.block([[blocks[i, j] for j in range(q)] for i in range(p)])
 
 
 class TestUnitaryRealForm:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_basis_is_orthonormal_anti_hermitian(self, n):
-        t = dense_u_basis(n)
-        assert frob(t.conj().T @ t - np.eye(n * n)) < 1e-14
-        elements = t.T.reshape(n * n, n, n).transpose(0, 2, 1)
-        assert frob(elements + elements.conj().transpose(0, 2, 1)) == 0.0
+        for t in (dense_u_basis(n), dense_as_basis(n)):
+            assert frob(t.conj().T @ t - np.eye(n * n)) < 1e-14
+            elements = t.T.reshape(n * n, n, n).transpose(0, 2, 1)
+            assert frob(elements + elements.conj().transpose(0, 2, 1)) == 0.0
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_coordinates_are_an_isometry(self, n):
+        """X = A + iS -> A + S preserves the norm, and
+        ((1 + i) Y - (1 - i) Y^T) / 2 takes the coordinates back to X."""
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            x = complex_gaussian(rng, (n, n))
+            x -= x.conj().T
+            y = x.real + x.imag
+            assert abs(frob(y) - frob(x)) <= 1e-15 * frob(x)
+            back = ((1 + 1j) * y - (1 - 1j) * y.T) / 2
+            assert frob(back - x) <= 1e-15 * frob(x)
 
     @pytest.mark.parametrize("n", range(1, 6))
     @pytest.mark.parametrize("p, q", [(1, 1), (1, 4), (4, 1), (2, 3)])
     def test_equals_the_dense_real_part(self, n, p, q):
         rng = np.random.default_rng(10 * n + p + q)
-        m = complex_gaussian(rng, (p * n * n, q * n * n))
+        m = u_preserving(rng, n, p, q)
         form = unitary_real_form(m, n)
         assert form.dtype == float and form.shape == m.shape
-        reference = dense_form(m, n).real
-        assert np.max(np.abs(form - reference)) <= 1e-14 * np.max(np.abs(reference))
+        full = dense_form(m, n, dense_as_basis)
+        assert frob(full.imag) <= 1e-14 * frob(m)
+        assert np.max(np.abs(form - full.real)) <= 1e-14 * np.max(np.abs(full.real))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_form_of_one_ad_block_is_orthogonal(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            u = haar_unitary(rng, n)
+            form = unitary_real_form(ad_matrix(u, u.conj().T), n)
+            assert frob(form.T @ form - np.eye(n * n)) <= 1e-14
 
     def test_reads_a_non_contiguous_matrix(self):
         m = complex_gaussian(np.random.default_rng(4), (8, 4)).T
@@ -393,6 +434,16 @@ class TestUnitaryRealForm:
         rep = random_representation(genus, rank, "unitary", seed=seed)
         for m in (relator_tangent_matrix(rep.presentation, rep.images, rep.inverse_images),
                   coboundary_matrix(rep)):
-            full = dense_form(m, rank)
+            full = dense_form(m, rank, dense_as_basis)
             assert frob(full.imag) <= 1e-14 * frob(m)
             assert np.max(np.abs(unitary_real_form(m, rank) - full.real)) <= 1e-14 * frob(m)
+
+    @pytest.mark.parametrize("genus", [1, 2, 3, 4])
+    @pytest.mark.parametrize("rank", [1, 2, 3, 5, 8])
+    def test_singular_values_equal_the_t_basis_form(self, genus, rank):
+        rep = random_representation(genus, rank, "unitary", seed=genus + rank)
+        for m in (relator_tangent_matrix(rep.presentation, rep.images, rep.inverse_images),
+                  coboundary_matrix(rep)):
+            svals = np.linalg.svd(unitary_real_form(m, rank), compute_uv=False)
+            reference = np.linalg.svd(dense_form(m, rank).real, compute_uv=False)
+            assert np.max(np.abs(svals - reference)) <= 1e-14 * max(reference[0], 1.0)

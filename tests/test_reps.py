@@ -760,6 +760,9 @@ class TestConstructionValidation:
     lambda rep: evaluate_words(3, [rep.presentation.a(1)]),
     lambda rep: deformation_correction(3, np.zeros(10)),
     lambda rep: rh_differential(3, rep, rep, 1e-3),
+    lambda rep: random_cocycle(cocycle_basis(rep), np.random.default_rng(0), space=np.eye(2)),
+    lambda rep: commutator_factor(np.eye(2), unitary=np.eye(2)),
+    lambda rep: GroupRingElement(2, [1, 2]),
 ], ids=["singular-conjugator", "wide-conjugator", "negative-block", "fractional-block",
         "bool-block", "wide-coboundary", "ragged-coboundary", "nan-stack",
         "stack-generator-count", "empty-stack", "stack-rank", "genus-zero-word",
@@ -795,7 +798,8 @@ class TestConstructionValidation:
          "batch-of-another-genus", "join-no-batches", "join-an-integer",
          "batch-row-by-an-integer", "multiply-batches-of-two-sizes",
          "conjugate-an-integer", "evaluate-words-over-an-integer",
-         "correction-of-an-integer", "rh-of-an-integer"])
+         "correction-of-an-integer", "rh-of-an-integer", "draw-from-an-array-space",
+         "factor-with-an-array-flag", "ring-element-of-a-list"])
 def test_exported_calls_refuse_bad_input(rep_g2n2, call):
     with pytest.raises(InputError):
         call(rep_g2n2)
@@ -873,4 +877,31 @@ def test_every_exported_call_refuses_bad_arguments_in_every_slot(rep_g2n2):
                     pass
                 except Exception as exc:  # noqa: BLE001 - collected and reported below
                     escaped.append(f"{name}({slot}={bad!r}): {type(exc).__name__}: {exc}")
+    assert escaped == []
+
+
+def test_every_exported_call_refuses_bad_arguments_in_every_optional_slot(rep_g2n2):
+    """Each bad value passed by keyword to each parameter with a default of
+    each exported call, the required slots valid: a GoldmanError or a
+    normal return, never another exception.  Required and defaulted
+    parameters between them are every parameter, so the two sweeps reach
+    every slot."""
+    valid = valid_arguments(rep_g2n2)
+    escaped, swept = [], set()
+    for name, call, required in exported_callables():
+        args = [valid.get((name, slot), valid.get(slot)) for slot in required]
+        parameters = inspect.signature(call).parameters.values()
+        optional = [p.name for p in parameters if p.default is not p.empty]
+        assert len(required) + len(optional) == len(parameters), name
+        for slot in optional:
+            swept.add((name, slot))
+            for bad in BAD_ARGUMENTS:
+                try:
+                    call(*args, **{slot: bad})
+                except GoldmanError:
+                    pass
+                except Exception as exc:  # noqa: BLE001 - collected and reported below
+                    escaped.append(f"{name}({slot}={bad!r}): {type(exc).__name__}: {exc}")
+    assert {("random_cocycle", "space"), ("commutator_factor", "unitary"),
+            ("GroupRingElement", "terms"), ("random_representation", "flavor")} <= swept
     assert escaped == []

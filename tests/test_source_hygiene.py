@@ -96,8 +96,9 @@ Twenty-six rules, with no lint dependency:
   stand, so no check goes back to reducing or coding word by word;
 - ``linalg.unitary_real_form`` is called at one site, in
   ``Representation.decision_matrix``: the one method that chooses, by the
-  flavor, the matrix a rank decision reads (the u(n) real form at a
-  unitary base), so no second decision path can grow beside it.
+  flavor, the matrix a rank decision reads (at a unitary base the u(n)
+  real form Re m - (Im m) Pi, m in the coordinates A + S of u(n)), so no
+  second decision path can grow beside it.
 """
 
 import ast
