@@ -47,10 +47,13 @@ def _raw_deformed_images(rep: Representation, values: np.ndarray):
     return expm(values) @ rep.images
 
 
-def _check_fd_step(step: float):
-    require_type(step, Real, "the difference step")
-    if not step >= tolerances.MIN_FD_STEP:  # NaN fails too
-        raise InputError(f"step {step:g} below minimum {tolerances.MIN_FD_STEP:g}")
+def _check_step(step, what: str, low: float, high: float = np.inf) -> None:
+    """InputError (exit 2) unless step is a real number in [low, high]:
+    NaN is refused, and so is a bool, which Python counts as a number."""
+    if isinstance(require_type(step, Real, what), bool):
+        raise InputError(f"{what} must be a Real, got bool")
+    if not low <= step <= high:  # NaN fails too
+        raise InputError(f"{what} {step:g} outside [{low:g}, {high:g}]")
 
 
 def rh_differential(center: Representation, plus: Representation,
@@ -66,7 +69,7 @@ def rh_differential(center: Representation, plus: Representation,
     """
     for point in (center, plus, minus):
         require_type(point, Representation, "each point of the difference")
-    _check_fd_step(step)
+    _check_step(step, "the difference step", tolerances.MIN_FD_STEP)
     if not center.images.shape == plus.images.shape == minus.images.shape:
         raise InputError("center, plus and minus points differ in genus or rank")
     return Cocycle(center, (plus.images - minus.images) / (2.0 * step)
@@ -85,7 +88,7 @@ def rh_word_value(center: Representation, plus: Representation,
     words, GroupWords or a WordBatch, in one evaluate_words call, bit for
     bit evaluate word by word.
     """
-    _check_fd_step(step)
+    _check_step(step, "the difference step", tolerances.MIN_FD_STEP)
     words = words if isinstance(words, WordBatch) else list(words)
     return ((evaluate_words(plus, words) - evaluate_words(minus, words)) / (2.0 * step)
             @ np.linalg.inv(evaluate_words(center, words)))
@@ -196,7 +199,7 @@ class Chart:
         """The chart coordinates transported_frame_direction reads: coords
         and coords +- step along axis."""
         check_index("frame index", axis, self.dimension)
-        _check_fd_step(step)
+        _check_step(step, "the difference step", tolerances.MIN_FD_STEP)
         coords = real_array(coords, "chart coordinates")
         offset = np.zeros(self.dimension)
         offset[axis] = step
@@ -298,13 +301,16 @@ def closedness_floors(chart: Chart, triple: tuple[int, int, int], steps) -> list
 
 
 def _closedness_ladder(chart: Chart, triple, steps) -> tuple[tuple[int, int, int], list]:
-    """(triple, steps) as three frame indices of chart and a list of
-    closedness steps; InputError (exit 2) at the first bad one, a chart
+    """(triple, steps) as three frame indices of chart and a non-empty list
+    of closedness steps; InputError (exit 2) at the first bad one, a chart
     that is not a Chart first."""
     triple = _frame_triple(require_type(chart, Chart, "the chart"), triple)
     steps = list(require_type(steps, Iterable, "closedness steps"))
+    if not steps:
+        raise InputError("closedness steps must be a non-empty ladder, got none")
     for h in steps:
-        _check_closedness_step(h)
+        _check_step(h, "a closedness step", tolerances.FINITE_DIFFERENCE,
+                    tolerances.CLOSEDNESS_MAX_STEP)
     return triple, steps
 
 
@@ -317,13 +323,6 @@ def _frame_triple(chart: Chart, triple) -> tuple[int, int, int]:
     for index in (i, j, k):
         check_index("frame index", index, chart.dimension)
     return i, j, k
-
-
-def _check_closedness_step(h) -> None:
-    require_type(h, Real, "a closedness step")
-    if not tolerances.FINITE_DIFFERENCE <= h <= tolerances.CLOSEDNESS_MAX_STEP:
-        raise InputError(f"closedness step {h:g} outside [{tolerances.FINITE_DIFFERENCE:g}, "
-                         f"{tolerances.CLOSEDNESS_MAX_STEP:g}]")
 
 
 FLAT = "flat"  # the order of a ladder whose values all lie at roundoff

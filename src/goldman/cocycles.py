@@ -19,8 +19,8 @@ import numpy as np
 from . import tolerances
 from .errors import ConditioningError, InputError, require_type
 from .linalg import (RandomStream, canonical_frame, column_space, complement_within,
-                     complex_gaussian, frob, frobs, generator_stack, nullspace, real_flatten,
-                     split_singular_values, square_stack, triangular_values)
+                     complex_gaussian, frob, frobs, generator_stack, nullspace,
+                     split_singular_values, square_stack, triangular_values, unitary_values)
 from .reps import (UNITARY, Representation, evaluate_words, fox_jacobian,
                    relator_tangent_matrix)
 from .words import (GroupRingElement, GroupWord, RingCodes, WordBatch, join_batches,
@@ -505,17 +505,6 @@ def random_cocycle(basis: CocycleBasis, rng: np.random.Generator,
     return linear_combination(basis.base, coeffs, pool)
 
 
-def _real_span(frame: np.ndarray, rank: int) -> np.ndarray:
-    """Real-orthonormal columns, in real_flatten coordinates, spanning over
-    the reals the anti-Hermitian parts of the frame's cocycles and of 1j
-    times them, the columns chi_0, 1j chi_0, chi_1, ... of one C-ordered
-    matrix; a part of transposed matrices is the transposed part."""
-    size, k = frame.shape
-    both = np.stack([frame, 1j * frame], axis=-1).reshape(size // rank ** 2, rank, rank, 2 * k)
-    parts = (both - np.swapaxes(both.conj(), 1, 2)) / 2
-    return column_space(real_flatten(parts.reshape(size, 2 * k)))
-
-
 def real_locus_bases(basis: CocycleBasis) -> tuple[CocycleStack, CocycleStack]:
     """Canonical real-orthonormal bases of the anti-Hermitian-valued cocycles.
 
@@ -523,16 +512,16 @@ def real_locus_bases(basis: CocycleBasis) -> tuple[CocycleStack, CocycleStack]:
     spanning, over the reals, the tangent space of the unitary character
     variety and a complement of the real coboundaries in it.  Real
     dimensions match the complex ones: dim_R = dim_C Z1 and dim_C H1.
-    At a unitary base Ad commutes with the conjugate transpose, so the
-    anti-Hermitian part of delta_v is delta of the anti-Hermitian part of
-    v: the real coboundaries are the real span of B1's parts.
+    At a unitary base C maps u(n)^2g into u(n) and D maps u(n) into
+    u(n)^2g, so in the coordinates A + S of u(n) the anti-Hermitian
+    cocycles are ker C_R and the real coboundaries col D_R, C_R and D_R the
+    real forms of rep.decision_matrix; unitary_values maps them to values.
     """
     rep = require_type(basis, CocycleBasis, "the cocycle basis").base
     if rep.flavor != UNITARY:
         raise InputError("the real locus requires a unitary base representation")
-    z1_real = canonical_frame(_real_span(basis.z1_frame, rep.rank))
+    z1_real = canonical_frame(nullspace(rep.decision_matrix(basis.constraint)))
     h1_real = canonical_frame(
-        complement_within(z1_real, _real_span(canonical_frame(basis.b1_frame), rep.rank)))
-    half = z1_real.shape[0] // 2
-    return tuple(from_flat(rep, (frame[:half] + 1j * frame[half:]).T)
+        complement_within(z1_real, column_space(rep.decision_matrix(basis.coboundary))))
+    return tuple(from_flat(rep, unitary_values(frame, rep.rank).T)
                  for frame in (z1_real, h1_real))

@@ -267,8 +267,8 @@ def unitary_real_form(m: Array, n: int) -> Array:
     of u(n): X = A + iS, A real antisymmetric and S real symmetric, has
     coordinates Y = A + S, an isometry onto the real n x n matrices.
 
-    A coordinate Y gives X = ((1 + i) Y - (1 - i) Y^T) / 2, and Z = m X,
-    in u(n), has coordinates Re Z + Im Z = Re((1 - i) Z); as
+    A coordinate Y gives X = ((1 + i) Y - (1 - i) Y^T) / 2 (unitary_values),
+    and Z = m X, in u(n), has coordinates Re Z + Im Z = Re((1 - i) Z); as
     (1 - i)(1 + i)/2 = 1 and (1 - i)^2/2 = -i, the form is
     Re(m + i m Pi) = Re m - (Im m) Pi, Pi the transpose of each column
     block's n x n coordinates.  Its singular values are m's: both
@@ -280,6 +280,15 @@ def unitary_real_form(m: Array, n: int) -> Array:
     np.subtract(m.real.reshape(rows, blocks, n, n),
                 m.imag.reshape(rows, blocks, n, n).swapaxes(-1, -2), out=out)
     return out.reshape(m.shape)
+
+
+def unitary_values(y: Array, n: int) -> Array:
+    """The inverse of unitary_real_form's coordinates A + S: the values in
+    u(n)^p of real (p n^2, k) columns y, each n x n block Y giving
+    X = ((1 + i) Y - (1 - i) Y^T) / 2, so X + X^H = 0 bit for bit.  An
+    isometry: real-orthonormal y gives columns orthonormal under Re <X, X'>."""
+    blocks = y.reshape(y.shape[0] // (n * n), n, n, y.shape[1])
+    return (((1 + 1j) * blocks - (1 - 1j) * blocks.swapaxes(1, 2)) / 2).reshape(y.shape)
 
 
 def triangular_values(m: Array) -> Array:
@@ -406,9 +415,3 @@ def polar_unitary(m: Array) -> Array:
     matrix or of each matrix of a stack."""
     u, _, vh = np.linalg.svd(m)
     return u @ vh
-
-
-def real_flatten(z: Array) -> Array:
-    """Real coordinates of a complex vector, or of each column of a matrix: [Re; Im]."""
-    z = np.asarray(z)
-    return np.concatenate([z.real, z.imag])

@@ -420,15 +420,21 @@ def _dual_generators(genus: int) -> tuple[GroupWord, ...]:
 
 class GroupRingElement:
     """Finite integer combination of reduced words (the integral group ring).
-    terms, when given, is a dict from word to coefficient; anything else is
-    an InputError."""
+    terms, when given, is a dict from word to coefficient.  A genus that
+    fails check_size, a key not a GroupWord of that genus, a coefficient
+    that fails is_integer and a foreign operand are InputErrors."""
 
     __slots__ = ("genus", "_terms")
 
     def __init__(self, genus: int, terms: dict[GroupWord, int] | None = None):
-        self.genus = genus
+        check_size(genus=genus)
         terms = {} if terms is None else require_type(terms, dict, "the terms")
-        self._terms = {w: c for w, c in terms.items() if c != 0}
+        for w, c in terms.items():
+            if require_type(w, GroupWord, "a term's word").genus != genus or not is_integer(c):
+                raise InputError(f"term {c!r} * {w} is not an integer times a word of "
+                                 f"genus {genus}")
+        self.genus = int(genus)
+        self._terms = {w: int(c) for w, c in terms.items() if c != 0}
 
     @classmethod
     def from_word(cls, word: GroupWord, coefficient: int = 1) -> "GroupRingElement":
@@ -451,40 +457,42 @@ class GroupRingElement:
             raise InputError("group ring elements over different presentations")
 
     def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
-        self._check_genus(other)
+        self._check_genus(require_type(other, GroupRingElement, "the ring element added"))
         terms = dict(self._terms)
         for w, c in other._terms.items():
             terms[w] = terms.get(w, 0) + c
-        return GroupRingElement(self.genus, terms)
+        return _trusted_ring(self.genus, {w: c for w, c in terms.items() if c})
 
     def __neg__(self) -> "GroupRingElement":
-        return GroupRingElement(self.genus, {w: -c for w, c in self._terms.items()})
+        return _trusted_ring(self.genus, {w: -c for w, c in self._terms.items()})
 
     def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
-        return self + (-other)
+        return self + (-require_type(other, GroupRingElement, "the ring element subtracted"))
 
     def __mul__(self, other) -> "GroupRingElement":
-        if isinstance(other, int):
-            return GroupRingElement(self.genus, {w: c * other for w, c in self._terms.items()})
+        if is_integer(other):
+            return _trusted_ring(self.genus, {w: c * int(other)
+                                              for w, c in self._terms.items() if other})
         if isinstance(other, GroupWord):
             other = GroupRingElement.from_word(other)
+        if not isinstance(other, GroupRingElement):
+            raise InputError(f"a ring element multiplies by a ring element, a word or an "
+                             f"integer, not a {type(other).__name__}")
         self._check_genus(other)
         terms: dict[GroupWord, int] = {}
         for u, cu in self._terms.items():
             for v, cv in other._terms.items():
                 w = u * v
                 terms[w] = terms.get(w, 0) + cu * cv
-        return GroupRingElement(self.genus, terms)
+        return _trusted_ring(self.genus, {w: c for w, c in terms.items() if c})
 
     def __rmul__(self, other) -> "GroupRingElement":
         """w * e for a word w maps each term by left multiplication, a
-        bijection of words: no two terms merge."""
-        if isinstance(other, int):
+        bijection of words: no two terms merge; any other factor is e * other."""
+        if not isinstance(other, GroupWord):
             return self * other
-        if isinstance(other, GroupWord):
-            self._check_genus(other)
-            return _trusted_ring(self.genus, {other * w: c for w, c in self._terms.items()})
-        return NotImplemented
+        self._check_genus(other)
+        return _trusted_ring(self.genus, {other * w: c for w, c in self._terms.items()})
 
     def __eq__(self, other) -> bool:
         return (
@@ -509,8 +517,8 @@ class GroupRingElement:
 
 
 def _trusted_ring(genus: int, terms: dict) -> GroupRingElement:
-    """The element of terms that this module has just made distinct and
-    nonzero, without GroupRingElement's zero filter."""
+    """The element of terms that this module has just made distinct,
+    nonzero and integral, without GroupRingElement's checks."""
     element = object.__new__(GroupRingElement)
     element.genus, element._terms = genus, terms
     return element

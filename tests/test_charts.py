@@ -506,6 +506,31 @@ class TestChartPoints:
         assert list(chart._cache) == [tuple(good.tolist())]
 
 
+class TestStepTypes:
+    """A bool is no step: Python counts True as the number 1, and the step
+    checks refuse it as is_integer does."""
+
+    @pytest.mark.parametrize("call", [
+        lambda rep, chart: rh_differential(rep, rep, rep, True),
+        lambda rep, chart: rh_word_value(rep, rep, rep, [rep.presentation.a(1)], True),
+        lambda rep, chart: chart.transport_stencil(np.zeros(chart.dimension), 0, True),
+        lambda rep, chart: chart.transported_frame_direction(np.zeros(chart.dimension), 0,
+                                                             np.True_),
+        lambda rep, chart: closedness_residuals(chart, (0, 1, 2), [1e-3, True]),
+        lambda rep, chart: closedness_floors(chart, (0, 1, 2), [False]),
+    ], ids=["rh-differential", "rh-word-value", "transport-stencil",
+            "transported-direction", "closedness-residuals", "closedness-floors"])
+    def test_a_bool_is_not_a_step(self, basis_g2n2, call):
+        chart = Chart(center=basis_g2n2.base, frame=basis_g2n2.h1_complement)
+        with pytest.raises(InputError, match="got bool"):
+            call(basis_g2n2.base, chart)
+
+    def test_a_number_is_a_step(self, basis_g2n2):
+        rep = basis_g2n2.base
+        for step in (1, np.float64(1e-3), np.int64(1)):
+            assert isinstance(rh_differential(rep, rep, rep, step), Cocycle)
+
+
 class TestClosedness:
     def test_degenerate_triple_exact_zero(self, basis_g2n2):
         chart = Chart(center=basis_g2n2.base, frame=basis_g2n2.h1_complement)
@@ -578,6 +603,14 @@ class TestClosednessLadder:
             closedness_residuals(chart, (0, 1, 2), steps)
         with pytest.raises(InputError, match="out of range"):
             closedness_residuals(chart, (0, 1, 10), [1e-3])
+        assert calls == [] and chart._cache == {}
+
+    @pytest.mark.parametrize("reader", [closedness_residuals, closedness_floors])
+    def test_empty_ladder_is_refused_by_name(self, basis_g2n2, reader, monkeypatch):
+        chart = Chart(center=basis_g2n2.base, frame=basis_g2n2.h1_complement)
+        calls = projection_shapes(monkeypatch)
+        with pytest.raises(InputError, match="closedness steps must be a non-empty ladder"):
+            reader(chart, (0, 1, 2), [])
         assert calls == [] and chart._cache == {}
 
     def test_repeated_index_ladder_is_zero_without_points(self, basis_g2n2, monkeypatch):

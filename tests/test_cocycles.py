@@ -18,12 +18,12 @@ from goldman import (Cocycle, ConditioningError, GroupWord, InputError, Presenta
                      star_involution, word_jacobian)
 from goldman.cli import main
 from goldman.config import RunConfig
-from goldman.cocycles import (CocycleBasis, CocycleStack, _real_span, cocycle_dimensions,
+from goldman.cocycles import (CocycleBasis, CocycleStack, cocycle_dimensions,
                               expected_h1_dimension, from_flat, linear_combination,
                               ring_values, sine_bound, stack_cocycles)
 from goldman.linalg import (ad_matrix, canonical_frame, column_space, complement_within,
-                            decided_rank, frob, nullspace, real_flatten,
-                            split_singular_values, triangular_values, vec)
+                            decided_rank, frob, nullspace, split_singular_values,
+                            triangular_values, vec)
 from goldman.reps import commutant_dimension, relator_tangent_matrix
 from goldman.words import GroupRingElement, letter_codes, ring_codes
 from letterwise import letterwise_extend
@@ -1045,15 +1045,12 @@ class TestFrameStability:
         spans = {"z1": z1, "h1": complement_within(z1, basis.b1_frame),
                  "b1": basis.b1_frame}
         if flavor == "unitary":
-            n = basis.base.rank
-            z1_real = _real_span(basis.z1_frame, n)
-            spans["z1 real"] = z1_real
-            spans["h1 real"] = complement_within(
-                z1_real, _real_span(canonical_frame(basis.b1_frame), n))
+            spans["z1 real"], spans["h1 real"] = real_locus_oracle(
+                basis.base, z1, basis.b1_frame)
         frames = read_frames(basis)
         if flavor == "unitary":
             for name in ("z1 real", "h1 real"):
-                frames[name] = np.vstack([frames[name].real, frames[name].imag])
+                frames[name] = re_im(frames[name])
         for name, svd_frame in spans.items():
             frame = frames[name]
             assert frame.shape == svd_frame.shape, name
@@ -1167,8 +1164,14 @@ class TestStackedCocycleMaps:
                 stacked_map(stack)
 
 
+def re_im(z):
+    """[Re; Im]: the real coordinates of a complex vector, or of each
+    column of a matrix."""
+    return np.concatenate([z.real, z.imag])
+
+
 def explicit_real_coboundaries(rep):
-    """Reference: delta over an explicit basis of u(n), real-flattened."""
+    """Reference: delta over an explicit basis of u(n), in [Re; Im] coordinates."""
     n = rep.rank
     cob_vectors = []
     for p in range(n):
@@ -1176,58 +1179,59 @@ def explicit_real_coboundaries(rep):
             if p == q:
                 v = np.zeros((n, n), dtype=complex)
                 v[p, p] = 1j
-                cob_vectors.append(real_flatten(coboundary(v, rep).flat))
+                cob_vectors.append(re_im(coboundary(v, rep).flat))
             elif p < q:
                 v = np.zeros((n, n), dtype=complex)
                 v[p, q] = 1.0
                 v[q, p] = -1.0
-                cob_vectors.append(real_flatten(coboundary(v, rep).flat))
+                cob_vectors.append(re_im(coboundary(v, rep).flat))
                 v = np.zeros((n, n), dtype=complex)
                 v[p, q] = 1j
                 v[q, p] = 1j
-                cob_vectors.append(real_flatten(coboundary(v, rep).flat))
+                cob_vectors.append(re_im(coboundary(v, rep).flat))
     return column_space(np.column_stack(cob_vectors))
 
 
 def real_projector(cocycles, rows):
-    frame = np.column_stack([real_flatten(c.flat) for c in cocycles] or [np.zeros(rows)])
+    frame = np.column_stack([re_im(c.flat) for c in cocycles] or [np.zeros(rows)])
     return frame @ frame.T
 
 
-def per_cocycle_real_locus(basis):
-    """real_locus_bases' frames as values stacks, built one cocycle at a
-    time: anti_hermitian_part of each frame cocycle and of 1j times it,
-    column by column, and one Cocycle per column of every frame."""
-    rep = basis.base
-    n = rep.rank
-
-    def cocycles(frame):
-        return [Cocycle(rep, np.reshape(frame[:, j], (-1, n, n)).transpose(0, 2, 1))
-                for j in range(frame.shape[1])]
+def real_locus_oracle(base, z1_frame, b1_frame):
+    """Reference for real_locus_bases from complex Z1 and B1 frames, in
+    [Re; Im] coordinates: the real span of the anti-Hermitian parts of
+    each frame cocycle and of 1j times it, one cocycle at a time, and the
+    complement of B1's span in Z1's.  Returns (z1_real, h1_real) with
+    real-orthonormal columns."""
+    n = base.rank
 
     def real_span(frame):
-        columns = [real_flatten(anti_hermitian_part(c).flat)
-                   for chi in cocycles(frame) for c in (chi, 1j * chi)]
+        cocycles = [Cocycle(base, np.reshape(column, (-1, n, n)).transpose(0, 2, 1))
+                    for column in frame.T]
+        columns = [re_im(anti_hermitian_part(c).flat)
+                   for chi in cocycles for c in (chi, 1j * chi)]
         if not columns:
             return np.zeros((2 * frame.shape[0], 0))
         return column_space(np.column_stack(columns))
 
-    z1_real = canonical_frame(real_span(basis.z1_frame))
-    h1_real = canonical_frame(
-        complement_within(z1_real, real_span(canonical_frame(basis.b1_frame))))
-    half = z1_real.shape[0] // 2
-    return [np.stack([chi.values for chi in cocycles(frame[:half] + 1j * frame[half:])])
-            for frame in (z1_real, h1_real)]
+    z1_real = real_span(z1_frame)
+    return z1_real, complement_within(z1_real, real_span(b1_frame))
 
 
 class TestRealLocus:
     @pytest.mark.parametrize("genus,rank", [(2, 1), (2, 2), (3, 2)])
     def test_stacked_frames_equal_the_per_cocycle_ones(self, seeded_bases, genus, rank):
+        # the subspaces of the per-cocycle reference, which reads the
+        # complex frames in [Re; Im] coordinates, and orthonormal frames
         basis = seeded_bases[(genus, rank)]
         stacks = real_locus_bases(basis)
-        for stack, values in zip(stacks, per_cocycle_real_locus(basis)):
+        oracle = real_locus_oracle(basis.base, basis.z1_frame, basis.b1_frame)
+        for stack, reference in zip(stacks, oracle):
             assert type(stack) is CocycleStack and stack.base is basis.base
-            assert_same_bits(stack.values, values)
+            frame = re_im(frame_of(stack))
+            assert frame.shape == reference.shape
+            difference = frame @ frame.T - reference @ reference.T
+            assert np.abs(difference).max() <= 1e-12
 
     @pytest.mark.parametrize("genus,rank", [(2, 1), (2, 2), (2, 3)])
     def test_real_coboundaries_are_delta_of_u_n(self, seeded_bases, genus, rank):

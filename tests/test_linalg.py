@@ -1,6 +1,7 @@
 """The package's own matrix exponential and unitary eigenframe, against
 scipy.linalg as the reference, and the u(n) real form against a dense
-change of basis in its coordinates A + S."""
+change of basis in its coordinates A + S, with the inverse of those
+coordinates."""
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from goldman import (ConditioningError, InputError, commutator_factor, random_re
                      tolerances)
 from goldman.linalg import (ad_matrix, complex_array, complex_gaussian, complex_gaussians, expm,
                             frob, frobs, haar_stack, haar_unitary, real_array, tuple_distance,
-                            unitary_eigenframe, unitary_real_form, vec)
+                            unitary_eigenframe, unitary_real_form, unitary_values, vec)
 from goldman.reps import coboundary_matrix, relator_tangent_matrix
 
 # Higham's thresholds theta_m for the Padé degrees 3, 5, 7, 9 and 13
@@ -447,3 +448,70 @@ class TestUnitaryRealForm:
             svals = np.linalg.svd(unitary_real_form(m, rank), compute_uv=False)
             reference = np.linalg.svd(dense_form(m, rank).real, compute_uv=False)
             assert np.max(np.abs(svals - reference)) <= 1e-14 * max(reference[0], 1.0)
+
+
+def anti_hermitian_columns(rng, n, p, k, scale=None):
+    """k random columns of u(n)^p, each the column-stacked vec of p
+    anti-Hermitian n x n blocks; entries on the grid 2^-scale when scale
+    is given, where sums and halves are exact."""
+    x = complex_gaussian(rng, (k, p, n, n))
+    if scale is not None:
+        x = np.round(x * 2.0 ** scale) / 2.0 ** scale
+    x -= x.conj().swapaxes(-1, -2)
+    return x.swapaxes(-1, -2).reshape(k, p * n * n).T
+
+
+def blocks_of(columns, n):
+    """The n x n blocks of column-stacked columns, as (k, p, n, n) matrices."""
+    return columns.T.reshape(columns.shape[1], -1, n, n).swapaxes(-1, -2)
+
+
+class TestUnitaryValues:
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("p", [1, 4])
+    def test_inverts_the_coordinates_bit_for_bit(self, n, p):
+        """On a grid where the arithmetic is exact, the values of the
+        coordinates A + S = Re X + Im X of an anti-Hermitian X are X."""
+        x = anti_hermitian_columns(np.random.default_rng(n + p), n, p, 6, scale=20)
+        assert np.array_equal(unitary_values(x.real + x.imag, n), x)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_coordinates_of_the_values_are_the_input(self, n):
+        rng = np.random.default_rng(n)
+        y = rng.standard_normal((3 * n * n, 7))
+        x = unitary_values(y, n)
+        assert x.dtype == complex and x.shape == y.shape
+        assert np.max(np.abs(x.real + x.imag - y)) <= 1e-15 * np.max(np.abs(y))
+        x = anti_hermitian_columns(rng, n, 3, 7)
+        back = unitary_values(x.real + x.imag, n)
+        assert np.max(np.abs(back - x)) <= 1e-15 * np.max(np.abs(x))
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_values_are_anti_hermitian_bit_for_bit(self, n):
+        y = np.random.default_rng(n).standard_normal((4 * n * n, 5))
+        blocks = blocks_of(unitary_values(y, n), n)
+        assert not np.any(blocks + blocks.conj().swapaxes(-1, -2))
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_is_an_isometry(self, n):
+        """Real-orthonormal coordinates give values orthonormal under
+        Re <X, X'>, and every norm is kept."""
+        rng = np.random.default_rng(n)
+        q, _ = np.linalg.qr(rng.standard_normal((4 * n * n, 2 * n)))
+        x = unitary_values(q, n)
+        assert frob((x.conj().T @ x).real - np.eye(2 * n)) <= 1e-14
+        y = rng.standard_normal((4 * n * n, 3))
+        assert np.allclose(np.linalg.norm(unitary_values(y, n), axis=0),
+                           np.linalg.norm(y, axis=0), rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    @pytest.mark.parametrize("p, q", [(1, 1), (1, 4), (4, 1), (2, 3)])
+    def test_real_form_acts_on_the_coordinates(self, n, p, q):
+        """unitary_real_form(m) y is the coordinates of m applied to the
+        values of y: the two maps are the two sides of one change of basis."""
+        rng = np.random.default_rng(10 * n + p + q)
+        m = u_preserving(rng, n, p, q)
+        y = rng.standard_normal((q * n * n, 4))
+        z = m @ unitary_values(y, n)
+        form = unitary_real_form(m, n) @ y
+        assert np.max(np.abs(form - (z.real + z.imag))) <= 1e-14 * frob(m) * frob(y)

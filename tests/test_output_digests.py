@@ -31,7 +31,7 @@ PINNED = {
     "unitary/deformed":
         "948453aa4e97e2fe8dc6f36dfa56e8280c51e613929b311057acb0a4d40841fd",
     "unitary/verify-report":
-        "6db1dd5387bef3616fc0331c59a59395fe0b54b541cc9f891abb401aecb476f6",
+        "ffdbf060b3d7fc00b01e9439d54cb9072cec14991327d60b33e557c96c89ea3a",
     "general-linear/representation":
         "623ed2f22169cc4f459053a9cc915c02ce12bac79f828a569aa9b34dc94fd99a",
     "general-linear/cocycles":
@@ -51,11 +51,11 @@ PINNED = {
     "closedness-g2n1-seed-0-stdout":
         "90b78a6f9c44df93dfbc0790cf47a03084dc9bc6de543915ef75dbd223fa7af5",
     "g3n2-unitary-seed4/verify-report":
-        "265eccb95c57ba7c95f7d4a4e7dff01957d945c6b76f870425dd44f9ae88f6f3",
+        "c088867ab082b943fa5fa9bb04255c9a584c35ed84d6fe244022a0c1f1fb7039",
     "g2n3-general-linear-seed5/verify-report":
         "286b8fe824acaa26d3e617c5df3c87b3ea7b79418e1dfb6d351d334da329b82b",
     "g2n1-unitary-seed2/verify-report":
-        "420e4a8f22e355b4ae8f49b2f74b7b80c52d8d62a8128d1bf722f5db90e8aab0",
+        "2564a214af3cb838bed02d8343d28cdf960cacf6611f15190d4a07c3ec4a8a09",
 }
 
 # (genus, rank, flavor, seed) of the verify reports pinned beside (2,2)

@@ -763,6 +763,19 @@ class TestConstructionValidation:
     lambda rep: random_cocycle(cocycle_basis(rep), np.random.default_rng(0), space=np.eye(2)),
     lambda rep: commutator_factor(np.eye(2), unitary=np.eye(2)),
     lambda rep: GroupRingElement(2, [1, 2]),
+    lambda rep: GroupRingElement("x", {}),
+    lambda rep: GroupRingElement.zero(0),
+    lambda rep: GroupRingElement(2, {1: 2}),
+    lambda rep: GroupRingElement(3, {rep.presentation.a(1): 1}),
+    lambda rep: GroupRingElement(2, {rep.presentation.a(1): 0.5}),
+    lambda rep: GroupRingElement(2, {rep.presentation.a(1): True}),
+    lambda rep: GroupRingElement.from_word(rep.presentation.a(1), 1.5),
+    lambda rep: GroupRingElement.from_word(rep.presentation.a(1)) * 0.5,
+    lambda rep: GroupRingElement.from_word(rep.presentation.a(1)) * "x",
+    lambda rep: GroupRingElement.from_word(rep.presentation.a(1)) * True,
+    lambda rep: 0.5 * GroupRingElement.from_word(rep.presentation.a(1)),
+    lambda rep: GroupRingElement.from_word(rep.presentation.a(1)) + 1,
+    lambda rep: GroupRingElement.from_word(rep.presentation.a(1)) - rep.presentation.a(1),
 ], ids=["singular-conjugator", "wide-conjugator", "negative-block", "fractional-block",
         "bool-block", "wide-coboundary", "ragged-coboundary", "nan-stack",
         "stack-generator-count", "empty-stack", "stack-rank", "genus-zero-word",
@@ -799,7 +812,13 @@ class TestConstructionValidation:
          "batch-row-by-an-integer", "multiply-batches-of-two-sizes",
          "conjugate-an-integer", "evaluate-words-over-an-integer",
          "correction-of-an-integer", "rh-of-an-integer", "draw-from-an-array-space",
-         "factor-with-an-array-flag", "ring-element-of-a-list"])
+         "factor-with-an-array-flag", "ring-element-of-a-list",
+         "ring-element-of-a-string-genus", "ring-zero-of-genus-zero",
+         "ring-element-integer-key", "ring-element-word-of-another-genus",
+         "ring-element-fractional-coefficient", "ring-element-bool-coefficient",
+         "ring-word-fractional-coefficient", "ring-times-a-float", "ring-times-a-string",
+         "ring-times-a-bool", "float-times-a-ring-element", "ring-plus-an-integer",
+         "ring-minus-a-word"])
 def test_exported_calls_refuse_bad_input(rep_g2n2, call):
     with pytest.raises(InputError):
         call(rep_g2n2)

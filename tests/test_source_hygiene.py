@@ -98,7 +98,11 @@ Twenty-six rules, with no lint dependency:
   ``Representation.decision_matrix``: the one method that chooses, by the
   flavor, the matrix a rank decision reads (at a unitary base the u(n)
   real form Re m - (Im m) Pi, m in the coordinates A + S of u(n)), so no
-  second decision path can grow beside it.
+  second decision path can grow beside it; and its inverse
+  ``linalg.unitary_values`` is called at one site, in
+  ``cocycles.real_locus_bases``, so the coordinates A + S are written and
+  read back in ``linalg`` alone and no second real form of u(n) grows
+  beside them.
 """
 
 import ast
@@ -420,6 +424,8 @@ def test_verify_reads_word_batches():
 def test_one_real_form_site():
     found = [site for path in MODULES for site in call_sites(path, "unitary_real_form")]
     assert _without_lines(found) == ["reps.py in Representation.decision_matrix"]
+    found = [site for path in MODULES for site in call_sites(path, "unitary_values")]
+    assert _without_lines(found) == ["cocycles.py in real_locus_bases"]
 
 
 def test_trusted_points_are_built_only_by_newton():
@@ -550,7 +556,9 @@ def test_rules_flag_what_they_name(tmp_path):
         "    return [c for c in word.codes], word.codes, _letter_codes\n"
         "class Q:\n"
         "    def decision_matrix(self, m):\n"
-        "        return unitary_real_form(m, 2), linalg.unitary_real_form, real_form(m)\n")
+        "        return unitary_real_form(m, 2), linalg.unitary_real_form, real_form(m)\n"
+        "def real_locus_bases(y):\n"
+        "    return unitary_values(y, 2), linalg.unitary_values(y, 2), unitary_values\n")
     assert unused_module_imports(module) == ["sample.py:2 json"]
     assert non_cycle_local_imports(module) == ["sample.py:6 in f", "sample.py:7 in f"]
     assert package_imports(module) == ["sample.py:4 reps", "sample.py:7 reps",
@@ -586,11 +594,14 @@ def test_rules_flag_what_they_name(tmp_path):
     assert word_walks(module) == ["sample.py:62 in _walk", "sample.py:64 in _walk",
                                   "sample.py:65 in _walk"]
     assert call_sites(module, "unitary_real_form") == ["sample.py:72 in Q.decision_matrix"]
+    assert call_sites(module, "unitary_values") == ["sample.py:74 in real_locus_bases",
+                                                    "sample.py:74 in real_locus_bases"]
     assert public_functions(module) == ["f", "g", "h", "r", "s", "t", "u", "project",
-                                        "triangle", "check_x", "power"]
+                                        "triangle", "check_x", "power", "real_locus_bases"]
     caller = tmp_path / "caller.py"
     caller.write_text("def v(m):\n"
                       "    return f(), sample.g(m), h, [r for r in m], C().points(m)\n")
     assert orphan_functions(module, [caller]) == ["h", "r", "s", "t", "u", "project",
-                                                  "triangle", "check_x", "power"]
+                                                  "triangle", "check_x", "power",
+                                                  "real_locus_bases"]
 

@@ -351,6 +351,20 @@ class TestGroupRing:
         assert e * 3 == GroupRingElement.from_word(pres.a(1), 3)
         assert (e * 0).is_zero
 
+    def test_operator_results_pass_the_constructor(self):
+        """The operators build their results unchecked: each holds nonzero
+        Python int coefficients, as the checked constructor would."""
+        pres = Presentation(2)
+        a = (GroupRingElement.from_word(pres.a(1), 2)
+             + GroupRingElement.from_word(pres.b(2).inverse(), np.int64(-3)))
+        b = GroupRingElement.from_word(pres.a(1), -2) + GroupRingElement.from_word(pres.b(1))
+        w = pres.a(1).inverse()
+        for result in (a + b, a - b, -a, a * b, a * 3, np.int64(2) * a, w * a, a * w, a * 0):
+            assert result == GroupRingElement(2, dict(result.terms()))
+            assert all(type(c) is int and c != 0 for _, c in result.terms())
+        held = GroupRingElement(np.int64(2), {pres.a(1): np.int64(3)})
+        assert type(held.genus) is int and held == GroupRingElement.from_word(pres.a(1), 3)
+
     def test_word_times_element_is_the_element_product(self):
         rng = np.random.default_rng(3)
         for genus in (1, 2, 3):
